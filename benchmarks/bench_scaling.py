@@ -51,10 +51,10 @@ def test_hundreds_of_sandboxes_run_isolated():
 def test_memory_stays_sparse():
     """Mapping N sandboxes materializes only the pages actually used."""
     runtime = Runtime()
-    before = len(runtime.memory._pages)
+    before = runtime.memory.pages_in_range()
     for i in range(64):
         runtime.spawn(compile_lfi(tiny_program(i)).elf)
-    pages_per_sandbox = (len(runtime.memory._pages) - before) / 64
+    pages_per_sandbox = (runtime.memory.pages_in_range() - before) / 64
     # A 4GiB slot is 262,144 pages; we materialize well under 100.
     assert pages_per_sandbox < 100
 

@@ -14,7 +14,7 @@ decoded to absolute addresses (``Imm``) using the ``pc`` argument.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .encoder import decode_bitmask, decode_fp8
 from .instructions import Instruction
@@ -34,7 +34,8 @@ from .operands import (
 )
 from .registers import INDEX_31, Reg, V, gpr_or_sp, gpr_or_zr, vec
 
-__all__ = ["decode_word", "decode_text", "decoder_names", "decoding_class"]
+__all__ = ["decode_word", "decode_word_pc", "decode_text", "decoder_names",
+           "decoding_class"]
 
 _EXTEND_NAMES = ["uxtb", "uxth", "uxtw", "uxtx", "sxtb", "sxth", "sxtw", "sxtx"]
 _SHIFT_NAMES = ["lsl", "lsr", "asr", "ror"]
@@ -58,6 +59,21 @@ def decode_word(word: int, pc: int = 0) -> Optional[Instruction]:
         if inst is not None:
             return inst
     return None
+
+
+def decode_word_pc(word: int, pc: int = 0,
+                   ) -> Tuple[Optional[Instruction], bool]:
+    """:func:`decode_word`, plus whether the decode read ``pc``.
+
+    ``False`` means the word decodes to an equal instruction at every
+    address, so one decode may be shared by every place the word occurs.
+    """
+    word &= 0xFFFFFFFF
+    for decoder in _DECODERS:
+        inst = decoder(word, pc)
+        if inst is not None:
+            return inst, decoder in _READS_PC
+    return None, False
 
 
 def decode_text(data: bytes, base: int = 0) -> List[Optional[Instruction]]:
@@ -943,3 +959,8 @@ _DECODERS = (
     _dec_movi,
     _dec_dup,
 )
+
+#: The encoding groups that turn a pc-relative field into an absolute
+#: address; every other decoder ignores its ``pc`` argument.
+_READS_PC = frozenset((_dec_branch_imm, _dec_branch_cond, _dec_cb, _dec_tb,
+                       _dec_adr))

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError, VfsError as _VfsError
 from ..memory.layout import GUARD_SIZE, SANDBOX_SIZE, SandboxLayout
-from ..memory.pages import PERM_RW, PagedMemory
+from ..memory.pages import PagedMemory
 from ..obs.events import (
     ContextSwitch,
     FaultEvent,
@@ -216,31 +216,26 @@ def capture_job(
     for proc in procs:
         base, end = proc.layout.base, proc.layout.end
         slot_ord = ordinal[proc.pid]
-        base_page = base // ps
 
-        regions: List[Tuple[int, int, int]] = []
-        for rbase, rsize, rperms in memory.mapped_regions():
-            lo = max(rbase, base)
-            hi = min(rbase + rsize, end)
-            if lo >= hi:
-                continue
-            regions.append((lo - base, hi - lo, rperms))
-            for page in range(lo // ps, hi // ps):
-                key = (slot_ord, page - base_page)
-                buf = memory._pages[page]
-                if refs is not None and refs.get(key) is buf:
-                    data = cached[key]
-                else:
-                    data = bytes(buf)
-                    dirty += 1
-                if refs is not None:
-                    refs[key] = buf
-                    cached[key] = data
-                    # Mark the page COW: a guest write now copies the
-                    # storage out, so next capture's identity check sees
-                    # a different bytearray exactly for dirtied pages.
-                    memory._cow.add(page)
-                pages[key] = data
+        regions = [(rbase - base, rsize, rperms) for rbase, rsize, rperms
+                   in memory.mapped_regions(base, end)]
+        # Only pages with non-zero content are stored; restore maps the
+        # regions and leaves the rest demand-zero.  A session marks what
+        # it captures COW: a guest write then copies the storage out, so
+        # the next capture's identity check sees a different bytearray
+        # exactly for dirtied pages.
+        for addr, buf in memory.nonzero_pages(base, end,
+                                              cow=refs is not None):
+            key = (slot_ord, (addr - base) // ps)
+            if refs is not None and refs.get(key) is buf:
+                data = cached[key]
+            else:
+                data = bytes(buf)
+                dirty += 1
+            if refs is not None:
+                refs[key] = buf
+                cached[key] = data
+            pages[key] = data
 
         block_pipe = (pipe_id(proc.block_pipe)
                       if proc.block_pipe is not None else None)
@@ -370,13 +365,10 @@ def restore_job(runtime: Runtime, ckpt: Checkpoint, hub=None) -> Process:
         layout = runtime.allocate_slot()
         base = layout.base
         for off, size, perms in img.regions:
-            memory.map_region(base + off, size, PERM_RW)
+            memory.map_region(base + off, size, perms)
         for (slot_ord, page_off), data in ckpt.pages.items():
-            if slot_ord != img.slot_ord:
-                continue
-            memory.load_image(base + page_off * ps, data)
-        for off, size, perms in img.regions:
-            memory.protect(base + off, size, perms)
+            if slot_ord == img.slot_ord:
+                memory.load_image(base + page_off * ps, data)
 
         pid = root_pid + img.pid_off
         proc = Process(
@@ -464,13 +456,10 @@ def memory_digest(memory: PagedMemory, layout: SandboxLayout) -> str:
     sha = hashlib.sha256()
     lo, hi = layout.base, layout.end
     wlo, whi = _window(layout)
-    ps = memory.page_size
-    for page in sorted(memory._pages):
-        addr = page * ps
-        if not lo <= addr < hi:
-            continue
-        buf = memory._pages[page]
-        sha.update(struct.pack("<QQ", addr - lo, memory._perms[page]))
+    for rbase, rsize, perms in memory.mapped_regions(lo, hi):
+        sha.update(struct.pack("<cQQQ", b"R", rbase - lo, rsize, perms))
+    for addr, buf in memory.nonzero_pages(lo, hi):
+        sha.update(struct.pack("<cQ", b"D", addr - lo))
         for word, in struct.iter_unpack("<Q", buf):
             if wlo <= word < whi:
                 sha.update(b"P")

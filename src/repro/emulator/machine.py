@@ -17,7 +17,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..arm64 import isa
-from ..arm64.decoder import decode_word
+from ..arm64.decoder import decode_word_pc
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import (
     Extended,
@@ -174,6 +174,11 @@ class _Costing:
         return max(self.t_issue, self.t_done)
 
 
+#: Distinct instruction words memoised per machine before the memo is
+#: dropped wholesale; real images hold a few thousand distinct words.
+_WORD_MEMO_CAP = 1 << 16
+
+
 def _reg_key(reg: Reg):
     if reg.is_zero:
         return None
@@ -239,6 +244,10 @@ class Machine:
         self._costing = _Costing(model, tlb) if model else None
         self._decode_cache: Dict[int, Tuple[Instruction, Callable, str,
                                             Tuple, Tuple]] = {}
+        #: word -> the same entries, for encodings whose decode does not
+        #: read pc (:meth:`predecode`).  Holds nothing address-dependent,
+        #: so no mapping change can invalidate it.
+        self._word_memo: Dict[int, tuple] = {}
         self._host_entries: Dict[int, object] = {}
         #: Multi-subscriber hook fired at the top of every :meth:`run`
         #: slice with ``(machine, fuel)``.  Fault injectors use it to
@@ -340,6 +349,37 @@ class Machine:
 
     # -- execution -------------------------------------------------------------
 
+    def predecode(self, pc: int) -> tuple:
+        """Fetch and decode the instruction at ``pc``.
+
+        Returns ``(inst, handler, cost class, uses, defs)`` — everything
+        both engines derive from an instruction word before executing it
+        — or raises the trap executing ``pc`` would raise.  Entries are
+        memoised by the raw word when the decoder says the decode did not
+        read ``pc``, so a fresh slot of an image seen before decodes
+        nothing again.
+        """
+        try:
+            word = self.memory.fetch(pc)
+        except MemoryFault as fault:
+            raise MemTrap(pc, fault) from None
+        entry = self._word_memo.get(word)
+        if entry is None:
+            inst, reads_pc = decode_word_pc(word, pc)
+            handler = self._exec.get(inst.base) if inst is not None else None
+            if handler is None:
+                raise UnknownInstructionTrap(pc, word)
+            entry = (
+                inst, handler, _classify(inst),
+                tuple(k for k in map(_reg_key, inst.uses()) if k is not None),
+                tuple(k for k in map(_reg_key, inst.defs()) if k is not None),
+            )
+            if not reads_pc:
+                if len(self._word_memo) >= _WORD_MEMO_CAP:
+                    self._word_memo.clear()
+                self._word_memo[word] = entry
+        return entry
+
     def step(self) -> None:
         cpu = self.cpu
         pc = cpu.pc
@@ -347,25 +387,7 @@ class Machine:
             raise HostCallTrap(pc, pc)
         cached = self._decode_cache.get(pc)
         if cached is None:
-            try:
-                word = self.memory.fetch(pc)
-            except MemoryFault as fault:
-                raise MemTrap(pc, fault) from None
-            inst = decode_word(word, pc)
-            if inst is None:
-                raise UnknownInstructionTrap(pc, word)
-            handler = self._exec.get(inst.base)
-            if handler is None:
-                raise UnknownInstructionTrap(pc, word)
-            klass = _classify(inst)
-            uses = tuple(
-                k for k in (_reg_key(r) for r in inst.uses()) if k is not None
-            )
-            defs = tuple(
-                k for k in (_reg_key(r) for r in inst.defs()) if k is not None
-            )
-            cached = (inst, handler, klass, uses, defs)
-            self._decode_cache[pc] = cached
+            cached = self._decode_cache[pc] = self.predecode(pc)
         inst, handler, klass, uses, defs = cached
         try:
             taken, mem_addr = handler(inst)

@@ -49,7 +49,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..arm64.decoder import decode_word
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import Extended, Imm, Mem, POST_INDEX, PRE_INDEX, \
     Shifted, ShiftedImm, VecReg, canonical_condition
@@ -1745,7 +1744,7 @@ class SuperblockEngine:
         M = self._M
         machine = self.machine
         memory = machine.memory
-        dispatch = machine._exec
+        predecode = machine.predecode
         host = machine._host_entries
         page_size = memory.page_size
         limit = (start // page_size + 1) * page_size
@@ -1755,25 +1754,19 @@ class SuperblockEngine:
             # run with the same config, so counters stay reproducible.
             self.invalidate_all()
 
-        decoded: List[Tuple[int, Instruction, object]] = []
+        decoded: List[Tuple[int, tuple]] = []  # (pc, predecode entry)
         pc = start
         while pc < limit:
             if pc in host and pc != start:
                 break
             try:
-                word = memory.fetch(pc)
-            except MemoryFault as fault:
+                entry = predecode(pc)
+            except (M.MemTrap, M.UnknownInstructionTrap):
                 if not decoded:
-                    raise M.MemTrap(pc, fault) from None
+                    raise
                 break
-            inst = decode_word(word, pc)
-            handler = dispatch.get(inst.base) if inst is not None else None
-            if handler is None:
-                if not decoded:
-                    raise M.UnknownInstructionTrap(pc, word)
-                break
-            decoded.append((pc, inst, handler))
-            if inst.base in _TERMINATOR_BASES:
+            decoded.append((pc, entry))
+            if entry[0].base in _TERMINATOR_BASES:
                 break
             pc += 4
 
@@ -1785,18 +1778,18 @@ class SuperblockEngine:
         # closure so the dispatch loop can hand control to the runtime
         # springboard without trap-based unwinding.
         rtcall = None
-        if len(decoded) >= 2 and decoded[-1][1].base == "blr" \
+        if len(decoded) >= 2 and decoded[-1][1][0].base == "blr" \
                 and is_runtime_call_load(
-                    [decoded[-2][1], decoded[-1][1]], 0):
-            ldr_pc, ldr_inst, _ = decoded[-2]
-            blr_pc, blr_inst, _ = decoded[-1]
-            form = self._mem_form(ldr_inst.mem)
+                    [decoded[-2][1][0], decoded[-1][1][0]], 0):
+            ldr_pc, ldr = decoded[-2]
+            blr_pc, blr = decoded[-1]
+            form = self._mem_form(ldr[0].mem)
             if form is not None and form[0] == "imm" and not form[2]:
                 exec_ = _t_rtcall(machine.cpu, machine.cpu.regs,
                                   memory.read, form[1], form[3],
                                   blr_pc + 4)
-                l_icost, l_lat, l_uses, l_defs = self._cost_entry(ldr_inst)
-                b_icost, b_lat, b_uses, b_defs = self._cost_entry(blr_inst)
+                l_icost, l_lat, l_uses, l_defs = self._cost_entry(ldr)
+                b_icost, b_lat, b_uses, b_defs = self._cost_entry(blr)
                 rtcall = (exec_, ldr_pc, l_icost, l_lat, l_uses, l_defs,
                           b_icost, b_lat, b_uses, b_defs)
                 decoded = decoded[:-2]
@@ -1807,15 +1800,15 @@ class SuperblockEngine:
         count = 2 if rtcall is not None else 0
         i = 0
         while i < len(decoded):
-            pc_i, inst, handler = decoded[i]
+            pc_i, entry = decoded[i]
             if guard_map and pc_i in guard_map and i + 1 < len(decoded):
-                fused = self._try_fuse(pc_i, inst, decoded[i + 1][1])
+                fused = self._try_fuse(pc_i, entry, decoded[i + 1][1])
                 if fused is not None:
                     ops.append(fused)
                     count += 2
                     i += 2
                     continue
-            ops.append(self._build_op(pc_i, inst, handler))
+            ops.append(self._build_op(pc_i, entry))
             count += 1
             i += 1
 
@@ -1827,25 +1820,18 @@ class SuperblockEngine:
 
     # -- op construction ----------------------------------------------------
 
-    def _cost_entry(self, inst: Instruction):
-        """(icost, lat, uses, defs) exactly as Machine.step caches them."""
-        M = self._M
-        machine = self.machine
-        klass = M._classify(inst)
-        model = machine.model
-        if model is not None:
-            icost = model.issue_cost(klass)
-            lat = model.result_latency(klass)
-        else:
-            icost = lat = 0.0
-        uses = tuple(k for k in (M._reg_key(r) for r in inst.uses())
-                     if k is not None)
-        defs = tuple(k for k in (M._reg_key(r) for r in inst.defs())
-                     if k is not None)
-        return icost, lat, uses, defs
+    def _cost_entry(self, entry: tuple):
+        """(icost, lat, uses, defs) of one ``Machine.predecode`` entry."""
+        _inst, _handler, klass, uses, defs = entry
+        model = self.machine.model
+        if model is None:
+            return 0.0, 0.0, uses, defs
+        return (model.issue_cost(klass), model.result_latency(klass),
+                uses, defs)
 
-    def _build_op(self, pc: int, inst: Instruction, handler) -> tuple:
-        icost, lat, uses, defs = self._cost_entry(inst)
+    def _build_op(self, pc: int, entry: tuple) -> tuple:
+        inst, handler = entry[:2]
+        icost, lat, uses, defs = self._cost_entry(entry)
         spec = self._specialize(pc, inst)
         if spec is None:
             exec_ = partial(handler, inst)
@@ -2221,8 +2207,8 @@ class SuperblockEngine:
 
     # -- guard fusion --------------------------------------------------------
 
-    def _try_fuse(self, pc: int, guard: Instruction,
-                  access: Instruction) -> Optional[tuple]:
+    def _try_fuse(self, pc: int, guard_entry: tuple,
+                  access_entry: tuple) -> Optional[tuple]:
         """Fuse a verified guard instruction with its consumer.
 
         Returns a complete op tuple (kind K_FUSED_*) or None.  The op's
@@ -2235,6 +2221,7 @@ class SuperblockEngine:
         cpu = machine.cpu
         regs = cpu.regs
         mem = machine.memory
+        guard, access = guard_entry[0], access_entry[0]
         gops = guard.operands
 
         fused_exec = None
@@ -2342,8 +2329,8 @@ class SuperblockEngine:
 
         if fused_exec is None:
             return None
-        g_icost, g_lat, g_uses, g_defs = self._cost_entry(guard)
-        a_icost, a_lat, a_uses, a_defs = self._cost_entry(access)
+        g_icost, g_lat, g_uses, g_defs = self._cost_entry(guard_entry)
+        a_icost, a_lat, a_uses, a_defs = self._cost_entry(access_entry)
         fused_info = (g_icost, g_lat, g_uses, g_defs, pc + 4)
         return (kind, fused_exec, pc, a_icost, a_lat, a_uses, a_defs,
                 fused_info)

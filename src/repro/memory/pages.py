@@ -55,8 +55,12 @@ class MemoryFault(Exception):
 class PagedMemory:
     """A sparse page-granular address space.
 
-    Pages are materialized lazily on mapping.  All multi-byte accessors are
-    little-endian, matching AArch64.
+    The permission table is the only record of what is *mapped*; storage
+    exists only for pages that have been *written* (demand-zero, like an
+    anonymous ``mmap``).  Reading a mapped, never-written page returns
+    zeros and allocates nothing; the first write allocates.  Which pages
+    have storage is not observable through any public accessor.  All
+    multi-byte accessors are little-endian, matching AArch64.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE,
@@ -66,8 +70,10 @@ class PagedMemory:
         self.page_size = page_size
         self.va_bits = va_bits
         self.va_limit = 1 << va_bits
-        self._pages: Dict[int, bytearray] = {}
+        #: page -> permissions: every mapped page, written or not.
         self._perms: Dict[int, int] = {}
+        #: page -> storage, for written pages only (a subset of _perms).
+        self._pages: Dict[int, bytearray] = {}
         #: Pages whose storage is shared and must be copied before a write
         #: (single-address-space copy-on-write fork, paper §5.3).
         self._cow: set = set()
@@ -100,24 +106,24 @@ class PagedMemory:
         """Map (or re-map) a page-aligned region with the given permissions."""
         if address < 0 or address + size > self.va_limit:
             raise ValueError(f"region outside {self.va_bits}-bit VA space")
-        for page in self._page_range(address, size):
-            if page not in self._pages:
-                self._pages[page] = bytearray(self.page_size)
-            self._perms[page] = perms
+        self._perms.update(dict.fromkeys(self._page_range(address, size),
+                                         perms))
         self._notify_map_change(address, size)
 
     def protect(self, address: int, size: int, perms: int) -> None:
         """Change permissions of an already-mapped region."""
         for page in self._page_range(address, size):
-            if page not in self._pages:
+            if page not in self._perms:
                 raise ValueError(f"page at {page * self.page_size:#x} not mapped")
             self._perms[page] = perms
         self._notify_map_change(address, size)
 
     def unmap(self, address: int, size: int) -> None:
         for page in self._page_range(address, size):
-            self._pages.pop(page, None)
             self._perms.pop(page, None)
+        # Only written pages have storage, and only those can be COW.
+        for page in self._in_range(self._pages, address, address + size):
+            del self._pages[page]
             self._cow.discard(page)
         self._notify_map_change(address, size)
 
@@ -129,56 +135,102 @@ class PagedMemory:
         memory appears at multiple places in the address space, and pages
         are physically copied only when either side first writes.
         """
-        src_pages = list(self._page_range(src, size))
-        dst_pages = list(self._page_range(dst, size))
-        for s, d in zip(src_pages, dst_pages):
-            if s not in self._pages:
+        table, pages, cow = self._perms, self._pages, self._cow
+        for s, d in zip(self._page_range(src, size),
+                        self._page_range(dst, size)):
+            if s not in table:
                 raise ValueError(f"source page {s * self.page_size:#x} "
                                  f"not mapped")
-            self._pages[d] = self._pages[s]
-            self._perms[d] = self._perms[s] if perms is None else perms
-            self._cow.add(s)
-            self._cow.add(d)
+            table[d] = table[s] if perms is None else perms
+            buf = pages.get(s)
+            if buf is not None:
+                pages[d] = buf
+                cow.add(s)
+                cow.add(d)
+            elif d in pages:
+                # Never written: nothing to share, and a destination that
+                # had storage of its own reads as zeros from here on.
+                del pages[d]
+                cow.discard(d)
         self._notify_map_change(dst, size)
 
-    def _break_cow(self, first_page: int, last_page: int) -> None:
-        for page in range(first_page, last_page + 1):
-            if page in self._cow:
-                self._pages[page] = bytearray(self._pages[page])
-                self._cow.discard(page)
-                self.cow_copies += 1
+    def _writable(self, page: int, address: int) -> bytearray:
+        """Private storage for a mapped page: zero-filled on the first
+        write, copied out if it is still shared."""
+        buf = self._pages.get(page)
+        if buf is None:
+            if page not in self._perms:
+                raise MemoryFault("unmapped", address, "write")
+            buf = self._pages[page] = bytearray(self.page_size)
+        elif page in self._cow:
+            buf = self._pages[page] = bytearray(buf)
+            self._cow.discard(page)
+            self.cow_copies += 1
+        return buf
 
     def is_mapped(self, address: int) -> bool:
-        return (address // self.page_size) in self._pages
+        return (address // self.page_size) in self._perms
 
-    def pages_in_range(self, lo: int, hi: int) -> int:
+    def _in_range(self, table, lo: int, hi: Optional[int]) -> list:
+        """Keys of ``table`` (pages) whose base lies in ``[lo, hi)``."""
+        if hi is None:
+            hi = self.va_limit
+        ps = self.page_size
+        first, last = -(-lo // ps), -(-hi // ps)
+        # Walk whichever is smaller: a 4 GiB slot dwarfs the table, a
+        # one-page region is dwarfed by it.
+        if last - first < len(table):
+            return [page for page in range(first, last) if page in table]
+        return [page for page in table if first <= page < last]
+
+    def pages_in_range(self, lo: int = 0, hi: Optional[int] = None) -> int:
         """Number of mapped pages whose base lies in ``[lo, hi)``.
 
         Used by the runtime to enforce per-sandbox mapped-page quotas at
-        the memory boundary.
+        the memory boundary (mappings count, written or not).
+        """
+        return len(self._in_range(self._perms, lo, hi))
+
+    def nonzero_pages(self, lo: int = 0, hi: Optional[int] = None,
+                      cow: bool = False) -> Iterator[Tuple[int, bytearray]]:
+        """Yield (address, storage) in address order for the pages based
+        in ``[lo, hi)`` that hold a non-zero byte.
+
+        Selected by content, not by history: a page zeroed by stores and
+        one never touched are both skipped.  The storage is live; callers
+        read it, never write it.  With ``cow=True`` each yielded page is
+        marked copy-on-write, so the next guest write replaces the
+        storage object instead of changing it (incremental checkpoints
+        detect clean pages by identity).
         """
         ps = self.page_size
-        return sum(1 for page in self._pages if lo <= page * ps < hi)
+        zeros = bytes(ps)
+        for page in sorted(self._in_range(self._pages, lo, hi)):
+            buf = self._pages[page]
+            if buf != zeros:
+                if cow:
+                    self._cow.add(page)
+                yield page * ps, buf
 
     def perms_at(self, address: int) -> int:
         return self._perms.get(address // self.page_size, PERM_NONE)
 
-    def mapped_regions(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (base, size, perms) for maximal contiguous mapped runs."""
-        pages = sorted(self._pages)
+    def mapped_regions(self, lo: int = 0, hi: Optional[int] = None,
+                       ) -> Iterator[Tuple[int, int, int]]:
+        """Yield (base, size, perms) for maximal contiguous mapped runs
+        of pages based in ``[lo, hi)``."""
+        pages = sorted(self._in_range(self._perms, lo, hi))
+        table, ps, count = self._perms, self.page_size, len(pages)
         i = 0
-        while i < len(pages):
+        while i < count:
             start = pages[i]
-            perms = self._perms[start]
-            j = i
-            while (
-                j + 1 < len(pages)
-                and pages[j + 1] == pages[j] + 1
-                and self._perms[pages[j + 1]] == perms
-            ):
+            perms = table[start]
+            j = i + 1
+            while (j < count and pages[j] == start + j - i
+                   and table[pages[j]] == perms):
                 j += 1
-            yield (start * self.page_size, (j - i + 1) * self.page_size, perms)
-            i = j + 1
+            yield (start * ps, (j - i) * ps, perms)
+            i = j
 
     # -- access ------------------------------------------------------------
 
@@ -205,6 +257,7 @@ class PagedMemory:
                 buf = self._pages.get(page)
                 if buf is not None:
                     return bytes(buf[offset:offset + size])
+                return bytes(size)
         self._check(address, size, PERM_R, "read")
         return self._raw_read(address, size)
 
@@ -214,7 +267,7 @@ class PagedMemory:
         page = address // ps
         offset = address - page * ps
         if (offset + size <= ps and self.write_observer is None
-                and not self._cow):
+                and page not in self._cow):
             perms = self._perms.get(page)
             if perms is not None and perms & PERM_W:
                 buf = self._pages.get(page)
@@ -224,8 +277,6 @@ class PagedMemory:
         self._check(address, size, PERM_W, "write")
         if self.write_observer is not None:
             self.write_observer(address, size)
-        if self._cow:
-            self._break_cow(page, (address + size - 1) // ps)
         self._raw_write(address, data)
 
     def fetch(self, address: int) -> int:
@@ -235,24 +286,30 @@ class PagedMemory:
         self._check(address, 4, PERM_X, "execute")
         return struct.unpack("<I", self._raw_read(address, 4))[0]
 
-    # Raw accessors skip permission checks (used by the loader/runtime).
+    # Raw accessors skip permission checks (used by the loader/runtime);
+    # only a page missing from the permission table is unmapped.
 
     def _raw_read(self, address: int, size: int) -> bytes:
         ps = self.page_size
         page, offset = divmod(address, ps)
         if offset + size <= ps:
             buf = self._pages.get(page)
-            if buf is None:
+            if buf is not None:
+                return bytes(buf[offset:offset + size])
+            if page not in self._perms:
                 raise MemoryFault("unmapped", address, "read")
-            return bytes(buf[offset:offset + size])
+            return bytes(size)
         out = bytearray()
         remaining = size
         while remaining:
-            buf = self._pages.get(page)
-            if buf is None:
-                raise MemoryFault("unmapped", page * ps, "read")
             chunk = min(ps - offset, remaining)
-            out.extend(buf[offset:offset + chunk])
+            buf = self._pages.get(page)
+            if buf is not None:
+                out.extend(buf[offset:offset + chunk])
+            elif page in self._perms:
+                out.extend(bytes(chunk))
+            else:
+                raise MemoryFault("unmapped", page * ps, "read")
             remaining -= chunk
             page += 1
             offset = 0
@@ -262,16 +319,11 @@ class PagedMemory:
         ps = self.page_size
         page, offset = divmod(address, ps)
         if offset + len(data) <= ps:
-            buf = self._pages.get(page)
-            if buf is None:
-                raise MemoryFault("unmapped", address, "write")
-            buf[offset:offset + len(data)] = data
+            self._writable(page, address)[offset:offset + len(data)] = data
             return
         pos = 0
         while pos < len(data):
-            buf = self._pages.get(page)
-            if buf is None:
-                raise MemoryFault("unmapped", page * ps, "write")
+            buf = self._writable(page, page * ps)
             chunk = min(ps - offset, len(data) - pos)
             buf[offset:offset + chunk] = data[pos:pos + chunk]
             pos += chunk
@@ -280,9 +332,6 @@ class PagedMemory:
 
     def load_image(self, address: int, data: bytes) -> None:
         """Write bytes ignoring permissions (loader-only path)."""
-        if self._cow:
-            self._break_cow(address // self.page_size,
-                            (address + len(data) - 1) // self.page_size)
         self._raw_write(address, data)
         if data:
             self._notify_map_change(address, len(data))

@@ -127,10 +127,8 @@ def alias_slot(
     only when either side first writes.  This is the shared mechanism
     behind fork, warm spawn, and O(dirty pages) checkpointing.
     """
-    lo, hi = src.base, src.end
-    for base, size, _perms in list(memory.mapped_regions()):
-        if base >= hi or base + size <= lo:
-            continue
+    lo = src.base
+    for base, size, _perms in list(memory.mapped_regions(lo, src.end)):
         memory.share_region(base, dst.base + (base - lo), size)
 
 

@@ -39,7 +39,7 @@ from ..emulator.machine import (
     UnknownInstructionTrap,
 )
 from ..memory.layout import MAX_SANDBOXES_48BIT, PAGE_SIZE, SandboxLayout
-from ..memory.pages import PERM_RW, PERM_X, PagedMemory
+from ..memory.pages import PERM_X, PagedMemory
 from ..obs.events import (
     ContextSwitch,
     FaultEvent,
@@ -322,12 +322,11 @@ class Runtime:
 
     def reclaim_slot(self, layout: SandboxLayout) -> None:
         """Unmap everything in ``layout``'s slot (see :meth:`reclaim`)."""
-        lo, hi = layout.base, layout.end
-        for base, size, perms in list(self.memory.mapped_regions()):
-            if base >= lo and base + size <= hi:
-                self.memory.unmap(base, size)
-                if perms & PERM_X:
-                    self.machine.invalidate_code(base, size)
+        for base, size, perms in list(
+                self.memory.mapped_regions(layout.base, layout.end)):
+            self.memory.unmap(base, size)
+            if perms & PERM_X:
+                self.machine.invalidate_code(base, size)
 
     def fork(self, parent: Process,
              cow: bool = True) -> Optional[Process]:
@@ -348,15 +347,13 @@ class Runtime:
         if cow:
             alias_slot(self.memory, parent.layout, layout)
         else:
+            memory = self.memory
             lo, hi = parent.layout.base, parent.layout.end
-            for base, size, perms in list(self.memory.mapped_regions()):
-                if base >= hi or base + size <= lo:
-                    continue
-                offset = base - lo
-                self.memory.map_region(layout.base + offset, size, PERM_RW)
-                data = self.memory._raw_read(base, size)
-                self.memory.load_image(layout.base + offset, data)
-                self.memory.protect(layout.base + offset, size, perms)
+            shift = layout.base - lo
+            for base, size, perms in list(memory.mapped_regions(lo, hi)):
+                memory.map_region(base + shift, size, perms)
+            for addr, buf in memory.nonzero_pages(lo, hi):
+                memory.load_image(addr + shift, bytes(buf))
 
         def rebase(value: int) -> int:
             return layout.guarded(value)

@@ -212,7 +212,13 @@ class TestWarmSpawn:
         job = {"job_id": 0, "program": images["forker"]}
         first = execute_job(runtime, pool, job)
         assert runtime.processes == {}
-        footprint = len(runtime.memory._pages)
+        memory = runtime.memory
+
+        def footprint():
+            return (memory.pages_in_range(),
+                    sum(1 for _ in memory.nonzero_pages()))
+
+        before = footprint()
         for job_id in range(1, 4):
             payload = execute_job(
                 runtime, pool,
@@ -221,7 +227,7 @@ class TestWarmSpawn:
             assert payload["metrics"] == first["metrics"]
             assert payload["diag"]["warm"]
         # Reclaim keeps the footprint flat: only template pages persist.
-        assert len(runtime.memory._pages) == footprint
+        assert footprint() == before
 
     def test_job_instruction_budget_enforced(self, images):
         # Quotas are enforced at slice granularity; a small timeslice

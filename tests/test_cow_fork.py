@@ -17,6 +17,9 @@ class TestShareRegion:
         m = PagedMemory()
         m.map_region(BASE, PAGE_SIZE * 2, PERM_RW)
         m.write(BASE, b"original")
+        # Both pages written: sharing a never-written page shares nothing
+        # (its first write is a zero-fill, not a copy).
+        m.write(BASE + PAGE_SIZE, b"page one")
         m.share_region(BASE, ALIAS, PAGE_SIZE * 2)
         return m
 
@@ -121,7 +124,7 @@ class TestCowFork:
         """The point of COW: a fork that touches little copies little."""
         runtime = Runtime()
         parent = runtime.spawn(compile_lfi(FORK_PROGRAM).elf)
-        total_pages_before = len(runtime.memory._pages)
+        total_pages_before = runtime.memory.pages_in_range()
         runtime.run()
         # Only a handful of pages (stack + the written data page) copied.
         assert runtime.memory.cow_copies < total_pages_before
