@@ -141,29 +141,74 @@ def _float_to_bits(value: float, width: int) -> int:
 
 
 class _Costing:
-    """Dataflow cycle accounting state."""
+    """Dataflow cycle accounting: the state and the one statement of its rules.
 
-    __slots__ = ("model", "t_issue", "t_done", "ready", "tlb")
+    Every costed instruction either engine retires goes through
+    :meth:`charge_row` (the scoreboard) and, when it accessed memory,
+    :meth:`memory_penalty` (TLB walk and cache misses).  Compiled
+    superblocks emit the same two rules as source
+    (``SuperblockEngine._compile_block``); nothing else restates them.
+    """
 
-    def __init__(self, model: costs.CostModel, tlb: Optional[Tlb]):
+    __slots__ = ("model", "t_issue", "t_done", "ready", "tlb", "l1", "l2",
+                 "walk", "walk_issue")
+
+    def __init__(self, model: costs.CostModel, tlb: Optional[Tlb],
+                 l1: Optional[Tlb] = None, l2: Optional[Tlb] = None,
+                 tlb_walk_scale: float = 1.0):
         self.model = model
         self.t_issue = 0.0
         self.t_done = 0.0
         self.ready: Dict[object, float] = {}
         self.tlb = tlb
+        self.l1 = l1
+        self.l2 = l2
+        #: Latency of one page-table walk and the share of it that
+        #: occupies the issue pipes.
+        self.walk = model.tlb_walk_cycles * tlb_walk_scale
+        self.walk_issue = self.walk * model.tlb_walk_issue_fraction
+
+    def memory_penalty(self, address: int) -> Tuple[float, float]:
+        """``(extra latency, extra issue)`` of one data access.
+
+        Looks the address up in (and fills) the TLB and the two cache
+        levels; a machine with a cost model always has all three.
+        """
+        extra = 0.0
+        bw = 0.0
+        if not self.tlb.lookup(address):
+            extra += self.walk
+            bw += self.walk_issue
+        if not self.l1.lookup(address):
+            model = self.model
+            extra += model.l1_miss_cycles
+            bw += model.l1_miss_issue
+            if not self.l2.lookup(address):
+                extra += model.l2_miss_cycles
+                bw += model.l2_miss_issue
+        return extra, bw
 
     def charge(self, klass: str, uses: Tuple, defs: Tuple,
                extra_latency: float = 0.0, fetch_bubble: float = 0.0,
                extra_issue: float = 0.0) -> None:
+        """Charge one retired instruction of cost class ``klass``."""
         model = self.model
-        self.t_issue += model.issue_cost(klass) + fetch_bubble + extra_issue
+        self.charge_row(
+            model.issue_cost(klass) + fetch_bubble + extra_issue,
+            model.result_latency(klass), uses, defs, extra_latency)
+
+    def charge_row(self, issue: float, lat: float, uses: Tuple, defs: Tuple,
+                   extra_latency: float = 0.0) -> None:
+        """The scoreboard: ``issue`` cycles of issue bandwidth, then a
+        result ``lat + extra_latency`` after the last operand is ready."""
+        self.t_issue += issue
         start = self.t_issue
         ready = self.ready
         for key in uses:
             t = ready.get(key)
             if t is not None and t > start:
                 start = t
-        finish = start + model.result_latency(klass) + extra_latency
+        finish = start + lat + extra_latency
         for key in defs:
             ready[key] = finish
         if finish > self.t_done:
@@ -213,7 +258,7 @@ class Machine:
         self.engine = config.kind
         #: Runtime springboard for fused runtime calls, or ``None``.
         #: Set by :class:`repro.runtime.runtime.Runtime`; called by the
-        #: superblock dispatch loops with the host entry address after a
+        #: superblock dispatch loop with the host entry address after a
         #: fused ``ldr``/``blr`` pair lands on a registered host entry.
         #: Returns ``(fresh_fuel, force_step)`` to resume translated
         #: execution inline, or raises to end the slice.
@@ -241,7 +286,8 @@ class Machine:
                           page_size=model.cache_line)
             self.l2 = Tlb(entries=model.l2_lines, ways=model.l2_ways,
                           page_size=model.cache_line)
-        self._costing = _Costing(model, tlb) if model else None
+        self._costing = _Costing(model, tlb, self.l1, self.l2,
+                                 tlb_walk_scale) if model else None
         self._decode_cache: Dict[int, Tuple[Instruction, Callable, str,
                                             Tuple, Tuple]] = {}
         #: word -> the same entries, for encodings whose decode does not
@@ -274,7 +320,7 @@ class Machine:
             from .speculation import SpeculativeEngine
             self._spec = SpeculativeEngine(self, config.speculation)
             self.speculation_log = self._spec.log
-        memory.map_observers.append(self._on_map_change)
+        memory.map_observers.append(self.invalidate_code)
 
     # -- hooks ---------------------------------------------------------------
 
@@ -325,27 +371,18 @@ class Machine:
                 probe(self, None, kind, delta)
 
     def invalidate_code(self, address: int, size: int) -> None:
-        # Sweep-based: invalidating a whole 4GiB slot must stay O(cached
-        # entries), not O(range).
-        cache = self._decode_cache
-        if cache:
-            end = address + size
-            for addr in [a for a in cache if address <= a < end]:
-                del cache[addr]
-        self._sb.invalidate_range(address, size)
+        """Drop every decode and translation over the range.
 
-    def _on_map_change(self, address: int, size: int) -> None:
-        """Mapping-change observer: drop translations over the range.
-
-        Sweep-based so that unmapping a multi-GiB region stays O(cached
+        Also the memory's mapping-change observer.  Sweep-based, so that
+        invalidating or unmapping a whole 4GiB slot stays O(cached
         entries), not O(range).
         """
-        self._sb.invalidate_range(address, size)
         cache = self._decode_cache
         if cache:
             end = address + size
             for addr in [a for a in cache if address <= a < end]:
                 del cache[addr]
+        self._sb.invalidate_range(address, size)
 
     # -- execution -------------------------------------------------------------
 
@@ -400,20 +437,9 @@ class Machine:
             before = costing.cycles if costing is not None \
                 else float(self.instret - 1)
         if costing is not None:
-            extra = 0.0
-            bw = 0.0
+            extra = bw = 0.0
             if mem_addr is not None:
-                model = self.model
-                if self.tlb is not None and not self.tlb.lookup(mem_addr):
-                    walk = model.tlb_walk_cycles * self.tlb_walk_scale
-                    extra += walk
-                    bw += walk * model.tlb_walk_issue_fraction
-                if self.l1 is not None and not self.l1.lookup(mem_addr):
-                    extra += model.l1_miss_cycles
-                    bw += model.l1_miss_issue
-                    if not self.l2.lookup(mem_addr):
-                        extra += model.l2_miss_cycles
-                        bw += model.l2_miss_issue
+                extra, bw = costing.memory_penalty(mem_addr)
             bubble = self.model.taken_branch_cost if taken else 0.0
             costing.charge(klass, uses, defs, extra, bubble, bw)
         if probes:

@@ -10,16 +10,19 @@ dispatches whole blocks from :meth:`Machine.run`.
 
 Design rules (DESIGN.md §10, §15):
 
-* a block ends at the first branch, trap instruction (``svc``/``brk``/
-  ``hlt``), registered host entry, undecodable word, or page boundary —
-  blocks never cross a page, so invalidation is page-exact;
+* a block ends at the first branch, registered host entry, undecodable
+  word, or page boundary — blocks never cross a page, so invalidation is
+  page-exact — and before a trap instruction (``svc``/``brk``/``hlt``),
+  which is a block of its own;
+* an op is one closure plus one *cost row* per instruction it retires:
+  what a block costs is data, charged by whichever body runs it;
 * verified guard sequences named by the loader's ``guard_map`` are fused
-  into a single op that performs both architectural effects and both cost
-  updates in one dispatch;
+  into a single op that performs both architectural effects and carries
+  both instructions' rows;
 * a block ending in the runtime-call idiom (``ldr x30, [x21, #n]``;
   ``blr x30`` — the rewriter's :func:`is_runtime_call_load` predicate)
-  carries a fused ``rtcall`` closure; the dispatch loops execute it and
-  hand control straight to the runtime's *springboard*
+  ends in a fused two-row op for the pair; the dispatch loop then hands
+  the address it lands on straight to the runtime's *springboard*
   (``machine.springboard``) instead of raising ``HostCallTrap``, and the
   springboard resumes translated execution inline when the scheduler
   allows (DESIGN.md §15);
@@ -28,9 +31,11 @@ Design rules (DESIGN.md §10, §15):
   loops dispatch block-to-block without a host-entry check or cache
   lookup; invalidation clears ``valid``, which lazily unlinks every
   chain through the dead block;
-* cycle accounting replicates the stepping interpreter's float operation
-  order exactly, so cycle counts, trace timestamps, and metrics snapshots
-  are bit-identical between engines;
+* one dispatch loop runs every block; cold costed blocks charge their
+  rows through the very :class:`_Costing` methods ``Machine.step`` uses
+  and hot ones through compiled source with the same float operations in
+  the same order, so cycle counts, trace timestamps, and metrics
+  snapshots are bit-identical between engines;
 * a block never overruns the remaining fuel: oversized blocks fall back
   to per-instruction stepping for the tail of the timeslice;
 * the block cache invalidates on any mapping change (``mmap``/``munmap``/
@@ -40,8 +45,8 @@ Design rules (DESIGN.md §10, §15):
 
 The engine is *not* used when per-instruction observability is active:
 any registered step probe (profiler, metrics, sampling tracer), a
-process's ``step_mode`` flag, or ``engine="stepping"`` forces the
-original interpreter, whose behaviour is unchanged.
+process's ``step_mode`` flag, or ``EngineConfig(kind="stepping")``
+forces the original interpreter, whose behaviour is unchanged.
 """
 
 from __future__ import annotations
@@ -59,40 +64,49 @@ from .cpu import MASK32, MASK64
 
 __all__ = ["Superblock", "SuperblockEngine"]
 
-#: Op kinds — the first element of every op tuple.  The execute loops
-#: branch on these instead of unpacking a generic handler result.
-K_SIMPLE = 0   # exec() -> None; no memory access, never taken
-K_MEM = 1      # exec() -> address int; load/store, never taken
-K_BRANCH = 2   # exec() -> taken bool; terminator
-K_GENERIC = 3  # exec() -> (taken, mem_addr); original handler semantics
-K_FUSED_MEM = 4     # guard add + load/store; exec() -> address
-K_FUSED_BRANCH = 5  # guard add + br/blr/ret; exec() -> None, always taken
-K_FUSED_SIMPLE = 6  # sp guard pair; exec() -> None
+#: Op kinds — what an op's ``exec()`` returns.  Bit 0: the address it
+#: accessed; bit 1: whether it branched.
+K_SIMPLE = 0   # None: no memory access, never taken
+K_MEM = 1      # address int: load/store, never taken
+K_BRANCH = 2   # taken bool: terminator
+K_GENERIC = 3  # (taken, mem_addr or None): original handler semantics
+
+#: Row roles — what one retired instruction's charge takes from that
+#: result.  The row of a single-instruction op has the role numbered like
+#: the op's kind; the rows of a fused op split the result between them.
+R_PLAIN = K_SIMPLE     # nothing
+R_MEM = K_MEM          # the address: TLB walk and cache-miss penalties
+R_BRANCH = K_BRANCH    # the flag: fetch bubble when taken
+R_GENERIC = K_GENERIC  # both, and the address may be None
+R_TAKEN = 4            # a branch that always leaves: the bubble is constant
 
 #: Costed blocks are compiled into specialized closures once they show
-#: signs of re-execution; cold blocks stay on the interpretive loop so
+#: signs of re-execution; until then the dispatch loop walks their rows, so
 #: straight-line code never pays the ~2ms/block codegen cost (measured:
 #: threshold 8 compiles only the hot loop bodies of the Table-4 kernels
 #: while 2 compiles every init block for no wall-clock gain).
 _COMPILE_THRESHOLD = 8
-#: Blocks larger than this stay interpretive: generated source for a
+#: Blocks larger than this are never compiled: generated source for a
 #: page-spanning straight-line run would cost more to compile than the
 #: dispatch overhead it saves.
 _COMPILE_MAX_OPS = 256
 
 _TERMINATOR_BASES = frozenset([
     "b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz",
-    "svc", "brk", "hlt",
 ])
+#: Instructions that always raise.  Each is a block of its own, so when
+#: its (generic) handler raises nothing of the block has retired and
+#: ``cpu.pc`` is the trap pc.
+_TRAP_BASES = frozenset(["svc", "brk", "hlt"])
 
 _UNSIGNED_LOADS = frozenset(["ldr", "ldrb", "ldrh", "ldur"])
 _SIGNED_LOADS = {"ldrsb": 8, "ldrsh": 16, "ldrsw": 32}
 _SIMPLE_STORES = frozenset(["str", "strb", "strh", "stur"])
 
-#: Generic handlers that read ``cpu.pc`` (link registers, trap pcs).
-#: Inside a block ``cpu.pc`` is stale, so their generic fallbacks are
-#: wrapped to restore it first.  Every one of them is a terminator.
-_PC_READING = frozenset(["bl", "blr", "svc", "brk", "hlt"])
+#: Generic handlers that read ``cpu.pc`` for the link register.  Inside a
+#: block ``cpu.pc`` is stale, so their generic fallbacks are wrapped to
+#: restore it first.
+_PC_READING = frozenset(["bl", "blr"])
 
 
 def _pc_fix(cpu, pc, call):
@@ -105,21 +119,21 @@ def _pc_fix(cpu, pc, call):
 class Superblock:
     """A predecoded straight-line run of instructions.
 
-    ``ops`` is a list of ``(kind, exec, pc, icost, lat, uses, defs,
-    fused)`` tuples; ``count`` is the run's fuel cost (fused ops count
-    two, a trailing trap instruction counts one for the attempt);
-    ``next_pc`` is the fall-through address; ``end`` is the exclusive
-    byte bound used for invalidation overlap checks.
+    ``ops`` is a list of ``(kind, exec, rows)`` tuples: one closure with
+    the op's whole architectural effect, and one cost row ``(pc, icost,
+    lat, uses, defs, role)`` per instruction it retires, in retire order.
+    A fused guard sequence or runtime-call tail is simply an op with two
+    rows.  ``count`` is the run's fuel cost, the number of rows in it;
+    ``end`` is both the fall-through address and the exclusive byte bound
+    used for invalidation overlap checks.
 
-    ``rtcall`` is the fused runtime-call tail (``ldr x30, [x21, #n]`` +
-    ``blr x30``): ``(exec, ldr_pc, ldr_icost, ldr_lat, ldr_uses,
-    ldr_defs, blr_icost, blr_lat, blr_uses, blr_defs)``, or ``None``.
-    The pair is kept out of ``ops`` so the per-op dispatch stays
-    branch-free; its two instructions are included in ``count``.
+    ``call_tail`` marks a block whose last op is the fused runtime-call
+    pair (``ldr x30, [x21, #n]`` + ``blr x30``): the dispatch loop offers
+    the address such a block lands on to the runtime's springboard.
 
     ``link_fall``/``link_taken`` are the block-chaining inline caches
     (observed successor blocks); ``valid`` is cleared on invalidation so
-    stale links are rejected by the dispatch loops without needing to
+    stale links are rejected by the dispatch loop without needing to
     find and unlink every predecessor.
 
     ``fn`` is the block's specialized closure, compiled by
@@ -128,17 +142,16 @@ class Superblock:
     forever, on the uncosted path).
     """
 
-    __slots__ = ("start", "end", "ops", "count", "next_pc", "rtcall",
+    __slots__ = ("start", "end", "ops", "count", "call_tail",
                  "valid", "link_fall", "link_taken", "fn", "hits")
 
     def __init__(self, start: int, end: int, ops: list, count: int,
-                 next_pc: int, rtcall: Optional[tuple] = None):
+                 call_tail: bool):
         self.start = start
         self.end = end
         self.ops = ops
         self.count = count
-        self.next_pc = next_pc
-        self.rtcall = rtcall
+        self.call_tail = call_tail
         self.valid = True
         self.link_fall: Optional["Superblock"] = None
         self.link_taken: Optional["Superblock"] = None
@@ -148,25 +161,6 @@ class Superblock:
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Superblock({self.start:#x}..{self.end:#x}, "
                 f"{len(self.ops)} ops, fuel {self.count})")
-
-
-class _BlockFault(Exception):
-    """Carrier for partial cost state when a compiled block traps.
-
-    A compiled block keeps ``t_issue``/``t_done``/``n`` in locals for
-    speed; when an op raises mid-block those partials must still be
-    committed (exactly as the interpretive loop's ``finally`` would), so
-    the generated code wraps any escaping exception with the state
-    accumulated so far and the dispatch loop unwraps it.
-    """
-
-    __slots__ = ("t_issue", "t_done", "n", "exc")
-
-    def __init__(self, t_issue, t_done, n, exc):
-        self.t_issue = t_issue
-        self.t_done = t_done
-        self.n = n
-        self.exc = exc
 
 
 # ---------------------------------------------------------------------------
@@ -837,28 +831,21 @@ def _t_blr(cpu, regs, t_i, link):
     return run
 
 
-def _t_rtcall(cpu, regs, read, base_i, imm, link):
+def _t_call_tail(cpu, regs, read, base_i, imm, link):
     """``ldr x30, [x21, #n]`` + ``blr x30`` — the runtime-call pair (§4.4).
 
     Net architectural effect of executing both instructions: ``x30``
     holds the return address and ``pc`` the loaded entry point.  A fault
     in the table load raises before any register is written, exactly as
-    the stepping ``ldr`` would.  Returns the table address for the
-    dispatch loop's TLB/cache charging.
+    the stepping ``ldr`` would.  Returns ``(True, table address)``: the
+    address for the load's row, the flag for the dispatch loop.
     """
     def run():
         addr = (regs[base_i] + imm) & MASK64
         target = int.from_bytes(read(addr, 8), "little")
         regs[30] = link
         cpu.pc = target
-        return addr
-    return run
-
-
-def _t_trap(cpu, pc, exc_factory):
-    def run():
-        cpu.pc = pc
-        raise exc_factory()
+        return True, addr
     return run
 
 
@@ -981,12 +968,14 @@ def _t_fused_guard_branch(cpu, regs, g_d, g_s, base_i, link):
             g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
             regs[g_d] = g
             cpu.pc = g
+            return True
     else:
         def run():
             g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
             regs[g_d] = g
             regs[30] = link
             cpu.pc = g
+            return True
     return run
 
 
@@ -1004,7 +993,7 @@ def _t_fused_sp_guard(cpu, regs, w_d, base_i):
 # ---------------------------------------------------------------------------
 
 class SuperblockEngine:
-    """Block cache + translator + block-dispatch loops for one Machine."""
+    """Block cache + translator + block-dispatch loop for one Machine."""
 
     def __init__(self, machine):
         # Imported lazily: machine.py imports this module at its top.
@@ -1012,12 +1001,11 @@ class SuperblockEngine:
         self._M = M
         self.machine = machine
         self._blocks: Dict[int, Superblock] = {}
-        config = getattr(machine, "engine_config", None)
-        #: Whether the dispatch loops follow block successor links.
-        self.chaining = config.chaining if config is not None else True
+        config = machine.engine_config
+        #: Whether the dispatch loop follows block successor links.
+        self.chaining = config.chaining
         #: Translation-cache flush threshold (None = unbounded).
-        self.block_cache_cap = (config.block_cache_cap
-                                if config is not None else None)
+        self.block_cache_cap = config.block_cache_cap
         #: Counters exposed for tests and diagnostics.
         self.translations = 0
         self.invalidations = 0
@@ -1067,234 +1055,44 @@ class SuperblockEngine:
         fuel ``n``, exactly ``n`` instructions retire (the ``n+1``-th may
         raise its trap first) and then ``OutOfFuel`` is raised.
         """
-        machine = self.machine
         remaining = fuel if fuel is not None else (1 << 62)
         if remaining <= 0:
             raise self._M.OutOfFuel()
-        if machine._costing is not None:
-            remaining = self._run_costed(remaining)
-        else:
-            remaining = self._run_fast(remaining)
+        remaining = self._dispatch(remaining)
         # A block larger than the remaining fuel: fall back to stepping
         # for the tail of the slice, then report preemption.
-        step = machine.step
+        step = self.machine.step
         for _ in range(remaining):
             step()
         raise self._M.OutOfFuel()
 
-    def _compile_block(self, block: Superblock):
-        """Compile ``block.ops`` into one specialized straight-line closure.
+    def _dispatch(self, remaining: int) -> int:
+        """The block-dispatch loop; returns the fuel left for stepping.
 
-        The interpretive costed loop pays per-op Python overhead on every
-        execution: an 8-tuple unpack, a kind switch, and scoreboard loops
-        over ``uses``/``defs``.  For a block that re-executes (a loop
-        body) all of that is static, so it is unrolled here into
-        generated source with every static quantity — issue costs,
-        latencies, scoreboard keys, pcs, model miss charges — folded in
-        as literals (``repr`` of a float round-trips exactly).  The
-        generated function performs the *same float operations in the
-        same order* as the interpretive loop, so cycle totals stay
-        bit-identical; compilation is pure host-side speedup
-        (DESIGN.md §15).
-
-        Partial state on a mid-block trap is carried out via
-        :class:`_BlockFault` so the dispatch loop commits exactly what
-        the interpretive loop would have.  Returns None when the block
-        is not worth compiling (empty or oversized ops list).
+        Per block: follow the predecessor's chain link or look the block
+        up (host check, translate, link), stop if it would overrun the
+        fuel, run its body, then advance pc and fuel and offer a fused
+        runtime call to the springboard.  The body is chosen by what is
+        there to observe: without a cost model the op closures alone;
+        with one, the block's compiled closure once it has one, and until
+        then its rows walked through the same :class:`_Costing` methods
+        ``Machine.step`` charges with.
         """
-        ops = block.ops
-        if not ops or len(ops) > _COMPILE_MAX_OPS:
-            return None
-        machine = self.machine
-        model = machine.model
-        has_tlb = machine.tlb is not None
-        has_l1 = machine.l1 is not None
-        walk_f = model.tlb_walk_cycles * machine.tlb_walk_scale
-        walk = repr(walk_f)
-        walk_bw = repr(walk_f * model.tlb_walk_issue_fraction)
-        l1_cyc = repr(model.l1_miss_cycles)
-        l1_bw = repr(model.l1_miss_issue)
-        l2_cyc = repr(model.l2_miss_cycles)
-        l2_bw = repr(model.l2_miss_issue)
-        tb = model.taken_branch_cost
-
-        lines: List[str] = []
-        emit = lines.append
-
-        def tail(ind, uses, lat_expr, defs):
-            # Everything after the issue charge: dep-chain start, result
-            # latency, scoreboard writes, completion horizon.
-            emit(f"{ind}start = t_issue")
-            for key in uses:
-                emit(f"{ind}t = ready_get({key!r})")
-                emit(f"{ind}if t is not None and t > start:")
-                emit(f"{ind}    start = t")
-            emit(f"{ind}finish = start + {lat_expr}")
-            for key in defs:
-                emit(f"{ind}ready[{key!r}] = finish")
-            emit(f"{ind}if finish > t_done:")
-            emit(f"{ind}    t_done = finish")
-
-        def probe_checks(ind):
-            if has_tlb:
-                emit(f"{ind}if not tlb_lookup(addr):")
-                emit(f"{ind}    extra += {walk}")
-                emit(f"{ind}    bw += {walk_bw}")
-            if has_l1:
-                emit(f"{ind}if not l1_lookup(addr):")
-                emit(f"{ind}    extra += {l1_cyc}")
-                emit(f"{ind}    bw += {l1_bw}")
-                emit(f"{ind}    if not l2_lookup(addr):")
-                emit(f"{ind}        extra += {l2_cyc}")
-                emit(f"{ind}        bw += {l2_bw}")
-
-        def guarded(ind, stmt, pc):
-            emit(f"{ind}try:")
-            emit(f"{ind}    {stmt}")
-            emit(f"{ind}except MemoryFault as fault:")
-            emit(f"{ind}    cpu.pc = {pc}")
-            emit(f"{ind}    raise MemTrap({pc}, fault) from None")
-
-        ind = "            "
-        for i, (kind, _exec, pc, icost, lat, uses, defs, fused) in \
-                enumerate(ops):
-            ic, lt = repr(icost), repr(lat)
-            if kind == 0:  # simple
-                guarded(ind, f"e{i}()", pc)
-                emit(f"{ind}t_issue += {ic}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 1")
-            elif kind == 1:  # load/store
-                guarded(ind, f"addr = e{i}()", pc)
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                probe_checks(ind)
-                emit(f"{ind}t_issue += {ic} + bw")
-                tail(ind, uses, f"{lt} + extra", defs)
-                emit(f"{ind}n += 1")
-            elif kind == 2:  # branch terminator
-                guarded(ind, f"taken = e{i}()", pc)
-                emit(f"{ind}if taken:")
-                emit(f"{ind}    t_issue += {repr(icost + tb)}")
-                emit(f"{ind}else:")
-                emit(f"{ind}    t_issue += {ic}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 1")
-            elif kind == 4:  # fused guard + load/store
-                g_icost, g_lat, g_uses, g_defs, a_pc = fused
-                g_ic, g_lt = repr(g_icost), repr(g_lat)
-                emit(f"{ind}try:")
-                emit(f"{ind}    addr = e{i}()")
-                emit(f"{ind}except MemoryFault as fault:")
-                # The guard half retired before the access faulted.
-                emit(f"{ind}    t_issue += {g_ic}")
-                tail(ind + "    ", g_uses, g_lt, g_defs)
-                emit(f"{ind}    n += 1")
-                emit(f"{ind}    cpu.pc = {a_pc}")
-                emit(f"{ind}    raise MemTrap({a_pc}, fault) from None")
-                emit(f"{ind}t_issue += {g_ic}")
-                tail(ind, g_uses, g_lt, g_defs)
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                probe_checks(ind)
-                emit(f"{ind}t_issue += {ic} + bw")
-                tail(ind, uses, f"{lt} + extra", defs)
-                emit(f"{ind}n += 2")
-            elif kind == 5:  # fused guard + indirect branch
-                g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                guarded(ind, f"e{i}()", pc)
-                emit(f"{ind}t_issue += {repr(g_icost)}")
-                tail(ind, g_uses, repr(g_lat), g_defs)
-                emit(f"{ind}t_issue += {repr(icost + tb)}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 2")
-                emit(f"{ind}taken = True")
-            elif kind == 6:  # fused sp guard pair
-                g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                guarded(ind, f"e{i}()", pc)
-                emit(f"{ind}t_issue += {repr(g_icost)}")
-                tail(ind, g_uses, repr(g_lat), g_defs)
-                emit(f"{ind}t_issue += {ic}")
-                tail(ind, uses, lt, defs)
-                emit(f"{ind}n += 2")
-            else:  # generic handler semantics
-                guarded(ind, f"taken, addr = e{i}()", pc)
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                emit(f"{ind}if addr is not None:")
-                probe_checks(ind + "    ")
-                emit(f"{ind}if taken:")
-                emit(f"{ind}    t_issue += {repr(icost + tb)} + bw")
-                emit(f"{ind}else:")
-                emit(f"{ind}    t_issue += {ic} + bw")
-                tail(ind, uses, f"{lt} + extra", defs)
-                emit(f"{ind}n += 1")
-
-        binds = ", ".join(
-            [f"e{i}=ops[{i}][1]" for i in range(len(ops))]
-            + ["ready=ready", "ready_get=ready_get", "cpu=cpu",
-               "tlb_lookup=tlb_lookup", "l1_lookup=l1_lookup",
-               "l2_lookup=l2_lookup", "MemoryFault=MemoryFault",
-               "MemTrap=MemTrap", "BlockFault=BlockFault"])
-        src = "\n".join(
-            ["def _factory(ops, ready, ready_get, cpu, tlb_lookup,",
-             "             l1_lookup, l2_lookup, MemoryFault, MemTrap,",
-             "             BlockFault):",
-             f"    def run(t_issue, t_done, {binds}):",
-             "        n = 0",
-             "        taken = False",
-             "        try:",
-             *lines,
-             "        except BaseException as exc:",
-             "            raise BlockFault(t_issue, t_done, n, exc) "
-             "from None",
-             "        return t_issue, t_done, n, taken",
-             "    return run",
-             ""])
-        namespace: Dict[str, object] = {}
-        exec(compile(src, f"<superblock {block.start:#x}>", "exec"),
-             namespace)
-        costing = machine._costing
-        fn = namespace["_factory"](
-            ops, costing.ready, costing.ready.get, machine.cpu,
-            machine.tlb.lookup if has_tlb else None,
-            machine.l1.lookup if has_l1 else None,
-            machine.l2.lookup if machine.l2 is not None else None,
-            MemoryFault, self._M.MemTrap, _BlockFault)
-        self.compiled_blocks += 1
-        return fn
-
-    def _run_costed(self, remaining: int) -> int:
         M = self._M
         machine = self.machine
         cpu = machine.cpu
         host = machine._host_entries
         blocks = self._blocks
         translate = self._translate
-        costing = machine._costing
-        model = machine.model
-        tlb = machine.tlb
-        l1 = machine.l1
-        l2 = machine.l2
-        tlb_lookup = tlb.lookup if tlb is not None else None
-        l1_lookup = l1.lookup if l1 is not None else None
-        l2_lookup = l2.lookup if l2 is not None else None
-        walk = model.tlb_walk_cycles * machine.tlb_walk_scale
-        walk_bw = walk * model.tlb_walk_issue_fraction
-        l1_cyc = model.l1_miss_cycles
-        l1_bw = model.l1_miss_issue
-        l2_cyc = model.l2_miss_cycles
-        l2_bw = model.l2_miss_issue
-        tb = model.taken_branch_cost
-        ready = costing.ready
-        ready_get = ready.get
         springboard = machine.springboard
         chaining = self.chaining
-        t_issue = costing.t_issue
-        t_done = costing.t_done
+        costing = machine._costing
+        if costing is not None:
+            charge = costing.charge_row
+            penalty = costing.memory_penalty
+            tb = machine.model.taken_branch_cost
         n = 0
         links = 0
-        kind = pc = fused = None
         prev = None
         prev_taken = False
         try:
@@ -1324,401 +1122,80 @@ class SuperblockEngine:
                 count = block.count
                 if count > remaining:
                     return remaining
-                fn = block.fn
-                if fn is None and block.hits >= 0:
-                    block.hits += 1
-                    if block.hits >= _COMPILE_THRESHOLD:
-                        fn = block.fn = self._compile_block(block)
-                        if fn is None:
-                            block.hits = -1  # not compilable; stop trying
-                if fn is not None:
-                    # Compiled fast path: the interpretive loop below
-                    # sees an empty op list and falls through to the
-                    # shared block tail with ``taken`` from the closure.
-                    try:
-                        t_issue, t_done, dn, taken = fn(t_issue, t_done)
-                    except _BlockFault as bf:
-                        t_issue = bf.t_issue
-                        t_done = bf.t_done
-                        n += bf.n
-                        raise bf.exc from None
-                    n += dn
-                    ops_iter = ()
-                else:
-                    taken = False
-                    ops_iter = block.ops
-                try:
-                    for kind, exec_, pc, icost, lat, uses, defs, fused \
-                            in ops_iter:
-                        if kind == 0:  # simple: no memory, never taken
-                            exec_()
-                            t_issue += icost
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                        elif kind == 1:  # load/store
-                            addr = exec_()
-                            extra = 0.0
-                            bw = 0.0
-                            if tlb_lookup is not None \
-                                    and not tlb_lookup(addr):
-                                extra += walk
-                                bw += walk_bw
-                            if l1_lookup is not None and not l1_lookup(addr):
-                                extra += l1_cyc
-                                bw += l1_bw
-                                if not l2_lookup(addr):
-                                    extra += l2_cyc
-                                    bw += l2_bw
-                            t_issue += icost + bw
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat + extra
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                        elif kind == 2:  # branch terminator
-                            taken = exec_()
-                            if taken:
-                                t_issue += icost + tb
-                            else:
-                                t_issue += icost
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                        elif kind == 4:  # fused guard + load/store
-                            addr = exec_()
-                            g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                            t_issue += g_icost
-                            start = t_issue
-                            for key in g_uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + g_lat
-                            for key in g_defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            extra = 0.0
-                            bw = 0.0
-                            if tlb_lookup is not None \
-                                    and not tlb_lookup(addr):
-                                extra += walk
-                                bw += walk_bw
-                            if l1_lookup is not None and not l1_lookup(addr):
-                                extra += l1_cyc
-                                bw += l1_bw
-                                if not l2_lookup(addr):
-                                    extra += l2_cyc
-                                    bw += l2_bw
-                            t_issue += icost + bw
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat + extra
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 2
-                        elif kind == 5:  # fused guard + indirect branch
-                            exec_()
-                            g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                            t_issue += g_icost
-                            start = t_issue
-                            for key in g_uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + g_lat
-                            for key in g_defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            t_issue += icost + tb
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 2
-                            taken = True
-                        elif kind == 6:  # fused sp guard pair
-                            exec_()
-                            g_icost, g_lat, g_uses, g_defs, _a_pc = fused
-                            t_issue += g_icost
-                            start = t_issue
-                            for key in g_uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + g_lat
-                            for key in g_defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            t_issue += icost
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 2
-                        else:  # generic handler semantics
-                            taken, addr = exec_()
-                            extra = 0.0
-                            bw = 0.0
-                            if addr is not None:
-                                if tlb_lookup is not None \
-                                        and not tlb_lookup(addr):
-                                    extra += walk
-                                    bw += walk_bw
-                                if l1_lookup is not None \
-                                        and not l1_lookup(addr):
-                                    extra += l1_cyc
-                                    bw += l1_bw
-                                    if not l2_lookup(addr):
-                                        extra += l2_cyc
-                                        bw += l2_bw
-                            if taken:
-                                t_issue += icost + tb + bw
-                            else:
-                                t_issue += icost + bw
-                            start = t_issue
-                            for key in uses:
-                                t = ready_get(key)
-                                if t is not None and t > start:
-                                    start = t
-                            finish = start + lat + extra
-                            for key in defs:
-                                ready[key] = finish
-                            if finish > t_done:
-                                t_done = finish
-                            n += 1
-                except MemoryFault as fault:
-                    if kind == 4:
-                        # The guard half retired before the access faulted.
-                        g_icost, g_lat, g_uses, g_defs, a_pc = fused
-                        t_issue += g_icost
-                        start = t_issue
-                        for key in g_uses:
-                            t = ready_get(key)
-                            if t is not None and t > start:
-                                start = t
-                        finish = start + g_lat
-                        for key in g_defs:
-                            ready[key] = finish
-                        if finish > t_done:
-                            t_done = finish
-                        n += 1
-                        cpu.pc = a_pc
-                        raise M.MemTrap(a_pc, fault) from None
-                    cpu.pc = pc
-                    raise M.MemTrap(pc, fault) from None
-                rtcall = block.rtcall
-                if rtcall is None:
-                    if not taken:
-                        cpu.pc = block.next_pc
-                    remaining -= count
-                    if remaining == 0:
-                        raise M.OutOfFuel()
-                    if chaining:
-                        prev = block
-                        prev_taken = taken
-                    continue
-                # Fused runtime-call tail: execute the pair, charge the
-                # table load exactly like a kind-1 op and the blr exactly
-                # like a taken branch, then springboard into the runtime
-                # without raising HostCallTrap.
-                (exec_, r_pc, l_icost, l_lat, l_uses, l_defs,
-                 b_icost, b_lat, b_uses, b_defs) = rtcall
-                try:
-                    addr = exec_()
-                except MemoryFault as fault:
-                    cpu.pc = r_pc
-                    raise M.MemTrap(r_pc, fault) from None
-                extra = 0.0
-                bw = 0.0
-                if tlb_lookup is not None and not tlb_lookup(addr):
-                    extra += walk
-                    bw += walk_bw
-                if l1_lookup is not None and not l1_lookup(addr):
-                    extra += l1_cyc
-                    bw += l1_bw
-                    if not l2_lookup(addr):
-                        extra += l2_cyc
-                        bw += l2_bw
-                t_issue += l_icost + bw
-                start = t_issue
-                for key in l_uses:
-                    t = ready_get(key)
-                    if t is not None and t > start:
-                        start = t
-                finish = start + l_lat + extra
-                for key in l_defs:
-                    ready[key] = finish
-                if finish > t_done:
-                    t_done = finish
-                t_issue += b_icost + tb
-                start = t_issue
-                for key in b_uses:
-                    t = ready_get(key)
-                    if t is not None and t > start:
-                        start = t
-                finish = start + b_lat
-                for key in b_defs:
-                    ready[key] = finish
-                if finish > t_done:
-                    t_done = finish
-                n += 2
-                remaining -= count
-                if remaining == 0:
-                    # The blr was the slice's last fueled instruction:
-                    # preemption wins over the call, as in stepping (the
-                    # next slice's host check raises HostCallTrap).
-                    raise M.OutOfFuel()
-                prev = None
-                entry = cpu.pc
-                if springboard is None or entry not in host:
-                    continue
-                costing.t_issue = t_issue
-                costing.t_done = t_done
-                machine.instret += n
-                n = 0
-                try:
-                    remaining, force_step = springboard(entry)
-                finally:
-                    t_issue = costing.t_issue
-                    t_done = costing.t_done
-                if force_step:
-                    return remaining
-        finally:
-            costing.t_issue = t_issue
-            costing.t_done = t_done
-            machine.instret += n
-            self.chain_links += links
-
-    def _run_fast(self, remaining: int) -> int:
-        """Block dispatch without a cost model (fuzz oracles)."""
-        M = self._M
-        machine = self.machine
-        cpu = machine.cpu
-        host = machine._host_entries
-        blocks = self._blocks
-        translate = self._translate
-        springboard = machine.springboard
-        chaining = self.chaining
-        n = 0
-        links = 0
-        kind = pc = fused = None
-        prev = None
-        prev_taken = False
-        try:
-            while True:
-                pc0 = cpu.pc
-                block = None
-                if prev is not None:
-                    nxt = prev.link_taken if prev_taken else prev.link_fall
-                    if nxt is not None and nxt.valid and nxt.start == pc0:
-                        block = nxt
-                        links += 1
-                if block is None:
-                    if pc0 in host:
-                        raise M.HostCallTrap(pc0, pc0)
-                    block = blocks.get(pc0)
-                    if block is None:
-                        block = translate(pc0)
-                    if prev is not None:
-                        if prev_taken:
-                            prev.link_taken = block
-                        else:
-                            prev.link_fall = block
-                count = block.count
-                if count > remaining:
-                    return remaining
                 taken = False
                 try:
-                    for kind, exec_, pc, icost, lat, uses, defs, fused \
-                            in block.ops:
-                        if kind == 0 or kind == 1:
-                            exec_()
-                            n += 1
-                        elif kind == 2:
-                            taken = exec_()
-                            n += 1
-                        elif kind == 4 or kind == 6:
-                            exec_()
-                            n += 2
-                        elif kind == 5:
-                            exec_()
-                            n += 2
-                            taken = True
+                    if costing is None:
+                        for kind, exec_, rows in block.ops:
+                            if kind < K_BRANCH:
+                                exec_()
+                            elif kind == K_BRANCH:
+                                taken = exec_()
+                            else:
+                                taken = exec_()[0]
+                    else:
+                        fn = block.fn
+                        if fn is None and block.hits >= 0:
+                            block.hits += 1
+                            if block.hits >= _COMPILE_THRESHOLD:
+                                fn = block.fn = self._compile_block(block)
+                                if fn is None:
+                                    block.hits = -1  # too large; stop trying
+                        if fn is not None:
+                            taken = fn()
                         else:
-                            taken, _addr = exec_()
-                            n += 1
+                            for kind, exec_, rows in block.ops:
+                                if kind == K_SIMPLE:
+                                    exec_()
+                                elif kind == K_MEM:
+                                    addr = exec_()
+                                elif kind == K_BRANCH:
+                                    taken = exec_()
+                                else:
+                                    taken, addr = exec_()
+                                for _pc, icost, lat, uses, defs, role in rows:
+                                    extra = bw = 0.0
+                                    if role & R_MEM and addr is not None:
+                                        extra, bw = penalty(addr)
+                                    if role == R_TAKEN \
+                                            or role & R_BRANCH and taken:
+                                        icost += tb
+                                    charge(icost + bw, lat, uses, defs, extra)
                 except MemoryFault as fault:
-                    if kind == 4:
-                        a_pc = fused[4]
+                    # The one fault rule (a compiled closure applies it
+                    # itself and raises MemTrap): the ops before the one
+                    # that faulted have retired, and so have its rows
+                    # ahead of its first memory row — a fused guard's
+                    # register write is already in place; the trap pc is
+                    # the memory row's.
+                    for _kind, _exec, done in block.ops:
+                        if done is rows:
+                            break
+                        n += len(done)
+                    for pc, icost, lat, uses, defs, role in rows:
+                        if role & R_MEM:
+                            break
+                        if costing is not None:
+                            charge(icost, lat, uses, defs)
                         n += 1
-                        cpu.pc = a_pc
-                        raise M.MemTrap(a_pc, fault) from None
                     cpu.pc = pc
                     raise M.MemTrap(pc, fault) from None
-                rtcall = block.rtcall
-                if rtcall is None:
-                    if not taken:
-                        cpu.pc = block.next_pc
-                    remaining -= count
-                    if remaining == 0:
-                        raise M.OutOfFuel()
+                n += count
+                remaining -= count
+                if not taken:
+                    cpu.pc = block.end
+                if remaining == 0:
+                    # Preemption wins even over a runtime call the block
+                    # just landed on, as in stepping (the next slice's
+                    # host check raises HostCallTrap).
+                    raise M.OutOfFuel()
+                if not block.call_tail:
                     if chaining:
                         prev = block
                         prev_taken = taken
                     continue
-                try:
-                    rtcall[0]()
-                except MemoryFault as fault:
-                    r_pc = rtcall[1]
-                    cpu.pc = r_pc
-                    raise M.MemTrap(r_pc, fault) from None
-                n += 2
-                remaining -= count
-                if remaining == 0:
-                    raise M.OutOfFuel()
+                # Hand the call straight to the runtime's springboard
+                # instead of raising HostCallTrap; it returns fresh fuel
+                # to resume inline, or raises to end the slice.
                 prev = None
                 entry = cpu.pc
                 if springboard is None or entry not in host:
@@ -1731,6 +1208,135 @@ class SuperblockEngine:
         finally:
             machine.instret += n
             self.chain_links += links
+
+    def _compile_block(self, block: Superblock):
+        """Compile ``block.ops`` into one specialized straight-line closure.
+
+        Walking rows pays per-op Python overhead on every execution: tuple
+        unpacks, kind and role switches, two calls per row and scoreboard
+        loops over ``uses``/``defs``.  For a block that re-executes (a
+        loop body) all of that is static, so it is unrolled here into
+        generated source with every static quantity — issue costs,
+        latencies, scoreboard keys, pcs, model miss charges — folded in
+        as literals (``repr`` of a float round-trips exactly).  The row
+        emitter below is the source form of ``_Costing.memory_penalty``
+        and ``_Costing.charge_row``: the *same float operations in the
+        same order*, so cycle totals stay bit-identical; compilation is
+        pure host-side speedup (DESIGN.md §15).
+
+        The closure keeps ``t_issue``/``t_done`` in locals and commits
+        them in a ``finally``, so a mid-block trap leaves exactly what
+        walking the rows would have.  Returns None when the block is not
+        worth compiling (oversized ops list).
+        """
+        ops = block.ops
+        if len(ops) > _COMPILE_MAX_OPS:
+            return None
+        machine = self.machine
+        costing = machine._costing
+        model = machine.model
+        tb = model.taken_branch_cost
+
+        lines: List[str] = []
+        emit = lines.append
+
+        def charge(ind, row):
+            _pc, icost, lat, uses, defs, role = row
+            bw = ""
+            lat_expr = repr(lat)
+            if role & R_MEM:
+                emit(f"{ind}extra = 0.0")
+                emit(f"{ind}bw = 0.0")
+                at = ind
+                if role == R_GENERIC:
+                    emit(f"{ind}if addr is not None:")
+                    at += "    "
+                emit(f"{at}if not tlb_lookup(addr):")
+                emit(f"{at}    extra += {costing.walk!r}")
+                emit(f"{at}    bw += {costing.walk_issue!r}")
+                emit(f"{at}if not l1_lookup(addr):")
+                emit(f"{at}    extra += {model.l1_miss_cycles!r}")
+                emit(f"{at}    bw += {model.l1_miss_issue!r}")
+                emit(f"{at}    if not l2_lookup(addr):")
+                emit(f"{at}        extra += {model.l2_miss_cycles!r}")
+                emit(f"{at}        bw += {model.l2_miss_issue!r}")
+                bw = " + bw"
+                lat_expr += " + extra"
+            if role & R_BRANCH:
+                emit(f"{ind}if taken:")
+                emit(f"{ind}    t_issue += {icost + tb!r}{bw}")
+                emit(f"{ind}else:")
+                emit(f"{ind}    t_issue += {icost!r}{bw}")
+            elif role == R_TAKEN:
+                emit(f"{ind}t_issue += {icost + tb!r}")
+            else:
+                emit(f"{ind}t_issue += {icost!r}{bw}")
+            emit(f"{ind}start = t_issue")
+            for key in uses:
+                emit(f"{ind}t = ready_get({key!r})")
+                emit(f"{ind}if t is not None and t > start:")
+                emit(f"{ind}    start = t")
+            emit(f"{ind}finish = start + {lat_expr}")
+            for key in defs:
+                emit(f"{ind}ready[{key!r}] = finish")
+            emit(f"{ind}if finish > t_done:")
+            emit(f"{ind}    t_done = finish")
+
+        ind = "            "
+        retired = 0
+        for i, (kind, _exec, rows) in enumerate(ops):
+            call = ("e{}()", "addr = e{}()", "taken = e{}()",
+                    "taken, addr = e{}()")[kind].format(i)
+            ahead = next((k for k, row in enumerate(rows)
+                          if row[5] & R_MEM), None)
+            if ahead is None:
+                emit(f"{ind}{call}")
+            else:
+                # The fault rule of the dispatch loop, as source.
+                pc = rows[ahead][0]
+                emit(f"{ind}try:")
+                emit(f"{ind}    {call}")
+                emit(f"{ind}except MemoryFault as fault:")
+                for row in rows[:ahead]:
+                    charge(ind + "    ", row)
+                emit(f"{ind}    machine.instret += {retired + ahead}")
+                emit(f"{ind}    cpu.pc = {pc}")
+                emit(f"{ind}    raise MemTrap({pc}, fault) from None")
+            for row in rows:
+                charge(ind, row)
+            retired += len(rows)
+
+        binds = ", ".join(
+            [f"e{i}=ops[{i}][1]" for i in range(len(ops))]
+            + ["costing=costing", "ready=ready", "ready_get=ready_get",
+               "cpu=cpu", "machine=machine", "tlb_lookup=tlb_lookup",
+               "l1_lookup=l1_lookup", "l2_lookup=l2_lookup",
+               "MemoryFault=MemoryFault", "MemTrap=MemTrap"])
+        src = "\n".join(
+            ["def _factory(ops, costing, ready, ready_get, cpu, machine,",
+             "             tlb_lookup, l1_lookup, l2_lookup, MemoryFault,",
+             "             MemTrap):",
+             f"    def run({binds}):",
+             "        t_issue = costing.t_issue",
+             "        t_done = costing.t_done",
+             "        taken = False",
+             "        try:",
+             *lines,
+             "        finally:",
+             "            costing.t_issue = t_issue",
+             "            costing.t_done = t_done",
+             "        return taken",
+             "    return run",
+             ""])
+        namespace: Dict[str, object] = {}
+        exec(compile(src, f"<superblock {block.start:#x}>", "exec"),
+             namespace)
+        fn = namespace["_factory"](
+            ops, costing, costing.ready, costing.ready.get, machine.cpu,
+            machine, costing.tlb.lookup, costing.l1.lookup,
+            costing.l2.lookup, MemoryFault, self._M.MemTrap)
+        self.compiled_blocks += 1
+        return fn
 
     # -- translation --------------------------------------------------------
 
@@ -1765,19 +1371,25 @@ class SuperblockEngine:
                 if not decoded:
                     raise
                 break
+            base = entry[0].base
+            if base in _TRAP_BASES:
+                if not decoded:
+                    decoded.append((pc, entry))
+                break
             decoded.append((pc, entry))
-            if entry[0].base in _TERMINATOR_BASES:
+            if base in _TERMINATOR_BASES:
                 break
             pc += 4
 
-        last_pc = decoded[-1][0]
+        end = decoded[-1][0] + 4
+        count = len(decoded)  # every instruction becomes exactly one row
 
         # Springboard fusion: a block ending in the verified runtime-call
         # idiom (``ldr x30, [x21, #n]; blr x30`` — recognized by the same
         # predicate the rewriter uses) compiles the pair into a single
-        # closure so the dispatch loop can hand control to the runtime
-        # springboard without trap-based unwinding.
-        rtcall = None
+        # two-row op, and the dispatch loop hands the landing address to
+        # the runtime springboard without trap-based unwinding.
+        call = None
         if len(decoded) >= 2 and decoded[-1][1][0].base == "blr" \
                 and is_runtime_call_load(
                     [decoded[-2][1][0], decoded[-1][1][0]], 0):
@@ -1785,19 +1397,16 @@ class SuperblockEngine:
             blr_pc, blr = decoded[-1]
             form = self._mem_form(ldr[0].mem)
             if form is not None and form[0] == "imm" and not form[2]:
-                exec_ = _t_rtcall(machine.cpu, machine.cpu.regs,
-                                  memory.read, form[1], form[3],
-                                  blr_pc + 4)
-                l_icost, l_lat, l_uses, l_defs = self._cost_entry(ldr)
-                b_icost, b_lat, b_uses, b_defs = self._cost_entry(blr)
-                rtcall = (exec_, ldr_pc, l_icost, l_lat, l_uses, l_defs,
-                          b_icost, b_lat, b_uses, b_defs)
-                decoded = decoded[:-2]
+                exec_ = _t_call_tail(machine.cpu, machine.cpu.regs,
+                                     memory.read, form[1], form[3],
+                                     blr_pc + 4)
+                call = (K_GENERIC, exec_, (self._row(ldr_pc, ldr, R_MEM),
+                                           self._row(blr_pc, blr, R_TAKEN)))
+                del decoded[-2:]
                 self.fused_calls += 1
 
         guard_map = machine.guard_map
         ops = []
-        count = 2 if rtcall is not None else 0
         i = 0
         while i < len(decoded):
             pc_i, entry = decoded[i]
@@ -1805,41 +1414,40 @@ class SuperblockEngine:
                 fused = self._try_fuse(pc_i, entry, decoded[i + 1][1])
                 if fused is not None:
                     ops.append(fused)
-                    count += 2
                     i += 2
                     continue
             ops.append(self._build_op(pc_i, entry))
-            count += 1
             i += 1
+        if call is not None:
+            ops.append(call)
 
-        block = Superblock(start, last_pc + 4, ops, count, last_pc + 4,
-                           rtcall)
+        block = Superblock(start, end, ops, count, call is not None)
         self._blocks[start] = block
         self.translations += 1
         return block
 
     # -- op construction ----------------------------------------------------
 
-    def _cost_entry(self, entry: tuple):
-        """(icost, lat, uses, defs) of one ``Machine.predecode`` entry."""
+    def _row(self, pc: int, entry: tuple, role: int) -> tuple:
+        """The cost row of the ``Machine.predecode`` entry at ``pc``."""
         _inst, _handler, klass, uses, defs = entry
         model = self.machine.model
         if model is None:
-            return 0.0, 0.0, uses, defs
-        return (model.issue_cost(klass), model.result_latency(klass),
-                uses, defs)
+            return (pc, 0.0, 0.0, uses, defs, role)
+        return (pc, model.issue_cost(klass), model.result_latency(klass),
+                uses, defs, role)
 
     def _build_op(self, pc: int, entry: tuple) -> tuple:
         inst, handler = entry[:2]
-        icost, lat, uses, defs = self._cost_entry(entry)
         spec = self._specialize(pc, inst)
         if spec is None:
             exec_ = partial(handler, inst)
             if inst.base in _PC_READING:
                 exec_ = _pc_fix(self.machine.cpu, pc, exec_)
-            return (K_GENERIC, exec_, pc, icost, lat, uses, defs, None)
+            spec = (K_GENERIC, exec_)
         kind, exec_ = spec
-        return (kind, exec_, pc, icost, lat, uses, defs, None)
+        # Its one row takes everything the op returns: role == kind.
+        return (kind, exec_, (self._row(pc, entry, kind),))
 
     def _specialize(self, pc: int, inst: Instruction):
         """Build a specialized thunk, or None for the generic fallback."""
@@ -1851,18 +1459,6 @@ class SuperblockEngine:
         base = inst.base
         m = inst.mnemonic
         ops = inst.operands
-
-        # -- traps (block terminators; pc set before the raise) -----------
-        if base == "svc":
-            imm = ops[0].value if ops else 0
-            return (K_GENERIC,
-                    _t_trap(cpu, pc, lambda: M.SvcTrap(pc, imm)))
-        if base == "brk":
-            imm = ops[0].value if ops else 0
-            return (K_GENERIC,
-                    _t_trap(cpu, pc, lambda: M.BrkTrap(pc, imm)))
-        if base == "hlt":
-            return (K_GENERIC, _t_trap(cpu, pc, lambda: M.HltTrap(pc)))
 
         # -- branches ------------------------------------------------------
         if base == "b":
@@ -2211,11 +1807,9 @@ class SuperblockEngine:
                   access_entry: tuple) -> Optional[tuple]:
         """Fuse a verified guard instruction with its consumer.
 
-        Returns a complete op tuple (kind K_FUSED_*) or None.  The op's
-        main cost fields describe the *access* instruction; the ``fused``
-        slot carries ``(guard_icost, guard_lat, guard_uses, guard_defs,
-        access_pc)`` so the execute loop charges both entries in retire
-        order — cycle accounting stays bit-identical to stepping.
+        Returns a two-row op — the guard's row, then the consumer's, so
+        both are charged in retire order and cycle accounting stays
+        bit-identical to stepping — or None.
         """
         machine = self.machine
         cpu = machine.cpu
@@ -2225,7 +1819,8 @@ class SuperblockEngine:
         gops = guard.operands
 
         fused_exec = None
-        kind = None
+        # A guarded load/store unless a pattern below says otherwise.
+        kind, role = K_MEM, R_MEM
 
         # Pattern 1: address guard  add Xg, Xb, wS, uxtw  + consumer.
         if guard.mnemonic == "add" and len(gops) == 3 \
@@ -2245,7 +1840,7 @@ class SuperblockEngine:
                     link = pc + 8 if ab == "blr" else None
                     fused_exec = _t_fused_guard_branch(cpu, regs, g_d, g_s,
                                                        base_i, link)
-                    kind = K_FUSED_BRANCH
+                    kind, role = K_BRANCH, R_TAKEN
             elif (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
                     or ab in _SIMPLE_STORES) and len(aops) == 2 \
                     and isinstance(aops[1], Mem):
@@ -2262,12 +1857,10 @@ class SuperblockEngine:
                         fused_exec = _t_fused_guard_store(
                             regs, mem.write, g_d, g_s, t, imm, size,
                             base_i, rt.is_zero)
-                        kind = K_FUSED_MEM
                     elif not is_store and _is_plain_gpr(rt):
                         fused_exec = _t_fused_guard_load(
                             regs, mem.read, g_d, g_s, rt.index, imm, size,
                             _SIGNED_LOADS.get(ab), rt.bits, base_i)
-                        kind = K_FUSED_MEM
 
         # Pattern 2: offset fold  add/sub wD, wS, #imm  +
         #            op [Xb, wD, uxtw]  (Table 3 rows 2, 5-7).
@@ -2296,19 +1889,19 @@ class SuperblockEngine:
                         fused_exec = _t_fused_offset_store(
                             regs, mem.write, o_d, o_s, o_imm, o_sub, t,
                             size, base_i, rt.is_zero)
-                        kind = K_FUSED_MEM
                     elif not is_store and _is_plain_gpr(rt):
                         fused_exec = _t_fused_offset_load(
                             regs, mem.read, o_d, o_s, o_imm, o_sub,
                             rt.index, size, _SIGNED_LOADS.get(ab),
                             rt.bits, base_i)
-                        kind = K_FUSED_MEM
 
-        # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD.
-        elif guard.mnemonic == "mov" and len(gops) == 2 \
+        # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD  (the
+        #            decoder spells the mov ``add wD, wsp, #0``).
+        elif guard.mnemonic == "add" and len(gops) == 3 \
                 and _is_plain_gpr(gops[0]) and gops[0].bits == 32 \
                 and isinstance(gops[1], Reg) and gops[1].is_sp \
-                and gops[1].bits == 32:
+                and gops[1].bits == 32 \
+                and isinstance(gops[2], Imm) and not gops[2].value:
             w_d = gops[0].index
             aops = access.operands
             if access.mnemonic == "add" and len(aops) == 3 \
@@ -2325,12 +1918,9 @@ class SuperblockEngine:
                 if src_ok and src_reg.index == w_d:
                     fused_exec = _t_fused_sp_guard(cpu, regs, w_d,
                                                    aops[1].index)
-                    kind = K_FUSED_SIMPLE
+                    kind, role = K_SIMPLE, R_PLAIN
 
         if fused_exec is None:
             return None
-        g_icost, g_lat, g_uses, g_defs = self._cost_entry(guard_entry)
-        a_icost, a_lat, a_uses, a_defs = self._cost_entry(access_entry)
-        fused_info = (g_icost, g_lat, g_uses, g_defs, pc + 4)
-        return (kind, fused_exec, pc, a_icost, a_lat, a_uses, a_defs,
-                fused_info)
+        return (kind, fused_exec, (self._row(pc, guard_entry, R_PLAIN),
+                                   self._row(pc + 4, access_entry, role)))

@@ -18,9 +18,6 @@ engine's tuning knobs:
 * ``batch_abi`` — whether :data:`RuntimeCall.BATCH` is serviced
   (disabled, it returns ``-ENOSYS`` to the guest).
 
-Passing a bare string still works for one release and coerces to
-``EngineConfig(kind=...)`` with a :class:`DeprecationWarning`.
-
 PR 10 adds ``speculation`` — an optional nested
 :class:`SpeculationConfig` that turns on the bounded-speculation
 emulator mode (DESIGN.md §16).  ``None`` (the default) keeps both
@@ -29,7 +26,6 @@ engines bit-identical to their pre-speculation behaviour.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -128,16 +124,13 @@ class EngineConfig:
             object.__setattr__(self, "speculation", spec)
 
     @classmethod
-    def coerce(cls, value, default: Optional["EngineConfig"] = None,
-               stacklevel: int = 3) -> "EngineConfig":
-        """Accept an :class:`EngineConfig`, a dict, a kind string, or
-        ``None``.
+    def coerce(cls, value,
+               default: Optional["EngineConfig"] = None) -> "EngineConfig":
+        """Accept an :class:`EngineConfig`, a dict, or ``None``.
 
         ``None`` resolves to ``default`` (or a default-constructed
         config).  A dict goes through :meth:`from_dict` — the form policy
-        files and cluster job specs carry.  A bare string is the pre-PR-9
-        kwarg form: it still works for one release but emits a
-        :class:`DeprecationWarning`.
+        files and cluster job specs carry.
         """
         if value is None:
             return default if default is not None else cls()
@@ -145,17 +138,9 @@ class EngineConfig:
             return value
         if isinstance(value, dict):
             return cls.from_dict(value)
-        if isinstance(value, str):
-            warnings.warn(
-                f"passing engine={value!r} as a string is deprecated; "
-                f"pass repro.EngineConfig(kind={value!r}) instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-            return cls(kind=value)
         raise ConfigError(
-            f"engine must be an EngineConfig (or, deprecated, a kind "
-            f"string); got {value!r}")
+            f"engine must be an EngineConfig or a config dict; "
+            f"got {value!r}")
 
     def resolve_timeslice(self, default: int) -> int:
         """The scheduler timeslice this config implies."""

@@ -616,7 +616,7 @@ class Runtime:
     def _springboard(self, entry: int):
         """Service a fused runtime call without unwinding the engine.
 
-        Called by the superblock dispatch loops when a fused
+        Called by the superblock dispatch loop when a fused
         ``ldr x30, [x21, #n]; blr x30`` pair lands on a registered host
         entry.  Replicates the ``HostCallTrap`` path of :meth:`_run_one`
         byte-for-byte — save, slice trace emission, dispatch (which

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import EngineConfig
 from repro.memory import PAGE_SIZE, PERM_R, PERM_RW, PagedMemory
 from repro.runtime import Runtime, RuntimeCall
 from repro.toolchain import compile_lfi
@@ -134,7 +135,7 @@ class TestForkSuperblocks:
     """Fork interacts with the superblock cache per-slot (DESIGN.md §10)."""
 
     def _run_forked(self, engine):
-        runtime = Runtime(engine=engine)
+        runtime = Runtime(engine=EngineConfig(kind=engine))
         parent = runtime.spawn(compile_lfi(FORK_PROGRAM).elf)
         runtime.run()
         return runtime, parent

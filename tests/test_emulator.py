@@ -472,7 +472,7 @@ class TestCodeInvalidation:
         elf = build_elf(assemble(parse_assembly(self.SOURCE)))
         memory = PagedMemory()
         load_elf_into(memory, elf)
-        machine = Machine(memory, engine="superblock")
+        machine = Machine(memory)
         machine.cpu.pc = elf.entry
         return machine, elf, HltTrap
 

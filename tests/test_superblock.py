@@ -15,9 +15,12 @@ import pathlib
 
 import pytest
 
+from repro import EngineConfig
 from repro.core import O0, O2
-from repro.emulator import APPLE_M1, Machine, OutOfFuel
-from repro.memory import PagedMemory
+from repro.emulator import APPLE_M1, HltTrap, HostCallTrap, Machine, \
+    MemTrap, OutOfFuel
+from repro.emulator import superblock as sbmod
+from repro.memory import PERM_RW, PagedMemory
 from repro.obs import GuardProfiler, Tracer
 from repro.obs.chrome import export_chrome_trace
 from repro.perf import lfi_variant, native_variant, run_variant
@@ -44,7 +47,8 @@ def corpus_programs():
 
 def observables(engine: str, elf, model=None, timeslice: int = 50_000):
     """Run ``elf`` to completion under ``engine``; return all observables."""
-    runtime = Runtime(model=model, timeslice=timeslice, engine=engine)
+    runtime = Runtime(model=model, timeslice=timeslice,
+                      engine=EngineConfig(kind=engine))
     proc = runtime.spawn(elf)
     runtime.run()
     memory = {
@@ -88,7 +92,8 @@ class TestTable4Differential:
         runs = {}
         for variant in (native_variant(), lfi_variant(O2, "LFI O2")):
             for engine in ENGINES:
-                m = run_variant(asm, bss, variant, APPLE_M1, engine=engine)
+                m = run_variant(asm, bss, variant, APPLE_M1,
+                                engine=EngineConfig(kind=engine))
                 runs[(variant.name, engine)] = (m.instructions, m.cycles)
             assert runs[(variant.name, "stepping")] \
                 == runs[(variant.name, "superblock")]
@@ -96,7 +101,7 @@ class TestTable4Differential:
 
 class TestObservability:
     def _traced_run(self, elf, engine):
-        runtime = Runtime(model=APPLE_M1, engine=engine)
+        runtime = Runtime(model=APPLE_M1, engine=EngineConfig(kind=engine))
         tracer = Tracer().attach(runtime)
         proc = runtime.spawn(elf)
         runtime.run()
@@ -118,7 +123,7 @@ class TestObservability:
                           bss_size=arena_bss_size("505.mcf")).elf
         breakdowns = {}
         for engine in ENGINES:
-            runtime = Runtime(model=APPLE_M1, engine=engine)
+            runtime = Runtime(model=APPLE_M1, engine=EngineConfig(kind=engine))
             profiler = GuardProfiler().attach(runtime)
             proc = runtime.spawn(elf)
             runtime.run()
@@ -150,7 +155,7 @@ class TestObservability:
 
         elf = build_elf(assemble(parse_assembly(asm)))
         load_elf_into(memory, elf)
-        machine = Machine(memory, engine="superblock")
+        machine = Machine(memory)
         machine.cpu.pc = elf.entry
         seen = []
         machine.add_step_probe(
@@ -171,7 +176,7 @@ class TestFuel:
         elf = build_elf(assemble(parse_assembly(body)))
         memory = PagedMemory()
         load_elf_into(memory, elf)
-        machine = Machine(memory, engine="superblock")
+        machine = Machine(memory)
         machine.cpu.pc = elf.entry
         return machine
 
@@ -215,7 +220,7 @@ class TestInvalidation:
         asm = build_benchmark("505.mcf", target_instructions=5_000)
         elf = compile_lfi(asm, options=O2,
                           bss_size=arena_bss_size("505.mcf")).elf
-        runtime = Runtime(engine="superblock")
+        runtime = Runtime()
         proc = runtime.spawn(elf)
         return runtime, proc
 
@@ -249,7 +254,7 @@ class TestInvalidation:
         asm = build_benchmark("505.mcf", target_instructions=5_000)
         elf = compile_lfi(asm, options=O2,
                           bss_size=arena_bss_size("505.mcf")).elf
-        runtime = Runtime(engine="superblock")
+        runtime = Runtime()
         first = runtime.spawn(elf)
         second = runtime.spawn(elf)
         runtime.run()
@@ -294,3 +299,261 @@ class TestInvalidation:
             for s in text_blocks
             if target <= s < target + page
         )
+
+
+# -- the row-shape matrix -----------------------------------------------------
+
+#: x21: base of the one mapped data page (the page after it is unmapped);
+#: the call table slot [x21, #8] holds HOST.
+DATA = 0x1_0000_0000
+HOST = 0x3000_0000
+
+#: shape -> (body asm, cost-row roles of the body's first op, whether
+#: unmapping the data page makes the body fault).  Every instruction
+#: before the last of a multi-row body is registered in ``guard_map``.
+SHAPES = {
+    "plain": ("add x0, x0, #3", (sbmod.R_PLAIN,), False),
+    "mem-load": ("ldr x1, [x21, w10, uxtw]", (sbmod.R_MEM,), True),
+    "mem-store": ("str x0, [x21, #24]", (sbmod.R_MEM,), True),
+    "branch-taken": ("cbz x11, land\n add x0, x0, #1\nland:",
+                     (sbmod.R_BRANCH,), False),
+    "branch-not-taken": ("cbnz x11, land\n add x0, x0, #1\nland:",
+                         (sbmod.R_BRANCH,), False),
+    "generic-writeback": ("ldr x1, [x12], #8", (sbmod.R_GENERIC,), True),
+    "fused-guard-load": ("add x18, x21, w10, uxtw\n ldr x1, [x18, #8]",
+                         (sbmod.R_PLAIN, sbmod.R_MEM), True),
+    "fused-guard-store": ("add x18, x21, w10, uxtw\n str x0, [x18]",
+                          (sbmod.R_PLAIN, sbmod.R_MEM), True),
+    "fused-offset-fold": ("add w22, w10, #16\n ldr x1, [x21, w22, uxtw]",
+                          (sbmod.R_PLAIN, sbmod.R_MEM), True),
+    "fused-guard-br": ("add x18, x20, w13, uxtw\n br x18\nland:",
+                       (sbmod.R_PLAIN, sbmod.R_TAKEN), False),
+    "fused-guard-blr": ("add x18, x20, w14, uxtw\n blr x18",
+                        (sbmod.R_PLAIN, sbmod.R_TAKEN), False),
+    "sp-guard-pair": ("mov w22, wsp\n add sp, x21, x22",
+                      (sbmod.R_PLAIN, sbmod.R_PLAIN), False),
+    "call-tail": ("ldr x30, [x21, #8]\n blr x30",
+                  (sbmod.R_MEM, sbmod.R_TAKEN), True),
+}
+
+#: tier -> (cost model, loop iterations).  A block compiles at its 8th
+#: whole execution, so 12 iterations leave the last ones to the compiled
+#: closure and a single iteration never leaves the row walk.
+TIERS = {
+    "cold": (APPLE_M1, 1),
+    "compiled": (APPLE_M1, 12),
+    "uncosted": (None, 12),
+}
+
+
+class TestRowShapes:
+    """Every op shape x engine tier x outcome against the stepping twin:
+    identical pc, instret, cycles (exact floats), registers and trap."""
+
+    def _program(self, shape, iterations):
+        from repro.arm64 import parse_assembly
+        from repro.arm64.assembler import assemble
+        from repro.elf import build_elf
+
+        body = SHAPES[shape][0]
+        has_land = "land:" in body
+        image = assemble(parse_assembly(f"""
+            .globl _start
+        _start:
+            mov x9, #{iterations}
+            adr x13, {'land' if has_land else 'top'}
+            adr x14, leaf
+        top:
+            add x10, x10, #8
+        body:
+            {body}
+            sub x9, x9, #1
+            cbnz x9, top
+            hlt
+        leaf:
+            add x0, x0, #7
+            ret
+        """))
+        return build_elf(image), image.symbols
+
+    def _machine(self, elf, symbols, shape, model, kind):
+        memory = PagedMemory()
+        load_elf_into(memory, elf)
+        memory.map_region(DATA, memory.page_size, PERM_RW)
+        memory.write(DATA + 8, HOST.to_bytes(8, "little"))
+        machine = Machine(memory, model=model,
+                          engine=EngineConfig(kind=kind))
+        machine.register_host_entry(HOST)
+        rows = len(SHAPES[shape][1])
+        machine.guard_map = {symbols["body"] + 4 * i: "test"
+                             for i in range(rows - 1)}
+        cpu = machine.cpu
+        cpu.pc = elf.entry
+        cpu.sp = DATA + 0x800
+        cpu.regs[21] = DATA
+        cpu.regs[12] = DATA + 0x100
+        cpu.regs[10] = 0x200
+        return machine
+
+    @staticmethod
+    def _drive(machine, budget):
+        """Run for ``budget`` instructions, returning from runtime calls
+        the way a runtime would; the trap that ended the run."""
+        cpu = machine.cpu
+        start = machine.instret
+
+        def left():
+            return budget - (machine.instret - start)
+
+        def springboard(entry):
+            assert entry == HOST
+            springboard.calls += 1
+            cpu.pc = cpu.regs[30]
+            return left(), False
+
+        springboard.calls = 0
+        machine.springboard = springboard
+        while True:
+            try:
+                machine.run(fuel=left())
+            except HostCallTrap:
+                cpu.pc = cpu.regs[30]
+            except (HltTrap, MemTrap, OutOfFuel) as trap:
+                return trap
+
+    @staticmethod
+    def _state(machine, trap):
+        cpu = machine.cpu
+        costing = machine._costing
+        return {
+            "trap": (type(trap), str(trap), getattr(trap, "pc", None)),
+            "pc": cpu.pc, "sp": cpu.sp, "regs": list(cpu.regs),
+            "nzcv": (cpu.n, cpu.z, cpu.c, cpu.v),
+            "instret": machine.instret, "cycles": machine.cycles,
+            "costing": costing and (costing.t_issue, costing.t_done,
+                                    dict(costing.ready)),
+        }
+
+    def _pair(self, shape, tier):
+        model, iterations = TIERS[tier]
+        elf, symbols = self._program(shape, iterations)
+        return symbols, [self._machine(elf, symbols, shape, model, kind)
+                         for kind in ENGINES]
+
+    def _last_top(self, shape, tier, back=1):
+        """instret when stepping reaches ``top`` for the ``back``-th last
+        time, and at the end of the program."""
+        symbols, (stepper, _) = self._pair(shape, tier)
+        tops = []
+        while True:
+            if stepper.cpu.pc == symbols["top"]:
+                tops.append(stepper.instret)
+            trap = self._drive(stepper, 1)
+            if isinstance(trap, HltTrap):
+                return tops[-min(back, len(tops))], stepper.instret
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_retires(self, shape, tier):
+        symbols, (stepper, blocky) = self._pair(shape, tier)
+        states = [self._state(m, self._drive(m, 10_000))
+                  for m in (stepper, blocky)]
+        assert states[0]["trap"][0] is HltTrap
+        assert states[1] == states[0]
+        sb = blocky._sb
+        assert sb.translations > 0
+        assert (sb.compiled_blocks > 0) == (tier == "compiled")
+        block = next(b for b in sb._blocks.values()
+                     if b.start <= symbols["body"] < b.end)
+        roles = [tuple(row[5] for row in rows)
+                 for _kind, _exec, rows in block.ops
+                 if rows[0][0] == symbols["body"]]
+        assert roles == [SHAPES[shape][1]]
+        assert block.call_tail == (shape == "call-tail")
+        # Only translated call tails reach the springboard; stepping (and
+        # any unfused arrival) takes the HostCallTrap path.
+        assert stepper.springboard.calls == 0
+        assert blocky.springboard.calls == \
+            (TIERS[tier][1] if shape == "call-tail" else 0)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize(
+        "shape", [s for s, spec in SHAPES.items() if spec[2]])
+    def test_fault_in_access_half(self, shape, tier):
+        """The data page vanishes before the last iteration: the guard
+        half has retired (register written, row charged) and the trap pc
+        is the access."""
+        cut, _end = self._last_top(shape, tier)
+        symbols, machines = self._pair(shape, tier)
+        states = []
+        for machine in machines:
+            assert isinstance(self._drive(machine, cut), OutOfFuel)
+            machine.memory.unmap(DATA, machine.memory.page_size)
+            states.append(self._state(machine, self._drive(machine, 100)))
+        reference = states[0]
+        assert states[1] == reference
+        ahead = SHAPES[shape][1].index(sbmod.R_MEM) if shape != \
+            "generic-writeback" else 0
+        assert reference["trap"][0] is MemTrap
+        assert reference["pc"] == reference["trap"][2] \
+            == symbols["body"] + 4 * ahead
+        assert reference["instret"] == cut + 1 + ahead
+        if shape.startswith("fused-guard"):
+            assert reference["regs"][18] == DATA + reference["regs"][10]
+        if tier == "compiled":
+            assert machines[1]._sb.compiled_blocks > 0
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fuel_expires_at_every_row_boundary(self, shape, tier):
+        """Preempt after every instruction of the last two iterations
+        (between the halves of fused pairs, on the ``blr`` of the call
+        tail), then run on to the end."""
+        start, end = self._last_top(shape, tier, back=2)
+        for cut in range(start, end + 1):
+            _symbols, machines = self._pair(shape, tier)
+            for budget, expect in ((cut, OutOfFuel), (10_000, HltTrap)):
+                states = [self._state(m, self._drive(m, budget))
+                          for m in machines]
+                assert states[0]["trap"][0] is expect
+                assert states[1] == states[0], (cut, expect)
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1], ids=["uncosted",
+                                                              "costed"])
+    @pytest.mark.parametrize("trap", ["svc #5", "brk #1", "hlt"])
+    def test_trap_instruction_is_a_block_of_its_own(self, trap, model):
+        """The run before a trap instruction retires whole; the trap's
+        own block retires nothing and reports the exact pc."""
+        from repro.arm64 import parse_assembly
+        from repro.arm64.assembler import assemble
+        from repro.elf import build_elf
+
+        image = assemble(parse_assembly(f"""
+            .globl _start
+        _start:
+            mov x0, #1
+            add x0, x0, #2
+        trap:
+            {trap}
+        """))
+        elf = build_elf(image)
+        for fuel in (1, 2, 3, 100):
+            states = []
+            for kind in ENGINES:
+                memory = PagedMemory()
+                load_elf_into(memory, elf)
+                machine = Machine(memory, model=model,
+                                  engine=EngineConfig(kind=kind))
+                machine.cpu.pc = elf.entry
+                for _ in range(3):  # slices of 1 reach the trap on the 3rd
+                    with pytest.raises(Exception) as exc:
+                        machine.run(fuel=fuel)
+                    states.append(self._state(machine, exc.value))
+            assert states[:3] == states[3:], fuel
+            assert states[2]["trap"][0] is not OutOfFuel
+            assert states[2]["instret"] == 2
+            assert states[2]["pc"] == states[2]["trap"][2] \
+                == image.symbols["trap"]
+        sb = machine._sb
+        assert sb.block_at(elf.entry).end == image.symbols["trap"]
+        assert sb.block_at(image.symbols["trap"]).count == 1

@@ -40,6 +40,8 @@ from repro.workloads.rtlib import (
 from .conftest import load_elf_into
 
 ENGINES = ("stepping", "superblock")
+STEPPING = EngineConfig(kind="stepping")
+SUPERBLOCK = EngineConfig(kind="superblock")
 
 
 def observables(engine, elf, model=None, timeslice=50_000):
@@ -92,9 +94,9 @@ class TestFusedSpringboard:
     @pytest.mark.parametrize("timeslice", [50_000, 64, 7])
     def test_call_loop_identical(self, model, timeslice):
         elf = compile_lfi(call_loop_program(), options=O2).elf
-        stepping = observables("stepping", elf, model=model,
+        stepping = observables(STEPPING, elf, model=model,
                                timeslice=timeslice)
-        superblock = observables("superblock", elf, model=model,
+        superblock = observables(SUPERBLOCK, elf, model=model,
                                  timeslice=timeslice)
         assert stepping == superblock
 
@@ -131,8 +133,8 @@ class TestFusedSpringboard:
         asm += "\tmov x0, #0\n" + rt_exit()
         asm += '.rodata\nmsg: .asciz "ab"\n'
         elf = compile_lfi(asm, options=O2).elf
-        stepping = observables("stepping", elf, model=APPLE_M1)
-        superblock = observables("superblock", elf, model=APPLE_M1)
+        stepping = observables(STEPPING, elf, model=APPLE_M1)
+        superblock = observables(SUPERBLOCK, elf, model=APPLE_M1)
         assert stepping == superblock
         assert stepping["stdout"] == "ab" * 5
 
@@ -279,8 +281,8 @@ class TestBatchABI:
         bss = 64 + len(records) * 64
         elf = compile_lfi(batch_program(records), options=O2,
                           bss_size=bss).elf
-        stepping = observables("stepping", elf, model=APPLE_M1)
-        superblock = observables("superblock", elf, model=APPLE_M1)
+        stepping = observables(STEPPING, elf, model=APPLE_M1)
+        superblock = observables(SUPERBLOCK, elf, model=APPLE_M1)
         assert stepping == superblock
         # The guest exits with the BATCH return: the record count for a
         # well-formed batch (per-record errors land in result words).
@@ -347,7 +349,7 @@ class TestBatchABI:
         elf = compile_lfi(asm, options=O2).elf
         results = {}
         for engine in ENGINES:
-            runtime = Runtime(model=None, engine=engine)
+            runtime = Runtime(model=None, engine=EngineConfig(kind=engine))
             proc = runtime.spawn(elf)
             runtime.run()
             results[engine] = proc.exit_code
@@ -409,13 +411,12 @@ class TestEngineConfigAPI:
             ("superblock", "stepping")
         assert issubclass(repro.ConfigError, ValueError)
 
-    def test_string_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = EngineConfig.coerce("stepping")
-        assert config == EngineConfig(kind="stepping")
-        with pytest.warns(DeprecationWarning):
-            runtime = Runtime(engine="superblock")
-        assert runtime.engine_config == EngineConfig()
+    def test_string_kwarg_raises(self):
+        """The pre-PR-9 kind string is a wrong type like any other."""
+        with pytest.raises(ConfigError, match="EngineConfig"):
+            EngineConfig.coerce("stepping")
+        with pytest.raises(ConfigError):
+            Runtime(engine="superblock")
 
     def test_engine_config_is_silent(self):
         import warnings
