@@ -24,6 +24,7 @@ from .operands import (
     Extended,
     FloatImm,
     Imm,
+    Label,
     Mem,
     OFFSET,
     POST_INDEX,
@@ -35,7 +36,7 @@ from .operands import (
 from .registers import INDEX_31, Reg, V, gpr_or_sp, gpr_or_zr, vec
 
 __all__ = ["decode_word", "decode_word_pc", "decode_text", "decoder_names",
-           "decoding_class"]
+           "decoding_class", "ENCODINGS", "row_fields", "top_byte_index"]
 
 _EXTEND_NAMES = ["uxtb", "uxth", "uxtw", "uxtx", "sxtb", "sxth", "sxtw", "sxtx"]
 _SHIFT_NAMES = ["lsl", "lsr", "asr", "ror"]
@@ -51,13 +52,25 @@ def _sext(value: int, bits: int) -> int:
     return value
 
 
+def top_byte_index(payloads) -> tuple:
+    """256 buckets: ``payloads[i]`` for every ``ENCODINGS`` row ``i`` that
+    a word whose top byte is the bucket number can still match, in order.
+
+    The decoder and the verifier's rule table (``core/rules.py``) both
+    dispatch through this: index by ``word >> 24``, then compare
+    ``word & mask == match`` on the one to three rows left.
+    """
+    return tuple(tuple(payloads[i] for i in bucket) for bucket in _BUCKETS)
+
+
 def decode_word(word: int, pc: int = 0) -> Optional[Instruction]:
     """Decode one 32-bit word, or return None if unrecognized."""
     word &= 0xFFFFFFFF
-    for decoder in _DECODERS:
-        inst = decoder(word, pc)
-        if inst is not None:
-            return inst
+    for mask, match, decoder, _name in _INDEX[word >> 24]:
+        if word & mask == match:
+            inst = decoder(word, pc)
+            if inst is not None:
+                return inst
     return None
 
 
@@ -69,10 +82,11 @@ def decode_word_pc(word: int, pc: int = 0,
     address, so one decode may be shared by every place the word occurs.
     """
     word &= 0xFFFFFFFF
-    for decoder in _DECODERS:
-        inst = decoder(word, pc)
-        if inst is not None:
-            return inst, decoder in _READS_PC
+    for mask, match, decoder, name in _INDEX[word >> 24]:
+        if word & mask == match:
+            inst = decoder(word, pc)
+            if inst is not None:
+                return inst, name in _READS_PC
     return None, False
 
 
@@ -91,15 +105,15 @@ def decoder_names() -> List[str]:
     Class-space introspection for ``repro.prove``: each name corresponds
     to one encoding template family the decoder recognizes.
     """
-    return [fn.__name__.replace("_dec_", "", 1) for fn in _DECODERS]
+    return list(dict.fromkeys(row[0] for row in ENCODINGS))
 
 
 def decoding_class(word: int) -> Optional[str]:
     """The name of the encoding group that claims this word, or None."""
     word &= 0xFFFFFFFF
-    for decoder in _DECODERS:
-        if decoder(word, 0) is not None:
-            return decoder.__name__.replace("_dec_", "", 1)
+    for mask, match, decoder, name in _INDEX[word >> 24]:
+        if word & mask == match and decoder(word, 0) is not None:
+            return name
     return None
 
 
@@ -122,8 +136,6 @@ def _dec_system(word: int, pc: int) -> Optional[Instruction]:
         if name is None:
             return None
         crm = _bits(word, 11, 8)
-        from .operands import Label
-
         barrier = {0b1111: "sy", 0b1011: "ish", 0b1001: "ishld",
                    0b1010: "ishst"}.get(crm)
         if barrier is None:
@@ -180,7 +192,7 @@ def _dec_tb(word: int, pc: int) -> Optional[Instruction]:
         return None
     mnemonic = "tbnz" if _bits(word, 24, 24) else "tbz"
     bit = (_bits(word, 31, 31) << 5) | _bits(word, 23, 19)
-    rt = gpr_or_zr(_bits(word, 4, 0), 64 if bit >= 32 else 64)
+    rt = gpr_or_zr(_bits(word, 4, 0), 64)
     offset = _sext(_bits(word, 18, 5), 14) * 4
     return Instruction(mnemonic, (rt, Imm(bit), Imm(pc + offset)))
 
@@ -275,8 +287,8 @@ def _dec_bitfield(word: int, pc: int) -> Optional[Instruction]:
 
 
 def _dec_extr(word: int, pc: int) -> Optional[Instruction]:
-    if _bits(word, 28, 23) != 0b100111:
-        return None
+    if _bits(word, 30, 23) != 0b00100111:
+        return None  # opc (30:29) must be 00: the rest is unallocated
     sf = word >> 31
     n = _bits(word, 22, 22)
     if n != sf or _bits(word, 21, 21):
@@ -475,65 +487,47 @@ def _dec_ccmp(word: int, pc: int) -> Optional[Instruction]:
 # Loads and stores
 # ---------------------------------------------------------------------------
 
-def _int_ldst_name(size: int, opc: int) -> Optional[tuple]:
-    """(mnemonic, reg_bits) for an integer load/store size/opc pair."""
-    table = {
-        (0b11, 0b01): ("ldr", 64), (0b11, 0b00): ("str", 64),
-        (0b10, 0b01): ("ldr", 32), (0b10, 0b00): ("str", 32),
-        (0b00, 0b01): ("ldrb", 32), (0b00, 0b00): ("strb", 32),
-        (0b01, 0b01): ("ldrh", 32), (0b01, 0b00): ("strh", 32),
-        (0b00, 0b10): ("ldrsb", 64), (0b00, 0b11): ("ldrsb", 32),
-        (0b01, 0b10): ("ldrsh", 64), (0b01, 0b11): ("ldrsh", 32),
-        (0b10, 0b10): ("ldrsw", 64),
-    }
-    return table.get((size, opc))
+#: (size, opc) -> (mnemonic, register bits) for the integer loads/stores.
+_INT_LDST = {
+    (0b11, 0b01): ("ldr", 64), (0b11, 0b00): ("str", 64),
+    (0b10, 0b01): ("ldr", 32), (0b10, 0b00): ("str", 32),
+    (0b00, 0b01): ("ldrb", 32), (0b00, 0b00): ("strb", 32),
+    (0b01, 0b01): ("ldrh", 32), (0b01, 0b00): ("strh", 32),
+    (0b00, 0b10): ("ldrsb", 64), (0b00, 0b11): ("ldrsb", 32),
+    (0b01, 0b10): ("ldrsh", 64), (0b01, 0b11): ("ldrsh", 32),
+    (0b10, 0b10): ("ldrsw", 64),
+}
+#: (size, opc) -> register bits for the SIMD&FP ``ldr`` (opc odd) / ``str``.
+_FP_LDST = {(0b00, 0b00): 8, (0b00, 0b01): 8, (0b01, 0b00): 16,
+            (0b01, 0b01): 16, (0b10, 0b00): 32, (0b10, 0b01): 32,
+            (0b11, 0b00): 64, (0b11, 0b01): 64, (0b00, 0b10): 128,
+            (0b00, 0b11): 128}
 
 
-def _fp_ldst_name(size: int, opc: int) -> Optional[tuple]:
-    table = {
-        (0b00, 0b01): ("ldr", 8), (0b00, 0b00): ("str", 8),
-        (0b01, 0b01): ("ldr", 16), (0b01, 0b00): ("str", 16),
-        (0b10, 0b01): ("ldr", 32), (0b10, 0b00): ("str", 32),
-        (0b11, 0b01): ("ldr", 64), (0b11, 0b00): ("str", 64),
-        (0b00, 0b11): ("ldr", 128), (0b00, 0b10): ("str", 128),
-    }
-    return table.get((size, opc))
-
-
-def _ldst_regs(v: int, size: int, opc: int):
-    """(mnemonic, rt_factory, scale) or None."""
-    if v:
-        named = _fp_ldst_name(size, opc)
-        if named is None:
+def _ldst_regs(word: int):
+    """(mnemonic, rt, rn, scale) of a single-register load/store, or None."""
+    size, opc = _bits(word, 31, 30), _bits(word, 23, 22)
+    rt, rn = _bits(word, 4, 0), gpr_or_sp(_bits(word, 9, 5))
+    if _bits(word, 26, 26):
+        bits = _FP_LDST.get((size, opc))
+        if bits is None:
             return None
-        mnemonic, bits = named
-        scale = {8: 0, 16: 1, 32: 2, 64: 3, 128: 4}[bits]
-        return mnemonic, (lambda idx: vec(idx, bits)), scale
-    named = _int_ldst_name(size, opc)
+        return ("ldr" if opc & 1 else "str", vec(rt, bits), rn,
+                bits.bit_length() - 4)
+    named = _INT_LDST.get((size, opc))
     if named is None:
         return None
-    mnemonic, bits = named
-    if mnemonic in ("ldrb", "strb", "ldrsb"):
-        scale = 0
-    elif mnemonic in ("ldrh", "strh", "ldrsh"):
-        scale = 1
-    elif mnemonic == "ldrsw":
-        scale = 2
-    else:
-        scale = 3 if bits == 64 else 2
-    return mnemonic, (lambda idx: gpr_or_zr(idx, bits)), scale
+    # The access width, not the register's, scales the offset.
+    return named[0], gpr_or_zr(rt, named[1]), rn, size
 
 
 def _dec_ldst_unsigned(word: int, pc: int) -> Optional[Instruction]:
     if _bits(word, 29, 27) != 0b111 or _bits(word, 25, 24) != 0b01:
         return None
-    size, v, opc = _bits(word, 31, 30), _bits(word, 26, 26), _bits(word, 23, 22)
-    named = _ldst_regs(v, size, opc)
+    named = _ldst_regs(word)
     if named is None:
         return None
-    mnemonic, rt_of, scale = named
-    rt = rt_of(_bits(word, 4, 0))
-    rn = gpr_or_sp(_bits(word, 9, 5))
+    mnemonic, rt, rn, scale = named
     imm = _bits(word, 21, 10) << scale
     offset = Imm(imm) if imm else None
     return Instruction(mnemonic, (rt, Mem(rn, offset)))
@@ -545,13 +539,10 @@ def _dec_ldst_imm9(word: int, pc: int) -> Optional[Instruction]:
     if _bits(word, 21, 21):
         return None
     mode_bits = _bits(word, 11, 10)
-    size, v, opc = _bits(word, 31, 30), _bits(word, 26, 26), _bits(word, 23, 22)
-    named = _ldst_regs(v, size, opc)
+    named = _ldst_regs(word)
     if named is None:
         return None
-    mnemonic, rt_of, scale = named
-    rt = rt_of(_bits(word, 4, 0))
-    rn = gpr_or_sp(_bits(word, 9, 5))
+    mnemonic, rt, rn, scale = named
     imm = _sext(_bits(word, 20, 12), 9)
     if mode_bits == 0b00:
         # Unscaled: canonical only if a scaled encoding could not express it.
@@ -573,13 +564,10 @@ def _dec_ldst_regoffset(word: int, pc: int) -> Optional[Instruction]:
         return None
     if not _bits(word, 21, 21) or _bits(word, 11, 10) != 0b10:
         return None
-    size, v, opc = _bits(word, 31, 30), _bits(word, 26, 26), _bits(word, 23, 22)
-    named = _ldst_regs(v, size, opc)
+    named = _ldst_regs(word)
     if named is None:
         return None
-    mnemonic, rt_of, scale = named
-    rt = rt_of(_bits(word, 4, 0))
-    rn = gpr_or_sp(_bits(word, 9, 5))
+    mnemonic, rt, rn, scale = named
     option = _bits(word, 15, 13)
     s = _bits(word, 12, 12)
     amount = scale if s else 0
@@ -675,6 +663,12 @@ _FP2_NAMES = {0b0000: "fmul", 0b0001: "fdiv", 0b0010: "fadd", 0b0011: "fsub",
               0b0100: "fmax", 0b0101: "fmin", 0b1000: "fnmul"}
 _FP1_NAMES = {0b000000: "fmov", 0b000001: "fabs", 0b000010: "fneg",
               0b000011: "fsqrt"}
+#: (rmode, opcode) -> (mnemonic, destination is the general register).
+_FP_GPR_NAMES = {
+    (0b00, 0b010): ("scvtf", False), (0b00, 0b011): ("ucvtf", False),
+    (0b11, 0b000): ("fcvtzs", True), (0b11, 0b001): ("fcvtzu", True),
+    (0b00, 0b110): ("fmov", True), (0b00, 0b111): ("fmov", False),
+}
 
 
 def _dec_fp(word: int, pc: int) -> Optional[Instruction]:
@@ -705,47 +699,20 @@ def _dec_fp(word: int, pc: int) -> Optional[Instruction]:
         return None
 
     # Conversions and general moves (bits [15:10] == 000000).
-    if _bits(word, 15, 10) == 0 and (sf or True) and _bits(word, 20, 19) in (
+    if _bits(word, 15, 10) == 0 and _bits(word, 20, 19) in (
         0b00, 0b11
     ) and _bits(word, 18, 16) in (0b000, 0b001, 0b010, 0b011, 0b110, 0b111):
-        rmode = _bits(word, 20, 19)
-        opcode = _bits(word, 18, 16)
+        named = _FP_GPR_NAMES.get((_bits(word, 20, 19), _bits(word, 18, 16)))
+        if named is None:
+            return None
+        mnemonic, to_gpr = named
         gbits = 64 if sf else 32
-        if rmode == 0b00 and opcode == 0b010:
-            return Instruction(
-                "scvtf", (vec(_bits(word, 4, 0), bits),
-                          gpr_or_zr(_bits(word, 9, 5), gbits))
-            )
-        if rmode == 0b00 and opcode == 0b011:
-            return Instruction(
-                "ucvtf", (vec(_bits(word, 4, 0), bits),
-                          gpr_or_zr(_bits(word, 9, 5), gbits))
-            )
-        if rmode == 0b11 and opcode == 0b000:
-            return Instruction(
-                "fcvtzs", (gpr_or_zr(_bits(word, 4, 0), gbits),
-                           vec(_bits(word, 9, 5), bits))
-            )
-        if rmode == 0b11 and opcode == 0b001:
-            return Instruction(
-                "fcvtzu", (gpr_or_zr(_bits(word, 4, 0), gbits),
-                           vec(_bits(word, 9, 5), bits))
-            )
-        if rmode == 0b00 and opcode == 0b110:
-            if (sf and bits != 64) or (not sf and bits != 32):
-                return None
-            return Instruction(
-                "fmov", (gpr_or_zr(_bits(word, 4, 0), gbits),
-                         vec(_bits(word, 9, 5), bits))
-            )
-        if rmode == 0b00 and opcode == 0b111:
-            if (sf and bits != 64) or (not sf and bits != 32):
-                return None
-            return Instruction(
-                "fmov", (vec(_bits(word, 4, 0), bits),
-                         gpr_or_zr(_bits(word, 9, 5), gbits))
-            )
-        return None
+        if mnemonic == "fmov" and bits != gbits:
+            return None
+        rd, rn = _bits(word, 4, 0), _bits(word, 9, 5)
+        if to_gpr:
+            return Instruction(mnemonic, (gpr_or_zr(rd, gbits), vec(rn, bits)))
+        return Instruction(mnemonic, (vec(rd, bits), gpr_or_zr(rn, gbits)))
 
     if sf:
         return None
@@ -781,11 +748,6 @@ def _dec_fp(word: int, pc: int) -> Optional[Instruction]:
             if opcode2 == 0b11000 and rm_field == 0:
                 return Instruction("fcmpe", (rn, FloatImm(0.0)))
             return None
-        if _bits(word, 12, 10) == 0b100 and _bits(word, 4, 0) != 0 or True:
-            pass
-        return None
-    if low == 0b01:
-        return None
     return None
 
 
@@ -866,7 +828,6 @@ def _dec_simd3(word: int, pc: int) -> Optional[Instruction]:
     # FP three-same: size = hi|sz with lanes 2s/4s/2d.
     sz = size & 1
     hi = size >> 1
-    lanes = {(0, 0): "2s", (1, 0): "4s"}.get((q, sz)) if True else None
     arr = None
     if sz == 0:
         arr = "4s" if q else "2s"
@@ -907,60 +868,113 @@ def _dec_dup(word: int, pc: int) -> Optional[Instruction]:
         return None
     if _bits(word, 15, 10) != 0b000011 or _bits(word, 29, 29):
         return None
-    q = _bits(word, 30, 30)
-    imm5 = _bits(word, 20, 16)
-    lane = None
-    for name, pattern, bits in (("b", 0b00001, 32), ("h", 0b00010, 32),
-                                ("s", 0b00100, 32), ("d", 0b01000, 64)):
-        if imm5 == pattern:
-            lane, gbits = name, bits
-            break
-    if lane is None:
-        return None
-    arrangement = {("b", 0): "8b", ("b", 1): "16b", ("h", 0): "4h",
-                   ("h", 1): "8h", ("s", 0): "2s", ("s", 1): "4s",
-                   ("d", 1): "2d"}.get((lane, q))
+    # imm5 one-hot picks the lane size; q doubles the lane count.
+    arrangement = {(0b00001, 0): "8b", (0b00001, 1): "16b", (0b00010, 0): "4h",
+                   (0b00010, 1): "8h", (0b00100, 0): "2s", (0b00100, 1): "4s",
+                   (0b01000, 1): "2d"}.get(
+        (_bits(word, 20, 16), _bits(word, 30, 30)))
     if arrangement is None:
         return None
+    gbits = 64 if arrangement == "2d" else 32
     rn = gpr_or_zr(_bits(word, 9, 5), gbits)
     return Instruction("dup", (VecReg(V[_bits(word, 4, 0)], arrangement), rn))
 
 
-_DECODERS = (
-    _dec_system,
-    _dec_branch_imm,
-    _dec_branch_cond,
-    _dec_branch_reg,
-    _dec_cb,
-    _dec_tb,
-    _dec_adr,
-    _dec_addsub_imm,
-    _dec_logical_imm,
-    _dec_movewide,
-    _dec_bitfield,
-    _dec_extr,
-    _dec_logical_shifted,
-    _dec_addsub_shifted,
-    _dec_addsub_extended,
-    _dec_dp2,
-    _dec_dp1,
-    _dec_dp3,
-    _dec_condsel,
-    _dec_ccmp,
-    _dec_ldst_unsigned,
-    _dec_ldst_imm9,
-    _dec_ldst_regoffset,
-    _dec_ldst_pair,
-    _dec_exclusive,
-    _dec_fp_imm,
-    _dec_fp1,
-    _dec_fp,
-    _dec_simd3,
-    _dec_movi,
-    _dec_dup,
+#: The encoding groups as data, in dispatch order: ``(group, mask, match,
+#: fields)``.  A word belongs to a row when ``word & mask == match``; the
+#: bits outside ``mask`` are the row's operand fields, listed high to low as
+#: ``name:lo:width``.  The group's ``_dec_<group>`` function then checks
+#: the sub-encodings a mask cannot express and builds the instruction.
+#: Rows are pairwise disjoint, so at most one claims a word.
+#: ``core/rules.py`` gives every row the verifier's rule, and
+#: ``repro.prove`` draws its instruction classes from the same rows.
+_RD5, _RN5, _RM5 = "rd:0:5", "rn:5:5", "rm:16:5"
+_LDST_FIELDS = "size:30:2 v:26:1 opc:22:2 "
+ENCODINGS = (
+    ("system", 0xFFFFFFFF, 0xD503201F, ""),                         # nop
+    ("system", 0xFFE0001F, 0xD4000001, "imm16:5:16"),               # svc
+    ("system", 0xFFE0001F, 0xD4200000, "imm16:5:16"),               # brk
+    ("system", 0xFFE0001F, 0xD4400000, "imm16:5:16"),               # hlt
+    ("system", 0xFFFFF01F, 0xD503301F, "crm:8:4 op2:5:3"),          # barriers
+    ("branch_imm", 0x7C000000, 0x14000000, "op:31:1 imm26:0:26"),
+    ("branch_cond", 0xFF000010, 0x54000000, "imm19:5:19 cond:0:4"),
+    ("branch_reg", 0xFFDFFC1F, 0xD61F0000, f"opc:21:1 {_RN5}"),     # br / blr
+    ("branch_reg", 0xFFFFFC1F, 0xD65F0000, _RN5),                   # ret
+    ("cb", 0x7E000000, 0x34000000, "sf:31:1 op:24:1 imm19:5:19 rt:0:5"),
+    ("tb", 0x7E000000, 0x36000000,
+     "b5:31:1 op:24:1 b40:19:5 imm14:5:14 rt:0:5"),
+    ("adr", 0x1F000000, 0x10000000,
+     f"op:31:1 immlo:29:2 immhi:5:19 {_RD5}"),
+    ("addsub_imm", 0x1F800000, 0x11000000,
+     f"sf:31:1 op:30:1 S:29:1 sh:22:1 imm12:10:12 {_RN5} {_RD5}"),
+    ("logical_imm", 0x1F800000, 0x12000000,
+     f"sf:31:1 opc:29:2 N:22:1 immr:16:6 imms:10:6 {_RN5} {_RD5}"),
+    ("movewide", 0x1F800000, 0x12800000,
+     f"sf:31:1 opc:29:2 hw:21:2 imm16:5:16 {_RD5}"),
+    ("bitfield", 0x1F800000, 0x13000000,
+     f"sf:31:1 opc:29:2 N:22:1 immr:16:6 imms:10:6 {_RN5} {_RD5}"),
+    ("extr", 0x7FA00000, 0x13800000,
+     f"sf:31:1 N:22:1 {_RM5} imms:10:6 {_RN5} {_RD5}"),
+    ("logical_shifted", 0x1F000000, 0x0A000000,
+     f"sf:31:1 opc:29:2 shift:22:2 N:21:1 {_RM5} imm6:10:6 {_RN5} {_RD5}"),
+    ("addsub_shifted", 0x1F200000, 0x0B000000,
+     f"sf:31:1 op:30:1 S:29:1 shift:22:2 {_RM5} imm6:10:6 {_RN5} {_RD5}"),
+    ("addsub_extended", 0x1FE00000, 0x0B200000,
+     f"sf:31:1 op:30:1 S:29:1 {_RM5} option:13:3 imm3:10:3 {_RN5} {_RD5}"),
+    ("dp2", 0x7FE00000, 0x1AC00000,
+     f"sf:31:1 {_RM5} opcode:10:6 {_RN5} {_RD5}"),
+    ("dp1", 0x7FFF0000, 0x5AC00000, f"sf:31:1 opcode:10:6 {_RN5} {_RD5}"),
+    ("dp3", 0x7FE00000, 0x1B000000,                                 # madd/msub
+     f"sf:31:1 {_RM5} o0:15:1 ra:10:5 {_RN5} {_RD5}"),
+    ("dp3", 0xFF60FC00, 0x9B207C00, f"U:23:1 {_RM5} {_RN5} {_RD5}"), # [su]mull
+    ("dp3", 0xFF60FC00, 0x9B407C00, f"U:23:1 {_RM5} {_RN5} {_RD5}"), # [su]mulh
+    ("condsel", 0x3FE00800, 0x1A800000,
+     f"sf:31:1 op:30:1 {_RM5} cond:12:4 o2:10:1 {_RN5} {_RD5}"),
+    ("ccmp", 0x3FE00410, 0x3A400000,
+     f"sf:31:1 op:30:1 {_RM5} cond:12:4 imm:11:1 {_RN5} nzcv:0:4"),
+    ("ldst_unsigned", 0x3B000000, 0x39000000,
+     f"{_LDST_FIELDS}imm12:10:12 {_RN5} rt:0:5"),
+    ("ldst_imm9", 0x3B200000, 0x38000000,
+     f"{_LDST_FIELDS}imm9:12:9 mode:10:2 {_RN5} rt:0:5"),
+    ("ldst_regoffset", 0x3B200C00, 0x38200800,
+     f"{_LDST_FIELDS}{_RM5} option:13:3 S:12:1 {_RN5} rt:0:5"),
+    ("ldst_pair", 0x3A000000, 0x28000000,
+     f"opc:30:2 v:26:1 mode:23:2 load:22:1 imm7:15:7 rt2:10:5 {_RN5} rt:0:5"),
+    ("exclusive", 0x3F207C00, 0x08007C00,
+     f"size:30:2 o2:23:1 L:22:1 rs:16:5 o0:15:1 {_RN5} rt:0:5"),
+    ("fp_imm", 0xFF201FE0, 0x1E201000, f"type:22:2 imm8:13:8 {_RD5}"),
+    ("fp1", 0xFF207C00, 0x1E204000, f"type:22:2 opcode:15:6 {_RN5} {_RD5}"),
+    ("fp", 0x7F20FC00, 0x1E200000,  # to/from GPR
+     f"sf:31:1 type:22:2 rmode:19:2 opcode:16:3 {_RN5} {_RD5}"),
+    ("fp", 0xFF200C00, 0x1E200800,  # two-source
+     f"type:22:2 {_RM5} opcode:12:4 {_RN5} {_RD5}"),
+    ("fp", 0xFF200C00, 0x1E200C00,                                  # fcsel
+     f"type:22:2 {_RM5} cond:12:4 {_RN5} {_RD5}"),
+    ("fp", 0xFF20FC07, 0x1E202000, f"type:22:2 {_RM5} {_RN5} opc:3:2"),  # fcmp
+    ("fp", 0xFF200000, 0x1F000000,  # fmadd/fmsub
+     f"type:22:2 {_RM5} o0:15:1 ra:10:5 {_RN5} {_RD5}"),
+    ("simd3", 0x9F200400, 0x0E200400,
+     f"q:30:1 u:29:1 size:22:2 {_RM5} opcode:11:5 {_RN5} {_RD5}"),
+    ("movi", 0x9FF8FC00, 0x0F00E400,
+     f"q:30:1 op:29:1 abc:16:3 defgh:5:5 {_RD5}"),
+    ("dup", 0xBFE0FC00, 0x0E000C00, f"q:30:1 imm5:16:5 {_RN5} {_RD5}"),
 )
+
+
+def row_fields(layout: str) -> List[Tuple[str, int, int]]:
+    """A row's ``fields`` string as ``(name, lo, width)`` triples."""
+    return [(name, int(lo), int(width)) for name, lo, width in
+            (item.split(":") for item in layout.split())]
+
+
+_TOP_BYTES = [(mask >> 24, match >> 24)
+              for _name, mask, match, _fields in ENCODINGS]
+_BUCKETS = tuple(tuple(i for i, (mask, match) in enumerate(_TOP_BYTES)
+                       if not (top ^ match) & mask) for top in range(256))
+_INDEX = top_byte_index([
+    (mask, match, globals()["_dec_" + name], name)
+    for name, mask, match, _fields in ENCODINGS])
 
 #: The encoding groups that turn a pc-relative field into an absolute
 #: address; every other decoder ignores its ``pc`` argument.
-_READS_PC = frozenset((_dec_branch_imm, _dec_branch_cond, _dec_cb, _dec_tb,
-                       _dec_adr))
+_READS_PC = frozenset(("branch_imm", "branch_cond", "cb", "tb", "adr"))

@@ -17,7 +17,7 @@ from .operands import (
     Shifted,
     VecReg,
 )
-from .registers import Reg
+from .registers import LR, Reg
 
 
 @dataclass
@@ -136,8 +136,6 @@ class Instruction:
                 out.append(mem.base)
             return out
         if m in ("bl", "blr"):
-            from .registers import LR
-
             return [LR]
         if isa.is_branch(m):
             return []
@@ -183,8 +181,6 @@ class Instruction:
                 if r is not None:
                     add(r)
         if m == "ret" and not self.operands:
-            from .registers import LR
-
             add(LR)
         return out
 

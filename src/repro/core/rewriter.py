@@ -236,7 +236,18 @@ def _check_reserved(block: List[Instruction], i: int,
         return
     if i > 0 and _is_runtime_call_load(block, i - 1) and inst.mnemonic == "blr":
         return
-    for reg in list(inst.uses()) + list(inst.defs()):
+    for op in inst.operands:
+        if isinstance(op, Mem):
+            regs = (op.base, op.offset_reg)
+        else:
+            regs = (op if isinstance(op, Reg) else getattr(op, "reg", None),)
+        if any(reg is not None and reg.index in reserved
+               and not reg.is_vector for reg in regs):
+            break
+    else:
+        return
+    # Cold path: name the register in uses()/defs() order, as ever.
+    for reg in inst.uses() + inst.defs():
         if not reg.is_vector and reg.index in reserved:
             raise _RewriteError(
                 f"input uses reserved register {reg}: {inst}"

@@ -1,6 +1,13 @@
 """The LFI static verifier (paper §5.2).
 
-A single linear pass over the text segment's *machine code* that enforces:
+A single linear pass over the text segment's *machine code*: every raw
+32-bit word is looked up in the rule table (``rules.py``: encoding rows ->
+verdict) and the few words whose verdict depends on what follows are
+settled over a look-ahead window.  A word is decoded only when the table
+did not accept it, to say why: the decoded checker below (``_check`` and
+friends) produces the reasons, and is the reference the table is tested
+against.  A word the table rejects stays rejected even if the checker
+cannot fault it.  Together they enforce:
 
 1. loads, stores, and indirect branches only target reserved registers
    (guaranteed to hold valid sandbox addresses) or use safe addressing
@@ -28,7 +35,7 @@ from ..arm64 import isa
 from ..arm64.decoder import decode_word
 from ..arm64.instructions import Instruction
 from ..arm64.operands import Extended, Imm, Mem, OFFSET
-from ..arm64.registers import Reg
+from ..arm64.registers import Reg, SP, W, X
 from ..errors import VerificationError as _VerificationError
 from .constants import (
     ADDRESS_INDICES,
@@ -37,6 +44,8 @@ from .constants import (
     RESERVED_INDICES,
     SP_SMALL_IMM,
 )
+from .rules import (BRANCH, DECODED, NEEDS, OK, SPDEF, SPMEM, SPSMALL,
+                    classify, rule_index, settled)
 
 __all__ = ["Violation", "VerificationResult", "VerifierPolicy", "Verifier",
            "verify_text", "verify_elf"]
@@ -77,6 +86,9 @@ _REASON_CODES = (
     ("unsafe sp modification", "sp-unsafe"),
     ("memory instruction without memory operand", "malformed-memory"),
 )
+
+#: Reason given when the table rejects a word the checker cannot fault.
+_UNEXPLAINED = "rejected by the rule table"
 
 
 @dataclass(frozen=True)
@@ -159,13 +171,8 @@ def _is_guard(inst: Instruction, dest_index: int) -> bool:
     if inst.mnemonic != "add" or len(inst.operands) != 3:
         return False
     rd, rn, ext = inst.operands
-    if not (isinstance(rd, Reg) and rd.is_gpr and rd.bits == 64
-            and rd.index == dest_index):
-        return False
-    if not (isinstance(rn, Reg) and rn.is_gpr and rn.index == 21
-            and rn.bits == 64):
-        return False
-    return (isinstance(ext, Extended) and ext.kind == "uxtw"
+    return (dest_index < 31 and rd == X[dest_index] and rn == X[21]
+            and isinstance(ext, Extended) and ext.kind == "uxtw"
             and not ext.amount and ext.reg.bits == 32)
 
 
@@ -174,13 +181,8 @@ def _is_masked_index(inst: Instruction) -> bool:
     if inst.mnemonic != "bic" or len(inst.operands) != 3:
         return False
     rd, rn, rm = inst.operands
-    if not (isinstance(rd, Reg) and rd.is_gpr and rd.bits == 32
-            and rd.index == 18):
-        return False
-    if not (isinstance(rn, Reg) and rn.is_gpr and rn.bits == 32):
-        return False
-    return (isinstance(rm, Reg) and rm.is_gpr and rm.bits == 32
-            and rm.index == 25)
+    return (rd == W[18] and rm == W[25] and isinstance(rn, Reg)
+            and rn.is_gpr and rn.bits == 32)
 
 
 def _is_sp_guard(inst: Instruction) -> bool:
@@ -188,50 +190,109 @@ def _is_sp_guard(inst: Instruction) -> bool:
     if inst.mnemonic != "add" or len(inst.operands) != 3:
         return False
     rd, rn, src = inst.operands
-    if not (isinstance(rd, Reg) and rd.is_sp and rd.bits == 64):
+    if not (rd == SP and isinstance(rn, Reg) and rn.is_gpr
+            and rn.index == 21):
         return False
-    if not (isinstance(rn, Reg) and rn.is_gpr and rn.index == 21):
-        return False
-    if isinstance(src, Reg):
-        return src.index == 22 and src.bits == 64
-    return (isinstance(src, Extended) and src.reg.index == 22
-            and src.reg.bits == 64 and src.kind in ("uxtx", "lsl")
-            and not src.amount)
+    return src == X[22] or (
+        isinstance(src, Extended) and src.reg == X[22]
+        and src.kind in ("uxtx", "lsl") and not src.amount)
+
+
+class _Decoded:
+    """The text as instructions, each decoded the first time it is read
+    (only words the rule table did not accept, and their look-ahead)."""
+
+    def __init__(self, words: Sequence[int], base: int):
+        self._words, self._base = words, base
+        self._insts: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __getitem__(self, i: int) -> Optional[Instruction]:
+        try:
+            return self._insts[i]
+        except KeyError:
+            inst = self._insts[i] = decode_word(self._words[i],
+                                                self._base + 4 * i)
+            return inst
+
+
+def _structure(inst: Instruction) -> int:
+    """What a look-ahead window sees of a decodable, rejected word."""
+    flags = DECODED | (BRANCH if inst.is_branch else 0)
+    mem = inst.mem
+    if mem is None or not mem.base.is_sp:
+        return flags | SPDEF if any(d.is_sp for d in inst.defs()) else flags
+    small = (mem.offset is None or isinstance(mem.offset, Imm)) \
+        and abs(mem.imm_value) < SP_SMALL_IMM
+    return flags | SPMEM | SPSMALL if small else flags | SPMEM
 
 
 class Verifier:
-    """Stateless linear verifier over a decoded instruction stream."""
+    """Stateless linear verifier: rule table over raw words, decoded
+    checker for the explanation."""
+
+    #: True only for ``repro.prove``'s self-test subclass, whose table is
+    #: deliberately looser than the decoded checker.
+    weakened = False
 
     def __init__(self, policy: Optional[VerifierPolicy] = None):
-        self.policy = policy or VerifierPolicy()
+        self.policy = policy = policy or VerifierPolicy()
+        self._index = rule_index(policy.max_displacement,
+                                 policy.sandbox_loads,
+                                 policy.allow_exclusives)
 
     # -- public API ----------------------------------------------------------
 
     def verify_text(self, data: bytes, base: int = 0) -> VerificationResult:
         """Verify one text segment (a single linear pass)."""
         result = VerificationResult(ok=True)
+        count = len(data) // 4
         if len(data) % 4:
             result.ok = False
             result.violations.append(
-                Violation(base + len(data) - len(data) % 4, 0,
-                          "text size not a multiple of 4")
+                Violation(base + 4 * count, 0, "text size not a multiple of 4")
             )
-        words = [
-            struct.unpack_from("<I", data, off)[0]
-            for off in range(0, len(data) - len(data) % 4, 4)
-        ]
-        decoded = [decode_word(w, base + 4 * i) for i, w in enumerate(words)]
-        for i, inst in enumerate(decoded):
-            address = base + 4 * i
-            word = words[i]
+        words = struct.unpack_from(f"<{count}I", data)
+        rejected, stream = self._rejected(words, base)
+        undecodable = 0
+        for i in rejected:
+            inst = stream[i]
             if inst is None:
-                self._fail(result, address, word, "undecodable instruction")
+                undecodable += 1
+                self._fail(result, base + 4 * i, words[i],
+                           "undecodable instruction")
                 continue
-            for reason in self._check(inst, decoded, i):
-                self._fail(result, address, word, reason, inst=inst)
-            result.instructions += 1
-        result.bytes_verified = len(words) * 4
+            for reason in list(self._check(inst, stream, i)) or [_UNEXPLAINED]:
+                self._fail(result, base + 4 * i, words[i], reason, inst=inst)
+        result.instructions = count - undecodable
+        result.bytes_verified = count * 4
         return result
+
+    def classify(self, words: Sequence) -> List[int]:
+        """The rule table's code for each word, before look-ahead."""
+        return classify(self._index, words)
+
+    def accepts(self, words: Sequence, index: Optional[int] = None) -> bool:
+        """The rule table's verdict on ``words`` (or on ``words[index]``
+        within them): ``repro.prove``'s entry point, where a word may be
+        symbolic."""
+        rejected = self._rejected(words)[0]
+        return not rejected if index is None else index not in rejected
+
+    def _rejected(self, words: Sequence, base: int = 0):
+        """Indices of the words the rule table does not accept, and the
+        lazily decoded text their explanation reads."""
+        codes = classify(self._index, words)
+        pending = [i for i, code in enumerate(codes) if not code & OK]
+        stream = _Decoded(words, base)
+        for i in pending:
+            # A rejected word still shapes the windows of its neighbours.
+            if not codes[i] and stream[i] is not None:
+                codes[i] = _structure(stream[i])
+        return [i for i in pending
+                if not (codes[i] & NEEDS and settled(words, codes, i))], stream
 
     def verify_elf(self, image) -> VerificationResult:
         """Verify every executable segment of an ELF image."""
@@ -506,21 +567,16 @@ class Verifier:
         walk out of the guard band over enough windows (found by the
         ``repro.prove`` symbolic executor; pinned as the
         ``sp-arith-large-offset`` corpus entry)."""
-        for nxt in stream[i + 1:]:
+        for j in range(i + 1, len(stream)):
+            nxt = stream[j]
             if nxt is None:
                 return False
             if _is_sp_guard(nxt):
                 return True
-            mem = nxt.mem
-            if mem is not None and mem.base.is_sp:
-                if allow_access:
-                    return ((mem.offset is None
-                             or isinstance(mem.offset, Imm))
-                            and abs(mem.imm_value) < SP_SMALL_IMM)
-                return False
-            if any(d.is_sp for d in nxt.defs()):
-                return False
-            if nxt.is_branch:
+            flags = _structure(nxt)
+            if flags & SPMEM:
+                return bool(allow_access and flags & SPSMALL)
+            if flags & (SPDEF | BRANCH):
                 return False
         return False
 

@@ -27,6 +27,7 @@ from .enumerate import (
     class_by_name,
     default_classes,
     nightly_classes,
+    row_coverage,
 )
 from .report import (
     ClassReport,
@@ -50,7 +51,7 @@ __all__ = [
     "SymInt", "SymWord", "initial_state", "invariant_failures",
     "mem_effects", "transfer",
     "CLASSES", "Field", "InstructionClass", "class_by_name",
-    "default_classes", "nightly_classes",
+    "default_classes", "nightly_classes", "row_coverage",
     "ClassReport", "Counterexample", "counterexample_entry",
     "render_reports",
     "CONTEXTS", "WeakenedVerifier", "analyze_word", "check_obligations",

@@ -1,9 +1,10 @@
 """Instruction-class enumeration over the decoder's encodable space.
 
-Each :class:`InstructionClass` names one encoding template from
-``arm64/decoder.py``: a set of pinned bits (bits the class decoder
-requires structurally — anything outside the template is a different
-class or undecodable) plus free fields enumerated exhaustively.  One
+Each :class:`InstructionClass` is drawn from one row of
+``arm64.decoder.ENCODINGS``: the row's match bits (plus any operand field
+the class pins) are the template — anything outside it is a different
+class or undecodable — and the row's remaining operand fields are the free
+fields enumerated exhaustively.  One
 field per class may be designated *symbolic* (``sym``): the driver then
 enumerates only the concrete "shapes" (the product of the other fields)
 and runs the decoder/verifier once per shape with the symbolic field as
@@ -13,20 +14,22 @@ Words inside a class space that the decoder rejects (undecodable
 sub-encodings, non-canonical forms) are *counted and skipped* — the
 verifier rejects undecodable words by construction, so they discharge
 trivially.  The registry's class spaces are pairwise disjoint (distinct
-pinned signature bits), and their union is exactly the per-class spaces
-the round-trip property suite samples.
+pinned signature bits, or disjoint value lists on one field), and their
+union is exactly the per-class spaces the round-trip property suite
+samples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from ..arm64.decoder import ENCODINGS, row_fields
 from .absdomain import SymInt, SymWord
 
 __all__ = ["Field", "InstructionClass", "CLASSES", "class_by_name",
-           "default_classes", "nightly_classes"]
+           "default_classes", "nightly_classes", "row_coverage"]
 
 
 @dataclass(frozen=True)
@@ -136,235 +139,79 @@ class InstructionClass:
         return (word & ~free & 0xFFFFFFFF) == self.template
 
 
-_R5 = None  # full 5-bit register field shorthand (values=None)
+def _row_class(name: str, group: str, description: str, match=None,
+               sym: Optional[str] = None, default: bool = True,
+               widen: Optional[dict] = None, **narrow) -> InstructionClass:
+    """A class inside one ``ENCODINGS`` row (``match`` picks among a
+    group's rows): the row's operand fields stay free except those
+    ``narrow`` pins to an int or restricts to a tuple of values.  ``widen``
+    stretches a field past the row, to take in the undecodable words
+    around it."""
+    (row,) = [r for r in ENCODINGS if r[0] == group and match in (None, r[2])]
+    template, fields = row[2], []
+    for fname, lo, width in row_fields(row[3]):
+        want = narrow.pop(fname, None)
+        if isinstance(want, int):
+            template |= want << lo
+        else:
+            fields.append(Field(fname, lo, (widen or {}).get(fname, width),
+                                want))
+    if narrow:
+        raise ValueError(f"{name}: no field {sorted(narrow)} in {group}")
+    return InstructionClass(name, description, template, tuple(fields),
+                            sym, default)
+
 
 CLASSES: Tuple[InstructionClass, ...] = (
-    InstructionClass(
-        name="branch-reg",
-        description="br/blr/ret indirect branches (the branch-target "
-                    "invariant class)",
-        template=0xD61F0000,
-        fields=(
-            Field("opc", 21, 4),
-            Field("rn", 5, 5),
-        ),
-    ),
-    InstructionClass(
-        name="ldst-post",
-        description="post-index loads/stores, imm9 writeback (the class "
-                    "that hid the PR-2 store-only writeback hole)",
-        template=0x38000400,
-        fields=(
-            Field("size", 30, 2),
-            Field("v", 26, 1),
-            Field("opc", 22, 2),
-            Field("imm9", 12, 9),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        sym="imm9",
-    ),
-    InstructionClass(
-        name="ldst-pre",
-        description="pre-index loads/stores, imm9 writeback",
-        template=0x38000C00,
-        fields=(
-            Field("size", 30, 2),
-            Field("v", 26, 1),
-            Field("opc", 22, 2),
-            Field("imm9", 12, 9),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        sym="imm9",
-    ),
-    InstructionClass(
-        name="ldst-unsigned",
-        description="unsigned scaled-offset loads/stores (imm12)",
-        template=0x39000000,
-        fields=(
-            Field("size", 30, 2),
-            Field("v", 26, 1),
-            Field("opc", 22, 2),
-            Field("imm12", 10, 12),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        sym="imm12",
-    ),
-    InstructionClass(
-        name="addsub-imm",
-        description="add/sub immediate (covers reserved-register writes "
-                    "and the sp small-arithmetic rule)",
-        template=0x11000000,
-        fields=(
-            Field("sf", 31, 1),
-            Field("op", 30, 1),
-            Field("S", 29, 1),
-            Field("sh", 22, 1),
-            Field("imm12", 10, 12),
-            Field("rn", 5, 5),
-            Field("rd", 0, 5),
-        ),
-        sym="imm12",
-    ),
-    InstructionClass(
-        name="movewide",
-        description="movz/movn/movk wide moves (imm16)",
-        template=0x12800000,
-        fields=(
-            Field("sf", 31, 1),
-            Field("opc", 29, 2),
-            Field("hw", 21, 2),
-            Field("imm16", 5, 16),
-            Field("rd", 0, 5),
-        ),
-        sym="imm16",
-    ),
-    InstructionClass(
-        name="branch-imm",
-        description="b/bl direct branches (imm26; contained by the "
-                    "code keep-out, DESIGN.md §13)",
-        template=0x14000000,
-        fields=(
-            Field("op", 31, 1),
-            Field("imm26", 0, 26),
-        ),
-        sym="imm26",
-    ),
-    InstructionClass(
-        name="branch-cond",
-        description="b.cond conditional branches (imm19)",
-        template=0x54000000,
-        fields=(
-            Field("imm19", 5, 19),
-            Field("cond", 0, 4),
-        ),
-        sym="imm19",
-    ),
-    InstructionClass(
-        name="cb",
-        description="cbz/cbnz compare-and-branch (imm19)",
-        template=0x34000000,
-        fields=(
-            Field("sf", 31, 1),
-            Field("op", 24, 1),
-            Field("imm19", 5, 19),
-            Field("rt", 0, 5),
-        ),
-        sym="imm19",
-    ),
-    InstructionClass(
-        name="tb",
-        description="tbz/tbnz test-bit-and-branch (imm14)",
-        template=0x36000000,
-        fields=(
-            Field("b5", 31, 1),
-            Field("op", 24, 1),
-            Field("b40", 19, 5),
-            Field("imm14", 5, 14),
-            Field("rt", 0, 5),
-        ),
-        sym="imm14",
-    ),
-    InstructionClass(
-        name="ldst-unscaled",
-        description="ldur/stur unscaled-offset loads/stores (imm9; "
-                    "canonicality is immediate-dependent)",
-        template=0x38000000,
-        fields=(
-            Field("size", 30, 2),
-            Field("v", 26, 1),
-            Field("opc", 22, 2),
-            Field("imm9", 12, 9),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        sym="imm9",
-        default=False,
-    ),
-    InstructionClass(
-        name="logical-reg0",
-        description="unshifted register logical ops incl. the mov alias "
-                    "(the mov-then-guard x30 pattern)",
-        template=0x0A000000,
-        fields=(
-            Field("sf", 31, 1),
-            Field("opc", 29, 2),
-            Field("N", 21, 1),
-            Field("rm", 16, 5),
-            Field("rn", 5, 5),
-            Field("rd", 0, 5),
-        ),
-        default=False,
-    ),
-    InstructionClass(
-        name="addsub-ext",
-        description="add/sub extended-register (the guard instruction's "
-                    "own class)",
-        template=0x0B200000,
-        fields=(
-            Field("sf", 31, 1),
-            Field("op", 30, 1),
-            Field("S", 29, 1),
-            Field("rm", 16, 5),
-            Field("option", 13, 3),
-            Field("imm3", 10, 3),
-            Field("rn", 5, 5),
-            Field("rd", 0, 5),
-        ),
-        default=False,
-    ),
-    InstructionClass(
-        name="ldst-regoffset",
-        description="register-offset loads/stores incl. the "
-                    "zero-instruction guard addressing mode",
-        template=0x38200800,
-        fields=(
-            Field("size", 30, 2),
-            Field("v", 26, 1),
-            Field("opc", 22, 2),
-            Field("rm", 16, 5),
-            Field("option", 13, 3),
-            Field("S", 12, 1),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        default=False,
-    ),
-    InstructionClass(
-        name="ldst-pair",
-        description="ldp/stp register pairs (imm7, all index modes)",
-        template=0x28000000,
-        fields=(
-            Field("opc", 30, 2),
-            Field("v", 26, 1),
-            Field("mode", 23, 2),
-            Field("load", 22, 1),
-            Field("imm7", 15, 7),
-            Field("rt2", 10, 5),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        sym="imm7",
-        default=False,
-    ),
-    InstructionClass(
-        name="exclusive",
-        description="load/store exclusive and acquire/release "
-                    "(rt2 pinned to 31 as the decoder requires)",
-        template=0x08007C00,
-        fields=(
-            Field("size", 30, 2),
-            Field("o2", 23, 1),
-            Field("L", 22, 1),
-            Field("rs", 16, 5),
-            Field("o0", 15, 1),
-            Field("rn", 5, 5),
-            Field("rt", 0, 5),
-        ),
-        default=False,
-    ),
+    _row_class("branch-reg", "branch_reg",
+               "br/blr/ret indirect branches (the branch-target invariant "
+               "class)", match=0xD61F0000, widen={"opc": 4}),
+    _row_class("ldst-post", "ldst_imm9",
+               "post-index loads/stores, imm9 writeback (the class that "
+               "hid the PR-2 store-only writeback hole)",
+               sym="imm9", mode=1),
+    _row_class("ldst-pre", "ldst_imm9",
+               "pre-index loads/stores, imm9 writeback", sym="imm9", mode=3),
+    _row_class("ldst-unsigned", "ldst_unsigned",
+               "unsigned scaled-offset loads/stores (imm12)", sym="imm12"),
+    _row_class("addsub-imm", "addsub_imm",
+               "add/sub immediate (covers reserved-register writes and the "
+               "sp small-arithmetic rule)", sym="imm12"),
+    _row_class("movewide", "movewide",
+               "movz/movn/movk wide moves (imm16)", sym="imm16"),
+    _row_class("branch-imm", "branch_imm",
+               "b/bl direct branches (imm26; contained by the code "
+               "keep-out, DESIGN.md §13)", sym="imm26"),
+    _row_class("branch-cond", "branch_cond",
+               "b.cond conditional branches (imm19)", sym="imm19"),
+    _row_class("cb", "cb", "cbz/cbnz compare-and-branch (imm19)",
+               sym="imm19"),
+    _row_class("tb", "tb", "tbz/tbnz test-bit-and-branch (imm14)",
+               sym="imm14"),
+    _row_class("ldst-unscaled", "ldst_imm9",
+               "ldur/stur unscaled-offset loads/stores (imm9; canonicality "
+               "is immediate-dependent)", sym="imm9", default=False, mode=0),
+    _row_class("logical-reg0", "logical_shifted",
+               "unshifted register logical ops incl. the mov alias (the "
+               "mov-then-guard x30 pattern); Rd = 18 is logical-reg-bic18's",
+               default=False, shift=0, imm6=0,
+               rd=tuple(r for r in range(32) if r != 18)),
+    _row_class("logical-reg-bic18", "logical_shifted",
+               "every shifted-register logical op writing x18/w18: only the "
+               "masked guard's `bic w18, wN, w25` ahead of the x18 guard is "
+               "accepted", default=False, imm6=(0, 1, 32), rd=18),
+    _row_class("addsub-ext", "addsub_extended",
+               "add/sub extended-register (the guard instruction's own "
+               "class)", default=False),
+    _row_class("ldst-regoffset", "ldst_regoffset",
+               "register-offset loads/stores incl. the zero-instruction "
+               "guard addressing mode", default=False),
+    _row_class("ldst-pair", "ldst_pair",
+               "ldp/stp register pairs (imm7, all index modes)",
+               sym="imm7", default=False),
+    _row_class("exclusive", "exclusive",
+               "load/store exclusive and acquire/release (rt2 pinned to 31 "
+               "as the decoder requires)", default=False),
 )
 
 
@@ -382,3 +229,14 @@ def default_classes() -> Tuple[InstructionClass, ...]:
 
 def nightly_classes() -> Tuple[InstructionClass, ...]:
     return tuple(c for c in CLASSES if not c.default)
+
+
+def row_coverage() -> List[Tuple[str, int, int, Tuple[str, ...]]]:
+    """Each ``(group, mask, match)`` row of the decoder/verifier table with
+    the names of the classes whose space reaches into it."""
+    spans = [(c.name, c.template, sum(f.mask for f in c.fields))
+             for c in CLASSES]
+    return [(group, mask, match, tuple(
+                name for name, template, free in spans
+                if not (template ^ match) & mask & ~free))
+            for group, mask, match, _fields in ENCODINGS]

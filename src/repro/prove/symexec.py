@@ -2,12 +2,14 @@
 
 For every word in an instruction class the driver asks two questions:
 
-1. *Acceptance*: does the :class:`~repro.core.verifier.Verifier` accept
-   the word in **any** of a fixed set of continuation contexts?  The
-   verifier's per-instruction rules consult at most the next one or two
-   instructions (a guard, a ``blr``, or an sp re-establishing access), so
-   a small context set covers every way a word can appear in an accepted
-   program.
+1. *Acceptance*: does the :class:`~repro.core.verifier.Verifier`'s rule
+   table (``core/rules.py``, the code ``verify_text`` runs) accept the
+   word in **any** of a fixed set of continuation contexts?  The rules
+   consult at most the next one or two words (a guard, a ``blr``, or an sp
+   re-establishing access), so a small context set covers every way a
+   word can appear in an accepted program.  The decoded checker is run
+   beside the table and any disagreement fails the report, so no word is
+   accepted by a path the prover never saw.
 2. *Obligation*: for **each** accepting context, run the abstract
    transfer function over the word plus its context starting from the
    weakest verified-program state and check that (a) indirect branch
@@ -31,10 +33,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..arm64.decoder import decode_word
+from ..arm64.encoder import encode_instruction
 from ..arm64.operands import Imm, OFFSET
 from ..arm64.registers import Reg
-from ..core.constants import SP_SMALL_IMM
-from ..core.guards import sp_guard_pair, x30_guard
+from ..core.constants import SCRATCH_REG, SP_SMALL_IMM
+from ..core.guards import guard_address, sp_guard_pair, x30_guard
+from ..core.rules import NEEDS, OK, rule_index
 from ..core.verifier import Verifier, VerifierPolicy
 from ..memory.layout import PAGE_SIZE, SANDBOX_SIZE
 from .absdomain import (
@@ -67,30 +71,25 @@ _STR_SP_FAR = 0xF903EBE0
 #:  blr x30             — the runtime-call tail
 _BLR_X30 = 0xD63F03C0
 
-_CONTEXT_CACHE: Optional[Tuple[Tuple[str, tuple], ...]] = None
 
-
-def _build_contexts() -> Tuple[Tuple[str, tuple], ...]:
-    return (
+def _build_contexts() -> Tuple[Tuple[str, tuple, tuple], ...]:
+    """The fixed ``(name, tail instructions, tail words)`` contexts."""
+    tails = (
         ("solo", ()),
         ("x30-guard", (x30_guard(),)),
+        ("x18-guard", (guard_address(SCRATCH_REG),)),
         ("sp-guard", tuple(sp_guard_pair())),
         ("sp-close", (decode_word(_STR_SP0),)),
         ("sp-close-far", (decode_word(_STR_SP_FAR),)),
         ("runtime-call", (decode_word(_BLR_X30),)),
         ("x30-guard+sp-guard", (x30_guard(),) + tuple(sp_guard_pair())),
     )
+    return tuple((name, tail, tuple(encode_instruction(i) for i in tail))
+                 for name, tail in tails)
 
 
-def contexts() -> Tuple[Tuple[str, tuple], ...]:
-    """The fixed ``(name, tail-instructions)`` continuation contexts."""
-    global _CONTEXT_CACHE
-    if _CONTEXT_CACHE is None:
-        _CONTEXT_CACHE = _build_contexts()
-    return _CONTEXT_CACHE
-
-
-CONTEXTS = tuple(name for name, _ in _build_contexts())
+_CONTEXTS = _build_contexts()
+CONTEXTS = tuple(name for name, _tail, _words in _CONTEXTS)
 
 #: Proper sub-contexts of each context (tails that are prefixes/subsets).
 #: Obligations are only checked for *minimal* accepting contexts: if a
@@ -100,6 +99,7 @@ CONTEXTS = tuple(name for name, _ in _build_contexts())
 _SUB_CONTEXTS: Dict[str, Tuple[str, ...]] = {
     "solo": (),
     "x30-guard": ("solo",),
+    "x18-guard": ("solo",),
     "sp-guard": ("solo",),
     "sp-close": ("solo",),
     "sp-close-far": ("solo",),
@@ -110,11 +110,9 @@ _SUB_CONTEXTS: Dict[str, Tuple[str, ...]] = {
 
 def context_words(name: str) -> List[int]:
     """Encoded words of a context's tail (for the corpus bridge)."""
-    from ..arm64.encoder import encode_instruction
-
-    for ctx_name, tail in contexts():
+    for ctx_name, _tail, words in _CONTEXTS:
         if ctx_name == name:
-            return [encode_instruction(inst) for inst in tail]
+            return list(words)
     raise KeyError(f"unknown context {name!r}")
 
 
@@ -241,22 +239,6 @@ def check_obligations(stream: List, policy: VerifierPolicy) -> List[str]:
 # ---------------------------------------------------------------------------
 # Per-word verdicts
 
-#: Markers of rejection reasons that depend on the *following*
-#: instructions — the only reasons a continuation context can cure.
-#: Everything else is a property of the instruction itself and rejects
-#: identically in every context (a big fast-path: one solo check
-#: classifies the word).
-_CONTEXT_SENSITIVE_MARKERS = (
-    "without a following",
-    "unsafe sp modification",
-    "x30 modified by something other",
-)
-
-
-def _context_sensitive(reason: str) -> bool:
-    return any(marker in reason for marker in _CONTEXT_SENSITIVE_MARKERS)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of analyzing one (possibly symbolic) word."""
@@ -267,6 +249,8 @@ class Verdict:
     contexts: Tuple[str, ...] = ()
     #: (context name, violation string) for every failed obligation.
     violations: Tuple[Tuple[str, str], ...] = ()
+    #: Contexts where the rule table and the decoded checker disagree.
+    disagreements: Tuple[str, ...] = ()
 
 
 def analyze_word(word, verifier: Verifier) -> Verdict:
@@ -274,38 +258,40 @@ def analyze_word(word, verifier: Verifier) -> Verdict:
 
     ``word`` may be a concrete int or a :class:`SymWord`; symbolic
     analysis raises :class:`NeedSplit`/:class:`Concretize` when the
-    answer depends on the symbolic field.
+    answer depends on the symbolic field.  The verdict is the rule
+    table's; the decoded checker runs beside it (unless the verifier is
+    deliberately weakened) and must agree in every context tried.
     """
     inst = decode_word(word)
+    code = verifier.classify([word])[0]
     if inst is None:
-        return Verdict(False, False)
-    solo_reasons = verifier.check_instruction(inst, [inst], 0)
-    if not solo_reasons:
-        # Solo acceptance is the unique minimal context: every other
-        # context only adds lookahead, which never revokes acceptance.
-        violations = tuple(
-            ("solo", v) for v in check_obligations([inst], verifier.policy))
-        return Verdict(True, True, ("solo",), violations)
-    if not any(_context_sensitive(r) for r in solo_reasons):
-        # No continuation can cure these reasons — rejected everywhere.
-        return Verdict(True, False)
+        # The table accepts nothing the decoder cannot decode.
+        return Verdict(False, False,
+                       disagreements=("undecodable",) if code else ())
     accepted: List[str] = []
     streams: Dict[str, List] = {}
-    for name, tail in contexts():
-        if not tail:
-            continue  # solo already checked
+    disagreements: List[str] = []
+    for name, tail, tail_words in _CONTEXTS:
+        if tail and (code & OK or not code & NEEDS):
+            # Accepted alone (lookahead never revokes that), or rejected
+            # for what the word is: one solo check classifies it.
+            break
         stream = [inst] + list(tail)
-        if verifier.check_instruction(inst, stream, 0):
-            continue
-        accepted.append(name)
-        streams[name] = stream
+        ok = verifier.accepts([word] + list(tail_words), 0)
+        if not verifier.weakened \
+                and ok != (not verifier.check_instruction(inst, stream, 0)):
+            disagreements.append(name)
+        if ok:
+            accepted.append(name)
+            streams[name] = stream
     violations = []
     for name in accepted:
         if any(sub in streams for sub in _SUB_CONTEXTS[name]):
             continue  # not minimal: covered with less lookahead
         for v in check_obligations(streams[name], verifier.policy):
             violations.append((name, v))
-    return Verdict(True, bool(accepted), tuple(accepted), tuple(violations))
+    return Verdict(True, bool(accepted), tuple(accepted), tuple(violations),
+                   tuple(disagreements))
 
 
 def violating(words: Iterable[int], policy: VerifierPolicy,
@@ -318,14 +304,11 @@ def violating(words: Iterable[int], policy: VerifierPolicy,
     where the verifier starts rejecting.
     """
     words = list(words)
-    insts = [decode_word(w) for w in words]
-    if any(i is None for i in insts):
-        return False
     verifier = verifier or Verifier(policy)
-    for i, inst in enumerate(insts):
-        if verifier.check_instruction(inst, insts, i):
-            return False
-    return bool(check_obligations(insts, verifier.policy))
+    if not verifier.accepts(words):
+        return False
+    return bool(check_obligations([decode_word(w) for w in words],
+                                  verifier.policy))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +327,10 @@ class _Tally:
                flo: Optional[int] = None, fhi: Optional[int] = None) -> None:
         rep = self.report
         rep.checked += count
+        for ctx in verdict.disagreements:
+            rep.mismatches.append(
+                f"{cls.name} {rep_word:#010x} [{ctx}]: rule table and "
+                f"decoded checker disagree")
         if not verdict.decoded:
             rep.undecodable += count
             return
@@ -607,19 +594,17 @@ def probe_word(word: int, seed: int = 0) -> List[str]:
 class WeakenedVerifier(Verifier):
     """A deliberately unsound verifier for the prover's self-test.
 
-    Drops every violation whose reason starts with ``reason_prefix`` —
-    by default the PR-2 writeback-through-reserved-base check, restoring
-    the exact store-only hole that differential fuzzing found.  The
-    prover must produce counterexamples against this verifier or it is
-    vacuous (ISSUE 7 acceptance criterion).
+    Its rule table is built with ``writeback_hole`` set: writeback through
+    a reserved base register goes unpoliced, restoring the exact PR-2
+    store-only hole that differential fuzzing found.  The prover must
+    produce counterexamples against this verifier or it is vacuous
+    (ISSUE 7 acceptance criterion).
     """
 
-    def __init__(self, policy: Optional[VerifierPolicy] = None,
-                 reason_prefix: str = "writeback would modify reserved"):
-        super().__init__(policy)
-        self.reason_prefix = reason_prefix
+    weakened = True
 
-    def _check(self, inst, stream, i):
-        for reason in super()._check(inst, stream, i):
-            if not reason.startswith(self.reason_prefix):
-                yield reason
+    def __init__(self, policy: Optional[VerifierPolicy] = None):
+        super().__init__(policy)
+        self._index = rule_index(
+            self.policy.max_displacement, self.policy.sandbox_loads,
+            self.policy.allow_exclusives, writeback_hole=True)

@@ -181,12 +181,18 @@ def _cmd_prove(args) -> int:
         nightly_classes,
         prove_class,
         render_reports,
+        row_coverage,
     )
 
     if args.list:
         for cls in default_classes() + nightly_classes():
             tier = "default" if cls in default_classes() else "nightly"
-            print(f"{cls.name:<16} space={cls.space():<12} [{tier}]")
+            print(f"{cls.name:<18} space={cls.space():<12} [{tier}]")
+        print("table rows (arm64.decoder.ENCODINGS) and the classes "
+              "that reach them:")
+        for name, mask, match, classes in row_coverage():
+            print(f"  {name:<16} {mask:#010x}/{match:#010x}  "
+                  f"{', '.join(classes) or '-- no class'}")
         return 0
 
     if args.classes:

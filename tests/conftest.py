@@ -45,3 +45,42 @@ def run_asm(source: str, model=None, max_steps: int = 1_000_000,
 @pytest.fixture
 def asm_runner():
     return run_asm
+
+
+@pytest.fixture(scope="session")
+def example_traffic():
+    """What the ``examples/`` scripts feed the toolchain: every assembly
+    source they parse and every ``(text, base, policy)`` they verify."""
+    import contextlib
+    import io
+    import runpy
+    import sys
+    from pathlib import Path
+
+    import repro.toolchain as toolchain
+    from repro.core.verifier import Verifier
+
+    sources, texts = [], []
+    real_parse, real_verify = toolchain.parse_assembly, Verifier.verify_text
+
+    def parse(text):
+        sources.append(text)
+        return real_parse(text)
+
+    def verify(self, data, base=0):
+        texts.append((bytes(data), base, self.policy))
+        return real_verify(self, data, base)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toolchain, "parse_assembly", parse)
+        patch.setattr(Verifier, "verify_text", verify)
+        for path in sorted((Path(__file__).parent.parent
+                            / "examples").glob("*.py")):
+            patch.setattr(sys, "argv", [str(path)])
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    runpy.run_path(str(path), run_name="__main__")
+                except SystemExit as exc:
+                    assert not exc.code, f"{path.name} exited {exc.code}"
+    assert sources and texts
+    return sources, texts

@@ -1,10 +1,9 @@
-"""Parser for GNU-syntax ARM64 assembly text.
+"""The assembly parser as it stood before the scanner rewrite (PR 17).
 
-This is the front half of the paper's assembly-transformation pipeline
-(§5.1): the rewriter consumes ``.s`` text produced by an off-the-shelf
-compiler.  The parser handles labels, directives, comments, and the operand
-grammar (registers, immediates, shifts/extends, all Table-1 addressing
-modes, condition codes, and ``:lo12:`` relocations).
+A reference implementation kept for ``test_arm64_parser.py``: the
+scanner-based :func:`repro.arm64.parse_assembly` must produce the same
+program, and the same error message and line number, as this per-character
+version on every input.  Not used outside the tests.
 """
 
 from __future__ import annotations
@@ -12,18 +11,18 @@ from __future__ import annotations
 import re
 from typing import List, Optional
 
-from . import isa
-from .instructions import Instruction
-from .operands import (
+from repro.arm64.instructions import Instruction
+from repro.arm64.operands import (
     CONDITION_ALIASES,
     CONDITION_CODES,
+    EXTEND_KINDS,
+    SHIFT_KINDS,
     Cond,
     Extended,
     FloatImm,
     Imm,
     Label,
     Mem,
-    OFFSET,
     Operand,
     POST_INDEX,
     PRE_INDEX,
@@ -31,8 +30,8 @@ from .operands import (
     ShiftedImm,
     VecReg,
 )
-from .program import Directive, Item, LabelDef, Program
-from .registers import _REGISTERS, Reg, lookup_register
+from repro.arm64.program import Directive, LabelDef, Program
+from repro.arm64.registers import lookup_register
 
 __all__ = ["parse_assembly", "parse_operand", "AsmSyntaxError"]
 
@@ -47,82 +46,76 @@ class AsmSyntaxError(ValueError):
         self.line = line
 
 
-_LABEL_RE = re.compile(r"([A-Za-z_.$][\w.$]*):")
+_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _INT_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|\d+)$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*([eE][+-]?\d+)?|\d+[eE][+-]?\d+)$")
 _VECREG_RE = re.compile(r"^(v\d+)\.(8b|16b|4h|8h|2s|4s|1d|2d)$", re.IGNORECASE)
-_SYMBOL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)(?:\s*\+\s*(\d+))?$")
+_LABEL_ADD_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*\+\s*(\d+)$")
 _SHIFT_RE = re.compile(r"^(lsl|lsr|asr|ror)\s+#?([\w-]+)$", re.IGNORECASE)
 _EXTEND_RE = re.compile(
     r"^(uxtb|uxth|uxtw|uxtx|sxtb|sxth|sxtw|sxtx)(?:\s+#?(\d+))?$", re.IGNORECASE
 )
 _LO12_RE = re.compile(r"^:lo12:([A-Za-z_.$][\w.$]*)$")
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/")
-_NESTING_RE = re.compile(r'[\[\]{}()"]')
-#: A modifier operand starts with one of these letters (lsl/lsr/asr/ror,
-#: uxt*/sxt*), so anything else skips both modifier patterns.
-_MODIFIER_START = frozenset("lLaArRuUsS")
-
-
-def _find_outside_quotes(line: str, marker: str) -> int:
-    """``line.find(marker)`` that skips double-quoted stretches."""
-    if '"' not in line:
-        return line.find(marker)
-    in_quote = False
-    for i in range(len(line) - len(marker) + 1):
-        if line[i] == '"':
-            in_quote = not in_quote
-        elif not in_quote and line.startswith(marker, i):
-            return i
-    return -1
 
 
 def _strip_comments(line: str) -> str:
-    if "/*" in line:
-        line = _BLOCK_COMMENT_RE.sub(" ", line)
+    line = re.sub(r"/\*.*?\*/", " ", line)
     for marker in ("//", "@"):
-        if marker in line:
-            idx = _find_outside_quotes(line, marker)
-            if idx >= 0:
-                line = line[:idx]
+        idx = _find_outside_quotes(line, marker)
+        if idx >= 0:
+            line = line[:idx]
     return line.strip()
 
 
-def _split_top_level(text: str) -> List[str]:
-    """Split on commas outside brackets, braces, and quotes."""
-    nested = _NESTING_RE.findall(text)
-    if not nested:
-        return [p.strip() for p in text.split(",")] if text.strip() else []
-    if nested == ["[", "]"]:
-        # One bracket group, the only nesting assembly text normally has:
-        # split what lies before and after it, and glue the group back on.
-        lb, rb = text.index("["), text.index("]")
-        head, tail = text[:lb].split(","), text[rb + 1:].split(",")
-        middle = head.pop() + text[lb:rb + 1] + tail.pop(0)
-        return [p.strip() for p in head + [middle] + tail]
-    parts: List[str] = []
-    depth = start = 0
+def _find_outside_quotes(line: str, marker: str) -> int:
     in_quote = False
-    for i, c in enumerate(text):
+    i = 0
+    while i < len(line) - len(marker) + 1:
+        c = line[i]
         if c == '"':
             in_quote = not in_quote
+        elif not in_quote and line.startswith(marker, i):
+            return i
+        i += 1
+    return -1
+
+
+def _split_top_level(text: str, sep: str = ",") -> List[str]:
+    """Split on ``sep`` outside brackets, braces, and quotes."""
+    parts: List[str] = []
+    depth = 0
+    in_quote = False
+    current: List[str] = []
+    for c in text:
+        if c == '"':
+            in_quote = not in_quote
+            current.append(c)
         elif in_quote:
-            continue
+            current.append(c)
         elif c in "[{(":
             depth += 1
+            current.append(c)
         elif c in "]})":
             depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i + 1
-    parts.append(text[start:].strip())
-    return parts if len(parts) > 1 or parts[0] else []
+            current.append(c)
+        elif c == sep and depth == 0:
+            parts.append("".join(current).strip())
+            current = []
+        else:
+            current.append(c)
+    tail = "".join(current).strip()
+    if tail or parts:
+        parts.append(tail)
+    return parts
 
 
 def _parse_int(text: str, line: Optional[int] = None) -> int:
     text = text.strip()
     neg = text.startswith("-")
-    body = text[1:] if neg or text.startswith("+") else text
+    if neg or text.startswith("+"):
+        body = text[1:]
+    else:
+        body = text
     try:
         value = int(body, 0)
     except ValueError:
@@ -133,23 +126,24 @@ def _parse_int(text: str, line: Optional[int] = None) -> int:
 def parse_operand(text: str, line: Optional[int] = None) -> Operand:
     """Parse one operand token (already comma-split at top level)."""
     text = text.strip()
-    reg = _REGISTERS.get(text)
-    if reg is not None:
-        return reg
     if not text:
         raise AsmSyntaxError("empty operand", line)
-    first = text[0]
-    if first == "[":
+
+    if text.startswith("["):
         return _parse_mem(text, line)
-    body = text[1:].strip() if first == "#" else text
-    if body.startswith(":"):
+
+    if text.startswith("#"):
+        body = text[1:].strip()
         lo12 = _LO12_RE.match(body)
         if lo12:
             return Imm(0, reloc="lo12", symbol=lo12.group(1))
-    if first == "#":
         if _FLOAT_RE.match(body):
             return FloatImm(float(body))
         return Imm(_parse_int(body, line))
+
+    lo12 = _LO12_RE.match(text)
+    if lo12:
+        return Imm(0, reloc="lo12", symbol=lo12.group(1))
 
     vec = _VECREG_RE.match(text)
     if vec:
@@ -171,9 +165,11 @@ def parse_operand(text: str, line: Optional[int] = None) -> Operand:
     if lower in CONDITION_CODES or lower in CONDITION_ALIASES:
         return Cond(CONDITION_ALIASES.get(lower, lower))
 
-    symbol = _SYMBOL_RE.match(text)
-    if symbol:
-        return Label(symbol.group(1), int(symbol.group(2) or 0))
+    plus = _LABEL_ADD_RE.match(text)
+    if plus:
+        return Label(plus.group(1), int(plus.group(2)))
+    if re.match(r"^[A-Za-z_.$][\w.$]*$", text):
+        return Label(text)
     raise AsmSyntaxError(f"cannot parse operand {text!r}", line)
 
 
@@ -204,8 +200,8 @@ def _parse_mem(text: str, line: Optional[int]) -> Mem:
     elif len(parts) > 3:
         raise AsmSyntaxError(f"too many memory operand parts: {text!r}", line)
 
-    return Mem(base=base, offset=offset,
-               mode=PRE_INDEX if pre_index else OFFSET)
+    mode = PRE_INDEX if pre_index else "offset"
+    return Mem(base=base, offset=offset, mode=mode)
 
 
 def _merge_modifier(reg, modifier: str, line: Optional[int]) -> Operand:
@@ -228,72 +224,76 @@ def _parse_instruction(text: str, line: Optional[int]) -> Instruction:
     mnemonic = parts[0].lower()
     if len(parts) == 1:
         return Instruction(mnemonic, (), line)
+    raw_ops = _split_top_level(parts[1])
     operands: List[Operand] = []
-    for raw in _split_top_level(parts[1]):
-        reg = _REGISTERS.get(raw)
-        if reg is not None:
-            operands.append(reg)
-            continue
+    for raw in raw_ops:
         if not raw:
             raise AsmSyntaxError(f"empty operand in {text!r}", line)
         # Shift/extend modifiers attach to the previous register operand.
-        if operands and raw[0] in _MODIFIER_START:
+        if operands and (_SHIFT_RE.match(raw) or _EXTEND_RE.match(raw)):
+            prev = operands[-1]
+            from repro.arm64.registers import Reg
+
+            if isinstance(prev, Reg):
+                operands[-1] = _merge_modifier(prev, raw, line)
+                continue
             shift = _SHIFT_RE.match(raw)
-            if shift or _EXTEND_RE.match(raw):
-                prev = operands[-1]
-                if isinstance(prev, Reg):
-                    operands[-1] = _merge_modifier(prev, raw, line)
-                    continue
-                if (isinstance(prev, Imm) and shift
-                        and shift.group(1).lower() == "lsl"):
-                    operands[-1] = ShiftedImm(
-                        prev.value, _parse_int(shift.group(2), line)
-                    )
-                    continue
+            if isinstance(prev, Imm) and shift and shift.group(1).lower() == "lsl":
+                operands[-1] = ShiftedImm(
+                    prev.value, _parse_int(shift.group(2), line)
+                )
+                continue
         operands.append(parse_operand(raw, line))
 
-    if mnemonic in isa.MEMORY:
-        _merge_post_index(operands)
+    operands = _merge_post_index(mnemonic, operands)
     return Instruction(mnemonic, tuple(operands), line)
 
 
-def _merge_post_index(operands: List[Operand]) -> None:
+def _merge_post_index(mnemonic: str, operands: List[Operand]) -> List[Operand]:
     """Turn ``[x1], #8`` (Mem followed by Imm) into a post-index Mem."""
-    for i in range(len(operands) - 1):
-        op = operands[i]
-        if (isinstance(op, Mem) and op.offset is None and op.mode == OFFSET
-                and isinstance(operands[i + 1], Imm)):
-            operands[i:i + 2] = [Mem(op.base, operands[i + 1], POST_INDEX)]
-            return
+    from repro.arm64 import isa
+
+    if not isa.is_memory(mnemonic):
+        return operands
+    for i, op in enumerate(operands):
+        if (
+            isinstance(op, Mem)
+            and op.offset is None
+            and op.mode == "offset"
+            and i + 1 < len(operands)
+            and isinstance(operands[i + 1], Imm)
+        ):
+            merged = Mem(base=op.base, offset=operands[i + 1], mode=POST_INDEX)
+            return operands[:i] + [merged] + operands[i + 2:]
+    return operands
 
 
 def parse_assembly(text: str) -> Program:
     """Parse GNU-syntax assembly text into a :class:`Program`."""
-    items: List[Item] = []
-    add = items.append
+    program = Program()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comments(raw_line)
         while line:
-            if ":" in line:
-                match = _LABEL_RE.match(line)
-                if match:
-                    add(LabelDef(match.group(1)))
-                    line = line[match.end():].strip()
-                    continue
+            match = _LABEL_RE.match(line)
+            if match:
+                program.add(LabelDef(match.group(1)))
+                line = line[match.end():].strip()
+                continue
             # Split multiple statements on the same line.
-            semi = _find_outside_quotes(line, ";") if ";" in line else -1
-            if semi >= 0:
-                statement, line = line[:semi].strip(), line[semi + 1:].strip()
-                if not statement:
-                    continue
-            else:
-                statement, line = line, ""
-            if statement[0] == ".":
+            semi = _find_outside_quotes(line, ";")
+            statement, line = (
+                (line[:semi].strip(), line[semi + 1:].strip())
+                if semi >= 0
+                else (line, "")
+            )
+            if not statement:
+                continue
+            if statement.startswith("."):
                 parts = statement.split(None, 1)
                 args = (
                     tuple(_split_top_level(parts[1])) if len(parts) > 1 else ()
                 )
-                add(Directive(parts[0], args))
+                program.add(Directive(parts[0], args))
             else:
-                add(_parse_instruction(statement, lineno))
-    return Program(items)
+                program.add(_parse_instruction(statement, lineno))
+    return program

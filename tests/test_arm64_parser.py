@@ -24,6 +24,8 @@ from repro.arm64 import (
 from repro.arm64.operands import ShiftedImm, canonical_condition, invert_condition
 from repro.arm64.program import Directive, LabelDef
 
+from . import frozen_parser
+
 
 def parse_one(text):
     program = parse_assembly(text)
@@ -244,3 +246,119 @@ class TestConditions:
         assert invert_condition("ne") == "eq"
         assert invert_condition("lt") == "ge"
         assert invert_condition("hi") == "ls"
+
+
+# ---------------------------------------------------------------------------
+# The scanner-based parser against the per-character one it replaced
+# ---------------------------------------------------------------------------
+
+def outcome(parse, error, text):
+    """The parsed items, or the error's message and line number."""
+    try:
+        return parse(text).items
+    except error as exc:
+        return str(exc), exc.line
+
+
+def assert_same_parse(text):
+    assert outcome(parse_assembly, AsmSyntaxError, text) \
+        == outcome(frozen_parser.parse_assembly,
+                   frozen_parser.AsmSyntaxError, text), text
+
+
+class TestAgainstFrozenParser:
+    EDGE_LINES = [
+        '.ascii "a//b@c;d,e", "x"',
+        '.string "// not a comment"  // a comment',
+        'x: .ascii "q;r" ; nop',
+        "mov x0, x1 // c",
+        "mov x0, x1 @ c",
+        "mov x0, /* c */ x1",
+        "/* a */ nop /* b */ ; nop",
+        "a: b: mov x0, x1; mov x2, x3 ; ; nop",
+        ".L1: .word 5",
+        "foo:bar",
+        "nop;",
+        ".text;nop",
+        "  ",
+        ";",
+        "ldr x0, [x1], #8",
+        "stp x0, x1, [sp], #16",
+        "ldr x0, [x1, #8], #8",
+        "add x0, x1, x2, lsl #3",
+        "add x0, x1, w3, uxtw",
+        "add x0, x0, :lo12:sym",
+        "add x0, x0, #:lo12:sym",
+        "add v0.4s, v1.4s, v2.4s",
+        "mov x0, v0.16B",
+        "fmov d0, #1.5",
+        "mov x0, 1e5",
+        "movz x0, #1, lsl #16",
+        "ldr x0, [x1, x2, lsl #3]",
+        "ldr x0, [x1, w2, uxtw #2]!",
+        "ldr x0, [X1, #8]",
+        "MOV X0, X1",
+        "csel x0, x1, x2, LO",
+        "b foo+8",
+        "b foo + 8",
+        '.quad 1, 2, (3,4), "a,b"',
+        "ld1 {v0.4s, v1.4s}, [x0]",
+        # Errors: same message, same line number.
+        "nop\nldr x0, [x1, foo]",
+        "mov x0, ,x1",
+        "mov x0, lsl #3",
+        "ldr x0, [x1",
+        "ldr x0, []",
+        "ldr x0, [x1]]",
+        "ldr x0, ]x1[",
+        "ldr x0, [x1, x2, x3, x4]",
+        "ldr x0, [x1, zz, lsl #1]",
+        "ldr x0, [zz]",
+        "nop\n\nmov x0, #zz",
+        "mov x0, #+-5",
+        "mov x0, 1+2",
+        "mov x0, %%",
+        "mov x0, v99.4s",
+        "add x0, x1, x2, foo #1",
+        "add x0, #1, lsr #12",
+        "add x0, x1, [x2], lsl #1",
+        'mov x0, "a',
+    ]
+
+    @pytest.mark.parametrize("text", EDGE_LINES)
+    def test_edge_lines(self, text):
+        assert_same_parse(text)
+
+    def test_corpus_examples_and_generated_sources(self, example_traffic):
+        import random
+
+        from repro.fuzz.corpus import load_corpus
+        from repro.fuzz.genasm import AsmGenerator, GenConfig
+
+        sources = {e.source for e in load_corpus() if e.kind == "program"}
+        sources.update(example_traffic[0])
+        generator = AsmGenerator(GenConfig(min_fragments=40,
+                                           max_fragments=40))
+        sources.update(generator.generate(random.Random(seed)).source
+                       for seed in range(8))
+        for source in sources:
+            assert_same_parse(source)
+
+    def test_mutated_lines(self):
+        """Punctuation dropped into, and characters cut out of, real lines."""
+        import random
+
+        from repro.fuzz.genasm import AsmGenerator, GenConfig
+
+        rng = random.Random(3)
+        lines = AsmGenerator(GenConfig(min_fragments=60, max_fragments=60)) \
+            .generate(rng).source.splitlines()
+        for _ in range(4000):
+            chars = list(rng.choice(lines))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                if rng.random() < 0.6:
+                    chars.insert(at, rng.choice(',;[]!#"@/ :.{}()*+-'))
+                elif chars:
+                    del chars[min(at, len(chars) - 1)]
+            assert_same_parse("".join(chars))

@@ -65,18 +65,30 @@ class TestEnumeration:
         assert len(names) == len(set(names))
 
     def test_class_spaces_disjoint(self):
-        # Template signature bits (outside any field) must differ pairwise.
+        # Template signature bits (outside any field) must differ pairwise,
+        # or one field's bits must take disjoint values in the two classes.
+        def values_at(cls, fld):
+            """What ``cls`` allows on ``fld``'s bits, None if unknown."""
+            for f in cls.fields:
+                if (f.lo, f.width) == (fld.lo, fld.width):
+                    return set(f.domain())
+            if any(f.mask & fld.mask for f in cls.fields):
+                return None
+            return {(cls.template & fld.mask) >> fld.lo}
+
         classes = default_classes() + nightly_classes()
-        sigs = []
-        for c in classes:
-            free = 0
-            for f in c.fields:
-                free |= f.mask
-            sigs.append((~free & 0xFFFFFFFF, c.template))
-        for i, (mask_a, sig_a) in enumerate(sigs):
-            for mask_b, sig_b in sigs[i + 1:]:
-                common = mask_a & mask_b
-                assert (sig_a & common) != (sig_b & common)
+        for i, a in enumerate(classes):
+            for b in classes[i + 1:]:
+                free_a = sum(f.mask for f in a.fields)
+                free_b = sum(f.mask for f in b.fields)
+                common = ~(free_a | free_b) & 0xFFFFFFFF
+                if (a.template ^ b.template) & common:
+                    continue
+                assert any(
+                    values_at(other, f) is not None
+                    and not set(f.domain()) & values_at(other, f)
+                    for one, other in ((a, b), (b, a))
+                    for f in one.fields), (a.name, b.name)
 
     def test_contains_matches_enumeration(self):
         cls = class_by_name("branch-reg")
@@ -149,6 +161,104 @@ class TestBranchRegExhaustive:
                     if analyze_word(w, verifier).accepted]
         regs = {(w >> 5) & 0x1F for w in accepted}
         assert regs == {18, 23, 24, 30}
+
+
+class TestMaskedGuard:
+    """``bic w18, wN, w25`` ahead of the x18 guard (DESIGN.md §16) is the
+    one way a logical op may write x18 — proved, not just tolerated."""
+
+    #: logical-reg-bic18 narrowed to the registers and amounts that matter.
+    SLICE = InstructionClass(
+        name="logical-reg-bic18-slice",
+        description="logical-reg-bic18 around the poison register",
+        template=0x0A000012,
+        fields=(
+            Field("sf", 31, 1),
+            Field("opc", 29, 2),
+            Field("shift", 22, 2),
+            Field("N", 21, 1),
+            Field("rm", 16, 5, values=(24, 25, 26, 31)),
+            Field("imm6", 10, 6, values=(0, 1)),
+            Field("rn", 5, 5, values=(0, 18, 25, 31)),
+        ),
+    )
+
+    @pytest.mark.parametrize("policy", [VerifierPolicy(),
+                                        VerifierPolicy(sandbox_loads=False)],
+                             ids=["sandbox", "store-only"])
+    def test_only_the_masked_guard_is_accepted(self, policy):
+        report = prove_class(self.SLICE, policy=policy, probe=4)
+        assert report.ok, "\n".join(report.lines())
+        assert report.checked == self.SLICE.space()
+        # bic w18, wN, w25 for N in {0, 18, 25}; wzr is not a GPR source.
+        assert report.accepted == 3
+        assert report.accepted_by_context == {"x18-guard": 3}
+
+    def test_the_full_class_is_registered_and_contains_the_guard(self):
+        cls = class_by_name("logical-reg-bic18")
+        assert cls in nightly_classes()
+        assert cls.contains(0x0A390072)         # bic w18, w3, w25
+        assert self.SLICE.contains(0x0A390012)
+        assert not class_by_name("logical-reg0").contains(0x0A390072)
+
+    def test_guard_must_follow_immediately(self):
+        bic, guard, nop = 0x0A390072, 0x8B3242B2, 0xD503201F
+        verifier = Verifier()
+        assert verifier.accepts([bic, guard])
+        assert not verifier.accepts([bic, nop, guard], 0)
+        assert not verifier.accepts([bic], 0)
+        verdict = analyze_word(bic, verifier)
+        assert verdict.contexts == ("x18-guard",)
+        assert not verdict.violations and not verdict.disagreements
+
+
+class TestTableCoverage:
+    """Which rows of the decoder/verifier table the prover reaches."""
+
+    #: Encoding groups no prover class reaches.  May only shrink: a new
+    #: class removes its group here, a new group must come with a class.
+    UNCOVERED = {
+        "system", "adr", "logical_imm", "bitfield", "extr",
+        "addsub_shifted", "dp2", "dp1", "dp3", "condsel", "ccmp",
+        "fp_imm", "fp1", "fp", "simd3", "movi", "dup",
+    }
+
+    def test_uncovered_groups_only_shrink(self):
+        from repro.prove import row_coverage
+
+        uncovered = {name for name, _mask, _match, classes
+                     in row_coverage() if not classes}
+        assert uncovered <= self.UNCOVERED
+        covered = {name for name, _mask, _match, classes
+                   in row_coverage() if classes}
+        assert not covered & uncovered      # a group is reached row by row
+
+    def test_every_class_template_lies_in_exactly_one_row(self):
+        from repro.arm64.decoder import ENCODINGS
+
+        for cls in default_classes() + nightly_classes():
+            rows = [name for name, mask, match, _fields in ENCODINGS
+                    if cls.template & mask == match]
+            assert len(rows) == 1, (cls.name, rows)
+
+
+class TestTableAgreement:
+    def test_sp_write_ahead_of_the_sp_guard(self):
+        # add sp, x21, w3, uxtw: accepted only because the sp guard
+        # follows, and its destination has no x-register index for the
+        # guard matcher to look up.
+        verdict = analyze_word(0x8B2342BF, Verifier())
+        assert verdict.contexts == ("sp-guard", "x30-guard+sp-guard")
+        assert not verdict.violations and not verdict.disagreements
+
+    def test_disagreement_fails_the_report(self, monkeypatch):
+        """If the decoded checker stopped faulting what the table rejects,
+        the proof run says so instead of passing."""
+        monkeypatch.setattr(Verifier, "check_instruction",
+                            lambda self, inst, stream=None, index=0: [])
+        report = prove_class(class_by_name("branch-reg"))
+        assert not report.ok
+        assert any("disagree" in m for m in report.mismatches)
 
 
 class TestSliceProof:
@@ -297,3 +407,6 @@ class TestCli:
         assert main(["prove", "--list"]) == 0
         out = capsys.readouterr().out
         assert "branch-reg" in out and "nightly" in out
+        # ... and, row by row, what the prover reaches and what it does not.
+        assert "ldst_imm9" in out and "ldst-post, ldst-pre" in out
+        assert "-- no class" in out

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arm64 import decoder
 from repro.arm64.decoder import decode_word, decoding_class, decoder_names
 from repro.arm64.encoder import reencode_word
 from repro.prove import default_classes, nightly_classes
@@ -69,6 +70,86 @@ def test_decoding_class_names_are_known():
     # Every claimed word reports a claiming decoder.
     assert decoding_class(0xD4200000) is not None  # brk #0
     assert decoding_class(0xFFFFFFFF) is None
+
+
+#: ``decoder_names()`` as the linear dispatch chain had it (PR 7 .. PR 16).
+DISPATCH_ORDER = [
+    "system", "branch_imm", "branch_cond", "branch_reg", "cb", "tb", "adr",
+    "addsub_imm", "logical_imm", "movewide", "bitfield", "extr",
+    "logical_shifted", "addsub_shifted", "addsub_extended", "dp2", "dp1",
+    "dp3", "condsel", "ccmp", "ldst_unsigned", "ldst_imm9",
+    "ldst_regoffset", "ldst_pair", "exclusive", "fp_imm", "fp1", "fp",
+    "simd3", "movi", "dup",
+]
+
+
+def linear_decode(word: int, pc: int = 0):
+    """The dispatch the row index replaced: every group decoder in turn.
+    Returns (instruction, claiming group)."""
+    for name, decode in _LINEAR_CHAIN:
+        inst = decode(word, pc)
+        if inst is not None:
+            return inst, name
+    return None, None
+
+
+_LINEAR_CHAIN = [(name, getattr(decoder, "_dec_" + name))
+                 for name in DISPATCH_ORDER]
+
+
+def _assert_indexed_equals_linear(word: int, pc: int = 0) -> None:
+    inst, name = linear_decode(word, pc)
+    assert decode_word(word, pc) == inst, hex(word)
+    assert decoding_class(word) == name, hex(word)
+    assert decoder.decode_word_pc(word, pc) == (
+        inst, name in ("branch_imm", "branch_cond", "cb", "tb", "adr"))
+
+
+def test_decoder_names_keep_dispatch_order():
+    assert decoder_names() == DISPATCH_ORDER
+
+
+def test_encoding_rows_are_disjoint():
+    rows = decoder.ENCODINGS
+    for i, (_a, mask_a, match_a, _fields) in enumerate(rows):
+        assert match_a & ~mask_a == 0
+        for _b, mask_b, match_b, _fields in rows[i + 1:]:
+            assert (match_a ^ match_b) & mask_a & mask_b, (
+                f"{match_a:#010x} and {match_b:#010x} overlap")
+
+
+def test_row_fields_are_exactly_the_bits_outside_the_mask():
+    for name, mask, match, layout in decoder.ENCODINGS:
+        covered = 0
+        for field, lo, width in decoder.row_fields(layout):
+            bits = (1 << width) - 1 << lo
+            assert not covered & bits, (name, field)
+            covered |= bits
+        assert covered == ~mask & 0xFFFFFFFF, (name, hex(match))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=[c.name for c in ALL_CLASSES])
+def test_indexed_decode_equals_linear_on_class_sample(cls):
+    rng = random.Random(0xD15C ^ hash(cls.name) & 0xFFFF)
+    for _ in range(256):
+        _assert_indexed_equals_linear(_sample_word(cls, rng),
+                                      4 * rng.randrange(1 << 20))
+
+
+def test_indexed_decode_equals_linear_on_random_and_mutated_words():
+    """500 k words: uniform, inside each encoding row, and one or two bit
+    flips away from a row."""
+    rng = random.Random(0x1DE0)
+    for _ in range(100_000):
+        word = rng.getrandbits(32)
+        assert decode_word(word) == linear_decode(word)[0]
+    for _name, mask, match, _fields in decoder.ENCODINGS:
+        for _ in range(400_000 // (4 * len(decoder.ENCODINGS))):
+            word = rng.getrandbits(32) & ~mask | match
+            flip1 = word ^ 1 << rng.randrange(32)
+            for probe in (word, flip1, flip1 ^ 1 << rng.randrange(32),
+                          word & ~0x3FF | rng.getrandbits(10)):
+                assert decode_word(probe, 64) == linear_decode(probe, 64)[0]
 
 
 @pytest.mark.slow

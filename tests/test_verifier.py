@@ -4,6 +4,7 @@ The attack programs are assembled directly (bypassing the rewriter, as a
 malicious toolchain would) and must be rejected with the right reason.
 """
 
+import random
 import struct
 
 import pytest
@@ -12,8 +13,13 @@ from hypothesis import strategies as st
 
 from repro.arm64 import parse_assembly
 from repro.arm64.assembler import assemble
+from repro.arm64.decoder import ENCODINGS, decode_word
 from repro.core import (
+    O0,
+    O1,
     O2,
+    O2_FENCE,
+    O2_MASK,
     VerificationError,
     Verifier,
     VerifierPolicy,
@@ -22,6 +28,10 @@ from repro.core import (
     verify_text,
 )
 from repro.elf import build_elf
+from repro.errors import RewriteError
+from repro.fuzz.corpus import load_corpus
+from repro.fuzz.genasm import AsmGenerator, GenConfig
+from repro.toolchain import compile_lfi, compile_native
 
 
 def verify_src(src, policy=None):
@@ -309,3 +319,189 @@ class TestVerifierRobustness:
         result = verify_src("nop\n nop\n ret")
         assert result.instructions == 3
         assert result.bytes_verified == 12
+
+
+# ---------------------------------------------------------------------------
+# The rule table (core/rules.py) against the decoded checker
+# ---------------------------------------------------------------------------
+
+POLICIES = (VerifierPolicy(), VerifierPolicy(sandbox_loads=False),
+            VerifierPolicy(allow_exclusives=False))
+
+
+def decoded_verdict(verifier, data, base=0):
+    """``verify_text`` as it was before the rule table: decode every word,
+    run the decoded checker on each.  The reference the table must equal."""
+    words = struct.unpack_from(f"<{len(data) // 4}I", data)
+    decoded = [decode_word(w, base + 4 * i) for i, w in enumerate(words)]
+    violations, instructions = [], 0
+    for i, inst in enumerate(decoded):
+        if inst is None:
+            violations.append((base + 4 * i, words[i],
+                               "undecodable instruction", ""))
+            continue
+        instructions += 1
+        violations.extend((base + 4 * i, words[i], reason, str(inst))
+                          for reason in verifier._check(inst, decoded, i))
+    return violations, instructions, 4 * len(words)
+
+
+def assert_table_matches(data, base=0, policies=POLICIES):
+    for policy in policies:
+        verifier = Verifier(policy)
+        want, instructions, size = decoded_verdict(verifier, data, base)
+        got = verifier.verify_text(data, base)
+        assert [(v.address, v.word, v.reason, v.disasm)
+                for v in got.violations] == want, policy.label()
+        assert got.ok == (not want)
+        assert (got.instructions, got.bytes_verified) == (instructions, size)
+        assert all(v.mode == policy.label() for v in got.violations)
+
+
+def generated_texts(seeds=range(8)):
+    """Text segments of seeded programs: five LFI builds and a native one."""
+    generator = AsmGenerator(GenConfig())
+    for seed in seeds:
+        source = generator.generate(random.Random(seed)).source
+        for options in (O0, O1, O2, O2_FENCE, O2_MASK):
+            yield bytes(compile_lfi(source, options=options).image.text.data)
+        yield bytes(compile_native(source).image.text.data)
+
+
+class TestRuleTable:
+    def test_corpus(self):
+        for entry in load_corpus():
+            if entry.kind == "machine":
+                texts = [bytes.fromhex(entry.text_hex)]
+            else:
+                texts = [bytes(compile_native(entry.source).image.text.data)]
+                try:
+                    lfi = compile_lfi(entry.source)
+                    texts.append(bytes(lfi.image.text.data))
+                except RewriteError:
+                    pass    # the entry pins a rewriter rejection
+            for text in texts:
+                assert_table_matches(text, 0x40000)
+
+    def test_examples(self, example_traffic):
+        _sources, texts = example_traffic
+        for data, base, policy in set(texts):
+            assert_table_matches(data, base, POLICIES + (policy,))
+
+    def test_generated_programs(self):
+        for text in generated_texts():
+            assert_table_matches(text, 0x40000)
+
+    def test_mutated_words(self):
+        """200 k one- and two-bit flips of accepted words, each judged in
+        the context of its unmutated neighbours."""
+        rng = random.Random(17)
+        words = [w for text in generated_texts(range(3))
+                 for w in struct.unpack_from(f"<{len(text) // 4}I", text)]
+        for round_ in range(200_000 // 32):
+            start = rng.randrange(len(words) - 48)
+            window = words[start:start + 48]
+            for slot in rng.sample(range(48), 32):
+                window[slot] ^= 1 << rng.randrange(32)
+                if rng.random() < 0.5:
+                    window[slot] ^= 1 << rng.randrange(32)
+            assert_table_matches(struct.pack("<48I", *window), 0,
+                                 (POLICIES[round_ % 3],))
+
+    def test_every_row_sampled(self):
+        """Random words inside each encoding row, reserved registers and
+        guard words mixed in: the table never accepts what the decoder
+        cannot decode, and agrees with the checker on the rest."""
+        rng = random.Random(29)
+        specials = (31, 30, 25, 24, 23, 22, 21, 18, 0)
+        tails = (0x8B3E42BE, 0x8B3662BF, 0x110003F6, 0xF90003E0, 0xF903EBE0,
+                 0xD63F03C0, 0x8B2342B2, 0xD503201F, 0x14000001, 0x910043FF)
+        for _ in range(1500):
+            words = []
+            for _ in range(16):
+                _name, mask, match, _fields = rng.choice(ENCODINGS)
+                word = rng.getrandbits(32) & ~mask | match
+                if rng.random() < 0.5:
+                    word = word & ~0x3FF | rng.choice(specials) \
+                        | rng.choice(specials) << 5
+                if rng.random() < 0.1:
+                    word ^= 1 << rng.randrange(32)
+                words.append(rng.choice(tails) if rng.random() < 0.3
+                             else word)
+            assert_table_matches(struct.pack("<16I", *words))
+
+    def test_logical_immediates_exhaustively(self):
+        """All 2 x 8192 (sf, N:immr:imms) bitmask fields, computed by the
+        rule and decoded by ``decode_bitmask``: the same ones exist."""
+        verifier = Verifier()
+        words = [sf << 31 | 0x12000000 | field << 10 | 2 << 5 | 1
+                 for sf in (0, 1) for field in range(1 << 13)]
+        for word, code in zip(words, verifier.classify(words)):
+            assert bool(code) == (decode_word(word) is not None), hex(word)
+
+    def test_prover_class_shapes(self):
+        """Every shape of every default prover class: what the table
+        accepts, alone or ahead of a context, the checker accepts there."""
+        from repro.core.rules import NEEDS, OK
+        from repro.prove import CONTEXTS, context_words, default_classes
+
+        tails = [context_words(name) for name in CONTEXTS]
+        for policy in POLICIES[:2]:
+            verifier = Verifier(policy)
+            for cls in default_classes():
+                shapes = list(cls.shapes())
+                for shape, code in zip(shapes, verifier.classify(shapes)):
+                    for tail in tails if code & NEEDS else tails[:code & OK]:
+                        words = [shape] + tail
+                        if verifier.accepts(words, 0):
+                            stream = [decode_word(w) for w in words]
+                            assert stream[0] is not None and not \
+                                verifier.check_instruction(
+                                    stream[0], stream, 0), hex(shape)
+                            break
+
+    def test_unexplained_rejection_fails_closed(self, monkeypatch):
+        """A word the table rejects stays rejected even when the decoded
+        checker finds nothing to say about it."""
+        monkeypatch.setattr(Verifier, "_check", lambda *args: iter(()))
+        result = verify_src("ldr x0, [x1]")
+        assert not result.ok
+        assert [v.reason for v in result.violations] == [
+            "rejected by the rule table"]
+
+    def test_guard_constants_match_the_encoder(self):
+        from repro.arm64.encoder import encode_instruction
+        from repro.core import guards, rules
+
+        assert encode_instruction(guards.x30_guard()) \
+            & rules._GUARD_MASK | 30 == rules._GUARD | 30
+        assert encode_instruction(guards.sp_guard_pair()[1]) \
+            == rules._SP_GUARD
+        (bic,) = parse_assembly("bic w18, wzr, w25").instructions()
+        assert encode_instruction(bic) & 0xFFFFFC1F == rules._BIC_W18
+        (blr,) = parse_assembly("blr x30").instructions()
+        assert encode_instruction(blr) == rules._BLR_X30
+
+    def test_sp_window_scan_is_linear(self):
+        """An sp adjustment every 8 instructions: 64 k instructions take
+        at most 12x the time of 8 k (a quadratic scan would take 64x)."""
+        import time
+
+        unit = parse_assembly("sub sp, sp, #16\n str x0, [sp]\n"
+                              + " mov x1, x2\n" * 6)
+        block = bytes(assemble(unit).text.data)
+        # The reject path walks the decoded checker's window too.
+        bad = bytes(assemble(parse_assembly("sub sp, sp, #16\n"
+                                            + " mov x1, x2\n" * 7)).text.data)
+
+        def best(data):
+            times = []
+            for _ in range(4):
+                t0 = time.perf_counter()
+                verify_text(data)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert verify_text(block * 8).ok and not verify_text(bad * 8).ok
+        assert best(block * 8192) <= 12 * best(block * 1024)
+        assert best(bad * 2048) <= 12 * best(bad * 256)
