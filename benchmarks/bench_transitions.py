@@ -123,13 +123,13 @@ def _exec_run(elf, engine: str, repeat: int = 1, expect_exit: int = 0):
         arch = (machine.instret, machine.cycles)
         assert seen is None or seen == arch, "non-deterministic run"
         seen = arch
-        sb = getattr(machine, "_sb", None)
+        stats = machine.engine_stats()
         counters = {
             "instructions": machine.instret,
             "cycles": machine.cycles,
-            "fused_calls": sb.fused_calls if sb else 0,
-            "chain_links": sb.chain_links if sb else 0,
-            "compiled_blocks": sb.compiled_blocks if sb else 0,
+            "fused_calls": stats["fused_calls"],
+            "chain_links": stats["chain_links"],
+            "compiled_blocks": stats["compiled_blocks"],
         }
     counters["cpu_s"] = round(best, 6)
     return counters

@@ -17,7 +17,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..arm64 import isa
-from ..arm64.decoder import decode_word_pc
+from ..arm64.decoder import decode_word, decode_word_pc
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import (
     Extended,
@@ -219,9 +219,44 @@ class _Costing:
         return max(self.t_issue, self.t_done)
 
 
-#: Distinct instruction words memoised per machine before the memo is
-#: dropped wholesale; real images hold a few thousand distinct words.
-_WORD_MEMO_CAP = 1 << 16
+#: How a word ends a straight-line run: not at all, by leaving it, or by
+#: always raising (such a word is a block of its own).
+W_UNDECODABLE, W_PLAIN, W_BRANCH, W_TRAP = range(4)
+_BRANCH_BASES = frozenset([
+    "b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz",
+])
+_TRAP_BASES = frozenset(["svc", "brk", "hlt"])
+
+#: word -> ``word_facts``, process-wide: nothing in an entry depends on an
+#: address or a machine, so no mapping change can invalidate it.  Dropped
+#: wholesale at the cap; real images hold a few thousand distinct words.
+WORD_FACTS: Dict[int, tuple] = {}
+_WORD_FACTS_CAP = 1 << 16
+
+
+def word_facts(word: int, handlers) -> tuple:
+    """``(shape, inst, cost class, uses, defs)``: everything either engine
+    derives from an instruction word before executing it.  ``inst`` is
+    None when the decoder says its decode reads pc (decode it in place);
+    ``handlers`` is any machine's dispatch table (they share their keys).
+    """
+    facts = WORD_FACTS.get(word)
+    if facts is None:
+        inst, reads_pc = decode_word_pc(word, 0)
+        if inst is None or inst.base not in handlers:
+            facts = (W_UNDECODABLE, None, None, (), ())
+        else:
+            facts = (
+                W_BRANCH if inst.base in _BRANCH_BASES else
+                W_TRAP if inst.base in _TRAP_BASES else W_PLAIN,
+                None if reads_pc else inst, _classify(inst),
+                tuple(k for k in map(_reg_key, inst.uses()) if k is not None),
+                tuple(k for k in map(_reg_key, inst.defs()) if k is not None),
+            )
+        if len(WORD_FACTS) >= _WORD_FACTS_CAP:
+            WORD_FACTS.clear()
+        WORD_FACTS[word] = facts
+    return facts
 
 
 def _reg_key(reg: Reg):
@@ -290,10 +325,6 @@ class Machine:
                                  tlb_walk_scale) if model else None
         self._decode_cache: Dict[int, Tuple[Instruction, Callable, str,
                                             Tuple, Tuple]] = {}
-        #: word -> the same entries, for encodings whose decode does not
-        #: read pc (:meth:`predecode`).  Holds nothing address-dependent,
-        #: so no mapping change can invalidate it.
-        self._word_memo: Dict[int, tuple] = {}
         self._host_entries: Dict[int, object] = {}
         #: Multi-subscriber hook fired at the top of every :meth:`run`
         #: slice with ``(machine, fuel)``.  Fault injectors use it to
@@ -370,6 +401,15 @@ class Machine:
             for probe in probes:
                 probe(self, None, kind, delta)
 
+    def engine_stats(self) -> Dict[str, int]:
+        """The superblock engine's counters.  Template hits and misses
+        depend on what the process ran before: host-side facts, kept out
+        of deterministic snapshots."""
+        return {name: getattr(self._sb, name) for name in (
+            "translations", "template_hits", "template_misses",
+            "invalidations", "chain_links", "fused_calls", "compiled_blocks",
+            "cached_blocks")}
+
     def invalidate_code(self, address: int, size: int) -> None:
         """Drop every decode and translation over the range.
 
@@ -391,31 +431,20 @@ class Machine:
 
         Returns ``(inst, handler, cost class, uses, defs)`` — everything
         both engines derive from an instruction word before executing it
-        — or raises the trap executing ``pc`` would raise.  Entries are
-        memoised by the raw word when the decoder says the decode did not
-        read ``pc``, so a fresh slot of an image seen before decodes
-        nothing again.
+        — or raises the trap executing ``pc`` would raise.  All but a
+        pc-relative decode comes from :func:`word_facts`, so an image
+        seen before, in any slot of any machine, decodes nothing again.
         """
         try:
             word = self.memory.fetch(pc)
         except MemoryFault as fault:
             raise MemTrap(pc, fault) from None
-        entry = self._word_memo.get(word)
-        if entry is None:
-            inst, reads_pc = decode_word_pc(word, pc)
-            handler = self._exec.get(inst.base) if inst is not None else None
-            if handler is None:
-                raise UnknownInstructionTrap(pc, word)
-            entry = (
-                inst, handler, _classify(inst),
-                tuple(k for k in map(_reg_key, inst.uses()) if k is not None),
-                tuple(k for k in map(_reg_key, inst.defs()) if k is not None),
-            )
-            if not reads_pc:
-                if len(self._word_memo) >= _WORD_MEMO_CAP:
-                    self._word_memo.clear()
-                self._word_memo[word] = entry
-        return entry
+        shape, inst, klass, uses, defs = word_facts(word, self._exec)
+        if shape == W_UNDECODABLE:
+            raise UnknownInstructionTrap(pc, word)
+        if inst is None:
+            inst = decode_word(word, pc)
+        return inst, self._exec[inst.base], klass, uses, defs
 
     def step(self) -> None:
         cpu = self.cpu

@@ -3,7 +3,7 @@
 The stepping interpreter in :mod:`repro.emulator.machine` pays Python
 dispatch cost on every instruction: a decode-cache lookup, a handler
 dispatch, generic operand evaluation, and a :meth:`_Costing.charge` call.
-This module predecodes straight-line instruction runs into immutable
+This module translates straight-line instruction runs into immutable
 :class:`Superblock` objects whose ops are *specialized closures* (direct
 register-list access, precomputed immediates and branch targets) and
 dispatches whole blocks from :meth:`Machine.run`.
@@ -16,6 +16,11 @@ Design rules (DESIGN.md §10, §15):
   which is a block of its own;
 * an op is one closure plus one *cost row* per instruction it retires:
   what a block costs is data, charged by whichever body runs it;
+* a run is translated once per *content*: a :class:`BlockTemplate`, keyed
+  by the run's bytes (and the guard positions and cost model), holds
+  closure recipes with every pc-derived constant as a displacement from
+  the block start, and every block of those words — any slot, machine or
+  runtime in the process — is the template bound to a machine and a start;
 * verified guard sequences named by the loader's ``guard_map`` are fused
   into a single op that performs both architectural effects and carries
   both instructions' rows;
@@ -51,9 +56,12 @@ forces the original interpreter, whose behaviour is unchanged.
 
 from __future__ import annotations
 
+import struct
 from functools import partial
+from itertools import takewhile
 from typing import Dict, List, Optional, Tuple
 
+from ..arm64.decoder import decode_word
 from ..arm64.instructions import Instruction, access_bytes
 from ..arm64.operands import Extended, Imm, Mem, POST_INDEX, PRE_INDEX, \
     Shifted, ShiftedImm, VecReg, canonical_condition
@@ -91,37 +99,75 @@ _COMPILE_THRESHOLD = 8
 #: dispatch overhead it saves.
 _COMPILE_MAX_OPS = 256
 
-_TERMINATOR_BASES = frozenset([
-    "b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz",
-])
-#: Instructions that always raise.  Each is a block of its own, so when
-#: its (generic) handler raises nothing of the block has retired and
-#: ``cpu.pc`` is the trap pc.
-_TRAP_BASES = frozenset(["svc", "brk", "hlt"])
-
 _UNSIGNED_LOADS = frozenset(["ldr", "ldrb", "ldrh", "ldur"])
 _SIGNED_LOADS = {"ldrsb": 8, "ldrsh": 16, "ldrsw": 32}
 _SIMPLE_STORES = frozenset(["str", "strb", "strh", "stur"])
 
 #: Generic handlers that read ``cpu.pc`` for the link register.  Inside a
-#: block ``cpu.pc`` is stale, so their generic fallbacks are wrapped to
-#: restore it first.
+#: block ``cpu.pc`` is stale, so their generic fallbacks restore it first.
 _PC_READING = frozenset(["bl", "blr"])
 
 
-def _pc_fix(cpu, pc, call):
-    def run():
-        cpu.pc = pc
-        return call()
-    return run
+_WORD = struct.Struct("<I")
+
+
+class _Bindings(dict):
+    """Op factory -> the factory with one machine's objects bound to its
+    leading parameters that are named after them (see the factories)."""
+
+    def __init__(self, machine):
+        cpu, memory = machine.cpu, machine.memory
+        self.objects = {"cpu": cpu, "regs": cpu.regs, "vregs": cpu.vregs,
+                        "read": memory.read, "write": memory.write,
+                        "handlers": machine._exec}
+
+    def __missing__(self, factory):
+        names = factory.__code__.co_varnames[:factory.__code__.co_argcount]
+        bound = self[factory] = partial(factory, *map(
+            self.objects.get, takewhile(self.objects.__contains__, names)))
+        return bound
+
+
+class BlockTemplate:
+    """A straight-line run translated once for everywhere its words occur.
+
+    ``ops`` holds a recipe ``(kind, factory, args, rel, rows)`` per op:
+    ``factory(<machine objects>, *args, *(start + d for d in rel))`` is
+    the closure of a block starting at ``start``, and a cost row's pc is
+    likewise a displacement from it.  Nothing here names an address or a
+    machine, so nothing ever invalidates a template.  ``moving`` indexes
+    the ops with a ``rel``; ``factory`` is the compiled body's maker
+    (``_compile_block``), built when the first costed block of this
+    content gets hot.
+    """
+
+    __slots__ = ("ops", "size", "call_tail", "factory", "moving")
+
+    def __init__(self, ops: list, size: int, call_tail: bool):
+        self.ops = ops
+        self.size = size
+        self.call_tail = call_tail
+        self.factory = None
+        self.moving = [i for i, op in enumerate(ops) if op[3]]
+
+
+#: (run bytes, guard positions, cost identity) -> BlockTemplate, process-
+#: wide: every slot, ``Machine`` and ``Runtime`` holding the same words
+#: instantiates the same template.  Flushed whole at the cap, like
+#: ``block_cache_cap``; live blocks keep the template they came from.
+_TEMPLATES: Dict[tuple, BlockTemplate] = {}
+_TEMPLATE_CAP = 4096
+#: repr of (cost model, TLB-walk scale) -> its small-int identity in keys.
+_COST_IDS: Dict[str, int] = {}
 
 
 class Superblock:
     """A predecoded straight-line run of instructions.
 
+    A :class:`BlockTemplate` bound to a machine and a start address.
     ``ops`` is a list of ``(kind, exec, rows)`` tuples: one closure with
-    the op's whole architectural effect, and one cost row ``(pc, icost,
-    lat, uses, defs, role)`` per instruction it retires, in retire order.
+    the op's whole architectural effect, and one cost row ``(pc - start,
+    icost, lat, uses, defs, role)`` per instruction it retires, in order.
     A fused guard sequence or runtime-call tail is simply an op with two
     rows.  ``count`` is the run's fuel cost, the number of rows in it;
     ``end`` is both the fall-through address and the exclusive byte bound
@@ -142,16 +188,17 @@ class Superblock:
     forever, on the uncosted path).
     """
 
-    __slots__ = ("start", "end", "ops", "count", "call_tail",
-                 "valid", "link_fall", "link_taken", "fn", "hits")
+    __slots__ = ("start", "end", "ops", "count", "call_tail", "template",
+                 "valid", "link_fall", "link_taken", "fn", "hits",
+                 "__weakref__")
 
-    def __init__(self, start: int, end: int, ops: list, count: int,
-                 call_tail: bool):
+    def __init__(self, start: int, ops: list, template: BlockTemplate):
         self.start = start
-        self.end = end
+        self.end = start + template.size
         self.ops = ops
-        self.count = count
-        self.call_tail = call_tail
+        self.count = template.size >> 2  # one row per instruction
+        self.call_tail = template.call_tail
+        self.template = template
         self.valid = True
         self.link_fall: Optional["Superblock"] = None
         self.link_taken: Optional["Superblock"] = None
@@ -168,7 +215,10 @@ class Superblock:
 #
 # Every factory closes over the CPU register list (kept identity-stable by
 # CpuState.restore) and precomputed constants; each replicates the exact
-# architectural effect of the corresponding machine.py handler.
+# architectural effect of the corresponding machine.py handler.  Leading
+# parameters named cpu / regs / vregs / read / write / handlers are bound to
+# the machine's objects by ``_Bindings``; trailing target / link / pc ones
+# are a recipe's displacements made absolute.
 # ---------------------------------------------------------------------------
 
 def _is_plain_gpr(reg) -> bool:
@@ -305,6 +355,10 @@ def _t_mov_const(regs, d, const):
     def run():
         regs[d] = const
     return run
+
+
+def _t_adrp(regs, d, pages, pc):
+    return _t_mov_const(regs, d, (((pc >> 12) + pages) << 12) & MASK64)
 
 
 def _t_mov_reg(regs, d, s_i, width):
@@ -849,6 +903,22 @@ def _t_call_tail(cpu, regs, read, base_i, imm, link):
     return run
 
 
+def _t_generic(handlers, cpu, inst, word, pc):
+    """The stepping handler of the instruction at ``pc``: the op of
+    whatever has no specialized thunk.  ``inst`` is None when its decode
+    reads pc, and is then decoded from ``word`` where the block now is."""
+    if inst is None:
+        inst = decode_word(word, pc)
+    call = partial(handlers[inst.base], inst)
+    if inst.base not in _PC_READING:
+        return call
+
+    def run():
+        cpu.pc = pc
+        return call()
+    return run
+
+
 # -- fused guard factories ----------------------------------------------------
 
 def _t_fused_guard_load(regs, read, g_d, g_s, t, imm, size, signed_bits,
@@ -961,7 +1031,7 @@ def _t_fused_offset_store(regs, write, o_d, o_s, o_imm, o_sub, t, size,
     return run
 
 
-def _t_fused_guard_branch(cpu, regs, g_d, g_s, base_i, link):
+def _t_fused_guard_branch(cpu, regs, g_d, g_s, base_i, link=None):
     """``add Xg, x21, wS, uxtw`` + ``br/blr/ret Xg`` (branch guard)."""
     if link is None:
         def run():
@@ -1008,10 +1078,20 @@ class SuperblockEngine:
         self.block_cache_cap = config.block_cache_cap
         #: Counters exposed for tests and diagnostics.
         self.translations = 0
+        self.template_hits = 0
+        self.template_misses = 0
         self.invalidations = 0
         self.chain_links = 0
         self.fused_calls = 0
         self.compiled_blocks = 0
+        self._bindings = _Bindings(machine)
+        #: template -> its ops bound to this machine, None where an op
+        #: reads pc; capped like the templates themselves.
+        self._bound: Dict[BlockTemplate, list] = {}
+        #: What rows and compiled bodies read of the machine, in keys.
+        model = machine.model
+        self._cost_id = None if model is None else _COST_IDS.setdefault(
+            repr((model, machine.tlb_walk_scale)), len(_COST_IDS))
 
     # -- cache management ---------------------------------------------------
 
@@ -1020,7 +1100,9 @@ class SuperblockEngine:
 
         Dropped blocks are also marked ``valid = False`` so chained
         predecessors reject their stale links on the next dispatch —
-        invalidation unlinks chains without a reverse-edge index.
+        invalidation unlinks chains without a reverse-edge index — and
+        drop their own links, so a dead loop is freed by reference count
+        rather than left as a cycle for the collector.
         """
         blocks = self._blocks
         if not blocks:
@@ -1029,15 +1111,13 @@ class SuperblockEngine:
         dead = [start for start, block in blocks.items()
                 if start < end and block.end > address]
         for start in dead:
-            blocks.pop(start).valid = False
-        if dead:
-            self.invalidations += len(dead)
+            block = blocks.pop(start)
+            block.valid = False
+            block.link_fall = block.link_taken = None
+        self.invalidations += len(dead)
 
     def invalidate_all(self) -> None:
-        self.invalidations += len(self._blocks)
-        for block in self._blocks.values():
-            block.valid = False
-        self._blocks.clear()
+        self.invalidate_range(0, 1 << 64)
 
     @property
     def cached_blocks(self) -> int:
@@ -1171,13 +1251,13 @@ class SuperblockEngine:
                         if done is rows:
                             break
                         n += len(done)
-                    for pc, icost, lat, uses, defs, role in rows:
+                    for at, icost, lat, uses, defs, role in rows:
                         if role & R_MEM:
                             break
                         if costing is not None:
                             charge(icost, lat, uses, defs)
                         n += 1
-                    cpu.pc = pc
+                    cpu.pc = pc = block.start + at
                     raise M.MemTrap(pc, fault) from None
                 n += count
                 remaining -= count
@@ -1210,31 +1290,47 @@ class SuperblockEngine:
             self.chain_links += links
 
     def _compile_block(self, block: Superblock):
-        """Compile ``block.ops`` into one specialized straight-line closure.
+        """``block``'s specialized straight-line closure: its template's
+        compiled body (generated on first use, once per content and cost
+        model) bound to the block's closures, this machine and ``start``.
+        Returns None when the block is not worth compiling (oversized)."""
+        if len(block.ops) > _COMPILE_MAX_OPS:
+            return None
+        machine = self.machine
+        costing = machine._costing
+        template = block.template
+        if template.factory is None:
+            template.factory = self._compile(template)
+        self.compiled_blocks += 1
+        return template.factory(
+            block.ops, costing, costing.ready, costing.ready.get,
+            machine.cpu, machine, costing.tlb.lookup, costing.l1.lookup,
+            costing.l2.lookup, MemoryFault, self._M.MemTrap, block.start)
+
+    def _compile(self, template: BlockTemplate):
+        """Compile ``template.ops`` into the maker of a straight-line closure.
 
         Walking rows pays per-op Python overhead on every execution: tuple
         unpacks, kind and role switches, two calls per row and scoreboard
         loops over ``uses``/``defs``.  For a block that re-executes (a
         loop body) all of that is static, so it is unrolled here into
         generated source with every static quantity — issue costs,
-        latencies, scoreboard keys, pcs, model miss charges — folded in
-        as literals (``repr`` of a float round-trips exactly).  The row
-        emitter below is the source form of ``_Costing.memory_penalty``
-        and ``_Costing.charge_row``: the *same float operations in the
-        same order*, so cycle totals stay bit-identical; compilation is
-        pure host-side speedup (DESIGN.md §15).
+        latencies, scoreboard keys, pc displacements, model miss charges —
+        folded in as literals (``repr`` of a float round-trips exactly).
+        The row emitter below is the source form of
+        ``_Costing.memory_penalty`` and ``_Costing.charge_row``: the *same
+        float operations in the same order*, so cycle totals stay
+        bit-identical; compilation is pure host-side speedup (DESIGN.md
+        §15).  The op closures, the machine and the block's start (``pc0``)
+        are the maker's parameters.
 
         The closure keeps ``t_issue``/``t_done`` in locals and commits
         them in a ``finally``, so a mid-block trap leaves exactly what
-        walking the rows would have.  Returns None when the block is not
-        worth compiling (oversized ops list).
+        walking the rows would have.
         """
-        ops = block.ops
-        if len(ops) > _COMPILE_MAX_OPS:
-            return None
-        machine = self.machine
-        costing = machine._costing
-        model = machine.model
+        ops = template.ops
+        costing = self.machine._costing
+        model = self.machine.model
         tb = model.taken_branch_cost
 
         lines: List[str] = []
@@ -1284,7 +1380,7 @@ class SuperblockEngine:
 
         ind = "            "
         retired = 0
-        for i, (kind, _exec, rows) in enumerate(ops):
+        for i, (kind, *_recipe, rows) in enumerate(ops):
             call = ("e{}()", "addr = e{}()", "taken = e{}()",
                     "taken, addr = e{}()")[kind].format(i)
             ahead = next((k for k, row in enumerate(rows)
@@ -1293,7 +1389,7 @@ class SuperblockEngine:
                 emit(f"{ind}{call}")
             else:
                 # The fault rule of the dispatch loop, as source.
-                pc = rows[ahead][0]
+                pc = f"pc0 + {rows[ahead][0]}"
                 emit(f"{ind}try:")
                 emit(f"{ind}    {call}")
                 emit(f"{ind}except MemoryFault as fault:")
@@ -1311,11 +1407,11 @@ class SuperblockEngine:
             + ["costing=costing", "ready=ready", "ready_get=ready_get",
                "cpu=cpu", "machine=machine", "tlb_lookup=tlb_lookup",
                "l1_lookup=l1_lookup", "l2_lookup=l2_lookup",
-               "MemoryFault=MemoryFault", "MemTrap=MemTrap"])
+               "MemoryFault=MemoryFault", "MemTrap=MemTrap", "pc0=pc0"])
         src = "\n".join(
             ["def _factory(ops, costing, ready, ready_get, cpu, machine,",
              "             tlb_lookup, l1_lookup, l2_lookup, MemoryFault,",
-             "             MemTrap):",
+             "             MemTrap, pc0):",
              f"    def run({binds}):",
              "        t_issue = costing.t_issue",
              "        t_done = costing.t_done",
@@ -1329,60 +1425,101 @@ class SuperblockEngine:
              "    return run",
              ""])
         namespace: Dict[str, object] = {}
-        exec(compile(src, f"<superblock {block.start:#x}>", "exec"),
-             namespace)
-        fn = namespace["_factory"](
-            ops, costing, costing.ready, costing.ready.get, machine.cpu,
-            machine, costing.tlb.lookup, costing.l1.lookup,
-            costing.l2.lookup, MemoryFault, self._M.MemTrap)
-        self.compiled_blocks += 1
-        return fn
+        exec(compile(src, "<superblock>", "exec"), namespace)
+        return namespace["_factory"]
 
     # -- translation --------------------------------------------------------
 
     def _translate(self, start: int) -> Superblock:
-        """Predecode the straight-line run starting at ``start``.
+        """The block of the straight-line run starting at ``start``: its
+        template, looked up by content or derived, bound to this machine.
 
-        Raises the same trap ``Machine.step`` would raise if the *first*
+        The run is read from guest memory under the checks ``fetch``
+        makes, every time, and the key holds all of it, so a block is
+        only ever a translation of the words the guest holds now.  Raises
+        the same trap ``Machine.step`` would raise if the *first*
         instruction is unfetchable or undecodable; later problems simply
-        end the block (the next dispatch raises them with the exact pc).
+        end the run (the next dispatch raises them with the exact pc).
         """
         M = self._M
         machine = self.machine
-        memory = machine.memory
-        predecode = machine.predecode
-        host = machine._host_entries
-        page_size = memory.page_size
-        limit = (start // page_size + 1) * page_size
         cap = self.block_cache_cap
         if cap is not None and len(self._blocks) >= cap:
             # Deterministic full flush: same translation pressure on every
             # run with the same config, so counters stay reproducible.
             self.invalidate_all()
+        try:
+            buf, first = machine.memory.fetch_page(start)
+        except MemoryFault as fault:
+            raise M.MemTrap(start, fault) from None
+        host = machine._host_entries
+        guard_map = machine.guard_map
+        known = M.WORD_FACTS
+        UNDECODABLE, PLAIN, TRAP = M.W_UNDECODABLE, M.W_PLAIN, M.W_TRAP
+        guards = 0  # bit i: guard_map names the run's i-th instruction
+        bit = 1
+        at = start
+        for word, in _WORD.iter_unpack(memoryview(buf)[first:]):
+            if at in host and at != start:
+                break
+            shape = (known.get(word)
+                     or M.word_facts(word, machine._exec))[0]
+            if shape == UNDECODABLE:
+                if at == start:
+                    raise M.UnknownInstructionTrap(start, word)
+                break
+            if shape == TRAP and at != start:
+                break
+            if guard_map and at in guard_map:
+                guards |= bit
+            bit <<= 1
+            at += 4
+            if shape != PLAIN:
+                break
 
-        decoded: List[Tuple[int, tuple]] = []  # (pc, predecode entry)
-        pc = start
-        while pc < limit:
-            if pc in host and pc != start:
-                break
-            try:
-                entry = predecode(pc)
-            except (M.MemTrap, M.UnknownInstructionTrap):
-                if not decoded:
-                    raise
-                break
-            base = entry[0].base
-            if base in _TRAP_BASES:
-                if not decoded:
-                    decoded.append((pc, entry))
-                break
-            decoded.append((pc, entry))
-            if base in _TERMINATOR_BASES:
-                break
-            pc += 4
+        key = (bytes(buf[first:first + at - start]), guards, self._cost_id)
+        template = _TEMPLATES.get(key)
+        if template is None:
+            self.template_misses += 1
+            if len(_TEMPLATES) >= _TEMPLATE_CAP:
+                _TEMPLATES.clear()
+            template = _TEMPLATES[key] = self._derive(key[0], guards)
+        else:
+            self.template_hits += 1
+        # Bind: once per machine for the ops that read no pc (their
+        # closures hold no state, so every block of the template here
+        # shares them), per block for the ones that do.
+        bind = self._bindings
+        ops = self._bound.get(template)
+        if ops is None:
+            if len(self._bound) >= _TEMPLATE_CAP:
+                self._bound.clear()
+            ops = self._bound[template] = [
+                (kind, None if rel else bind[factory](*args), rows)
+                for kind, factory, args, rel, rows in template.ops]
+        ops = ops.copy()
+        for i in template.moving:
+            kind, factory, args, rel, rows = template.ops[i]
+            ops[i] = (kind, bind[factory](
+                *args, *[(start + d) & MASK64 for d in rel]), rows)
+        block = self._blocks[start] = Superblock(start, ops, template)
+        self.translations += 1
+        self.fused_calls += template.call_tail
+        return block
 
-        end = decoded[-1][0] + 4
-        count = len(decoded)  # every instruction becomes exactly one row
+    def _derive(self, text: bytes, guards: int) -> BlockTemplate:
+        """Translate the run ``text`` in block coordinates: pc 0 is its
+        first instruction, so every address a decode or a link computes
+        from pc comes out as a displacement from the block start."""
+        M = self._M
+        handlers = self.machine._exec
+        decoded: List[Tuple[int, tuple]] = []  # (pc, predecode-like entry)
+        for pc in range(0, len(text), 4):
+            word = int.from_bytes(text[pc:pc + 4], "little")
+            _shape, inst, klass, uses, defs = M.word_facts(word, handlers)
+            moves = inst is None  # the decode reads pc
+            decoded.append((pc, (decode_word(word, pc) if moves else inst,
+                                 word if moves else None, klass, uses, defs)))
 
         # Springboard fusion: a block ending in the verified runtime-call
         # idiom (``ldr x30, [x21, #n]; blr x30`` — recognized by the same
@@ -1397,20 +1534,16 @@ class SuperblockEngine:
             blr_pc, blr = decoded[-1]
             form = self._mem_form(ldr[0].mem)
             if form is not None and form[0] == "imm" and not form[2]:
-                exec_ = _t_call_tail(machine.cpu, machine.cpu.regs,
-                                     memory.read, form[1], form[3],
-                                     blr_pc + 4)
-                call = (K_GENERIC, exec_, (self._row(ldr_pc, ldr, R_MEM),
-                                           self._row(blr_pc, blr, R_TAKEN)))
+                call = (K_GENERIC, _t_call_tail, (form[1], form[3]),
+                        (blr_pc + 4,), (self._row(ldr_pc, ldr, R_MEM),
+                                        self._row(blr_pc, blr, R_TAKEN)))
                 del decoded[-2:]
-                self.fused_calls += 1
 
-        guard_map = machine.guard_map
         ops = []
         i = 0
         while i < len(decoded):
             pc_i, entry = decoded[i]
-            if guard_map and pc_i in guard_map and i + 1 < len(decoded):
+            if guards >> (pc_i >> 2) & 1 and i + 1 < len(decoded):
                 fused = self._try_fuse(pc_i, entry, decoded[i + 1][1])
                 if fused is not None:
                     ops.append(fused)
@@ -1420,17 +1553,13 @@ class SuperblockEngine:
             i += 1
         if call is not None:
             ops.append(call)
-
-        block = Superblock(start, end, ops, count, call is not None)
-        self._blocks[start] = block
-        self.translations += 1
-        return block
+        return BlockTemplate(ops, len(text), call is not None)
 
     # -- op construction ----------------------------------------------------
 
     def _row(self, pc: int, entry: tuple, role: int) -> tuple:
-        """The cost row of the ``Machine.predecode`` entry at ``pc``."""
-        _inst, _handler, klass, uses, defs = entry
+        """The cost row of the ``_derive`` entry at ``pc``."""
+        _inst, _word, klass, uses, defs = entry
         model = self.machine.model
         if model is None:
             return (pc, 0.0, 0.0, uses, defs, role)
@@ -1438,70 +1567,63 @@ class SuperblockEngine:
                 uses, defs, role)
 
     def _build_op(self, pc: int, entry: tuple) -> tuple:
-        inst, handler = entry[:2]
-        spec = self._specialize(pc, inst)
-        if spec is None:
-            exec_ = partial(handler, inst)
-            if inst.base in _PC_READING:
-                exec_ = _pc_fix(self.machine.cpu, pc, exec_)
-            spec = (K_GENERIC, exec_)
-        kind, exec_ = spec
+        inst, word = entry[:2]
+        kind, factory, args, *rel = self._specialize(pc, inst) or (
+            K_GENERIC, _t_generic, (inst if word is None else None, word),
+            (pc,))
         # Its one row takes everything the op returns: role == kind.
-        return (kind, exec_, (self._row(pc, entry, kind),))
+        return (kind, factory, args, rel[0] if rel else None,
+                (self._row(pc, entry, kind),))
 
     def _specialize(self, pc: int, inst: Instruction):
-        """Build a specialized thunk, or None for the generic fallback."""
+        """The recipe of a specialized thunk ``(kind, factory, args[, pc-
+        relative args])``, or None for the generic fallback.  ``pc`` and
+        every address ``inst`` was decoded to are displacements from the
+        block start."""
         M = self._M
-        machine = self.machine
-        cpu = machine.cpu
-        regs = cpu.regs
-        mem = machine.memory
         base = inst.base
         m = inst.mnemonic
         ops = inst.operands
 
         # -- branches ------------------------------------------------------
         if base == "b":
-            target = ops[0].value & MASK64 if isinstance(ops[0], Imm) \
-                else None
-            if target is None:
+            if not isinstance(ops[0], Imm):
                 return None
             if m == "b":
-                return (K_BRANCH, _t_b(cpu, target))
+                return (K_BRANCH, _t_b, (), (ops[0].value,))
             cond = self._canonical(m[2:])
             if cond is None:
                 return None
-            return (K_BRANCH, _t_bcond(cpu, cond, target))
+            return (K_BRANCH, _t_bcond, (cond,), (ops[0].value,))
         if base == "bl":
             if not isinstance(ops[0], Imm):
                 return None
-            return (K_BRANCH,
-                    _t_bl(cpu, regs, ops[0].value & MASK64, pc + 4))
+            return (K_BRANCH, _t_bl, (), (ops[0].value, pc + 4))
         if base == "br":
             if not _is_plain_gpr(ops[0]):
                 return None
-            return (K_BRANCH, _t_br(cpu, regs, ops[0].index))
+            return (K_BRANCH, _t_br, (ops[0].index,))
         if base == "blr":
             if not _is_plain_gpr(ops[0]):
                 return None
-            return (K_BRANCH, _t_blr(cpu, regs, ops[0].index, pc + 4))
+            return (K_BRANCH, _t_blr, (ops[0].index,), (pc + 4,))
         if base == "ret":
             reg = ops[0] if ops else LR
             if not _is_plain_gpr(reg):
                 return None
-            return (K_BRANCH, _t_br(cpu, regs, reg.index))
+            return (K_BRANCH, _t_br, (reg.index,))
         if base in ("cbz", "cbnz"):
             rt, target = ops
             if not _is_plain_gpr(rt) or not isinstance(target, Imm):
                 return None
-            return (K_BRANCH, _t_cb(cpu, regs, rt.index, rt.bits,
-                                    base == "cbz", target.value & MASK64))
+            return (K_BRANCH, _t_cb, (rt.index, rt.bits, base == "cbz"),
+                    (target.value,))
         if base in ("tbz", "tbnz"):
             rt, bit, target = ops
             if not _is_plain_gpr(rt) or not isinstance(target, Imm):
                 return None
-            return (K_BRANCH, _t_tb(cpu, regs, rt.index, bit.value,
-                                    base == "tbnz", target.value & MASK64))
+            return (K_BRANCH, _t_tb, (rt.index, bit.value, base == "tbnz"),
+                    (target.value,))
 
         # -- vector / floating point ---------------------------------------
         if ops and isinstance(ops[0], VecReg):
@@ -1512,8 +1634,8 @@ class SuperblockEngine:
             if all(isinstance(r, Reg) and r.is_vector for r in ops) \
                     and rd.bits == rn.bits == rm.bits \
                     and rd.bits in (32, 64):
-                return (K_SIMPLE, _t_fp2(
-                    cpu.vregs, rd.index, rn.index, rm.index, rd.bits,
+                return (K_SIMPLE, _t_fp2, (
+                    rd.index, rn.index, rm.index, rd.bits,
                     base, M._bits_to_float, M._float_to_bits))
             return None
 
@@ -1522,8 +1644,8 @@ class SuperblockEngine:
             if all(isinstance(r, Reg) and r.is_vector for r in ops) \
                     and rd.bits == rn.bits == rm.bits == ra.bits \
                     and rd.bits in (32, 64):
-                return (K_SIMPLE, _t_fp3(
-                    cpu.vregs, rd.index, rn.index, rm.index, ra.index,
+                return (K_SIMPLE, _t_fp3, (
+                    rd.index, rn.index, rm.index, ra.index,
                     rd.bits, base == "fmsub",
                     M._bits_to_float, M._float_to_bits))
             return None
@@ -1545,32 +1667,32 @@ class SuperblockEngine:
                 if isinstance(rm, (Imm, ShiftedImm)):
                     b = (rm.value << rm.shift if isinstance(rm, ShiftedImm)
                          else rm.value) & ((1 << width) - 1)
-                    return (K_SIMPLE, _t_addsub_flags_imm(
-                        cpu, regs, d, rn.index, b, width, sub))
+                    return (K_SIMPLE, _t_addsub_flags_imm, (
+                        d, rn.index, b, width, sub))
                 if _is_plain_gpr(rm) and rm.bits == width:
-                    return (K_SIMPLE, _t_addsub_flags_reg(
-                        cpu, regs, d, rn.index, rm.index, width, sub))
+                    return (K_SIMPLE, _t_addsub_flags_reg, (
+                        d, rn.index, rm.index, width, sub))
                 return None
             if not _is_plain_gpr(rd):
                 return None
             if isinstance(rm, (Imm, ShiftedImm)):
                 b = (rm.value << rm.shift if isinstance(rm, ShiftedImm)
                      else rm.value) & ((1 << width) - 1)
-                return (K_SIMPLE, _t_add_imm(regs, rd.index, rn.index, b,
-                                             width, sub))
+                return (K_SIMPLE, _t_add_imm, (rd.index, rn.index, b,
+                                               width, sub))
             if isinstance(rm, Reg) and _is_plain_gpr(rm) \
                     and rm.bits == width:
-                return (K_SIMPLE, _t_add_reg(regs, rd.index, rn.index,
-                                             rm.index, width, sub))
+                return (K_SIMPLE, _t_add_reg, (rd.index, rn.index,
+                                               rm.index, width, sub))
             if not sub and width == 64 and isinstance(rm, Extended) \
                     and rm.kind == "uxtw" and not rm.amount \
                     and _is_plain_gpr(rm.reg):
-                return (K_SIMPLE, _t_add_uxtw(regs, rd.index, rn.index,
-                                              rm.reg.index))
+                return (K_SIMPLE, _t_add_uxtw, (rd.index, rn.index,
+                                                rm.reg.index))
             if isinstance(rm, Shifted) and rm.kind == "lsl" \
                     and _is_plain_gpr(rm.reg) and rm.reg.bits == width:
-                return (K_SIMPLE, _t_addsub_shifted(
-                    regs, rd.index, rn.index, rm.reg.index,
+                return (K_SIMPLE, _t_addsub_shifted, (
+                    rd.index, rn.index, rm.reg.index,
                     rm.amount % width, width, sub))
             return None
 
@@ -1584,10 +1706,10 @@ class SuperblockEngine:
                     else src.value
                 if base == "movn":
                     v = ~v
-                return (K_SIMPLE, _t_mov_const(regs, rd.index, v & mask))
+                return (K_SIMPLE, _t_mov_const, (rd.index, v & mask))
             if base == "mov" and _is_plain_gpr(src):
-                return (K_SIMPLE, _t_mov_reg(regs, rd.index, src.index,
-                                             rd.bits))
+                return (K_SIMPLE, _t_mov_reg, (rd.index, src.index,
+                                               rd.bits))
             return None
 
         if base == "movk":
@@ -1597,15 +1719,17 @@ class SuperblockEngine:
             shift = src.shift if isinstance(src, ShiftedImm) else 0
             imm = src.value
             keep = ((1 << rd.bits) - 1) & ~(0xFFFF << shift)
-            return (K_SIMPLE, _t_movk(regs, rd.index, keep, imm << shift,
-                                      rd.bits))
+            return (K_SIMPLE, _t_movk, (rd.index, keep, imm << shift,
+                                        rd.bits))
 
         if base in ("adr", "adrp"):
             rd, src = ops
             if not _is_plain_gpr(rd) or not isinstance(src, Imm):
                 return None
-            return (K_SIMPLE,
-                    _t_mov_const(regs, rd.index, src.value & MASK64))
+            if base == "adr":
+                return (K_SIMPLE, _t_mov_const, (rd.index,), (src.value,))
+            return (K_SIMPLE, _t_adrp,
+                    (rd.index, (src.value >> 12) - (pc >> 12)), (pc,))
 
         if base in ("and", "orr", "eor"):
             rd, rn, rm = ops
@@ -1615,12 +1739,12 @@ class SuperblockEngine:
             width = rd.bits
             if isinstance(rm, Imm):
                 b = rm.value & ((1 << width) - 1)
-                return (K_SIMPLE, _t_logic_imm(regs, rd.index, rn.index, b,
-                                               width, base))
+                return (K_SIMPLE, _t_logic_imm, (rd.index, rn.index, b,
+                                                 width, base))
             if isinstance(rm, Reg) and _is_plain_gpr(rm) \
                     and rm.bits == width:
-                return (K_SIMPLE, _t_logic_reg(regs, rd.index, rn.index,
-                                               rm.index, width, base))
+                return (K_SIMPLE, _t_logic_reg, (rd.index, rn.index,
+                                                 rm.index, width, base))
             return None
 
         if base in ("lsl", "lsr", "asr"):
@@ -1628,9 +1752,9 @@ class SuperblockEngine:
             if not _is_plain_gpr(rd) or not _is_plain_gpr(rn) \
                     or not isinstance(src, Imm):
                 return None
-            return (K_SIMPLE, _t_shift_imm(regs, rd.index, rn.index,
-                                           src.value % rd.bits, rd.bits,
-                                           base))
+            return (K_SIMPLE, _t_shift_imm, (rd.index, rn.index,
+                                             src.value % rd.bits, rd.bits,
+                                             base))
 
         if base in ("madd", "msub") and len(ops) == 4:
             rd, rn, rm, ra = ops
@@ -1638,17 +1762,17 @@ class SuperblockEngine:
                     and _is_plain_gpr(rm) and _is_plain_gpr(ra)) \
                     or not rd.bits == rn.bits == rm.bits == ra.bits:
                 return None
-            return (K_SIMPLE, _t_madd(regs, rd.index, rn.index, rm.index,
-                                      ra.index, rd.bits, base == "msub"))
+            return (K_SIMPLE, _t_madd, (rd.index, rn.index, rm.index,
+                                        ra.index, rd.bits, base == "msub"))
 
         if base in ("ubfm", "sbfm") and len(ops) == 4:
             rd, rn, immr, imms = ops
             if not _is_plain_gpr(rd) or not _is_plain_gpr(rn) \
                     or rd.bits != rn.bits:
                 return None
-            return (K_SIMPLE, _t_bitfield(regs, rd.index, rn.index,
-                                          rd.bits, immr.value, imms.value,
-                                          base == "sbfm"))
+            return (K_SIMPLE, _t_bitfield, (rd.index, rn.index, rd.bits,
+                                            immr.value, imms.value,
+                                            base == "sbfm"))
 
         # -- memory --------------------------------------------------------
         if base in _UNSIGNED_LOADS or base in _SIGNED_LOADS:
@@ -1665,12 +1789,10 @@ class SuperblockEngine:
                 size = access_bytes(inst)
                 vmask = (1 << rt.bits) - 1
                 if mode == "imm":
-                    return (K_MEM, _t_vload(cpu.vregs, regs, cpu, mem.read,
-                                            rt.index, base_i, imm, size,
-                                            vmask, sp_base))
-                return (K_MEM, _t_vload_uxtw(cpu.vregs, regs, mem.read,
-                                             rt.index, base_i, w_i, size,
-                                             vmask))
+                    return (K_MEM, _t_vload, (rt.index, base_i, imm, size,
+                                              vmask, sp_base))
+                return (K_MEM, _t_vload_uxtw, (rt.index, base_i, w_i, size,
+                                               vmask))
             if not (rt.is_zero or _is_plain_gpr(rt)):
                 return None
             if rt.is_zero:
@@ -1682,11 +1804,10 @@ class SuperblockEngine:
                 return None
             mode, base_i, sp_base, imm, w_i = form
             if mode == "imm":
-                return (K_MEM, _t_load(regs, cpu, mem.read, rt.index,
-                                       base_i, imm, size, signed_bits,
-                                       rt.bits, sp_base))
-            return (K_MEM, _t_load_uxtw(regs, mem.read, rt.index, base_i,
-                                        w_i, size, signed_bits, rt.bits))
+                return (K_MEM, _t_load, (rt.index, base_i, imm, size,
+                                         signed_bits, rt.bits, sp_base))
+            return (K_MEM, _t_load_uxtw, (rt.index, base_i, w_i, size,
+                                          signed_bits, rt.bits))
 
         if base in _SIMPLE_STORES:
             rt, memop = ops[0], ops[1]
@@ -1700,12 +1821,10 @@ class SuperblockEngine:
                 size = access_bytes(inst)
                 vmask = (1 << rt.bits) - 1
                 if mode == "imm":
-                    return (K_MEM, _t_vstore(cpu.vregs, regs, cpu,
-                                             mem.write, rt.index, base_i,
-                                             imm, size, vmask, sp_base))
-                return (K_MEM, _t_vstore_uxtw(cpu.vregs, regs, mem.write,
-                                              rt.index, base_i, w_i, size,
-                                              vmask))
+                    return (K_MEM, _t_vstore, (rt.index, base_i, imm, size,
+                                               vmask, sp_base))
+                return (K_MEM, _t_vstore_uxtw, (rt.index, base_i, w_i, size,
+                                                vmask))
             if not (rt.is_zero or _is_plain_gpr(rt)):
                 return None
             size = access_bytes(inst)
@@ -1715,10 +1834,10 @@ class SuperblockEngine:
             mode, base_i, sp_base, imm, w_i = form
             t = 0 if rt.is_zero else rt.index
             if mode == "imm":
-                return (K_MEM, _t_store(regs, cpu, mem.write, t, base_i,
-                                        imm, size, sp_base, rt.is_zero))
-            return (K_MEM, _t_store_uxtw(regs, mem.write, t, base_i, w_i,
-                                         size, rt.is_zero))
+                return (K_MEM, _t_store, (t, base_i, imm, size, sp_base,
+                                          rt.is_zero))
+            return (K_MEM, _t_store_uxtw, (t, base_i, w_i, size,
+                                           rt.is_zero))
 
         if base in ("ldp", "stp"):
             rt, rt2, memop = ops
@@ -1733,10 +1852,8 @@ class SuperblockEngine:
             mode, base_i, sp_base, imm, _w_i = form
             if mode != "imm":
                 return None
-            factory = _t_ldp if base == "ldp" else _t_stp
-            accessor = mem.read if base == "ldp" else mem.write
-            return (K_MEM, factory(regs, cpu, accessor, rt.index,
-                                   rt2.index, base_i, imm, sp_base))
+            return (K_MEM, _t_ldp if base == "ldp" else _t_stp,
+                    (rt.index, rt2.index, base_i, imm, sp_base))
 
         return None
 
@@ -1757,15 +1874,13 @@ class SuperblockEngine:
             return None
         if not (rd.arrangement == rn.arrangement == rm.arrangement):
             return None
-        vregs = self.machine.cpu.vregs
         d, n, m = rd.reg.index, rn.reg.index, rm.reg.index
         bits = rd.lane_bits
         lanes = rd.lanes
         if base in ("and", "orr", "eor"):
             full_mask = (1 << (lanes * bits)) - 1
-            return (K_SIMPLE,
-                    _t_vec3_bitwise(vregs, d, n, m, full_mask, base))
-        return (K_SIMPLE, _t_vec3_lanes(vregs, d, n, m, lanes, bits, base))
+            return (K_SIMPLE, _t_vec3_bitwise, (d, n, m, full_mask, base))
+        return (K_SIMPLE, _t_vec3_lanes, (d, n, m, lanes, bits, base))
 
     @staticmethod
     def _mem_form(memop: Mem):
@@ -1807,18 +1922,14 @@ class SuperblockEngine:
                   access_entry: tuple) -> Optional[tuple]:
         """Fuse a verified guard instruction with its consumer.
 
-        Returns a two-row op — the guard's row, then the consumer's, so
-        both are charged in retire order and cycle accounting stays
-        bit-identical to stepping — or None.
+        Returns the recipe of a two-row op — the guard's row, then the
+        consumer's, so both are charged in retire order and cycle
+        accounting stays bit-identical to stepping — or None.
         """
-        machine = self.machine
-        cpu = machine.cpu
-        regs = cpu.regs
-        mem = machine.memory
         guard, access = guard_entry[0], access_entry[0]
         gops = guard.operands
 
-        fused_exec = None
+        fused = None  # (factory, args[, pc-relative args])
         # A guarded load/store unless a pattern below says otherwise.
         kind, role = K_MEM, R_MEM
 
@@ -1837,9 +1948,8 @@ class SuperblockEngine:
             if ab in ("br", "blr", "ret"):
                 reg = aops[0] if aops else LR
                 if _is_plain_gpr(reg) and reg.index == g_d:
-                    link = pc + 8 if ab == "blr" else None
-                    fused_exec = _t_fused_guard_branch(cpu, regs, g_d, g_s,
-                                                       base_i, link)
+                    fused = (_t_fused_guard_branch, (g_d, g_s, base_i),
+                             (pc + 8,) if ab == "blr" else None)
                     kind, role = K_BRANCH, R_TAKEN
             elif (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
                     or ab in _SIMPLE_STORES) and len(aops) == 2 \
@@ -1854,13 +1964,13 @@ class SuperblockEngine:
                     is_store = ab in _SIMPLE_STORES
                     if is_store and (rt.is_zero or _is_plain_gpr(rt)):
                         t = 0 if rt.is_zero else rt.index
-                        fused_exec = _t_fused_guard_store(
-                            regs, mem.write, g_d, g_s, t, imm, size,
-                            base_i, rt.is_zero)
+                        fused = (_t_fused_guard_store, (
+                            g_d, g_s, t, imm, size,
+                            base_i, rt.is_zero))
                     elif not is_store and _is_plain_gpr(rt):
-                        fused_exec = _t_fused_guard_load(
-                            regs, mem.read, g_d, g_s, rt.index, imm, size,
-                            _SIGNED_LOADS.get(ab), rt.bits, base_i)
+                        fused = (_t_fused_guard_load, (
+                            g_d, g_s, rt.index, imm, size,
+                            _SIGNED_LOADS.get(ab), rt.bits, base_i))
 
         # Pattern 2: offset fold  add/sub wD, wS, #imm  +
         #            op [Xb, wD, uxtw]  (Table 3 rows 2, 5-7).
@@ -1886,14 +1996,14 @@ class SuperblockEngine:
                     is_store = ab in _SIMPLE_STORES
                     if is_store and (rt.is_zero or _is_plain_gpr(rt)):
                         t = 0 if rt.is_zero else rt.index
-                        fused_exec = _t_fused_offset_store(
-                            regs, mem.write, o_d, o_s, o_imm, o_sub, t,
-                            size, base_i, rt.is_zero)
+                        fused = (_t_fused_offset_store, (
+                            o_d, o_s, o_imm, o_sub, t,
+                            size, base_i, rt.is_zero))
                     elif not is_store and _is_plain_gpr(rt):
-                        fused_exec = _t_fused_offset_load(
-                            regs, mem.read, o_d, o_s, o_imm, o_sub,
+                        fused = (_t_fused_offset_load, (
+                            o_d, o_s, o_imm, o_sub,
                             rt.index, size, _SIGNED_LOADS.get(ab),
-                            rt.bits, base_i)
+                            rt.bits, base_i))
 
         # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD  (the
         #            decoder spells the mov ``add wD, wsp, #0``).
@@ -1916,11 +2026,12 @@ class SuperblockEngine:
                         and not src.amount and _is_plain_gpr(src.reg) \
                         and src.reg.bits == 64
                 if src_ok and src_reg.index == w_d:
-                    fused_exec = _t_fused_sp_guard(cpu, regs, w_d,
-                                                   aops[1].index)
+                    fused = (_t_fused_sp_guard, (w_d, aops[1].index))
                     kind, role = K_SIMPLE, R_PLAIN
 
-        if fused_exec is None:
+        if fused is None:
             return None
-        return (kind, fused_exec, (self._row(pc, guard_entry, R_PLAIN),
-                                   self._row(pc + 4, access_entry, role)))
+        factory, args, *rel = fused
+        return (kind, factory, args, rel[0] if rel else None,
+                (self._row(pc, guard_entry, R_PLAIN),
+                 self._row(pc + 4, access_entry, role)))

@@ -9,7 +9,6 @@ for stack-pointer guard elision and write protection of code.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
@@ -78,6 +77,7 @@ class PagedMemory:
         #: (single-address-space copy-on-write fork, paper §5.3).
         self._cow: set = set()
         self.cow_copies = 0
+        self._zeros = bytes(page_size)
         #: Optional callback ``(address, size)`` invoked on every
         #: permission-checked write.  The containment auditor uses it to
         #: attribute stores to the sandbox that issued them.
@@ -204,10 +204,9 @@ class PagedMemory:
         detect clean pages by identity).
         """
         ps = self.page_size
-        zeros = bytes(ps)
         for page in sorted(self._in_range(self._pages, lo, hi)):
             buf = self._pages[page]
-            if buf != zeros:
+            if buf != self._zeros:
                 if cow:
                     self._cow.add(page)
                 yield page * ps, buf
@@ -281,10 +280,20 @@ class PagedMemory:
 
     def fetch(self, address: int) -> int:
         """Fetch one instruction word (requires execute permission)."""
+        buf, offset = self.fetch_page(address)
+        return int.from_bytes(buf[offset:offset + 4], "little")
+
+    def fetch_page(self, address: int) -> Tuple[bytes, int]:
+        """The page holding the instruction at ``address`` (zeros if never
+        written; read it, never write it) and the offset in it: every
+        check of a fetch — alignment, mapped, execute permission — made
+        once for all the words up to the end of the page."""
         if address % 4:
             raise MemoryFault("align", address, "execute")
-        self._check(address, 4, PERM_X, "execute")
-        return struct.unpack("<I", self._raw_read(address, 4))[0]
+        page, offset = divmod(address, self.page_size)
+        if not self._perms.get(page, PERM_NONE) & PERM_X:
+            self._check(address, 4, PERM_X, "execute")  # raises the fault
+        return self._pages.get(page, self._zeros), offset
 
     # Raw accessors skip permission checks (used by the loader/runtime);
     # only a page missing from the permission table is unmapped.

@@ -62,24 +62,24 @@ def load_image(
                 )
 
     # Runtime-call table page: read-only, first page of the sandbox (§4.4).
-    memory.map_region(layout.table_base, PAGE_SIZE, PERM_RW)
+    # Mapped with its final permissions: ``PagedMemory.load_image`` is the
+    # loader's own path and writes whatever they are.
+    memory.map_region(layout.table_base, PAGE_SIZE, PERM_R)
     memory.load_image(layout.table_base, build_table_page())
-    memory.protect(layout.table_base, PAGE_SIZE, PERM_R)
 
     highest = layout.usable_base
     for segment in image.segments:
         abs_addr = layout.base + segment.vaddr
         base, size = _page_span(abs_addr, segment.memsz)
-        memory.map_region(base, size, PERM_RW)
-        if segment.data:
-            memory.load_image(abs_addr, bytes(segment.data))
         if segment.flags & PF_X:
             perm = PERM_RX
         elif segment.flags & PF_W:
             perm = PERM_RW
         else:
             perm = PERM_R
-        memory.protect(base, size, perm)
+        memory.map_region(base, size, perm)
+        if segment.data:
+            memory.load_image(abs_addr, bytes(segment.data))
         highest = max(highest, base + size)
 
     # Stack: top of the usable region, growing down toward the heap.

@@ -20,6 +20,7 @@ an unmapped page so a stray call traps.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Dict
 
@@ -99,13 +100,12 @@ def table_offset(call: int) -> int:
     return call * 8
 
 
+@functools.lru_cache(maxsize=None)
 def build_table_page() -> bytes:
-    """The read-only first page: entry addresses, then unmapped fillers."""
-    entries = PAGE_SIZE // 8
-    out = bytearray()
-    for slot in range(entries):
-        if slot in RuntimeCall.ALL:
-            out += struct.pack("<Q", entry_address(slot))
-        else:
-            out += struct.pack("<Q", UNMAPPED_ENTRY)
-    return bytes(out)
+    """The read-only first page: entry addresses, then unmapped fillers.
+
+    The same for every sandbox, so built once per process.
+    """
+    slots = [entry_address(slot) if slot in RuntimeCall.ALL
+             else UNMAPPED_ENTRY for slot in range(PAGE_SIZE // 8)]
+    return struct.pack(f"<{len(slots)}Q", *slots)

@@ -7,7 +7,8 @@ import pytest
 from repro.arm64 import parse_assembly
 from repro.arm64.assembler import assemble
 from repro.elf import PF_X, build_elf
-from repro.emulator import HltTrap, Machine
+from repro.emulator import HltTrap, Machine, superblock
+from repro.emulator import machine as machine_module
 from repro.memory import PERM_RW, PERM_RX, PagedMemory
 
 
@@ -21,6 +22,13 @@ def load_elf_into(memory: PagedMemory, elf) -> None:
         memory.load_image(seg.vaddr, seg.data)
         memory.protect(base, end - base,
                        PERM_RX if seg.flags & PF_X else PERM_RW)
+
+
+def flush_translation_caches() -> None:
+    """Forget every block template and word fact the process has derived:
+    the next start of any image is a first start."""
+    superblock._TEMPLATES.clear()
+    machine_module.WORD_FACTS.clear()
 
 
 def run_asm(source: str, model=None, max_steps: int = 1_000_000,

@@ -1,0 +1,453 @@
+"""Block templates: translate once per content, instantiate per slot.
+
+``SuperblockEngine._translate`` looks a block's translation up by the
+bytes the guest holds (plus the guard positions and the cost model) in a
+process-wide cache and binds it to the machine and the start address
+(DESIGN.md §10).  These tests pin what that must not change: every start
+of an image — cold in a fresh slot, warm clone, checkpoint resume — is the
+stepping interpreter's twin whether its templates were derived for it or
+found; the same words in different surroundings get different
+translations; a slot that patches its text diverges alone; and neither
+the cap nor the cache's temperature shows in any deterministic output.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro import EngineConfig
+from repro.arm64 import parse_assembly
+from repro.arm64.assembler import assemble
+from repro.checkpoint import Checkpoint, canonical_registers, \
+    capture_job, memory_digest, restore_job
+from repro.cluster.worker import execute_job_steps
+from repro.core import O0, O2
+from repro.elf import build_elf, write_elf
+from repro.emulator import APPLE_M1, HltTrap, HostCallTrap, Machine, \
+    MemTrap, superblock
+from repro.fuzz.corpus import entry_elf, load_corpus
+from repro.fuzz.genasm import AsmGenerator
+from repro.memory import PERM_RW, PERM_RX, PagedMemory
+from repro.obs import Tracer
+from repro.obs.chrome import export_chrome_trace
+from repro.runtime import Runtime
+from repro.toolchain import compile_lfi, compile_native
+from repro.workloads import WASM_SUBSET
+from repro.workloads.rtlib import prologue, rt_exit
+from repro.workloads.spec import arena_bss_size, build_benchmark
+
+from . import test_superblock as rows
+from .conftest import flush_translation_caches as flush
+
+ENGINES = ("stepping", "superblock")
+SLICE = 500
+PAUSE = 1000
+
+
+def kernel(name, options=O2, target=4_000):
+    asm = build_benchmark(name, target_instructions=target)
+    bss = arena_bss_size(name)
+    if options is None:
+        return compile_native(asm, bss_size=bss).elf
+    return compile_lfi(asm, options=options, bss_size=bss).elf
+
+
+def images():
+    """(elf builder, verify) of every corpus entry that loads, the seven
+    Table-4 kernels at O0 / O2 / native, and eight generated programs.
+    The corpus's raw machine-code entries are what the verifier rejects;
+    they run unverified, like native code."""
+    out = []
+    for entry in load_corpus():
+        if entry.kind == "machine":
+            out.append(pytest.param(lambda e=entry: entry_elf(e), False,
+                                    id=entry.name))
+        elif entry.expect != "reject":
+            out.append(pytest.param(
+                lambda e=entry: compile_lfi(e.source, options=O2).elf, True,
+                id=entry.name))
+    for name in sorted(WASM_SUBSET):
+        for label, options in (("O0", O0), ("O2", O2), ("native", None)):
+            out.append(pytest.param(
+                lambda n=name, o=options: kernel(n, o), options is not None,
+                id=f"{name}-{label}"))
+    for seed in range(8):
+        out.append(pytest.param(
+            lambda s=seed: compile_lfi(
+                AsmGenerator().generate(random.Random(1800 + s)).source).elf,
+            True, id=f"genasm-{seed}"))
+    return out
+
+
+def four_starts(kind, elf, verify, model):
+    """One image started four ways in one runtime: cold in slot A (paused
+    and checkpointed on the way), cold in slot B, as a warm clone, and by
+    resuming A's checkpoint.  Per start: what any start must reproduce,
+    what only the engine twin must, and the engine's counters."""
+    # (Not slot 1: a 32-bit offset there can look like a pointer into the
+    # guard region below the slot, and be canonicalised as one.)
+    runtime = Runtime(model=model, timeslice=SLICE, first_slot=2,
+                      engine=EngineConfig(kind=kind))
+    machine = runtime.machine
+    blob, consumed = None, 0
+    out = []
+    for label in ("A", "B", "clone", "resume"):
+        tracer = Tracer().attach(runtime)
+        stats0 = machine.engine_stats()
+        instret0, cycles0, faults0 = \
+            machine.instret, machine.cycles, len(runtime.faults)
+        resumed = 0
+        if label == "clone":
+            proc = runtime.spawn_clone(
+                runtime.load_template(elf, verify=verify))
+        elif label == "resume" and blob is not None:
+            proc = restore_job(runtime, Checkpoint.from_bytes(blob))
+            resumed = consumed
+        else:  # a job that ended before the pause is started again
+            proc = runtime.spawn(elf, verify=verify)
+        if label == "A" and not runtime.run_bounded(proc, PAUSE):
+            blob = capture_job(runtime, proc).to_bytes()
+            consumed = machine.instret - instret0
+        runtime.run()
+        tracer.detach()
+        same = {
+            "registers": canonical_registers(proc.registers, proc.layout),
+            "memory": memory_digest(runtime.memory, proc.layout),
+            "stdout": runtime.stdout_of(proc), "exit": proc.exit_code,
+            "instret": resumed + machine.instret - instret0,
+            "faults": [(f.kind, f.pc - proc.layout.base)
+                       for f in runtime.faults[faults0:]],
+        }
+        twin = {"cycles": machine.cycles - cycles0,
+                "trace": export_chrome_trace(tracer.events)}
+        stats = {name: value - stats0[name]
+                 for name, value in machine.engine_stats().items()}
+        out.append((label, same, twin, stats))
+        runtime.reap(proc)
+        runtime.reclaim(proc)
+    return out
+
+
+class TestEveryStartIsTheSteppingTwin:
+    @pytest.mark.parametrize("model", [None, APPLE_M1],
+                             ids=["uncosted", "m1"])
+    @pytest.mark.parametrize("build, verify", images())
+    def test_miss_then_hits(self, build, verify, model):
+        elf = build()
+        flush()
+        stepped = four_starts("stepping", elf, verify, model)
+        flush()
+        blocky = four_starts("superblock", elf, verify, model)
+        for (label, same, twin, _), (_, same_b, twin_b, stats) \
+                in zip(stepped, blocky):
+            assert same_b == same, label
+            assert twin_b == twin, label
+            assert stats["translations"] == \
+                stats["template_hits"] + stats["template_misses"] > 0
+            if label == "A":
+                assert stats["template_misses"] > 0
+            else:
+                assert stats["template_misses"] == 0, label
+                if verify:
+                    # Only sandboxed code is position-independent.  (And
+                    # a resumed slot still holds the absolute pointers the
+                    # guest spilled in the slot it was captured in.)
+                    assert same == dict(
+                        stepped[0][1], **{"memory": same["memory"]}
+                        if label == "resume" else {}), label
+        # Every start compiles the blocks the first one did, from the
+        # one code object its template holds.
+        assert len({stats["compiled_blocks"]
+                    for label, _, _, stats in blocky
+                    if label in ("A", "B", "clone")}) == 1
+
+    def test_hot_blocks_compile_once_per_content(self, monkeypatch):
+        calls = []
+        compile_ = superblock.SuperblockEngine._compile
+        monkeypatch.setattr(
+            superblock.SuperblockEngine, "_compile",
+            lambda self, template: calls.append(1) or compile_(self,
+                                                               template))
+        flush()
+        blocky = four_starts("superblock", kernel("505.mcf"), True, APPLE_M1)
+        per_start = [stats["compiled_blocks"] for _, _, _, stats in blocky]
+        assert per_start[0] > 0 and per_start[0] == per_start[1]
+        assert len(calls) == per_start[0]
+
+
+# -- the same words in different surroundings ---------------------------------
+
+TEXT = 0x40_0000
+STACK = 0x7000_0000
+
+
+def words_of(source):
+    elf = build_elf(assemble(parse_assembly(source)))
+    return next(bytes(seg.data) for seg in elf.segments if seg.flags & 1)
+
+
+def bare(kind, words, at, model=None, host=(), guards=()):
+    """A bare machine about to run ``words`` placed at ``at``."""
+    memory = PagedMemory()
+    page = memory.page_size
+    lo = at & ~(page - 1)
+    memory.map_region(lo, 2 * page, PERM_RX)
+    memory.load_image(at, words)
+    memory.map_region(STACK - page, page, PERM_RW)
+    machine = Machine(memory, model=model, engine=EngineConfig(kind=kind))
+    for address in host:
+        machine.register_host_entry(address)
+    machine.guard_map = {address: "test" for address in guards}
+    machine.cpu.pc = at
+    machine.cpu.sp = STACK
+    machine.cpu.regs[21] = STACK - page
+    return machine
+
+
+def outcome(machine, fuel=10_000):
+    with pytest.raises((HltTrap, HostCallTrap, MemTrap)) as info:
+        machine.run(fuel=fuel)
+    cpu = machine.cpu
+    return (type(info.value), info.value.pc, cpu.pc, cpu.sp,
+            list(cpu.regs), machine.instret, machine.cycles)
+
+
+def twins(words, at, **kwargs):
+    """The outcome of both engines, which must agree, and the blocky one."""
+    stepped, blocky = (bare(kind, words, at, **kwargs) for kind in ENGINES)
+    result = outcome(stepped)
+    assert outcome(blocky) == result
+    return result, blocky
+
+
+STRAIGHT = words_of("""
+    add x0, x0, #1
+    add x1, x0, #2
+    add x2, x1, #3
+    add x3, x2, #4
+    add x4, x3, #5
+    add x5, x4, #6
+    hlt
+""")
+
+
+class TestSameWordsDifferentSurroundings:
+    @pytest.mark.parametrize("model", [None, APPLE_M1])
+    def test_guard_map_is_part_of_the_key(self, model):
+        """Identical text loaded with and without provenance (an LFI load
+        and a native load): fused in one slot, not in the other."""
+        elf = kernel("505.mcf", O0)
+        bare_elf = kernel("505.mcf", O0)
+        bare_elf.provenance = {}
+        assert elf.provenance
+        seen = {}
+        for kind in ENGINES:
+            flush()
+            runtime = Runtime(model=model, engine=EngineConfig(kind=kind))
+            for label, image in (("lfi", elf), ("bare", bare_elf)):
+                before = runtime.machine.engine_stats()
+                instret, cycles = \
+                    runtime.machine.instret, runtime.machine.cycles
+                proc = runtime.spawn(image)
+                assert runtime.run_until_exit(proc) == 0
+                after = runtime.machine.engine_stats()
+                seen[kind, label] = (
+                    runtime.machine.instret - instret,
+                    runtime.machine.cycles - cycles,
+                    canonical_registers(proc.registers, proc.layout),
+                    memory_digest(runtime.memory, proc.layout))
+                if kind == "superblock":
+                    # The words were all seen, the surroundings were not.
+                    assert after["template_misses"] \
+                        > before["template_misses"]
+        for label in ("lfi", "bare"):
+            assert seen["superblock", label] == seen["stepping", label]
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1])
+    @pytest.mark.parametrize("before_cut", [1, 2, 5])
+    def test_run_cut_by_the_page_end(self, before_cut, model):
+        page = PagedMemory().page_size
+        flush()
+        whole, _ = twins(STRAIGHT, TEXT, model=model)
+        at = TEXT + page - 4 * before_cut
+        cut, blocky = twins(STRAIGHT, at, model=model)
+        assert blocky._sb.block_at(at).end == TEXT + page
+        assert blocky._sb.block_at(at).count == before_cut
+        assert cut[4] == whole[4] and cut[5:] == whole[5:]
+        assert cut[1] - at == whole[1] - TEXT
+
+    def test_run_cut_by_a_host_entry(self):
+        flush()
+        whole, _ = twins(STRAIGHT, TEXT)
+        cut, blocky = twins(STRAIGHT, TEXT, host=[TEXT + 12])
+        assert cut[0] is HostCallTrap and cut[1] == TEXT + 12
+        assert cut[5] == 3 and whole[5] == 6
+        assert blocky._sb.block_at(TEXT).count == 3
+        again, _ = twins(STRAIGHT, TEXT)
+        assert again == whole
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1])
+    def test_pc_relative_ops_at_two_bases(self, model):
+        words = words_of("""
+        first:
+            adr x0, first
+            adrp x1, first
+            adrp x5, first+20480
+            bl next
+        next:
+            mov x2, x30
+            adr x3, last
+            blr x3
+        last:
+            mov x4, x30
+            cbz xzr, done
+            hlt
+        done:
+            adr x6, done
+            hlt
+        """)
+        flush()
+        delta = 0x1238  # not a multiple of 4 KiB: the adrp pages move
+        first, _ = twins(words, TEXT, model=model)
+        second, blocky = twins(words, TEXT + delta, model=model)
+        assert blocky.engine_stats()["template_misses"] == 0
+        for reg in (0, 2, 3, 4, 6):
+            assert second[4][reg] == first[4][reg] + delta, reg
+        for reg, far in ((1, 0), (5, 0x5000)):
+            assert first[4][reg] == (TEXT + far) & ~0xFFF
+            assert second[4][reg] == (TEXT + delta + far) & ~0xFFF
+        assert second[1] == first[1] + delta  # the hlt after ``done``
+
+
+# -- a slot that patches its text ---------------------------------------------
+
+COUNT = prologue() + """
+    mov x0, #0
+    mov x1, #40
+loop:
+    add x0, x0, #1
+    sub x1, x1, #1
+    cbnz x1, loop
+""" + rt_exit()
+
+
+class TestTextPatchIsSlotLocal:
+    @pytest.mark.parametrize("model", [None, APPLE_M1])
+    def test_patched_slot_diverges_alone(self, model):
+        elf = compile_lfi(COUNT, options=O2).elf
+        text = next(seg for seg in elf.segments if seg.flags & 1)
+        add = bytes(text.data).index(bytes.fromhex("00040091"))  # the add
+        exits = {}
+        for kind in ENGINES:
+            flush()
+            runtime = Runtime(model=model, timeslice=16,
+                              engine=EngineConfig(kind=kind))
+            a, b = runtime.spawn(elf), runtime.spawn(elf)
+            # Both are mid-loop, their blocks cached, before B is patched.
+            assert not runtime.run_bounded(b, 48)
+            memory = runtime.memory
+            address = b.layout.base + text.vaddr + add
+            page = address & ~(memory.page_size - 1)
+            memory.protect(page, memory.page_size, PERM_RW)
+            memory.write(address, bytes.fromhex("00080091"))  # #1 -> #2
+            memory.protect(page, memory.page_size, PERM_RX)
+            runtime.run()
+            before = runtime.machine.engine_stats()
+            c = runtime.spawn(elf)
+            runtime.run()
+            if kind == "superblock":
+                after = runtime.machine.engine_stats()
+                assert after["template_misses"] == before["template_misses"]
+                assert after["translations"] > before["translations"]
+            exits[kind] = (a.exit_code, b.exit_code, c.exit_code,
+                           runtime.machine.instret, runtime.machine.cycles)
+        assert exits["superblock"] == exits["stepping"]
+        a_code, b_code, c_code = exits["stepping"][:3]
+        assert a_code == c_code == 40 and 40 < b_code <= 80
+
+
+# -- faults in the middle of an op, on a hit ----------------------------------
+
+class TestFaultsOnAHit:
+    @pytest.mark.parametrize("tier", ["cold", "compiled"])
+    @pytest.mark.parametrize("shape", ["fused-guard-load", "mem-load",
+                                       "fused-offset-fold", "call-tail"])
+    def test_trap_pc_and_partial_instret(self, shape, tier):
+        shapes = rows.TestRowShapes()
+        cut, _end = shapes._last_top(shape, tier)
+        flush()
+        states, engines = [], []
+        for _round in range(2):
+            _symbols, machines = shapes._pair(shape, tier)
+            for machine in machines:
+                assert isinstance(shapes._drive(machine, cut),
+                                  rows.OutOfFuel)
+                machine.memory.unmap(rows.DATA, machine.memory.page_size)
+                states.append(shapes._state(machine,
+                                            shapes._drive(machine, 100)))
+            engines.append(machines[1].engine_stats())
+        assert states[0]["trap"][0] is MemTrap
+        assert states[1] == states[2] == states[3] == states[0]
+        assert engines[0]["template_misses"] > 0
+        assert engines[1]["template_misses"] == 0
+        assert engines[1]["compiled_blocks"] \
+            == engines[0]["compiled_blocks"] \
+            and (engines[0]["compiled_blocks"] > 0) == (tier == "compiled")
+
+
+# -- the cap, and the cache's temperature -------------------------------------
+
+def costed_run(elf):
+    runtime = Runtime(model=APPLE_M1)
+    proc = runtime.spawn(elf)
+    code = runtime.run_until_exit(proc)
+    stats = runtime.machine.engine_stats()
+    return (code, runtime.machine.instret, runtime.machine.cycles,
+            runtime.stdout_of(proc), proc.registers,
+            memory_digest(runtime.memory, proc.layout),
+            stats["translations"], stats["compiled_blocks"],
+            stats["invalidations"], stats["chain_links"])
+
+
+class TestCapAndTemperature:
+    def test_a_cache_of_four_templates_changes_nothing(self, monkeypatch):
+        elf = kernel("541.leela", target=8_000)
+        flush()
+        uncapped = costed_run(elf)
+        assert len(superblock._TEMPLATES) > 4
+        monkeypatch.setattr(superblock, "_TEMPLATE_CAP", 4)
+        flush()
+        assert costed_run(elf) == uncapped
+        assert len(superblock._TEMPLATES) <= 4
+        assert costed_run(elf) == uncapped
+        assert uncapped[7] > 0
+
+    def test_same_job_cold_and_hot(self):
+        """One job twice in one process: the second finds every template,
+        and nothing deterministic — trace, metrics snapshot, result —
+        tells the two apart."""
+        program = write_elf(kernel("519.lbm"))
+        payloads, stats = [], []
+        flush()
+        for _start in range(2):
+            runtime = Runtime(model=APPLE_M1, timeslice=SLICE)
+            steps = execute_job_steps(
+                runtime, None, {"job_id": 0, "program": program},
+                checkpoint_interval=PAUSE, record_trace=True)
+            cmd = None
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    steps.send(cmd)
+                    cmd = {}
+            payloads.append(stop.value.value)
+            stats.append(runtime.machine.engine_stats())
+        assert payloads[0]["diag"]["status"] == "ok"
+        assert payloads[0]["trace"] and payloads[0]["metrics"]
+        assert payloads[1] == payloads[0]
+        assert stats[0]["template_misses"] > 0
+        assert stats[1]["template_misses"] == 0
+        for name in ("translations", "compiled_blocks", "invalidations",
+                     "chain_links", "fused_calls"):
+            assert stats[1][name] == stats[0][name], name

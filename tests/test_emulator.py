@@ -483,7 +483,7 @@ class TestCodeInvalidation:
         with pytest.raises(HltTrap):
             machine.run(fuel=10_000)
         assert machine.cpu.regs[0] == 10
-        assert machine._sb.cached_blocks > 0
+        assert machine.engine_stats()["cached_blocks"] > 0
 
         # Patch `add x0, x0, #1` into `add x0, x0, #2` (imm field +1).
         memory = machine.memory
@@ -505,7 +505,7 @@ class TestCodeInvalidation:
         machine, elf, HltTrap = self._fresh_machine()
         with pytest.raises(HltTrap):
             machine.run(fuel=10_000)
-        assert machine._sb.cached_blocks > 0
+        assert machine.engine_stats()["cached_blocks"] > 0
         memory = machine.memory
         page = elf.entry & ~(memory.page_size - 1)
         memory.unmap(page, memory.page_size)

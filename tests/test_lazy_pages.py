@@ -43,6 +43,8 @@ from repro.workloads import WASM_SUBSET
 from repro.workloads.rtlib import prologue, rt_exit, rtcall
 from repro.workloads.spec import arena_bss_size, build_benchmark
 
+from .conftest import flush_translation_caches
+
 PS = 256          # small pages: straddling accesses are common
 NPAGES = 24       # the whole playground, so regions collide often
 PERMS = (0, PERM_R, PERM_W, PERM_RW, PERM_RX)
@@ -479,7 +481,7 @@ class TestPredecodeMemo:
                             runtime.stdout_of(proc)))
             runtime.reclaim(proc)
             if forget:
-                runtime.machine._word_memo.clear()
+                flush_translation_caches()
         return results
 
     @pytest.mark.parametrize("kind", ["stepping", "superblock"])

@@ -162,7 +162,7 @@ class TestObservability:
             lambda m, pc, klass, delta: seen.append(pc))
         with pytest.raises(HltTrap):
             machine.run(fuel=10_000)
-        assert machine._sb.translations == 0
+        assert machine.engine_stats()["translations"] == 0
         # The probe saw every retired instruction, not one per block.
         assert len([pc for pc in seen if pc is not None]) == machine.instret
 
@@ -228,8 +228,9 @@ class TestInvalidation:
         runtime, proc = self._runtime_with_cached_proc()
         runtime.run()
         sb = runtime.machine._sb
-        assert sb.cached_blocks > 0
-        before = sb.cached_blocks
+        stats = runtime.machine.engine_stats
+        before = stats()["cached_blocks"]
+        assert before > 0
         lo = proc.layout.base
         hi = proc.layout.end
         # Re-mapping the slot (exec-into-fresh-image style) must drop
@@ -239,13 +240,12 @@ class TestInvalidation:
         spanning = [s for s in list(sb._blocks)
                     if lo <= s < hi]
         runtime.memory.unmap(lo + 64 * page, page)
-        assert sb.invalidations >= 0  # counters exist and move below
-        count0 = sb.invalidations
+        count0 = stats()["invalidations"]
         # Now invalidate the whole slot the way exec/munmap would.
         runtime.machine.invalidate_code(lo, hi - lo)
         assert all(sb.block_at(s) is None for s in spanning)
-        assert sb.invalidations >= count0 + len(spanning)
-        assert sb.cached_blocks <= before - len(spanning)
+        assert stats()["invalidations"] >= count0 + len(spanning)
+        assert stats()["cached_blocks"] <= before - len(spanning)
 
     def test_invalidation_is_slot_local(self):
         """Remapping one sandbox's translated text must not disturb a
@@ -461,13 +461,14 @@ class TestRowShapes:
         assert states[0]["trap"][0] is HltTrap
         assert states[1] == states[0]
         sb = blocky._sb
-        assert sb.translations > 0
-        assert (sb.compiled_blocks > 0) == (tier == "compiled")
+        stats = blocky.engine_stats()
+        assert stats["translations"] > 0
+        assert (stats["compiled_blocks"] > 0) == (tier == "compiled")
         block = next(b for b in sb._blocks.values()
                      if b.start <= symbols["body"] < b.end)
         roles = [tuple(row[5] for row in rows)
                  for _kind, _exec, rows in block.ops
-                 if rows[0][0] == symbols["body"]]
+                 if block.start + rows[0][0] == symbols["body"]]
         assert roles == [SHAPES[shape][1]]
         assert block.call_tail == (shape == "call-tail")
         # Only translated call tails reach the springboard; stepping (and
@@ -501,7 +502,7 @@ class TestRowShapes:
         if shape.startswith("fused-guard"):
             assert reference["regs"][18] == DATA + reference["regs"][10]
         if tier == "compiled":
-            assert machines[1]._sb.compiled_blocks > 0
+            assert machines[1].engine_stats()["compiled_blocks"] > 0
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("shape", SHAPES)

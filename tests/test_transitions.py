@@ -105,9 +105,9 @@ class TestFusedSpringboard:
         runtime = Runtime(model=None, engine=EngineConfig())
         runtime.spawn(elf)
         runtime.run()
-        sb = runtime.machine._sb
-        assert sb.fused_calls > 0, "no runtime call was fused"
-        assert sb.chain_links > 100, "the hot loop never chained"
+        stats = runtime.machine.engine_stats()
+        assert stats["fused_calls"] > 0, "no runtime call was fused"
+        assert stats["chain_links"] > 100, "the hot loop never chained"
 
     def test_chaining_off_still_identical(self):
         """chaining=False is a tuning knob, never a semantic one."""
@@ -186,7 +186,7 @@ class TestChainedFuelLockstep:
             pytest.fail("program never completed")
         # Big fuel slices let the loop chain; tiny ones still must not.
         if fuel >= 64:
-            assert chained._sb.chain_links > 0
+            assert chained.engine_stats()["chain_links"] > 0
 
 
 class TestInvalidationUnlinksChains:
@@ -199,9 +199,8 @@ class TestInvalidationUnlinksChains:
         runtime = Runtime(model=None, engine=EngineConfig())
         proc = runtime.spawn(elf)
         runtime.run()
-        sb = runtime.machine._sb
-        assert sb.chain_links > 0
-        return runtime, proc, sb
+        assert runtime.machine.engine_stats()["chain_links"] > 0
+        return runtime, proc, runtime.machine._sb
 
     def test_mmap_over_chained_loop_invalidates_links(self):
         runtime, proc, sb = self._chained_runtime()
@@ -225,6 +224,36 @@ class TestInvalidationUnlinksChains:
                 if link is not None and page_base <= link.start < \
                         page_base + page:
                     assert link.valid is False
+
+    def test_reclaimed_slot_frees_its_blocks_without_the_collector(self):
+        """Invalidation drops a dead block's own links, so the blocks of
+        a reclaimed slot — loops of them — die by reference count."""
+        import gc
+        import weakref
+
+        elf = compile_lfi(prologue() + """
+    mov x0, #0
+    mov x1, #50
+loop:
+    add x0, x0, #1
+    sub x1, x1, #1
+    cbnz x1, loop
+""" + rt_exit(), options=O2).elf
+        gc.collect()
+        gc.disable()
+        try:
+            runtime = Runtime(model=None)
+            proc = runtime.spawn(elf)
+            assert runtime.run_until_exit(proc) == 50
+            sb = runtime.machine._sb
+            blocks = [weakref.ref(blk) for blk in sb._blocks.values()]
+            assert any(blk().link_taken is blk() for blk in blocks), \
+                "the loop body never chained to itself"
+            runtime.reclaim(proc)
+            assert sb.cached_blocks == 0
+            assert [blk() for blk in blocks] == [None] * len(blocks)
+        finally:
+            gc.enable()
 
     def test_rerun_after_invalidation_matches_stepping(self):
         """After a full-slot invalidation the engine retranslates and
