@@ -145,9 +145,9 @@ class _Costing:
 
     Every costed instruction either engine retires goes through
     :meth:`charge_row` (the scoreboard) and, when it accessed memory,
-    :meth:`memory_penalty` (TLB walk and cache misses).  Compiled
-    superblocks emit the same two rules as source
-    (``SuperblockEngine._compile_block``); nothing else restates them.
+    :meth:`memory_penalty` (TLB walk and cache misses).  Generated
+    block bodies emit the same two rules as source
+    (``SuperblockEngine._compile``); nothing else restates them.
     """
 
     __slots__ = ("model", "t_issue", "t_done", "ready", "tlb", "l1", "l2",
@@ -401,14 +401,19 @@ class Machine:
             for probe in probes:
                 probe(self, None, kind, delta)
 
-    def engine_stats(self) -> Dict[str, int]:
-        """The superblock engine's counters.  Template hits and misses
-        depend on what the process ran before: host-side facts, kept out
-        of deterministic snapshots."""
-        return {name: getattr(self._sb, name) for name in (
+    def engine_stats(self) -> Dict[str, float]:
+        """The superblock engine's counters.  Template hits and misses,
+        which blocks found a generated body waiting, how many bodies this
+        cost identity has had generated (``generated_templates``) and the
+        host time that took (``compile_ms``) depend on what the process
+        ran before: host-side facts, kept out of deterministic snapshots."""
+        sb = self._sb
+        stats = {name: getattr(sb, name) for name in (
             "translations", "template_hits", "template_misses",
             "invalidations", "chain_links", "fused_calls", "compiled_blocks",
             "cached_blocks")}
+        stats["generated_templates"], stats["compile_ms"] = sb.generated
+        return stats
 
     def invalidate_code(self, address: int, size: int) -> None:
         """Drop every decode and translation over the range.

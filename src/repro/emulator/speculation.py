@@ -279,7 +279,7 @@ class SpeculativeEngine:
         for address, old in reversed(undo):
             machine.memory.write(address, old)
         for gauge, sets, hits, misses in gauges:
-            gauge._sets = sets
+            gauge._sets[:] = sets
             gauge.hits = hits
             gauge.misses = misses
         if costing is not None:

@@ -4,9 +4,11 @@ The stepping interpreter in :mod:`repro.emulator.machine` pays Python
 dispatch cost on every instruction: a decode-cache lookup, a handler
 dispatch, generic operand evaluation, and a :meth:`_Costing.charge` call.
 This module translates straight-line instruction runs into immutable
-:class:`Superblock` objects whose ops are *specialized closures* (direct
-register-list access, precomputed immediates and branch targets) and
-dispatches whole blocks from :meth:`Machine.run`.
+:class:`Superblock` objects and dispatches whole blocks from
+:meth:`Machine.run`.  What an op does is stated once, as source lines
+(the ``_e_*`` emitters): a cold block runs one closure per op made from
+those lines, a hot one a single generated function in which the lines
+are inlined with their operands as literals.
 
 Design rules (DESIGN.md §10, §15):
 
@@ -14,13 +16,15 @@ Design rules (DESIGN.md §10, §15):
   word, or page boundary — blocks never cross a page, so invalidation is
   page-exact — and before a trap instruction (``svc``/``brk``/``hlt``),
   which is a block of its own;
-* an op is one closure plus one *cost row* per instruction it retires:
-  what a block costs is data, charged by whichever body runs it;
+* an op is lines plus one *cost row* per instruction it retires: what
+  a block does and what it costs are both data, and a body — the closure
+  walk or the generated function — is lines + rows;
 * a run is translated once per *content*: a :class:`BlockTemplate`, keyed
   by the run's bytes (and the guard positions and cost model), holds
-  closure recipes with every pc-derived constant as a displacement from
-  the block start, and every block of those words — any slot, machine or
-  runtime in the process — is the template bound to a machine and a start;
+  op recipes with every pc-derived constant as a displacement from the
+  block start — and, once the content is hot, the generated body's code —
+  and every block of those words — any slot, machine or runtime in the
+  process — is the template bound to a machine and a start;
 * verified guard sequences named by the loader's ``guard_map`` are fused
   into a single op that performs both architectural effects and carries
   both instructions' rows;
@@ -38,8 +42,8 @@ Design rules (DESIGN.md §10, §15):
   chain through the dead block;
 * one dispatch loop runs every block; cold costed blocks charge their
   rows through the very :class:`_Costing` methods ``Machine.step`` uses
-  and hot ones through compiled source with the same float operations in
-  the same order, so cycle counts, trace timestamps, and metrics
+  and hot ones through generated source with the same float operations
+  in the same order, so cycle counts, trace timestamps, and metrics
   snapshots are bit-identical between engines;
 * a block never overruns the remaining fuel: oversized blocks fall back
   to per-instruction stepping for the tail of the timeslice;
@@ -56,9 +60,11 @@ forces the original interpreter, whose behaviour is unchanged.
 
 from __future__ import annotations
 
+import re
 import struct
 from functools import partial
 from itertools import takewhile
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..arm64.decoder import decode_word
@@ -88,13 +94,15 @@ R_BRANCH = K_BRANCH    # the flag: fetch bubble when taken
 R_GENERIC = K_GENERIC  # both, and the address may be None
 R_TAKEN = 4            # a branch that always leaves: the bubble is constant
 
-#: Costed blocks are compiled into specialized closures once they show
-#: signs of re-execution; until then the dispatch loop walks their rows, so
-#: straight-line code never pays the ~2ms/block codegen cost (measured:
-#: threshold 8 compiles only the hot loop bodies of the Table-4 kernels
-#: while 2 compiles every init block for no wall-clock gain).
+#: A block gets its generated body once it shows signs of re-execution;
+#: until then the dispatch loop runs its closures, so straight-line code
+#: never pays for codegen.  Measured per process on the fourteen
+#: ``exec-steady`` images: 8 generates 24 bodies (2.1 ms each with rows,
+#: 0.6 ms without: 51 / 14 ms) — the kernels' loop bodies; 2 or 4 generate
+#: 90-98 (115-125 / 40 ms), every init block too, for no resolvable gain
+#: in the steady state; 16 and 32 generate the same 24 as 8.
 _COMPILE_THRESHOLD = 8
-#: Blocks larger than this are never compiled: generated source for a
+#: Blocks larger than this never get one: generated source for a
 #: page-spanning straight-line run would cost more to compile than the
 #: dispatch overhead it saves.
 _COMPILE_MAX_OPS = 256
@@ -112,42 +120,53 @@ _WORD = struct.Struct("<I")
 
 
 class _Bindings(dict):
-    """Op factory -> the factory with one machine's objects bound to its
-    leading parameters that are named after them (see the factories)."""
+    """Maker -> the maker with one machine's objects bound to its leading
+    parameters that are named after them (``objects``)."""
 
     def __init__(self, machine):
-        cpu, memory = machine.cpu, machine.memory
+        cpu, memory, costing = machine.cpu, machine.memory, machine._costing
         self.objects = {"cpu": cpu, "regs": cpu.regs, "vregs": cpu.vregs,
-                        "read": memory.read, "write": memory.write,
-                        "handlers": machine._exec}
+                        "load": memory.load, "store": memory.store,
+                        "handlers": machine._exec, "machine": machine}
+        if costing is not None:
+            tlb, l1 = costing.tlb, costing.l1
+            self.objects.update(
+                costing=costing, ready=costing.ready,
+                ready_get=costing.ready.get, tlb=tlb, l1=l1,
+                tlb_sets=tlb._sets, l1_sets=l1._sets, tlb_lookup=tlb.lookup,
+                l1_lookup=l1.lookup, l2_lookup=costing.l2.lookup)
 
-    def __missing__(self, factory):
-        names = factory.__code__.co_varnames[:factory.__code__.co_argcount]
-        bound = self[factory] = partial(factory, *map(
+    def bind(self, maker):
+        names = maker.__code__.co_varnames[:maker.__code__.co_argcount]
+        return partial(maker, *map(
             self.objects.get, takewhile(self.objects.__contains__, names)))
+
+    def __missing__(self, maker):
+        bound = self[maker] = self.bind(maker)
         return bound
 
 
 class BlockTemplate:
     """A straight-line run translated once for everywhere its words occur.
 
-    ``ops`` holds a recipe ``(kind, factory, args, rel, rows)`` per op:
-    ``factory(<machine objects>, *args, *(start + d for d in rel))`` is
-    the closure of a block starting at ``start``, and a cost row's pc is
-    likewise a displacement from it.  Nothing here names an address or a
+    ``ops`` holds a recipe ``(kind, maker, args, rel, rows)`` per op:
+    ``maker(<machine objects>, *args, *(start + d for d in rel))`` is the
+    closure of a block starting at ``start``, ``maker.emit`` the source
+    lines it was made from, and a cost row's pc is likewise a
+    displacement from the start.  Nothing here names an address or a
     machine, so nothing ever invalidates a template.  ``moving`` indexes
-    the ops with a ``rel``; ``factory`` is the compiled body's maker
-    (``_compile_block``), built when the first costed block of this
-    content gets hot.
+    the ops with a ``rel``; ``code`` is the maker of the generated body
+    (``SuperblockEngine._compile``) and ``consts`` the objects it indexes,
+    built when the first block of this content gets hot.
     """
 
-    __slots__ = ("ops", "size", "call_tail", "factory", "moving")
+    __slots__ = ("ops", "size", "call_tail", "code", "consts", "moving")
 
     def __init__(self, ops: list, size: int, call_tail: bool):
         self.ops = ops
         self.size = size
         self.call_tail = call_tail
-        self.factory = None
+        self.code = self.consts = None
         self.moving = [i for i, op in enumerate(ops) if op[3]]
 
 
@@ -157,8 +176,11 @@ class BlockTemplate:
 #: ``block_cache_cap``; live blocks keep the template they came from.
 _TEMPLATES: Dict[tuple, BlockTemplate] = {}
 _TEMPLATE_CAP = 4096
-#: repr of (cost model, TLB-walk scale) -> its small-int identity in keys.
+#: repr of (cost model, TLB-walk scale, TLB geometry) -> its small-int
+#: identity in keys.
 _COST_IDS: Dict[str, int] = {}
+#: cost identity -> [bodies generated, host ms spent generating them].
+_GENERATED: Dict[Optional[int], list] = {}
 
 
 class Superblock:
@@ -182,20 +204,20 @@ class Superblock:
     stale links are rejected by the dispatch loop without needing to
     find and unlink every predecessor.
 
-    ``fn`` is the block's specialized closure, compiled by
-    :meth:`SuperblockEngine._compile_block` once ``hits`` shows the
-    block re-executing under the cost model; None until then (and
-    forever, on the uncosted path).
+    ``fn`` is the template's generated body bound to this machine,
+    ``fn(start) -> taken``: set once ``hits`` shows the block
+    re-executing, or at translation when the content got hot before (such
+    a block has no ``ops``); None until then.
     """
 
     __slots__ = ("start", "end", "ops", "count", "call_tail", "template",
                  "valid", "link_fall", "link_taken", "fn", "hits",
                  "__weakref__")
 
-    def __init__(self, start: int, ops: list, template: BlockTemplate):
+    def __init__(self, start: int, template: BlockTemplate):
         self.start = start
         self.end = start + template.size
-        self.ops = ops
+        self.ops = None
         self.count = template.size >> 2  # one row per instruction
         self.call_tail = template.call_tail
         self.template = template
@@ -207,855 +229,452 @@ class Superblock:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Superblock({self.start:#x}..{self.end:#x}, "
-                f"{len(self.ops)} ops, fuel {self.count})")
+                f"{len(self.template.ops)} ops, fuel {self.count})")
 
 
 # ---------------------------------------------------------------------------
-# Specialized op thunk factories.
+# Op emitters: an op is lines.
 #
-# Every factory closes over the CPU register list (kept identity-stable by
-# CpuState.restore) and precomputed constants; each replicates the exact
-# architectural effect of the corresponding machine.py handler.  Leading
-# parameters named cpu / regs / vregs / read / write / handlers are bound to
-# the machine's objects by ``_Bindings``; trailing target / link / pc ones
-# are a recipe's displacements made absolute.
+# Each emitter states one op shape's whole architectural effect, once, as
+# Python source lines — the exact effect of the machine.py handler.  Its
+# leading parameters are the op's *operands* as source text; the rest are
+# the *static* arguments that pick the shape.  A generated block body
+# passes the operands as literals (pc-derived ones as ``pc0 + d``); the
+# op's cold closure is the same lines with the operands left as the
+# emitter's own parameter names, compiled once per (emitter, static) into
+# a maker whose closure variables they are (``_op``).  Lines may name the
+# machine's ``cpu`` / ``regs`` / ``vregs`` / ``load`` / ``store`` /
+# ``handlers`` and anything in ``_NAMESPACE``; a memory op leaves the
+# address it accessed in ``addr``, a branch sets ``taken`` when it leaves.
 # ---------------------------------------------------------------------------
+
+M64 = hex(MASK64)
+M32 = hex(MASK32)
+
+#: What generated source may name besides machine objects and operands.
+_NAMESPACE = {
+    "MemoryFault": MemoryFault, "decode_word": decode_word,
+    "pack_q": struct.Struct("<Q").pack, "unpack_q": struct.Struct("<Q").unpack,
+    "pack_d": struct.Struct("<d").pack, "unpack_d": struct.Struct("<d").unpack,
+}
+_NAME = re.compile(r"[A-Za-z_]\w*")
+#: How an op's closure hands its result to the row walk, by kind.
+_RETURNS = ("", "return addr", "return taken", "return taken, addr")
+
+_COND_SRC = {
+    "eq": "cpu.z == 1", "ne": "cpu.z == 0",
+    "cs": "cpu.c == 1", "cc": "cpu.c == 0",
+    "mi": "cpu.n == 1", "pl": "cpu.n == 0",
+    "vs": "cpu.v == 1", "vc": "cpu.v == 0",
+    "hi": "cpu.c == 1 and cpu.z == 0",
+    "ls": "not (cpu.c == 1 and cpu.z == 0)",
+    "ge": "cpu.n == cpu.v", "lt": "cpu.n != cpu.v",
+    "gt": "cpu.z == 0 and cpu.n == cpu.v",
+    "le": "not (cpu.z == 0 and cpu.n == cpu.v)",
+    "al": "True", "nv": "True",
+}
+
 
 def _is_plain_gpr(reg) -> bool:
     return (isinstance(reg, Reg) and reg.is_gpr and not reg.is_zero
             and not reg.is_sp)
 
 
-_COND_EVAL = {
-    "eq": lambda cpu: cpu.z == 1,
-    "ne": lambda cpu: cpu.z == 0,
-    "cs": lambda cpu: cpu.c == 1,
-    "cc": lambda cpu: cpu.c == 0,
-    "mi": lambda cpu: cpu.n == 1,
-    "pl": lambda cpu: cpu.n == 0,
-    "vs": lambda cpu: cpu.v == 1,
-    "vc": lambda cpu: cpu.v == 0,
-    "hi": lambda cpu: cpu.c == 1 and cpu.z == 0,
-    "ls": lambda cpu: not (cpu.c == 1 and cpu.z == 0),
-    "ge": lambda cpu: cpu.n == cpu.v,
-    "lt": lambda cpu: cpu.n != cpu.v,
-    "gt": lambda cpu: cpu.z == 0 and cpu.n == cpu.v,
-    "le": lambda cpu: not (cpu.z == 0 and cpu.n == cpu.v),
-    "al": lambda cpu: True,
-    "nv": lambda cpu: True,
-}
+def _emits(kind):
+    def mark(emitter):
+        emitter.kind = kind
+        return emitter
+    return mark
 
 
-def _t_add_imm(regs, d, a_i, b, width, sub):
-    if width == 64:
-        if sub:
-            def run():
-                regs[d] = (regs[a_i] - b) & MASK64
-        else:
-            def run():
-                regs[d] = (regs[a_i] + b) & MASK64
-    else:
-        if sub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32) - b) & MASK32
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32) + b) & MASK32
-    return run
+def _names_in(lines) -> set:
+    return set(_NAME.findall(" ".join(lines)))
 
 
-def _t_add_reg(regs, d, a_i, b_i, width, sub):
-    if width == 64:
-        if sub:
-            def run():
-                regs[d] = (regs[a_i] - regs[b_i]) & MASK64
-        else:
-            def run():
-                regs[d] = (regs[a_i] + regs[b_i]) & MASK64
-    else:
-        if sub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           - (regs[b_i] & MASK32)) & MASK32
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           + (regs[b_i] & MASK32)) & MASK32
-    return run
+def _function(name: str, params, body, inner: str = "run()"):
+    """``def name(params)`` returning the function ``inner`` of ``body``."""
+    src = "\n".join([f"def {name}({', '.join(params)}):",
+                     f"    def {inner}:",
+                     *["        " + line for line in body],
+                     "    return run", ""])
+    scope: Dict[str, object] = {}
+    exec(compile(src, f"<superblock {name}>", "exec"), _NAMESPACE, scope)
+    return scope[name]
 
 
-def _t_add_uxtw(regs, d, a_i, w_i):
-    """``add Xd, Xn, wM, uxtw`` — the LFI guard form, unfused."""
-    def run():
-        regs[d] = (regs[a_i] + (regs[w_i] & MASK32)) & MASK64
-    return run
+_MAKERS: Dict[tuple, object] = {}
+_MACHINE_NAMES = ("cpu", "regs", "vregs", "load", "store", "handlers")
 
 
-def _flag_thunk(cpu, regs, d, a_i, width, get_b, carry_in):
-    """Shared flags body for adds/subs/cmp/cmn (b already inverted for
-    subtraction).  Replicates Machine._set_add_flags exactly."""
+def _op(emitter, *static):
+    """The maker of one op shape's cold closure: ``make(<the machine
+    objects its lines name>, *operands)``.  ``make.emit(*operands)`` are
+    the lines themselves and ``make.kind`` what the closure returns."""
+    make = _MAKERS.get((emitter, static))
+    if make is None:
+        code = emitter.__code__
+        operands = code.co_varnames[:code.co_argcount - len(static)]
+        lines = emitter(*operands, *static)
+        kind = emitter.kind
+        named = _names_in(lines)
+        make = _MAKERS[emitter, static] = _function(
+            emitter.__name__,
+            [name for name in _MACHINE_NAMES if name in named]
+            + list(operands),
+            ["taken = False"] * (kind == K_BRANCH) + lines + [_RETURNS[kind]])
+        make.kind = kind
+        make.emit = lambda *operands: emitter(*operands, *static)
+    return make
+
+
+def _r(index, width=64) -> str:
+    """Source of the ``width``-bit view of GPR ``index``."""
+    return f"regs[{index}]" if width == 64 else f"(regs[{index}] & {M32})"
+
+
+def _operand2(b, width, form) -> str:
+    """Source of a data-processing second operand: ``form`` is "imm",
+    "reg", "uxtw" (the guard's ``wM, uxtw``) or an ``lsl`` amount."""
+    if form == "imm":
+        return str(b)
+    if form == "uxtw":
+        return f"(regs[{b}] & {M32})"
+    if form == "reg":
+        return _r(b, width)
+    return f"(({_r(b, width)} << {form}) & {hex((1 << width) - 1)})"
+
+
+@_emits(K_SIMPLE)
+def _e_addsub(d, n, b, width, sub, form):
+    return [f"regs[{d}] = ({_r(n, width)} {'-' if sub else '+'} "
+            f"{_operand2(b, width, form)}) & {hex((1 << width) - 1)}"]
+
+
+@_emits(K_SIMPLE)
+def _e_addsub_flags(d, n, b, width, sub, form, writes):
+    """adds/subs/cmp/cmn: ``Machine._set_add_flags`` on ``n + b`` or
+    ``n + ~b + 1`` (an immediate arrives already inverted)."""
     mask = (1 << width) - 1
-    top = 1 << (width - 1)
-    wrap = 1 << width
-    if width == 64:
-        def read_a():
-            return regs[a_i]
-    else:
-        def read_a():
-            return regs[a_i] & MASK32
-
-    def run():
-        a = read_a()
-        b = get_b()
-        raw = a + b + carry_in
-        result = raw & mask
-        cpu.n = 1 if result & top else 0
-        cpu.z = 1 if result == 0 else 0
-        cpu.c = 1 if raw > mask else 0
-        sa = a - wrap if a & top else a
-        sb = b - wrap if b & top else b
-        sres = result - wrap if result & top else result
-        cpu.v = 1 if (sa + sb + carry_in != sres) else 0
-        if d is not None:
-            regs[d] = result
-    return run
+    top = hex(1 << (width - 1))
+    y = _operand2(b, width, form)
+    if sub and form != "imm":
+        y = f"(~{y}) & {hex(mask)}"
+    return [f"x = {_r(n, width)}",
+            f"y = {y}",
+            f"raw = x + y{' + 1' if sub else ''}",
+            f"res = raw & {hex(mask)}",
+            f"cpu.n = 1 if res & {top} else 0",
+            "cpu.z = 1 if res == 0 else 0",
+            f"cpu.c = 1 if raw > {hex(mask)} else 0",
+            # Signed overflow: the operands agree in sign and the result
+            # does not.
+            f"cpu.v = 1 if (x ^ res) & (y ^ res) & {top} else 0",
+            ] + [f"regs[{d}] = res"] * writes
 
 
-def _t_addsub_flags_imm(cpu, regs, d, a_i, b, width, sub):
-    mask = (1 << width) - 1
-    if sub:
-        b = (~b) & mask
-        carry = 1
-    else:
-        b = b & mask
-        carry = 0
-    return _flag_thunk(cpu, regs, d, a_i, width, lambda: b, carry)
+@_emits(K_SIMPLE)
+def _e_mov_const(d, const):
+    return [f"regs[{d}] = {const}"]
 
 
-def _t_addsub_flags_reg(cpu, regs, d, a_i, b_i, width, sub):
-    mask = (1 << width) - 1
-    if width == 64:
-        if sub:
-            def get_b():
-                return (~regs[b_i]) & mask
-        else:
-            def get_b():
-                return regs[b_i]
-    else:
-        if sub:
-            def get_b():
-                return (~(regs[b_i] & MASK32)) & mask
-        else:
-            def get_b():
-                return regs[b_i] & MASK32
-    return _flag_thunk(cpu, regs, d, a_i, width, get_b, 1 if sub else 0)
+@_emits(K_SIMPLE)
+def _e_adrp(d, pages, pc):
+    return [f"regs[{d}] = ((({pc} >> 12) + {pages}) << 12) & {M64}"]
 
 
-def _t_mov_const(regs, d, const):
-    def run():
-        regs[d] = const
-    return run
+@_emits(K_SIMPLE)
+def _e_mov_reg(d, s, width):
+    return [f"regs[{d}] = {_r(s, width)}"]
 
 
-def _t_adrp(regs, d, pages, pc):
-    return _t_mov_const(regs, d, (((pc >> 12) + pages) << 12) & MASK64)
+@_emits(K_SIMPLE)
+def _e_movk(d, keep, bits, width):
+    return [f"regs[{d}] = ({_r(d, width)} & {keep}) | {bits}"]
 
 
-def _t_mov_reg(regs, d, s_i, width):
-    if width == 64:
-        def run():
-            regs[d] = regs[s_i]
-    else:
-        def run():
-            regs[d] = regs[s_i] & MASK32
-    return run
+@_emits(K_SIMPLE)
+def _e_logic(d, n, b, width, op, form):
+    sign = {"and": "&", "orr": "|", "eor": "^"}[op]
+    return [f"regs[{d}] = {_r(n, width)} {sign} {_operand2(b, width, form)}"]
 
 
-def _t_movk(regs, d, keep, bits, width):
-    if width == 64:
-        def run():
-            regs[d] = (regs[d] & keep) | bits
-    else:
-        def run():
-            regs[d] = ((regs[d] & MASK32) & keep) | bits
-    return run
-
-
-def _t_logic_imm(regs, d, a_i, b, width, op):
-    if width == 64:
-        if op == "and":
-            def run():
-                regs[d] = regs[a_i] & b
-        elif op == "orr":
-            def run():
-                regs[d] = regs[a_i] | b
-        else:
-            def run():
-                regs[d] = regs[a_i] ^ b
-    else:
-        if op == "and":
-            def run():
-                regs[d] = (regs[a_i] & MASK32) & b
-        elif op == "orr":
-            def run():
-                regs[d] = (regs[a_i] & MASK32) | b
-        else:
-            def run():
-                regs[d] = (regs[a_i] & MASK32) ^ b
-    return run
-
-
-def _t_logic_reg(regs, d, a_i, b_i, width, op):
-    if width == 64:
-        if op == "and":
-            def run():
-                regs[d] = regs[a_i] & regs[b_i]
-        elif op == "orr":
-            def run():
-                regs[d] = regs[a_i] | regs[b_i]
-        else:
-            def run():
-                regs[d] = regs[a_i] ^ regs[b_i]
-    else:
-        if op == "and":
-            def run():
-                regs[d] = (regs[a_i] & regs[b_i]) & MASK32
-        elif op == "orr":
-            def run():
-                regs[d] = (regs[a_i] | regs[b_i]) & MASK32
-        else:
-            def run():
-                regs[d] = (regs[a_i] ^ regs[b_i]) & MASK32
-    return run
-
-
-def _t_shift_imm(regs, d, a_i, amount, width, op):
-    mask = (1 << width) - 1
+@_emits(K_SIMPLE)
+def _e_shift_imm(d, n, amount, width, op):
+    mask = hex((1 << width) - 1)
     if op == "lsl":
-        if width == 64:
-            def run():
-                regs[d] = (regs[a_i] << amount) & MASK64
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32) << amount) & MASK32
-    elif op == "lsr":
-        if width == 64:
-            def run():
-                regs[d] = regs[a_i] >> amount
-        else:
-            def run():
-                regs[d] = (regs[a_i] & MASK32) >> amount
-    else:  # asr
-        top = 1 << (width - 1)
-        wrap = 1 << width
-
-        def run():
-            a = regs[a_i] if width == 64 else regs[a_i] & MASK32
-            if a & top:
-                a -= wrap
-            regs[d] = (a >> amount) & mask
-    return run
+        return [f"regs[{d}] = ({_r(n, width)} << {amount}) & {mask}"]
+    if op == "lsr":
+        return [f"regs[{d}] = {_r(n, width)} >> {amount}"]
+    return [f"x = {_r(n, width)}",
+            f"if x & {hex(1 << (width - 1))}:",
+            f"    x -= {hex(1 << width)}",
+            f"regs[{d}] = (x >> {amount}) & {mask}"]
 
 
-def _t_addsub_shifted(regs, d, a_i, b_i, amount, width, sub):
-    """``add/sub Xd, Xn, Xm, lsl #k`` (array indexing in the FP kernels)."""
-    if width == 64:
-        if sub:
-            def run():
-                regs[d] = (regs[a_i]
-                           - ((regs[b_i] << amount) & MASK64)) & MASK64
-        else:
-            def run():
-                regs[d] = (regs[a_i]
-                           + ((regs[b_i] << amount) & MASK64)) & MASK64
+@_emits(K_SIMPLE)
+def _e_madd(d, n, m, a, width, msub, zero_addend):
+    acc = "0" if zero_addend else _r(a, width)
+    return [f"regs[{d}] = ({acc} {'-' if msub else '+'} {_r(n, width)} "
+            f"* {_r(m, width)}) & {hex((1 << width) - 1)}"]
+
+
+@_emits(K_SIMPLE)
+def _e_bitfield(d, n, rshift, fmask, shift, sign, fill, width, signed):
+    """ubfm/sbfm (lsr/lsl/ubfx/sxtw aliases) over the field geometry
+    ``SuperblockEngine._specialize`` folds from immr/imms."""
+    lines = [f"x = ({_r(n, width)} >> {rshift}) & {fmask}",
+             f"res = (x << {shift}) & {hex((1 << width) - 1)}"]
+    if signed:
+        lines += [f"if x & {sign}:", f"    res |= {fill}"]
+    return lines + [f"regs[{d}] = res"]
+
+
+# -- scalar floating point and vector integer ---------------------------------
+
+def _f(index, bits) -> str:
+    """Source of scalar FP register ``index`` as a Python float."""
+    if bits == 64:
+        return f"unpack_d(pack_q(vregs[{index}] & {M64}))[0]"
+    return f"b2f(vregs[{index}] & {M32}, 32)"
+
+
+def _f_bits(value, bits) -> str:
+    # A double always packs; a single may overflow to infinity (f2b).
+    return (f"unpack_q(pack_d({value}))[0]" if bits == 64
+            else f"f2b({value}, 32)")
+
+
+@_emits(K_SIMPLE)
+def _e_fp2(d, n, m, bits, op):
+    sign = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
+    return [f"vregs[{d}] = "
+            + _f_bits(f"{_f(n, bits)} {sign} {_f(m, bits)}", bits)]
+
+
+@_emits(K_SIMPLE)
+def _e_fp3(d, n, m, a, bits, msub):
+    return [f"x = {_f(n, bits)} * {_f(m, bits)}",
+            f"vregs[{d}] = "
+            + _f_bits(f"{_f(a, bits)} {'-' if msub else '+'} x", bits)]
+
+
+@_emits(K_SIMPLE)
+def _e_vec3(d, n, m, lanes, bits, op):
+    """Same-arrangement vector add/sub/mul (lane by lane) and and/orr/eor
+    (lane-independent: one bit operation)."""
+    if op in ("and", "orr", "eor"):
+        sign = {"and": "&", "orr": "|", "eor": "^"}[op]
+        return [f"vregs[{d}] = (vregs[{n}] {sign} vregs[{m}]) "
+                f"& {hex((1 << lanes * bits) - 1)}"]
+    sign = {"add": "+", "sub": "-", "mul": "*"}[op]
+    mask = hex((1 << bits) - 1)
+    return [f"x = vregs[{n}]", f"y = vregs[{m}]", f"vregs[{d}] = " + " | ".join(
+        f"((((x >> {sh}) & {mask}) {sign} ((y >> {sh}) & {mask})) & {mask})"
+        f" << {sh}" for sh in range(0, lanes * bits, bits))]
+
+
+# -- memory -------------------------------------------------------------------
+
+def _addressed(b, off, mode, wb):
+    """``(line setting addr, base writeback line or None)``.  ``mode``:
+    "imm" / "sp" (``off`` an immediate), "uxtw" (the guard mode) or an
+    ``lsl`` amount (``off`` a 64-bit register); ``wb``: None, PRE_INDEX or
+    POST_INDEX."""
+    if mode in ("imm", "sp"):
+        base = "cpu.sp" if mode == "sp" else f"regs[{b}]"
+        if wb == POST_INDEX:
+            return f"addr = {base}", f"{base} = (addr + {off}) & {M64}"
+        return (f"addr = ({base} + {off}) & {M64}",
+                f"{base} = addr" if wb else None)
+    if mode == "uxtw":
+        index = f"(regs[{off}] & {M32})"
     else:
-        if sub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           - (((regs[b_i] & MASK32) << amount)
-                              & MASK32)) & MASK32
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           + (((regs[b_i] & MASK32) << amount)
-                              & MASK32)) & MASK32
-    return run
+        index = f"((regs[{off}] << {mode}) & {M64})" if mode \
+            else f"regs[{off}]"
+    return f"addr = (regs[{b}] + {index}) & {M64}", None
 
 
-def _t_madd(regs, d, n_i, m_i, a_i, width, msub):
-    mask = (1 << width) - 1
-    if width == 64:
-        if msub:
-            def run():
-                regs[d] = (regs[a_i] - regs[n_i] * regs[m_i]) & mask
-        else:
-            def run():
-                regs[d] = (regs[a_i] + regs[n_i] * regs[m_i]) & mask
+def _loaded(t, size, signed, tbits, vector):
+    """Lines moving the ``size`` bytes at ``addr`` into register ``t``."""
+    if vector:
+        return [f"vregs[{t}] = load(addr, {size}) & {hex((1 << tbits) - 1)}"]
+    if not signed:
+        return [f"regs[{t}] = load(addr, {size})"]
+    return [f"raw = load(addr, {size})",
+            f"if raw & {hex(1 << (signed - 1))}:",
+            f"    raw -= {hex(1 << signed)}",
+            f"regs[{t}] = raw & {M64 if tbits == 64 else M32}"]
+
+
+def _stored(t, size, vector, zero):
+    """The line storing ``size`` bytes of register ``t`` at ``addr``."""
+    value = "0" if zero else \
+        f"{'v' * vector}regs[{t}] & {hex((1 << size * 8) - 1)}"
+    return [f"store(addr, {size}, {value})"]
+
+
+@_emits(K_MEM)
+def _e_load(t, b, off, size, signed, tbits, vector, mode, wb):
+    address, writeback = _addressed(b, off, mode, wb)
+    return [address] + _loaded(t, size, signed, tbits, vector) \
+        + [writeback] * bool(writeback)
+
+
+@_emits(K_MEM)
+def _e_store(t, b, off, size, vector, zero, mode, wb):
+    address, writeback = _addressed(b, off, mode, wb)
+    return [address] + _stored(t, size, vector, zero) \
+        + [writeback] * bool(writeback)
+
+
+@_emits(K_MEM)
+def _e_pair(t, t2, b, off, is_load, mode, wb):
+    """ldp/stp of two X registers."""
+    address, writeback = _addressed(b, off, mode, wb)
+    if is_load:
+        moves = [f"regs[{t}] = load(addr, 8)",
+                 f"regs[{t2}] = load(addr + 8, 8)"]
     else:
-        if msub:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           - (regs[n_i] & MASK32)
-                           * (regs[m_i] & MASK32)) & mask
-        else:
-            def run():
-                regs[d] = ((regs[a_i] & MASK32)
-                           + (regs[n_i] & MASK32)
-                           * (regs[m_i] & MASK32)) & mask
-    return run
+        moves = [f"store(addr, 8, regs[{t}] & {M64})",
+                 f"store(addr + 8, 8, regs[{t2}] & {M64})"]
+    return [address] + moves + [writeback] * bool(writeback)
 
 
-def _t_bitfield(regs, d, n_i, width, immr, imms, signed):
-    """ubfm/sbfm with precomputed field geometry (lsr/lsl/ubfx aliases)."""
-    mask = (1 << width) - 1
-    if imms >= immr:
-        length = imms - immr + 1
-        rshift = immr
-        shift = 0
-    else:
-        length = imms + 1
-        rshift = 0
-        shift = width - immr
-    fmask = (1 << length) - 1
-    sign_bit = 1 << (length - 1)
-    sign_fill = mask & ~((1 << min(shift + length, width)) - 1)
-    src64 = width == 64
+# -- branches -----------------------------------------------------------------
 
-    def run():
-        src = regs[n_i] if src64 else regs[n_i] & MASK32
-        field = (src >> rshift) & fmask
-        result = (field << shift) & mask
-        if signed and field & sign_bit:
-            result |= sign_fill
-        regs[d] = result
-    return run
+def _leave(target, condition=None, link=None):
+    lines = [f"regs[30] = {link}"] * (link is not None) \
+        + [f"cpu.pc = {target}", "taken = True"]
+    if condition is None:
+        return lines
+    return [f"if {condition}:"] + ["    " + line for line in lines]
 
 
-# -- scalar floating point factories ------------------------------------------
-
-def _t_fp2(vregs, d, n_i, m_i, bits, op, b2f, f2b):
-    """Scalar fadd/fsub/fmul with equal-width d/s operands."""
-    vmask = (1 << bits) - 1
-    if op == "fadd":
-        def run():
-            vregs[d] = f2b(b2f(vregs[n_i] & vmask, bits)
-                           + b2f(vregs[m_i] & vmask, bits), bits)
-    elif op == "fsub":
-        def run():
-            vregs[d] = f2b(b2f(vregs[n_i] & vmask, bits)
-                           - b2f(vregs[m_i] & vmask, bits), bits)
-    else:  # fmul
-        def run():
-            vregs[d] = f2b(b2f(vregs[n_i] & vmask, bits)
-                           * b2f(vregs[m_i] & vmask, bits), bits)
-    return run
+@_emits(K_BRANCH)
+def _e_b(target):
+    return _leave(target)
 
 
-def _t_fp3(vregs, d, n_i, m_i, a_i, bits, msub, b2f, f2b):
-    """Scalar fmadd/fmsub (the FP kernels' hottest data op)."""
-    vmask = (1 << bits) - 1
-    if msub:
-        def run():
-            prod = b2f(vregs[n_i] & vmask, bits) \
-                * b2f(vregs[m_i] & vmask, bits)
-            vregs[d] = f2b(b2f(vregs[a_i] & vmask, bits) - prod, bits)
-    else:
-        def run():
-            prod = b2f(vregs[n_i] & vmask, bits) \
-                * b2f(vregs[m_i] & vmask, bits)
-            vregs[d] = f2b(b2f(vregs[a_i] & vmask, bits) + prod, bits)
-    return run
+@_emits(K_BRANCH)
+def _e_bl(target, link):
+    return _leave(target, link=link)
 
 
-# -- vector integer factories -------------------------------------------------
-
-def _t_vec3_bitwise(vregs, d, n_i, m_i, full_mask, op):
-    """Lane-independent vector and/orr/eor collapse to one bitop."""
-    if op == "and":
-        def run():
-            vregs[d] = (vregs[n_i] & vregs[m_i]) & full_mask
-    elif op == "orr":
-        def run():
-            vregs[d] = (vregs[n_i] | vregs[m_i]) & full_mask
-    else:  # eor
-        def run():
-            vregs[d] = (vregs[n_i] ^ vregs[m_i]) & full_mask
-    return run
+@_emits(K_BRANCH)
+def _e_bcond(target, cond):
+    return _leave(target, _COND_SRC[cond])
 
 
-def _t_vec3_lanes(vregs, d, n_i, m_i, lanes, bits, op):
-    """Lane-wise vector add/sub/mul over a same-arrangement triple."""
-    mask = (1 << bits) - 1
-    shifts = tuple(range(0, lanes * bits, bits))
-    if op == "add":
-        def run():
-            a = vregs[n_i]
-            b = vregs[m_i]
-            raw = 0
-            for sh in shifts:
-                raw |= ((((a >> sh) & mask) + ((b >> sh) & mask))
-                        & mask) << sh
-            vregs[d] = raw
-    elif op == "sub":
-        def run():
-            a = vregs[n_i]
-            b = vregs[m_i]
-            raw = 0
-            for sh in shifts:
-                raw |= ((((a >> sh) & mask) - ((b >> sh) & mask))
-                        & mask) << sh
-            vregs[d] = raw
-    else:  # mul
-        def run():
-            a = vregs[n_i]
-            b = vregs[m_i]
-            raw = 0
-            for sh in shifts:
-                raw |= ((((a >> sh) & mask) * ((b >> sh) & mask))
-                        & mask) << sh
-            vregs[d] = raw
-    return run
+@_emits(K_BRANCH)
+def _e_cb(t, target, width, want_zero):
+    return _leave(target, f"{_r(t, width)} {'==' if want_zero else '!='} 0")
 
 
-# -- memory op factories ------------------------------------------------------
-
-def _t_load(regs, cpu, read, t, base_i, imm, size, signed_bits, tbits,
-            sp_base):
-    """Loads with a register+immediate address into a GPR target."""
-    if signed_bits is None:
-        if sp_base:
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                regs[t] = int.from_bytes(read(addr, size), "little")
-                return addr
-        else:
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                regs[t] = int.from_bytes(read(addr, size), "little")
-                return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-        if sp_base:
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                raw = int.from_bytes(read(addr, size), "little")
-                if raw & sign:
-                    raw -= wrap
-                regs[t] = raw & tmask
-                return addr
-        else:
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                raw = int.from_bytes(read(addr, size), "little")
-                if raw & sign:
-                    raw -= wrap
-                regs[t] = raw & tmask
-                return addr
-    return run
+@_emits(K_BRANCH)
+def _e_tb(t, bit, target, want_set):
+    return _leave(target,
+                  f"{'' if want_set else 'not '}(regs[{t}] >> {bit}) & 1")
 
 
-def _t_load_uxtw(regs, read, t, base_i, w_i, size, signed_bits, tbits):
-    """``ldr Xt, [x21, wM, uxtw]`` — the zero-instruction guard mode."""
-    if signed_bits is None:
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            regs[t] = int.from_bytes(read(addr, size), "little")
-            return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            raw = int.from_bytes(read(addr, size), "little")
-            if raw & sign:
-                raw -= wrap
-            regs[t] = raw & tmask
-            return addr
-    return run
+@_emits(K_BRANCH)
+def _e_br(t):
+    return _leave(f"regs[{t}] & {M64}")
 
 
-def _t_store(regs, cpu, write, t, base_i, imm, size, sp_base, zero_src):
-    smask = (1 << (size * 8)) - 1
-    if sp_base:
-        if zero_src:
-            data = (0).to_bytes(size, "little")
-
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                write(addr, data)
-                return addr
-        else:
-            def run():
-                addr = (cpu.sp + imm) & MASK64
-                write(addr, (regs[t] & smask).to_bytes(size, "little"))
-                return addr
-    else:
-        if zero_src:
-            data = (0).to_bytes(size, "little")
-
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                write(addr, data)
-                return addr
-        else:
-            def run():
-                addr = (regs[base_i] + imm) & MASK64
-                write(addr, (regs[t] & smask).to_bytes(size, "little"))
-                return addr
-    return run
+@_emits(K_BRANCH)
+def _e_blr(t, link):
+    return [f"x = regs[{t}] & {M64}"] + _leave("x", link=link)
 
 
-def _t_store_uxtw(regs, write, t, base_i, w_i, size, zero_src):
-    smask = (1 << (size * 8)) - 1
-    if zero_src:
-        data = (0).to_bytes(size, "little")
-
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            write(addr, data)
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-            write(addr, (regs[t] & smask).to_bytes(size, "little"))
-            return addr
-    return run
-
-
-def _t_vload(vregs, regs, cpu, read, t, base_i, imm, size, vmask, sp_base):
-    """FP/SIMD register load (``ldr d0, [x1, #8]`` and friends)."""
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            vregs[t] = int.from_bytes(read(addr, size), "little") & vmask
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            vregs[t] = int.from_bytes(read(addr, size), "little") & vmask
-            return addr
-    return run
-
-
-def _t_vload_uxtw(vregs, regs, read, t, base_i, w_i, size, vmask):
-    def run():
-        addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-        vregs[t] = int.from_bytes(read(addr, size), "little") & vmask
-        return addr
-    return run
-
-
-def _t_vstore(vregs, regs, cpu, write, t, base_i, imm, size, vmask, sp_base):
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            write(addr, (vregs[t] & vmask).to_bytes(size, "little"))
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            write(addr, (vregs[t] & vmask).to_bytes(size, "little"))
-            return addr
-    return run
-
-
-def _t_vstore_uxtw(vregs, regs, write, t, base_i, w_i, size, vmask):
-    def run():
-        addr = (regs[base_i] + (regs[w_i] & MASK32)) & MASK64
-        write(addr, (vregs[t] & vmask).to_bytes(size, "little"))
-        return addr
-    return run
-
-
-def _t_ldp(regs, cpu, read, t1, t2, base_i, imm, sp_base):
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            regs[t1] = int.from_bytes(read(addr, 8), "little")
-            regs[t2] = int.from_bytes(read(addr + 8, 8), "little")
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            regs[t1] = int.from_bytes(read(addr, 8), "little")
-            regs[t2] = int.from_bytes(read(addr + 8, 8), "little")
-            return addr
-    return run
-
-
-def _t_stp(regs, cpu, write, t1, t2, base_i, imm, sp_base):
-    if sp_base:
-        def run():
-            addr = (cpu.sp + imm) & MASK64
-            write(addr, (regs[t1] & MASK64).to_bytes(8, "little"))
-            write(addr + 8, (regs[t2] & MASK64).to_bytes(8, "little"))
-            return addr
-    else:
-        def run():
-            addr = (regs[base_i] + imm) & MASK64
-            write(addr, (regs[t1] & MASK64).to_bytes(8, "little"))
-            write(addr + 8, (regs[t2] & MASK64).to_bytes(8, "little"))
-            return addr
-    return run
-
-
-# -- branch factories ---------------------------------------------------------
-
-def _t_b(cpu, target):
-    def run():
-        cpu.pc = target
-        return True
-    return run
-
-
-def _t_bl(cpu, regs, target, link):
-    def run():
-        regs[30] = link
-        cpu.pc = target
-        return True
-    return run
-
-
-def _t_bcond(cpu, cond, target):
-    holds = _COND_EVAL[cond]
-
-    def run():
-        if holds(cpu):
-            cpu.pc = target
-            return True
-        return False
-    return run
-
-
-def _t_cb(cpu, regs, t_i, width, want_zero, target):
-    if width == 64:
-        def read_t():
-            return regs[t_i]
-    else:
-        def read_t():
-            return regs[t_i] & MASK32
-    if want_zero:
-        def run():
-            if read_t() == 0:
-                cpu.pc = target
-                return True
-            return False
-    else:
-        def run():
-            if read_t() != 0:
-                cpu.pc = target
-                return True
-            return False
-    return run
-
-
-def _t_tb(cpu, regs, t_i, bit, want_set, target):
-    if want_set:
-        def run():
-            if (regs[t_i] >> bit) & 1:
-                cpu.pc = target
-                return True
-            return False
-    else:
-        def run():
-            if not ((regs[t_i] >> bit) & 1):
-                cpu.pc = target
-                return True
-            return False
-    return run
-
-
-def _t_br(cpu, regs, t_i):
-    def run():
-        cpu.pc = regs[t_i] & MASK64
-        return True
-    return run
-
-
-def _t_blr(cpu, regs, t_i, link):
-    def run():
-        target = regs[t_i] & MASK64
-        regs[30] = link
-        cpu.pc = target
-        return True
-    return run
-
-
-def _t_call_tail(cpu, regs, read, base_i, imm, link):
+@_emits(K_GENERIC)
+def _e_call_tail(b, off, link):
     """``ldr x30, [x21, #n]`` + ``blr x30`` — the runtime-call pair (§4.4).
 
     Net architectural effect of executing both instructions: ``x30``
     holds the return address and ``pc`` the loaded entry point.  A fault
     in the table load raises before any register is written, exactly as
-    the stepping ``ldr`` would.  Returns ``(True, table address)``: the
-    address for the load's row, the flag for the dispatch loop.
+    the stepping ``ldr`` would.
     """
-    def run():
-        addr = (regs[base_i] + imm) & MASK64
-        target = int.from_bytes(read(addr, 8), "little")
-        regs[30] = link
-        cpu.pc = target
-        return True, addr
-    return run
+    return [f"addr = (regs[{b}] + {off}) & {M64}", "x = load(addr, 8)"] \
+        + _leave("x", link=link)
 
 
-def _t_generic(handlers, cpu, inst, word, pc):
-    """The stepping handler of the instruction at ``pc``: the op of
-    whatever has no specialized thunk.  ``inst`` is None when its decode
-    reads pc, and is then decoded from ``word`` where the block now is."""
-    if inst is None:
-        inst = decode_word(word, pc)
-    call = partial(handlers[inst.base], inst)
-    if inst.base not in _PC_READING:
-        return call
-
-    def run():
-        cpu.pc = pc
-        return call()
-    return run
+@_emits(K_GENERIC)
+def _e_generic(inst, base):
+    """The stepping handler: the op of whatever has no emitter."""
+    return [f"taken, addr = handlers[{base}]({inst})"]
 
 
-# -- fused guard factories ----------------------------------------------------
+@_emits(K_GENERIC)
+def _e_generic_at(inst, base, pc, reads_pc, decodes):
+    """A stepping handler that reads ``cpu.pc`` (stale inside a block:
+    ``bl``/``blr``), or (``decodes``) whose instruction must be decoded
+    from the word ``inst`` where the block now is."""
+    if decodes:
+        inst = f"decode_word({inst}, {pc})"
+    return [f"cpu.pc = {pc}"] * reads_pc \
+        + [f"taken, addr = handlers[{base}]({inst})"]
 
-def _t_fused_guard_load(regs, read, g_d, g_s, t, imm, size, signed_bits,
-                        tbits, base_i):
+
+# -- fused guards -------------------------------------------------------------
+
+def _guarded(g, s, b):
+    """``add Xg, Xb, wS, uxtw``: the guarded address, left in ``x`` too."""
+    return [f"x = (regs[{b}] + (regs[{s}] & {M32})) & {M64}",
+            f"regs[{g}] = x"]
+
+
+def _offset_folded(o_d, o_s, o_imm, b, sub):
+    """``add/sub wD, wS, #imm`` then the address ``[Xb, wD, uxtw]``."""
+    return [f"x = ((regs[{o_s}] & {M32}) {'-' if sub else '+'} {o_imm}) "
+            f"& {M32}",
+            f"regs[{o_d}] = x",
+            f"addr = (regs[{b}] + x) & {M64}"]
+
+
+@_emits(K_MEM)
+def _e_fused_guard_load(g, s, b, t, off, size, signed, tbits):
     """``add Xg, x21, wS, uxtw`` + ``ldr Xt, [Xg(, #imm)]``."""
-    if signed_bits is None:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            regs[t] = int.from_bytes(read(addr, size), "little")
-            return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            raw = int.from_bytes(read(addr, size), "little")
-            if raw & sign:
-                raw -= wrap
-            regs[t] = raw & tmask
-            return addr
-    return run
+    return _guarded(g, s, b) + [f"addr = (x + {off}) & {M64}"] \
+        + _loaded(t, size, signed, tbits, False)
 
 
-def _t_fused_guard_store(regs, write, g_d, g_s, t, imm, size, base_i,
-                         zero_src):
-    smask = (1 << (size * 8)) - 1
-    if zero_src:
-        data = (0).to_bytes(size, "little")
-
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            write(addr, data)
-            return addr
-    else:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            addr = (g + imm) & MASK64
-            write(addr, (regs[t] & smask).to_bytes(size, "little"))
-            return addr
-    return run
+@_emits(K_MEM)
+def _e_fused_guard_store(g, s, b, t, off, size, zero):
+    return _guarded(g, s, b) + [f"addr = (x + {off}) & {M64}"] \
+        + _stored(t, size, False, zero)
 
 
-def _t_fused_offset_load(regs, read, o_d, o_s, o_imm, o_sub, t, size,
-                         signed_bits, tbits, base_i):
+@_emits(K_MEM)
+def _e_fused_offset_load(o_d, o_s, o_imm, b, t, sub, size, signed, tbits):
     """``add wD, wS, #imm`` + ``ldr Xt, [x21, wD, uxtw]`` (Table 3)."""
-    if signed_bits is None:
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            regs[t] = int.from_bytes(read(addr, size), "little")
-            return addr
-    else:
-        sign = 1 << (signed_bits - 1)
-        wrap = 1 << signed_bits
-        tmask = MASK64 if tbits == 64 else MASK32
-
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            raw = int.from_bytes(read(addr, size), "little")
-            if raw & sign:
-                raw -= wrap
-            regs[t] = raw & tmask
-            return addr
-    return run
+    return _offset_folded(o_d, o_s, o_imm, b, sub) \
+        + _loaded(t, size, signed, tbits, False)
 
 
-def _t_fused_offset_store(regs, write, o_d, o_s, o_imm, o_sub, t, size,
-                          base_i, zero_src):
-    smask = (1 << (size * 8)) - 1
-    if zero_src:
-        data = (0).to_bytes(size, "little")
-
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            write(addr, data)
-            return addr
-    else:
-        def run():
-            if o_sub:
-                w = ((regs[o_s] & MASK32) - o_imm) & MASK32
-            else:
-                w = ((regs[o_s] & MASK32) + o_imm) & MASK32
-            regs[o_d] = w
-            addr = (regs[base_i] + w) & MASK64
-            write(addr, (regs[t] & smask).to_bytes(size, "little"))
-            return addr
-    return run
+@_emits(K_MEM)
+def _e_fused_offset_store(o_d, o_s, o_imm, b, t, sub, size, zero):
+    return _offset_folded(o_d, o_s, o_imm, b, sub) \
+        + _stored(t, size, False, zero)
 
 
-def _t_fused_guard_branch(cpu, regs, g_d, g_s, base_i, link=None):
-    """``add Xg, x21, wS, uxtw`` + ``br/blr/ret Xg`` (branch guard)."""
-    if link is None:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            cpu.pc = g
-            return True
-    else:
-        def run():
-            g = (regs[base_i] + (regs[g_s] & MASK32)) & MASK64
-            regs[g_d] = g
-            regs[30] = link
-            cpu.pc = g
-            return True
-    return run
+@_emits(K_BRANCH)
+def _e_fused_guard_br(g, s, b):
+    """``add Xg, x21, wS, uxtw`` + ``br/ret Xg`` (branch guard)."""
+    return _guarded(g, s, b) + _leave("x")
 
 
-def _t_fused_sp_guard(cpu, regs, w_d, base_i):
+@_emits(K_BRANCH)
+def _e_fused_guard_blr(g, s, b, link):
+    return _guarded(g, s, b) + _leave("x", link=link)
+
+
+@_emits(K_SIMPLE)
+def _e_fused_sp_guard(w_d, b):
     """``mov w22, wsp`` + ``add sp, x21, x22`` (sp guard pair)."""
-    def run():
-        w = cpu.sp & MASK32
-        regs[w_d] = w
-        cpu.sp = (regs[base_i] + w) & MASK64
-    return run
+    return [f"x = cpu.sp & {M32}",
+            f"regs[{w_d}] = x",
+            f"cpu.sp = (regs[{b}] + x) & {M64}"]
 
 
 # ---------------------------------------------------------------------------
@@ -1084,14 +703,19 @@ class SuperblockEngine:
         self.chain_links = 0
         self.fused_calls = 0
         self.compiled_blocks = 0
+        _NAMESPACE.update(MemTrap=M.MemTrap, b2f=M._bits_to_float,
+                          f2b=M._float_to_bits)
         self._bindings = _Bindings(machine)
         #: template -> its ops bound to this machine, None where an op
         #: reads pc; capped like the templates themselves.
         self._bound: Dict[BlockTemplate, list] = {}
-        #: What rows and compiled bodies read of the machine, in keys.
-        model = machine.model
+        #: template -> its generated body bound to this machine.
+        self._bodies: Dict[BlockTemplate, object] = {}
+        #: What rows and generated bodies read of the machine, in keys.
+        model, tlb = machine.model, machine.tlb
         self._cost_id = None if model is None else _COST_IDS.setdefault(
-            repr((model, machine.tlb_walk_scale)), len(_COST_IDS))
+            repr((model, machine.tlb_walk_scale, tlb.sets, tlb.page_size)),
+            len(_COST_IDS))
 
     # -- cache management ---------------------------------------------------
 
@@ -1126,6 +750,12 @@ class SuperblockEngine:
     def block_at(self, pc: int) -> Optional[Superblock]:
         return self._blocks.get(pc)
 
+    @property
+    def generated(self) -> Tuple[int, float]:
+        """Bodies generated in this process for this machine's cost
+        identity, and the host milliseconds that took."""
+        return tuple(_GENERATED.get(self._cost_id, (0, 0.0)))
+
     # -- driving ------------------------------------------------------------
 
     def run(self, fuel: Optional[int]) -> None:
@@ -1153,10 +783,11 @@ class SuperblockEngine:
         up (host check, translate, link), stop if it would overrun the
         fuel, run its body, then advance pc and fuel and offer a fused
         runtime call to the springboard.  The body is chosen by what is
-        there to observe: without a cost model the op closures alone;
-        with one, the block's compiled closure once it has one, and until
-        then its rows walked through the same :class:`_Costing` methods
-        ``Machine.step`` charges with.
+        there to observe: the block's generated function once it has one
+        (its content got hot, here or anywhere in the process); until
+        then its op closures, alone without a cost model and with one
+        followed by their rows, walked through the same :class:`_Costing`
+        methods ``Machine.step`` charges with.
         """
         M = self._M
         machine = self.machine
@@ -1204,7 +835,16 @@ class SuperblockEngine:
                     return remaining
                 taken = False
                 try:
-                    if costing is None:
+                    fn = block.fn
+                    if fn is None and block.hits >= 0:
+                        block.hits += 1
+                        if block.hits >= _COMPILE_THRESHOLD:
+                            fn = self._compile_block(block)
+                            if fn is None:
+                                block.hits = -1  # too large; stop trying
+                    if fn is not None:
+                        taken = fn(pc0)
+                    elif costing is None:
                         for kind, exec_, rows in block.ops:
                             if kind < K_BRANCH:
                                 exec_()
@@ -1213,35 +853,25 @@ class SuperblockEngine:
                             else:
                                 taken = exec_()[0]
                     else:
-                        fn = block.fn
-                        if fn is None and block.hits >= 0:
-                            block.hits += 1
-                            if block.hits >= _COMPILE_THRESHOLD:
-                                fn = block.fn = self._compile_block(block)
-                                if fn is None:
-                                    block.hits = -1  # too large; stop trying
-                        if fn is not None:
-                            taken = fn()
-                        else:
-                            for kind, exec_, rows in block.ops:
-                                if kind == K_SIMPLE:
-                                    exec_()
-                                elif kind == K_MEM:
-                                    addr = exec_()
-                                elif kind == K_BRANCH:
-                                    taken = exec_()
-                                else:
-                                    taken, addr = exec_()
-                                for _pc, icost, lat, uses, defs, role in rows:
-                                    extra = bw = 0.0
-                                    if role & R_MEM and addr is not None:
-                                        extra, bw = penalty(addr)
-                                    if role == R_TAKEN \
-                                            or role & R_BRANCH and taken:
-                                        icost += tb
-                                    charge(icost + bw, lat, uses, defs, extra)
+                        for kind, exec_, rows in block.ops:
+                            if kind == K_SIMPLE:
+                                exec_()
+                            elif kind == K_MEM:
+                                addr = exec_()
+                            elif kind == K_BRANCH:
+                                taken = exec_()
+                            else:
+                                taken, addr = exec_()
+                            for _pc, icost, lat, uses, defs, role in rows:
+                                extra = bw = 0.0
+                                if role & R_MEM and addr is not None:
+                                    extra, bw = penalty(addr)
+                                if role == R_TAKEN \
+                                        or role & R_BRANCH and taken:
+                                    icost += tb
+                                charge(icost + bw, lat, uses, defs, extra)
                 except MemoryFault as fault:
-                    # The one fault rule (a compiled closure applies it
+                    # The one fault rule (a generated body applies it
                     # itself and raises MemTrap): the ops before the one
                     # that faulted have retired, and so have its rows
                     # ahead of its first memory row — a fused guard's
@@ -1290,72 +920,103 @@ class SuperblockEngine:
             self.chain_links += links
 
     def _compile_block(self, block: Superblock):
-        """``block``'s specialized straight-line closure: its template's
-        compiled body (generated on first use, once per content and cost
-        model) bound to the block's closures, this machine and ``start``.
-        Returns None when the block is not worth compiling (oversized)."""
-        if len(block.ops) > _COMPILE_MAX_OPS:
-            return None
-        machine = self.machine
-        costing = machine._costing
+        """Give ``block`` its template's generated body (built on first
+        use, once per content and cost identity in the process) bound to
+        this machine; None when it is not worth generating (oversized)."""
         template = block.template
-        if template.factory is None:
-            template.factory = self._compile(template)
+        fn = self._bodies.get(template)
+        if fn is None:
+            if template.code is None:
+                if len(template.ops) > _COMPILE_MAX_OPS:
+                    return None
+                template.code, template.consts = self._compile(template)
+            if len(self._bodies) >= _TEMPLATE_CAP:
+                self._bodies.clear()
+            fn = self._bodies[template] = \
+                self._bindings.bind(template.code)(template.consts)
         self.compiled_blocks += 1
-        return template.factory(
-            block.ops, costing, costing.ready, costing.ready.get,
-            machine.cpu, machine, costing.tlb.lookup, costing.l1.lookup,
-            costing.l2.lookup, MemoryFault, self._M.MemTrap, block.start)
+        block.fn = fn
+        return fn
 
     def _compile(self, template: BlockTemplate):
-        """Compile ``template.ops`` into the maker of a straight-line closure.
+        """Generate ``template``'s body: ``(maker, constants)`` of one
+        straight-line function ``run(pc0) -> taken``.
 
-        Walking rows pays per-op Python overhead on every execution: tuple
-        unpacks, kind and role switches, two calls per row and scoreboard
-        loops over ``uses``/``defs``.  For a block that re-executes (a
-        loop body) all of that is static, so it is unrolled here into
-        generated source with every static quantity — issue costs,
-        latencies, scoreboard keys, pc displacements, model miss charges —
-        folded in as literals (``repr`` of a float round-trips exactly).
-        The row emitter below is the source form of
-        ``_Costing.memory_penalty`` and ``_Costing.charge_row``: the *same
-        float operations in the same order*, so cycle totals stay
-        bit-identical; compilation is pure host-side speedup (DESIGN.md
-        §15).  The op closures, the machine and the block's start (``pc0``)
-        are the maker's parameters.
+        A body is lines + rows.  Each op contributes its emitter's lines
+        with the operands as literals, then — under a cost model — its
+        cost rows as source: ``_Costing.memory_penalty`` and
+        ``_Costing.charge_row`` with every static quantity (issue costs,
+        latencies, scoreboard keys, model miss charges) folded in and the
+        *same float operations in the same order*, so cycle totals stay
+        bit-identical and the body is pure host-side speedup (DESIGN.md
+        §15).  Three things a row walk does per row are done per block
+        instead:
 
-        The closure keeps ``t_issue``/``t_done`` in locals and commits
-        them in a ``finally``, so a mid-block trap leaves exactly what
-        walking the rows would have.
+        * the scoreboard lives in locals: a key's ready time is read from
+          ``costing.ready`` at most once and a key the block defines is
+          stored once, at the block's exit or in the arm of the fault (or
+          handler exception) that ends it early, so what the body leaves
+          is exactly what a row walk would have;
+        * ``t_issue``/``t_done`` and the TLB/L1 hit counts are locals
+          committed in a ``finally``;
+        * a memory row tests the MRU way of its TLB and L1 set inline
+          (``Tlb.set_source``) and calls ``lookup`` only past it.
+
+        An op that can fault runs under the dispatch loop's fault rule as
+        source.  The maker's parameters are the machine objects the body
+        names (bound by ``_Bindings``) and the template's constants: the
+        code names no address, machine or slot, so it serves every block
+        of the content anywhere.
         """
-        ops = template.ops
+        began = perf_counter()
         costing = self.machine._costing
-        model = self.machine.model
-        tb = model.taken_branch_cost
-
+        if costing is not None:
+            model = costing.model
+            tb = model.taken_branch_cost
+            sources = {"tlb": costing.tlb.set_source("tlb_sets"),
+                       "l1": costing.l1.set_source("l1_sets")}
+        consts: List[object] = []
         lines: List[str] = []
         emit = lines.append
 
-        def charge(ind, row):
+        def literal(value) -> str:
+            if isinstance(value, (int, str)):
+                return repr(value)
+            consts.append(value)
+            return f"consts[{len(consts) - 1}]"
+
+        def probe(ind, gauge, cycles, issue):
+            """One gauge of ``_Costing.memory_penalty``: its MRU way
+            tested inline, ``lookup`` called past it, a miss charged."""
+            for line in sources[gauge]:
+                emit(ind + line)
+            emit(f"{ind}if ways and ways[-1] == unit:")
+            emit(f"{ind}    h_{gauge} += 1")
+            emit(f"{ind}elif not {gauge}_lookup(addr):")
+            emit(f"{ind}    extra += {cycles!r}")
+            emit(f"{ind}    bw += {issue!r}")
+
+        def penalty(ind):
+            """``_Costing.memory_penalty(addr)`` into ``extra``/``bw``."""
+            probe(ind, "tlb", costing.walk, costing.walk_issue)
+            probe(ind, "l1", model.l1_miss_cycles, model.l1_miss_issue)
+            emit(f"{ind}    if not l2_lookup(addr):")
+            emit(f"{ind}        extra += {model.l2_miss_cycles!r}")
+            emit(f"{ind}        bw += {model.l2_miss_issue!r}")
+
+        def charge(ind, row, board):
+            """One row; ``board``: key -> (local with its ready time,
+            whether the block defined it)."""
             _pc, icost, lat, uses, defs, role = row
             bw = ""
             lat_expr = repr(lat)
             if role & R_MEM:
-                emit(f"{ind}extra = 0.0")
-                emit(f"{ind}bw = 0.0")
-                at = ind
+                emit(f"{ind}extra = bw = 0.0")
                 if role == R_GENERIC:
                     emit(f"{ind}if addr is not None:")
-                    at += "    "
-                emit(f"{at}if not tlb_lookup(addr):")
-                emit(f"{at}    extra += {costing.walk!r}")
-                emit(f"{at}    bw += {costing.walk_issue!r}")
-                emit(f"{at}if not l1_lookup(addr):")
-                emit(f"{at}    extra += {model.l1_miss_cycles!r}")
-                emit(f"{at}    bw += {model.l1_miss_issue!r}")
-                emit(f"{at}    if not l2_lookup(addr):")
-                emit(f"{at}        extra += {model.l2_miss_cycles!r}")
-                emit(f"{at}        bw += {model.l2_miss_issue!r}")
+                    penalty(ind + "    ")
+                else:
+                    penalty(ind)
                 bw = " + bw"
                 lat_expr += " + extra"
             if role & R_BRANCH:
@@ -1367,66 +1028,93 @@ class SuperblockEngine:
                 emit(f"{ind}t_issue += {icost + tb!r}")
             else:
                 emit(f"{ind}t_issue += {icost!r}{bw}")
-            emit(f"{ind}start = t_issue")
-            for key in uses:
-                emit(f"{ind}t = ready_get({key!r})")
-                emit(f"{ind}if t is not None and t > start:")
-                emit(f"{ind}    start = t")
-            emit(f"{ind}finish = start + {lat_expr}")
-            for key in defs:
-                emit(f"{ind}ready[{key!r}] = finish")
+            start = "t_issue"
+            for key in dict.fromkeys(uses):
+                if start == "t_issue":
+                    emit(f"{ind}start = t_issue")
+                    start = "start"
+                local, certain = board.get(key) or (f"u{key}", False)
+                if key not in board:
+                    board[key] = (local, False)
+                    emit(f"{ind}{local} = ready_get({key!r})")
+                waits = f"{local} > start" if certain \
+                    else f"{local} is not None and {local} > start"
+                emit(f"{ind}if {waits}:")
+                emit(f"{ind}    start = {local}")
+            emit(f"{ind}finish = {start} + {lat_expr}")
+            if defs:
+                board.update((key, (f"r{key}", True)) for key in defs)
+                emit(ind + " = ".join(f"r{key}" for key in
+                                      dict.fromkeys(defs)) + " = finish")
             emit(f"{ind}if finish > t_done:")
             emit(f"{ind}    t_done = finish")
 
-        ind = "            "
+        def flush(ind, board):
+            for key, (local, certain) in board.items():
+                if certain:
+                    emit(f"{ind}ready[{key!r}] = {local}")
+
+        ind = "    " if costing is not None else ""
+        board: Dict[object, tuple] = {}
         retired = 0
-        for i, (kind, *_recipe, rows) in enumerate(ops):
-            call = ("e{}()", "addr = e{}()", "taken = e{}()",
-                    "taken, addr = e{}()")[kind].format(i)
+        for _kind, make, args, rel, rows in template.ops:
+            body = make.emit(*map(literal, args), *[
+                f"((pc0 + {d}) & {M64})" for d in rel or ()])
             ahead = next((k for k, row in enumerate(rows)
                           if row[5] & R_MEM), None)
             if ahead is None:
-                emit(f"{ind}{call}")
+                lines.extend(ind + line for line in body)
             else:
                 # The fault rule of the dispatch loop, as source.
                 pc = f"pc0 + {rows[ahead][0]}"
+                arm = ind + "    "
                 emit(f"{ind}try:")
-                emit(f"{ind}    {call}")
+                lines.extend(arm + line for line in body)
                 emit(f"{ind}except MemoryFault as fault:")
-                for row in rows[:ahead]:
-                    charge(ind + "    ", row)
-                emit(f"{ind}    machine.instret += {retired + ahead}")
-                emit(f"{ind}    cpu.pc = {pc}")
-                emit(f"{ind}    raise MemTrap({pc}, fault) from None")
-            for row in rows:
-                charge(ind, row)
+                if costing is not None:
+                    sofar = dict(board)
+                    for row in rows[:ahead]:
+                        charge(arm, row, sofar)
+                    flush(arm, sofar)
+                emit(f"{arm}machine.instret += {retired + ahead}")
+                emit(f"{arm}cpu.pc = {pc}")
+                emit(f"{arm}raise MemTrap({pc}, fault) from None")
+                if costing is not None and "handlers" in _names_in(body) \
+                        and any(certain for _, certain in board.values()):
+                    # Whatever else a handler raises: the ops before it
+                    # have been charged, it has not.
+                    emit(f"{ind}except BaseException:")
+                    flush(arm, board)
+                    emit(f"{arm}raise")
+            if costing is not None:
+                for row in rows:
+                    charge(ind, row, board)
             retired += len(rows)
 
-        binds = ", ".join(
-            [f"e{i}=ops[{i}][1]" for i in range(len(ops))]
-            + ["costing=costing", "ready=ready", "ready_get=ready_get",
-               "cpu=cpu", "machine=machine", "tlb_lookup=tlb_lookup",
-               "l1_lookup=l1_lookup", "l2_lookup=l2_lookup",
-               "MemoryFault=MemoryFault", "MemTrap=MemTrap", "pc0=pc0"])
-        src = "\n".join(
-            ["def _factory(ops, costing, ready, ready_get, cpu, machine,",
-             "             tlb_lookup, l1_lookup, l2_lookup, MemoryFault,",
-             "             MemTrap, pc0):",
-             f"    def run({binds}):",
-             "        t_issue = costing.t_issue",
-             "        t_done = costing.t_done",
-             "        taken = False",
-             "        try:",
-             *lines,
-             "        finally:",
-             "            costing.t_issue = t_issue",
-             "            costing.t_done = t_done",
-             "        return taken",
-             "    return run",
-             ""])
-        namespace: Dict[str, object] = {}
-        exec(compile(src, "<superblock>", "exec"), namespace)
-        return namespace["_factory"]
+        if costing is None:
+            body = ["taken = False", *lines, "return taken"]
+        else:
+            flush(ind, board)
+            counted = "h_tlb" in _names_in(lines)
+            body = ["t_issue = costing.t_issue",
+                    "t_done = costing.t_done",
+                    "taken = False",
+                    *["h_tlb = h_l1 = 0"] * counted,
+                    "try:",
+                    *lines,
+                    "finally:",
+                    "    costing.t_issue = t_issue",
+                    "    costing.t_done = t_done",
+                    *["    tlb.hits += h_tlb", "    l1.hits += h_l1"] * counted,
+                    "return taken"]
+        named = _names_in(body)
+        maker = _function(
+            "body", [name for name in self._bindings.objects
+                     if name in named] + ["consts"], body, "run(pc0)")
+        stats = _GENERATED.setdefault(self._cost_id, [0, 0.0])
+        stats[0] += 1
+        stats[1] += (perf_counter() - began) * 1e3
+        return maker, consts
 
     # -- translation --------------------------------------------------------
 
@@ -1486,6 +1174,15 @@ class SuperblockEngine:
             template = _TEMPLATES[key] = self._derive(key[0], guards)
         else:
             self.template_hits += 1
+        block = self._blocks[start] = Superblock(start, template)
+        self.translations += 1
+        self.fused_calls += template.call_tail
+        if template.code is not None:
+            # The content got hot before, somewhere in the process: this
+            # block runs its generated body from the first execution and
+            # never needs closures.
+            self._compile_block(block)
+            return block
         # Bind: once per machine for the ops that read no pc (their
         # closures hold no state, so every block of the template here
         # shares them), per block for the ones that do.
@@ -1495,16 +1192,13 @@ class SuperblockEngine:
             if len(self._bound) >= _TEMPLATE_CAP:
                 self._bound.clear()
             ops = self._bound[template] = [
-                (kind, None if rel else bind[factory](*args), rows)
-                for kind, factory, args, rel, rows in template.ops]
-        ops = ops.copy()
+                (kind, None if rel else bind[make](*args), rows)
+                for kind, make, args, rel, rows in template.ops]
+        block.ops = ops = ops.copy()
         for i in template.moving:
-            kind, factory, args, rel, rows = template.ops[i]
-            ops[i] = (kind, bind[factory](
+            kind, make, args, rel, rows = template.ops[i]
+            ops[i] = (kind, bind[make](
                 *args, *[(start + d) & MASK64 for d in rel]), rows)
-        block = self._blocks[start] = Superblock(start, ops, template)
-        self.translations += 1
-        self.fused_calls += template.call_tail
         return block
 
     def _derive(self, text: bytes, guards: int) -> BlockTemplate:
@@ -1533,8 +1227,8 @@ class SuperblockEngine:
             ldr_pc, ldr = decoded[-2]
             blr_pc, blr = decoded[-1]
             form = self._mem_form(ldr[0].mem)
-            if form is not None and form[0] == "imm" and not form[2]:
-                call = (K_GENERIC, _t_call_tail, (form[1], form[3]),
+            if form is not None and form[0] == "imm" and form[3] is None:
+                call = (K_GENERIC, _op(_e_call_tail), (form[1], form[2]),
                         (blr_pc + 4,), (self._row(ldr_pc, ldr, R_MEM),
                                         self._row(blr_pc, blr, R_TAKEN)))
                 del decoded[-2:]
@@ -1568,19 +1262,28 @@ class SuperblockEngine:
 
     def _build_op(self, pc: int, entry: tuple) -> tuple:
         inst, word = entry[:2]
-        kind, factory, args, *rel = self._specialize(pc, inst) or (
-            K_GENERIC, _t_generic, (inst if word is None else None, word),
-            (pc,))
+        make, args, *rel = self._specialize(pc, inst) \
+            or self._generic(pc, inst, word)
         # Its one row takes everything the op returns: role == kind.
-        return (kind, factory, args, rel[0] if rel else None,
-                (self._row(pc, entry, kind),))
+        return (make.kind, make, args, rel[0] if rel else None,
+                (self._row(pc, entry, make.kind),))
+
+    @staticmethod
+    def _generic(pc: int, inst: Instruction, word: Optional[int]):
+        """The recipe of the stepping handler of ``inst`` (``word`` is
+        not None when its decode reads pc)."""
+        base = inst.base
+        if word is not None or base in _PC_READING:
+            return (_op(_e_generic_at, base in _PC_READING,
+                        word is not None),
+                    (inst if word is None else word, base), (pc,))
+        return (_op(_e_generic), (inst, base))
 
     def _specialize(self, pc: int, inst: Instruction):
-        """The recipe of a specialized thunk ``(kind, factory, args[, pc-
-        relative args])``, or None for the generic fallback.  ``pc`` and
-        every address ``inst`` was decoded to are displacements from the
-        block start."""
-        M = self._M
+        """The recipe ``(maker, operands[, pc-relative operands])`` of
+        the emitter stating ``inst``, or None for the stepping handler.
+        ``pc`` and every address ``inst`` was decoded to are
+        displacements from the block start."""
         base = inst.base
         m = inst.mnemonic
         ops = inst.operands
@@ -1590,111 +1293,98 @@ class SuperblockEngine:
             if not isinstance(ops[0], Imm):
                 return None
             if m == "b":
-                return (K_BRANCH, _t_b, (), (ops[0].value,))
+                return (_op(_e_b), (), (ops[0].value,))
             cond = self._canonical(m[2:])
             if cond is None:
                 return None
-            return (K_BRANCH, _t_bcond, (cond,), (ops[0].value,))
+            return (_op(_e_bcond, cond), (), (ops[0].value,))
         if base == "bl":
             if not isinstance(ops[0], Imm):
                 return None
-            return (K_BRANCH, _t_bl, (), (ops[0].value, pc + 4))
-        if base == "br":
-            if not _is_plain_gpr(ops[0]):
-                return None
-            return (K_BRANCH, _t_br, (ops[0].index,))
-        if base == "blr":
-            if not _is_plain_gpr(ops[0]):
-                return None
-            return (K_BRANCH, _t_blr, (ops[0].index,), (pc + 4,))
-        if base == "ret":
+            return (_op(_e_bl), (), (ops[0].value, pc + 4))
+        if base in ("br", "ret"):
             reg = ops[0] if ops else LR
             if not _is_plain_gpr(reg):
                 return None
-            return (K_BRANCH, _t_br, (reg.index,))
+            return (_op(_e_br), (reg.index,))
+        if base == "blr":
+            if not _is_plain_gpr(ops[0]):
+                return None
+            return (_op(_e_blr), (ops[0].index,), (pc + 4,))
         if base in ("cbz", "cbnz"):
             rt, target = ops
             if not _is_plain_gpr(rt) or not isinstance(target, Imm):
                 return None
-            return (K_BRANCH, _t_cb, (rt.index, rt.bits, base == "cbz"),
+            return (_op(_e_cb, rt.bits, base == "cbz"), (rt.index,),
                     (target.value,))
         if base in ("tbz", "tbnz"):
             rt, bit, target = ops
             if not _is_plain_gpr(rt) or not isinstance(target, Imm):
                 return None
-            return (K_BRANCH, _t_tb, (rt.index, bit.value, base == "tbnz"),
+            return (_op(_e_tb, base == "tbnz"), (rt.index, bit.value),
                     (target.value,))
 
         # -- vector / floating point ---------------------------------------
         if ops and isinstance(ops[0], VecReg):
-            return self._specialize_vector(inst)
+            # Only the same-arrangement integer triples; anything else
+            # (float lanes, movi/dup, mixed arrangements) stays generic.
+            if base not in ("add", "sub", "mul", "and", "orr", "eor") \
+                    or len(ops) != 3 \
+                    or not all(isinstance(o, VecReg) for o in ops) \
+                    or not ops[0].arrangement == ops[1].arrangement \
+                    == ops[2].arrangement:
+                return None
+            return (_op(_e_vec3, ops[0].lanes, ops[0].lane_bits, base),
+                    tuple(o.reg.index for o in ops))
 
-        if base in ("fadd", "fsub", "fmul") and len(ops) == 3:
-            rd, rn, rm = ops
-            if all(isinstance(r, Reg) and r.is_vector for r in ops) \
-                    and rd.bits == rn.bits == rm.bits \
-                    and rd.bits in (32, 64):
-                return (K_SIMPLE, _t_fp2, (
-                    rd.index, rn.index, rm.index, rd.bits,
-                    base, M._bits_to_float, M._float_to_bits))
-            return None
-
-        if base in ("fmadd", "fmsub") and len(ops) == 4:
-            rd, rn, rm, ra = ops
-            if all(isinstance(r, Reg) and r.is_vector for r in ops) \
-                    and rd.bits == rn.bits == rm.bits == ra.bits \
-                    and rd.bits in (32, 64):
-                return (K_SIMPLE, _t_fp3, (
-                    rd.index, rn.index, rm.index, ra.index,
-                    rd.bits, base == "fmsub",
-                    M._bits_to_float, M._float_to_bits))
-            return None
+        if base in ("fadd", "fsub", "fmul", "fmadd", "fmsub"):
+            fused = base in ("fmadd", "fmsub")
+            if len(ops) != 3 + fused \
+                    or not all(isinstance(r, Reg) and r.is_vector
+                               and r.bits == ops[0].bits for r in ops) \
+                    or ops[0].bits not in (32, 64):
+                return None
+            indexes = tuple(r.index for r in ops)
+            if fused:
+                return (_op(_e_fp3, ops[0].bits, base == "fmsub"), indexes)
+            return (_op(_e_fp2, ops[0].bits, base), indexes)
 
         # -- data processing ----------------------------------------------
         if base in ("add", "sub", "adds", "subs"):
             rd, rn, rm = ops[0], ops[1], ops[2]
-            if not isinstance(rd, Reg) or rd.is_vector:
+            if not isinstance(rd, Reg) or rd.is_vector \
+                    or not _is_plain_gpr(rn):
                 return None
             setflags = base.endswith("s")
             sub = base.startswith("sub")
             width = rd.bits
-            if not _is_plain_gpr(rn):
-                return None
-            if setflags:
-                if not (rd.is_zero or _is_plain_gpr(rd)):
-                    return None
-                d = None if rd.is_zero else rd.index
-                if isinstance(rm, (Imm, ShiftedImm)):
-                    b = (rm.value << rm.shift if isinstance(rm, ShiftedImm)
-                         else rm.value) & ((1 << width) - 1)
-                    return (K_SIMPLE, _t_addsub_flags_imm, (
-                        d, rn.index, b, width, sub))
-                if _is_plain_gpr(rm) and rm.bits == width:
-                    return (K_SIMPLE, _t_addsub_flags_reg, (
-                        d, rn.index, rm.index, width, sub))
-                return None
-            if not _is_plain_gpr(rd):
+            if not (_is_plain_gpr(rd) or setflags and rd.is_zero):
                 return None
             if isinstance(rm, (Imm, ShiftedImm)):
+                form = "imm"
                 b = (rm.value << rm.shift if isinstance(rm, ShiftedImm)
                      else rm.value) & ((1 << width) - 1)
-                return (K_SIMPLE, _t_add_imm, (rd.index, rn.index, b,
-                                               width, sub))
-            if isinstance(rm, Reg) and _is_plain_gpr(rm) \
-                    and rm.bits == width:
-                return (K_SIMPLE, _t_add_reg, (rd.index, rn.index,
-                                               rm.index, width, sub))
-            if not sub and width == 64 and isinstance(rm, Extended) \
+                if setflags and sub:
+                    b = ~b & ((1 << width) - 1)
+            elif _is_plain_gpr(rm) and rm.bits == width:
+                form, b = "reg", rm.index
+            elif setflags:
+                return None
+            elif not sub and width == 64 and isinstance(rm, Extended) \
                     and rm.kind == "uxtw" and not rm.amount \
                     and _is_plain_gpr(rm.reg):
-                return (K_SIMPLE, _t_add_uxtw, (rd.index, rn.index,
-                                                rm.reg.index))
-            if isinstance(rm, Shifted) and rm.kind == "lsl" \
+                form, b = "uxtw", rm.reg.index
+            elif isinstance(rm, Shifted) and rm.kind == "lsl" \
                     and _is_plain_gpr(rm.reg) and rm.reg.bits == width:
-                return (K_SIMPLE, _t_addsub_shifted, (
-                    rd.index, rn.index, rm.reg.index,
-                    rm.amount % width, width, sub))
-            return None
+                form, b = rm.amount % width, rm.reg.index
+            else:
+                return None
+            if setflags:
+                return (_op(_e_addsub_flags, width, sub, form,
+                            not rd.is_zero),
+                        (0 if rd.is_zero else rd.index, rn.index, b))
+            return (_op(_e_addsub, width, sub, form),
+                    (rd.index, rn.index, b))
 
         if base in ("mov", "movz", "movn"):
             rd, src = ops
@@ -1706,10 +1396,9 @@ class SuperblockEngine:
                     else src.value
                 if base == "movn":
                     v = ~v
-                return (K_SIMPLE, _t_mov_const, (rd.index, v & mask))
+                return (_op(_e_mov_const), (rd.index, v & mask))
             if base == "mov" and _is_plain_gpr(src):
-                return (K_SIMPLE, _t_mov_reg, (rd.index, src.index,
-                                               rd.bits))
+                return (_op(_e_mov_reg, rd.bits), (rd.index, src.index))
             return None
 
         if base == "movk":
@@ -1717,18 +1406,17 @@ class SuperblockEngine:
             if not _is_plain_gpr(rd):
                 return None
             shift = src.shift if isinstance(src, ShiftedImm) else 0
-            imm = src.value
             keep = ((1 << rd.bits) - 1) & ~(0xFFFF << shift)
-            return (K_SIMPLE, _t_movk, (rd.index, keep, imm << shift,
-                                        rd.bits))
+            return (_op(_e_movk, rd.bits),
+                    (rd.index, keep, src.value << shift))
 
         if base in ("adr", "adrp"):
             rd, src = ops
             if not _is_plain_gpr(rd) or not isinstance(src, Imm):
                 return None
             if base == "adr":
-                return (K_SIMPLE, _t_mov_const, (rd.index,), (src.value,))
-            return (K_SIMPLE, _t_adrp,
+                return (_op(_e_mov_const), (rd.index,), (src.value,))
+            return (_op(_e_adrp),
                     (rd.index, (src.value >> 12) - (pc >> 12)), (pc,))
 
         if base in ("and", "orr", "eor"):
@@ -1738,13 +1426,12 @@ class SuperblockEngine:
                 return None
             width = rd.bits
             if isinstance(rm, Imm):
-                b = rm.value & ((1 << width) - 1)
-                return (K_SIMPLE, _t_logic_imm, (rd.index, rn.index, b,
-                                                 width, base))
+                return (_op(_e_logic, width, base, "imm"),
+                        (rd.index, rn.index, rm.value & ((1 << width) - 1)))
             if isinstance(rm, Reg) and _is_plain_gpr(rm) \
                     and rm.bits == width:
-                return (K_SIMPLE, _t_logic_reg, (rd.index, rn.index,
-                                                 rm.index, width, base))
+                return (_op(_e_logic, width, base, "reg"),
+                        (rd.index, rn.index, rm.index))
             return None
 
         if base in ("lsl", "lsr", "asr"):
@@ -1752,160 +1439,104 @@ class SuperblockEngine:
             if not _is_plain_gpr(rd) or not _is_plain_gpr(rn) \
                     or not isinstance(src, Imm):
                 return None
-            return (K_SIMPLE, _t_shift_imm, (rd.index, rn.index,
-                                             src.value % rd.bits, rd.bits,
-                                             base))
+            return (_op(_e_shift_imm, rd.bits, base),
+                    (rd.index, rn.index, src.value % rd.bits))
 
         if base in ("madd", "msub") and len(ops) == 4:
             rd, rn, rm, ra = ops
             if not (_is_plain_gpr(rd) and _is_plain_gpr(rn)
-                    and _is_plain_gpr(rm) and _is_plain_gpr(ra)) \
+                    and _is_plain_gpr(rm)
+                    and (ra.is_zero or _is_plain_gpr(ra))) \
                     or not rd.bits == rn.bits == rm.bits == ra.bits:
                 return None
-            return (K_SIMPLE, _t_madd, (rd.index, rn.index, rm.index,
-                                        ra.index, rd.bits, base == "msub"))
+            return (_op(_e_madd, rd.bits, base == "msub", ra.is_zero),
+                    (rd.index, rn.index, rm.index,
+                     0 if ra.is_zero else ra.index))
 
         if base in ("ubfm", "sbfm") and len(ops) == 4:
             rd, rn, immr, imms = ops
             if not _is_plain_gpr(rd) or not _is_plain_gpr(rn) \
                     or rd.bits != rn.bits:
                 return None
-            return (K_SIMPLE, _t_bitfield, (rd.index, rn.index, rd.bits,
-                                            immr.value, imms.value,
-                                            base == "sbfm"))
+            width, immr, imms = rd.bits, immr.value, imms.value
+            if imms >= immr:
+                length, rshift, shift = imms - immr + 1, immr, 0
+            else:
+                length, rshift, shift = imms + 1, 0, width - immr
+            fill = ((1 << width) - 1) & ~((1 << min(shift + length,
+                                                    width)) - 1)
+            return (_op(_e_bitfield, width, base == "sbfm"),
+                    (rd.index, rn.index, rshift, (1 << length) - 1, shift,
+                     1 << (length - 1), fill))
 
         # -- memory --------------------------------------------------------
-        if base in _UNSIGNED_LOADS or base in _SIGNED_LOADS:
+        if base in _UNSIGNED_LOADS or base in _SIGNED_LOADS \
+                or base in _SIMPLE_STORES:
             rt, memop = ops[0], ops[1]
             if not isinstance(memop, Mem) or isinstance(rt, VecReg):
                 return None
-            if rt.is_vector:
-                if base in _SIGNED_LOADS:
-                    return None
-                form = self._mem_form(memop)
-                if form is None:
-                    return None
-                mode, base_i, sp_base, imm, w_i = form
-                size = access_bytes(inst)
-                vmask = (1 << rt.bits) - 1
-                if mode == "imm":
-                    return (K_MEM, _t_vload, (rt.index, base_i, imm, size,
-                                              vmask, sp_base))
-                return (K_MEM, _t_vload_uxtw, (rt.index, base_i, w_i, size,
-                                               vmask))
-            if not (rt.is_zero or _is_plain_gpr(rt)):
-                return None
-            if rt.is_zero:
-                return None  # prefetch-style form: keep generic
-            signed_bits = _SIGNED_LOADS.get(base)
-            size = access_bytes(inst)
             form = self._mem_form(memop)
             if form is None:
                 return None
-            mode, base_i, sp_base, imm, w_i = form
-            if mode == "imm":
-                return (K_MEM, _t_load, (rt.index, base_i, imm, size,
-                                         signed_bits, rt.bits, sp_base))
-            return (K_MEM, _t_load_uxtw, (rt.index, base_i, w_i, size,
-                                          signed_bits, rt.bits))
-
-        if base in _SIMPLE_STORES:
-            rt, memop = ops[0], ops[1]
-            if not isinstance(memop, Mem) or isinstance(rt, VecReg):
-                return None
-            if rt.is_vector:
-                form = self._mem_form(memop)
-                if form is None:
-                    return None
-                mode, base_i, sp_base, imm, w_i = form
-                size = access_bytes(inst)
-                vmask = (1 << rt.bits) - 1
-                if mode == "imm":
-                    return (K_MEM, _t_vstore, (rt.index, base_i, imm, size,
-                                               vmask, sp_base))
-                return (K_MEM, _t_vstore_uxtw, (rt.index, base_i, w_i, size,
-                                                vmask))
-            if not (rt.is_zero or _is_plain_gpr(rt)):
-                return None
+            mode, b, off, wb = form
             size = access_bytes(inst)
-            form = self._mem_form(memop)
-            if form is None:
+            if base in _SIMPLE_STORES:
+                if not (rt.is_vector or rt.is_zero or _is_plain_gpr(rt)):
+                    return None
+                return (_op(_e_store, size, rt.is_vector, rt.is_zero, mode,
+                            wb), (0 if rt.is_zero else rt.index, b, off))
+            signed = _SIGNED_LOADS.get(base)
+            # (A load into the zero register is a prefetch-style form.)
+            if signed and rt.is_vector \
+                    or not (rt.is_vector or _is_plain_gpr(rt)):
                 return None
-            mode, base_i, sp_base, imm, w_i = form
-            t = 0 if rt.is_zero else rt.index
-            if mode == "imm":
-                return (K_MEM, _t_store, (t, base_i, imm, size, sp_base,
-                                          rt.is_zero))
-            return (K_MEM, _t_store_uxtw, (t, base_i, w_i, size,
-                                           rt.is_zero))
+            return (_op(_e_load, size, signed, rt.bits, rt.is_vector, mode,
+                        wb), (rt.index, b, off))
 
         if base in ("ldp", "stp"):
             rt, rt2, memop = ops
-            if rt.is_vector or rt2.is_vector or rt.bits != 64 \
-                    or rt2.bits != 64:
-                return None
-            if not _is_plain_gpr(rt) or not _is_plain_gpr(rt2):
+            if not (_is_plain_gpr(rt) and _is_plain_gpr(rt2)
+                    and rt.bits == rt2.bits == 64):
                 return None
             form = self._mem_form(memop)
-            if form is None:
+            if form is None or form[0] not in ("imm", "sp"):
                 return None
-            mode, base_i, sp_base, imm, _w_i = form
-            if mode != "imm":
-                return None
-            return (K_MEM, _t_ldp if base == "ldp" else _t_stp,
-                    (rt.index, rt2.index, base_i, imm, sp_base))
+            mode, b, off, wb = form
+            return (_op(_e_pair, base == "ldp", mode, wb),
+                    (rt.index, rt2.index, b, off))
 
         return None
 
-    def _specialize_vector(self, inst: Instruction):
-        """Lane-arranged vector ops (``add v0.4s, v1.4s, v2.4s`` etc.).
-
-        Only the same-arrangement integer triple forms are specialized;
-        anything else (float lanes, movi/dup, mixed arrangements) keeps
-        the generic handler.
-        """
-        base = inst.base
-        ops = inst.operands
-        if base not in ("add", "sub", "mul", "and", "orr", "eor") \
-                or len(ops) != 3:
-            return None
-        rd, rn, rm = ops
-        if not all(isinstance(o, VecReg) for o in ops):
-            return None
-        if not (rd.arrangement == rn.arrangement == rm.arrangement):
-            return None
-        d, n, m = rd.reg.index, rn.reg.index, rm.reg.index
-        bits = rd.lane_bits
-        lanes = rd.lanes
-        if base in ("and", "orr", "eor"):
-            full_mask = (1 << (lanes * bits)) - 1
-            return (K_SIMPLE, _t_vec3_bitwise, (d, n, m, full_mask, base))
-        return (K_SIMPLE, _t_vec3_lanes, (d, n, m, lanes, bits, base))
-
     @staticmethod
     def _mem_form(memop: Mem):
-        """Classify a Mem operand for specialization.
+        """Classify a Mem operand for ``_addressed``.
 
-        Returns ``(mode, base_index, sp_base, imm, w_index)`` where mode
-        is ``"imm"`` (base register + immediate) or ``"uxtw"`` (the guard
-        addressing mode), or None if the form needs the generic handler.
+        Returns ``(mode, base index, offset, writeback)`` — mode "imm" or
+        "sp" (base register or sp + immediate offset, possibly pre- or
+        post-indexed), "uxtw" (the guard addressing mode, offset a W
+        register index) or an ``lsl`` amount (offset an X register
+        index) — or None if the form needs the generic handler.
         """
-        if memop.mode in (PRE_INDEX, POST_INDEX):
-            return None
         base = memop.base
         if not isinstance(base, Reg) or base.is_zero or base.is_vector:
             return None
-        sp_base = base.is_sp
-        base_i = None if sp_base else base.index
+        mode, b = ("sp", 0) if base.is_sp else ("imm", base.index)
+        wb = memop.mode if memop.mode in (PRE_INDEX, POST_INDEX) else None
         off = memop.offset
-        if off is None:
-            return ("imm", base_i, sp_base, 0, None)
-        if isinstance(off, Imm):
-            return ("imm", base_i, sp_base, off.value, None)
-        if isinstance(off, Extended) and off.kind == "uxtw" \
-                and not off.amount and _is_plain_gpr(off.reg) \
-                and not sp_base:
-            return ("uxtw", base_i, sp_base, 0, off.reg.index)
+        if off is None or isinstance(off, Imm):
+            return (mode, b, memop.imm_value, wb)
+        if wb or mode == "sp":
+            return None
+        if isinstance(off, Extended):
+            if off.kind == "uxtw" and not off.amount \
+                    and _is_plain_gpr(off.reg):
+                return ("uxtw", b, off.reg.index, None)
+            return None
+        amount = 0
+        if isinstance(off, Shifted) and off.kind == "lsl":
+            off, amount = off.reg, off.amount % 64
+        if _is_plain_gpr(off) and off.bits == 64:
+            return (amount, b, off.index, None)
         return None
 
     @staticmethod
@@ -1914,7 +1545,7 @@ class SuperblockEngine:
             cond = canonical_condition(cond)
         except ValueError:
             return None
-        return cond if cond in _COND_EVAL else None
+        return cond if cond in _COND_SRC else None
 
     # -- guard fusion --------------------------------------------------------
 
@@ -1928,10 +1559,21 @@ class SuperblockEngine:
         """
         guard, access = guard_entry[0], access_entry[0]
         gops = guard.operands
-
-        fused = None  # (factory, args[, pc-relative args])
-        # A guarded load/store unless a pattern below says otherwise.
-        kind, role = K_MEM, R_MEM
+        aops = access.operands
+        ab = access.base
+        fused = None  # (maker, operands[, pc-relative operands])
+        memory = (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
+                  or ab in _SIMPLE_STORES) and len(aops) == 2 \
+            and isinstance(aops[1], Mem) and not aops[0].is_vector
+        if memory:
+            rt = aops[0]
+            form = self._mem_form(aops[1]) or (None,) * 4
+            size = access_bytes(access)
+            signed = _SIGNED_LOADS.get(ab)
+            stores = ab in _SIMPLE_STORES and (rt.is_zero
+                                               or _is_plain_gpr(rt))
+            loads = ab not in _SIMPLE_STORES and _is_plain_gpr(rt)
+            t = 0 if rt.is_zero else rt.index
 
         # Pattern 1: address guard  add Xg, Xb, wS, uxtw  + consumer.
         if guard.mnemonic == "add" and len(gops) == 3 \
@@ -1940,37 +1582,19 @@ class SuperblockEngine:
                 and isinstance(gops[2], Extended) \
                 and gops[2].kind == "uxtw" and not gops[2].amount \
                 and _is_plain_gpr(gops[2].reg):
-            g_d = gops[0].index
-            base_i = gops[1].index
-            g_s = gops[2].reg.index
-            aops = access.operands
-            ab = access.base
+            g = (gops[0].index, gops[2].reg.index, gops[1].index)
             if ab in ("br", "blr", "ret"):
                 reg = aops[0] if aops else LR
-                if _is_plain_gpr(reg) and reg.index == g_d:
-                    fused = (_t_fused_guard_branch, (g_d, g_s, base_i),
-                             (pc + 8,) if ab == "blr" else None)
-                    kind, role = K_BRANCH, R_TAKEN
-            elif (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
-                    or ab in _SIMPLE_STORES) and len(aops) == 2 \
-                    and isinstance(aops[1], Mem):
-                rt, memop = aops
-                form = self._mem_form(memop)
-                if form is not None and form[0] == "imm" \
-                        and not form[2] and form[1] == g_d \
-                        and not rt.is_vector:
-                    imm = form[3]
-                    size = access_bytes(access)
-                    is_store = ab in _SIMPLE_STORES
-                    if is_store and (rt.is_zero or _is_plain_gpr(rt)):
-                        t = 0 if rt.is_zero else rt.index
-                        fused = (_t_fused_guard_store, (
-                            g_d, g_s, t, imm, size,
-                            base_i, rt.is_zero))
-                    elif not is_store and _is_plain_gpr(rt):
-                        fused = (_t_fused_guard_load, (
-                            g_d, g_s, rt.index, imm, size,
-                            _SIGNED_LOADS.get(ab), rt.bits, base_i))
+                if _is_plain_gpr(reg) and reg.index == g[0]:
+                    fused = (_op(_e_fused_guard_blr), g, (pc + 8,)) \
+                        if ab == "blr" else (_op(_e_fused_guard_br), g)
+            elif memory and form[:2] == ("imm", g[0]) and form[3] is None:
+                if stores:
+                    fused = (_op(_e_fused_guard_store, size, rt.is_zero),
+                             g + (t, form[2]))
+                elif loads:
+                    fused = (_op(_e_fused_guard_load, size, signed,
+                                 rt.bits), g + (t, form[2]))
 
         # Pattern 2: offset fold  add/sub wD, wS, #imm  +
         #            op [Xb, wD, uxtw]  (Table 3 rows 2, 5-7).
@@ -1978,32 +1602,16 @@ class SuperblockEngine:
                 and _is_plain_gpr(gops[0]) and gops[0].bits == 32 \
                 and _is_plain_gpr(gops[1]) and gops[1].bits == 32 \
                 and isinstance(gops[2], Imm):
-            o_d = gops[0].index
-            o_s = gops[1].index
-            o_imm = gops[2].value & MASK32
-            o_sub = guard.mnemonic == "sub"
-            aops = access.operands
-            ab = access.base
-            if (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
-                    or ab in _SIMPLE_STORES) and len(aops) == 2 \
-                    and isinstance(aops[1], Mem):
-                rt, memop = aops
-                form = self._mem_form(memop)
-                if form is not None and form[0] == "uxtw" \
-                        and form[4] == o_d and not rt.is_vector:
-                    base_i = form[1]
-                    size = access_bytes(access)
-                    is_store = ab in _SIMPLE_STORES
-                    if is_store and (rt.is_zero or _is_plain_gpr(rt)):
-                        t = 0 if rt.is_zero else rt.index
-                        fused = (_t_fused_offset_store, (
-                            o_d, o_s, o_imm, o_sub, t,
-                            size, base_i, rt.is_zero))
-                    elif not is_store and _is_plain_gpr(rt):
-                        fused = (_t_fused_offset_load, (
-                            o_d, o_s, o_imm, o_sub,
-                            rt.index, size, _SIGNED_LOADS.get(ab),
-                            rt.bits, base_i))
+            sub = guard.mnemonic == "sub"
+            if memory and form[0] == "uxtw" and form[2] == gops[0].index:
+                o = (gops[0].index, gops[1].index, gops[2].value & MASK32,
+                     form[1], t)
+                if stores:
+                    fused = (_op(_e_fused_offset_store, sub, size,
+                                 rt.is_zero), o)
+                elif loads:
+                    fused = (_op(_e_fused_offset_load, sub, size, signed,
+                                 rt.bits), o)
 
         # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD  (the
         #            decoder spells the mov ``add wD, wsp, #0``).
@@ -2013,7 +1621,6 @@ class SuperblockEngine:
                 and gops[1].bits == 32 \
                 and isinstance(gops[2], Imm) and not gops[2].value:
             w_d = gops[0].index
-            aops = access.operands
             if access.mnemonic == "add" and len(aops) == 3 \
                     and isinstance(aops[0], Reg) and aops[0].is_sp \
                     and _is_plain_gpr(aops[1]):
@@ -2026,12 +1633,14 @@ class SuperblockEngine:
                         and not src.amount and _is_plain_gpr(src.reg) \
                         and src.reg.bits == 64
                 if src_ok and src_reg.index == w_d:
-                    fused = (_t_fused_sp_guard, (w_d, aops[1].index))
-                    kind, role = K_SIMPLE, R_PLAIN
+                    fused = (_op(_e_fused_sp_guard), (w_d, aops[1].index))
 
         if fused is None:
             return None
-        factory, args, *rel = fused
-        return (kind, factory, args, rel[0] if rel else None,
+        make, args, *rel = fused
+        # The consumer's row takes what the op returns: the address of a
+        # guarded access, the constant bubble of a guarded branch.
+        role = (R_PLAIN, R_MEM, R_TAKEN)[make.kind]
+        return (make.kind, make, args, rel[0] if rel else None,
                 (self._row(pc, guard_entry, R_PLAIN),
                  self._row(pc + 4, access_entry, role)))

@@ -56,6 +56,19 @@ class Tlb:
         entries.append(page)
         return False
 
+    def set_source(self, sets: str) -> List[str]:
+        """:meth:`lookup`'s addressing as source lines over ``addr`` and
+        ``sets`` (a name for ``_sets``), leaving the page in ``unit`` and
+        its set in ``ways``.  ``ways and ways[-1] == unit`` is then the MRU
+        shortcut: exactly when ``lookup`` would count a hit, move nothing
+        and return True — so inline code may count the hit itself and
+        call ``lookup`` only otherwise."""
+        unit = (f"addr >> {self._shift}" if self._shift is not None
+                else f"addr // {self.page_size}")
+        index = (f"unit & {self._mask}" if self._mask is not None
+                 else f"unit % {self.sets}")
+        return [f"unit = {unit}", f"ways = {sets}[{index}]"]
+
     def probe(self, address: int) -> bool:
         """Non-mutating residency check (no fill, no LRU movement).
 
@@ -72,7 +85,9 @@ class Tlb:
         return page in entries
 
     def flush(self) -> None:
-        self._sets = [[] for _ in range(self.sets)]
+        # In place: generated block bodies hold the list of sets.
+        for entries in self._sets:
+            entries.clear()
 
     @property
     def accesses(self) -> int:

@@ -9,6 +9,7 @@ for stack-pointer guard elision and write protection of code.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
@@ -30,6 +31,10 @@ PERM_NONE = 0
 
 #: Default page size: 16KiB, matching Apple ARM64 machines (paper §3).
 DEFAULT_PAGE_SIZE = 16 * 1024
+
+#: In-place little-endian codecs of the common access sizes (the rest go
+#: through ``int.from_bytes`` / ``int.to_bytes``).
+_U32, _U64 = struct.Struct("<I"), struct.Struct("<Q")
 
 _FAULT_NAMES = {"unmapped": "unmapped address", "perm": "permission violation",
                 "align": "misaligned access"}
@@ -67,6 +72,8 @@ class PagedMemory:
         if page_size & (page_size - 1):
             raise ValueError("page size must be a power of two")
         self.page_size = page_size
+        self._page_shift = page_size.bit_length() - 1
+        self._offset_mask = page_size - 1
         self.va_bits = va_bits
         self.va_limit = 1 << va_bits
         #: page -> permissions: every mapped page, written or not.
@@ -278,6 +285,47 @@ class PagedMemory:
             self.write_observer(address, size)
         self._raw_write(address, data)
 
+    def load(self, address: int, size: int) -> int:
+        """The little-endian integer ``read(address, size)`` holds, without
+        the ``bytes`` in between: the same checks, the same faults."""
+        offset = address & self._offset_mask
+        if offset + size <= self.page_size:
+            page = address >> self._page_shift
+            perms = self._perms.get(page)
+            if perms is not None and perms & PERM_R:
+                buf = self._pages.get(page)
+                if buf is None:
+                    return 0
+                if size == 8:
+                    return _U64.unpack_from(buf, offset)[0]
+                if size == 4:
+                    return _U32.unpack_from(buf, offset)[0]
+                if size == 1:
+                    return buf[offset]
+                return int.from_bytes(buf[offset:offset + size], "little")
+        return int.from_bytes(self.read(address, size), "little")
+
+    def store(self, address: int, size: int, value: int) -> None:
+        """``write(address, value.to_bytes(size, "little"))`` for a value
+        that fits: the same checks, faults, copies and observer calls."""
+        offset = address & self._offset_mask
+        page = address >> self._page_shift
+        if (offset + size <= self.page_size and self.write_observer is None
+                and page not in self._cow):
+            perms = self._perms.get(page)
+            if perms is not None and perms & PERM_W:
+                buf = self._pages.get(page)
+                if buf is not None:
+                    if size == 8:
+                        _U64.pack_into(buf, offset, value)
+                    elif size == 4:
+                        _U32.pack_into(buf, offset, value)
+                    else:
+                        buf[offset:offset + size] = \
+                            value.to_bytes(size, "little")
+                    return
+        self.write(address, value.to_bytes(size, "little"))
+
     def fetch(self, address: int) -> int:
         """Fetch one instruction word (requires execute permission)."""
         buf, offset = self.fetch_page(address)
@@ -348,16 +396,16 @@ class PagedMemory:
     # -- typed helpers -------------------------------------------------------
 
     def read_u64(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 8), "little")
+        return self.load(address, 8)
 
     def read_u32(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 4), "little")
+        return self.load(address, 4)
 
     def write_u64(self, address: int, value: int) -> None:
-        self.write(address, (value & (2**64 - 1)).to_bytes(8, "little"))
+        self.store(address, 8, value & (2**64 - 1))
 
     def write_u32(self, address: int, value: int) -> None:
-        self.write(address, (value & (2**32 - 1)).to_bytes(4, "little"))
+        self.store(address, 4, value & (2**32 - 1))
 
     def read_cstring(self, address: int, limit: int = 4096) -> bytes:
         """Read a NUL-terminated string (for runtime-call arguments)."""

@@ -26,10 +26,10 @@ from repro.cluster.worker import execute_job_steps
 from repro.core import O0, O2
 from repro.elf import build_elf, write_elf
 from repro.emulator import APPLE_M1, HltTrap, HostCallTrap, Machine, \
-    MemTrap, superblock
+    MemTrap, Trap, superblock
 from repro.fuzz.corpus import entry_elf, load_corpus
 from repro.fuzz.genasm import AsmGenerator
-from repro.memory import PERM_RW, PERM_RX, PagedMemory
+from repro.memory import PERM_RW, PERM_RX, MemoryFault, PagedMemory
 from repro.obs import Tracer
 from repro.obs.chrome import export_chrome_trace
 from repro.runtime import Runtime
@@ -157,11 +157,14 @@ class TestEveryStartIsTheSteppingTwin:
                     assert same == dict(
                         stepped[0][1], **{"memory": same["memory"]}
                         if label == "resume" else {}), label
-        # Every start compiles the blocks the first one did, from the
-        # one code object its template holds.
-        assert len({stats["compiled_blocks"]
-                    for label, _, _, stats in blocky
-                    if label in ("A", "B", "clone")}) == 1
+        # A generates a body for each content that gets hot; B and the
+        # clone find them all waiting and generate nothing.
+        first, second, third = (stats for label, _, _, stats in blocky
+                                if label in ("A", "B", "clone"))
+        assert second["compiled_blocks"] == third["compiled_blocks"] \
+            >= first["compiled_blocks"] >= first["generated_templates"]
+        assert second["generated_templates"] \
+            == third["generated_templates"] == 0
 
     def test_hot_blocks_compile_once_per_content(self, monkeypatch):
         calls = []
@@ -371,7 +374,7 @@ class TestTextPatchIsSlotLocal:
 # -- faults in the middle of an op, on a hit ----------------------------------
 
 class TestFaultsOnAHit:
-    @pytest.mark.parametrize("tier", ["cold", "compiled"])
+    @pytest.mark.parametrize("tier", ["cold", "generated"])
     @pytest.mark.parametrize("shape", ["fused-guard-load", "mem-load",
                                        "fused-offset-fold", "call-tail"])
     def test_trap_pc_and_partial_instret(self, shape, tier):
@@ -394,7 +397,7 @@ class TestFaultsOnAHit:
         assert engines[1]["template_misses"] == 0
         assert engines[1]["compiled_blocks"] \
             == engines[0]["compiled_blocks"] \
-            and (engines[0]["compiled_blocks"] > 0) == (tier == "compiled")
+            and (engines[0]["compiled_blocks"] > 0) == (tier == "generated")
 
 
 # -- the cap, and the cache's temperature -------------------------------------
@@ -451,3 +454,96 @@ class TestCapAndTemperature:
         for name in ("translations", "compiled_blocks", "invalidations",
                      "chain_links", "fused_calls"):
             assert stats[1][name] == stats[0][name], name
+
+
+# -- an op is lines: the closure and the generated body agree ------------------
+
+PS = 1024
+POOL_DATA = 0x5000_0000
+
+
+def operand_pool(rng):
+    """Register values: zero, all-ones, the sign bits, small integers,
+    pointers into (and just past) the data pages, random words."""
+    return rng.choice((
+        0, superblock.MASK64, 1 << 63, 1 << 31, superblock.MASK32, 1,
+        rng.randrange(64), POOL_DATA + 8 * rng.randrange(2 * PS // 8),
+        POOL_DATA + 2 * PS - rng.randrange(12), rng.getrandbits(64)))
+
+
+def machine_states(rng, count=32):
+    """``count`` register files: all-zero, all-ones and all-sign-bit
+    first, then random picks from the pool."""
+    for fixed in (0, superblock.MASK64, 1 << 63):
+        yield {"regs": [fixed] * 31, "sp": fixed, "nzcv": fixed & 15,
+               "vregs": [fixed | fixed << 64] * 32}
+    for _ in range(count - 3):
+        yield {"regs": [operand_pool(rng) for _ in range(31)],
+               "sp": operand_pool(rng), "nzcv": rng.randrange(16),
+               "vregs": [rng.getrandbits(128) for _ in range(32)]}
+
+
+class TestAnOpIsLines:
+    START = 0x40_1230
+
+    def _outcome(self, machine, initial, run):
+        """What one execution of an op leaves: registers, flags, data
+        pages, whether it left and where to, or the fault it raised."""
+        cpu, memory = machine.cpu, machine.memory
+        try:
+            result = run()
+            left = result[0] if isinstance(result, tuple) else \
+                result if isinstance(result, bool) else False
+            ended = ("taken", cpu.pc) if left else "fell through"
+        except MemTrap as trap:  # a generated body applies the fault rule
+            fault = trap.fault
+            ended = ("fault", fault.kind, fault.address, fault.access)
+        except MemoryFault as fault:
+            ended = ("fault", fault.kind, fault.address, fault.access)
+        except Trap as trap:
+            ended = (type(trap), str(trap))
+        data = memory._raw_read(POOL_DATA, 2 * PS)
+        if data != initial:
+            memory._raw_write(POOL_DATA, initial)
+        return (ended, list(cpu.regs), list(cpu.vregs), cpu.sp, cpu.nzcv,
+                cpu.exclusive_addr, data)
+
+    def test_every_recipe_on_random_states(self):
+        rng = random.Random(19)
+        memory = PagedMemory(page_size=PS)
+        memory.map_region(POOL_DATA, 2 * PS, PERM_RW)
+        initial = rng.randbytes(2 * PS)
+        memory._raw_write(POOL_DATA, initial)
+        machine = Machine(memory)
+        engine, cpu = machine._sb, machine.cpu
+        checked = set()
+        for param in images():
+            build, verify = param.values
+            flush()
+            runtime = Runtime(timeslice=SLICE)
+            runtime.spawn(build(), verify=verify)
+            runtime.run()
+            for template in list(superblock._TEMPLATES.values()):
+                for recipe in template.ops:
+                    kind, make, args, rel, rows = recipe
+                    key = (make, repr(args), rel)
+                    if key in checked:
+                        continue
+                    checked.add(key)
+                    closure = engine._bindings[make](*args, *[
+                        (self.START + d) & superblock.MASK64
+                        for d in rel or ()])
+                    code, consts = engine._compile(superblock.BlockTemplate(
+                        [recipe], 4 * len(rows), False))
+                    body = engine._bindings.bind(code)(consts)
+                    for state in machine_states(rng):
+                        outcomes = []
+                        for run in (closure, lambda: body(self.START)):
+                            cpu.restore(dict(state, pc=self.START))
+                            cpu.exclusive_addr = None
+                            outcomes.append(
+                                self._outcome(machine, initial, run))
+                        assert outcomes[0] == outcomes[1], (
+                            param.id, make.__name__, args, rel, state)
+        assert len(checked) > 500
+        assert len({make for make, _args, _rel in checked}) > 80

@@ -121,6 +121,12 @@ class EagerMemory:
         self._check(address, len(data), PERM_W, "write")
         self.load_image(address, data)
 
+    def load(self, address, size):
+        return int.from_bytes(self.read(address, size), "little")
+
+    def store(self, address, size, value):
+        self.write(address, value.to_bytes(size, "little"))
+
     def mapped_regions(self, lo, hi):
         runs = []
         for page in sorted(p for p in self.pages if lo <= p * PS < hi):
@@ -144,7 +150,8 @@ def random_op(rng):
         return rng.randrange(NPAGES * PS), size
 
     kind = rng.choice(("map", "map", "protect", "unmap", "share", "read",
-                       "read", "write", "write", "write", "load", "raw"))
+                       "read", "write", "write", "write", "load", "raw",
+                       "int-load", "int-store", "int-store"))
     if kind == "map":
         return "map_region", (*region(), rng.choice(PERMS))
     if kind == "protect":
@@ -156,6 +163,12 @@ def random_op(rng):
         dst = rng.randrange(NPAGES - size // PS + 1) * PS
         return "share_region", (src, dst, size)
     address, size = span()
+    if kind.startswith("int"):
+        size = rng.randint(1, 16)
+        if kind == "int-load":
+            return "load", (address, size)
+        return "store", (address, size, rng.choice((0, rng.getrandbits(
+            8 * size), (1 << 8 * size) - 1)))
     if kind == "read":
         return "read", (address, size)
     if kind == "raw":
@@ -264,6 +277,127 @@ class TestAgainstEagerModel:
         memory.write(0, b"y")
         assert memory.cow_copies == 0
         assert (memory.read(0, 1), memory.read(8 * ps, 1)) == (b"y", b"x")
+
+
+# -- integer accessors --------------------------------------------------------
+
+SIZES = range(1, 17)
+
+
+def accessor_pair():
+    """The same playground twice: three RW pages, the last never written
+    (demand-zero); a hole; a read-only and a write-only page."""
+    lazy, eager = PagedMemory(page_size=PS), EagerMemory()
+    for memory in (lazy, eager):
+        memory.map_region(0, 3 * PS, PERM_RW)
+        memory.write(0, bytes(range(256)) * 2)
+        memory.map_region(4 * PS, PS, PERM_R)
+        memory.map_region(5 * PS, PS, PERM_W)
+    return lazy, eager
+
+
+class TestIntegerAccessors:
+    """``load``/``store`` are ``read``/``write`` without the bytes in
+    between: equal values, faults and side effects for every size."""
+
+    #: A written page, the demand-zero page, across written pages, into
+    #: the demand-zero page, into the hole, unmapped, no-R / no-W pages.
+    PLACES = (8, 2 * PS + 8, PS - 3, 2 * PS - 5, 3 * PS - 2, 3 * PS + 8,
+              4 * PS + 8, 5 * PS + 8, 4 * PS - 1, 6 * PS - 1)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_load_equals_read(self, size):
+        lazy, eager = accessor_pair()
+        for address in self.PLACES:
+            expected = outcome(eager, "load", (address, size))
+            assert outcome(lazy, "load", (address, size)) == expected
+            got = outcome(lazy, "read", (address, size))
+            if isinstance(got, bytes):
+                assert int.from_bytes(got, "little") == expected
+            else:
+                assert got == expected
+        assert list(lazy._pages) == [0, 1]  # loads allocate nothing
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_store_equals_write(self, size):
+        for value in (0, (1 << 8 * size) - 1, 0x0123456789ABCDEF_FEDCBA98
+                      & ((1 << 8 * size) - 1), 1 << (8 * size - 1)):
+            stored, written = accessor_pair()[0], accessor_pair()[0]
+            eager = accessor_pair()[1]
+            for address in self.PLACES:
+                expected = outcome(eager, "store", (address, size, value))
+                assert outcome(stored, "store", (address, size, value)) \
+                    == expected
+                assert outcome(written, "write", (
+                    address, value.to_bytes(size, "little"))) == expected
+                assert_same_state(stored, eager)
+                assert list(stored._pages) == list(written._pages)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_first_store_to_a_cow_page_copies_it(self, size):
+        memory = PagedMemory(page_size=PS)
+        memory.map_region(0, PS, PERM_RW)
+        memory.write(0, bytes(range(256)))
+        memory.share_region(0, 8 * PS, PS)
+        value = (1 << 8 * size) - 1
+        assert memory.load(8 * PS + 16, size) == memory.load(16, size) \
+            == int.from_bytes(bytes(range(16, 16 + size)), "little")
+        assert memory.cow_copies == 0
+        memory.store(8 * PS + 16, size, value)
+        assert memory.cow_copies == 1
+        assert memory.load(8 * PS + 16, size) == value
+        assert memory.read(0, PS) == bytes(range(256))  # sibling unchanged
+        memory.store(8 * PS + 32, size, value)
+        memory.store(16, size, 0)  # the sibling's own first store
+        assert memory.cow_copies == 2
+        assert memory.load(8 * PS + 16, size) == value
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_write_observer_sees_every_store(self, size):
+        seen = {"store": [], "write": []}
+        for name in seen:
+            memory = accessor_pair()[0]
+            memory.write_observer = \
+                lambda address, size, log=seen[name]: log.append(
+                    (address, size))
+            for address in self.PLACES:
+                args = (address, size, 1) if name == "store" \
+                    else (address, (1).to_bytes(size, "little"))
+                outcome(memory, name, args)
+        eager = accessor_pair()[1]
+        assert seen["store"] == seen["write"] == [
+            (address, size) for address in self.PLACES  # the permitted ones
+            if outcome(eager, "store", (address, size, 1)) is None]
+        assert seen["store"]
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1],
+                             ids=["uncosted", "m1"])
+    def test_auditor_sees_the_stores_of_generated_bodies(self, model):
+        """A hot guest loop under the containment auditor: the stores the
+        generated body issues reach it one by one, as stepping's do."""
+        from repro.robustness.audit import ContainmentAuditor
+        elf = compile_lfi(ZERO_STORER.replace("subs x26", """str x26, [x19, #32]
+    strb w26, [x19, x26]
+    subs x26""")).elf
+        logs = {}
+        for kind in ("stepping", "superblock"):
+            flush_translation_caches()
+            runtime = Runtime(model=model, engine=EngineConfig(kind=kind))
+            auditor = ContainmentAuditor(runtime)
+            log = logs[kind] = []
+
+            def observe(address, size, log=log, audit=auditor._on_write):
+                log.append((address, size))
+                audit(address, size)
+
+            runtime.memory.write_observer = observe
+            proc = runtime.spawn(elf)
+            assert runtime.run_until_exit(proc) == 77
+            assert auditor.violations == []
+            if kind == "superblock":
+                assert runtime.machine.engine_stats()["compiled_blocks"] > 0
+        assert logs["superblock"] == logs["stepping"]
+        assert len(logs["stepping"]) > 6000
 
 
 # -- checkpoints: sparse by content -----------------------------------------

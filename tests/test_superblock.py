@@ -29,7 +29,7 @@ from repro.toolchain import compile_lfi
 from repro.workloads import WASM_SUBSET
 from repro.workloads.spec import arena_bss_size, build_benchmark
 
-from .conftest import load_elf_into
+from .conftest import flush_translation_caches, load_elf_into
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 ENGINES = ("stepping", "superblock")
@@ -319,7 +319,15 @@ SHAPES = {
                      (sbmod.R_BRANCH,), False),
     "branch-not-taken": ("cbnz x11, land\n add x0, x0, #1\nland:",
                          (sbmod.R_BRANCH,), False),
-    "generic-writeback": ("ldr x1, [x12], #8", (sbmod.R_GENERIC,), True),
+    "generic-mem": ("ldr x1, [x12, w16, sxtw #3]", (sbmod.R_GENERIC,), True),
+    "post-index-load": ("ldr x1, [x12], #8", (sbmod.R_MEM,), True),
+    "post-index-ldrb": ("ldrb w1, [x12], #1", (sbmod.R_MEM,), True),
+    "pre-index-store": ("str x0, [x12, #8]!", (sbmod.R_MEM,), True),
+    "reg-offset-load": ("ldr x1, [x21, x10]", (sbmod.R_MEM,), True),
+    "reg-offset-ldrb": ("ldrb w1, [x21, x10]", (sbmod.R_MEM,), True),
+    "reg-offset-lsl": ("ldr x1, [x21, x15, lsl #3]", (sbmod.R_MEM,), True),
+    "reg-offset-vload": ("ldr d1, [x21, x15, lsl #3]", (sbmod.R_MEM,), True),
+    "madd-zero-addend": ("madd x0, x10, x15, xzr", (sbmod.R_PLAIN,), False),
     "fused-guard-load": ("add x18, x21, w10, uxtw\n ldr x1, [x18, #8]",
                          (sbmod.R_PLAIN, sbmod.R_MEM), True),
     "fused-guard-store": ("add x18, x21, w10, uxtw\n str x0, [x18]",
@@ -336,13 +344,14 @@ SHAPES = {
                   (sbmod.R_MEM, sbmod.R_TAKEN), True),
 }
 
-#: tier -> (cost model, loop iterations).  A block compiles at its 8th
-#: whole execution, so 12 iterations leave the last ones to the compiled
-#: closure and a single iteration never leaves the row walk.
+#: tier -> (cost model, loop iterations).  A block gets its generated
+#: body at its 8th whole execution, so 12 iterations leave the last ones
+#: to it and a single iteration never leaves the closures.
 TIERS = {
     "cold": (APPLE_M1, 1),
-    "compiled": (APPLE_M1, 12),
-    "uncosted": (None, 12),
+    "generated": (APPLE_M1, 12),
+    "cold-uncosted": (None, 1),
+    "generated-uncosted": (None, 12),
 }
 
 
@@ -393,6 +402,8 @@ class TestRowShapes:
         cpu.regs[21] = DATA
         cpu.regs[12] = DATA + 0x100
         cpu.regs[10] = 0x200
+        cpu.regs[15] = 0x21
+        cpu.vregs[1] = (1 << 128) - 1
         return machine
 
     @staticmethod
@@ -428,7 +439,7 @@ class TestRowShapes:
         return {
             "trap": (type(trap), str(trap), getattr(trap, "pc", None)),
             "pc": cpu.pc, "sp": cpu.sp, "regs": list(cpu.regs),
-            "nzcv": (cpu.n, cpu.z, cpu.c, cpu.v),
+            "vregs": list(cpu.vregs), "nzcv": (cpu.n, cpu.z, cpu.c, cpu.v),
             "instret": machine.instret, "cycles": machine.cycles,
             "costing": costing and (costing.t_issue, costing.t_done,
                                     dict(costing.ready)),
@@ -455,7 +466,9 @@ class TestRowShapes:
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_retires(self, shape, tier):
+        flush_translation_caches()  # no body left by an earlier test
         symbols, (stepper, blocky) = self._pair(shape, tier)
+        before = blocky.engine_stats()
         states = [self._state(m, self._drive(m, 10_000))
                   for m in (stepper, blocky)]
         assert states[0]["trap"][0] is HltTrap
@@ -463,11 +476,18 @@ class TestRowShapes:
         sb = blocky._sb
         stats = blocky.engine_stats()
         assert stats["translations"] > 0
-        assert (stats["compiled_blocks"] > 0) == (tier == "compiled")
         block = next(b for b in sb._blocks.values()
                      if b.start <= symbols["body"] < b.end)
+        # Which body ran: hotness is the only selector, cost model or not.
+        generated = tier.startswith("generated")
+        hot = sb.block_at(symbols["top"])  # every iteration but the first
+        assert (hot is not None and hot.fn is not None) == generated
+        assert (stats["compiled_blocks"] > 0) == generated
+        assert (stats["generated_templates"]
+                > before["generated_templates"]) == generated
+        assert (stats["compile_ms"] > before["compile_ms"]) == generated
         roles = [tuple(row[5] for row in rows)
-                 for _kind, _exec, rows in block.ops
+                 for *_recipe, rows in block.template.ops
                  if block.start + rows[0][0] == symbols["body"]]
         assert roles == [SHAPES[shape][1]]
         assert block.call_tail == (shape == "call-tail")
@@ -494,14 +514,14 @@ class TestRowShapes:
         reference = states[0]
         assert states[1] == reference
         ahead = SHAPES[shape][1].index(sbmod.R_MEM) if shape != \
-            "generic-writeback" else 0
+            "generic-mem" else 0
         assert reference["trap"][0] is MemTrap
         assert reference["pc"] == reference["trap"][2] \
             == symbols["body"] + 4 * ahead
         assert reference["instret"] == cut + 1 + ahead
         if shape.startswith("fused-guard"):
             assert reference["regs"][18] == DATA + reference["regs"][10]
-        if tier == "compiled":
+        if tier.startswith("generated"):
             assert machines[1].engine_stats()["compiled_blocks"] > 0
 
     @pytest.mark.parametrize("tier", TIERS)
@@ -558,3 +578,146 @@ class TestRowShapes:
         sb = machine._sb
         assert sb.block_at(elf.entry).end == image.symbols["trap"]
         assert sb.block_at(image.symbols["trap"]).count == 1
+
+
+# -- generated bodies: faults, exceptions and flushes mid-block ---------------
+
+PAGE = PagedMemory().page_size
+
+#: A loop whose block makes four accesses, each to a page of its own.
+FOUR_ACCESSES = """
+    .globl _start
+_start:
+    mov x9, #14
+top:
+    add x10, x10, #8
+    ldr x1, [x19, #8]
+    add x2, x1, x10
+    str x2, [x20, #16]
+    ldr x3, [x21, x15, lsl #3]
+    clz x4, x10
+    add x0, x0, x3
+    stp x0, x2, [x22]
+    sub x9, x9, #1
+    cbnz x9, top
+    hlt
+"""
+
+
+def gauges(machine):
+    return [(g.hits, g.misses, [list(ways) for ways in g._sets])
+            for g in (machine.tlb, machine.l1, machine.l2) if g is not None]
+
+
+class TestGeneratedBodyMidBlock:
+    def _pair(self, model, kinds=ENGINES):
+        from repro.arm64 import parse_assembly
+        from repro.arm64.assembler import assemble
+        from repro.elf import build_elf
+
+        image = assemble(parse_assembly(FOUR_ACCESSES))
+        elf = build_elf(image)
+        machines = []
+        for kind in kinds:
+            memory = PagedMemory()
+            load_elf_into(memory, elf)
+            memory.map_region(DATA, 4 * PAGE, PERM_RW)
+            memory.write(DATA + 2 * PAGE + 0x108, (7).to_bytes(8, "little"))
+            machine = Machine(memory, model=model,
+                              engine=EngineConfig(kind=kind))
+            cpu = machine.cpu
+            cpu.pc = elf.entry
+            for reg, page in ((19, 0), (20, 1), (21, 2), (22, 3)):
+                cpu.regs[reg] = DATA + page * PAGE
+            cpu.regs[15] = 0x21
+            machines.append(machine)
+        return image.symbols, machines
+
+    def _last_top(self, model):
+        symbols, (stepper,) = self._pair(model, ("stepping",))
+        tops = []
+        while True:
+            if stepper.cpu.pc == symbols["top"]:
+                tops.append(stepper.instret)
+            if isinstance(TestRowShapes._drive(stepper, 1), HltTrap):
+                return tops[-1]
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1],
+                             ids=["uncosted", "costed"])
+    @pytest.mark.parametrize("page", range(4))
+    def test_fault_at_each_memory_row(self, page, model):
+        """The ``page``-th access faults in the last iteration: the ops
+        before it retired and were charged, it was not; scoreboard, issue
+        and completion times, hit counters and LRU order are stepping's."""
+        flush_translation_caches()
+        cut = self._last_top(model)
+        symbols, machines = self._pair(model)
+        states = []
+        for machine in machines:
+            assert isinstance(TestRowShapes._drive(machine, cut), OutOfFuel)
+            machine.memory.unmap(DATA + page * PAGE, PAGE)
+            state = TestRowShapes._state(
+                machine, TestRowShapes._drive(machine, 100))
+            states.append((state, gauges(machine)))
+        assert states[0][0]["trap"][0] is MemTrap
+        assert states[0][0]["instret"] == cut + (1, 3, 4, 7)[page]
+        assert states[1] == states[0]
+        hot = machines[1]._sb.block_at(symbols["top"])
+        assert hot.fn is not None and hot.count == 10
+
+    def test_handler_exception_leaves_the_row_walks_scoreboard(
+            self, monkeypatch):
+        """A generic op's handler raises something that is no memory
+        fault in the 12th iteration: what the generated body leaves in
+        ``costing`` is what closures and a row walk leave."""
+        outcomes = []
+        for threshold in (sbmod._COMPILE_THRESHOLD, 1 << 30):
+            monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", threshold)
+            flush_translation_caches()
+            symbols, (machine,) = self._pair(APPLE_M1, ("superblock",))
+            clz, calls = machine._exec["clz"], []
+
+            def handler(inst):
+                calls.append(inst)
+                if len(calls) == 12:
+                    raise RuntimeError("boom")
+                return clz(inst)
+
+            machine._exec["clz"] = handler
+            with pytest.raises(RuntimeError, match="boom"):
+                machine.run(fuel=10_000)
+            hot = machine._sb.block_at(symbols["top"])
+            assert (hot.fn is not None) == (threshold < 100)
+            costing = machine._costing
+            outcomes.append((
+                costing.t_issue, costing.t_done, dict(costing.ready),
+                gauges(machine), list(machine.cpu.regs), machine.instret))
+        assert outcomes[0] == outcomes[1]
+
+    def test_gauges_flushed_under_a_hot_loop(self):
+        """``flush()`` empties the sets a generated body holds, in place."""
+        flush_translation_caches()
+        _symbols, machines = self._pair(APPLE_M1)
+        states = []
+        for machine in machines:
+            for _round in range(3):
+                assert isinstance(TestRowShapes._drive(machine, 37),
+                                  OutOfFuel)
+                for gauge in (machine.tlb, machine.l1, machine.l2):
+                    gauge.flush()
+                    assert not any(gauge._sets)
+            trap = TestRowShapes._drive(machine, 10_000)
+            states.append((TestRowShapes._state(machine, trap),
+                           gauges(machine)))
+        assert states[0][0]["trap"][0] is HltTrap
+        assert states[1] == states[0]
+        assert machines[1].engine_stats()["compiled_blocks"] > 0
+        assert states[1][1][0][1] > 4  # refilled after each flush
+
+
+class TestOneStatement:
+    def test_every_op_shape_has_an_emitter(self):
+        """Hand-written closure factories (``_t_*``) that restate an
+        op beside the emitters.  May only shrink; it is empty."""
+        assert sorted(name for name in vars(sbmod)
+                      if name.startswith("_t_")) == []
