@@ -129,6 +129,7 @@ def _exec_run(elf, engine: str, repeat: int = 1, expect_exit: int = 0):
             "cycles": machine.cycles,
             "fused_calls": stats["fused_calls"],
             "chain_links": stats["chain_links"],
+            "loop_trips": stats["loop_trips"],
             "compiled_blocks": stats["compiled_blocks"],
         }
     counters["cpu_s"] = round(best, 6)
@@ -154,6 +155,7 @@ def measure_transition_latency(iterations: int = 20_000, repeat: int = 5):
         "cycles_per_call": rows["superblock"]["cycles"] / iterations,
         "fused_calls": rows["superblock"]["fused_calls"],
         "chain_links": rows["superblock"]["chain_links"],
+        "loop_trips": rows["superblock"]["loop_trips"],
         "compiled_blocks": rows["superblock"]["compiled_blocks"],
     }
 

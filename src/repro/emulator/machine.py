@@ -403,15 +403,17 @@ class Machine:
 
     def engine_stats(self) -> Dict[str, float]:
         """The superblock engine's counters.  Template hits and misses,
-        which blocks found a generated body waiting, how many bodies this
+        which blocks found a generated body waiting (and so how many
+        trips of a loop ran inside one, ``loop_trips``, rather than as
+        ``chain_links`` of the dispatch loop), how many bodies this
         cost identity has had generated (``generated_templates``) and the
         host time that took (``compile_ms``) depend on what the process
         ran before: host-side facts, kept out of deterministic snapshots."""
         sb = self._sb
         stats = {name: getattr(sb, name) for name in (
             "translations", "template_hits", "template_misses",
-            "invalidations", "chain_links", "fused_calls", "compiled_blocks",
-            "cached_blocks")}
+            "invalidations", "chain_links", "loop_trips", "fused_calls",
+            "compiled_blocks", "cached_blocks")}
         stats["generated_templates"], stats["compile_ms"] = sb.generated
         return stats
 

@@ -40,6 +40,9 @@ Design rules (DESIGN.md §10, §15):
   loops dispatch block-to-block without a host-entry check or cache
   lookup; invalidation clears ``valid``, which lazily unlinks every
   chain through the dead block;
+* a hot block whose branch targets its own start iterates inside its
+  generated body — whole trips, as many as the fuel covers — and comes
+  back to the dispatch loop once;
 * one dispatch loop runs every block; cold costed blocks charge their
   rows through the very :class:`_Costing` methods ``Machine.step`` uses
   and hot ones through generated source with the same float operations
@@ -120,14 +123,16 @@ _WORD = struct.Struct("<I")
 
 
 class _Bindings(dict):
-    """Maker -> the maker with one machine's objects bound to its leading
-    parameters that are named after them (``objects``)."""
+    """Maker -> the maker with one machine's objects (and its engine)
+    bound to its leading parameters that are named after them
+    (``objects``)."""
 
-    def __init__(self, machine):
+    def __init__(self, machine, engine):
         cpu, memory, costing = machine.cpu, machine.memory, machine._costing
         self.objects = {"cpu": cpu, "regs": cpu.regs, "vregs": cpu.vregs,
                         "load": memory.load, "store": memory.store,
-                        "handlers": machine._exec, "machine": machine}
+                        "handlers": machine._exec, "machine": machine,
+                        "engine": engine}
         if costing is not None:
             tlb, l1 = costing.tlb, costing.l1
             self.objects.update(
@@ -157,10 +162,14 @@ class BlockTemplate:
     machine, so nothing ever invalidates a template.  ``moving`` indexes
     the ops with a ``rel``; ``code`` is the maker of the generated body
     (``SuperblockEngine._compile``) and ``consts`` the objects it indexes,
-    built when the first block of this content gets hot.
+    built when the first block of this content gets hot.  ``loops`` says
+    the run ends in a direct, link-free branch to its own first
+    instruction — displacement 0 wherever the words sit — so its
+    generated body iterates inside itself.
     """
 
-    __slots__ = ("ops", "size", "call_tail", "code", "consts", "moving")
+    __slots__ = ("ops", "size", "call_tail", "code", "consts", "moving",
+                 "loops")
 
     def __init__(self, ops: list, size: int, call_tail: bool):
         self.ops = ops
@@ -168,6 +177,7 @@ class BlockTemplate:
         self.call_tail = call_tail
         self.code = self.consts = None
         self.moving = [i for i, op in enumerate(ops) if op[3]]
+        self.loops = ops[-1][0] == K_BRANCH and ops[-1][3] == (0,)
 
 
 #: (run bytes, guard positions, cost identity) -> BlockTemplate, process-
@@ -205,7 +215,8 @@ class Superblock:
     find and unlink every predecessor.
 
     ``fn`` is the template's generated body bound to this machine,
-    ``fn(start) -> taken``: set once ``hits`` shows the block
+    ``fn(start, fuel)`` returning the instructions it retired, negated
+    when it left by falling through: set once ``hits`` shows the block
     re-executing, or at translation when the content got hot before (such
     a block has no ``ops``); None until then.
     """
@@ -701,11 +712,13 @@ class SuperblockEngine:
         self.template_misses = 0
         self.invalidations = 0
         self.chain_links = 0
+        #: Trips looping bodies ran beyond the first of each call.
+        self.loop_trips = 0
         self.fused_calls = 0
         self.compiled_blocks = 0
         _NAMESPACE.update(MemTrap=M.MemTrap, b2f=M._bits_to_float,
                           f2b=M._float_to_bits)
-        self._bindings = _Bindings(machine)
+        self._bindings = _Bindings(machine, self)
         #: template -> its ops bound to this machine, None where an op
         #: reads pc; capped like the templates themselves.
         self._bound: Dict[BlockTemplate, list] = {}
@@ -781,13 +794,15 @@ class SuperblockEngine:
 
         Per block: follow the predecessor's chain link or look the block
         up (host check, translate, link), stop if it would overrun the
-        fuel, run its body, then advance pc and fuel and offer a fused
-        runtime call to the springboard.  The body is chosen by what is
-        there to observe: the block's generated function once it has one
-        (its content got hot, here or anywhere in the process); until
-        then its op closures, alone without a cost model and with one
-        followed by their rows, walked through the same :class:`_Costing`
-        methods ``Machine.step`` charges with.
+        fuel, run its body, then advance pc and fuel by what it retired
+        and offer a fused runtime call to the springboard.  The body is
+        chosen by what is there to observe: the block's generated
+        function once it has one (its content got hot, here or anywhere
+        in the process) — called one way, ``fn(pc0, remaining)``, whether
+        it retires the block once or, a self-loop, as many whole trips as
+        the fuel covers; until then its op closures, alone without a cost
+        model and with one followed by their rows, walked through the
+        same :class:`_Costing` methods ``Machine.step`` charges with.
         """
         M = self._M
         machine = self.machine
@@ -834,6 +849,7 @@ class SuperblockEngine:
                 if count > remaining:
                     return remaining
                 taken = False
+                done = count
                 try:
                     fn = block.fn
                     if fn is None and block.hits >= 0:
@@ -843,7 +859,11 @@ class SuperblockEngine:
                             if fn is None:
                                 block.hits = -1  # too large; stop trying
                     if fn is not None:
-                        taken = fn(pc0)
+                        done = fn(pc0, remaining)
+                        if done < 0:
+                            done = -done
+                        else:
+                            taken = True
                     elif costing is None:
                         for kind, exec_, rows in block.ops:
                             if kind < K_BRANCH:
@@ -889,8 +909,8 @@ class SuperblockEngine:
                         n += 1
                     cpu.pc = pc = block.start + at
                     raise M.MemTrap(pc, fault) from None
-                n += count
-                remaining -= count
+                n += done
+                remaining -= done
                 if not taken:
                     cpu.pc = block.end
                 if remaining == 0:
@@ -940,7 +960,8 @@ class SuperblockEngine:
 
     def _compile(self, template: BlockTemplate):
         """Generate ``template``'s body: ``(maker, constants)`` of one
-        straight-line function ``run(pc0) -> taken``.
+        function ``run(pc0, fuel)`` returning the instructions it
+        retired, negated when it left by falling through.
 
         A body is lines + rows.  Each op contributes its emitter's lines
         with the operands as literals, then — under a cost model — its
@@ -949,24 +970,35 @@ class SuperblockEngine:
         latencies, scoreboard keys, model miss charges) folded in and the
         *same float operations in the same order*, so cycle totals stay
         bit-identical and the body is pure host-side speedup (DESIGN.md
-        §15).  Three things a row walk does per row are done per block
+        §15).  Three things a row walk does per row are done per call
         instead:
 
-        * the scoreboard lives in locals: a key's ready time is read from
-          ``costing.ready`` at most once and a key the block defines is
-          stored once, at the block's exit or in the arm of the fault (or
-          handler exception) that ends it early, so what the body leaves
-          is exactly what a row walk would have;
+        * the scoreboard lives in locals, one per key: a key's ready time
+          is read from ``costing.ready`` at most once and a key the block
+          defines is stored once, at the body's exit or in the arm of the
+          fault (or handler exception) that ends it early, so what the
+          body leaves is exactly what a row walk would have;
         * ``t_issue``/``t_done`` and the TLB/L1 hit counts are locals
           committed in a ``finally``;
         * a memory row tests the MRU way of its TLB and L1 set inline
           (``Tlb.set_source``) and calls ``lookup`` only past it.
 
         An op that can fault runs under the dispatch loop's fault rule as
-        source.  The maker's parameters are the machine objects the body
-        names (bound by ``_Bindings``) and the template's constants: the
-        code names no address, machine or slot, so it serves every block
-        of the content anywhere.
+        source.  A template that ``loops`` gets the same lines and rows
+        inside a ``for``: a trip per whole block the fuel covers, left
+        when the branch falls through.  Nothing a trip can do unmaps or
+        patches the block it is in (mappings and host entries change only
+        on the host side of a trap or springboard, which end a block), so
+        no trip re-tests ``valid``.  The keys read before the block
+        defines them are loaded above the loop, the locals carry from
+        trip to trip, and one arm around the loop states what the
+        completed trips add to whatever ends a later one: their
+        instructions, and every key the block defines.
+
+        The maker's parameters are the machine objects the body names
+        (bound by ``_Bindings``) and the template's constants: the code
+        names no address, machine or slot, so it serves every block of
+        the content anywhere.
         """
         began = perf_counter()
         costing = self.machine._costing
@@ -1005,8 +1037,9 @@ class SuperblockEngine:
             emit(f"{ind}        bw += {model.l2_miss_issue!r}")
 
         def charge(ind, row, board):
-            """One row; ``board``: key -> (local with its ready time,
-            whether the block defined it)."""
+            """One row; ``board``: key -> whether its local ``k<key>``
+            surely holds a time (the block defined it) or may hold None
+            (it was read from ``costing.ready``)."""
             _pc, icost, lat, uses, defs, role = row
             bw = ""
             lat_expr = repr(lat)
@@ -1033,33 +1066,52 @@ class SuperblockEngine:
                 if start == "t_issue":
                     emit(f"{ind}start = t_issue")
                     start = "start"
-                local, certain = board.get(key) or (f"u{key}", False)
                 if key not in board:
-                    board[key] = (local, False)
-                    emit(f"{ind}{local} = ready_get({key!r})")
-                waits = f"{local} > start" if certain \
-                    else f"{local} is not None and {local} > start"
+                    board[key] = False
+                    emit(f"{ind}k{key} = ready_get({key!r})")
+                waits = f"k{key} > start" if board[key] \
+                    else f"k{key} is not None and k{key} > start"
                 emit(f"{ind}if {waits}:")
-                emit(f"{ind}    start = {local}")
+                emit(f"{ind}    start = k{key}")
             emit(f"{ind}finish = {start} + {lat_expr}")
             if defs:
-                board.update((key, (f"r{key}", True)) for key in defs)
-                emit(ind + " = ".join(f"r{key}" for key in
+                board.update(dict.fromkeys(defs, True))
+                emit(ind + " = ".join(f"k{key}" for key in
                                       dict.fromkeys(defs)) + " = finish")
             emit(f"{ind}if finish > t_done:")
             emit(f"{ind}    t_done = finish")
 
         def flush(ind, board):
-            for key, (local, certain) in board.items():
+            for key, certain in board.items():
                 if certain:
-                    emit(f"{ind}ready[{key!r}] = {local}")
+                    emit(f"{ind}ready[{key!r}] = k{key}")
 
-        ind = "    " if costing is not None else ""
-        board: Dict[object, tuple] = {}
+        loops = template.loops
+        count = template.size >> 2
+        head = []  # what runs once, above the first trip
+        board: Dict[object, bool] = {}
+        defined: Dict[object, bool] = {}  # every key the block defines
+        if costing is not None:
+            head += ["t_issue = costing.t_issue", "t_done = costing.t_done"]
+        if costing is not None and loops:
+            for row in (row for *_recipe, rows in template.ops
+                        for row in rows):
+                for key in row[3]:
+                    if key not in defined and key not in board:
+                        board[key] = False
+                        head.append(f"k{key} = ready_get({key!r})")
+                defined.update(dict.fromkeys(row[4], True))
+        ind = "        " if loops else "    " if costing is not None else ""
         retired = 0
-        for _kind, make, args, rel, rows in template.ops:
+        for op in template.ops:
+            _kind, make, args, rel, rows = op
             body = make.emit(*map(literal, args), *[
                 f"((pc0 + {d}) & {M64})" for d in rel or ()])
+            if loops and op is template.ops[-1]:
+                # The looping branch: pc is pc0 on entry and nothing in
+                # between moves it, so its store waits for the exit.
+                body = [line for line in body
+                        if line.strip() != f"cpu.pc = ((pc0 + 0) & {M64})"]
             ahead = next((k for k, row in enumerate(rows)
                           if row[5] & R_MEM), None)
             if ahead is None:
@@ -1080,7 +1132,7 @@ class SuperblockEngine:
                 emit(f"{arm}cpu.pc = {pc}")
                 emit(f"{arm}raise MemTrap({pc}, fault) from None")
                 if costing is not None and "handlers" in _names_in(body) \
-                        and any(certain for _, certain in board.values()):
+                        and any(board.values()):
                     # Whatever else a handler raises: the ops before it
                     # have been charged, it has not.
                     emit(f"{ind}except BaseException:")
@@ -1091,26 +1143,39 @@ class SuperblockEngine:
                     charge(ind, row, board)
             retired += len(rows)
 
-        if costing is None:
-            body = ["taken = False", *lines, "return taken"]
+        done = str(count)
+        closing = []  # the ``finally`` of the body's ``try``
+        if loops:
+            done = f"(trips + 1) * {count}"
+            head.append("trips = 0")
+            closing.append("engine.loop_trips += trips")
+            lines[:0] = [f"    for trips in range(fuel // {count}):",
+                         "        taken = False"]
+            lines += ["        if not taken:", "            break"]
         else:
-            flush(ind, board)
-            counted = "h_tlb" in _names_in(lines)
-            body = ["t_issue = costing.t_issue",
-                    "t_done = costing.t_done",
-                    "taken = False",
-                    *["h_tlb = h_l1 = 0"] * counted,
-                    "try:",
-                    *lines,
-                    "finally:",
-                    "    costing.t_issue = t_issue",
-                    "    costing.t_done = t_done",
-                    *["    tlb.hits += h_tlb", "    l1.hits += h_l1"] * counted,
-                    "return taken"]
+            head.append("taken = False")
+        if costing is not None:
+            flush("    ", board)
+            if "h_tlb" in _names_in(lines):
+                head.append("h_tlb = h_l1 = 0")
+                closing += ["tlb.hits += h_tlb", "l1.hits += h_l1"]
+            closing += ["costing.t_issue = t_issue", "costing.t_done = t_done"]
+        if loops:
+            emit("except BaseException:")
+            emit(f"    machine.instret += trips * {count}")
+            if defined:
+                emit("    if trips:")
+                flush("        ", defined)
+            emit("    raise")
+        if closing:
+            lines = ["try:", *lines, "finally:",
+                     *["    " + line for line in closing]]
+        body = [*head, *lines, *["if taken:", "    cpu.pc = pc0"] * loops,
+                f"return {done} if taken else -{done}"]
         named = _names_in(body)
         maker = _function(
             "body", [name for name in self._bindings.objects
-                     if name in named] + ["consts"], body, "run(pc0)")
+                     if name in named] + ["consts"], body, "run(pc0, fuel)")
         stats = _GENERATED.setdefault(self._cost_id, [0, 0.0])
         stats[0] += 1
         stats[1] += (perf_counter() - began) * 1e3

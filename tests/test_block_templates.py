@@ -20,6 +20,8 @@ import pytest
 from repro import EngineConfig
 from repro.arm64 import parse_assembly
 from repro.arm64.assembler import assemble
+from repro.arm64.decoder import decode_word
+from repro.arm64.operands import Imm
 from repro.checkpoint import Checkpoint, canonical_registers, \
     capture_job, memory_digest, restore_job
 from repro.cluster.worker import execute_job_steps
@@ -452,8 +454,109 @@ class TestCapAndTemperature:
         assert stats[0]["template_misses"] > 0
         assert stats[1]["template_misses"] == 0
         for name in ("translations", "compiled_blocks", "invalidations",
-                     "chain_links", "fused_calls"):
+                     "fused_calls"):
             assert stats[1][name] == stats[0][name], name
+
+        # A hot start's loops iterate inside their bodies from the first
+        # execution; a cold one's chain until the body exists.  Every trip
+        # after a loop's first is one or the other.
+        def trips(s):
+            return s["chain_links"] + s["loop_trips"]
+        assert trips(stats[1]) == trips(stats[0])
+        assert stats[1]["loop_trips"] > stats[0]["loop_trips"] > 0
+
+
+# -- which templates loop is a fact about their words -------------------------
+
+#: image -> how many of the templates its run derives are self-loops.
+LOOPING = {
+    "anchor-control-flow": 1,
+    "505.mcf-O0": 4, "505.mcf-O2": 4, "505.mcf-native": 4,
+    "508.namd-O0": 3, "508.namd-O2": 3, "508.namd-native": 3,
+    "519.lbm-O0": 2, "519.lbm-O2": 2, "519.lbm-native": 2,
+    "525.x264-O0": 3, "525.x264-O2": 3, "525.x264-native": 3,
+    "531.deepsjeng-O0": 2, "531.deepsjeng-O2": 2, "531.deepsjeng-native": 2,
+    "544.nab-O0": 3, "544.nab-O2": 3, "544.nab-native": 3,
+    "557.xz-O0": 2, "557.xz-O2": 2, "557.xz-native": 2,
+    "genasm-4": 1, "genasm-5": 1,
+}
+
+SPIN = words_of("""
+    movz x1, #40
+spin:
+    sub x1, x1, #1
+    cbnz x1, spin
+    hlt
+""")
+
+
+class TestLoopsIsContent:
+    def test_the_looping_templates_of_every_image(self):
+        """``loops`` = the run's last word is a direct branch without
+        link (b, b.cond, cbz/cbnz, tbz/tbnz) to the run's own first
+        word — read here off the key's bytes with the decoder — and
+        never a call tail, ``bl`` or an indirect branch."""
+        counts = {}
+        for param in images():
+            build, verify = param.values
+            flush()
+            runtime = Runtime(timeslice=SLICE)
+            runtime.spawn(build(), verify=verify)
+            runtime.run()
+            for (text, _guards, _cost), template in \
+                    superblock._TEMPLATES.items():
+                last = len(text) - 4
+                inst = decode_word(
+                    int.from_bytes(text[last:], "little"), last)
+                target = inst.operands[-1] if inst.operands else None
+                assert template.loops == (
+                    inst.base in ("b", "cbz", "cbnz", "tbz", "tbnz")
+                    and isinstance(target, Imm) and target.value == 0), \
+                    (param.id, inst)
+                assert not (template.loops and template.call_tail)
+            counts[param.id] = sum(
+                t.loops for t in superblock._TEMPLATES.values())
+        assert {name: n for name, n in counts.items() if n} == LOOPING
+
+    @pytest.mark.parametrize("model", [None, APPLE_M1])
+    def test_falling_into_a_loop_top_reaches_the_looping_template(
+            self, model):
+        """The first trip belongs to the block that fell into ``spin``
+        (its branch is 4 bytes back into itself: no loop); its taken edge
+        lands on the run that starts at ``spin``, which is one."""
+        flush()
+        _result, blocky = twins(SPIN, TEXT, model=model)
+        sb = blocky._sb
+        assert not sb.block_at(TEXT).template.loops
+        assert sb.block_at(TEXT).count == 3
+        spin = sb.block_at(TEXT + 4)
+        assert spin.template.loops and spin.count == 2
+        assert spin.fn is not None
+        # Trips 2-8 through the dispatch loop, 9-40 inside the body.
+        assert blocky.engine_stats()["loop_trips"] == 31
+
+    def test_looping_templates_are_keyed_and_shared_like_any_other(self):
+        flush()
+        spins = {}
+        generated = bare("superblock", SPIN, TEXT, model=APPLE_M1) \
+            .engine_stats()["generated_templates"]
+        for model in (None, APPLE_M1, None, APPLE_M1):
+            for at in (TEXT, TEXT + 0x2_0040):
+                _result, blocky = twins(SPIN, at, model=model)
+                block = blocky._sb.block_at(at + 4)
+                assert block.template.loops and block.fn is not None
+                spins.setdefault(model is None, set()).add(block.template)
+        # One template per content and cost identity, whatever the
+        # machine or the address.
+        assert all(len(found) == 1 for found in spins.values())
+        assert spins[True] != spins[False]
+        keys = [key for key, template in superblock._TEMPLATES.items()
+                if template.loops]
+        assert sorted(keys, key=repr) == sorted(
+            [(SPIN[4:12], 0, None),
+             (SPIN[4:12], 0, blocky._sb._cost_id)], key=repr)
+        # ... and one generated body for each, from the first machine on.
+        assert blocky.engine_stats()["generated_templates"] == generated + 1
 
 
 # -- an op is lines: the closure and the generated body agree ------------------
@@ -538,7 +641,10 @@ class TestAnOpIsLines:
                     body = engine._bindings.bind(code)(consts)
                     for state in machine_states(rng):
                         outcomes = []
-                        for run in (closure, lambda: body(self.START)):
+                        # Fuel for one execution: a lone ``b .`` is a
+                        # self-loop and would spend all it is given.
+                        for run in (closure, lambda: body(
+                                self.START, len(rows)) > 0):
                             cpu.restore(dict(state, pc=self.START))
                             cpu.exclusive_addr = None
                             outcomes.append(

@@ -633,43 +633,69 @@ class TestGeneratedBodyMidBlock:
             machines.append(machine)
         return image.symbols, machines
 
-    def _last_top(self, model):
+    def _tops(self, model):
+        """instret, under stepping, at the top of each iteration."""
         symbols, (stepper,) = self._pair(model, ("stepping",))
         tops = []
         while True:
             if stepper.cpu.pc == symbols["top"]:
                 tops.append(stepper.instret)
             if isinstance(TestRowShapes._drive(stepper, 1), HltTrap):
-                return tops[-1]
+                return tops
 
     @pytest.mark.parametrize("model", [None, APPLE_M1],
                              ids=["uncosted", "costed"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("page", range(4))
-    def test_fault_at_each_memory_row(self, page, model):
-        """The ``page``-th access faults in the last iteration: the ops
-        before it retired and were charged, it was not; scoreboard, issue
-        and completion times, hit counters and LRU order are stepping's."""
+    def test_fault_at_each_memory_row(self, page, where, model):
+        """The ``page``-th access faults in a trip of the looping body
+        (hot from the 9th iteration on): the first of a call — the run
+        was preempted at the loop top — a middle one or the last.  The
+        trips and ops before it retired and were charged, it was not;
+        scoreboard, issue and completion times, hit counters and LRU
+        order are stepping's."""
         flush_translation_caches()
-        cut = self._last_top(model)
+        iteration = 11 if where == "middle" else 14
+        top = self._tops(model)[iteration - 1]
         symbols, machines = self._pair(model)
         states = []
         for machine in machines:
-            assert isinstance(TestRowShapes._drive(machine, cut), OutOfFuel)
-            machine.memory.unmap(DATA + page * PAGE, PAGE)
+            # The page vanishes under the running loop: the generic op
+            # between the third access and the fourth unmaps it, in the
+            # faulting iteration for the fourth and the one before for
+            # the others.
+            def handler(inst, machine=machine, clz=machine._exec["clz"],
+                        calls=[]):
+                calls.append(inst)
+                if len(calls) == iteration - (page < 3):
+                    machine.memory.unmap(DATA + page * PAGE, PAGE)
+                return clz(inst)
+
+            machine._exec["clz"] = handler
+            if where == "first":
+                assert isinstance(TestRowShapes._drive(machine, top),
+                                  OutOfFuel)
             state = TestRowShapes._state(
-                machine, TestRowShapes._drive(machine, 100))
+                machine, TestRowShapes._drive(machine, 1_000))
             states.append((state, gauges(machine)))
         assert states[0][0]["trap"][0] is MemTrap
-        assert states[0][0]["instret"] == cut + (1, 3, 4, 7)[page]
+        assert states[0][0]["instret"] == top + (1, 3, 4, 7)[page]
         assert states[1] == states[0]
         hot = machines[1]._sb.block_at(symbols["top"])
         assert hot.fn is not None and hot.count == 10
+        assert hot.template.loops
+        # Iterations 9-13 in one call, then trip 0 of the next; 9-11; 9-14.
+        assert machines[1].engine_stats()["loop_trips"] == \
+            {"first": 4, "middle": 2, "last": 5}[where]
 
+    @pytest.mark.parametrize("at", [1, 9, 12, 14])
     def test_handler_exception_leaves_the_row_walks_scoreboard(
-            self, monkeypatch):
+            self, at, monkeypatch):
         """A generic op's handler raises something that is no memory
-        fault in the 12th iteration: what the generated body leaves in
-        ``costing`` is what closures and a row walk leave."""
+        fault — in the cold first iteration, in the first trip of the
+        looping body's call (the 9th), in a middle one and in the last:
+        what the generated body leaves in ``costing`` and ``instret``,
+        completed trips included, is what closures and a row walk leave."""
         outcomes = []
         for threshold in (sbmod._COMPILE_THRESHOLD, 1 << 30):
             monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", threshold)
@@ -679,7 +705,7 @@ class TestGeneratedBodyMidBlock:
 
             def handler(inst):
                 calls.append(inst)
-                if len(calls) == 12:
+                if len(calls) == at:
                     raise RuntimeError("boom")
                 return clz(inst)
 
@@ -687,7 +713,8 @@ class TestGeneratedBodyMidBlock:
             with pytest.raises(RuntimeError, match="boom"):
                 machine.run(fuel=10_000)
             hot = machine._sb.block_at(symbols["top"])
-            assert (hot.fn is not None) == (threshold < 100)
+            assert at == 1 or (hot.fn is not None) == (threshold < 100
+                                                       and at >= 9)
             costing = machine._costing
             outcomes.append((
                 costing.t_issue, costing.t_done, dict(costing.ready),
@@ -713,6 +740,231 @@ class TestGeneratedBodyMidBlock:
         assert states[1] == states[0]
         assert machines[1].engine_stats()["compiled_blocks"] > 0
         assert states[1][1][0][1] > 4  # refilled after each flush
+
+
+# -- a self-loop is a body that iterates: loop == stepping --------------------
+
+MODELS = pytest.mark.parametrize("model", [None, APPLE_M1],
+                                 ids=["uncosted", "costed"])
+
+
+def spinner(value, trips):
+    """``busy_program`` with a body the cost model has something to say
+    about: a 2-instruction self-loop, then exit(value)."""
+    from repro.workloads.rtlib import busy_program
+    return compile_lfi(busy_program(value, 2 * trips), options=O2).elf
+
+
+class TestLoopIsStepping:
+    """A looping body spends fuel a whole trip at a time and nothing
+    else about it shows: every boundary a slice, a checkpoint or a fault
+    can land on is the instruction stepping lands on."""
+
+    count = 10  # FOUR_ACCESSES' loop
+
+    @MODELS
+    def test_fuel_lockstep_through_a_hot_loop(self, model):
+        """From the top of the 10th iteration (the body is hot and has
+        looped), every fuel from one instruction to past four trips —
+        whole trips, and every remainder of one."""
+        flush_translation_caches()
+        mid = TestGeneratedBodyMidBlock()
+        top = mid._tops(model)[9]
+        for fuel in range(1, 4 * self.count + 2):
+            _symbols, machines = mid._pair(model)
+            states = []
+            looped = []
+            for machine in machines:
+                assert isinstance(TestRowShapes._drive(machine, top),
+                                  OutOfFuel)
+                before = machine.engine_stats()["loop_trips"]
+                trap = TestRowShapes._drive(machine, fuel)
+                states.append((TestRowShapes._state(machine, trap),
+                               gauges(machine)))
+                looped.append(machine.engine_stats()["loop_trips"] - before)
+            assert states[0][0]["trap"][0] is OutOfFuel
+            assert states[0][0]["instret"] == top + fuel
+            assert states[1] == states[0], fuel
+            # The whole trips ran in one call, the remainder stepped.
+            assert looped == [0, max(fuel // self.count - 1, 0)]
+
+    @MODELS
+    def test_unconditional_loop_runs_its_budget_and_no_more(self, model):
+        from .test_block_templates import bare, words_of
+
+        words = words_of("""
+        spin:
+            add x0, x0, #1
+            add x1, x1, x0
+            b spin
+        """)
+        stepper, blocky = (bare(kind, words, 0x40_0000, model=model)
+                           for kind in ENGINES)
+        for fuel in (30, 3, 100, 99, 1, 2, 301, 7, 6):
+            hot = blocky._sb.block_at(0x40_0000)
+            hot = hot is not None and hot.fn is not None
+            # A slice that starts mid-block steps (as blocks of their
+            # own) the instructions up to the top.
+            lead = -(blocky.cpu.pc - 0x40_0000 >> 2) % 3
+            before = blocky.engine_stats()["loop_trips"]
+            for machine in (stepper, blocky):
+                with pytest.raises(OutOfFuel):
+                    machine.run(fuel=fuel)
+            assert blocky.instret == stepper.instret
+            assert blocky.cycles == stepper.cycles
+            assert blocky.cpu.pc == stepper.cpu.pc
+            assert blocky.cpu.regs == stepper.cpu.regs
+            if hot:
+                # Every whole trip the fuel covers in one call, and not
+                # one more: the remainder is stepped.
+                assert blocky.engine_stats()["loop_trips"] - before \
+                    == max((fuel - lead) // 3 - 1, 0)
+        assert hot
+        assert blocky.engine_stats()["loop_trips"] > 100
+
+    @MODELS
+    @pytest.mark.parametrize("timeslice", [97, 1_000])
+    def test_spinners_and_a_caller_share_the_machine(self, model, timeslice):
+        """Two spinning processes and one making runtime calls: the same
+        slices, in the same order, with the same instructions in each."""
+        from repro.workloads.rtlib import prologue, rt_exit, rtcall
+        from repro.runtime import RuntimeCall
+
+        caller = compile_lfi(
+            prologue() + "\tmov x20, #40\n\tmov x26, #0\nloop:\n"
+            + rtcall(RuntimeCall.GETPID)
+            + "\tadd x26, x26, x0\n\tsub x20, x20, #1\n"
+            "\tcbnz x20, loop\n\tmov x0, x26\n" + rt_exit(),
+            options=O2).elf
+        images = [spinner(3, 700), caller, spinner(5, 450)]
+        seen = []
+        for kind in ENGINES:
+            flush_translation_caches()
+            runtime = Runtime(model=model, timeslice=timeslice,
+                              engine=EngineConfig(kind=kind))
+            tracer = Tracer().attach(runtime)
+            procs = [runtime.spawn(elf) for elf in images]
+            runtime.run()
+            seen.append({
+                "trace": export_chrome_trace(tracer.events),
+                "exits": [(e.pid, e.exit_code) for e in tracer.events
+                          if getattr(e, "kind", None) == "exit"],
+                "procs": [(p.pid, p.instructions, p.exit_code,
+                           p.registers) for p in procs],
+                "instret": runtime.machine.instret,
+                "cycles": runtime.machine.cycles,
+            })
+        assert seen[1] == seen[0]
+        assert len(seen[0]["exits"]) == 3
+        assert [code for _pid, code in sorted(seen[0]["exits"])][::2] \
+            == [3, 5]
+        assert runtime.machine.engine_stats()["loop_trips"] > 1_000
+
+    @MODELS
+    def test_checkpoint_interval_mid_loop(self, model, monkeypatch):
+        """Slices of 333 instructions paused past every 777th land inside
+        the 2-instruction loop, odd ones between its halves: pause points,
+        checkpoint bytes
+        and results — straight through, and resumed from the third
+        pause in a fresh runtime — are those of an engine that never
+        loops."""
+        from repro.cluster.worker import execute_job_steps
+        from repro.elf import write_elf
+
+        program = write_elf(spinner(9, 2_500))
+
+        def run(job):
+            runtime = Runtime(model=model, timeslice=333)
+            steps = execute_job_steps(runtime, None, job,
+                                      checkpoint_interval=777)
+            pauses, cmd = [], None
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    info = steps.send(cmd)
+                    cmd = {}
+                    if info["kind"] == "chunk":
+                        pauses.append((info["executed"],
+                                       info["checkpoint"].to_bytes()))
+            payload = stop.value.value
+            payload["diag"].pop("restore_s", None)  # host seconds
+            return pauses, payload, runtime.machine.engine_stats()
+
+        outcomes = []
+        for threshold in (sbmod._COMPILE_THRESHOLD, 1 << 30):
+            monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", threshold)
+            flush_translation_caches()
+            pauses, payload, stats = run({"job_id": 0, "program": program})
+            assert (stats["loop_trips"] > 0) == (threshold < 100)
+            resumed = run({"job_id": 0, "resume": pauses[2][1]})
+            # (A resumed run's scoreboard starts empty, so its cycle
+            # totals — in blobs, metrics and diag — are its own; the
+            # never-looping engine's resumed run is their reference.)
+            assert [at for at, _blob in resumed[0]] \
+                == [at for at, _blob in pauses[3:]]
+            assert {**resumed[1], "diag": None, "metrics": None} == \
+                {**payload, "diag": None, "metrics": None}
+            assert resumed[1]["diag"]["instructions"] \
+                == payload["diag"]["instructions"]
+            outcomes.append((pauses, payload, resumed[:2]))
+        assert outcomes[0] == outcomes[1]
+        assert payload["exit_code"] == 9 and len(pauses) >= 6
+        assert any(executed % 2 for executed, _blob in pauses)
+
+    @pytest.mark.parametrize("change", ["mmap", "munmap", "mprotect"])
+    def test_mapping_change_between_calls_retranslates(self, change):
+        """No trip re-tests ``valid`` because nothing a trip does can
+        clear it: mappings change on the host side of a trap, between two
+        calls of a body.  One there, over a looping block's text, kills
+        that block and no other slot's; the next entry retranslates."""
+        from repro.memory import PERM_RX
+
+        results = []
+        for kind in ENGINES:
+            flush_translation_caches()
+            runtime = Runtime(timeslice=300, engine=EngineConfig(kind=kind))
+            first, second = (runtime.spawn(spinner(value, 4_000))
+                             for value in (3, 5))
+            assert not runtime.run_bounded(first, 2_000)
+            memory, sb = runtime.memory, runtime.machine._sb
+            loops = {proc.pid: block for proc in (first, second)
+                     for block in sb._blocks.values()
+                     if block.template.loops
+                     and proc.layout.base <= block.start < proc.layout.end}
+            if kind == "superblock":
+                assert len(loops) == 2
+                assert all(block.fn is not None for block in loops.values())
+                assert runtime.machine.engine_stats()["loop_trips"] > 0
+                block = loops[first.pid]
+                assert loops[second.pid].template is block.template
+            # The page the first spinner is spinning in.
+            size = memory.page_size
+            text = first.registers["pc"] & ~(size - 1)
+            assert kind == "stepping" or text <= block.start < text + size
+            words = memory._raw_read(text, size)
+            translated = runtime.machine.engine_stats()["translations"]
+            if change == "mprotect":
+                memory.protect(text, size, PERM_RW)
+                memory.protect(text, size, PERM_RX)
+            else:
+                if change == "munmap":
+                    memory.unmap(text, size)
+                memory.map_region(text, size, PERM_RX)
+                memory._raw_write(text, words)
+            if kind == "superblock":
+                assert not block.valid and sb.block_at(block.start) is None
+                other = loops[second.pid]
+                assert other.valid and sb.block_at(other.start) is other
+            runtime.run()
+            if kind == "superblock":
+                fresh = sb.block_at(block.start)
+                assert fresh is not block and fresh.valid
+                assert fresh.template is block.template  # same words
+                assert runtime.machine.engine_stats()["translations"] \
+                    > translated
+            results.append([(p.exit_code, p.instructions, p.registers)
+                            for p in (first, second)])
+        assert results[0] == results[1]
+        assert [r[0] for r in results[0]] == [3, 5]
 
 
 class TestOneStatement:

@@ -7,8 +7,9 @@ all be architecturally invisible.  Every differential test here runs
 the same program under ``stepping`` and ``superblock`` engines and
 demands bit-identical observables — final registers, memory, retired
 instructions, modeled cycles, faults, stdout — while also asserting
-that the fast paths actually fired (``fused_calls``/``chain_links``
-counters), so a silent fallback to the slow path cannot pass.
+that the fast paths actually fired (``fused_calls``/``chain_links``/
+``loop_trips`` counters), so a silent fallback to the slow path cannot
+pass.
 
 The :class:`repro.EngineConfig` satellite is covered here too: the
 deprecation shim for the old string kwarg, dict round-trips across
@@ -107,7 +108,12 @@ class TestFusedSpringboard:
         runtime.run()
         stats = runtime.machine.engine_stats()
         assert stats["fused_calls"] > 0, "no runtime call was fused"
+        # A loop with a runtime call in it is two blocks, each the
+        # other's successor: its trips are chain links.  (A block that is
+        # its own successor iterates inside its body instead and shows in
+        # ``loop_trips``: TestChainedFuelLockstep.)
         assert stats["chain_links"] > 100, "the hot loop never chained"
+        assert stats["loop_trips"] == 0
 
     def test_chaining_off_still_identical(self):
         """chaining=False is a tuning knob, never a semantic one."""
@@ -184,9 +190,14 @@ class TestChainedFuelLockstep:
                 break
         else:
             pytest.fail("program never completed")
-        # Big fuel slices let the loop chain; tiny ones still must not.
+        # Big fuel slices let the loop chain and, once its body exists,
+        # iterate inside it; tiny ones still must not.
+        stats = chained.engine_stats()
         if fuel >= 64:
-            assert chained.engine_stats()["chain_links"] > 0
+            assert stats["chain_links"] > 0
+            assert stats["loop_trips"] > 50, "the hot loop never looped"
+        if fuel < 6:
+            assert stats["loop_trips"] == 0
 
 
 class TestInvalidationUnlinksChains:
