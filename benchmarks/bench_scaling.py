@@ -106,11 +106,13 @@ def test_context_switch_benchmark(benchmark):
     a = runtime.spawn(compile_lfi(tiny_program(1)).elf)
     b = runtime.spawn(compile_lfi(tiny_program(2)).elf)
 
+    cpu = runtime.machine.cpu
+
     def switch():
         runtime._switch_to(a)
-        runtime._save(a)
+        a.registers = cpu.snapshot()
         runtime._switch_to(b)
-        runtime._save(b)
+        b.registers = cpu.snapshot()
 
     benchmark(switch)
 

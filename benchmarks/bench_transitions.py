@@ -128,6 +128,8 @@ def _exec_run(elf, engine: str, repeat: int = 1, expect_exit: int = 0):
             "instructions": machine.instret,
             "cycles": machine.cycles,
             "fused_calls": stats["fused_calls"],
+            "calls": runtime.calls,
+            "calls_inline": runtime.calls_inline,
             "chain_links": stats["chain_links"],
             "loop_trips": stats["loop_trips"],
             "compiled_blocks": stats["compiled_blocks"],
@@ -147,6 +149,12 @@ def measure_transition_latency(iterations: int = 20_000, repeat: int = 5):
     # call site), not per-crossing executions.
     assert rows["superblock"]["fused_calls"] > 0, \
         "the fused springboard never fired"
+    # ``calls_inline`` counts crossings: the calls that returned into the
+    # live registers, with no save, switch or restore (every GETPID here;
+    # stepping, whose calls all trap, has none).
+    assert rows["stepping"]["calls_inline"] == 0
+    assert rows["superblock"]["calls_inline"] >= 0.99 * iterations, \
+        "leaf calls stopped resuming without a switch"
     return {
         "iterations": iterations,
         "stepping_cpu_s": rows["stepping"]["cpu_s"],
@@ -154,6 +162,8 @@ def measure_transition_latency(iterations: int = 20_000, repeat: int = 5):
         "speedup": rows["stepping"]["cpu_s"] / rows["superblock"]["cpu_s"],
         "cycles_per_call": rows["superblock"]["cycles"] / iterations,
         "fused_calls": rows["superblock"]["fused_calls"],
+        "calls": rows["superblock"]["calls"],
+        "calls_inline": rows["superblock"]["calls_inline"],
         "chain_links": rows["superblock"]["chain_links"],
         "loop_trips": rows["superblock"]["loop_trips"],
         "compiled_blocks": rows["superblock"]["compiled_blocks"],
@@ -334,6 +344,7 @@ def main(argv=None) -> int:
     print(f"transition latency   {t['stepping_cpu_s']:>8.3f}s -> "
           f"{t['superblock_cpu_s']:>7.3f}s  {t['speedup']:>5.2f}x  "
           f"({t['fused_calls']} fused call sites, "
+          f"{t['calls_inline']}/{t['calls']} calls without a switch, "
           f"{t['compiled_blocks']} compiled blocks)")
     b = report["batch"]
     print(f"batch amortization   {b['individual']['cycles_per_request']:>8.1f}"

@@ -9,7 +9,7 @@ sandboxes (§5.3).  This example *attacks* that claim deterministically:
   per-sandbox resource quotas;
 * a seeded :class:`FaultInjector` delivers hundreds of faults — text bit
   flips, post-verification guard corruption, transient runtime-call
-  errors, trap storms — through the ``Machine.run`` / ``Runtime._dispatch``
+  errors, trap storms — through the ``Machine.run`` / ``Runtime._service_call``
   hook points;
 * a :class:`ContainmentAuditor` attributes every guest store and walks
   mappings + register state after every fault.

@@ -69,10 +69,9 @@ class Process:
     heap_start: int = 0
     fds: Dict[int, FdObject] = field(default_factory=dict)
     children: List[int] = field(default_factory=list)
-    #: Why the process is blocked ("pipe_read", "pipe_write", "wait").
+    #: Why the process is blocked: ``"call"`` (a runtime call that returned
+    #: ``BLOCK`` and is retried, ``Runtime._pending_call``) or ``None``.
     block_reason: Optional[str] = None
-    #: Pending blocked operation arguments (retried when unblocked).
-    block_args: Optional[tuple] = None
     #: The pipe a call-blocked process is waiting on, if any.  Lets
     #: ``wake_pipe_waiters`` retry only the processes actually blocked on
     #: that pipe instead of thundering-herd retrying everything.

@@ -17,11 +17,11 @@ source of LFI's context-switch advantage (§6.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..core.verifier import VerifierPolicy
-from ..elf.format import ElfImage, read_elf
+from ..elf.format import read_elf
 from ..emulator.costs import CostModel
 from ..engine import EngineConfig
 from ..errors import Deadlock as _Deadlock
@@ -35,7 +35,6 @@ from ..emulator.machine import (
     MemTrap,
     OutOfFuel,
     SvcTrap,
-    Trap,
     UnknownInstructionTrap,
 )
 from ..memory.layout import MAX_SANDBOXES_48BIT, PAGE_SIZE, SandboxLayout
@@ -49,7 +48,7 @@ from ..obs.events import (
 from .loader import DEFAULT_STACK_SIZE, alias_slot, clone_process, load_image
 from .process import Process, ProcessState, StdStream
 from .scheduler import Scheduler
-from .syscalls import BLOCK, EXITED, HANDLERS, SWITCH
+from .syscalls import BATCHABLE, BLOCK, EXITED, HANDLERS, SWITCH
 from .table import HOST_ENTRY_BASE, RuntimeCall, call_for_entry, \
     entry_address
 from .vfs import Pipe, PipeEnd, Vfs
@@ -67,18 +66,26 @@ CALL_OVERHEAD_CYCLES = 58.0
 #: registers: roughly 50 cycles end to end (§5.3).
 YIELD_CYCLES = 44.0
 
-_YIELD_CALLS = frozenset((RuntimeCall.YIELD, RuntimeCall.YIELD_TO))
+#: call -> (handler, cycles charged for the transition).
+_YIELDS = (RuntimeCall.YIELD, RuntimeCall.YIELD_TO)
+_CALLS = {call: (handler,
+                 YIELD_CYCLES if call in _YIELDS else CALL_OVERHEAD_CYCLES)
+          for call, handler in HANDLERS.items()}
+_BADCALL = (None, CALL_OVERHEAD_CYCLES)
+
+#: Leaf calls cannot terminate, fork or reschedule the caller and only
+#: read their arguments: they may run on, and return into, live registers.
+_LEAF_CALLS = BATCHABLE | {RuntimeCall.BATCH}
 
 
 class _SliceExit(Exception):
     """Control-flow signal from the springboard to :meth:`Runtime._run_one`.
 
     Raised after the springboard has fully closed the current slice
-    (state saved, trace emitted, call dispatched, instructions accounted)
+    (state saved, trace emitted, call serviced, instructions accounted)
     and translated execution must *not* resume inline — the scheduler
     loop takes over exactly as if the slice had ended by trap.
     """
-
 
 
 @dataclass
@@ -115,8 +122,7 @@ class Runtime:
                  tlb_walk_scale: float = 1.0,
                  engine=None):
         #: The validated engine selection + tuning.  ``engine`` accepts an
-        #: :class:`~repro.engine.EngineConfig` (canonical), ``None`` (the
-        #: defaults), or — deprecated, one release — a bare kind string.
+        #: :class:`~repro.engine.EngineConfig` or ``None`` (the defaults).
         config = EngineConfig.coerce(engine)
         self.engine_config = config
         #: Whether the vectored BATCH runtime call is serviced (the
@@ -161,6 +167,10 @@ class Runtime:
         self._run_start = 0
         self._slice_before = 0
         self._slice_start_cycles = 0.0
+        #: Runtime calls serviced, and those that returned into the live
+        #: registers (no save, switch or restore).
+        self.calls = 0
+        self.calls_inline = 0
         for call in RuntimeCall.ALL:
             self.machine.register_host_entry(entry_address(call), call)
         self.machine.springboard = self._springboard
@@ -273,9 +283,6 @@ class Runtime:
         self.machine.guard_map = proc.guard_map
         self.machine.force_stepping = proc.step_mode
 
-    def _save(self, proc: Process) -> None:
-        proc.registers = self.machine.cpu.snapshot()
-
     def complete_call(self, proc: Process, result: int) -> None:
         """Write a runtime call's result and return point into ``proc``."""
         regs = proc.registers
@@ -298,11 +305,10 @@ class Runtime:
                 obj.close()
                 self.wake_pipe_waiters(obj.pipe)
                 del proc.fds[fd]
-        if proc.parent is not None:
-            parent = self.processes.get(proc.parent)
-            if parent is not None and parent.state == ProcessState.BLOCKED \
-                    and parent.block_reason == "call":
-                self._retry_blocked(parent)
+        parent = self.processes.get(proc.parent)
+        if parent is not None and parent.state == ProcessState.BLOCKED \
+                and parent.block_reason == "call":
+            self._retry_blocked(parent)
 
     def reap(self, child: Process) -> None:
         self.processes.pop(child.pid, None)
@@ -355,9 +361,7 @@ class Runtime:
             for addr, buf in memory.nonzero_pages(lo, hi):
                 memory.load_image(addr + shift, bytes(buf))
 
-        def rebase(value: int) -> int:
-            return layout.guarded(value)
-
+        rebase = layout.guarded
         regs = {
             "regs": list(parent.registers["regs"]),
             "sp": rebase(parent.registers["sp"]),
@@ -367,9 +371,8 @@ class Runtime:
         }
         regs["regs"][0] = 0  # fork() returns 0 in the child
         regs["regs"][21] = layout.base
-        regs["regs"][30] = rebase(regs["regs"][30])
-        # Reserved address registers must hold valid addresses in the child.
-        for idx in (18, 23, 24):
+        # Reserved address registers and x30 must hold the child's addresses.
+        for idx in (18, 23, 24, 30):
             regs["regs"][idx] = rebase(regs["regs"][idx])
 
         child = Process(
@@ -408,11 +411,12 @@ class Runtime:
     # -- blocking -----------------------------------------------------------------
 
     def wake_pipe_waiters(self, pipe: Pipe) -> None:
-        """Retry only the processes actually blocked on ``pipe``."""
-        for proc in list(self.processes.values()):
+        """Retry the processes blocked on ``pipe``: selected first, each
+        checked again at its turn (a retry can reap)."""
+        for proc in [p for p in self.processes.values()
+                     if p.block_pipe is pipe]:
             if proc.state == ProcessState.BLOCKED \
-                    and proc.block_reason == "call" \
-                    and proc.block_pipe is pipe:
+                    and proc.block_reason == "call":
                 self._retry_blocked(proc)
 
     def _retry_blocked(self, proc: Process) -> None:
@@ -420,7 +424,7 @@ class Runtime:
         if call is None:
             return
         proc.block_pipe = None  # the handler re-records it if still blocked
-        result = HANDLERS[call](self, proc)
+        result = HANDLERS[call](self, proc, proc.registers["regs"])
         if result is BLOCK:
             return
         self._pending_call.pop(proc.pid, None)
@@ -432,55 +436,79 @@ class Runtime:
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _dispatch(self, proc: Process, call: int) -> None:
-        handler = HANDLERS.get(call)
-        # ``entry_cycles`` only feeds span emission; skip the costing
-        # property walk on untraced runs (the springboard hot path).
-        entry_cycles = self.machine.cycles if self.tracer is not None else 0.0
-        self.machine.add_cycles(
-            YIELD_CYCLES if call in _YIELD_CALLS
-            else CALL_OVERHEAD_CYCLES,
-            kind="call",
-        )
+    def _service_call(self, proc: Process, call: int,
+                      live: bool = False) -> bool:
+        """Service one runtime call of the running ``proc``: the one
+        statement of it, for a trap (stepping) and a springboard alike.
+
+        Save the registers, emit the slice span, charge the transition,
+        consult the call hooks, run the handler, apply its outcome, emit
+        the call span, account the slice, check the quota; return False —
+        the scheduler decides what runs next.  ``live`` (a leaf call, no
+        hook or quota to consult) runs the handler on ``cpu.regs`` *before*
+        saving: if it returns an integer and :meth:`Scheduler.repick` finds
+        nothing queued (the call woke nobody) the result goes into the
+        live ``x0``, ``pc`` to ``x30``, and the answer is True — ``proc``
+        still RUNNING, the scheduler as a save, ``add_front``, ``pick``
+        and restore would have left it.  Otherwise the registers are saved
+        then (a leaf handler only reads its arguments: the same snapshot)
+        and the call ends the general way.  DESIGN.md §15.
+        """
+        machine = self.machine
+        cpu = machine.cpu
+        tracer = self.tracer
+        handler, cycles = _CALLS.get(call, _BADCALL)
+        if not live:
+            proc.registers = cpu.snapshot()
+        executed = machine.instret - self._slice_before
+        entry_cycles = 0.0  # feeds span emission only
+        if tracer is not None:
+            self._emit_slice(proc, executed, "call")
+            entry_cycles = machine.cycles
+        machine.add_cycles(cycles, kind="call")
+        self.calls += 1
+        inline = False
         if handler is None:
             self._fault(proc, "badcall", f"unknown runtime call {call}")
-            return
-        injected = self.call_hooks(proc, call) if self.call_hooks else None
-        if injected is not None:
-            self.complete_call(proc, injected)
-            self.scheduler.add_front(proc)
-            self._emit_call_span(proc, call, entry_cycles, injected,
-                                 blocked=False, injected=True)
-            return
-        proc.block_pipe = None
-        result = handler(self, proc)
-        if result is BLOCK:
-            proc.state = ProcessState.BLOCKED
-            proc.block_reason = "call"
-            self._pending_call[proc.pid] = call
-            self._emit_call_span(proc, call, entry_cycles, None, blocked=True)
-            return
-        if result is SWITCH or result is EXITED:
-            self._emit_call_span(proc, call, entry_cycles, None, blocked=False)
-            return
-        self.complete_call(proc, result)
-        self.scheduler.add_front(proc)
-        self._emit_call_span(proc, call, entry_cycles, result, blocked=False)
-
-    def _emit_call_span(self, proc: Process, call: int, entry_cycles: float,
-                        result: Optional[int], blocked: bool,
-                        injected: bool = False) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.emit(RuntimeCallSpan(
-            ts=entry_cycles,
-            pid=proc.pid,
-            call=RuntimeCall.NAMES.get(call, f"call{call}"),
-            dur=self.machine.cycles - entry_cycles,
-            result=result,
-            blocked=blocked,
-            injected=injected,
-        ))
+        else:
+            result = None if live or not self.call_hooks \
+                else self.call_hooks(proc, call)
+            injected = result is not None
+            if not injected:
+                proc.block_pipe = None
+                try:
+                    result = handler(self, proc, cpu.regs if live
+                                     else proc.registers["regs"])
+                    inline = live and result is not BLOCK \
+                        and self.scheduler.repick(proc)
+                finally:
+                    if live and not inline:  # the late save, however it ended
+                        proc.registers = cpu.snapshot()
+            if inline:
+                cpu.regs[0] = result & _MASK64
+                cpu.pc = cpu.regs[30]
+                self.calls_inline += 1
+            elif result is BLOCK:
+                proc.state = ProcessState.BLOCKED
+                proc.block_reason = "call"
+                self._pending_call[proc.pid] = call
+            elif result is not SWITCH and result is not EXITED:
+                self.complete_call(proc, result)
+                self.scheduler.add_front(proc)
+            if tracer is not None:
+                tracer.emit(RuntimeCallSpan(
+                    ts=entry_cycles, pid=proc.pid,
+                    call=RuntimeCall.NAMES.get(call, f"call{call}"),
+                    dur=machine.cycles - entry_cycles,
+                    result=result if isinstance(result, int) else None,
+                    blocked=result is BLOCK, injected=injected))
+        proc.instructions += executed
+        if not inline:
+            if proc.state == ProcessState.RUNNING:
+                proc.state = ProcessState.READY
+            if self.quotas:
+                self._check_instruction_quota(proc)
+        return inline
 
     def _fault(self, proc: Process, kind: str, detail: str,
                status: int = 128 + 11) -> None:
@@ -498,21 +526,13 @@ class Runtime:
         while True:
             proc = self.scheduler.pick()
             if proc is None:
-                live = [p for p in self.processes.values()
-                        if p.state not in (ProcessState.ZOMBIE,)]
-                if not live:
+                blocked = self._retry_all_blocked()
+                if not blocked:
                     return
-                blocked = [p for p in live
-                           if p.state == ProcessState.BLOCKED]
-                if blocked:
-                    for p in blocked:
-                        self._retry_blocked(p)
-                    if self.scheduler.empty:
-                        raise _Deadlock(
-                            f"{len(blocked)} process(es) blocked forever"
-                        )
-                    continue
-                return
+                if self.scheduler.empty:
+                    raise _Deadlock(
+                        f"{blocked} process(es) blocked forever")
+                continue
             self._run_one(proc)
             if max_instructions is not None \
                     and self.machine.instret - start > max_instructions:
@@ -551,14 +571,18 @@ class Runtime:
         """One scheduling step: pick and run a slice, or retry the blocked."""
         runnable = self.scheduler.pick()
         if runnable is None:
-            blocked = [p for p in self.processes.values()
-                       if p.state == ProcessState.BLOCKED]
-            for p in blocked:
-                self._retry_blocked(p)
+            self._retry_all_blocked()
             if self.scheduler.empty:
                 raise _Deadlock("target process cannot make progress")
             return
         self._run_one(runnable)
+
+    def _retry_all_blocked(self) -> int:
+        blocked = [p for p in self.processes.values()
+                   if p.state == ProcessState.BLOCKED]
+        for p in blocked:
+            self._retry_blocked(p)
+        return len(blocked)
 
     def _run_one(self, proc: Process) -> None:
         machine = self.machine
@@ -580,37 +604,26 @@ class Runtime:
             # trap belongs to whoever is current *now*, not to the proc
             # this call started with.
             proc = self._current
-            self._save(proc)
+            proc.registers = machine.cpu.snapshot()
             self.scheduler.requeue(proc)  # timer preemption
             self._close_slice(proc, "preempt")
         except HostCallTrap as trap:
+            self._service_call(self._current, call_for_entry(trap.entry))
+        except (MemTrap, UnknownInstructionTrap, SvcTrap, BrkTrap,
+                HltTrap) as trap:
             proc = self._current
-            self._save(proc)
-            self._emit_slice(proc, self._slice_start_cycles, machine.cycles,
-                             machine.instret - self._slice_before, "call")
-            self._dispatch(proc, call_for_entry(trap.entry))
-            self._close_slice(proc, "call", emit=False)
-        except MemTrap as trap:
-            proc = self._current
-            self._save(proc)
-            self._fault(proc, "segv", str(trap))
-            self._close_slice(proc, "fault")
-        except (UnknownInstructionTrap, SvcTrap, BrkTrap, HltTrap) as trap:
-            proc = self._current
-            self._save(proc)
-            self._fault(proc, "sigill", str(trap))
+            proc.registers = machine.cpu.snapshot()
+            self._fault(proc, "segv" if isinstance(trap, MemTrap)
+                        else "sigill", str(trap))
             self._close_slice(proc, "fault")
 
-    def _close_slice(self, proc: Process, reason: str,
-                     emit: bool = True) -> None:
+    def _close_slice(self, proc: Process, reason: str) -> None:
         """Account the just-ended slice and retire the RUNNING state."""
-        machine = self.machine
-        proc.instructions += machine.instret - self._slice_before
+        executed = self.machine.instret - self._slice_before
+        proc.instructions += executed
         if proc.state == ProcessState.RUNNING:
             proc.state = ProcessState.READY
-        if emit:
-            self._emit_slice(proc, self._slice_start_cycles, machine.cycles,
-                             machine.instret - self._slice_before, reason)
+        self._emit_slice(proc, executed, reason)
         self._check_instruction_quota(proc)
 
     def _springboard(self, entry: int):
@@ -618,66 +631,53 @@ class Runtime:
 
         Called by the superblock dispatch loop when a fused
         ``ldr x30, [x21, #n]; blr x30`` pair lands on a registered host
-        entry.  Replicates the ``HostCallTrap`` path of :meth:`_run_one`
-        byte-for-byte — save, slice trace emission, dispatch (which
-        charges ``CALL_OVERHEAD_CYCLES``/``YIELD_CYCLES`` and runs call
-        hooks), instruction accounting, quota check — then decides
-        whether translated execution may resume *inline*:
-
-        * the slice budget must not be spent (bounds one
-          :meth:`_run_one` to ~2 timeslices, so ``run_bounded`` pauses
-          keep landing on slice boundaries);
-        * :meth:`Scheduler.peek` must see a runnable process.  ``peek``
-          is pure, so when resumption is declined the scheduler is
-          untouched and the outer loop's ``pick()`` sequence — and any
-          checkpoint taken at the pause — is identical to stepping's.
-
-        On resume: exactly one ``pick()`` (the one the outer loop would
-        have issued), a context switch, fresh slice anchors, and a
-        ``run_hooks`` refire, exactly like a fresh ``machine.run`` slice.
-        Returns ``(fresh_fuel, force_step)``; ``force_step`` tells the
-        engine to finish the slice in the stepping interpreter (a hook
-        registered a probe, or the new process is in step mode).
-        Raises :class:`_SliceExit` when the slice must end instead.
+        entry.  :meth:`_service_call` services it, as for a
+        ``HostCallTrap``; decided here is whether translated execution
+        resumes *inline*.  A leaf call with the slice budget unspent and
+        no call hook, run hook or quota is offered the live registers and,
+        finished there, resumes with nothing to switch.  Any other resumes
+        only when the budget is unspent (one :meth:`_run_one` is ~2
+        timeslices at most, so ``run_bounded`` pauses stay on slice
+        boundaries) and the pure :meth:`Scheduler.peek` sees a runnable
+        process (declined, the outer loop's ``pick()`` sequence and any
+        checkpoint at the pause are stepping's): by that loop's one
+        ``pick()``, a context switch and a ``run_hooks`` refire, like a
+        fresh slice.  Returns ``(fresh_fuel, force_step)`` — finish the
+        slice stepping: a hook registered a probe, or the new process is
+        in step mode — or raises :class:`_SliceExit` to end the slice.
         """
         machine = self.machine
         scheduler = self.scheduler
-        proc = self._current
-        self._in_guest = False
-        proc.registers = machine.cpu.snapshot()
-        executed = machine.instret - self._slice_before
-        if self.tracer is not None:
-            self._emit_slice(proc, self._slice_start_cycles, machine.cycles,
-                             executed, "call")
-        self._dispatch(proc, (entry - HOST_ENTRY_BASE) // 8)
-        proc.instructions += executed
-        if proc.state == ProcessState.RUNNING:
-            proc.state = ProcessState.READY
-        if self.quotas:
-            self._check_instruction_quota(proc)
         timeslice = scheduler.timeslice
-        if machine.instret - self._run_start >= timeslice:
-            raise _SliceExit()
-        if scheduler.peek() is None:
-            raise _SliceExit()
-        nxt = scheduler.pick()
-        self._switch_to(nxt)
+        call = (entry - HOST_ENTRY_BASE) // 8
+        self._in_guest = False
+        unspent = machine.instret - self._run_start < timeslice
+        live = unspent and call in _LEAF_CALLS and not (
+            self.quotas or self.call_hooks or machine.run_hooks)
+        inline = self._service_call(self._current, call, live)
+        if not inline:
+            if not unspent or scheduler.peek() is None:
+                raise _SliceExit()
+            self._switch_to(scheduler.pick())
         self._slice_before = machine.instret
         self._slice_start_cycles = machine.cycles
         self._in_guest = True
+        if inline:  # no hook to refire, nothing that could ask for stepping
+            return timeslice, False
         if machine.run_hooks:
             machine.run_hooks(machine, timeslice)
         force_step = bool(machine.force_stepping or machine._step_probes)
         return timeslice, force_step
 
-    def _emit_slice(self, proc: Process, start: float, end: float,
-                    instructions: int, reason: str) -> None:
+    def _emit_slice(self, proc: Process, instructions: int,
+                    reason: str) -> None:
         if self.tracer is None:
             return
         if proc.state == ProcessState.BLOCKED:
             reason = "block"
+        start = self._slice_start_cycles
         self.tracer.emit(ContextSwitch(ts=start, pid=proc.pid,
-                                       dur=end - start,
+                                       dur=self.machine.cycles - start,
                                        instructions=instructions,
                                        reason=reason))
 
@@ -698,9 +698,7 @@ class Runtime:
 
     def stdout_of(self, proc: Process) -> str:
         obj = proc.fds.get(1)
-        if isinstance(obj, StdStream):
-            return obj.text()
-        return ""
+        return obj.text() if isinstance(obj, StdStream) else ""
 
     def virtual_ns(self) -> float:
         if self.model is None:

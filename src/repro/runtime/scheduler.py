@@ -65,7 +65,7 @@ class Scheduler:
         if proc.pid in self._queued:
             return
         self._queued.add(proc.pid)
-        if self.turn_spent(proc):
+        if self._picked.get(proc.pid) == self._epoch:  # turn spent
             self._expired.append(proc)
         else:
             self._active.append(proc)
@@ -79,7 +79,7 @@ class Scheduler:
         so it can never starve the other ready processes.
         """
         proc.state = ProcessState.READY
-        if self.turn_spent(proc):
+        if self._picked.get(proc.pid) == self._epoch:  # turn spent
             if proc.pid not in self._queued:
                 self._queued.add(proc.pid)
                 self._expired.append(proc)
@@ -89,27 +89,18 @@ class Scheduler:
         self._queued.add(proc.pid)
         self._active.appendleft(proc)
 
-    def requeue(self, proc: Process) -> None:
-        self.add(proc)
+    requeue = add  # a preempted or yielding process rejoins like a new one
 
     def _dequeue(self, proc: Process) -> None:
-        for queue in (self._active, self._expired):
-            try:
-                queue.remove(proc)
-                return
-            except ValueError:
-                continue
+        queue = self._active if proc in self._active else self._expired
+        queue.remove(proc)
 
     # -- picking --------------------------------------------------------------
 
     def peek(self) -> Optional[Process]:
-        """The process :meth:`pick` would return, with no state change.
-
-        Used by the superblock springboard fast path to decide whether
-        translated execution can resume inline: it must not perturb the
-        queues, the epoch counter, or the turn records, so a run paused
-        here checkpoints byte-identically to the stepping engine's.
-        """
+        """The process :meth:`pick` would return, with no state change: the
+        springboard asks before resuming inline, and a run it declines
+        must checkpoint byte-identically to the stepping engine's."""
         for queue in (self._active, self._expired):
             for proc in queue:
                 if proc.state == ProcessState.READY:
@@ -130,6 +121,19 @@ class Scheduler:
                 proc.state = ProcessState.RUNNING
                 self._picked[proc.pid] = self._epoch
                 return proc
+
+    def repick(self, proc: Process) -> bool:
+        """The net effect of ``add_front(proc); pick()`` on a running
+        ``proc`` when nothing is queued — not even a stale entry, which a
+        ``pick`` would pop: its turn record, in a new round if this one's
+        was spent.  Declines (False, nothing touched) otherwise."""
+        if self._active or self._expired:
+            return False
+        if self._picked.get(proc.pid) == self._epoch:
+            self._epoch += 1
+        self._picked[proc.pid] = self._epoch
+        proc.state = ProcessState.RUNNING
+        return True
 
     def forget(self, proc: Process) -> None:
         """Drop a reaped process's bookkeeping (long-lived runtimes)."""
@@ -172,9 +176,9 @@ class Scheduler:
             self._picked[procs[old_pid].pid] = self._epoch - delta
 
     def __len__(self) -> int:
-        return sum(1 for p in self._active if p.state == ProcessState.READY) \
-            + sum(1 for p in self._expired if p.state == ProcessState.READY)
+        return sum(p.state == ProcessState.READY
+                   for queue in (self._active, self._expired) for p in queue)
 
     @property
     def empty(self) -> bool:
-        return len(self) == 0
+        return self.peek() is None

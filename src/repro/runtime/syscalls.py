@@ -1,10 +1,14 @@
 """Runtime call handlers: a small Unix-like OS inside one process (§5.3).
 
-Each handler receives the runtime and the calling process (whose registers
-were just saved), reads arguments from ``x0``-``x5``, and returns either an
-integer result (negative errno on failure), or one of the control sentinels
-``BLOCK`` (the caller must sleep and retry), ``SWITCH`` (the handler
-already completed the call and rearranged the run queue), or ``EXITED``.
+Each handler is ``handler(runtime, proc, args)``, ``args`` being ``x0``-``x5``
+as any sequence of six words: the live ``cpu.regs`` from the springboard, the
+saved ``proc.registers["regs"]`` from the general path or a retry,
+``words[1:7]`` of a batch record.  It returns an integer result (negative
+errno on failure) or a control sentinel: ``BLOCK`` (the caller must sleep
+and retry), ``SWITCH`` (the handler already completed the call and
+rearranged the run queue) or ``EXITED``.  The ``BATCHABLE`` handlers and
+``BATCH`` only *read* ``args`` and never touch the caller's registers, which
+lets the springboard run them before deciding whether to save those.
 
 File-access calls end up in the VFS ("often end up making a system call to
 Linux" in the paper); process-management calls (fork/wait/yield/pipe) are
@@ -15,6 +19,7 @@ syscall speedup.
 from __future__ import annotations
 
 import errno
+import struct
 from typing import Callable, Dict
 
 from ..memory.layout import PAGE_SIZE
@@ -33,23 +38,20 @@ EXITED = object()
 _MASK64 = (1 << 64) - 1
 
 
-def _args(proc: Process):
-    regs = proc.registers["regs"]
-    return regs[0], regs[1], regs[2], regs[3], regs[4], regs[5]
+_RECORD = struct.Struct("<8Q")  # [call, a0, a1, a2, a3, a4, a5, result]
 
 
 def _signed(value: int) -> int:
     return value - (1 << 64) if value >> 63 else value
 
 
-def rt_exit(runtime, proc: Process):
-    status, *_ = _args(proc)
-    runtime.terminate(proc, status & 0xFF)
+def rt_exit(runtime, proc: Process, args):
+    runtime.terminate(proc, args[0] & 0xFF)
     return EXITED
 
 
-def rt_open(runtime, proc: Process):
-    path_ptr, flags, _mode, *_ = _args(proc)
+def rt_open(runtime, proc: Process, args):
+    path_ptr, flags = args[0], args[1]
     if not runtime.fd_slots_free(proc, 1):
         return -errno.EMFILE
     try:
@@ -64,9 +66,8 @@ def rt_open(runtime, proc: Process):
     return fd
 
 
-def rt_close(runtime, proc: Process):
-    fd, *_ = _args(proc)
-    obj = proc.fds.pop(fd, None)
+def rt_close(runtime, proc: Process, args):
+    obj = proc.fds.pop(args[0], None)
     if obj is None:
         return -errno.EBADF
     if isinstance(obj, PipeEnd):
@@ -75,60 +76,55 @@ def rt_close(runtime, proc: Process):
     return 0
 
 
-def rt_read(runtime, proc: Process):
-    fd, buf, count, *_ = _args(proc)
+def rt_read(runtime, proc: Process, args):
+    fd, buf, count = args[0], args[1], args[2]
     obj = proc.fds.get(fd)
     if obj is None:
         return -errno.EBADF
     count = min(count, 1 << 20)
     try:
-        if isinstance(obj, PipeEnd):
-            data = obj.read(count)
-            if data is None:
-                proc.block_pipe = obj.pipe
-                return BLOCK
-        else:
-            data = obj.read(count)
+        data = obj.read(count)
     except VfsError as exc:
         return -exc.err
+    if data is None:  # only a pipe's end: empty, and a writer is left
+        proc.block_pipe = obj.pipe
+        return BLOCK
     if data:
         runtime.memory.write(proc.pointer(buf), data)
     return len(data)
 
 
-def rt_write(runtime, proc: Process):
-    fd, buf, count, *_ = _args(proc)
+def rt_write(runtime, proc: Process, args):
+    fd, buf, count = args[0], args[1], args[2]
     obj = proc.fds.get(fd)
     if obj is None:
         return -errno.EBADF
     count = min(count, 1 << 20)
     data = runtime.memory.read(proc.pointer(buf), count) if count else b""
     try:
-        if isinstance(obj, PipeEnd):
-            written = obj.write(data)
-            if written is None:
-                proc.block_pipe = obj.pipe
-                return BLOCK
-            runtime.wake_pipe_waiters(obj.pipe)
-            return written
-        return obj.write(data)
+        written = obj.write(data)
     except VfsError as exc:
         return -exc.err
+    if isinstance(obj, PipeEnd):
+        if written is None:  # full
+            proc.block_pipe = obj.pipe
+            return BLOCK
+        runtime.wake_pipe_waiters(obj.pipe)
+    return written
 
 
-def rt_lseek(runtime, proc: Process):
-    fd, offset, whence, *_ = _args(proc)
-    obj = proc.fds.get(fd)
+def rt_lseek(runtime, proc: Process, args):
+    obj = proc.fds.get(args[0])
     if not isinstance(obj, FileHandle):
         return -errno.ESPIPE if obj is not None else -errno.EBADF
     try:
-        return obj.seek(_signed(offset), whence)
+        return obj.seek(_signed(args[1]), args[2])
     except VfsError as exc:
         return -exc.err
 
 
-def rt_brk(runtime, proc: Process):
-    addr, *_ = _args(proc)
+def rt_brk(runtime, proc: Process, args):
+    addr = args[0]
     if addr == 0:
         return proc.brk & _MASK64
     new = proc.pointer(addr)
@@ -146,8 +142,8 @@ def rt_brk(runtime, proc: Process):
     return new & _MASK64
 
 
-def rt_mmap(runtime, proc: Process):
-    _addr, length, _prot, _flags, _fd, _off = _args(proc)
+def rt_mmap(runtime, proc: Process, args):
+    length = args[1]  # addr, prot, flags, fd and offset are ignored
     if length == 0:
         return -errno.EINVAL
     length = (length + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
@@ -160,10 +156,9 @@ def rt_mmap(runtime, proc: Process):
     return base & _MASK64
 
 
-def rt_munmap(runtime, proc: Process):
-    addr, length, *_ = _args(proc)
-    addr = proc.pointer(addr)
-    length = (length + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
+def rt_munmap(runtime, proc: Process, args):
+    addr = proc.pointer(args[0])
+    length = (args[1] + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
     if addr % PAGE_SIZE:
         return -errno.EINVAL
     lo = proc.layout.usable_base
@@ -175,25 +170,19 @@ def rt_munmap(runtime, proc: Process):
     return 0
 
 
-def rt_fork(runtime, proc: Process):
+def rt_fork(runtime, proc: Process, args):
     child = runtime.fork(proc)
     if child is None:
         return -errno.EAGAIN
     return child.pid
 
 
-def rt_wait(runtime, proc: Process):
-    status_ptr, *_ = _args(proc)
-    zombies = [
-        runtime.processes[pid]
-        for pid in proc.children
-        if runtime.processes[pid].state == ProcessState.ZOMBIE
-    ]
-    if not zombies:
-        if not proc.children:
-            return -errno.ECHILD
-        return BLOCK
-    child = zombies[0]
+def rt_wait(runtime, proc: Process, args):
+    status_ptr = args[0]
+    child = next((child for child in map(runtime.processes.get, proc.children)
+                  if child.state == ProcessState.ZOMBIE), None)
+    if child is None:
+        return BLOCK if proc.children else -errno.ECHILD
     proc.children.remove(child.pid)
     runtime.reap(child)
     if status_ptr:
@@ -202,35 +191,34 @@ def rt_wait(runtime, proc: Process):
     return child.pid
 
 
-def rt_getpid(runtime, proc: Process):
+def rt_getpid(runtime, proc: Process, args):
     return proc.pid
 
 
-def rt_pipe(runtime, proc: Process):
-    fds_ptr, *_ = _args(proc)
+def rt_pipe(runtime, proc: Process, args):
     if not runtime.fd_slots_free(proc, 2):
         return -errno.EMFILE
     pipe = Pipe()
-    r, w = proc.next_fd(), None
+    r = proc.next_fd()
     proc.fds[r] = pipe.read_end()
     w = proc.next_fd()
     proc.fds[w] = pipe.write_end()
-    runtime.memory.write_u32(proc.pointer(fds_ptr), r)
-    runtime.memory.write_u32(proc.pointer(fds_ptr) + 4, w)
+    fds_ptr = proc.pointer(args[0])
+    runtime.memory.write_u32(fds_ptr, r)
+    runtime.memory.write_u32(fds_ptr + 4, w)
     return 0
 
 
-def rt_yield(runtime, proc: Process):
+def rt_yield(runtime, proc: Process, args):
     runtime.complete_call(proc, 0)
     runtime.scheduler.requeue(proc)
     return SWITCH
 
 
-def rt_yield_to(runtime, proc: Process):
+def rt_yield_to(runtime, proc: Process, args):
     """Direct cross-sandbox invocation: the microkernel-style IPC fast path
     (§5.3).  Only callee-saved registers survive; the target runs next."""
-    target_pid, *_ = _args(proc)
-    target = runtime.processes.get(target_pid)
+    target = runtime.processes.get(args[0])
     if target is None or target.state == ProcessState.ZOMBIE:
         return -errno.ESRCH
     runtime.complete_call(proc, 0)
@@ -240,7 +228,7 @@ def rt_yield_to(runtime, proc: Process):
     return SWITCH
 
 
-def rt_clock(runtime, proc: Process):
+def rt_clock(runtime, proc: Process, args):
     """Nanoseconds of virtual time (cycle model at the machine frequency)."""
     return int(runtime.virtual_ns()) & _MASK64
 
@@ -256,14 +244,25 @@ BATCHABLE = frozenset({
 })
 
 
-def rt_batch(runtime, proc: Process):
+#: Batchable calls that can write guest memory or change its mappings:
+#: what follows such a record in the arena is read again.
+_BATCH_REREAD = frozenset({RuntimeCall.READ, RuntimeCall.PIPE, RuntimeCall.BRK,
+                           RuntimeCall.MMAP, RuntimeCall.MUNMAP})
+
+
+def rt_batch(runtime, proc: Process, args):
     """Vectored runtime calls: many crossings for one transition (§15).
 
     ``x0`` points at an array of ``x1`` 64-byte records, each eight
     little-endian u64 words ``[call, a0, a1, a2, a3, a4, a5, result]``.
     Every record is serviced in order through the ordinary handlers and
     its result word written back; the whole batch costs one transition
-    (one ``CALL_OVERHEAD_CYCLES`` charge in :meth:`Runtime._dispatch`).
+    (one ``CALL_OVERHEAD_CYCLES`` charge in :meth:`Runtime._service_call`).
+
+    The arena is decoded from one ``read`` of all the records left — taken
+    again after a ``_BATCH_REREAD`` record, so each record sees what those
+    before it did to memory, and one record at a time when the rest is not
+    readable as a whole, so the batch returns ``-EFAULT`` at the hole.
 
     A record whose call would block returns ``-EAGAIN`` in its result
     word instead of sleeping — batches never block.  Non-batchable or
@@ -271,43 +270,42 @@ def rt_batch(runtime, proc: Process):
     is the number of records serviced, or a negative errno if the batch
     itself is malformed.
     """
-    if not getattr(runtime, "batch_abi", True):
+    if not runtime.batch_abi:
         return -errno.ENOSYS
-    buf, count, *_ = _args(proc)
+    count = args[1]
     if count > BATCH_MAX_RECORDS:
         return -errno.EINVAL
-    regs = proc.registers["regs"]
-    saved = regs[:6]
-    try:
-        for i in range(count):
-            rec = proc.pointer(buf) + i * BATCH_RECORD_SIZE
+    memory = runtime.memory
+    rec = proc.pointer(args[0])
+    end = rec + count * BATCH_RECORD_SIZE
+    while rec < end:
+        try:
+            raw = memory.read(rec, end - rec)
+        except MemoryFault:
             try:
-                raw = runtime.memory.read(rec, BATCH_RECORD_SIZE)
+                raw = memory.read(rec, BATCH_RECORD_SIZE)
             except MemoryFault:
                 return -errno.EFAULT
-            words = [int.from_bytes(raw[j * 8:j * 8 + 8], "little")
-                     for j in range(8)]
+        for words in _RECORD.iter_unpack(raw):
             call = words[0]
             if call not in BATCHABLE:
                 result = -errno.ENOSYS
             else:
-                regs[0:6] = words[1:7]
                 proc.block_pipe = None
-                result = HANDLERS[call](runtime, proc)
+                result = HANDLERS[call](runtime, proc, words[1:7])
                 if result is BLOCK:
                     proc.block_pipe = None
                     result = -errno.EAGAIN
-            runtime.memory.write(
-                rec + 56, (result & _MASK64).to_bytes(8, "little"))
-        return count
-    finally:
-        regs[0:6] = saved
+            memory.store(rec + 56, 8, result & _MASK64)
+            rec += BATCH_RECORD_SIZE
+            if call in _BATCH_REREAD:
+                break
+    return count
 
 
-def rt_unlink(runtime, proc: Process):
-    path_ptr, *_ = _args(proc)
+def rt_unlink(runtime, proc: Process, args):
     try:
-        path = runtime.memory.read_cstring(proc.pointer(path_ptr)).decode()
+        path = runtime.memory.read_cstring(proc.pointer(args[0])).decode()
         runtime.vfs.unlink(path)
     except VfsError as exc:
         return -exc.err

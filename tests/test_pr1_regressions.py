@@ -71,8 +71,8 @@ class TestQuotaInheritance:
         assert len(child.fds) == 3
         assert runtime.fd_slots_free(child, 1)
         assert not runtime.fd_slots_free(child, 2)
-        child.registers["regs"][0] = child.layout.base + 0x2000_0000
-        assert rt_pipe(runtime, child) == -errno.EMFILE
+        args = [child.layout.base + 0x2000_0000, 0, 0, 0, 0, 0]
+        assert rt_pipe(runtime, child, args) == -errno.EMFILE
 
     def test_instruction_quota_is_per_process_not_shared_count(self):
         # The quota object is shared, but each process's own instruction
@@ -132,10 +132,10 @@ class TestPipeEndRefcounting:
         pipe = Pipe()
         end = pipe.write_end()
         proc.fds[5] = end
-        proc.registers["regs"][0] = 5
-        assert rt_close(runtime, proc) == 0
+        args = [5, 0, 0, 0, 0, 0]
+        assert rt_close(runtime, proc, args) == 0
         assert end.refs == 0 and not pipe.write_open
-        assert rt_close(runtime, proc) == -errno.EBADF
+        assert rt_close(runtime, proc, args) == -errno.EBADF
         assert end.refs == 0
 
     def test_close_in_one_table_keeps_the_other_alive(self):
@@ -144,8 +144,7 @@ class TestPipeEndRefcounting:
         w = pipe.write_end()
         parent.fds[4] = w
         child = runtime.fork(parent)
-        child.registers["regs"][0] = 4
-        assert rt_close(runtime, child) == 0
+        assert rt_close(runtime, child, [4, 0, 0, 0, 0, 0]) == 0
         assert w.refs == 1 and pipe.write_open
         assert 4 in parent.fds and 4 not in child.fds
 

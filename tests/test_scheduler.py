@@ -1,5 +1,7 @@
 """Unit tests for the scheduler, process state, and runtime-call table."""
 
+import copy
+import random
 import struct
 
 import pytest
@@ -184,6 +186,105 @@ class TestEpochFairness:
         sched.pick()
         sched.forget(a)
         assert not sched.turn_spent(a)
+
+
+def scheduler_state(sched, procs):
+    return ([p.pid for p in sched._active], [p.pid for p in sched._expired],
+            set(sched._queued), sched.epoch, dict(sched._picked),
+            [p.state for p in procs])
+
+
+def repick_case(choose):
+    """One random scheduler state, then ``repick`` against its definition.
+
+    ``choose(n)`` draws an int in ``[0, n)``.  A few ``add``/``add_front``/
+    ``pick`` steps, with picked processes sometimes left queued-but-stale
+    (blocked or killed while waiting) and turn records sometimes
+    forgotten, leave a running ``proc`` off the queues; a deep copy then
+    does ``add_front(proc); pick()``, the definition.  Returns whether
+    ``repick`` accepted.
+    """
+    procs = [make_proc(pid + 1) for pid in range(1 + choose(4))]
+    sched = Scheduler()
+    running = None
+    for _ in range(choose(12)):
+        op = choose(6)
+        proc = procs[choose(len(procs))]
+        if op == 0 and proc is not running:
+            sched.add(proc)
+        elif op == 1 and proc is not running:
+            sched.add_front(proc)
+        elif op == 2 and proc.pid in sched._queued:
+            proc.state = (ProcessState.BLOCKED, ProcessState.ZOMBIE)[choose(2)]
+        elif op == 3:
+            sched.forget(proc)
+        else:
+            if running is not None and choose(2):
+                sched.add(running)  # preempted; otherwise it blocked
+            running = sched.pick()
+    if running is None:
+        running = procs[0]
+        if running.pid in sched._queued:
+            return None  # nothing is running and nothing could be
+        running.state = ProcessState.RUNNING
+    twin_sched, twin_procs = copy.deepcopy((sched, procs))
+    twin = twin_procs[running.pid - 1]
+    twin_sched.add_front(twin)
+    picked = twin_sched.pick()
+    before = scheduler_state(sched, procs)
+    if not sched.repick(running):
+        assert scheduler_state(sched, procs) == before
+        return False
+    assert picked is twin
+    assert scheduler_state(sched, procs) \
+        == scheduler_state(twin_sched, twin_procs)
+    return True
+
+
+class TestRepick:
+    """``Scheduler.repick`` is ``add_front(proc); pick()`` or nothing."""
+
+    def test_spent_turn_opens_a_round(self):
+        sched, a = Scheduler(), make_proc(1)
+        sched.add(a)
+        assert sched.pick() is a
+        assert sched.repick(a)
+        assert (sched.epoch, sched._picked, a.state) \
+            == (1, {1: 1}, ProcessState.RUNNING)
+
+    def test_unspent_turn_stays_in_the_round(self):
+        sched, a = Scheduler(), make_proc(1)
+        a.state = ProcessState.RUNNING  # as restored: no turn record
+        assert sched.repick(a)
+        assert (sched.epoch, sched._picked) == (0, {1: 0})
+
+    def test_declines_when_anything_is_queued_even_stale(self):
+        sched, a, b = Scheduler(), make_proc(1), make_proc(2)
+        sched.add(a)
+        sched.add(b)
+        assert sched.pick() is a
+        b.state = ProcessState.ZOMBIE  # stale: a pick would pop it
+        before = scheduler_state(sched, [a, b])
+        assert not sched.repick(a)
+        assert scheduler_state(sched, [a, b]) == before
+
+    def test_random_states(self):
+        rng = random.Random(21)
+        outcomes = [repick_case(rng.randrange) for _ in range(2_000)]
+        # Both answers, often enough to mean something.
+        assert outcomes.count(True) > 200 and outcomes.count(False) > 200
+
+    @pytest.mark.slow
+    def test_random_states_hypothesis(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @given(st.data())
+        @settings(max_examples=500, deadline=None)
+        def run(data):
+            repick_case(lambda n: data.draw(st.integers(0, n - 1)))
+
+        run()
 
 
 @pytest.mark.slow

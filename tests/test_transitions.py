@@ -19,15 +19,22 @@ process/checkpoint boundaries, and the gateway's typed
 
 from __future__ import annotations
 
+import errno
+import functools
+import struct
+
 import pytest
 
+from benchmarks.ledger.workloads.call_heavy import COUNTS, compile_program
 from repro import ENGINE_KINDS, ConfigError, EngineConfig
 from repro.checkpoint import Checkpoint, capture_job, restore_job
+from repro.cluster.worker import execute_job_steps
 from repro.core import O2
 from repro.emulator import APPLE_M1, HltTrap, Machine, OutOfFuel
-from repro.memory import PagedMemory
-from repro.runtime import Runtime, RuntimeCall
-from repro.runtime.syscalls import BATCHABLE
+from repro.memory import PAGE_SIZE, PERM_RW, MemoryFault, PagedMemory
+from repro.obs import Tracer, export_chrome_trace
+from repro.runtime import ResourceQuota, Runtime, RuntimeCall
+from repro.runtime.syscalls import BATCHABLE, BLOCK, HANDLERS, rt_batch
 from repro.runtime.table import BATCH_MAX_RECORDS
 from repro.toolchain import compile_lfi
 from repro.workloads.rtlib import (
@@ -287,6 +294,219 @@ loop:
         assert second.registers == ref_proc.registers
 
 
+@functools.lru_cache(maxsize=None)
+def call_heavy_images(name: str) -> tuple:
+    """One ``call-heavy`` ledger program at its smoke count."""
+    return tuple(compile_program(name, COUNTS["smoke"][name]))
+
+
+def run_images(engine, images, model=APPLE_M1, timeslice=50_000,
+               traced=False, prepare=None):
+    """Spawn ``images`` in order, run all to exit; every observable a
+    call's servicing could disturb, plus the runtime for the counters."""
+    runtime = Runtime(model=model, timeslice=timeslice, engine=engine)
+    tracer = Tracer().attach(runtime) if traced else None
+    procs = [runtime.spawn(image) for image in images]
+    if prepare is not None:
+        prepare(runtime, procs)
+    runtime.run(max_instructions=200_000)  # a starved peer fails, not hangs
+    return {
+        "exit": [proc.exit_code for proc in procs],
+        "stdout": [runtime.stdout_of(proc) for proc in procs],
+        "registers": [proc.registers for proc in procs],
+        "instret": runtime.machine.instret,
+        "cycles": runtime.machine.cycles,
+        "instructions": {pid: proc.instructions
+                         for pid, proc in runtime.processes.items()},
+        "faults": [(f.pid, f.kind, f.detail, f.pc) for f in runtime.faults],
+        "epoch": runtime.scheduler.epoch,
+        "picked": dict(runtime.scheduler._picked),
+        "calls": runtime.calls,
+        "trace": export_chrome_trace(tracer.events) if traced else None,
+    }, runtime
+
+
+class TestCallHeavyTwins:
+    """A call that does not switch does not save (ISSUE 21): finishing a
+    leaf call on the live registers, with ``Scheduler.repick`` standing
+    in for the put-back and the pick, is invisible.  The reference is the
+    stepping engine, whose calls all take the ``HostCallTrap`` arm of
+    ``_run_one`` — the general path."""
+
+    @pytest.mark.parametrize("timeslice", [97, 1_000, 50_000])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("model", [APPLE_M1, None],
+                             ids=["M1", "uncosted"])
+    @pytest.mark.parametrize("name", ["getpid", "pipe", "yield", "batch"])
+    def test_superblock_is_stepping(self, name, model, traced, timeslice):
+        images = call_heavy_images(name)
+        stepping, reference = run_images(STEPPING, images, model, timeslice,
+                                         traced)
+        superblock, runtime = run_images(SUPERBLOCK, images, model,
+                                         timeslice, traced)
+        assert superblock == stepping
+        assert stepping["exit"] == [0] * len(images) \
+            and not stepping["faults"]
+        assert reference.calls_inline == 0
+        inline = runtime.calls_inline
+        if name in ("getpid", "batch"):
+            # Alone in the runtime: every fused call but those that find
+            # the slice budget spent (and EXIT) resumes without a switch.
+            assert inline >= (0.8 if timeslice > 97 else 0.3) * runtime.calls
+        elif name == "yield":
+            assert inline == 0  # YIELD_TO is not a leaf, EXIT neither
+        else:
+            # PIPE ×2 before the fork; after it a READ blocks or finds
+            # the peer queued, and a WRITE wakes the peer.
+            assert 2 <= inline < runtime.calls // 10
+        if traced and name == "pipe":
+            assert superblock["trace"].count('"blocked":true') > 100
+
+    @pytest.mark.parametrize("timeslice", [97, 1_000, 50_000])
+    @pytest.mark.parametrize("name", ["getpid", "pipe", "batch"])
+    def test_pause_points_and_checkpoint_bytes(self, name, timeslice):
+        """``execute_job_steps`` pausing past every 777th instruction.
+        Stepping ends a run at every call and the springboard does not,
+        so their pause points never were the same; the reference here is
+        the same engine held to the general path by a call hook that
+        answers nothing."""
+        job = {"job_id": 0, "program": call_heavy_images(name)[0]}
+
+        def run(hooked):
+            runtime = Runtime(model=APPLE_M1, timeslice=timeslice)
+            if hooked:
+                runtime.call_hooks.add(lambda proc, call: None)
+            steps = execute_job_steps(runtime, None, job,
+                                      checkpoint_interval=777,
+                                      record_trace=True)
+            pauses, cmd = [], None
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    info = steps.send(cmd)
+                    cmd = {}
+                    if info["kind"] == "chunk":
+                        pauses.append((info["executed"],
+                                       info["checkpoint"].to_bytes()))
+            return pauses, stop.value.value, runtime
+
+        pauses, payload, runtime = run(hooked=False)
+        ref_pauses, ref_payload, reference = run(hooked=True)
+        assert pauses and pauses == ref_pauses
+        assert payload == ref_payload
+        assert runtime.calls == reference.calls
+        assert runtime.calls_inline > 0 == reference.calls_inline
+
+    def test_injected_result_on_the_seventh_getpid(self):
+        """A call hook is consulted with the registers saved: no call
+        runs live while one is subscribed, and its answer lands."""
+        elf = compile_lfi(call_loop_program(20), options=O2).elf
+
+        def inject(runtime, procs):
+            seen = []
+
+            def hook(proc, call):
+                assert proc.registers["pc"] == runtime.machine.cpu.pc
+                seen.append(call)
+                if seen.count(RuntimeCall.GETPID) == 7 \
+                        and call == RuntimeCall.GETPID:
+                    return -errno.EINTR
+                return None
+
+            runtime.call_hooks.add(hook)
+
+        stepping, _ = run_images(STEPPING, [elf], prepare=inject)
+        superblock, runtime = run_images(SUPERBLOCK, [elf], prepare=inject)
+        assert superblock == stepping
+        assert stepping["exit"] == [(19 * 1 - errno.EINTR) & 0xFF]
+        assert runtime.calls_inline == 0
+
+    def test_instruction_quota_kills_on_a_leaf_call(self):
+        """The quota is checked when a call closes the slice — on both
+        engines at the same call, with the registers saved."""
+        elf = compile_lfi(call_loop_program(200), options=O2).elf
+
+        def limit(runtime, procs):
+            runtime.set_quota(procs[0], ResourceQuota(max_instructions=500))
+
+        stepping, _ = run_images(STEPPING, [elf], prepare=limit)
+        superblock, runtime = run_images(SUPERBLOCK, [elf], prepare=limit)
+        assert superblock == stepping
+        (pid, kind, _detail, pc), = stepping["faults"]
+        assert (pid, kind) == (1, "quota") and stepping["exit"] == [137]
+        assert pc == stepping["registers"][0]["regs"][30]  # completed call
+        assert 500 < stepping["instructions"][1] < 520
+        assert runtime.calls_inline == 0
+
+    def test_step_probe_registered_mid_loop(self):
+        """A run hook's 9th firing registers a step probe: the rest of
+        the run is observed instruction by instruction, the same on both
+        engines; with a run hook subscribed no call runs live."""
+        elf = compile_lfi(call_loop_program(30), options=O2).elf
+        observed = {}
+
+        def watch(runtime, procs):
+            fired, seen = [], []
+            observed[runtime.machine.engine] = (fired, seen)
+
+            def hook(machine, fuel):
+                fired.append((machine.instret, fuel))
+                if len(fired) == 9:
+                    machine.add_step_probe(
+                        lambda m, pc, klass, delta:
+                        seen.append((pc, klass, delta)))
+
+            runtime.machine.run_hooks.add(hook)
+
+        stepping, _ = run_images(STEPPING, [elf], prepare=watch)
+        superblock, runtime = run_images(SUPERBLOCK, [elf], prepare=watch)
+        assert superblock == stepping
+        assert observed["superblock"] == observed["stepping"]
+        fired, seen = observed["superblock"]
+        assert len(fired) == 31 and len(seen) > 100
+        assert runtime.calls_inline == 0
+
+    def test_fault_escaping_a_live_handler_leaves_the_saved_registers(self):
+        """A ``READ`` into an unmapped buffer raises out of its handler
+        (and out of ``run``, on either engine): the registers a live call
+        had not saved yet are saved on the way out."""
+        asm = prologue() + "\tmov x0, #0\n" + mov_imm("x1", 0x7000_0000) \
+            + "\tmov x2, #4\n" + rtcall(RuntimeCall.READ) + rt_exit()
+        elf = compile_lfi(asm, options=O2).elf
+        saved = []
+        for engine in (STEPPING, SUPERBLOCK):
+            runtime = Runtime(model=APPLE_M1, engine=engine)
+            proc = runtime.spawn(elf)
+            proc.fds[0].buffer.extend(b"abcd")
+            with pytest.raises(MemoryFault):
+                runtime.run()
+            saved.append((proc.registers, runtime.calls,
+                          runtime.calls_inline))
+        assert saved[0] == saved[1]
+        assert saved[0][0]["pc"] == runtime.machine.cpu.pc
+
+    def test_hook_subscribed_mid_run_ends_the_live_calls(self):
+        """Which path a call takes is decided at that call: a subscriber
+        arriving between two calls is consulted from the next one on."""
+        elf = compile_lfi(call_loop_program(40), options=O2).elf
+        runtime = Runtime(model=APPLE_M1, timeslice=64)
+        proc = runtime.spawn(elf)
+        runtime.run_bounded(proc, 150)
+        inline = runtime.calls_inline
+        assert 0 < inline <= runtime.calls  # a spent slice is not live
+        seen = runtime.call_hooks.add(lambda proc, call: None)
+        runtime.run()
+        assert runtime.calls_inline == inline < runtime.calls
+        reference = Runtime(model=APPLE_M1, timeslice=64, engine=STEPPING)
+        ref_proc = reference.spawn(elf)
+        reference.run()
+        assert (proc.exit_code, proc.registers, runtime.machine.instret,
+                runtime.machine.cycles) \
+            == (ref_proc.exit_code, ref_proc.registers,
+                reference.machine.instret, reference.machine.cycles)
+        assert seen in runtime.call_hooks
+
+
 def batch_program(records, result_slot: int = 0) -> str:
     """A guest that issues one BATCH of ``records`` and exits with the
     call's return value.  The record buffer lives in the arena
@@ -401,6 +621,169 @@ class TestBatchABI:
                      RuntimeCall.YIELD, RuntimeCall.YIELD_TO,
                      RuntimeCall.BATCH):
             assert call not in BATCHABLE
+
+
+def per_record_batch(runtime, proc, args):
+    """``rt_batch`` as it was before it decoded its arena once: one
+    ``read`` and eight ``int.from_bytes`` per record.  The reference the
+    pinned cases below hold the one-decode handler to."""
+    buf, count = args[0], args[1]
+    if count > BATCH_MAX_RECORDS:
+        return -errno.EINVAL
+    for i in range(count):
+        rec = proc.pointer(buf) + i * 64
+        try:
+            raw = runtime.memory.read(rec, 64)
+        except MemoryFault:
+            return -errno.EFAULT
+        words = [int.from_bytes(raw[j * 8:j * 8 + 8], "little")
+                 for j in range(8)]
+        if words[0] not in BATCHABLE:
+            result = -errno.ENOSYS
+        else:
+            result = HANDLERS[words[0]](runtime, proc, words[1:7])
+            if result is BLOCK:
+                result = -errno.EAGAIN
+        runtime.memory.write(
+            rec + 56, (result & (2**64 - 1)).to_bytes(8, "little"))
+    return count
+
+
+class TestBatchSemanticsPinned:
+    """Decoding the arena once may not be observable: every case runs the
+    handler and :func:`per_record_batch` on twin runtimes and compares
+    the return (or the escaping fault), the two arena pages, the copies
+    made and what a write observer saw."""
+
+    def outcome(self, handler, records, offset=0, prepare=None, fork=False):
+        """``records`` — ``(call, *args)`` each, or a function of the
+        first record's address returning them — are laid ``offset`` bytes
+        into two fresh pages of the caller's slot and submitted."""
+        runtime = Runtime(model=None)
+        proc = runtime.spawn(compile_lfi(prologue() + rt_exit()).elf)
+        arena = runtime.mmap_allocate(proc, 2 * PAGE_SIZE)
+        runtime.memory.map_region(arena, 2 * PAGE_SIZE, PERM_RW)
+        at = arena + offset
+        if callable(records):
+            records = records(at)
+        for i, record in enumerate(records):
+            words = [int(word) for word in record] + [0] * (8 - len(record))
+            runtime.memory.write(at + 64 * i, struct.pack("<8Q", *words))
+        if prepare is not None:
+            prepare(runtime, proc, arena)
+        caller = runtime.fork(proc) if fork else proc
+        shift = caller.layout.base - proc.layout.base
+        copies = runtime.memory.cow_copies
+        seen = []
+        runtime.memory.write_observer = lambda a, n: seen.append((a, n))
+        try:
+            result = handler(runtime, caller, [at, len(records), 0, 0, 0, 0])
+        except MemoryFault as fault:
+            result = ("fault", fault.kind, fault.address - shift)
+        def pages(shift):
+            return [runtime.memory._raw_read(page + shift, PAGE_SIZE)
+                    if runtime.memory.is_mapped(page + shift) else None
+                    for page in (arena, arena + PAGE_SIZE)]
+
+        return {"result": result, "pages": pages(shift),
+                "copies": runtime.memory.cow_copies - copies,
+                "seen": [(a - shift, n) for a, n in seen],
+                "parent": pages(0)}
+
+    def both(self, records, **kwargs):
+        new = self.outcome(rt_batch, records, **kwargs)
+        assert new == self.outcome(per_record_batch, records, **kwargs)
+        return new
+
+    @staticmethod
+    def word(outcome, offset, index, word=7):
+        at = offset + 64 * index + 8 * word
+        page, at = divmod(at, PAGE_SIZE)
+        return int.from_bytes(outcome["pages"][page][at:at + 8], "little")
+
+    def test_read_into_a_later_record_changes_what_it_does(self):
+        """Record 0 reads 8 bytes of stdin over record 2's call word:
+        unknown call 99 becomes GETPID."""
+        def stdin(runtime, proc, arena):
+            proc.fds[0].buffer.extend(
+                int(RuntimeCall.GETPID).to_bytes(8, "little"))
+        seen = self.both(lambda at: [(RuntimeCall.READ, 0, at + 128, 8),
+                                     (RuntimeCall.GETPID,), (99,)],
+                         prepare=stdin)
+        assert seen["result"] == 3
+        assert [self.word(seen, 0, i) for i in range(3)] == [8, 1, 1]
+
+    def test_hole_after_the_first_page(self):
+        """Two records before an unmapped page are serviced, the batch
+        returns -EFAULT at the third."""
+        def hole(runtime, proc, arena):
+            runtime.memory.unmap(arena + PAGE_SIZE, PAGE_SIZE)
+        offset = PAGE_SIZE - 128
+        seen = self.both([(RuntimeCall.GETPID,)] * 4, offset=offset,
+                         prepare=hole)
+        assert seen["result"] == -errno.EFAULT
+        assert [self.word(seen, offset, i) for i in range(2)] == [1, 1]
+        assert seen["seen"][0][1] == 8 and len(seen["seen"]) == 2
+
+    def test_munmap_of_the_arena_mid_batch(self):
+        """Record 1 unmaps the page records 2 and 3 are in; unmapping its
+        own page instead makes its result write fault, as it did."""
+        offset = PAGE_SIZE - 128
+
+        def unmapping(page):
+            return lambda at: [
+                (RuntimeCall.GETPID,),
+                (RuntimeCall.MUNMAP, at - offset + page, PAGE_SIZE),
+                (RuntimeCall.GETPID,), (RuntimeCall.GETPID,)]
+
+        seen = self.both(unmapping(PAGE_SIZE), offset=offset)
+        assert seen["result"] == -errno.EFAULT
+        assert seen["pages"][1] is None
+        assert [self.word(seen, offset, i) for i in range(2)] == [1, 0]
+        seen = self.both(unmapping(0), offset=offset)
+        assert seen["result"][:2] == ("fault", "unmapped")
+
+    def test_cow_shared_arena_is_copied_once(self):
+        """A forked child's arena page is its parent's until the first
+        result word lands; the parent's copy never changes."""
+        seen = self.both([(RuntimeCall.GETPID,)] * 8, fork=True)
+        assert seen["result"] == 8 and seen["copies"] == 1
+        assert [self.word(seen, 0, i) for i in range(8)] == [2] * 8
+        assert seen["parent"][0][56:64] == bytes(8)
+
+    def test_write_observer_sees_each_result_word(self):
+        seen = self.both([(RuntimeCall.GETPID,), (RuntimeCall.FORK,),
+                          (RuntimeCall.CLOCK,)], offset=PAGE_SIZE - 64)
+        assert [(a % PAGE_SIZE, n) for a, n in seen["seen"]] \
+            == [(PAGE_SIZE - 8, 8), (56, 8), (120, 8)]
+
+    def test_auditor_attribution_equal_on_both_engines(self):
+        """Under ``ContainmentAuditor`` (a write observer: every store
+        takes the checked path) the guest's record stores and the
+        runtime's result words are seen in one order on both engines."""
+        from repro.robustness import ContainmentAuditor
+
+        elf = compile_lfi(batch_program(BATCH_MIXES["mixed"] * 3),
+                          options=O2, bss_size=64 + 9 * 64).elf
+        traces = []
+        for engine in (STEPPING, SUPERBLOCK):
+            runtime = Runtime(model=APPLE_M1, engine=engine)
+            auditor = ContainmentAuditor(runtime)
+            seen, inner = [], runtime.memory.write_observer
+
+            def observer(address, size):
+                seen.append((address, size, runtime._in_guest))
+                inner(address, size)
+
+            runtime.memory.write_observer = observer
+            proc = runtime.spawn(elf)
+            runtime.run()
+            auditor.assert_clean()
+            traces.append((seen, proc.exit_code, runtime.machine.cycles))
+        assert traces[0] == traces[1]
+        host = [(a, n) for a, n, guest in traces[0][0] if not guest]
+        assert len(host) == 9 and {n for _a, n in host} == {8}
+        assert [b - a for (a, _), (b, _) in zip(host, host[1:])] == [64] * 8
 
 
 WRITER = prologue() + """
