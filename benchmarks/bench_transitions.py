@@ -1,4 +1,4 @@
-"""Runtime-transition benchmarks: fusion, chaining, and the batch ABI.
+"""Runtime-transition benchmarks: the springboard and the batch ABI.
 
 The PR-9 companion to ``bench_engines.py``.  Where that bench times whole
 workloads end-to-end (compile + verify + spawn + run), this one isolates
@@ -7,7 +7,7 @@ the *transition* machinery the superblock engine accelerates:
 * **transition latency** — a hot loop making one ``GETPID`` runtime call
   per trip.  Every trip crosses sandbox -> runtime -> sandbox, so the
   wall-clock ratio between the stepping interpreter and the superblock
-  engine (fused springboards + block chaining + compiled blocks) is the
+  engine (the springboard, live leaf calls, compiled blocks) is the
   speedup of the crossing itself.
 * **batch amortization** — the same requests submitted one ``rtcall`` at
   a time versus a single ``RuntimeCall.BATCH`` buffer: one crossing for
@@ -127,10 +127,8 @@ def _exec_run(elf, engine: str, repeat: int = 1, expect_exit: int = 0):
         counters = {
             "instructions": machine.instret,
             "cycles": machine.cycles,
-            "fused_calls": stats["fused_calls"],
             "calls": runtime.calls,
             "calls_inline": runtime.calls_inline,
-            "chain_links": stats["chain_links"],
             "loop_trips": stats["loop_trips"],
             "compiled_blocks": stats["compiled_blocks"],
         }
@@ -145,10 +143,6 @@ def measure_transition_latency(iterations: int = 20_000, repeat: int = 5):
     for key in ("instructions", "cycles"):
         assert rows["stepping"][key] == rows["superblock"][key], \
             f"engines disagree on {key}"
-    # ``fused_calls`` counts translate-time fusions (one per translated
-    # call site), not per-crossing executions.
-    assert rows["superblock"]["fused_calls"] > 0, \
-        "the fused springboard never fired"
     # ``calls_inline`` counts crossings: the calls that returned into the
     # live registers, with no save, switch or restore (every GETPID here;
     # stepping, whose calls all trap, has none).
@@ -161,10 +155,8 @@ def measure_transition_latency(iterations: int = 20_000, repeat: int = 5):
         "superblock_cpu_s": rows["superblock"]["cpu_s"],
         "speedup": rows["stepping"]["cpu_s"] / rows["superblock"]["cpu_s"],
         "cycles_per_call": rows["superblock"]["cycles"] / iterations,
-        "fused_calls": rows["superblock"]["fused_calls"],
         "calls": rows["superblock"]["calls"],
         "calls_inline": rows["superblock"]["calls_inline"],
-        "chain_links": rows["superblock"]["chain_links"],
         "loop_trips": rows["superblock"]["loop_trips"],
         "compiled_blocks": rows["superblock"]["compiled_blocks"],
     }
@@ -321,7 +313,7 @@ def test_table4_exec_speedup():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="runtime-transition benchmarks (fusion/chaining/batch)")
+        description="runtime-transition benchmarks (springboard/batch)")
     parser.add_argument("--target", type=int, default=60_000,
                         help="dynamic instructions per Table-4 run")
     parser.add_argument("--iterations", type=int, default=20_000,
@@ -343,8 +335,7 @@ def main(argv=None) -> int:
     t = report["transition"]
     print(f"transition latency   {t['stepping_cpu_s']:>8.3f}s -> "
           f"{t['superblock_cpu_s']:>7.3f}s  {t['speedup']:>5.2f}x  "
-          f"({t['fused_calls']} fused call sites, "
-          f"{t['calls_inline']}/{t['calls']} calls without a switch, "
+          f"({t['calls_inline']}/{t['calls']} calls without a switch, "
           f"{t['compiled_blocks']} compiled blocks)")
     b = report["batch"]
     print(f"batch amortization   {b['individual']['cycles_per_request']:>8.1f}"

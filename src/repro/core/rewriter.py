@@ -218,9 +218,10 @@ def _is_runtime_call_load(block: List[Instruction], i: int) -> bool:
 
 
 #: Public name for the runtime-call idiom predicate.  The superblock
-#: engine uses the exact same recognizer at translation time to fuse the
-#: pair into a springboard closure, so rewriter provenance and emulator
-#: fusion can never disagree about what constitutes a runtime call.
+#: engine uses the exact same recognizer at translation time to mark the
+#: blocks whose landing address it offers to the runtime's springboard,
+#: so rewriter and emulator can never disagree about what constitutes a
+#: runtime call.
 is_runtime_call_load = _is_runtime_call_load
 
 

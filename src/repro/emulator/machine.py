@@ -284,17 +284,17 @@ class Machine:
         self.model = model
         #: The validated :class:`~repro.engine.EngineConfig` selecting and
         #: tuning the execution engine.  Read by the superblock engine at
-        #: construction (chaining, cache cap).
+        #: construction (cache cap).
         self.engine_config = config
         #: Execution engine kind: "superblock" dispatches translated
         #: blocks from :meth:`run`; "stepping" forces the per-instruction
         #: interpreter.  Both produce bit-identical architectural state
         #: and cycle counts (tests/test_superblock.py).
         self.engine = config.kind
-        #: Runtime springboard for fused runtime calls, or ``None``.
+        #: Runtime springboard for translated runtime calls, or ``None``.
         #: Set by :class:`repro.runtime.runtime.Runtime`; called by the
         #: superblock dispatch loop with the host entry address after a
-        #: fused ``ldr``/``blr`` pair lands on a registered host entry.
+        #: block's ``ldr``/``blr`` call pair lands on a registered host entry.
         #: Returns ``(fresh_fuel, force_step)`` to resume translated
         #: execution inline, or raises to end the slice.
         self.springboard = None
@@ -302,10 +302,6 @@ class Machine:
         #: the superblock engine is enabled.  The runtime sets this from
         #: the scheduled process (fault injection, per-step tooling).
         self.force_stepping = False
-        #: pc -> guard class for verified guard instructions (loader's
-        #: PT_NOTE guard map).  The superblock translator fuses a guard
-        #: and its consumer into one op when the guard pc is listed here.
-        self.guard_map: Dict[int, str] = {}
         #: Multiplier on TLB walk cost (2.0 models nested paging / KVM).
         self.tlb_walk_scale = tlb_walk_scale
         if model is not None and tlb is None:
@@ -405,15 +401,15 @@ class Machine:
         """The superblock engine's counters.  Template hits and misses,
         which blocks found a generated body waiting (and so how many
         trips of a loop ran inside one, ``loop_trips``, rather than as
-        ``chain_links`` of the dispatch loop), how many bodies this
+        turns of the dispatch loop), how many bodies this
         cost identity has had generated (``generated_templates``) and the
         host time that took (``compile_ms``) depend on what the process
         ran before: host-side facts, kept out of deterministic snapshots."""
         sb = self._sb
         stats = {name: getattr(sb, name) for name in (
             "translations", "template_hits", "template_misses",
-            "invalidations", "chain_links", "loop_trips", "fused_calls",
-            "compiled_blocks", "cached_blocks")}
+            "invalidations", "loop_trips", "compiled_blocks",
+            "cached_blocks")}
         stats["generated_templates"], stats["compile_ms"] = sb.generated
         return stats
 

@@ -16,33 +16,29 @@ Design rules (DESIGN.md §10, §15):
   word, or page boundary — blocks never cross a page, so invalidation is
   page-exact — and before a trap instruction (``svc``/``brk``/``hlt``),
   which is a block of its own;
-* an op is lines plus one *cost row* per instruction it retires: what
-  a block does and what it costs are both data, and a body — the closure
-  walk or the generated function — is lines + rows;
+* an op is one decoded instruction: its lines plus its one *cost row*.
+  What a block does and what it costs are both data, and a body — the
+  closure walk or the generated function — is lines + rows.  A guard is
+  an ordinary op (DESIGN.md §10, "why there is no guard fusion");
 * a run is translated once per *content*: a :class:`BlockTemplate`, keyed
-  by the run's bytes (and the guard positions and cost model), holds
-  op recipes with every pc-derived constant as a displacement from the
-  block start — and, once the content is hot, the generated body's code —
-  and every block of those words — any slot, machine or runtime in the
-  process — is the template bound to a machine and a start;
-* verified guard sequences named by the loader's ``guard_map`` are fused
-  into a single op that performs both architectural effects and carries
-  both instructions' rows;
+  by the run's bytes (and the cost model), holds op recipes with every
+  pc-derived constant as a displacement from the block start — and, once
+  the content is hot, the generated body's code — and every block of
+  those words — any slot, machine or runtime in the process, sandboxed
+  or native — is the template bound to a machine and a start;
 * a block ending in the runtime-call idiom (``ldr x30, [x21, #n]``;
   ``blr x30`` — the rewriter's :func:`is_runtime_call_load` predicate)
-  ends in a fused two-row op for the pair; the dispatch loop then hands
-  the address it lands on straight to the runtime's *springboard*
-  (``machine.springboard``) instead of raising ``HostCallTrap``, and the
+  carries that as a fact, ``call_tail``: the pair are the same two ops as
+  anywhere else, and the dispatch loop hands the address such a block
+  lands on straight to the runtime's *springboard*
+  (``machine.springboard``) instead of raising ``HostCallTrap``; the
   springboard resumes translated execution inline when the scheduler
   allows (DESIGN.md §15);
-* blocks chain: each block caches its observed fall-through and taken
-  successors, validated by a ``valid`` flag plus start-pc check, so hot
-  loops dispatch block-to-block without a host-entry check or cache
-  lookup; invalidation clears ``valid``, which lazily unlinks every
-  chain through the dead block;
-* a hot block whose branch targets its own start iterates inside its
-  generated body — whole trips, as many as the fuel covers — and comes
-  back to the dispatch loop once;
+* every turn of the dispatch loop is one host-entry check and one cache
+  lookup; the one successor worth skipping them for, a hot block whose
+  branch targets its own start, iterates inside its generated body —
+  whole trips, as many as the fuel covers — and comes back to the
+  dispatch loop once;
 * one dispatch loop runs every block; cold costed blocks charge their
   rows through the very :class:`_Costing` methods ``Machine.step`` uses
   and hot ones through generated source with the same float operations
@@ -81,21 +77,14 @@ from .cpu import MASK32, MASK64
 
 __all__ = ["Superblock", "SuperblockEngine"]
 
-#: Op kinds — what an op's ``exec()`` returns.  Bit 0: the address it
-#: accessed; bit 1: whether it branched.
+#: Op kinds — what an op's ``exec()`` returns, and so what its cost row
+#: takes from that.  Bit 0: the address it accessed (the TLB walk and
+#: cache-miss penalties; a generic op's may be None); bit 1: whether it
+#: branched (the fetch bubble when taken).
 K_SIMPLE = 0   # None: no memory access, never taken
 K_MEM = 1      # address int: load/store, never taken
 K_BRANCH = 2   # taken bool: terminator
 K_GENERIC = 3  # (taken, mem_addr or None): original handler semantics
-
-#: Row roles — what one retired instruction's charge takes from that
-#: result.  The row of a single-instruction op has the role numbered like
-#: the op's kind; the rows of a fused op split the result between them.
-R_PLAIN = K_SIMPLE     # nothing
-R_MEM = K_MEM          # the address: TLB walk and cache-miss penalties
-R_BRANCH = K_BRANCH    # the flag: fetch bubble when taken
-R_GENERIC = K_GENERIC  # both, and the address may be None
-R_TAKEN = 4            # a branch that always leaves: the bubble is constant
 
 #: A block gets its generated body once it shows signs of re-execution;
 #: until then the dispatch loop runs its closures, so straight-line code
@@ -154,10 +143,11 @@ class _Bindings(dict):
 class BlockTemplate:
     """A straight-line run translated once for everywhere its words occur.
 
-    ``ops`` holds a recipe ``(kind, maker, args, rel, rows)`` per op:
-    ``maker(<machine objects>, *args, *(start + d for d in rel))`` is the
-    closure of a block starting at ``start``, ``maker.emit`` the source
-    lines it was made from, and a cost row's pc is likewise a
+    ``ops`` holds a recipe ``(kind, maker, args, rel, row)`` per
+    instruction: ``maker(<machine objects>, *args, *(start + d for d in
+    rel))`` is the closure of a block starting at ``start``,
+    ``maker.emit`` the source lines it was made from, and ``row`` its cost
+    row ``(pc - start, icost, lat, uses, defs)``, the pc likewise a
     displacement from the start.  Nothing here names an address or a
     machine, so nothing ever invalidates a template.  ``moving`` indexes
     the ops with a ``rel``; ``code`` is the maker of the generated body
@@ -165,7 +155,9 @@ class BlockTemplate:
     built when the first block of this content gets hot.  ``loops`` says
     the run ends in a direct, link-free branch to its own first
     instruction — displacement 0 wherever the words sit — so its
-    generated body iterates inside itself.
+    generated body iterates inside itself; ``call_tail`` that it ends in
+    the runtime-call pair (``ldr x30, [x21, #n]`` + ``blr x30``), so the
+    dispatch loop offers the address it lands on to the springboard.
     """
 
     __slots__ = ("ops", "size", "call_tail", "code", "consts", "moving",
@@ -180,9 +172,9 @@ class BlockTemplate:
         self.loops = ops[-1][0] == K_BRANCH and ops[-1][3] == (0,)
 
 
-#: (run bytes, guard positions, cost identity) -> BlockTemplate, process-
-#: wide: every slot, ``Machine`` and ``Runtime`` holding the same words
-#: instantiates the same template.  Flushed whole at the cap, like
+#: (run bytes, cost identity) -> BlockTemplate, process-wide: every slot,
+#: ``Machine`` and ``Runtime`` holding the same words instantiates the
+#: same template.  Flushed whole at the cap, like
 #: ``block_cache_cap``; live blocks keep the template they came from.
 _TEMPLATES: Dict[tuple, BlockTemplate] = {}
 _TEMPLATE_CAP = 4096
@@ -197,22 +189,12 @@ class Superblock:
     """A predecoded straight-line run of instructions.
 
     A :class:`BlockTemplate` bound to a machine and a start address.
-    ``ops`` is a list of ``(kind, exec, rows)`` tuples: one closure with
-    the op's whole architectural effect, and one cost row ``(pc - start,
-    icost, lat, uses, defs, role)`` per instruction it retires, in order.
-    A fused guard sequence or runtime-call tail is simply an op with two
-    rows.  ``count`` is the run's fuel cost, the number of rows in it;
-    ``end`` is both the fall-through address and the exclusive byte bound
-    used for invalidation overlap checks.
-
-    ``call_tail`` marks a block whose last op is the fused runtime-call
-    pair (``ldr x30, [x21, #n]`` + ``blr x30``): the dispatch loop offers
-    the address such a block lands on to the runtime's springboard.
-
-    ``link_fall``/``link_taken`` are the block-chaining inline caches
-    (observed successor blocks); ``valid`` is cleared on invalidation so
-    stale links are rejected by the dispatch loop without needing to
-    find and unlink every predecessor.
+    ``ops`` is a list of ``(kind, exec, row)`` tuples, one per
+    instruction: the closure with its architectural effect and its cost
+    row.  ``count`` is the run's fuel cost, the number of instructions in
+    it; ``end`` is both the fall-through address and the exclusive byte
+    bound used for invalidation overlap checks.  Nothing refers to a
+    block but the engine's cache: dropping it from there invalidates it.
 
     ``fn`` is the template's generated body bound to this machine,
     ``fn(start, fuel)`` returning the instructions it retired, negated
@@ -222,8 +204,7 @@ class Superblock:
     """
 
     __slots__ = ("start", "end", "ops", "count", "call_tail", "template",
-                 "valid", "link_fall", "link_taken", "fn", "hits",
-                 "__weakref__")
+                 "fn", "hits", "__weakref__")
 
     def __init__(self, start: int, template: BlockTemplate):
         self.start = start
@@ -232,9 +213,6 @@ class Superblock:
         self.count = template.size >> 2  # one row per instruction
         self.call_tail = template.call_tail
         self.template = template
-        self.valid = True
-        self.link_fall: Optional["Superblock"] = None
-        self.link_taken: Optional["Superblock"] = None
         self.fn = None
         self.hits = 0
 
@@ -269,7 +247,7 @@ _NAMESPACE = {
     "pack_d": struct.Struct("<d").pack, "unpack_d": struct.Struct("<d").unpack,
 }
 _NAME = re.compile(r"[A-Za-z_]\w*")
-#: How an op's closure hands its result to the row walk, by kind.
+#: How an op's closure hands its result to the dispatch loop, by kind.
 _RETURNS = ("", "return addr", "return taken", "return taken, addr")
 
 _COND_SRC = {
@@ -598,19 +576,6 @@ def _e_blr(t, link):
 
 
 @_emits(K_GENERIC)
-def _e_call_tail(b, off, link):
-    """``ldr x30, [x21, #n]`` + ``blr x30`` — the runtime-call pair (§4.4).
-
-    Net architectural effect of executing both instructions: ``x30``
-    holds the return address and ``pc`` the loaded entry point.  A fault
-    in the table load raises before any register is written, exactly as
-    the stepping ``ldr`` would.
-    """
-    return [f"addr = (regs[{b}] + {off}) & {M64}", "x = load(addr, 8)"] \
-        + _leave("x", link=link)
-
-
-@_emits(K_GENERIC)
 def _e_generic(inst, base):
     """The stepping handler: the op of whatever has no emitter."""
     return [f"taken, addr = handlers[{base}]({inst})"]
@@ -627,67 +592,6 @@ def _e_generic_at(inst, base, pc, reads_pc, decodes):
         + [f"taken, addr = handlers[{base}]({inst})"]
 
 
-# -- fused guards -------------------------------------------------------------
-
-def _guarded(g, s, b):
-    """``add Xg, Xb, wS, uxtw``: the guarded address, left in ``x`` too."""
-    return [f"x = (regs[{b}] + (regs[{s}] & {M32})) & {M64}",
-            f"regs[{g}] = x"]
-
-
-def _offset_folded(o_d, o_s, o_imm, b, sub):
-    """``add/sub wD, wS, #imm`` then the address ``[Xb, wD, uxtw]``."""
-    return [f"x = ((regs[{o_s}] & {M32}) {'-' if sub else '+'} {o_imm}) "
-            f"& {M32}",
-            f"regs[{o_d}] = x",
-            f"addr = (regs[{b}] + x) & {M64}"]
-
-
-@_emits(K_MEM)
-def _e_fused_guard_load(g, s, b, t, off, size, signed, tbits):
-    """``add Xg, x21, wS, uxtw`` + ``ldr Xt, [Xg(, #imm)]``."""
-    return _guarded(g, s, b) + [f"addr = (x + {off}) & {M64}"] \
-        + _loaded(t, size, signed, tbits, False)
-
-
-@_emits(K_MEM)
-def _e_fused_guard_store(g, s, b, t, off, size, zero):
-    return _guarded(g, s, b) + [f"addr = (x + {off}) & {M64}"] \
-        + _stored(t, size, False, zero)
-
-
-@_emits(K_MEM)
-def _e_fused_offset_load(o_d, o_s, o_imm, b, t, sub, size, signed, tbits):
-    """``add wD, wS, #imm`` + ``ldr Xt, [x21, wD, uxtw]`` (Table 3)."""
-    return _offset_folded(o_d, o_s, o_imm, b, sub) \
-        + _loaded(t, size, signed, tbits, False)
-
-
-@_emits(K_MEM)
-def _e_fused_offset_store(o_d, o_s, o_imm, b, t, sub, size, zero):
-    return _offset_folded(o_d, o_s, o_imm, b, sub) \
-        + _stored(t, size, False, zero)
-
-
-@_emits(K_BRANCH)
-def _e_fused_guard_br(g, s, b):
-    """``add Xg, x21, wS, uxtw`` + ``br/ret Xg`` (branch guard)."""
-    return _guarded(g, s, b) + _leave("x")
-
-
-@_emits(K_BRANCH)
-def _e_fused_guard_blr(g, s, b, link):
-    return _guarded(g, s, b) + _leave("x", link=link)
-
-
-@_emits(K_SIMPLE)
-def _e_fused_sp_guard(w_d, b):
-    """``mov w22, wsp`` + ``add sp, x21, x22`` (sp guard pair)."""
-    return [f"x = cpu.sp & {M32}",
-            f"regs[{w_d}] = x",
-            f"cpu.sp = (regs[{b}] + x) & {M64}"]
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -701,20 +605,15 @@ class SuperblockEngine:
         self._M = M
         self.machine = machine
         self._blocks: Dict[int, Superblock] = {}
-        config = machine.engine_config
-        #: Whether the dispatch loop follows block successor links.
-        self.chaining = config.chaining
         #: Translation-cache flush threshold (None = unbounded).
-        self.block_cache_cap = config.block_cache_cap
+        self.block_cache_cap = machine.engine_config.block_cache_cap
         #: Counters exposed for tests and diagnostics.
         self.translations = 0
         self.template_hits = 0
         self.template_misses = 0
         self.invalidations = 0
-        self.chain_links = 0
         #: Trips looping bodies ran beyond the first of each call.
         self.loop_trips = 0
-        self.fused_calls = 0
         self.compiled_blocks = 0
         _NAMESPACE.update(MemTrap=M.MemTrap, b2f=M._bits_to_float,
                           f2b=M._float_to_bits)
@@ -733,14 +632,9 @@ class SuperblockEngine:
     # -- cache management ---------------------------------------------------
 
     def invalidate_range(self, address: int, size: int) -> None:
-        """Drop every block overlapping ``[address, address + size)``.
-
-        Dropped blocks are also marked ``valid = False`` so chained
-        predecessors reject their stale links on the next dispatch —
-        invalidation unlinks chains without a reverse-edge index — and
-        drop their own links, so a dead loop is freed by reference count
-        rather than left as a cycle for the collector.
-        """
+        """Drop every block overlapping ``[address, address + size)``:
+        the cache holds the only reference to a block, so the next
+        dispatch of its pc translates the bytes then there."""
         blocks = self._blocks
         if not blocks:
             return
@@ -748,9 +642,7 @@ class SuperblockEngine:
         dead = [start for start, block in blocks.items()
                 if start < end and block.end > address]
         for start in dead:
-            block = blocks.pop(start)
-            block.valid = False
-            block.link_fall = block.link_taken = None
+            del blocks[start]
         self.invalidations += len(dead)
 
     def invalidate_all(self) -> None:
@@ -792,16 +684,15 @@ class SuperblockEngine:
     def _dispatch(self, remaining: int) -> int:
         """The block-dispatch loop; returns the fuel left for stepping.
 
-        Per block: follow the predecessor's chain link or look the block
-        up (host check, translate, link), stop if it would overrun the
-        fuel, run its body, then advance pc and fuel by what it retired
-        and offer a fused runtime call to the springboard.  The body is
-        chosen by what is there to observe: the block's generated
+        Per block: look it up (host check, cache, translate), stop if it
+        would overrun the fuel, run its body, then advance pc and fuel by
+        what it retired and offer a runtime call to the springboard.  The
+        body is chosen by what is there to observe: the block's generated
         function once it has one (its content got hot, here or anywhere
         in the process) — called one way, ``fn(pc0, remaining)``, whether
         it retires the block once or, a self-loop, as many whole trips as
         the fuel covers; until then its op closures, alone without a cost
-        model and with one followed by their rows, walked through the
+        model and with one each followed by its row, charged through the
         same :class:`_Costing` methods ``Machine.step`` charges with.
         """
         M = self._M
@@ -811,40 +702,20 @@ class SuperblockEngine:
         blocks = self._blocks
         translate = self._translate
         springboard = machine.springboard
-        chaining = self.chaining
         costing = machine._costing
         if costing is not None:
             charge = costing.charge_row
             penalty = costing.memory_penalty
             tb = machine.model.taken_branch_cost
         n = 0
-        links = 0
-        prev = None
-        prev_taken = False
         try:
             while True:
                 pc0 = cpu.pc
-                block = None
-                if prev is not None:
-                    nxt = prev.link_taken if prev_taken else prev.link_fall
-                    if nxt is not None and nxt.valid and nxt.start == pc0:
-                        # Chain follow: a valid linked block can never
-                        # start at a host entry (registering one
-                        # invalidates every covering block), so the host
-                        # check and the cache lookup are both skipped.
-                        block = nxt
-                        links += 1
+                if pc0 in host:
+                    raise M.HostCallTrap(pc0, pc0)
+                block = blocks.get(pc0)
                 if block is None:
-                    if pc0 in host:
-                        raise M.HostCallTrap(pc0, pc0)
-                    block = blocks.get(pc0)
-                    if block is None:
-                        block = translate(pc0)
-                    if prev is not None:
-                        if prev_taken:
-                            prev.link_taken = block
-                        else:
-                            prev.link_fall = block
+                    block = translate(pc0)
                 count = block.count
                 if count > remaining:
                     return remaining
@@ -865,7 +736,7 @@ class SuperblockEngine:
                         else:
                             taken = True
                     elif costing is None:
-                        for kind, exec_, rows in block.ops:
+                        for kind, exec_, row in block.ops:
                             if kind < K_BRANCH:
                                 exec_()
                             elif kind == K_BRANCH:
@@ -873,41 +744,29 @@ class SuperblockEngine:
                             else:
                                 taken = exec_()[0]
                     else:
-                        for kind, exec_, rows in block.ops:
+                        for kind, exec_, row in block.ops:
+                            _pc, icost, lat, uses, defs = row
+                            extra = bw = 0.0
                             if kind == K_SIMPLE:
                                 exec_()
                             elif kind == K_MEM:
-                                addr = exec_()
-                            elif kind == K_BRANCH:
-                                taken = exec_()
+                                extra, bw = penalty(exec_())
                             else:
-                                taken, addr = exec_()
-                            for _pc, icost, lat, uses, defs, role in rows:
-                                extra = bw = 0.0
-                                if role & R_MEM and addr is not None:
-                                    extra, bw = penalty(addr)
-                                if role == R_TAKEN \
-                                        or role & R_BRANCH and taken:
+                                if kind == K_BRANCH:
+                                    taken = exec_()
+                                else:
+                                    taken, addr = exec_()
+                                    if addr is not None:
+                                        extra, bw = penalty(addr)
+                                if taken:
                                     icost += tb
-                                charge(icost + bw, lat, uses, defs, extra)
+                            charge(icost + bw, lat, uses, defs, extra)
                 except MemoryFault as fault:
                     # The one fault rule (a generated body applies it
                     # itself and raises MemTrap): the ops before the one
-                    # that faulted have retired, and so have its rows
-                    # ahead of its first memory row — a fused guard's
-                    # register write is already in place; the trap pc is
-                    # the memory row's.
-                    for _kind, _exec, done in block.ops:
-                        if done is rows:
-                            break
-                        n += len(done)
-                    for at, icost, lat, uses, defs, role in rows:
-                        if role & R_MEM:
-                            break
-                        if costing is not None:
-                            charge(icost, lat, uses, defs)
-                        n += 1
-                    cpu.pc = pc = block.start + at
+                    # that faulted have retired; the trap pc is its row's.
+                    n += row[0] >> 2
+                    cpu.pc = pc = pc0 + row[0]
                     raise M.MemTrap(pc, fault) from None
                 n += done
                 remaining -= done
@@ -918,26 +777,19 @@ class SuperblockEngine:
                     # just landed on, as in stepping (the next slice's
                     # host check raises HostCallTrap).
                     raise M.OutOfFuel()
-                if not block.call_tail:
-                    if chaining:
-                        prev = block
-                        prev_taken = taken
-                    continue
-                # Hand the call straight to the runtime's springboard
-                # instead of raising HostCallTrap; it returns fresh fuel
-                # to resume inline, or raises to end the slice.
-                prev = None
-                entry = cpu.pc
-                if springboard is None or entry not in host:
+                # Hand a runtime call straight to the springboard instead
+                # of raising HostCallTrap; it returns fresh fuel to resume
+                # inline, or raises to end the slice.
+                if not block.call_tail or springboard is None \
+                        or cpu.pc not in host:
                     continue
                 machine.instret += n
                 n = 0
-                remaining, force_step = springboard(entry)
+                remaining, force_step = springboard(cpu.pc)
                 if force_step:
                     return remaining
         finally:
             machine.instret += n
-            self.chain_links += links
 
     def _compile_block(self, block: Superblock):
         """Give ``block`` its template's generated body (built on first
@@ -965,7 +817,7 @@ class SuperblockEngine:
 
         A body is lines + rows.  Each op contributes its emitter's lines
         with the operands as literals, then — under a cost model — its
-        cost rows as source: ``_Costing.memory_penalty`` and
+        cost row as source: ``_Costing.memory_penalty`` and
         ``_Costing.charge_row`` with every static quantity (issue costs,
         latencies, scoreboard keys, model miss charges) folded in and the
         *same float operations in the same order*, so cycle totals stay
@@ -989,7 +841,7 @@ class SuperblockEngine:
         when the branch falls through.  Nothing a trip can do unmaps or
         patches the block it is in (mappings and host entries change only
         on the host side of a trap or springboard, which end a block), so
-        no trip re-tests ``valid``.  The keys read before the block
+        no trip looks the block up again.  The keys read before the block
         defines them are loaded above the loop, the locals carry from
         trip to trip, and one arm around the loop states what the
         completed trips add to whatever ends a later one: their
@@ -1036,29 +888,27 @@ class SuperblockEngine:
             emit(f"{ind}        extra += {model.l2_miss_cycles!r}")
             emit(f"{ind}        bw += {model.l2_miss_issue!r}")
 
-        def charge(ind, row, board):
-            """One row; ``board``: key -> whether its local ``k<key>``
-            surely holds a time (the block defined it) or may hold None
-            (it was read from ``costing.ready``)."""
-            _pc, icost, lat, uses, defs, role = row
+        def charge(ind, kind, row, board):
+            """The row of an op of ``kind``; ``board``: key -> whether its
+            local ``k<key>`` surely holds a time (the block defined it) or
+            may hold None (it was read from ``costing.ready``)."""
+            _pc, icost, lat, uses, defs = row
             bw = ""
             lat_expr = repr(lat)
-            if role & R_MEM:
+            if kind & K_MEM:
                 emit(f"{ind}extra = bw = 0.0")
-                if role == R_GENERIC:
+                if kind == K_GENERIC:
                     emit(f"{ind}if addr is not None:")
                     penalty(ind + "    ")
                 else:
                     penalty(ind)
                 bw = " + bw"
                 lat_expr += " + extra"
-            if role & R_BRANCH:
+            if kind & K_BRANCH:
                 emit(f"{ind}if taken:")
                 emit(f"{ind}    t_issue += {icost + tb!r}{bw}")
                 emit(f"{ind}else:")
                 emit(f"{ind}    t_issue += {icost!r}{bw}")
-            elif role == R_TAKEN:
-                emit(f"{ind}t_issue += {icost + tb!r}")
             else:
                 emit(f"{ind}t_issue += {icost!r}{bw}")
             start = "t_issue"
@@ -1094,17 +944,15 @@ class SuperblockEngine:
         if costing is not None:
             head += ["t_issue = costing.t_issue", "t_done = costing.t_done"]
         if costing is not None and loops:
-            for row in (row for *_recipe, rows in template.ops
-                        for row in rows):
+            for *_recipe, row in template.ops:
                 for key in row[3]:
                     if key not in defined and key not in board:
                         board[key] = False
                         head.append(f"k{key} = ready_get({key!r})")
                 defined.update(dict.fromkeys(row[4], True))
         ind = "        " if loops else "    " if costing is not None else ""
-        retired = 0
-        for op in template.ops:
-            _kind, make, args, rel, rows = op
+        for retired, op in enumerate(template.ops):
+            kind, make, args, rel, row = op
             body = make.emit(*map(literal, args), *[
                 f"((pc0 + {d}) & {M64})" for d in rel or ()])
             if loops and op is template.ops[-1]:
@@ -1112,23 +960,18 @@ class SuperblockEngine:
                 # between moves it, so its store waits for the exit.
                 body = [line for line in body
                         if line.strip() != f"cpu.pc = ((pc0 + 0) & {M64})"]
-            ahead = next((k for k, row in enumerate(rows)
-                          if row[5] & R_MEM), None)
-            if ahead is None:
+            if not kind & K_MEM:
                 lines.extend(ind + line for line in body)
             else:
                 # The fault rule of the dispatch loop, as source.
-                pc = f"pc0 + {rows[ahead][0]}"
+                pc = f"pc0 + {row[0]}"
                 arm = ind + "    "
                 emit(f"{ind}try:")
                 lines.extend(arm + line for line in body)
                 emit(f"{ind}except MemoryFault as fault:")
                 if costing is not None:
-                    sofar = dict(board)
-                    for row in rows[:ahead]:
-                        charge(arm, row, sofar)
-                    flush(arm, sofar)
-                emit(f"{arm}machine.instret += {retired + ahead}")
+                    flush(arm, board)
+                emit(f"{arm}machine.instret += {retired}")
                 emit(f"{arm}cpu.pc = {pc}")
                 emit(f"{arm}raise MemTrap({pc}, fault) from None")
                 if costing is not None and "handlers" in _names_in(body) \
@@ -1139,9 +982,7 @@ class SuperblockEngine:
                     flush(arm, board)
                     emit(f"{arm}raise")
             if costing is not None:
-                for row in rows:
-                    charge(ind, row, board)
-            retired += len(rows)
+                charge(ind, kind, row, board)
 
         done = str(count)
         closing = []  # the ``finally`` of the body's ``try``
@@ -1206,11 +1047,8 @@ class SuperblockEngine:
         except MemoryFault as fault:
             raise M.MemTrap(start, fault) from None
         host = machine._host_entries
-        guard_map = machine.guard_map
         known = M.WORD_FACTS
         UNDECODABLE, PLAIN, TRAP = M.W_UNDECODABLE, M.W_PLAIN, M.W_TRAP
-        guards = 0  # bit i: guard_map names the run's i-th instruction
-        bit = 1
         at = start
         for word, in _WORD.iter_unpack(memoryview(buf)[first:]):
             if at in host and at != start:
@@ -1223,25 +1061,21 @@ class SuperblockEngine:
                 break
             if shape == TRAP and at != start:
                 break
-            if guard_map and at in guard_map:
-                guards |= bit
-            bit <<= 1
             at += 4
             if shape != PLAIN:
                 break
 
-        key = (bytes(buf[first:first + at - start]), guards, self._cost_id)
+        key = (bytes(buf[first:first + at - start]), self._cost_id)
         template = _TEMPLATES.get(key)
         if template is None:
             self.template_misses += 1
             if len(_TEMPLATES) >= _TEMPLATE_CAP:
                 _TEMPLATES.clear()
-            template = _TEMPLATES[key] = self._derive(key[0], guards)
+            template = _TEMPLATES[key] = self._derive(key[0])
         else:
             self.template_hits += 1
         block = self._blocks[start] = Superblock(start, template)
         self.translations += 1
-        self.fused_calls += template.call_tail
         if template.code is not None:
             # The content got hot before, somewhere in the process: this
             # block runs its generated body from the first execution and
@@ -1257,81 +1091,46 @@ class SuperblockEngine:
             if len(self._bound) >= _TEMPLATE_CAP:
                 self._bound.clear()
             ops = self._bound[template] = [
-                (kind, None if rel else bind[make](*args), rows)
-                for kind, make, args, rel, rows in template.ops]
+                (kind, None if rel else bind[make](*args), row)
+                for kind, make, args, rel, row in template.ops]
         block.ops = ops = ops.copy()
         for i in template.moving:
-            kind, make, args, rel, rows = template.ops[i]
+            kind, make, args, rel, row = template.ops[i]
             ops[i] = (kind, bind[make](
-                *args, *[(start + d) & MASK64 for d in rel]), rows)
+                *args, *[(start + d) & MASK64 for d in rel]), row)
         return block
 
-    def _derive(self, text: bytes, guards: int) -> BlockTemplate:
+    def _derive(self, text: bytes) -> BlockTemplate:
         """Translate the run ``text`` in block coordinates: pc 0 is its
         first instruction, so every address a decode or a link computes
         from pc comes out as a displacement from the block start."""
         M = self._M
         handlers = self.machine._exec
-        decoded: List[Tuple[int, tuple]] = []  # (pc, predecode-like entry)
+        model = self.machine.model
+        ops = []
+        insts = []
         for pc in range(0, len(text), 4):
             word = int.from_bytes(text[pc:pc + 4], "little")
             _shape, inst, klass, uses, defs = M.word_facts(word, handlers)
-            moves = inst is None  # the decode reads pc
-            decoded.append((pc, (decode_word(word, pc) if moves else inst,
-                                 word if moves else None, klass, uses, defs)))
-
-        # Springboard fusion: a block ending in the verified runtime-call
-        # idiom (``ldr x30, [x21, #n]; blr x30`` — recognized by the same
-        # predicate the rewriter uses) compiles the pair into a single
-        # two-row op, and the dispatch loop hands the landing address to
-        # the runtime springboard without trap-based unwinding.
-        call = None
-        if len(decoded) >= 2 and decoded[-1][1][0].base == "blr" \
-                and is_runtime_call_load(
-                    [decoded[-2][1][0], decoded[-1][1][0]], 0):
-            ldr_pc, ldr = decoded[-2]
-            blr_pc, blr = decoded[-1]
-            form = self._mem_form(ldr[0].mem)
-            if form is not None and form[0] == "imm" and form[3] is None:
-                call = (K_GENERIC, _op(_e_call_tail), (form[1], form[2]),
-                        (blr_pc + 4,), (self._row(ldr_pc, ldr, R_MEM),
-                                        self._row(blr_pc, blr, R_TAKEN)))
-                del decoded[-2:]
-
-        ops = []
-        i = 0
-        while i < len(decoded):
-            pc_i, entry = decoded[i]
-            if guards >> (pc_i >> 2) & 1 and i + 1 < len(decoded):
-                fused = self._try_fuse(pc_i, entry, decoded[i + 1][1])
-                if fused is not None:
-                    ops.append(fused)
-                    i += 2
-                    continue
-            ops.append(self._build_op(pc_i, entry))
-            i += 1
-        if call is not None:
-            ops.append(call)
-        return BlockTemplate(ops, len(text), call is not None)
+            if inst is None:  # the decode reads pc
+                inst = decode_word(word, pc)
+            else:
+                word = None
+            insts.append(inst)
+            make, args, *rel = self._specialize(pc, inst) \
+                or self._generic(pc, inst, word)
+            row = (pc, 0.0, 0.0, uses, defs) if model is None else (
+                pc, model.issue_cost(klass), model.result_latency(klass),
+                uses, defs)
+            ops.append((make.kind, make, args, rel[0] if rel else None, row))
+        # A run ending in the verified runtime-call idiom (recognized by
+        # the same predicate the rewriter uses): a fact about the block,
+        # which lets the dispatch loop hand the landing address to the
+        # runtime springboard without trap-based unwinding.
+        call_tail = len(insts) >= 2 and is_runtime_call_load(insts[-2:], 0)
+        return BlockTemplate(ops, len(text), call_tail)
 
     # -- op construction ----------------------------------------------------
-
-    def _row(self, pc: int, entry: tuple, role: int) -> tuple:
-        """The cost row of the ``_derive`` entry at ``pc``."""
-        _inst, _word, klass, uses, defs = entry
-        model = self.machine.model
-        if model is None:
-            return (pc, 0.0, 0.0, uses, defs, role)
-        return (pc, model.issue_cost(klass), model.result_latency(klass),
-                uses, defs, role)
-
-    def _build_op(self, pc: int, entry: tuple) -> tuple:
-        inst, word = entry[:2]
-        make, args, *rel = self._specialize(pc, inst) \
-            or self._generic(pc, inst, word)
-        # Its one row takes everything the op returns: role == kind.
-        return (make.kind, make, args, rel[0] if rel else None,
-                (self._row(pc, entry, make.kind),))
 
     @staticmethod
     def _generic(pc: int, inst: Instruction, word: Optional[int]):
@@ -1611,101 +1410,3 @@ class SuperblockEngine:
         except ValueError:
             return None
         return cond if cond in _COND_SRC else None
-
-    # -- guard fusion --------------------------------------------------------
-
-    def _try_fuse(self, pc: int, guard_entry: tuple,
-                  access_entry: tuple) -> Optional[tuple]:
-        """Fuse a verified guard instruction with its consumer.
-
-        Returns the recipe of a two-row op — the guard's row, then the
-        consumer's, so both are charged in retire order and cycle
-        accounting stays bit-identical to stepping — or None.
-        """
-        guard, access = guard_entry[0], access_entry[0]
-        gops = guard.operands
-        aops = access.operands
-        ab = access.base
-        fused = None  # (maker, operands[, pc-relative operands])
-        memory = (ab in _UNSIGNED_LOADS or ab in _SIGNED_LOADS
-                  or ab in _SIMPLE_STORES) and len(aops) == 2 \
-            and isinstance(aops[1], Mem) and not aops[0].is_vector
-        if memory:
-            rt = aops[0]
-            form = self._mem_form(aops[1]) or (None,) * 4
-            size = access_bytes(access)
-            signed = _SIGNED_LOADS.get(ab)
-            stores = ab in _SIMPLE_STORES and (rt.is_zero
-                                               or _is_plain_gpr(rt))
-            loads = ab not in _SIMPLE_STORES and _is_plain_gpr(rt)
-            t = 0 if rt.is_zero else rt.index
-
-        # Pattern 1: address guard  add Xg, Xb, wS, uxtw  + consumer.
-        if guard.mnemonic == "add" and len(gops) == 3 \
-                and _is_plain_gpr(gops[0]) and gops[0].bits == 64 \
-                and _is_plain_gpr(gops[1]) \
-                and isinstance(gops[2], Extended) \
-                and gops[2].kind == "uxtw" and not gops[2].amount \
-                and _is_plain_gpr(gops[2].reg):
-            g = (gops[0].index, gops[2].reg.index, gops[1].index)
-            if ab in ("br", "blr", "ret"):
-                reg = aops[0] if aops else LR
-                if _is_plain_gpr(reg) and reg.index == g[0]:
-                    fused = (_op(_e_fused_guard_blr), g, (pc + 8,)) \
-                        if ab == "blr" else (_op(_e_fused_guard_br), g)
-            elif memory and form[:2] == ("imm", g[0]) and form[3] is None:
-                if stores:
-                    fused = (_op(_e_fused_guard_store, size, rt.is_zero),
-                             g + (t, form[2]))
-                elif loads:
-                    fused = (_op(_e_fused_guard_load, size, signed,
-                                 rt.bits), g + (t, form[2]))
-
-        # Pattern 2: offset fold  add/sub wD, wS, #imm  +
-        #            op [Xb, wD, uxtw]  (Table 3 rows 2, 5-7).
-        elif guard.mnemonic in ("add", "sub") and len(gops) == 3 \
-                and _is_plain_gpr(gops[0]) and gops[0].bits == 32 \
-                and _is_plain_gpr(gops[1]) and gops[1].bits == 32 \
-                and isinstance(gops[2], Imm):
-            sub = guard.mnemonic == "sub"
-            if memory and form[0] == "uxtw" and form[2] == gops[0].index:
-                o = (gops[0].index, gops[1].index, gops[2].value & MASK32,
-                     form[1], t)
-                if stores:
-                    fused = (_op(_e_fused_offset_store, sub, size,
-                                 rt.is_zero), o)
-                elif loads:
-                    fused = (_op(_e_fused_offset_load, sub, size, signed,
-                                 rt.bits), o)
-
-        # Pattern 3: sp guard pair  mov wD, wsp + add sp, Xb, XD  (the
-        #            decoder spells the mov ``add wD, wsp, #0``).
-        elif guard.mnemonic == "add" and len(gops) == 3 \
-                and _is_plain_gpr(gops[0]) and gops[0].bits == 32 \
-                and isinstance(gops[1], Reg) and gops[1].is_sp \
-                and gops[1].bits == 32 \
-                and isinstance(gops[2], Imm) and not gops[2].value:
-            w_d = gops[0].index
-            if access.mnemonic == "add" and len(aops) == 3 \
-                    and isinstance(aops[0], Reg) and aops[0].is_sp \
-                    and _is_plain_gpr(aops[1]):
-                src = aops[2]
-                src_reg = src.reg if isinstance(src, Extended) else src
-                src_ok = isinstance(src, Reg) and _is_plain_gpr(src) \
-                    and src.bits == 64
-                if isinstance(src, Extended):
-                    src_ok = src.kind in ("uxtx", "lsl") \
-                        and not src.amount and _is_plain_gpr(src.reg) \
-                        and src.reg.bits == 64
-                if src_ok and src_reg.index == w_d:
-                    fused = (_op(_e_fused_sp_guard), (w_d, aops[1].index))
-
-        if fused is None:
-            return None
-        make, args, *rel = fused
-        # The consumer's row takes what the op returns: the address of a
-        # guarded access, the constant bubble of a guarded branch.
-        role = (R_PLAIN, R_MEM, R_TAKEN)[make.kind]
-        return (make.kind, make, args, rel[0] if rel else None,
-                (self._row(pc, guard_entry, R_PLAIN),
-                 self._row(pc + 4, access_entry, role)))

@@ -13,8 +13,6 @@ engine's tuning knobs:
   keeps the owning surface's default);
 * ``block_cache_cap`` — maximum number of cached superblocks before the
   translation cache is flushed (``None`` = unbounded);
-* ``chaining`` — link each block to its observed successor so hot loops
-  dispatch without a cache lookup (DESIGN.md §15);
 * ``batch_abi`` — whether :data:`RuntimeCall.BATCH` is serviced
   (disabled, it returns ``-ENOSYS`` to the guest).
 
@@ -93,7 +91,6 @@ class EngineConfig:
     kind: str = "superblock"
     fuel: Optional[int] = None
     block_cache_cap: Optional[int] = None
-    chaining: bool = True
     batch_abi: bool = True
     speculation: Optional[SpeculationConfig] = None
 
@@ -156,8 +153,7 @@ class EngineConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"engine config dict expected, got {data!r}")
         unknown = set(data) - {
-            "kind", "fuel", "block_cache_cap", "chaining", "batch_abi",
-            "speculation"}
+            "kind", "fuel", "block_cache_cap", "batch_abi", "speculation"}
         if unknown:
             raise ConfigError(
                 f"unknown engine config keys: {sorted(unknown)}")

@@ -250,6 +250,17 @@ class PagedMemory:
             if perms & need != need:
                 raise MemoryFault("perm", address, access)
 
+    def permits(self, address: int, size: int, need: int) -> bool:
+        """Whether ``read``/``write`` of ``size`` (> 0) bytes would pass
+        its check: every page mapped with ``need``.  Touches nothing."""
+        perms = self._perms
+        shift = self._page_shift
+        for page in range(address >> shift,
+                          ((address + size - 1) >> shift) + 1):
+            if (perms.get(page) or 0) & need != need:
+                return False
+        return True
+
     def read(self, address: int, size: int) -> bytes:
         # Fast path: a permitted access within one page (the common case
         # for aligned word loads).  Any failure falls back to the checked

@@ -18,7 +18,6 @@ from ..baselines.wasm import WasmEngineModel, wasm_rewrite
 from ..core.options import RewriteOptions
 from ..core.verifier import VerifierPolicy
 from ..emulator.costs import CostModel
-from ..engine import EngineConfig
 from ..runtime.runtime import Runtime
 from ..toolchain import compile_lfi, compile_native
 from ..workloads.spec import arena_bss_size, build_benchmark
@@ -102,12 +101,11 @@ def run_variant(asm: str, bss_size: int, variant: Variant,
     """Compile one variant of a workload and run it to completion.
 
     ``engine`` takes an :class:`~repro.engine.EngineConfig` (or None for
-    the default superblock engine; a bare kind string still works behind
-    a deprecation shim).
+    the default superblock engine).
     """
     elf = variant.compile(asm, bss_size)
     runtime = Runtime(model=model, tlb_walk_scale=variant.tlb_walk_scale,
-                      engine=EngineConfig.coerce(engine))
+                      engine=engine)
     proc = runtime.spawn(elf, verify=variant.verify, policy=variant.policy)
     code = runtime.run_until_exit(proc)
     if code != 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..memory.layout import SandboxLayout
+from ..memory.layout import SANDBOX_SIZE, SandboxLayout
 from .vfs import FileHandle, Pipe, PipeEnd
 
 __all__ = ["Process", "ProcessState"]
@@ -104,6 +104,8 @@ class Process:
 
         The guard discipline means sandbox pointers are meaningful only in
         their low 32 bits (§5.3: "pointers can be constructed as 32-bit
-        offsets"); the runtime rebases them exactly like a guard would.
+        offsets"); the runtime rebases them exactly like a guard would
+        (``SandboxLayout.guarded``, spelled out here: every READ and WRITE
+        comes through, and a second frame per argument shows).
         """
-        return self.layout.guarded(value)
+        return self.layout.base | (value & (SANDBOX_SIZE - 1))

@@ -162,7 +162,7 @@ class Runtime:
         #: attribute memory writes.
         self._in_guest = False
         #: Slice anchors for the scheduling slice currently being run by
-        #: :meth:`_run_one` (instance state, not locals, so the fused
+        #: :meth:`_run_one` (instance state, not locals, so the
         #: springboard can close one slice and open the next inline).
         self._run_start = 0
         self._slice_before = 0
@@ -277,10 +277,8 @@ class Runtime:
     def _switch_to(self, proc: Process) -> None:
         self._current = proc
         self.machine.cpu.restore(proc.registers)
-        # Per-process superblock context: the fusion patterns depend on the
-        # process's guard provenance, and a per-instruction probe forces
-        # the stepping fallback (observability contract, DESIGN.md §10).
-        self.machine.guard_map = proc.guard_map
+        # A per-instruction probe forces the stepping fallback
+        # (observability contract, DESIGN.md §10).
         self.machine.force_stepping = proc.step_mode
 
     def complete_call(self, proc: Process, result: int) -> None:
@@ -627,9 +625,9 @@ class Runtime:
         self._check_instruction_quota(proc)
 
     def _springboard(self, entry: int):
-        """Service a fused runtime call without unwinding the engine.
+        """Service a translated runtime call without unwinding the engine.
 
-        Called by the superblock dispatch loop when a fused
+        Called by the superblock dispatch loop when a block ending in the
         ``ldr x30, [x21, #n]; blr x30`` pair lands on a registered host
         entry.  :meth:`_service_call` services it, as for a
         ``HostCallTrap``; decided here is whether translated execution

@@ -10,6 +10,11 @@ rearranged the run queue) or ``EXITED``.  The ``BATCHABLE`` handlers and
 ``BATCH`` only *read* ``args`` and never touch the caller's registers, which
 lets the springboard run them before deciding whether to save those.
 
+A guest pointer is checked before anything it would receive is consumed: a
+buffer, path or status word the caller cannot read or write is ``-EFAULT``
+with no stream advanced, no fd allocated, no child reaped and nothing
+partially written — never a ``MemoryFault`` out of the host loop.
+
 File-access calls end up in the VFS ("often end up making a system call to
 Linux" in the paper); process-management calls (fork/wait/yield/pipe) are
 handled *internally*, with no host involvement — the source of LFI's
@@ -23,7 +28,7 @@ import struct
 from typing import Callable, Dict
 
 from ..memory.layout import PAGE_SIZE
-from ..memory.pages import MemoryFault, PERM_RW
+from ..memory.pages import MemoryFault, PERM_RW, PERM_W
 from .process import Process, ProcessState, StdStream
 from .table import BATCH_MAX_RECORDS, BATCH_RECORD_SIZE, RuntimeCall
 from ..errors import VfsError
@@ -45,22 +50,30 @@ def _signed(value: int) -> int:
     return value - (1 << 64) if value >> 63 else value
 
 
+def _path(runtime, proc: Process, ptr: int):
+    """The NUL-terminated path at guest pointer ``ptr``, or None where
+    the caller's memory does not hold one."""
+    try:
+        return runtime.memory.read_cstring(proc.pointer(ptr)).decode()
+    except (MemoryFault, UnicodeDecodeError):
+        return None
+
+
 def rt_exit(runtime, proc: Process, args):
     runtime.terminate(proc, args[0] & 0xFF)
     return EXITED
 
 
 def rt_open(runtime, proc: Process, args):
-    path_ptr, flags = args[0], args[1]
     if not runtime.fd_slots_free(proc, 1):
         return -errno.EMFILE
+    path = _path(runtime, proc, args[0])
+    if path is None:
+        return -errno.EFAULT
     try:
-        path = runtime.memory.read_cstring(proc.pointer(path_ptr)).decode()
-        handle = runtime.vfs.open(path, flags)
+        handle = runtime.vfs.open(path, args[1])
     except VfsError as exc:
         return -exc.err
-    except Exception:
-        return -errno.EFAULT
     fd = proc.next_fd()
     proc.fds[fd] = handle
     return fd
@@ -82,6 +95,9 @@ def rt_read(runtime, proc: Process, args):
     if obj is None:
         return -errno.EBADF
     count = min(count, 1 << 20)
+    dest = proc.pointer(buf)
+    if count and not runtime.memory.permits(dest, count, PERM_W):
+        return -errno.EFAULT
     try:
         data = obj.read(count)
     except VfsError as exc:
@@ -90,7 +106,7 @@ def rt_read(runtime, proc: Process, args):
         proc.block_pipe = obj.pipe
         return BLOCK
     if data:
-        runtime.memory.write(proc.pointer(buf), data)
+        runtime.memory.write(dest, data)
     return len(data)
 
 
@@ -100,9 +116,11 @@ def rt_write(runtime, proc: Process, args):
     if obj is None:
         return -errno.EBADF
     count = min(count, 1 << 20)
-    data = runtime.memory.read(proc.pointer(buf), count) if count else b""
     try:
+        data = runtime.memory.read(proc.pointer(buf), count) if count else b""
         written = obj.write(data)
+    except MemoryFault:
+        return -errno.EFAULT
     except VfsError as exc:
         return -exc.err
     if isinstance(obj, PipeEnd):
@@ -178,7 +196,9 @@ def rt_fork(runtime, proc: Process, args):
 
 
 def rt_wait(runtime, proc: Process, args):
-    status_ptr = args[0]
+    status_ptr = args[0] and proc.pointer(args[0])
+    if status_ptr and not runtime.memory.permits(status_ptr, 4, PERM_W):
+        return -errno.EFAULT
     child = next((child for child in map(runtime.processes.get, proc.children)
                   if child.state == ProcessState.ZOMBIE), None)
     if child is None:
@@ -186,8 +206,7 @@ def rt_wait(runtime, proc: Process, args):
     proc.children.remove(child.pid)
     runtime.reap(child)
     if status_ptr:
-        runtime.memory.write_u32(proc.pointer(status_ptr),
-                                 child.exit_code or 0)
+        runtime.memory.write_u32(status_ptr, child.exit_code or 0)
     return child.pid
 
 
@@ -198,12 +217,14 @@ def rt_getpid(runtime, proc: Process, args):
 def rt_pipe(runtime, proc: Process, args):
     if not runtime.fd_slots_free(proc, 2):
         return -errno.EMFILE
+    fds_ptr = proc.pointer(args[0])
+    if not runtime.memory.permits(fds_ptr, 8, PERM_W):
+        return -errno.EFAULT
     pipe = Pipe()
     r = proc.next_fd()
     proc.fds[r] = pipe.read_end()
     w = proc.next_fd()
     proc.fds[w] = pipe.write_end()
-    fds_ptr = proc.pointer(args[0])
     runtime.memory.write_u32(fds_ptr, r)
     runtime.memory.write_u32(fds_ptr + 4, w)
     return 0
@@ -262,7 +283,8 @@ def rt_batch(runtime, proc: Process, args):
     The arena is decoded from one ``read`` of all the records left — taken
     again after a ``_BATCH_REREAD`` record, so each record sees what those
     before it did to memory, and one record at a time when the rest is not
-    readable as a whole, so the batch returns ``-EFAULT`` at the hole.
+    readable as a whole, so the batch returns ``-EFAULT`` at the hole —
+    as it does at a record whose result word cannot be written.
 
     A record whose call would block returns ``-EAGAIN`` in its result
     word instead of sleeping — batches never block.  Non-batchable or
@@ -296,7 +318,10 @@ def rt_batch(runtime, proc: Process, args):
                 if result is BLOCK:
                     proc.block_pipe = None
                     result = -errno.EAGAIN
-            memory.store(rec + 56, 8, result & _MASK64)
+            try:
+                memory.store(rec + 56, 8, result & _MASK64)
+            except MemoryFault:
+                return -errno.EFAULT
             rec += BATCH_RECORD_SIZE
             if call in _BATCH_REREAD:
                 break
@@ -304,8 +329,10 @@ def rt_batch(runtime, proc: Process, args):
 
 
 def rt_unlink(runtime, proc: Process, args):
+    path = _path(runtime, proc, args[0])
+    if path is None:
+        return -errno.EFAULT
     try:
-        path = runtime.memory.read_cstring(proc.pointer(args[0])).decode()
         runtime.vfs.unlink(path)
     except VfsError as exc:
         return -exc.err

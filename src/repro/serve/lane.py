@@ -36,8 +36,7 @@ class Lane:
                  engine: Optional[EngineConfig] = None):
         self.lane_id = lane_id
         self.generation = generation
-        self.runtime = Runtime(model=None,
-                               engine=EngineConfig.coerce(engine),
+        self.runtime = Runtime(model=None, engine=engine,
                                timeslice=timeslice)
         self.pool = WarmPool(self.runtime)
         self.gen = None               # active execute_job_steps generator

@@ -47,7 +47,6 @@ def _engine_from(args) -> EngineConfig:
     return EngineConfig(kind=args.engine_kind,
                         fuel=args.fuel,
                         block_cache_cap=args.block_cache_cap,
-                        chaining=not args.no_chaining,
                         batch_abi=not args.no_batch_abi,
                         speculation=speculation)
 
@@ -595,9 +594,6 @@ def _shared_parents():
                         metavar="N",
                         help="flush the translated-block cache past N "
                              "blocks (default: unbounded)")
-    engine.add_argument("--no-chaining", action="store_true",
-                        help="disable superblock chaining (every block "
-                             "returns to the dispatch loop)")
     engine.add_argument("--no-batch-abi", action="store_true",
                         help="reject RuntimeCall.BATCH with -ENOSYS")
     engine.add_argument("--speculation", action="store_true",

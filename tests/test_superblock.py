@@ -1,8 +1,8 @@
 """Differential tests: the superblock engine vs the stepping interpreter.
 
 The superblock engine (DESIGN.md §10) is a pure execution-strategy
-change: translated straight-line blocks with fused guard sequences must
-be architecturally invisible.  Every test here runs the same program
+change: translated straight-line blocks, one op per instruction, must be
+architecturally invisible.  Every test here runs the same program
 under ``engine="stepping"`` and ``engine="superblock"`` and demands
 bit-identical observables: final registers, memory, retired-instruction
 counts, modeled cycles, faults, and exported traces.
@@ -308,41 +308,51 @@ class TestInvalidation:
 DATA = 0x1_0000_0000
 HOST = 0x3000_0000
 
-#: shape -> (body asm, cost-row roles of the body's first op, whether
-#: unmapping the data page makes the body fault).  Every instruction
-#: before the last of a multi-row body is registered in ``guard_map``.
+#: shape -> (body asm, the kind of the op of each of the body's leading
+#: instructions, whether unmapping the data page makes the body fault).
+#: The guard sequences and the runtime-call pair (names from when they
+#: were fused) are the ordinary ops of their instructions.
 SHAPES = {
-    "plain": ("add x0, x0, #3", (sbmod.R_PLAIN,), False),
-    "mem-load": ("ldr x1, [x21, w10, uxtw]", (sbmod.R_MEM,), True),
-    "mem-store": ("str x0, [x21, #24]", (sbmod.R_MEM,), True),
+    "plain": ("add x0, x0, #3", (sbmod.K_SIMPLE,), False),
+    "mem-load": ("ldr x1, [x21, w10, uxtw]", (sbmod.K_MEM,), True),
+    "mem-store": ("str x0, [x21, #24]", (sbmod.K_MEM,), True),
     "branch-taken": ("cbz x11, land\n add x0, x0, #1\nland:",
-                     (sbmod.R_BRANCH,), False),
+                     (sbmod.K_BRANCH,), False),
     "branch-not-taken": ("cbnz x11, land\n add x0, x0, #1\nland:",
-                         (sbmod.R_BRANCH,), False),
-    "generic-mem": ("ldr x1, [x12, w16, sxtw #3]", (sbmod.R_GENERIC,), True),
-    "post-index-load": ("ldr x1, [x12], #8", (sbmod.R_MEM,), True),
-    "post-index-ldrb": ("ldrb w1, [x12], #1", (sbmod.R_MEM,), True),
-    "pre-index-store": ("str x0, [x12, #8]!", (sbmod.R_MEM,), True),
-    "reg-offset-load": ("ldr x1, [x21, x10]", (sbmod.R_MEM,), True),
-    "reg-offset-ldrb": ("ldrb w1, [x21, x10]", (sbmod.R_MEM,), True),
-    "reg-offset-lsl": ("ldr x1, [x21, x15, lsl #3]", (sbmod.R_MEM,), True),
-    "reg-offset-vload": ("ldr d1, [x21, x15, lsl #3]", (sbmod.R_MEM,), True),
-    "madd-zero-addend": ("madd x0, x10, x15, xzr", (sbmod.R_PLAIN,), False),
+                         (sbmod.K_BRANCH,), False),
+    "generic-mem": ("ldr x1, [x12, w16, sxtw #3]", (sbmod.K_GENERIC,), True),
+    "post-index-load": ("ldr x1, [x12], #8", (sbmod.K_MEM,), True),
+    "post-index-ldrb": ("ldrb w1, [x12], #1", (sbmod.K_MEM,), True),
+    "pre-index-store": ("str x0, [x12, #8]!", (sbmod.K_MEM,), True),
+    "reg-offset-load": ("ldr x1, [x21, x10]", (sbmod.K_MEM,), True),
+    "reg-offset-ldrb": ("ldrb w1, [x21, x10]", (sbmod.K_MEM,), True),
+    "reg-offset-lsl": ("ldr x1, [x21, x15, lsl #3]", (sbmod.K_MEM,), True),
+    "reg-offset-vload": ("ldr d1, [x21, x15, lsl #3]", (sbmod.K_MEM,), True),
+    "madd-zero-addend": ("madd x0, x10, x15, xzr", (sbmod.K_SIMPLE,), False),
     "fused-guard-load": ("add x18, x21, w10, uxtw\n ldr x1, [x18, #8]",
-                         (sbmod.R_PLAIN, sbmod.R_MEM), True),
+                         (sbmod.K_SIMPLE, sbmod.K_MEM), True),
     "fused-guard-store": ("add x18, x21, w10, uxtw\n str x0, [x18]",
-                          (sbmod.R_PLAIN, sbmod.R_MEM), True),
+                          (sbmod.K_SIMPLE, sbmod.K_MEM), True),
     "fused-offset-fold": ("add w22, w10, #16\n ldr x1, [x21, w22, uxtw]",
-                          (sbmod.R_PLAIN, sbmod.R_MEM), True),
+                          (sbmod.K_SIMPLE, sbmod.K_MEM), True),
     "fused-guard-br": ("add x18, x20, w13, uxtw\n br x18\nland:",
-                       (sbmod.R_PLAIN, sbmod.R_TAKEN), False),
+                       (sbmod.K_SIMPLE, sbmod.K_BRANCH), False),
     "fused-guard-blr": ("add x18, x20, w14, uxtw\n blr x18",
-                        (sbmod.R_PLAIN, sbmod.R_TAKEN), False),
+                        (sbmod.K_SIMPLE, sbmod.K_BRANCH), False),
     "sp-guard-pair": ("mov w22, wsp\n add sp, x21, x22",
-                      (sbmod.R_PLAIN, sbmod.R_PLAIN), False),
+                      (sbmod.K_GENERIC, sbmod.K_GENERIC), False),
     "call-tail": ("ldr x30, [x21, #8]\n blr x30",
-                  (sbmod.R_MEM, sbmod.R_TAKEN), True),
+                  (sbmod.K_MEM, sbmod.K_BRANCH), True),
 }
+
+
+def assert_one_row_per_instruction(template):
+    """Every op of ``template`` is one instruction with one cost row
+    ``(pc, icost, lat, uses, defs)`` whose pc is that instruction's."""
+    assert len(template.ops) == template.size >> 2
+    for index, (kind, make, _args, _rel, row) in enumerate(template.ops):
+        assert kind == make.kind and len(row) == 5, make.__name__
+        assert row[0] == 4 * index, make.__name__
 
 #: tier -> (cost model, loop iterations).  A block gets its generated
 #: body at its 8th whole execution, so 12 iterations leave the last ones
@@ -393,9 +403,6 @@ class TestRowShapes:
         machine = Machine(memory, model=model,
                           engine=EngineConfig(kind=kind))
         machine.register_host_entry(HOST)
-        rows = len(SHAPES[shape][1])
-        machine.guard_map = {symbols["body"] + 4 * i: "test"
-                             for i in range(rows - 1)}
         cpu = machine.cpu
         cpu.pc = elf.entry
         cpu.sp = DATA + 0x800
@@ -486,13 +493,14 @@ class TestRowShapes:
         assert (stats["generated_templates"]
                 > before["generated_templates"]) == generated
         assert (stats["compile_ms"] > before["compile_ms"]) == generated
-        roles = [tuple(row[5] for row in rows)
-                 for *_recipe, rows in block.template.ops
-                 if block.start + rows[0][0] == symbols["body"]]
-        assert roles == [SHAPES[shape][1]]
+        assert_one_row_per_instruction(block.template)
+        body = (symbols["body"] - block.start) >> 2
+        kinds = SHAPES[shape][1]
+        assert tuple(op[0] for op in block.template.ops[
+            body:body + len(kinds)]) == kinds
         assert block.call_tail == (shape == "call-tail")
         # Only translated call tails reach the springboard; stepping (and
-        # any unfused arrival) takes the HostCallTrap path.
+        # an arrival that is not the pair's) takes the HostCallTrap path.
         assert stepper.springboard.calls == 0
         assert blocky.springboard.calls == \
             (TIERS[tier][1] if shape == "call-tail" else 0)
@@ -501,9 +509,9 @@ class TestRowShapes:
     @pytest.mark.parametrize(
         "shape", [s for s, spec in SHAPES.items() if spec[2]])
     def test_fault_in_access_half(self, shape, tier):
-        """The data page vanishes before the last iteration: the guard
-        half has retired (register written, row charged) and the trap pc
-        is the access."""
+        """The data page vanishes before the last iteration: the
+        instructions ahead of the access (a guard: register written, row
+        charged) have retired and the trap pc is the access."""
         cut, _end = self._last_top(shape, tier)
         symbols, machines = self._pair(shape, tier)
         states = []
@@ -513,8 +521,7 @@ class TestRowShapes:
             states.append(self._state(machine, self._drive(machine, 100)))
         reference = states[0]
         assert states[1] == reference
-        ahead = SHAPES[shape][1].index(sbmod.R_MEM) if shape != \
-            "generic-mem" else 0
+        ahead = len(SHAPES[shape][1]) - 1 if shape != "call-tail" else 0
         assert reference["trap"][0] is MemTrap
         assert reference["pc"] == reference["trap"][2] \
             == symbols["body"] + 4 * ahead
@@ -528,7 +535,7 @@ class TestRowShapes:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fuel_expires_at_every_row_boundary(self, shape, tier):
         """Preempt after every instruction of the last two iterations
-        (between the halves of fused pairs, on the ``blr`` of the call
+        (between a guard and its consumer, on the ``blr`` of the call
         tail), then run on to the end."""
         start, end = self._last_top(shape, tier, back=2)
         for cut in range(start, end + 1):
@@ -912,9 +919,9 @@ class TestLoopIsStepping:
 
     @pytest.mark.parametrize("change", ["mmap", "munmap", "mprotect"])
     def test_mapping_change_between_calls_retranslates(self, change):
-        """No trip re-tests ``valid`` because nothing a trip does can
-        clear it: mappings change on the host side of a trap, between two
-        calls of a body.  One there, over a looping block's text, kills
+        """No trip looks its block up again because nothing a trip does
+        can drop it: mappings change on the host side of a trap, between
+        two calls of a body.  One there, over a looping block's text, kills
         that block and no other slot's; the next entry retranslates."""
         from repro.memory import PERM_RX
 
@@ -951,13 +958,13 @@ class TestLoopIsStepping:
                 memory.map_region(text, size, PERM_RX)
                 memory._raw_write(text, words)
             if kind == "superblock":
-                assert not block.valid and sb.block_at(block.start) is None
+                assert sb.block_at(block.start) is None
                 other = loops[second.pid]
-                assert other.valid and sb.block_at(other.start) is other
+                assert sb.block_at(other.start) is other
             runtime.run()
             if kind == "superblock":
                 fresh = sb.block_at(block.start)
-                assert fresh is not block and fresh.valid
+                assert fresh is not None and fresh is not block
                 assert fresh.template is block.template  # same words
                 assert runtime.machine.engine_stats()["translations"] \
                     > translated

@@ -175,6 +175,15 @@ class TestErrorPaths:
         assert "invalid choice" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_removed_engine_flag_is_an_argparse_error(self, tmp_path):
+        """``--no-chaining`` went with block chaining: unknown, like any
+        other flag that never was."""
+        src = tmp_path / "p.elf"
+        result = self._run(["run", "--no-chaining", str(src)])
+        assert result.returncode == 2
+        assert "unrecognized arguments: --no-chaining" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_in_process_main_returns_one(self, tmp_path, capsys):
         bogus = tmp_path / "b.elf"
         bogus.write_bytes(b"not an elf at all")

@@ -1,15 +1,15 @@
-"""PR-9 transition tests: springboard fusion, chaining, batch ABI.
+"""Transition tests: the springboard, loops under fuel, batch ABI.
 
 The near-zero-cost transition machinery (DESIGN.md §15) is, like the
-superblock engine itself, a pure execution-strategy change: fused
-runtime calls, chained block dispatch, and the vectored BATCH ABI must
-all be architecturally invisible.  Every differential test here runs
-the same program under ``stepping`` and ``superblock`` engines and
-demands bit-identical observables — final registers, memory, retired
-instructions, modeled cycles, faults, stdout — while also asserting
-that the fast paths actually fired (``fused_calls``/``chain_links``/
-``loop_trips`` counters), so a silent fallback to the slow path cannot
-pass.
+superblock engine itself, a pure execution-strategy change: runtime
+calls that never unwind the engine, loops that iterate inside a body,
+and the vectored BATCH ABI must all be architecturally invisible.  Every
+differential test here runs the same program under ``stepping`` and
+``superblock`` engines and demands bit-identical observables — final
+registers, memory, retired instructions, modeled cycles, faults, stdout —
+while also asserting that the fast paths actually fired
+(``Runtime.calls_inline`` and the ``loop_trips`` counter), so a silent
+fallback to the slow path cannot pass.
 
 The :class:`repro.EngineConfig` satellite is covered here too: the
 deprecation shim for the old string kwarg, dict round-trips across
@@ -31,7 +31,8 @@ from repro.checkpoint import Checkpoint, capture_job, restore_job
 from repro.cluster.worker import execute_job_steps
 from repro.core import O2
 from repro.emulator import APPLE_M1, HltTrap, Machine, OutOfFuel
-from repro.memory import PAGE_SIZE, PERM_RW, MemoryFault, PagedMemory
+from repro.memory import PAGE_SIZE, PERM_RW, PERM_RX, MemoryFault, \
+    PagedMemory
 from repro.obs import Tracer, export_chrome_trace
 from repro.runtime import ResourceQuota, Runtime, RuntimeCall
 from repro.runtime.syscalls import BATCHABLE, BLOCK, HANDLERS, rt_batch
@@ -46,6 +47,8 @@ from repro.workloads.rtlib import (
 )
 
 from .conftest import load_elf_into
+from .test_block_templates import words_of
+from . import test_superblock as rows
 
 ENGINES = ("stepping", "superblock")
 STEPPING = EngineConfig(kind="stepping")
@@ -76,7 +79,8 @@ def call_loop_program(iterations: int = 50) -> str:
     """A hot loop making one GETPID runtime call per trip.
 
     Small enough to translate into a handful of superblocks, hot enough
-    that both the fused-call springboard and block chaining must engage.
+    that the springboard must engage and both blocks of the loop get
+    their generated bodies.
     """
     return (
         prologue()
@@ -93,9 +97,12 @@ def call_loop_program(iterations: int = 50) -> str:
 
 
 class TestFusedSpringboard:
-    """The tentpole: runtime calls fused at translation time must be
-    invisible — identical states, cycle accounting, and stdout — while
-    the ``fused_calls`` counter proves the fast path actually ran."""
+    """Runtime calls recognised at translation time (``call_tail``) and
+    serviced without unwinding the engine must be invisible — identical
+    states, cycle accounting, and stdout — while ``calls_inline`` proves
+    the fast path actually ran.  (The class names of this file predate
+    the removal of call-pair fusion and chaining; the tests kept their
+    ids.)"""
 
     @pytest.mark.parametrize("model", [None, APPLE_M1],
                              ids=["uncosted", "M1"])
@@ -109,25 +116,25 @@ class TestFusedSpringboard:
         assert stepping == superblock
 
     def test_fused_and_chained_paths_fire(self):
+        """(Named for what it pinned when the pair was one fused op and
+        blocks were chained: the call path and the loop path both fire.)"""
         elf = compile_lfi(call_loop_program(200), options=O2).elf
         runtime = Runtime(model=None, engine=EngineConfig())
         runtime.spawn(elf)
         runtime.run()
-        stats = runtime.machine.engine_stats()
-        assert stats["fused_calls"] > 0, "no runtime call was fused"
+        sb = runtime.machine._sb
+        assert any(blk.call_tail for blk in sb._blocks.values()), \
+            "no runtime call was recognised"
+        # All 200 GETPIDs returned into the live registers; EXIT did not.
+        assert runtime.calls == 201 and runtime.calls_inline == 200
         # A loop with a runtime call in it is two blocks, each the
-        # other's successor: its trips are chain links.  (A block that is
-        # its own successor iterates inside its body instead and shows in
-        # ``loop_trips``: TestChainedFuelLockstep.)
-        assert stats["chain_links"] > 100, "the hot loop never chained"
+        # other's successor: its trips are turns of the dispatch loop,
+        # both blocks hot.  (A block that is its own successor iterates
+        # inside its body instead and shows in ``loop_trips``:
+        # TestChainedFuelLockstep.)
+        stats = runtime.machine.engine_stats()
+        assert stats["compiled_blocks"] >= 2
         assert stats["loop_trips"] == 0
-
-    def test_chaining_off_still_identical(self):
-        """chaining=False is a tuning knob, never a semantic one."""
-        elf = compile_lfi(call_loop_program(), options=O2).elf
-        on = observables(EngineConfig(chaining=True), elf, model=APPLE_M1)
-        off = observables(EngineConfig(chaining=False), elf, model=APPLE_M1)
-        assert on == off
 
     def test_block_cache_cap_still_identical(self):
         elf = compile_lfi(call_loop_program(), options=O2).elf
@@ -153,7 +160,8 @@ class TestFusedSpringboard:
 
 
 class TestChainedFuelLockstep:
-    """Chained dispatch must honor fuel instruction-for-instruction."""
+    """Block dispatch — a loop inside its body included — must honor
+    fuel instruction-for-instruction."""
 
     BODY = """
         .globl _start
@@ -182,70 +190,116 @@ class TestChainedFuelLockstep:
     @pytest.mark.parametrize("fuel", [1, 2, 3, 5, 7, 64])
     def test_lockstep_under_exhaustion(self, fuel):
         stepper = self._machine(EngineConfig(kind="stepping"))
-        chained = self._machine(EngineConfig(chaining=True))
+        blocky = self._machine(EngineConfig())
         for _ in range(400):
             outcomes = []
-            for machine in (stepper, chained):
+            for machine in (stepper, blocky):
                 with pytest.raises((OutOfFuel, HltTrap)) as exc:
                     machine.run(fuel=fuel)
                 outcomes.append(exc.type)
             assert outcomes[0] is outcomes[1]
-            assert chained.instret == stepper.instret
-            assert chained.cpu.pc == stepper.cpu.pc
-            assert chained.cpu.regs == stepper.cpu.regs
+            assert blocky.instret == stepper.instret
+            assert blocky.cpu.pc == stepper.cpu.pc
+            assert blocky.cpu.regs == stepper.cpu.regs
             if outcomes[0] is HltTrap:
                 break
         else:
             pytest.fail("program never completed")
-        # Big fuel slices let the loop chain and, once its body exists,
-        # iterate inside it; tiny ones still must not.
-        stats = chained.engine_stats()
+        # Big fuel slices let the loop, once its body exists, iterate
+        # inside it; tiny ones still must not.
+        stats = blocky.engine_stats()
         if fuel >= 64:
-            assert stats["chain_links"] > 0
             assert stats["loop_trips"] > 50, "the hot loop never looped"
         if fuel < 6:
             assert stats["loop_trips"] == 0
 
 
 class TestInvalidationUnlinksChains:
-    """mmap over translated text must sever chains mid-loop: a stale
-    successor link may survive as a pointer, but dispatch must reject it
-    (``valid`` is cleared) and retranslation must produce fresh blocks."""
+    """Popping a block from the cache *is* invalidation: nothing else
+    refers to it, so the next dispatch of its pc translates the bytes
+    then there and the run stays stepping's twin."""
 
-    def _chained_runtime(self):
+    def _hot_runtime(self):
         elf = compile_lfi(call_loop_program(200), options=O2).elf
         runtime = Runtime(model=None, engine=EngineConfig())
         proc = runtime.spawn(elf)
         runtime.run()
-        assert runtime.machine.engine_stats()["chain_links"] > 0
+        assert runtime.calls_inline > 100
         return runtime, proc, runtime.machine._sb
 
-    def test_mmap_over_chained_loop_invalidates_links(self):
-        runtime, proc, sb = self._chained_runtime()
-        linked = [blk for blk in sb._blocks.values()
-                  if blk.link_taken is not None or blk.link_fall is not None]
-        assert linked, "no chained blocks formed"
-        # Remap the page holding a chained successor, exec-style.
-        target = next(blk.link_taken or blk.link_fall for blk in linked)
-        page = runtime.memory.page_size
-        page_base = target.start & ~(page - 1)
-        from repro.memory import PERM_RW
+    @pytest.mark.parametrize("tier", ["generated", "generated-uncosted"])
+    def test_mmap_over_a_hot_two_block_loop_retranslates(self, tier):
+        """A loop with a runtime call in it (two blocks, each the
+        other's successor) is preempted two trips from its end and the
+        page is mapped afresh with one word changed: both blocks are
+        gone, the trips left run the new word, and the end is
+        stepping's."""
+        shapes = rows.TestRowShapes()
+        cut, _end = shapes._last_top("call-tail", tier, back=2)
+        symbols, machines = shapes._pair("call-tail", tier)
+        old, new = (words_of(f"add x10, x10, #{n}") for n in (8, 16))
+        states = []
+        for machine in machines:
+            assert isinstance(shapes._drive(machine, cut), OutOfFuel)
+            memory = machine.memory
+            page = symbols["top"] & ~(memory.page_size - 1)
+            text = memory._raw_read(page, memory.page_size)
+            assert text.count(old) == 1
+            if machine.engine == "superblock":
+                sb = machine._sb
+                loop = [sb.block_at(symbols["top"]),
+                        sb.block_at(symbols["body"] + 8)]
+                assert None not in loop and loop[0].call_tail
+                assert loop[0].fn is not None and loop[1].fn is not None
+                translated = machine.engine_stats()["translations"]
+            memory.unmap(page, memory.page_size)
+            memory.map_region(page, memory.page_size, PERM_RX)
+            memory._raw_write(page, text.replace(old, new))
+            if machine.engine == "superblock":
+                assert sb.cached_blocks == 0
+            states.append(shapes._state(machine,
+                                        shapes._drive(machine, 10_000)))
+        assert states[0]["trap"][0] is HltTrap
+        assert states[1] == states[0]
+        assert states[0]["regs"][10] == 0x200 + 8 * rows.TIERS[tier][1] \
+            + 8 * 2
+        assert machine.engine_stats()["translations"] > translated
+        assert sb.block_at(symbols["top"]) not in (None, loop[0])
 
-        runtime.memory.unmap(page_base, page)
-        runtime.memory.map_region(page_base, page, PERM_RW)
-        # The successor is dead and every surviving chain into the page
-        # now points at an invalid block, which dispatch refuses.
-        assert target.valid is False
-        assert sb.block_at(target.start) is None
-        for blk in sb._blocks.values():
-            for link in (blk.link_taken, blk.link_fall):
-                if link is not None and page_base <= link.start < \
-                        page_base + page:
-                    assert link.valid is False
+    def test_reclaimed_slot_runs_the_next_image_from_its_own_bytes(self):
+        """Reclaim drops the slot's blocks; a different image spawned
+        into the same addresses is translated from its own words."""
+        runtime, proc, sb = self._hot_runtime()
+        base, end = proc.layout.base, proc.layout.end
+        assert any(base <= start < end for start in sb._blocks)
+        runtime.reclaim(proc)
+        assert not any(base <= start < end for start in sb._blocks)
+        elf = compile_lfi(call_loop_program(150), options=O2).elf
+        # (The runtime hands no slot out twice; rewinding its cursor puts
+        # the next image at the reclaimed addresses — the case a cache
+        # keyed by pc has to survive.)
+        runtime._next_slot -= 1
+        second = runtime.spawn(elf)
+        assert second.layout.base == base
+        runtime.run()
+        reference = Runtime(model=None, engine=EngineConfig(kind="stepping"))
+        first = reference.spawn(
+            compile_lfi(call_loop_program(200), options=O2).elf)
+        reference.run()
+        reference.reclaim(first)
+        reference._next_slot -= 1
+        ref_proc = reference.spawn(elf)
+        reference.run()
+        assert second.pid == ref_proc.pid
+        assert second.exit_code == ref_proc.exit_code == \
+            (150 * second.pid) & 0xFF
+        assert second.registers == ref_proc.registers
+        assert runtime.machine.instret == reference.machine.instret
 
     def test_reclaimed_slot_frees_its_blocks_without_the_collector(self):
-        """Invalidation drops a dead block's own links, so the blocks of
-        a reclaimed slot — loops of them — die by reference count."""
+        """The cache holds the only reference to a block, so the blocks
+        of a reclaimed slot — a loop's among them — die by reference
+        count."""
         import gc
         import weakref
 
@@ -265,8 +319,7 @@ loop:
             assert runtime.run_until_exit(proc) == 50
             sb = runtime.machine._sb
             blocks = [weakref.ref(blk) for blk in sb._blocks.values()]
-            assert any(blk().link_taken is blk() for blk in blocks), \
-                "the loop body never chained to itself"
+            assert any(blk().template.loops for blk in blocks)
             runtime.reclaim(proc)
             assert sb.cached_blocks == 0
             assert [blk() for blk in blocks] == [None] * len(blocks)
@@ -276,11 +329,11 @@ loop:
     def test_rerun_after_invalidation_matches_stepping(self):
         """After a full-slot invalidation the engine retranslates and
         a fresh guest still matches the stepping engine exactly."""
-        runtime, proc, sb = self._chained_runtime()
+        runtime, proc, sb = self._hot_runtime()
         runtime.machine.invalidate_code(proc.layout.base,
                                         proc.layout.end - proc.layout.base)
-        assert all(not blk.valid for blk in sb._blocks.values()
-                   if proc.layout.base <= blk.start < proc.layout.end)
+        assert not any(proc.layout.base <= start < proc.layout.end
+                       for start in sb._blocks)
         elf = compile_lfi(call_loop_program(200), options=O2).elf
         second = runtime.spawn(elf)
         runtime.run()
@@ -466,19 +519,25 @@ class TestCallHeavyTwins:
         assert len(fired) == 31 and len(seen) > 100
         assert runtime.calls_inline == 0
 
-    def test_fault_escaping_a_live_handler_leaves_the_saved_registers(self):
-        """A ``READ`` into an unmapped buffer raises out of its handler
-        (and out of ``run``, on either engine): the registers a live call
-        had not saved yet are saved on the way out."""
-        asm = prologue() + "\tmov x0, #0\n" + mov_imm("x1", 0x7000_0000) \
-            + "\tmov x2, #4\n" + rtcall(RuntimeCall.READ) + rt_exit()
-        elf = compile_lfi(asm, options=O2).elf
+    def test_error_escaping_a_live_handler_leaves_the_saved_registers(
+            self, monkeypatch):
+        """A handler that raises (a host bug: no guest pointer can make
+        one, TestGuestPointerFaults) raises out of ``run`` on either
+        engine: the registers a live call had not saved yet are saved on
+        the way out."""
+        from repro.runtime import runtime as runtime_module
+
+        def boom(runtime, proc, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(runtime_module._CALLS, RuntimeCall.GETPID,
+                            (boom, runtime_module.CALL_OVERHEAD_CYCLES))
+        elf = compile_lfi(call_loop_program(3), options=O2).elf
         saved = []
         for engine in (STEPPING, SUPERBLOCK):
             runtime = Runtime(model=APPLE_M1, engine=engine)
             proc = runtime.spawn(elf)
-            proc.fds[0].buffer.extend(b"abcd")
-            with pytest.raises(MemoryFault):
+            with pytest.raises(RuntimeError, match="boom"):
                 runtime.run()
             saved.append((proc.registers, runtime.calls,
                           runtime.calls_inline))
@@ -623,6 +682,106 @@ class TestBatchABI:
             assert call not in BATCHABLE
 
 
+UNMAPPED = 0x7000_0000  # a sandbox pointer into nothing
+EFAULT = (-errno.EFAULT) & 0xFF
+RO = "\tadrp x1, ro\n\tadd x1, x1, :lo12:ro\n"
+#: case -> (call, code loading its arguments: a pointer into nothing, or
+#: to the read-only ``ro``).
+POINTER_CASES = {
+    "read-unmapped": (RuntimeCall.READ, "\tmov x0, #0\n"
+                      + mov_imm("x1", UNMAPPED) + "\tmov x2, #8\n"),
+    "read-readonly": (RuntimeCall.READ,
+                      "\tmov x0, #0\n" + RO + "\tmov x2, #8\n"),
+    "write-unmapped": (RuntimeCall.WRITE, "\tmov x0, #1\n"
+                       + mov_imm("x1", UNMAPPED) + "\tmov x2, #8\n"),
+    "pipe-unmapped": (RuntimeCall.PIPE, mov_imm("x0", UNMAPPED)),
+    "pipe-readonly": (RuntimeCall.PIPE, RO + "\tmov x0, x1\n"),
+    "open-unmapped": (RuntimeCall.OPEN,
+                      mov_imm("x0", UNMAPPED) + "\tmov x1, #0\n"),
+    "unlink-unmapped": (RuntimeCall.UNLINK, mov_imm("x0", UNMAPPED)),
+}
+
+
+def pointer_program(case, batched=False):
+    """A guest that makes the call of ``POINTER_CASES[case]`` — as the
+    one record of a BATCH when ``batched`` — and exits with its result."""
+    call, setup = POINTER_CASES[case]
+    asm = prologue() + setup
+    if batched:
+        asm += "\tadrp x19, arena\n\tadd x19, x19, :lo12:arena\n" \
+            + mov_imm("x10", int(call)) \
+            + "".join(f"\tstr {reg}, [x19, #{8 * i}]\n" for i, reg in
+                      enumerate(("x10", "x0", "x1", "x2"))) \
+            + "\tmov x0, x19\n\tmov x1, #1\n" \
+            + rtcall(RuntimeCall.BATCH) + "\tldr x0, [x19, #56]\n"
+    else:
+        asm += rtcall(call)
+    return asm + rt_exit() + '.rodata\nro: .asciz "read-only"\n' \
+        + ".bss\n.balign 64\narena:\n    .skip 64\n"
+
+
+class TestGuestPointerFaults:
+    """A guest pointer the caller cannot read or write is ``-EFAULT`` in
+    ``x0`` — never a ``MemoryFault`` out of ``Runtime.run()`` — with
+    nothing consumed: on the live leaf path, through ``_service_call``
+    (a call hook holds every call to it), as a BATCH record and on the
+    stepping engine; a second tenant of the same runtime runs on."""
+
+    PATHS = {"live": SUPERBLOCK, "general": SUPERBLOCK, "batch": SUPERBLOCK,
+             "stepping": STEPPING, "stepping-batch": STEPPING}
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("case", POINTER_CASES)
+    def test_bad_pointer_is_efault_and_consumes_nothing(self, case, path):
+        elf = compile_lfi(pointer_program(case, "batch" in path),
+                          options=O2).elf
+        runtime = Runtime(model=APPLE_M1, engine=self.PATHS[path])
+        if path == "general":
+            runtime.call_hooks.add(lambda proc, call: None)
+        proc = runtime.spawn(elf)
+        proc.fds[0].buffer.extend(b"abcdefgh")
+        fds = sorted(proc.fds)
+        runtime.run()
+        assert proc.exit_code == EFAULT
+        assert proc.fds[0].read(8) == b"abcdefgh"
+        assert runtime.stdout_of(proc) == "" and sorted(proc.fds) == fds
+        # Alone in the runtime, the call (or its BATCH) ended inline.
+        assert runtime.calls_inline == (path in ("live", "batch"))
+        peer = runtime.spawn(compile_lfi(call_loop_program(10),
+                                         options=O2).elf)
+        runtime.run()
+        assert peer.exit_code == 10 * peer.pid and not runtime.faults
+
+    @pytest.mark.parametrize("engine", [STEPPING, SUPERBLOCK],
+                             ids=["stepping", "superblock"])
+    def test_wait_with_a_bad_status_pointer_reaps_nobody(self, engine):
+        asm = prologue() + rtcall(RuntimeCall.FORK) + "\tcbz x0, child\n" \
+            + rtcall(RuntimeCall.YIELD) + mov_imm("x0", UNMAPPED) \
+            + rtcall(RuntimeCall.WAIT) + "\tmov x19, x0\n\tmov x0, #0\n" \
+            + rtcall(RuntimeCall.WAIT) + "\tadd x0, x0, x19\n" + rt_exit() \
+            + "child:\n\tmov x0, #7\n" + rt_exit()
+        runtime = Runtime(model=None, engine=engine)
+        proc = runtime.spawn(compile_lfi(asm, options=O2).elf)
+        runtime.run()
+        # -EFAULT first, then the child (pid 2) is still there to reap.
+        assert proc.exit_code == (2 - errno.EFAULT) & 0xFF
+        assert not runtime.faults
+
+    @pytest.mark.parametrize("engine", [STEPPING, SUPERBLOCK],
+                             ids=["stepping", "superblock"])
+    def test_batch_arena_that_cannot_take_its_result(self, engine):
+        """Records readable, result word not writable: the batch is
+        -EFAULT at that record, as at a hole."""
+        asm = prologue() + "\tadrp x0, ro\n\tadd x0, x0, :lo12:ro\n" \
+            + "\tmov x1, #1\n" + rtcall(RuntimeCall.BATCH) + rt_exit() \
+            + ".rodata\n.balign 64\nro:\n" \
+            + f"    .quad {int(RuntimeCall.GETPID)}\n" + "    .quad 0\n" * 7
+        runtime = Runtime(model=None, engine=engine)
+        proc = runtime.spawn(compile_lfi(asm, options=O2).elf)
+        runtime.run()
+        assert proc.exit_code == EFAULT and not runtime.faults
+
+
 def per_record_batch(runtime, proc, args):
     """``rt_batch`` as it was before it decoded its arena once: one
     ``read`` and eight ``int.from_bytes`` per record.  The reference the
@@ -644,8 +803,11 @@ def per_record_batch(runtime, proc, args):
             result = HANDLERS[words[0]](runtime, proc, words[1:7])
             if result is BLOCK:
                 result = -errno.EAGAIN
-        runtime.memory.write(
-            rec + 56, (result & (2**64 - 1)).to_bytes(8, "little"))
+        try:
+            runtime.memory.write(
+                rec + 56, (result & (2**64 - 1)).to_bytes(8, "little"))
+        except MemoryFault:
+            return -errno.EFAULT
     return count
 
 
@@ -727,7 +889,7 @@ class TestBatchSemanticsPinned:
 
     def test_munmap_of_the_arena_mid_batch(self):
         """Record 1 unmaps the page records 2 and 3 are in; unmapping its
-        own page instead makes its result write fault, as it did."""
+        own page instead, its result word has nowhere to go: -EFAULT."""
         offset = PAGE_SIZE - 128
 
         def unmapping(page):
@@ -741,7 +903,8 @@ class TestBatchSemanticsPinned:
         assert seen["pages"][1] is None
         assert [self.word(seen, offset, i) for i in range(2)] == [1, 0]
         seen = self.both(unmapping(0), offset=offset)
-        assert seen["result"][:2] == ("fault", "unmapped")
+        assert seen["result"] == -errno.EFAULT
+        assert seen["pages"][0] is None
 
     def test_cow_shared_arena_is_copied_once(self):
         """A forked child's arena page is its parent's until the first
@@ -808,12 +971,21 @@ class TestEngineConfigAPI:
         for config in (EngineConfig(),
                        EngineConfig(kind="stepping"),
                        EngineConfig(fuel=1234, block_cache_cap=7,
-                                    chaining=False, batch_abi=False)):
+                                    batch_abi=False)):
             assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             EngineConfig.from_dict({"kind": "superblock", "nitro": True})
+
+    def test_chaining_is_not_an_option(self):
+        """Five fields; the removed knob is unknown like any other."""
+        assert sorted(EngineConfig().to_dict()) == [
+            "batch_abi", "block_cache_cap", "fuel", "kind", "speculation"]
+        with pytest.raises(TypeError):
+            EngineConfig(chaining=True)
+        with pytest.raises(ConfigError, match="chaining"):
+            EngineConfig.from_dict({"chaining": True})
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -859,7 +1031,7 @@ class TestEngineConfigAPI:
     def test_checkpoint_round_trip(self):
         """A job paused under one EngineConfig resumes byte-identically
         in a runtime rebuilt from the config's serialized dict."""
-        config = EngineConfig(block_cache_cap=64, chaining=True)
+        config = EngineConfig(block_cache_cap=64)
         elf = compile_lfi(WRITER, options=O2).elf
 
         reference = Runtime(model=None, timeslice=50, engine=config)
