@@ -89,10 +89,10 @@ K_GENERIC = 3  # (taken, mem_addr or None): original handler semantics
 #: A block gets its generated body once it shows signs of re-execution;
 #: until then the dispatch loop runs its closures, so straight-line code
 #: never pays for codegen.  Measured per process on the fourteen
-#: ``exec-steady`` images: 8 generates 24 bodies (2.1 ms each with rows,
-#: 0.6 ms without: 51 / 14 ms) — the kernels' loop bodies; 2 or 4 generate
-#: 90-98 (115-125 / 40 ms), every init block too, for no resolvable gain
-#: in the steady state; 16 and 32 generate the same 24 as 8.
+#: ``exec-steady`` images: 8 generates 24 bodies (2.0 ms each with rows,
+#: 0.75 ms without: 47 / 18 ms) — the kernels' loop bodies; 2 or 4 generate
+#: 90-98 (115-150 / 35-50 ms), every init block too, for no resolvable
+#: gain in the steady state; 16 and 32 generate the same 24 as 8.
 _COMPILE_THRESHOLD = 8
 #: Blocks larger than this never get one: generated source for a
 #: page-spanning straight-line run would cost more to compile than the
@@ -119,7 +119,7 @@ class _Bindings(dict):
     def __init__(self, machine, engine):
         cpu, memory, costing = machine.cpu, machine.memory, machine._costing
         self.objects = {"cpu": cpu, "regs": cpu.regs, "vregs": cpu.vregs,
-                        "load": memory.load, "store": memory.store,
+                        **memory.source_objects(),
                         "handlers": machine._exec, "machine": machine,
                         "engine": engine}
         if costing is not None:
@@ -235,6 +235,8 @@ class Superblock:
 # machine's ``cpu`` / ``regs`` / ``vregs`` / ``load`` / ``store`` /
 # ``handlers`` and anything in ``_NAMESPACE``; a memory op leaves the
 # address it accessed in ``addr``, a branch sets ``taken`` when it leaves.
+# What the two bodies word differently — a guest access, the float view of
+# an FP register — an emitter asks its *writer* ``w`` for.
 # ---------------------------------------------------------------------------
 
 M64 = hex(MASK64)
@@ -291,19 +293,76 @@ def _function(name: str, params, body, inner: str = "run()"):
     return scope[name]
 
 
+class _Writer:
+    """How an op's lines word what the two bodies do differently.  In a
+    cold closure (no ``memory``) a guest access is a call of ``load``/
+    ``store`` — counted: a template's totals decide what its generated body
+    inlines — and a float is converted where it is read.  In a generated
+    body (DESIGN.md §10) the kinds of access ``inline`` names, (loads,
+    stores), go through the memory's page entries, and ``views`` holds the
+    64-bit FP registers whose float is in the local ``f<n>``."""
+
+    def __init__(self, memory=None, inline=(False, False)):
+        self.memory, self.inline = memory, inline
+        self.loads = self.stores = 0
+        self.views: set = set()
+
+    def load(self, dest, size, at="addr", post="") -> List[str]:
+        """Lines of ``dest = <the size bytes at at>post``."""
+        self.loads += 1
+        if self.inline[0]:
+            return self.memory.load_source(dest, size, at, post)
+        return [f"{dest} = load({at}, {size}){post}"]
+
+    def store(self, size, value, at="addr") -> List[str]:
+        self.stores += 1
+        if self.inline[1]:
+            return self.memory.store_source(size, value, at)
+        return [f"store({at}, {size}, {value})"]
+
+    def f(self, index, bits) -> str:
+        """Source of scalar FP register ``index`` as a Python float."""
+        if bits != 64:
+            return f"b2f(vregs[{index}] & {M32}, 32)"
+        if index in self.views:
+            return f"f{index}"
+        value = f"unpack_d(pack_q(vregs[{index}] & {M64}))[0]"
+        if self.memory is None:
+            return value
+        self.views.add(index)
+        return f"(f{index} := {value})"
+
+    def f_set(self, d, bits, value) -> str:
+        """The line writing the float ``value`` to FP register ``d``."""
+        self.views.discard(d)
+        if bits != 64:  # may overflow to infinity; a double always packs
+            return f"vregs[{d}] = f2b({value}, 32)"
+        if self.memory is not None:
+            self.views.add(d)
+            value = f"f{d} := {value}"
+        return f"vregs[{d}] = unpack_q(pack_d({value}))[0]"
+
+    def handled(self) -> List[str]:
+        """The lines after a stepping handler, which may write anything."""
+        self.views.clear()
+        return [self.memory.DROP_SOURCE] if any(self.inline) else []
+
+
 _MAKERS: Dict[tuple, object] = {}
 _MACHINE_NAMES = ("cpu", "regs", "vregs", "load", "store", "handlers")
 
 
 def _op(emitter, *static):
     """The maker of one op shape's cold closure: ``make(<the machine
-    objects its lines name>, *operands)``.  ``make.emit(*operands)`` are
-    the lines themselves and ``make.kind`` what the closure returns."""
+    objects its lines name>, *operands)``.  ``make.emit(w, *operands)``
+    are the lines themselves in writer ``w``'s wording, ``make.kind`` what
+    the closure returns, ``make.accesses`` its (loads, stores)."""
     make = _MAKERS.get((emitter, static))
     if make is None:
         code = emitter.__code__
-        operands = code.co_varnames[:code.co_argcount - len(static)]
-        lines = emitter(*operands, *static)
+        operands = code.co_varnames[1:code.co_argcount - len(static)]
+        w = _Writer()
+        lines = emitter(w, *operands, *static)
         kind = emitter.kind
         named = _names_in(lines)
         make = _MAKERS[emitter, static] = _function(
@@ -312,7 +371,8 @@ def _op(emitter, *static):
             + list(operands),
             ["taken = False"] * (kind == K_BRANCH) + lines + [_RETURNS[kind]])
         make.kind = kind
-        make.emit = lambda *operands: emitter(*operands, *static)
+        make.accesses = (w.loads, w.stores)
+        make.emit = lambda w, *operands: emitter(w, *operands, *static)
     return make
 
 
@@ -334,13 +394,13 @@ def _operand2(b, width, form) -> str:
 
 
 @_emits(K_SIMPLE)
-def _e_addsub(d, n, b, width, sub, form):
+def _e_addsub(w, d, n, b, width, sub, form):
     return [f"regs[{d}] = ({_r(n, width)} {'-' if sub else '+'} "
             f"{_operand2(b, width, form)}) & {hex((1 << width) - 1)}"]
 
 
 @_emits(K_SIMPLE)
-def _e_addsub_flags(d, n, b, width, sub, form, writes):
+def _e_addsub_flags(w, d, n, b, width, sub, form, writes):
     """adds/subs/cmp/cmn: ``Machine._set_add_flags`` on ``n + b`` or
     ``n + ~b + 1`` (an immediate arrives already inverted)."""
     mask = (1 << width) - 1
@@ -362,33 +422,33 @@ def _e_addsub_flags(d, n, b, width, sub, form, writes):
 
 
 @_emits(K_SIMPLE)
-def _e_mov_const(d, const):
+def _e_mov_const(w, d, const):
     return [f"regs[{d}] = {const}"]
 
 
 @_emits(K_SIMPLE)
-def _e_adrp(d, pages, pc):
+def _e_adrp(w, d, pages, pc):
     return [f"regs[{d}] = ((({pc} >> 12) + {pages}) << 12) & {M64}"]
 
 
 @_emits(K_SIMPLE)
-def _e_mov_reg(d, s, width):
+def _e_mov_reg(w, d, s, width):
     return [f"regs[{d}] = {_r(s, width)}"]
 
 
 @_emits(K_SIMPLE)
-def _e_movk(d, keep, bits, width):
+def _e_movk(w, d, keep, bits, width):
     return [f"regs[{d}] = ({_r(d, width)} & {keep}) | {bits}"]
 
 
 @_emits(K_SIMPLE)
-def _e_logic(d, n, b, width, op, form):
+def _e_logic(w, d, n, b, width, op, form):
     sign = {"and": "&", "orr": "|", "eor": "^"}[op]
     return [f"regs[{d}] = {_r(n, width)} {sign} {_operand2(b, width, form)}"]
 
 
 @_emits(K_SIMPLE)
-def _e_shift_imm(d, n, amount, width, op):
+def _e_shift_imm(w, d, n, amount, width, op):
     mask = hex((1 << width) - 1)
     if op == "lsl":
         return [f"regs[{d}] = ({_r(n, width)} << {amount}) & {mask}"]
@@ -401,14 +461,14 @@ def _e_shift_imm(d, n, amount, width, op):
 
 
 @_emits(K_SIMPLE)
-def _e_madd(d, n, m, a, width, msub, zero_addend):
+def _e_madd(w, d, n, m, a, width, msub, zero_addend):
     acc = "0" if zero_addend else _r(a, width)
     return [f"regs[{d}] = ({acc} {'-' if msub else '+'} {_r(n, width)} "
             f"* {_r(m, width)}) & {hex((1 << width) - 1)}"]
 
 
 @_emits(K_SIMPLE)
-def _e_bitfield(d, n, rshift, fmask, shift, sign, fill, width, signed):
+def _e_bitfield(w, d, n, rshift, fmask, shift, sign, fill, width, signed):
     """ubfm/sbfm (lsr/lsl/ubfx/sxtw aliases) over the field geometry
     ``SuperblockEngine._specialize`` folds from immr/imms."""
     lines = [f"x = ({_r(n, width)} >> {rshift}) & {fmask}",
@@ -420,37 +480,23 @@ def _e_bitfield(d, n, rshift, fmask, shift, sign, fill, width, signed):
 
 # -- scalar floating point and vector integer ---------------------------------
 
-def _f(index, bits) -> str:
-    """Source of scalar FP register ``index`` as a Python float."""
-    if bits == 64:
-        return f"unpack_d(pack_q(vregs[{index}] & {M64}))[0]"
-    return f"b2f(vregs[{index}] & {M32}, 32)"
-
-
-def _f_bits(value, bits) -> str:
-    # A double always packs; a single may overflow to infinity (f2b).
-    return (f"unpack_q(pack_d({value}))[0]" if bits == 64
-            else f"f2b({value}, 32)")
-
-
 @_emits(K_SIMPLE)
-def _e_fp2(d, n, m, bits, op):
+def _e_fp2(w, d, n, m, bits, op):
     sign = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-    return [f"vregs[{d}] = "
-            + _f_bits(f"{_f(n, bits)} {sign} {_f(m, bits)}", bits)]
+    return [w.f_set(d, bits, f"{w.f(n, bits)} {sign} {w.f(m, bits)}")]
 
 
 @_emits(K_SIMPLE)
-def _e_fp3(d, n, m, a, bits, msub):
-    return [f"x = {_f(n, bits)} * {_f(m, bits)}",
-            f"vregs[{d}] = "
-            + _f_bits(f"{_f(a, bits)} {'-' if msub else '+'} x", bits)]
+def _e_fp3(w, d, n, m, a, bits, msub):
+    return [f"x = {w.f(n, bits)} * {w.f(m, bits)}",
+            w.f_set(d, bits, f"{w.f(a, bits)} {'-' if msub else '+'} x")]
 
 
 @_emits(K_SIMPLE)
-def _e_vec3(d, n, m, lanes, bits, op):
+def _e_vec3(w, d, n, m, lanes, bits, op):
     """Same-arrangement vector add/sub/mul (lane by lane) and and/orr/eor
     (lane-independent: one bit operation)."""
+    w.views.discard(d)
     if op in ("and", "orr", "eor"):
         sign = {"and": "&", "orr": "|", "eor": "^"}[op]
         return [f"vregs[{d}] = (vregs[{n}] {sign} vregs[{m}]) "
@@ -483,49 +529,40 @@ def _addressed(b, off, mode, wb):
     return f"addr = (regs[{b}] + {index}) & {M64}", None
 
 
-def _loaded(t, size, signed, tbits, vector):
-    """Lines moving the ``size`` bytes at ``addr`` into register ``t``."""
+@_emits(K_MEM)
+def _e_load(w, t, b, off, size, signed, tbits, vector, mode, wb):
+    address, writeback = _addressed(b, off, mode, wb)
     if vector:
-        return [f"vregs[{t}] = load(addr, {size}) & {hex((1 << tbits) - 1)}"]
-    if not signed:
-        return [f"regs[{t}] = load(addr, {size})"]
-    return [f"raw = load(addr, {size})",
+        w.views.discard(t)
+        moved = w.load(f"vregs[{t}]", size,
+                       post=f" & {hex((1 << tbits) - 1)}")
+    elif not signed:
+        moved = w.load(f"regs[{t}]", size)
+    else:
+        moved = w.load("raw", size) + [
             f"if raw & {hex(1 << (signed - 1))}:",
             f"    raw -= {hex(1 << signed)}",
             f"regs[{t}] = raw & {M64 if tbits == 64 else M32}"]
+    return [address] + moved + [writeback] * bool(writeback)
 
 
-def _stored(t, size, vector, zero):
-    """The line storing ``size`` bytes of register ``t`` at ``addr``."""
+@_emits(K_MEM)
+def _e_store(w, t, b, off, size, vector, zero, mode, wb):
+    address, writeback = _addressed(b, off, mode, wb)
     value = "0" if zero else \
         f"{'v' * vector}regs[{t}] & {hex((1 << size * 8) - 1)}"
-    return [f"store(addr, {size}, {value})"]
+    return [address] + w.store(size, value) + [writeback] * bool(writeback)
 
 
 @_emits(K_MEM)
-def _e_load(t, b, off, size, signed, tbits, vector, mode, wb):
-    address, writeback = _addressed(b, off, mode, wb)
-    return [address] + _loaded(t, size, signed, tbits, vector) \
-        + [writeback] * bool(writeback)
-
-
-@_emits(K_MEM)
-def _e_store(t, b, off, size, vector, zero, mode, wb):
-    address, writeback = _addressed(b, off, mode, wb)
-    return [address] + _stored(t, size, vector, zero) \
-        + [writeback] * bool(writeback)
-
-
-@_emits(K_MEM)
-def _e_pair(t, t2, b, off, is_load, mode, wb):
+def _e_pair(w, t, t2, b, off, is_load, mode, wb):
     """ldp/stp of two X registers."""
     address, writeback = _addressed(b, off, mode, wb)
     if is_load:
-        moves = [f"regs[{t}] = load(addr, 8)",
-                 f"regs[{t2}] = load(addr + 8, 8)"]
+        moves = w.load(f"regs[{t}]", 8) + w.load(f"regs[{t2}]", 8, "addr + 8")
     else:
-        moves = [f"store(addr, 8, regs[{t}] & {M64})",
-                 f"store(addr + 8, 8, regs[{t2}] & {M64})"]
+        moves = w.store(8, f"regs[{t}] & {M64}") \
+            + w.store(8, f"regs[{t2}] & {M64}", "addr + 8")
     return [address] + moves + [writeback] * bool(writeback)
 
 
@@ -540,56 +577,56 @@ def _leave(target, condition=None, link=None):
 
 
 @_emits(K_BRANCH)
-def _e_b(target):
+def _e_b(w, target):
     return _leave(target)
 
 
 @_emits(K_BRANCH)
-def _e_bl(target, link):
+def _e_bl(w, target, link):
     return _leave(target, link=link)
 
 
 @_emits(K_BRANCH)
-def _e_bcond(target, cond):
+def _e_bcond(w, target, cond):
     return _leave(target, _COND_SRC[cond])
 
 
 @_emits(K_BRANCH)
-def _e_cb(t, target, width, want_zero):
+def _e_cb(w, t, target, width, want_zero):
     return _leave(target, f"{_r(t, width)} {'==' if want_zero else '!='} 0")
 
 
 @_emits(K_BRANCH)
-def _e_tb(t, bit, target, want_set):
+def _e_tb(w, t, bit, target, want_set):
     return _leave(target,
                   f"{'' if want_set else 'not '}(regs[{t}] >> {bit}) & 1")
 
 
 @_emits(K_BRANCH)
-def _e_br(t):
+def _e_br(w, t):
     return _leave(f"regs[{t}] & {M64}")
 
 
 @_emits(K_BRANCH)
-def _e_blr(t, link):
+def _e_blr(w, t, link):
     return [f"x = regs[{t}] & {M64}"] + _leave("x", link=link)
 
 
 @_emits(K_GENERIC)
-def _e_generic(inst, base):
+def _e_generic(w, inst, base):
     """The stepping handler: the op of whatever has no emitter."""
-    return [f"taken, addr = handlers[{base}]({inst})"]
+    return [f"taken, addr = handlers[{base}]({inst})"] + w.handled()
 
 
 @_emits(K_GENERIC)
-def _e_generic_at(inst, base, pc, reads_pc, decodes):
+def _e_generic_at(w, inst, base, pc, reads_pc, decodes):
     """A stepping handler that reads ``cpu.pc`` (stale inside a block:
     ``bl``/``blr``), or (``decodes``) whose instruction must be decoded
     from the word ``inst`` where the block now is."""
     if decodes:
         inst = f"decode_word({inst}, {pc})"
     return [f"cpu.pc = {pc}"] * reads_pc \
-        + [f"taken, addr = handlers[{base}]({inst})"]
+        + [f"taken, addr = handlers[{base}]({inst})"] + w.handled()
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +663,8 @@ class SuperblockEngine:
         #: What rows and generated bodies read of the machine, in keys.
         model, tlb = machine.model, machine.tlb
         self._cost_id = None if model is None else _COST_IDS.setdefault(
-            repr((model, machine.tlb_walk_scale, tlb.sets, tlb.page_size)),
-            len(_COST_IDS))
+            repr((model, machine.tlb_walk_scale, tlb.sets, tlb.ways,
+                  tlb.page_size)), len(_COST_IDS))
 
     # -- cache management ---------------------------------------------------
 
@@ -822,18 +859,18 @@ class SuperblockEngine:
         latencies, scoreboard keys, model miss charges) folded in and the
         *same float operations in the same order*, so cycle totals stay
         bit-identical and the body is pure host-side speedup (DESIGN.md
-        §15).  Three things a row walk does per row are done per call
-        instead:
+        §15).  What a row walk does per row is done per call instead
+        (DESIGN.md §10, "what a body may keep in locals for one call"):
 
         * the scoreboard lives in locals, one per key: a key's ready time
           is read from ``costing.ready`` at most once and a key the block
           defines is stored once, at the body's exit or in the arm of the
           fault (or handler exception) that ends it early, so what the
           body leaves is exactly what a row walk would have;
-        * ``t_issue``/``t_done`` and the TLB/L1 hit counts are locals
-          committed in a ``finally``;
-        * a memory row tests the MRU way of its TLB and L1 set inline
-          (``Tlb.set_source``) and calls ``lookup`` only past it.
+        * ``t_issue``/``t_done`` and the TLB/L1 counts are locals
+          committed in a ``finally``, and a memory row is the gauges' own
+          ``lookup`` as source (``Tlb.lookup_source``);
+        * guest accesses and FP conversions are worded by ``_Writer``.
 
         An op that can fault runs under the dispatch loop's fault rule as
         source.  A template that ``loops`` gets the same lines and rows
@@ -854,11 +891,15 @@ class SuperblockEngine:
         """
         began = perf_counter()
         costing = self.machine._costing
-        if costing is not None:
-            model = costing.model
-            tb = model.taken_branch_cost
-            sources = {"tlb": costing.tlb.set_source("tlb_sets"),
-                       "l1": costing.l1.set_source("l1_sets")}
+        loops = template.loops
+        # Kept in locals where something can hit: in a loop, or where a
+        # second access of the kind (a second memory row) follows.
+        loads, stores = map(sum, zip(*(op[1].accesses
+                                       for op in template.ops)))
+        w = _Writer(self.machine.memory,
+                    (loops or loads > 1, loops or stores > 1))
+        rows = sum(op[0] & K_MEM for op in template.ops)  # memory rows
+        units = loops or rows > 1
         consts: List[object] = []
         lines: List[str] = []
         emit = lines.append
@@ -869,24 +910,26 @@ class SuperblockEngine:
             consts.append(value)
             return f"consts[{len(consts) - 1}]"
 
-        def probe(ind, gauge, cycles, issue):
-            """One gauge of ``_Costing.memory_penalty``: its MRU way
-            tested inline, ``lookup`` called past it, a miss charged."""
-            for line in sources[gauge]:
-                emit(ind + line)
-            emit(f"{ind}if ways and ways[-1] == unit:")
-            emit(f"{ind}    h_{gauge} += 1")
-            emit(f"{ind}elif not {gauge}_lookup(addr):")
-            emit(f"{ind}    extra += {cycles!r}")
-            emit(f"{ind}    bw += {issue!r}")
+        def probe(gauge, cycles, issue, below=()):
+            """One gauge of ``_Costing.memory_penalty``: its ``lookup`` as
+            source around a miss's charges and the next level's probe."""
+            source = getattr(costing, gauge).lookup_source
+            hit = [f"h_{gauge} += 1"]
+            miss = [f"extra += {cycles!r}", f"bw += {issue!r}", *below]
+            if units:
+                return source(f"{gauge}_sets", hit, [f"m_{gauge} += 1"] + miss,
+                              last=f"u_{gauge}")
+            return source(f"{gauge}_sets", hit, miss, call=f"{gauge}_lookup")
 
-        def penalty(ind):
-            """``_Costing.memory_penalty(addr)`` into ``extra``/``bw``."""
-            probe(ind, "tlb", costing.walk, costing.walk_issue)
-            probe(ind, "l1", model.l1_miss_cycles, model.l1_miss_issue)
-            emit(f"{ind}    if not l2_lookup(addr):")
-            emit(f"{ind}        extra += {model.l2_miss_cycles!r}")
-            emit(f"{ind}        bw += {model.l2_miss_issue!r}")
+        if costing is not None:
+            model = costing.model
+            tb = model.taken_branch_cost
+            #: ``_Costing.memory_penalty(addr)`` into ``extra``/``bw``.
+            penalty = probe("tlb", costing.walk, costing.walk_issue) + probe(
+                "l1", model.l1_miss_cycles, model.l1_miss_issue,
+                ["if not l2_lookup(addr):",
+                 f"    extra += {model.l2_miss_cycles!r}",
+                 f"    bw += {model.l2_miss_issue!r}"])
 
         def charge(ind, kind, row, board):
             """The row of an op of ``kind``; ``board``: key -> whether its
@@ -899,9 +942,8 @@ class SuperblockEngine:
                 emit(f"{ind}extra = bw = 0.0")
                 if kind == K_GENERIC:
                     emit(f"{ind}if addr is not None:")
-                    penalty(ind + "    ")
-                else:
-                    penalty(ind)
+                lines.extend(ind + "    " * (kind == K_GENERIC) + line
+                             for line in penalty)
                 bw = " + bw"
                 lat_expr += " + extra"
             if kind & K_BRANCH:
@@ -936,7 +978,6 @@ class SuperblockEngine:
                 if certain:
                     emit(f"{ind}ready[{key!r}] = k{key}")
 
-        loops = template.loops
         count = template.size >> 2
         head = []  # what runs once, above the first trip
         board: Dict[object, bool] = {}
@@ -953,7 +994,7 @@ class SuperblockEngine:
         ind = "        " if loops else "    " if costing is not None else ""
         for retired, op in enumerate(template.ops):
             kind, make, args, rel, row = op
-            body = make.emit(*map(literal, args), *[
+            body = make.emit(w, *map(literal, args), *[
                 f"((pc0 + {d}) & {M64})" for d in rel or ()])
             if loops and op is template.ops[-1]:
                 # The looping branch: pc is pc0 on entry and nothing in
@@ -974,7 +1015,7 @@ class SuperblockEngine:
                 emit(f"{arm}machine.instret += {retired}")
                 emit(f"{arm}cpu.pc = {pc}")
                 emit(f"{arm}raise MemTrap({pc}, fault) from None")
-                if costing is not None and "handlers" in _names_in(body) \
+                if costing is not None and kind == K_GENERIC \
                         and any(board.values()):
                     # Whatever else a handler raises: the ops before it
                     # have been charged, it has not.
@@ -995,11 +1036,16 @@ class SuperblockEngine:
             lines += ["        if not taken:", "            break"]
         else:
             head.append("taken = False")
+        if rows and any(w.inline):
+            head.append(w.memory.DROP_SOURCE)
         if costing is not None:
             flush("    ", board)
-            if "h_tlb" in _names_in(lines):
+            if rows:
                 head.append("h_tlb = h_l1 = 0")
                 closing += ["tlb.hits += h_tlb", "l1.hits += h_l1"]
+            if rows and units:
+                head += ["m_tlb = m_l1 = 0", "u_tlb = u_l1 = -1"]
+                closing += ["tlb.misses += m_tlb", "l1.misses += m_l1"]
             closing += ["costing.t_issue = t_issue", "costing.t_done = t_done"]
         if loops:
             emit("except BaseException:")
@@ -1013,10 +1059,8 @@ class SuperblockEngine:
                      *["    " + line for line in closing]]
         body = [*head, *lines, *["if taken:", "    cpu.pc = pc0"] * loops,
                 f"return {done} if taken else -{done}"]
-        named = _names_in(body)
-        maker = _function(
-            "body", [name for name in self._bindings.objects
-                     if name in named] + ["consts"], body, "run(pc0, fuel)")
+        maker = _function("body", [*self._bindings.objects, "consts"], body,
+                          "run(pc0, fuel)")
         stats = _GENERATED.setdefault(self._cost_id, [0, 0.0])
         stats[0] += 1
         stats[1] += (perf_counter() - began) * 1e3

@@ -7,9 +7,42 @@ page tables double the translation depth.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Optional
 
 __all__ = ["Tlb"]
+
+
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _lru_source(unit: str, index: str, sets: str, cap, hit: List[str],
+                miss: List[str], last: Optional[str] = None,
+                call: Optional[str] = None) -> List[str]:
+    """The one statement of the LRU rule, as source lines over ``addr``:
+    :meth:`Tlb.lookup` is these lines compiled and a generated block body
+    inlines them (:meth:`Tlb.lookup_source`) around its own ``hit``/
+    ``miss`` lines.  ``last`` names a variable for the unit the caller
+    probed last — the newest way of its set while nobody else touches the
+    gauge, so a hit that indexes nothing; ``call`` names ``lookup``
+    itself, to which everything past the MRU test is then left."""
+    probe = [f"ways = {sets}[{index}]",
+             # Re-touching the newest entry is a no-op move.
+             "if ways and ways[-1] == unit:", *_indent(hit)]
+    if call:
+        probe += [f"elif not {call}(addr):", *_indent(miss)]
+    else:
+        probe += ["elif unit in ways:",
+                  "    ways.remove(unit)", "    ways.append(unit)",
+                  *_indent(hit),
+                  "else:",
+                  f"    if len(ways) >= {cap}:",
+                  "        ways.pop(0)",
+                  "    ways.append(unit)", *_indent(miss)]
+    if last is None:
+        return [f"unit = {unit}", *probe]
+    return [f"unit = {unit}", f"if unit == {last}:", *_indent(hit),
+            "else:", f"    {last} = unit", *_indent(probe)]
 
 
 class Tlb:
@@ -32,42 +65,27 @@ class Tlb:
         self._mask = (self.sets - 1
                       if self.sets & (self.sets - 1) == 0 else None)
 
-    def lookup(self, address: int) -> bool:
-        """True on hit; on miss the translation is filled (LRU evict)."""
-        shift = self._shift
-        page = (address >> shift if shift is not None
-                else address // self.page_size)
-        mask = self._mask
-        entries = self._sets[page & mask if mask is not None
-                             else page % self.sets]
-        if entries:
-            # MRU shortcut: re-touching the newest entry is a no-op move.
-            if entries[-1] == page:
-                self.hits += 1
-                return True
-            if page in entries:
-                entries.remove(page)
-                entries.append(page)
-                self.hits += 1
-                return True
-        self.misses += 1
-        if len(entries) >= self.ways:
-            entries.pop(0)
-        entries.append(page)
-        return False
+    exec("\n".join([  # lookup: the rule over whatever geometry self has
+        "def lookup(self, addr):",
+        '    """True on hit; on miss the translation is filled (LRU evict)."""',
+        "    shift, mask = self._shift, self._mask",
+        *_indent(_lru_source(
+            "addr >> shift if shift is not None else addr // self.page_size",
+            "unit & mask if mask is not None else unit % self.sets",
+            "self._sets", "self.ways", ["self.hits += 1", "return True"],
+            ["self.misses += 1", "return False"]))]))
 
-    def set_source(self, sets: str) -> List[str]:
-        """:meth:`lookup`'s addressing as source lines over ``addr`` and
-        ``sets`` (a name for ``_sets``), leaving the page in ``unit`` and
-        its set in ``ways``.  ``ways and ways[-1] == unit`` is then the MRU
-        shortcut: exactly when ``lookup`` would count a hit, move nothing
-        and return True — so inline code may count the hit itself and
-        call ``lookup`` only otherwise."""
-        unit = (f"addr >> {self._shift}" if self._shift is not None
-                else f"addr // {self.page_size}")
-        index = (f"unit & {self._mask}" if self._mask is not None
-                 else f"unit % {self.sets}")
-        return [f"unit = {unit}", f"ways = {sets}[{index}]"]
+    def lookup_source(self, sets: str, hit: List[str], miss: List[str],
+                      last: Optional[str] = None,
+                      call: Optional[str] = None) -> List[str]:
+        """:func:`_lru_source` over ``sets``, a name for ``_sets``, with
+        this geometry folded in."""
+        return _lru_source(
+            f"addr >> {self._shift}" if self._shift is not None
+            else f"addr // {self.page_size}",
+            f"unit & {self._mask}" if self._mask is not None
+            else f"unit % {self.sets}", sets, self.ways, hit, miss, last,
+            call)
 
     def probe(self, address: int) -> bool:
         """Non-mutating residency check (no fill, no LRU movement).

@@ -10,7 +10,7 @@ for stack-pointer guard elision and write protection of code.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "PERM_R",
@@ -337,6 +337,66 @@ class PagedMemory:
                     return
         self.write(address, value.to_bytes(size, "little"))
 
+    # -- the in-page fast path as source (DESIGN.md §10) ----------------------
+    # For one call a generated block body keeps in locals the page it last
+    # read (``rbase``: its address, ``rbuf``: its storage, or the zero page)
+    # and the page it last wrote (``wbase``/``wbuf``): an access inside one
+    # is a hit, anything else the method itself, then a refill.
+
+    #: Empties both entries (no access lies within a page of 1 << 64): a
+    #: body's first line, and what follows anything that may replace a
+    #: page's storage behind its back.
+    DROP_SOURCE = f"rbase = wbase = {1 << 64}"
+
+    def source_objects(self) -> Dict[str, object]:
+        """What the lines below name besides the body's own locals;
+        ``lim<n>`` is the last offset at which n bytes end in their page."""
+        return {"load": self.load, "store": self.store, "memory": self,
+                "pages_get": self._pages.get, "cow": self._cow,
+                "zeros": self._zeros, "pg_shift": self._page_shift,
+                "pg_base": -self.page_size,
+                "u64_from": _U64.unpack_from, "u64_into": _U64.pack_into,
+                "u32_from": _U32.unpack_from, "u32_into": _U32.pack_into,
+                **{f"lim{n}": self.page_size - n for n in (1, 2, 4, 8, 16)}}
+
+    @staticmethod
+    def load_source(dest: str, size: int, at: str = "addr",
+                    post: str = "") -> List[str]:
+        """``dest = load(at, size)post`` through the read entry."""
+        value = {8: "u64_from(rbuf, off)[0]", 4: "u32_from(rbuf, off)[0]",
+                 1: "rbuf[off]"}.get(
+            size, f"int.from_bytes(rbuf[off:off + {size}], 'little')")
+        return [f"off = {at} - rbase",
+                f"if 0 <= off <= lim{size}:",
+                f"    {dest} = {value}{post}",
+                "else:",
+                f"    {dest} = load({at}, {size}){post}",
+                f"    rbuf = pages_get(({at}) >> pg_shift, zeros)",
+                f"    rbase = ({at}) & pg_base"]
+
+    @staticmethod
+    def store_source(size: int, value: str, at: str = "addr") -> List[str]:
+        """``store(at, size, value)`` through the write entry.  The method
+        may give a page new storage (first write, COW copy), so both
+        entries go; its page becomes the write entry only if the method's
+        own fast path would take the next store to it."""
+        hit = {8: f"u64_into(wbuf, off, {value})",
+               4: f"u32_into(wbuf, off, {value})",
+               1: f"wbuf[off] = {value}"}.get(
+            size, f"wbuf[off:off + {size}] = "
+                  f"({value}).to_bytes({size}, 'little')")
+        return [f"off = {at} - wbase",
+                f"if 0 <= off <= lim{size}:",
+                f"    {hit}",
+                "else:",
+                f"    store({at}, {size}, {value})",
+                "    " + PagedMemory.DROP_SOURCE,
+                f"    page = ({at}) >> pg_shift",
+                "    wbuf = pages_get(page)",
+                "    if wbuf is not None and page not in cow "
+                "and memory.write_observer is None:",
+                f"        wbase = ({at}) & pg_base"]
+
     def fetch(self, address: int) -> int:
         """Fetch one instruction word (requires execute permission)."""
         buf, offset = self.fetch_page(address)
@@ -419,11 +479,17 @@ class PagedMemory:
         self.store(address, 4, value & (2**32 - 1))
 
     def read_cstring(self, address: int, limit: int = 4096) -> bytes:
-        """Read a NUL-terminated string (for runtime-call arguments)."""
+        """Read a NUL-terminated string (for runtime-call arguments), a
+        page at a time, each under the check of a one-byte read."""
         out = bytearray()
         while len(out) < limit:
-            byte = self.read(address + len(out), 1)[0]
-            if byte == 0:
+            at = address + len(out)
+            page, offset = divmod(at, self.page_size)
+            if not self._perms.get(page, PERM_NONE) & PERM_R:
+                self._check(at, 1, PERM_R, "read")  # raises the fault
+            chunk = self._pages.get(page, self._zeros)[
+                offset:offset + limit - len(out)]
+            out += chunk.partition(b"\0")[0]
+            if 0 in chunk:
                 return bytes(out)
-            out.append(byte)
         raise MemoryFault("perm", address, "read", "unterminated string")

@@ -140,3 +140,93 @@ class TestTelescopingDeltas:
         slices = [e for e in tracer.events if isinstance(e, ContextSwitch)]
         for prev, cur in zip(slices, slices[1:]):
             assert cur.ts >= prev.ts + prev.dur - 1e-9
+
+
+# -- the LRU rule: lookup, its source, and a model that shares neither ---------
+
+def reference_lookup(sets, ways, page_size, state, address):
+    """The textbook rule on ``state`` (set index -> units, oldest first)."""
+    unit = address // page_size
+    entries = state.setdefault(unit % sets, [])
+    hit = unit in entries
+    if hit:
+        entries.remove(unit)
+    elif len(entries) == ways:
+        del entries[0]
+    entries.append(unit)
+    return hit
+
+
+def compiled_lookup(tlb, **form):
+    """``Tlb.lookup_source`` compiled standalone the way a generated body
+    holds it: counts in locals, the sets and (``call=``) the method bound."""
+    lines = tlb.lookup_source("sets", ["hits += 1"], ["misses += 1"], **form)
+    scope = {}
+    exec("\n".join([
+        "def make(sets, lookup):",
+        "    def run(addresses):",
+        "        hits = misses = 0",
+        "        last = -1",
+        "        for addr in addresses:",
+        *["            " + line for line in lines],
+        "        return hits, misses",
+        "    return run"]), scope)
+    return scope["make"](tlb._sets, tlb.lookup)
+
+
+class TestLruRuleHasOneStatement:
+    #: entries, ways, unit size: powers of two (shift and mask), neither.
+    GEOMETRIES = [(512, 4, 16384), (2048, 8, 64), (64, 1, 64), (12, 3, 100),
+                  (15, 3, 64), (10, 2, 48), (7, 7, 4096)]
+
+    @staticmethod
+    def stream(rng, page_size, sets, ways):
+        """Runs inside a unit, set conflicts past the associativity,
+        returns to recent units, far jumps."""
+        recent, addresses = [0], []
+        for _ in range(3000):
+            roll = rng.random()
+            if roll < 0.4:
+                unit = recent[-1]
+            elif roll < 0.7:
+                unit = rng.choice(recent[-2 * ways:])
+            elif roll < 0.9:
+                unit = recent[-1] % sets + sets * rng.randrange(ways + 2)
+            else:
+                unit = rng.randrange(1 << 20)
+            recent.append(unit)
+            addresses.append(unit * page_size + rng.randrange(page_size))
+        return addresses
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+    def test_method_and_source_are_the_textbook_rule(self, geometry):
+        from random import Random
+        from repro.emulator.tlb import Tlb
+
+        entries, ways, page_size = geometry
+        for seed in range(5):
+            addresses = self.stream(Random(seed), page_size,
+                                    entries // ways, ways)
+            state, expected = {}, []
+            for address in addresses:
+                expected.append(reference_lookup(
+                    entries // ways, ways, page_size, state, address))
+            final = [state.get(index, []) for index in range(entries // ways)]
+            method = Tlb(entries, ways, page_size)
+            assert [method.lookup(a) for a in addresses] == expected
+            assert method._sets == final
+            assert (method.hits, method.misses) == (
+                sum(expected), len(expected) - sum(expected))
+            # As a body with several memory rows inlines it ...
+            inlined = Tlb(entries, ways, page_size)
+            assert compiled_lookup(inlined, last="last")(addresses) \
+                == (method.hits, method.misses)
+            assert inlined._sets == final
+            assert (inlined.hits, inlined.misses) == (0, 0)
+            # ... and as one with a single row does: past the MRU way
+            # the method counts, in the gauge itself.
+            called = Tlb(entries, ways, page_size)
+            hits, misses = compiled_lookup(called, call="lookup")(addresses)
+            assert called._sets == final
+            assert hits + called.hits == method.hits
+            assert (misses, called.misses) == (method.misses, method.misses)

@@ -16,6 +16,7 @@ every public API:
 """
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -419,6 +420,137 @@ spin:
 arena:
     .skip 65536
 """
+
+
+# -- the in-page fast path as source is the method ----------------------------
+
+SOURCE_SIZES = (1, 2, 4, 8, 16)
+
+
+def source_runner(memory):
+    """``run(ops, seen)`` over ``memory``: the lines ``load_source`` /
+    ``store_source`` emit, compiled standalone into one function that
+    keeps the two page entries in its locals for the whole sequence, the
+    way a generated block body does for one call."""
+    def indented(lines):
+        return ["    " + line for line in lines]
+
+    body = ["if kind == 'write':",  # a stepping handler: anything, the drop
+            "    memory.write(addr, value)", "    " + memory.DROP_SOURCE]
+    for size in SOURCE_SIZES:
+        body += [f"if kind == 'load{size}':",
+                 *indented(memory.load_source("value", size)),
+                 "    seen.append(value)",
+                 f"if kind == 'store{size}':",
+                 *indented(memory.store_source(size, "value"))]
+    objects = memory.source_objects()
+    source = "\n".join([
+        f"def make({', '.join(objects)}, MemoryFault):",
+        "    def run(ops, seen):",
+        "        " + memory.DROP_SOURCE,
+        "        for kind, addr, value in ops:",
+        "            try:",
+        *indented(indented(indented(indented(body)))),
+        "            except MemoryFault as fault:",
+        "                seen.append((fault.kind, fault.address, fault.access))",
+        "    return run"])
+    scope = {}
+    exec(source, scope)
+    return scope["make"](*objects.values(), MemoryFault)
+
+
+def method_runner(memory):
+    def run(ops, seen):
+        for kind, addr, value in ops:
+            try:
+                if kind.startswith("load"):
+                    seen.append(memory.load(addr, int(kind[4:])))
+                elif kind.startswith("store"):
+                    memory.store(addr, int(kind[5:]), value)
+                else:
+                    memory.write(addr, value)
+            except MemoryFault as fault:
+                seen.append((fault.kind, fault.address, fault.access))
+    return run
+
+
+def random_playground(rng, ps, observed):
+    """Ten pages in a random state each — unmapped, read-only, write-only,
+    written, demand-zero, COW-shared with a partner beyond them — with or
+    without a write observer."""
+    memory = PagedMemory(page_size=ps)
+    for page in range(10):
+        state = rng.choice(["hole", "ro", "wo", "rw", "rw", "zero", "zero",
+                            "cow", "cow"])
+        if state == "hole":
+            continue
+        memory.map_region(page * ps, ps, PERM_RW)
+        if state == "cow":
+            memory.map_region((20 + page) * ps, ps, PERM_RW)
+            memory._raw_write((20 + page) * ps, rng.randbytes(ps))
+            memory.share_region((20 + page) * ps, page * ps, ps)
+        elif state != "zero":
+            memory._raw_write(page * ps, rng.randbytes(ps))
+        memory.protect(page * ps, ps, {"ro": PERM_R, "wo": PERM_W}.get(
+            state, PERM_RW))
+    if rng.random() < 0.3:
+        memory.write_observer = lambda addr, size: observed.append(
+            (addr, size))
+    return memory
+
+
+def random_accesses(rng, ps, count=300):
+    """Runs on one page (so entries hit), page ends, straddles, jumps."""
+    ops, page = [], rng.randrange(10)
+    for _ in range(count):
+        if rng.random() < 0.25:
+            page = rng.randrange(10)
+        size = rng.choice(SOURCE_SIZES)
+        offset = rng.choice([rng.randrange(ps), ps - size, ps - size + 1,
+                             ps - 1, 0, 8 * rng.randrange(ps // 8)])
+        kind = rng.choice(["load", "load", "store", "store", "write"])
+        if kind == "write":
+            ops.append(("write", page * ps + offset,
+                        rng.randbytes(rng.choice([1, 8, 24]))))
+        else:
+            ops.append((f"{kind}{size}", page * ps + offset,
+                        rng.getrandbits(8 * size)))
+    return ops
+
+
+class TestSourceIsTheMethod:
+    @pytest.mark.parametrize("ps", [256, 16384])
+    def test_random_states_and_sequences(self, ps):
+        """Values, faults, which pages have storage and what it holds,
+        what stays shared, ``cow_copies`` and the observer's calls."""
+        for seed in range(60):
+            outcomes = []
+            for runner in (method_runner, source_runner):
+                rng = random.Random(seed)
+                observed, seen = [], []
+                memory = random_playground(rng, ps, observed)
+                runner(memory)(random_accesses(rng, ps), seen)
+                shared = {page for page in memory._pages
+                          if any(memory._pages[page] is memory._pages[other]
+                                 for other in memory._pages if other != page)}
+                outcomes.append((
+                    seen, observed, memory.cow_copies, sorted(memory._cow),
+                    sorted(shared), {page: bytes(buf) for page, buf
+                                     in memory._pages.items()}))
+            assert outcomes[0] == outcomes[1], seed
+            assert any(isinstance(value, tuple) for value in outcomes[0][0])
+
+    def test_the_lines_name_only_their_objects_and_their_locals(self):
+        memory = PagedMemory()
+        names = set()
+        for size in SOURCE_SIZES:
+            for line in memory.load_source("value", size) \
+                    + memory.store_source(size, "value"):
+                names.update(re.findall(r"[A-Za-z_]\w*", line))
+        assert names - set(memory.source_objects()) == {
+            "value", "addr", "off", "page", "rbase", "rbuf", "wbase", "wbuf",
+            "if", "else", "and", "not", "in", "is", "None", "int",
+            "from_bytes", "to_bytes", "little", "write_observer"}
 
 
 def paused_job(elf, instructions=1000, timeslice=500):

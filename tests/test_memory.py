@@ -97,6 +97,51 @@ class TestPagedMemory:
         mem.write(BASE, b"hello\x00world")
         assert mem.read_cstring(BASE) == b"hello"
 
+    def test_cstring_at_a_page_boundary(self):
+        """Scanned a page at a time, a string ends, faults and runs out
+        exactly where the byte-at-a-time read would have it."""
+        def bytewise(memory, address, limit):
+            out = bytearray()
+            while len(out) < limit:
+                byte = memory.read(address + len(out), 1)[0]
+                if byte == 0:
+                    return bytes(out)
+                out.append(byte)
+            raise MemoryFault("perm", address, "read", "unterminated string")
+
+        memory = PagedMemory(page_size=64)
+        memory.map_region(0, 64 * 3, PERM_RW)   # written, never written
+        memory.map_region(64 * 3, 64, PERM_RW)  # written, then a hole
+        memory.map_region(64 * 5, 64, PERM_RW)  # written, then write-only
+        memory.map_region(64 * 6, 64, 2)
+        for page in (0, 3, 5):
+            memory._raw_write(64 * page, b"x" * 64)
+        memory._raw_write(64 * 2, b"yz\0")
+        for start in (0, 1, 60, 63, 64, 127, 128, 130, 192, 250, 320, 383):
+            for limit in (1, 3, 4, 5, 64, 65, 66, 69, 70, 200, 4096):
+                outcomes = []
+                for read in (bytewise, PagedMemory.read_cstring):
+                    try:
+                        outcomes.append(read(memory, start, limit))
+                    except MemoryFault as fault:
+                        outcomes.append((fault.kind, fault.address,
+                                         fault.access, str(fault)))
+                assert outcomes[0] == outcomes[1], (start, limit)
+        # Page 0 runs into page 1 (zeros: the string ends at its first
+        # byte); page 3 into the hole; page 5 into an unreadable page.
+        assert memory.read_cstring(60) == b"xxxx"
+        assert memory.read_cstring(128) == b"yz"
+        with pytest.raises(MemoryFault) as hole:
+            memory.read_cstring(250)
+        assert (hole.value.kind, hole.value.address) == ("unmapped", 256)
+        with pytest.raises(MemoryFault) as unreadable:
+            memory.read_cstring(330)
+        assert (unreadable.value.kind, unreadable.value.address) \
+            == ("perm", 384)
+        with pytest.raises(MemoryFault, match="unterminated string") as long:
+            memory.read_cstring(2, limit=62)
+        assert long.value.address == 2
+
     def test_mapped_regions_coalesced(self):
         memory = PagedMemory()
         memory.map_region(BASE, PAGE_SIZE * 2, PERM_RW)

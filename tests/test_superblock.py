@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
+import struct
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core import O0, O2
 from repro.emulator import APPLE_M1, HltTrap, HostCallTrap, Machine, \
     MemTrap, OutOfFuel
 from repro.emulator import superblock as sbmod
-from repro.memory import PERM_RW, PagedMemory
+from repro.memory import PERM_R, PERM_RW, PERM_RX, PagedMemory
 from repro.obs import GuardProfiler, Tracer
 from repro.obs.chrome import export_chrome_trace
 from repro.perf import lfi_variant, native_variant, run_variant
@@ -972,6 +974,293 @@ class TestLoopIsStepping:
                             for p in (first, second)])
         assert results[0] == results[1]
         assert [r[0] for r in results[0]] == [3, 5]
+
+
+# -- what a body keeps for one call: page entries, gauge units, float views ----
+
+TRIPS = 14  # the loop is hot, and one call of its body, from trip 8 on
+
+#: Trip t (x9 = TRIPS + 1 - t) loads from the t-th address of the table at
+#: x24, stores to the t-th of the table at x25 and reads its load back.
+TABLE_LOOP = """
+top:
+    ldr x5, [x24, x9, lsl #3]
+    ldr x6, [x25, x9, lsl #3]
+    ldr x1, [x5]
+    add x2, x2, x1
+    add x3, x2, x9
+    str x3, [x6]
+    {extra}
+    ldrb w7, [x5, #1]
+    ldr x4, [x5]
+    add x0, x0, x4
+    add x0, x0, x7
+    sub x9, x9, #1
+    cbnz x9, top
+    hlt
+"""
+
+#: Pages of the data region, in the memory's own page size: the two
+#: tables, a scratch page, the subject P, its neighbour N, a hole, Q.  A
+#: place is (page, offset); a negative offset reaches back into the page
+#: before, so (N, -8) is the last 8 bytes of P.
+TL, TS, SCRATCH, P, N, HOLE, Q = range(7)
+
+
+def always(place):
+    return [place] * TRIPS
+
+
+def then(early, late, since):
+    """``early`` for the trips before ``since``, then ``late``."""
+    return [early if trip < since else late for trip in range(1, TRIPS + 1)]
+
+
+#: P's first word, then from trip 8 on up to and over its end: the last
+#: 8-byte access that fits, the first that does not (the byte read at +1
+#: still does), the last byte, the next page.
+WALK = [(P, 0)] * (TRIPS - 7) + [(N, -step)
+                                 for step in (16, 9, 8, 7, 4, 1, 0)]
+
+
+def hazard(loads, stores, p="rw", n="rw", cow=False, observed=False,
+           extra=""):
+    """The places each trip loads from and stores to, the permissions of
+    P and N (None: unmapped), whether P is a COW share of Q, whether a
+    write observer is installed, and instructions between store and
+    read-back."""
+    return loads, stores, p, n, cow, observed, extra
+
+
+HAZARDS = {
+    # (a) reads a COW-shared page, stores to it, reads it back.
+    "cow-read-store-readback": hazard(
+        always((P, 8)), then((SCRATCH, 0), (P, 8), 11), cow=True),
+    # (b) the same on a mapped page nobody ever wrote.
+    "demand-zero-read-store-readback": hazard(
+        always((P, 8)), then((SCRATCH, 0), (P, 9), 11)),
+    # (c) an 8-byte access walks across the end of its page.
+    "load-walks-into-mapped": hazard(WALK, always((SCRATCH, 0))),
+    "load-walks-into-unmapped": hazard(WALK, always((SCRATCH, 0)), n=None),
+    "load-walks-into-read-only": hazard(WALK, always((SCRATCH, 0)), n="r"),
+    "store-walks-into-mapped": hazard(always((Q, 8)), WALK),
+    "store-walks-into-unmapped": hazard(always((Q, 8)), WALK, n=None),
+    "store-walks-into-read-only": hazard(always((Q, 8)), WALK, n="r"),
+    # (d) every store is observed: the write entry is never kept.
+    "observed-stores": hazard(
+        always((P, 8)), [(P, 16), (SCRATCH, 0)] * (TRIPS // 2),
+        observed=True),
+    # (e) a stepping handler writes the page a specialised load reads:
+    # its first write, the COW copy, comes in trip 11, between the load
+    # and the read-back, with the specialised store hitting elsewhere.
+    "generic-pair-store-copies-the-read-page": hazard(
+        always((P, 8)), always((SCRATCH, 0)), cow=True,
+        extra="{x13_is_x5_from_trip_11}\n    stp q0, q1, [x13]"),
+    "exclusive-pair-copies-the-read-page": hazard(
+        always((P, 8)), always((SCRATCH, 0)), cow=True,
+        extra="{x13_is_x5_from_trip_11}\n    ldxr x10, [x13]\n"
+              "    stxr w11, x3, [x13]"),
+    # (f) a fault on a late trip, after hits on the earlier ones.
+    "load-faults-on-trip-12": hazard(
+        then((P, 8), (HOLE, 8), 12), always((P, 24))),
+    "store-faults-on-trip-12": hazard(
+        always((P, 8)), then((P, 24), (HOLE, 24), 12)),
+    # (g) a store to the read-only page the loop has been reading.
+    "store-to-the-read-only-page-it-reads": hazard(
+        always((P, 8)), then((SCRATCH, 0), (P, 8), 12), p="r"),
+    # (h) two pages, alternating by trip, crosswise for loads and stores.
+    "alternating-pages": hazard(
+        [(P, 8), (Q, 8)] * (TRIPS // 2), [(Q, 8), (P, 8)] * (TRIPS // 2)),
+}
+
+PERMS = {"rw": PERM_RW, "r": PERM_R}
+
+#: x13 = x26 (in the scratch page) while x9 >= 5, x5 after: no branch and
+#: no stepping handler, so the loop stays one block and keeps its entries.
+X13_IS_X5_FROM_TRIP_11 = """sub x13, x9, #5
+    asr x13, x13, #63
+    sub x14, x5, x26
+    and x14, x14, x13
+    add x13, x26, x14"""
+
+
+class TestWhatABodyKeepsIsStepping:
+    """Hot loops built to make a page entry, a gauge unit or a float view
+    go stale if a refill or drop rule were missing (DESIGN.md §10): body,
+    closures and stepping agree on registers, memory bytes, instret,
+    cycles, the fault, gauge counts and LRU order, COW copies and the
+    observer's call list — with rows and without, in 16 KiB and 1 KiB
+    pages."""
+
+    TEXT = 0x40_0000
+
+    def _machine(self, hazard, kind, model, ps, observed):
+        from .test_block_templates import words_of
+
+        loads, stores, p, n, shared, observer, extra = HAZARDS[hazard]
+        memory = PagedMemory(page_size=ps)
+        text = words_of(TABLE_LOOP.format(extra=extra.format(
+            x13_is_x5_from_trip_11=X13_IS_X5_FROM_TRIP_11)))
+        memory.map_region(self.TEXT, -(-len(text) // ps) * ps, PERM_RX)
+        memory.load_image(self.TEXT, text)
+        rng = random.Random(5)
+
+        def at(page, offset=0):
+            return DATA + page * ps + offset
+
+        for page in (TL, TS, SCRATCH, Q):
+            memory.map_region(at(page), ps, PERM_RW)
+        memory._raw_write(at(Q), rng.randbytes(ps))
+        for page, perms in ((P, p), (N, n)):
+            if perms:
+                memory.map_region(at(page), ps, PERM_RW)
+        if shared:
+            memory.share_region(at(Q), at(P), ps)
+        elif hazard != "demand-zero-read-store-readback":
+            memory._raw_write(at(P), rng.randbytes(ps))
+        if n:
+            memory._raw_write(at(N), rng.randbytes(ps))
+        for page, perms in ((P, p), (N, n)):
+            if perms:
+                memory.protect(at(page), ps, PERMS[perms])
+        for table, places in ((TL, loads), (TS, stores)):
+            for trip, place in enumerate(places, 1):
+                memory.store(at(table, 8 * (TRIPS + 1 - trip)), 8, at(*place))
+        if observer:
+            memory.write_observer = lambda a, size: observed.append((a, size))
+        machine = Machine(memory, model=model, engine=EngineConfig(kind=kind))
+        cpu = machine.cpu
+        cpu.pc = self.TEXT
+        cpu.regs[9], cpu.regs[24], cpu.regs[25] = TRIPS, at(TL), at(TS)
+        cpu.regs[26] = at(SCRATCH, 64)
+        cpu.vregs[0], cpu.vregs[1] = rng.getrandbits(128), rng.getrandbits(128)
+        return machine
+
+    @staticmethod
+    def _outcome(machine, observed, budget=10_000):
+        trap = TestRowShapes._drive(machine, budget)
+        fault = getattr(trap, "fault", None)
+        memory = machine.memory
+        return dict(
+            TestRowShapes._state(machine, trap), gauges=gauges(machine),
+            fault=fault and (fault.kind, fault.address, fault.access),
+            cow_copies=memory.cow_copies, observed=list(observed),
+            memory=[(base, perms, memory._raw_read(base, size))
+                    for base, size, perms in memory.mapped_regions()])
+
+    @pytest.mark.parametrize("ps", [PAGE, 1024], ids=["16k", "1k"])
+    @MODELS
+    @pytest.mark.parametrize("hot", [False, True], ids=["cold", "generated"])
+    @pytest.mark.parametrize("hazard", HAZARDS)
+    def test_table_loop(self, hazard, hot, model, ps, monkeypatch):
+        if not hot:
+            monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", 1 << 30)
+        flush_translation_caches()
+        outcomes = []
+        for kind in ENGINES:
+            observed = []
+            machine = self._machine(hazard, kind, model, ps, observed)
+            outcomes.append(self._outcome(machine, observed))
+        assert outcomes[1] == outcomes[0]
+        reference = outcomes[0]
+        faults = "faults" in hazard or hazard.endswith(
+            ("unmapped", "store-walks-into-read-only", "page-it-reads"))
+        assert (reference["trap"][0] is MemTrap) == faults
+        if hazard == "observed-stores":
+            assert len(reference["observed"]) == TRIPS
+        if HAZARDS[hazard][4]:
+            assert reference["cow_copies"] == 1
+        stats = machine.engine_stats()
+        assert (stats["loop_trips"] > 0) == hot
+        assert (machine._sb.block_at(self.TEXT).fn is not None) == hot
+
+    def test_two_page_sizes_share_one_body(self):
+        """Generated code is per content and cost identity, not per page
+        geometry: a 1 KiB-page machine runs the body a 16 KiB-page one
+        generated (and the other way round) and stops at its own page
+        ends.  (Without a cost model: a model's TLB takes the memory's
+        page size, which is part of the cost identity.)"""
+        hazard = "load-walks-into-unmapped"
+        for sizes in ((PAGE, 1024), (1024, PAGE)):
+            flush_translation_caches()
+            generated = []
+            for ps in sizes:
+                outcomes = []
+                for kind in ENGINES:
+                    machine = self._machine(hazard, kind, None, ps, [])
+                    outcomes.append(self._outcome(machine, []))
+                assert outcomes[1] == outcomes[0], (sizes, ps)
+                assert outcomes[0]["fault"][0] == "unmapped"
+                assert machine.engine_stats()["loop_trips"] > 0
+                generated.append(machine.engine_stats()["generated_templates"])
+            assert generated[1] == generated[0] > 0
+
+    FLOATS = """
+    top:
+        ldr d0, [x19]
+        fadd d2, d0, d1
+        fmul d3, d2, d0
+        fadd s2, s2, s1
+        fmadd d4, d2, d3, d0
+        fadd d6, d4, d0
+        ldp q5, q6, [x20]
+        fsub d7, d6, d2
+        fmul d8, d5, d7
+        ldr q5, [x20, #32]
+        fmul d8, d5, d8
+        ldr d1, [x19, #8]
+        fmsub d9, d1, d1, d8
+        str d9, [x21]
+        str d4, [x21, #8]
+        add x19, x19, #16
+        sub x9, x9, #1
+        cbnz x9, top
+        hlt
+    """
+
+    @MODELS
+    @pytest.mark.parametrize("hot", [False, True], ids=["cold", "generated"])
+    def test_float_views_are_forgotten_with_their_bits(self, hot, model,
+                                                       monkeypatch):
+        """(j) a 32-bit op, a vector pair load (a stepping handler) and a
+        plain vector load each write a register whose 64-bit float view
+        the body holds; NaN payloads, infinities and -0.0 go through
+        views and come back bit for bit."""
+        from .test_block_templates import words_of
+
+        if not hot:
+            monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", 1 << 30)
+        flush_translation_caches()
+        specials = [0x7FF8_0000_0000_1234, 0xFFF0_0000_0000_0001,  # NaNs
+                    0x8000_0000_0000_0000, 0x7FF0_0000_0000_0000,  # -0, inf
+                    0x0000_0000_0000_0001, 0x7FEF_FFFF_FFFF_FFFF]
+        rng = random.Random(11)
+        doubles = specials + [
+            struct.unpack("<Q", struct.pack("<d", rng.uniform(-9, 9)))[0]
+            for _ in range(2 * TRIPS + 2)]
+        rng.shuffle(doubles)
+        vectors = rng.randbytes(64)
+        outcomes = []
+        for kind in ENGINES:
+            memory = PagedMemory()
+            text = words_of(self.FLOATS)
+            memory.map_region(self.TEXT, PAGE, PERM_RX)
+            memory.load_image(self.TEXT, text)
+            memory.map_region(DATA, 3 * PAGE, PERM_RW)
+            for index, bits in enumerate(doubles):
+                memory.store(DATA + 8 * index, 8, bits)
+            memory._raw_write(DATA + PAGE, vectors)
+            machine = Machine(memory, model=model,
+                              engine=EngineConfig(kind=kind))
+            cpu = machine.cpu
+            cpu.pc, cpu.regs[9] = self.TEXT, TRIPS
+            cpu.regs[19], cpu.regs[20], cpu.regs[21] = \
+                DATA, DATA + PAGE, DATA + 2 * PAGE
+            cpu.vregs[1] = specials[0] | 0xABCD << 64
+            outcomes.append(self._outcome(machine, []))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0]["trap"][0] is HltTrap
+        assert (machine.engine_stats()["loop_trips"] > 0) == hot
 
 
 class TestOneStatement:
