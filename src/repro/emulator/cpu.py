@@ -122,9 +122,8 @@ class CpuState:
         }
 
     def restore(self, snap: dict) -> None:
-        # In-place so that closures capturing the register lists (the
-        # superblock engine's specialized ops) stay valid across context
-        # switches.
+        # In-place so that what binds the register lists (the superblock
+        # engine's generated bodies) stays valid across context switches.
         self.regs[:] = snap["regs"]
         self.sp = snap["sp"]
         self.pc = snap["pc"]

@@ -6,9 +6,10 @@ dispatch, generic operand evaluation, and a :meth:`_Costing.charge` call.
 This module translates straight-line instruction runs into immutable
 :class:`Superblock` objects and dispatches whole blocks from
 :meth:`Machine.run`.  What an op does is stated once, as source lines
-(the ``_e_*`` emitters): a cold block runs one closure per op made from
-those lines, a hot one a single generated function in which the lines
-are inlined with their operands as literals.
+(the ``_e_*`` emitters), and a hot block runs a single generated
+function in which the lines are inlined with their operands as literals.
+A block whose content is not hot yet is stepped: ``Machine.step``, the
+reference semantics, runs it an instruction at a time.
 
 Design rules (DESIGN.md §10, §15):
 
@@ -17,15 +18,16 @@ Design rules (DESIGN.md §10, §15):
   page-exact — and before a trap instruction (``svc``/``brk``/``hlt``),
   which is a block of its own;
 * an op is one decoded instruction: its lines plus its one *cost row*.
-  What a block does and what it costs are both data, and a body — the
-  closure walk or the generated function — is lines + rows.  A guard is
-  an ordinary op (DESIGN.md §10, "why there is no guard fusion");
+  What a block does and what it costs are both data, and a generated
+  body is lines + rows.  A guard is an ordinary op (DESIGN.md §10, "why
+  there is no guard fusion");
 * a run is translated once per *content*: a :class:`BlockTemplate`, keyed
   by the run's bytes (and the cost model), holds op recipes with every
-  pc-derived constant as a displacement from the block start — and, once
-  the content is hot, the generated body's code — and every block of
-  those words — any slot, machine or runtime in the process, sandboxed
-  or native — is the template bound to a machine and a start;
+  pc-derived constant as a displacement from the block start, the
+  content's temperature — its executions by any block in the process —
+  and, once that reaches ``_COMPILE_THRESHOLD``, the generated body's
+  code; every block of those words — any slot, machine or runtime in the
+  process, sandboxed or native — is the template at a start;
 * a block ending in the runtime-call idiom (``ldr x30, [x21, #n]``;
   ``blr x30`` — the rewriter's :func:`is_runtime_call_load` predicate)
   carries that as a fact, ``call_tail``: the pair are the same two ops as
@@ -39,11 +41,11 @@ Design rules (DESIGN.md §10, §15):
   branch targets its own start, iterates inside its generated body —
   whole trips, as many as the fuel covers — and comes back to the
   dispatch loop once;
-* one dispatch loop runs every block; cold costed blocks charge their
-  rows through the very :class:`_Costing` methods ``Machine.step`` uses
-  and hot ones through generated source with the same float operations
-  in the same order, so cycle counts, trace timestamps, and metrics
-  snapshots are bit-identical between engines;
+* one dispatch loop runs every block: a cold one through ``Machine.step``
+  itself, a hot one through generated source that makes the
+  :class:`_Costing` float operations in the same order, so cycle counts,
+  trace timestamps, and metrics snapshots are bit-identical between
+  engines;
 * a block never overruns the remaining fuel: oversized blocks fall back
   to per-instruction stepping for the tail of the timeslice;
 * the block cache invalidates on any mapping change (``mmap``/``munmap``/
@@ -59,8 +61,8 @@ forces the original interpreter, whose behaviour is unchanged.
 
 from __future__ import annotations
 
-import re
 import struct
+from collections import namedtuple
 from functools import partial
 from itertools import takewhile
 from time import perf_counter
@@ -77,26 +79,29 @@ from .cpu import MASK32, MASK64
 
 __all__ = ["Superblock", "SuperblockEngine"]
 
-#: Op kinds — what an op's ``exec()`` returns, and so what its cost row
-#: takes from that.  Bit 0: the address it accessed (the TLB walk and
-#: cache-miss penalties; a generic op's may be None); bit 1: whether it
-#: branched (the fetch bubble when taken).
-K_SIMPLE = 0   # None: no memory access, never taken
-K_MEM = 1      # address int: load/store, never taken
-K_BRANCH = 2   # taken bool: terminator
-K_GENERIC = 3  # (taken, mem_addr or None): original handler semantics
+#: Op kinds — what an op's lines leave, and so what its cost row takes
+#: from that.  Bit 0: the address it accessed in ``addr`` (the TLB walk
+#: and cache-miss penalties; a generic op's may be None); bit 1: whether
+#: it branched, in ``taken`` (the fetch bubble when taken).
+K_SIMPLE = 0   # no memory access, never taken
+K_MEM = 1      # load/store, never taken
+K_BRANCH = 2   # terminator
+K_GENERIC = 3  # both, from the stepping handler
 
-#: A block gets its generated body once it shows signs of re-execution;
-#: until then the dispatch loop runs its closures, so straight-line code
-#: never pays for codegen.  Measured per process on the fourteen
-#: ``exec-steady`` images: 8 generates 24 bodies (2.0 ms each with rows,
-#: 0.75 ms without: 47 / 18 ms) — the kernels' loop bodies; 2 or 4 generate
-#: 90-98 (115-150 / 35-50 ms), every init block too, for no resolvable
-#: gain in the steady state; 16 and 32 generate the same 24 as 8.
+#: A content gets its generated body at this many executions, counted
+#: over every block of it in the process; until then its blocks are
+#: stepped, so code that runs a few times never pays for codegen.
+#: Measured on the fourteen ``exec-steady`` images (seed 7): bodies
+#: generated in a process after one pass / two, ms generating them with
+#: rows, and a later pass's bytecodes (``cold-start``'s in brackets):
+#: 4 — 98 / 106, 137 / 144 ms, 118.19 M [6.23 M]; 8 — 55 / 98, 110 / 140,
+#: 118.41 M [6.33 M]; 16 — 33 / 55, 73 / 117, 118.70 M [6.41 M]; 32 —
+#: 25 / 33, 63 / 77, 119.30 M [6.68 M].  4 buys 0.2 % of the steady state
+#: with 43 more bodies in the first pass; 16 and 32 step ever more of it.
 _COMPILE_THRESHOLD = 8
-#: Blocks larger than this never get one: generated source for a
-#: page-spanning straight-line run would cost more to compile than the
-#: dispatch overhead it saves.
+#: Contents larger than this never get one (``BlockTemplate.hits`` -1):
+#: generated source for a page-spanning straight-line run would cost more
+#: to compile than stepping it costs.
 _COMPILE_MAX_OPS = 256
 
 _UNSIGNED_LOADS = frozenset(["ldr", "ldrb", "ldrh", "ldur"])
@@ -111,10 +116,9 @@ _PC_READING = frozenset(["bl", "blr"])
 _WORD = struct.Struct("<I")
 
 
-class _Bindings(dict):
-    """Maker -> the maker with one machine's objects (and its engine)
-    bound to its leading parameters that are named after them
-    (``objects``)."""
+class _Bindings:
+    """One machine's objects (and its engine) by the names a generated
+    body's maker gives its leading parameters (``objects``)."""
 
     def __init__(self, machine, engine):
         cpu, memory, costing = machine.cpu, machine.memory, machine._costing
@@ -135,24 +139,21 @@ class _Bindings(dict):
         return partial(maker, *map(
             self.objects.get, takewhile(self.objects.__contains__, names)))
 
-    def __missing__(self, maker):
-        bound = self[maker] = self.bind(maker)
-        return bound
-
 
 class BlockTemplate:
     """A straight-line run translated once for everywhere its words occur.
 
-    ``ops`` holds a recipe ``(kind, maker, args, rel, row)`` per
-    instruction: ``maker(<machine objects>, *args, *(start + d for d in
-    rel))`` is the closure of a block starting at ``start``,
-    ``maker.emit`` the source lines it was made from, and ``row`` its cost
-    row ``(pc - start, icost, lat, uses, defs)``, the pc likewise a
+    ``ops`` holds a recipe ``(kind, shape, args, rel, row)`` per
+    instruction: ``shape.emit(w, *args, *(start + d for d in rel))`` are
+    its lines in a block starting at ``start``, and ``row`` its cost row
+    ``(pc - start, icost, lat, uses, defs)``, the pc likewise a
     displacement from the start.  Nothing here names an address or a
-    machine, so nothing ever invalidates a template.  ``moving`` indexes
-    the ops with a ``rel``; ``code`` is the maker of the generated body
+    machine, so nothing ever invalidates a template.  ``hits`` is the
+    content's temperature: how many times any block of it, on any
+    machine, was dispatched — -1 for a run too large ever to get a body.
+    ``code`` is the maker of the generated body
     (``SuperblockEngine._compile``) and ``consts`` the objects it indexes,
-    built when the first block of this content gets hot.  ``loops`` says
+    built when ``hits`` reaches ``_COMPILE_THRESHOLD``.  ``loops`` says
     the run ends in a direct, link-free branch to its own first
     instruction — displacement 0 wherever the words sit — so its
     generated body iterates inside itself; ``call_tail`` that it ends in
@@ -160,7 +161,7 @@ class BlockTemplate:
     dispatch loop offers the address it lands on to the springboard.
     """
 
-    __slots__ = ("ops", "size", "call_tail", "code", "consts", "moving",
+    __slots__ = ("ops", "size", "call_tail", "code", "consts", "hits",
                  "loops")
 
     def __init__(self, ops: list, size: int, call_tail: bool):
@@ -168,7 +169,7 @@ class BlockTemplate:
         self.size = size
         self.call_tail = call_tail
         self.code = self.consts = None
-        self.moving = [i for i, op in enumerate(ops) if op[3]]
+        self.hits = -1 if len(ops) > _COMPILE_MAX_OPS else 0
         self.loops = ops[-1][0] == K_BRANCH and ops[-1][3] == (0,)
 
 
@@ -188,33 +189,29 @@ _GENERATED: Dict[Optional[int], list] = {}
 class Superblock:
     """A predecoded straight-line run of instructions.
 
-    A :class:`BlockTemplate` bound to a machine and a start address.
-    ``ops`` is a list of ``(kind, exec, row)`` tuples, one per
-    instruction: the closure with its architectural effect and its cost
-    row.  ``count`` is the run's fuel cost, the number of instructions in
-    it; ``end`` is both the fall-through address and the exclusive byte
-    bound used for invalidation overlap checks.  Nothing refers to a
-    block but the engine's cache: dropping it from there invalidates it.
+    A :class:`BlockTemplate` at a start address on one machine.
+    ``count`` is the run's fuel cost, the number of instructions in it;
+    ``end`` is both the fall-through address and the exclusive byte bound
+    used for invalidation overlap checks.  Nothing refers to a block but
+    the engine's cache: dropping it from there invalidates it.
 
     ``fn`` is the template's generated body bound to this machine,
     ``fn(start, fuel)`` returning the instructions it retired, negated
-    when it left by falling through: set once ``hits`` shows the block
-    re-executing, or at translation when the content got hot before (such
-    a block has no ``ops``); None until then.
+    when it left by falling through: set at translation when the content
+    is hot already, or at the dispatch that makes it hot; None until then,
+    and the block is stepped.
     """
 
-    __slots__ = ("start", "end", "ops", "count", "call_tail", "template",
-                 "fn", "hits", "__weakref__")
+    __slots__ = ("start", "end", "count", "call_tail", "template", "fn",
+                 "__weakref__")
 
     def __init__(self, start: int, template: BlockTemplate):
         self.start = start
         self.end = start + template.size
-        self.ops = None
         self.count = template.size >> 2  # one row per instruction
         self.call_tail = template.call_tail
         self.template = template
         self.fn = None
-        self.hits = 0
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Superblock({self.start:#x}..{self.end:#x}, "
@@ -227,16 +224,13 @@ class Superblock:
 # Each emitter states one op shape's whole architectural effect, once, as
 # Python source lines — the exact effect of the machine.py handler.  Its
 # leading parameters are the op's *operands* as source text; the rest are
-# the *static* arguments that pick the shape.  A generated block body
-# passes the operands as literals (pc-derived ones as ``pc0 + d``); the
-# op's cold closure is the same lines with the operands left as the
-# emitter's own parameter names, compiled once per (emitter, static) into
-# a maker whose closure variables they are (``_op``).  Lines may name the
-# machine's ``cpu`` / ``regs`` / ``vregs`` / ``load`` / ``store`` /
-# ``handlers`` and anything in ``_NAMESPACE``; a memory op leaves the
-# address it accessed in ``addr``, a branch sets ``taken`` when it leaves.
-# What the two bodies word differently — a guest access, the float view of
-# an FP register — an emitter asks its *writer* ``w`` for.
+# the *static* arguments that pick the shape (``_op``).  A generated block
+# body passes the operands as literals (pc-derived ones as ``pc0 + d``).
+# Lines may name the machine's ``cpu`` / ``regs`` / ``vregs`` / ``load`` /
+# ``store`` / ``handlers`` and anything in ``_NAMESPACE``; a memory op
+# leaves the address it accessed in ``addr``, a branch sets ``taken`` when
+# it leaves.  How a body words a guest access or the float view of an FP
+# register an emitter asks its *writer* ``w`` for.
 # ---------------------------------------------------------------------------
 
 M64 = hex(MASK64)
@@ -248,9 +242,6 @@ _NAMESPACE = {
     "pack_q": struct.Struct("<Q").pack, "unpack_q": struct.Struct("<Q").unpack,
     "pack_d": struct.Struct("<d").pack, "unpack_d": struct.Struct("<d").unpack,
 }
-_NAME = re.compile(r"[A-Za-z_]\w*")
-#: How an op's closure hands its result to the dispatch loop, by kind.
-_RETURNS = ("", "return addr", "return taken", "return taken, addr")
 
 _COND_SRC = {
     "eq": "cpu.z == 1", "ne": "cpu.z == 0",
@@ -278,10 +269,6 @@ def _emits(kind):
     return mark
 
 
-def _names_in(lines) -> set:
-    return set(_NAME.findall(" ".join(lines)))
-
-
 def _function(name: str, params, body, inner: str = "run()"):
     """``def name(params)`` returning the function ``inner`` of ``body``."""
     src = "\n".join([f"def {name}({', '.join(params)}):",
@@ -294,13 +281,13 @@ def _function(name: str, params, body, inner: str = "run()"):
 
 
 class _Writer:
-    """How an op's lines word what the two bodies do differently.  In a
-    cold closure (no ``memory``) a guest access is a call of ``load``/
-    ``store`` — counted: a template's totals decide what its generated body
-    inlines — and a float is converted where it is read.  In a generated
-    body (DESIGN.md §10) the kinds of access ``inline`` names, (loads,
-    stores), go through the memory's page entries, and ``views`` holds the
-    64-bit FP registers whose float is in the local ``f<n>``."""
+    """How an op's lines word a guest access and the float of an FP
+    register in a generated body (DESIGN.md §10).  The kinds of access
+    ``inline`` names, (loads, stores), go through ``memory``'s page
+    entries and the others call ``load``/``store``; both are counted, and
+    an op's counts (``_op``) decide what a template's body inlines.
+    ``views`` holds the 64-bit FP registers whose float is in the local
+    ``f<n>``."""
 
     def __init__(self, memory=None, inline=(False, False)):
         self.memory, self.inline = memory, inline
@@ -326,21 +313,16 @@ class _Writer:
             return f"b2f(vregs[{index}] & {M32}, 32)"
         if index in self.views:
             return f"f{index}"
-        value = f"unpack_d(pack_q(vregs[{index}] & {M64}))[0]"
-        if self.memory is None:
-            return value
         self.views.add(index)
-        return f"(f{index} := {value})"
+        return f"(f{index} := unpack_d(pack_q(vregs[{index}] & {M64}))[0])"
 
     def f_set(self, d, bits, value) -> str:
         """The line writing the float ``value`` to FP register ``d``."""
         self.views.discard(d)
         if bits != 64:  # may overflow to infinity; a double always packs
             return f"vregs[{d}] = f2b({value}, 32)"
-        if self.memory is not None:
-            self.views.add(d)
-            value = f"f{d} := {value}"
-        return f"vregs[{d}] = unpack_q(pack_d({value}))[0]"
+        self.views.add(d)
+        return f"vregs[{d}] = unpack_q(pack_d(f{d} := {value}))[0]"
 
     def handled(self) -> List[str]:
         """The lines after a stepping handler, which may write anything."""
@@ -348,32 +330,24 @@ class _Writer:
         return [self.memory.DROP_SOURCE] if any(self.inline) else []
 
 
-_MAKERS: Dict[tuple, object] = {}
-_MACHINE_NAMES = ("cpu", "regs", "vregs", "load", "store", "handlers")
+_Shape = namedtuple("_Shape", "emit kind accesses")
+_SHAPES: Dict[tuple, _Shape] = {}
 
 
 def _op(emitter, *static):
-    """The maker of one op shape's cold closure: ``make(<the machine
-    objects its lines name>, *operands)``.  ``make.emit(w, *operands)``
-    are the lines themselves in writer ``w``'s wording, ``make.kind`` what
-    the closure returns, ``make.accesses`` its (loads, stores)."""
-    make = _MAKERS.get((emitter, static))
-    if make is None:
+    """One op shape: ``shape.emit(w, *operands)`` are its lines in writer
+    ``w``'s wording, ``shape.kind`` what they leave, ``shape.accesses``
+    their (loads, stores)."""
+    shape = _SHAPES.get((emitter, static))
+    if shape is None:
         code = emitter.__code__
-        operands = code.co_varnames[1:code.co_argcount - len(static)]
         w = _Writer()
-        lines = emitter(w, *operands, *static)
-        kind = emitter.kind
-        named = _names_in(lines)
-        make = _MAKERS[emitter, static] = _function(
-            emitter.__name__,
-            [name for name in _MACHINE_NAMES if name in named]
-            + list(operands),
-            ["taken = False"] * (kind == K_BRANCH) + lines + [_RETURNS[kind]])
-        make.kind = kind
-        make.accesses = (w.loads, w.stores)
-        make.emit = lambda w, *operands: emitter(w, *operands, *static)
-    return make
+        emitter(w, *code.co_varnames[1:code.co_argcount - len(static)],
+                *static)
+        shape = _SHAPES[emitter, static] = _Shape(
+            lambda w, *operands: emitter(w, *operands, *static),
+            emitter.kind, (w.loads, w.stores))
+    return shape
 
 
 def _r(index, width=64) -> str:
@@ -655,10 +629,8 @@ class SuperblockEngine:
         _NAMESPACE.update(MemTrap=M.MemTrap, b2f=M._bits_to_float,
                           f2b=M._float_to_bits)
         self._bindings = _Bindings(machine, self)
-        #: template -> its ops bound to this machine, None where an op
-        #: reads pc; capped like the templates themselves.
-        self._bound: Dict[BlockTemplate, list] = {}
-        #: template -> its generated body bound to this machine.
+        #: template -> its generated body bound to this machine; capped
+        #: like the templates themselves.
         self._bodies: Dict[BlockTemplate, object] = {}
         #: What rows and generated bodies read of the machine, in keys.
         model, tlb = machine.model, machine.tlb
@@ -722,15 +694,13 @@ class SuperblockEngine:
         """The block-dispatch loop; returns the fuel left for stepping.
 
         Per block: look it up (host check, cache, translate), stop if it
-        would overrun the fuel, run its body, then advance pc and fuel by
-        what it retired and offer a runtime call to the springboard.  The
-        body is chosen by what is there to observe: the block's generated
-        function once it has one (its content got hot, here or anywhere
-        in the process) — called one way, ``fn(pc0, remaining)``, whether
-        it retires the block once or, a self-loop, as many whole trips as
-        the fuel covers; until then its op closures, alone without a cost
-        model and with one each followed by its row, charged through the
-        same :class:`_Costing` methods ``Machine.step`` charges with.
+        would overrun the fuel, run it, then advance fuel by what it
+        retired and offer a runtime call to the springboard.  A block runs
+        its generated body once its content is hot, here or anywhere in
+        the process — called one way, ``fn(pc0, remaining)``, whether it
+        retires the block once or, a self-loop, as many whole trips as the
+        fuel covers; until then ``Machine.step`` runs it, ``count`` times,
+        and retires, charges, sets pc and raises as the reference does.
         """
         M = self._M
         machine = self.machine
@@ -739,11 +709,7 @@ class SuperblockEngine:
         blocks = self._blocks
         translate = self._translate
         springboard = machine.springboard
-        costing = machine._costing
-        if costing is not None:
-            charge = costing.charge_row
-            penalty = costing.memory_penalty
-            tb = machine.model.taken_branch_cost
+        step = machine.step
         n = 0
         try:
             while True:
@@ -756,59 +722,24 @@ class SuperblockEngine:
                 count = block.count
                 if count > remaining:
                     return remaining
-                taken = False
-                done = count
-                try:
-                    fn = block.fn
-                    if fn is None and block.hits >= 0:
-                        block.hits += 1
-                        if block.hits >= _COMPILE_THRESHOLD:
+                fn = block.fn
+                if fn is None:
+                    template = block.template
+                    if template.hits >= 0:
+                        template.hits += 1
+                        if template.hits >= _COMPILE_THRESHOLD:
                             fn = self._compile_block(block)
-                            if fn is None:
-                                block.hits = -1  # too large; stop trying
-                    if fn is not None:
-                        done = fn(pc0, remaining)
-                        if done < 0:
-                            done = -done
-                        else:
-                            taken = True
-                    elif costing is None:
-                        for kind, exec_, row in block.ops:
-                            if kind < K_BRANCH:
-                                exec_()
-                            elif kind == K_BRANCH:
-                                taken = exec_()
-                            else:
-                                taken = exec_()[0]
-                    else:
-                        for kind, exec_, row in block.ops:
-                            _pc, icost, lat, uses, defs = row
-                            extra = bw = 0.0
-                            if kind == K_SIMPLE:
-                                exec_()
-                            elif kind == K_MEM:
-                                extra, bw = penalty(exec_())
-                            else:
-                                if kind == K_BRANCH:
-                                    taken = exec_()
-                                else:
-                                    taken, addr = exec_()
-                                    if addr is not None:
-                                        extra, bw = penalty(addr)
-                                if taken:
-                                    icost += tb
-                            charge(icost + bw, lat, uses, defs, extra)
-                except MemoryFault as fault:
-                    # The one fault rule (a generated body applies it
-                    # itself and raises MemTrap): the ops before the one
-                    # that faulted have retired; the trap pc is its row's.
-                    n += row[0] >> 2
-                    cpu.pc = pc = pc0 + row[0]
-                    raise M.MemTrap(pc, fault) from None
-                n += done
-                remaining -= done
-                if not taken:
-                    cpu.pc = block.end
+                if fn is None:
+                    for _ in range(count):
+                        step()
+                    remaining -= count
+                else:
+                    done = fn(pc0, remaining)
+                    if done < 0:
+                        done = -done
+                        cpu.pc = block.end
+                    n += done
+                    remaining -= done
                 if remaining == 0:
                     # Preemption wins even over a runtime call the block
                     # just landed on, as in stepping (the next slice's
@@ -831,13 +762,11 @@ class SuperblockEngine:
     def _compile_block(self, block: Superblock):
         """Give ``block`` its template's generated body (built on first
         use, once per content and cost identity in the process) bound to
-        this machine; None when it is not worth generating (oversized)."""
+        this machine."""
         template = block.template
         fn = self._bodies.get(template)
         if fn is None:
             if template.code is None:
-                if len(template.ops) > _COMPILE_MAX_OPS:
-                    return None
                 template.code, template.consts = self._compile(template)
             if len(self._bodies) >= _TEMPLATE_CAP:
                 self._bodies.clear()
@@ -859,22 +788,26 @@ class SuperblockEngine:
         latencies, scoreboard keys, model miss charges) folded in and the
         *same float operations in the same order*, so cycle totals stay
         bit-identical and the body is pure host-side speedup (DESIGN.md
-        §15).  What a row walk does per row is done per call instead
-        (DESIGN.md §10, "what a body may keep in locals for one call"):
+        §15).  What stepping does per instruction is done per call
+        instead (DESIGN.md §10, "what a body may keep in locals for one
+        call"):
 
         * the scoreboard lives in locals, one per key: a key's ready time
           is read from ``costing.ready`` at most once and a key the block
           defines is stored once, at the body's exit or in the arm of the
           fault (or handler exception) that ends it early, so what the
-          body leaves is exactly what a row walk would have;
+          body leaves is exactly what stepping would have;
         * ``t_issue``/``t_done`` and the TLB/L1 counts are locals
           committed in a ``finally``, and a memory row is the gauges' own
           ``lookup`` as source (``Tlb.lookup_source``);
         * guest accesses and FP conversions are worded by ``_Writer``.
 
-        An op that can fault runs under the dispatch loop's fault rule as
-        source.  A template that ``loops`` gets the same lines and rows
-        inside a ``for``: a trip per whole block the fuel covers, left
+        An op that can fault runs under stepping's fault rule as source,
+        and an op that calls a stepping handler under the same rule for
+        whatever else the handler raises: the ops before it have retired
+        and been charged, and pc is its own.  A template that ``loops``
+        gets the same lines and rows inside a ``for``: a trip per whole
+        block the fuel covers, left
         when the branch falls through.  Nothing a trip can do unmaps or
         patches the block it is in (mappings and host entries change only
         on the host side of a trap or springboard, which end a block), so
@@ -993,8 +926,8 @@ class SuperblockEngine:
                 defined.update(dict.fromkeys(row[4], True))
         ind = "        " if loops else "    " if costing is not None else ""
         for retired, op in enumerate(template.ops):
-            kind, make, args, rel, row = op
-            body = make.emit(w, *map(literal, args), *[
+            kind, shape, args, rel, row = op
+            body = shape.emit(w, *map(literal, args), *[
                 f"((pc0 + {d}) & {M64})" for d in rel or ()])
             if loops and op is template.ops[-1]:
                 # The looping branch: pc is pc0 on entry and nothing in
@@ -1004,24 +937,23 @@ class SuperblockEngine:
             if not kind & K_MEM:
                 lines.extend(ind + line for line in body)
             else:
-                # The fault rule of the dispatch loop, as source.
+                # Stepping's fault rule, as source — and, around a
+                # handler, its rule for whatever else that raises.
                 pc = f"pc0 + {row[0]}"
                 arm = ind + "    "
                 emit(f"{ind}try:")
                 lines.extend(arm + line for line in body)
-                emit(f"{ind}except MemoryFault as fault:")
-                if costing is not None:
-                    flush(arm, board)
-                emit(f"{arm}machine.instret += {retired}")
-                emit(f"{arm}cpu.pc = {pc}")
-                emit(f"{arm}raise MemTrap({pc}, fault) from None")
-                if costing is not None and kind == K_GENERIC \
-                        and any(board.values()):
-                    # Whatever else a handler raises: the ops before it
-                    # have been charged, it has not.
-                    emit(f"{ind}except BaseException:")
-                    flush(arm, board)
-                    emit(f"{arm}raise")
+                arms = [("MemoryFault as fault",
+                         f"raise MemTrap({pc}, fault) from None")]
+                if kind == K_GENERIC:
+                    arms.append(("BaseException", "raise"))
+                for caught, leave in arms:
+                    emit(f"{ind}except {caught}:")
+                    if costing is not None:
+                        flush(arm, board)
+                    emit(f"{arm}machine.instret += {retired}")
+                    emit(f"{arm}cpu.pc = {pc}")
+                    emit(arm + leave)
             if costing is not None:
                 charge(ind, kind, row, board)
 
@@ -1070,7 +1002,7 @@ class SuperblockEngine:
 
     def _translate(self, start: int) -> Superblock:
         """The block of the straight-line run starting at ``start``: its
-        template, looked up by content or derived, bound to this machine.
+        template, looked up by content or derived, at that start.
 
         The run is read from guest memory under the checks ``fetch``
         makes, every time, and the key holds all of it, so a block is
@@ -1122,26 +1054,8 @@ class SuperblockEngine:
         self.translations += 1
         if template.code is not None:
             # The content got hot before, somewhere in the process: this
-            # block runs its generated body from the first execution and
-            # never needs closures.
+            # block runs its generated body from the first execution.
             self._compile_block(block)
-            return block
-        # Bind: once per machine for the ops that read no pc (their
-        # closures hold no state, so every block of the template here
-        # shares them), per block for the ones that do.
-        bind = self._bindings
-        ops = self._bound.get(template)
-        if ops is None:
-            if len(self._bound) >= _TEMPLATE_CAP:
-                self._bound.clear()
-            ops = self._bound[template] = [
-                (kind, None if rel else bind[make](*args), row)
-                for kind, make, args, rel, row in template.ops]
-        block.ops = ops = ops.copy()
-        for i in template.moving:
-            kind, make, args, rel, row = template.ops[i]
-            ops[i] = (kind, bind[make](
-                *args, *[(start + d) & MASK64 for d in rel]), row)
         return block
 
     def _derive(self, text: bytes) -> BlockTemplate:
@@ -1155,18 +1069,19 @@ class SuperblockEngine:
         insts = []
         for pc in range(0, len(text), 4):
             word = int.from_bytes(text[pc:pc + 4], "little")
-            _shape, inst, klass, uses, defs = M.word_facts(word, handlers)
+            _, inst, klass, uses, defs = M.word_facts(word, handlers)
             if inst is None:  # the decode reads pc
                 inst = decode_word(word, pc)
             else:
                 word = None
             insts.append(inst)
-            make, args, *rel = self._specialize(pc, inst) \
+            shape, args, *rel = self._specialize(pc, inst) \
                 or self._generic(pc, inst, word)
             row = (pc, 0.0, 0.0, uses, defs) if model is None else (
                 pc, model.issue_cost(klass), model.result_latency(klass),
                 uses, defs)
-            ops.append((make.kind, make, args, rel[0] if rel else None, row))
+            ops.append((shape.kind, shape, args, rel[0] if rel else None,
+                        row))
         # A run ending in the verified runtime-call idiom (recognized by
         # the same predicate the rewriter uses): a fact about the block,
         # which lets the dispatch loop hand the landing address to the
@@ -1188,7 +1103,7 @@ class SuperblockEngine:
         return (_op(_e_generic), (inst, base))
 
     def _specialize(self, pc: int, inst: Instruction):
-        """The recipe ``(maker, operands[, pc-relative operands])`` of
+        """The recipe ``(shape, operands[, pc-relative operands])`` of
         the emitter stating ``inst``, or None for the stepping handler.
         ``pc`` and every address ``inst`` was decoded to are
         displacements from the block start."""

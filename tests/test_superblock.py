@@ -352,13 +352,13 @@ def assert_one_row_per_instruction(template):
     """Every op of ``template`` is one instruction with one cost row
     ``(pc, icost, lat, uses, defs)`` whose pc is that instruction's."""
     assert len(template.ops) == template.size >> 2
-    for index, (kind, make, _args, _rel, row) in enumerate(template.ops):
-        assert kind == make.kind and len(row) == 5, make.__name__
-        assert row[0] == 4 * index, make.__name__
+    for index, (kind, shape, _args, _rel, row) in enumerate(template.ops):
+        assert kind == shape.kind and len(row) == 5, index
+        assert row[0] == 4 * index, index
 
-#: tier -> (cost model, loop iterations).  A block gets its generated
-#: body at its 8th whole execution, so 12 iterations leave the last ones
-#: to it and a single iteration never leaves the closures.
+#: tier -> (cost model, loop iterations).  A content gets its generated
+#: body at its 8th execution, so 12 iterations leave the last ones to it
+#: and a single iteration (after a flush) is stepped throughout.
 TIERS = {
     "cold": (APPLE_M1, 1),
     "generated": (APPLE_M1, 12),
@@ -619,12 +619,12 @@ def gauges(machine):
 
 
 class TestGeneratedBodyMidBlock:
-    def _pair(self, model, kinds=ENGINES):
+    def _pair(self, model, kinds=ENGINES, source=FOUR_ACCESSES):
         from repro.arm64 import parse_assembly
         from repro.arm64.assembler import assemble
         from repro.elf import build_elf
 
-        image = assemble(parse_assembly(FOUR_ACCESSES))
+        image = assemble(parse_assembly(source))
         elf = build_elf(image)
         machines = []
         for kind in kinds:
@@ -697,19 +697,26 @@ class TestGeneratedBodyMidBlock:
         assert machines[1].engine_stats()["loop_trips"] == \
             {"first": 4, "middle": 2, "last": 5}[where]
 
+    @pytest.mark.parametrize("model", [None, APPLE_M1],
+                             ids=["uncosted", "costed"])
+    @pytest.mark.parametrize("looping", [True, False],
+                             ids=["looping", "straight"])
     @pytest.mark.parametrize("at", [1, 9, 12, 14])
-    def test_handler_exception_leaves_the_row_walks_scoreboard(
-            self, at, monkeypatch):
+    def test_handler_exception_ends_the_block_as_stepping_does(
+            self, at, looping, model):
         """A generic op's handler raises something that is no memory
-        fault — in the cold first iteration, in the first trip of the
-        looping body's call (the 9th), in a middle one and in the last:
-        what the generated body leaves in ``costing`` and ``instret``,
-        completed trips included, is what closures and a row walk leave."""
+        fault — in the cold first iteration, in the first iteration the
+        generated body runs (the 9th), in a middle one and in the last;
+        the loop iterating inside its body, or (``straight``) leaving it
+        by a ``b`` every trip: ``instret``, ``cpu.pc``, registers and
+        what ``costing`` and the gauges hold, completed trips included,
+        are stepping's."""
+        source = FOUR_ACCESSES if looping else FOUR_ACCESSES.replace(
+            "    sub x9", "    b next\nnext:\n    sub x9")
         outcomes = []
-        for threshold in (sbmod._COMPILE_THRESHOLD, 1 << 30):
-            monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", threshold)
+        for kind in ENGINES:
             flush_translation_caches()
-            symbols, (machine,) = self._pair(APPLE_M1, ("superblock",))
+            symbols, (machine,) = self._pair(model, (kind,), source)
             clz, calls = machine._exec["clz"], []
 
             def handler(inst):
@@ -721,14 +728,17 @@ class TestGeneratedBodyMidBlock:
             machine._exec["clz"] = handler
             with pytest.raises(RuntimeError, match="boom"):
                 machine.run(fuel=10_000)
-            hot = machine._sb.block_at(symbols["top"])
-            assert at == 1 or (hot.fn is not None) == (threshold < 100
-                                                       and at >= 9)
             costing = machine._costing
             outcomes.append((
-                costing.t_issue, costing.t_done, dict(costing.ready),
-                gauges(machine), list(machine.cpu.regs), machine.instret))
-        assert outcomes[0] == outcomes[1]
+                costing and (costing.t_issue, costing.t_done,
+                             dict(costing.ready)),
+                gauges(machine), list(machine.cpu.regs), machine.cpu.pc,
+                machine.instret))
+        assert outcomes[1] == outcomes[0]
+        if at > 1:
+            hot = machine._sb.block_at(symbols["top"])
+            assert hot.template.loops == looping
+            assert (hot.fn is not None) == (at >= 9)
 
     def test_gauges_flushed_under_a_hot_loop(self):
         """``flush()`` empties the sets a generated body holds, in place."""
@@ -1086,8 +1096,8 @@ X13_IS_X5_FROM_TRIP_11 = """sub x13, x9, #5
 
 class TestWhatABodyKeepsIsStepping:
     """Hot loops built to make a page entry, a gauge unit or a float view
-    go stale if a refill or drop rule were missing (DESIGN.md §10): body,
-    closures and stepping agree on registers, memory bytes, instret,
+    go stale if a refill or drop rule were missing (DESIGN.md §10): body
+    and stepping agree on registers, memory bytes, instret,
     cycles, the fault, gauge counts and LRU order, COW copies and the
     observer's call list — with rows and without, in 16 KiB and 1 KiB
     pages."""
