@@ -3,7 +3,7 @@
 
 Uses the public perf API to run three SPEC stand-ins natively and under
 LFI O0/O1/O2 on the Apple M1 cost model, then prints the overhead table —
-a small-scale version of `benchmarks/bench_fig3_opt_levels.py` — and
+a small-scale version of Figure 3 from `python -m benchmarks.paper` — and
 decomposes each O2 overhead into per-guard-class components with the obs
 profiler (Table 4, taken apart).
 

@@ -1,45 +1,27 @@
 """Evaluation harness: variant runners, overhead math, and table rendering."""
 
 from .measure import (
-    RunMetrics,
-    Variant,
     geomean,
     kvm_variant,
     lfi_variant,
     measure_benchmark,
-    measure_suite,
     native_variant,
     overhead_pct,
     run_variant,
     wasm_variant,
 )
-from .microbench import (
-    MicrobenchResult,
-    measure_pipe_ns,
-    measure_syscall_ns,
-    measure_yield_ns,
-    run_table5,
-)
-from .report import format_bars, format_geomean_table, format_overhead_table
+from .microbench import run_table5
+from .report import format_overhead_table
 
 __all__ = [
-    "RunMetrics",
-    "Variant",
     "geomean",
     "kvm_variant",
     "lfi_variant",
     "measure_benchmark",
-    "measure_suite",
     "native_variant",
     "overhead_pct",
     "run_variant",
     "wasm_variant",
-    "format_bars",
-    "format_geomean_table",
     "format_overhead_table",
-    "MicrobenchResult",
-    "measure_pipe_ns",
-    "measure_syscall_ns",
-    "measure_yield_ns",
     "run_table5",
 ]

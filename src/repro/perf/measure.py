@@ -10,8 +10,8 @@ model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from ..baselines.hardware import NESTED_WALK_SCALE
 from ..baselines.wasm import WasmEngineModel, wasm_rewrite
@@ -31,7 +31,6 @@ __all__ = [
     "wasm_variant",
     "run_variant",
     "measure_benchmark",
-    "measure_suite",
     "geomean",
     "overhead_pct",
 ]
@@ -147,22 +146,6 @@ def measure_benchmark(
         overheads[variant.name] = metrics.overhead_over(base)
     out["overheads"] = overheads
     return out
-
-
-def measure_suite(
-    names: Iterable[str],
-    variants: Sequence[Variant],
-    model: CostModel,
-    target_instructions: int = 60_000,
-) -> Dict[str, Dict[str, float]]:
-    """Overhead table: benchmark -> variant -> percent over native."""
-    table: Dict[str, Dict[str, float]] = {}
-    for name in names:
-        result = measure_benchmark(
-            name, variants, model, target_instructions=target_instructions
-        )
-        table[name] = result["overheads"]
-    return table
 
 
 def geomean(overheads_pct: Iterable[float]) -> float:

@@ -1,17 +1,17 @@
-"""Rendering of experiment results: the paper's tables and figure series.
+"""Rendering of experiment results: the paper's figure series.
 
 Figures are rendered as aligned ASCII tables (one row per benchmark, one
-column per system) plus geometric-mean summary rows — the same rows/series
+column per system) plus a geometric-mean summary row — the same series
 the paper's bar charts plot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from .measure import geomean
 
-__all__ = ["format_overhead_table", "format_geomean_table", "format_bars"]
+__all__ = ["format_overhead_table"]
 
 
 def format_overhead_table(
@@ -56,40 +56,4 @@ def format_overhead_table(
         f"{means[c]:>{col_width - 1}.1f}{unit}" for c in columns
     )
     lines.append(f"{'geomean':<{name_width}} | {cells}")
-    return "\n".join(lines)
-
-
-def format_geomean_table(
-    table: Mapping[str, Mapping[str, float]],
-    columns: Optional[Sequence[str]] = None,
-    title: str = "",
-) -> str:
-    """Render just the geomean row per system (the paper's Table 4)."""
-    benchmarks = sorted(table)
-    if columns is None:
-        columns = list(next(iter(table.values())))
-    lines = []
-    if title:
-        lines.append(title)
-    width = max(len(c) for c in columns) + 2
-    for column in columns:
-        mean = geomean([table[b][column] for b in benchmarks
-                        if column in table[b]])
-        lines.append(f"{column:<{width}} {mean:6.1f}%")
-    return "\n".join(lines)
-
-
-def format_bars(values: Mapping[str, float], width: int = 50,
-                unit: str = "%", title: str = "") -> str:
-    """A quick horizontal bar rendering for one series."""
-    lines = []
-    if title:
-        lines.append(title)
-    if not values:
-        return title
-    peak = max(abs(v) for v in values.values()) or 1.0
-    name_width = max(len(k) for k in values)
-    for key, value in values.items():
-        bar = "#" * max(0, int(round(width * abs(value) / peak)))
-        lines.append(f"{key:<{name_width}} {value:7.1f}{unit} {bar}")
     return "\n".join(lines)

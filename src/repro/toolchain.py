@@ -12,6 +12,7 @@ Assembly programs use the runtime-call sequences from
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .arm64.assembler import AssembledImage, assemble
@@ -39,9 +40,12 @@ class CompileOutput:
 
     @property
     def binary_size(self) -> int:
+        """Bytes of the loadable image: the ELF without its guard-provenance
+        note, which feeds the profiler's guard map and is never mapped
+        into a sandbox."""
         from .elf.format import write_elf
 
-        return len(write_elf(self.elf))
+        return len(write_elf(replace(self.elf, provenance={})))
 
 
 def compile_lfi(asm_text: str, options: RewriteOptions = O2,

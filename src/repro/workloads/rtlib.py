@@ -90,7 +90,7 @@ def batch_block(records: Iterable[Tuple[int, Sequence[int]]],
 def busy_program(value: int = 0, target_instructions: int = 10_000) -> str:
     """A self-contained spin loop retiring ~``target_instructions`` and
     exiting with ``value`` — the synthetic job body used by the cluster
-    CLI, ``benchmarks/bench_scaling.py``, and the throughput example."""
+    CLI, the serving load generator, and the throughput example."""
     iters = max(1, target_instructions // 2)  # 2-instruction loop body
     lo = iters & 0xFFFF
     hi = (iters >> 16) & 0xFFFF

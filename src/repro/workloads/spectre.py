@@ -24,8 +24,8 @@ traces disagree (:func:`repro.obs.speculation.differential_leakage`).
 Unhardened (O0/O1/O2) both attacks leak; under the hardened rewrites
 (``O2_FENCE``, ``O2_MASK``) the traces collapse to secret-independence
 and the leakage is exactly zero.  :mod:`examples.attack_gallery`,
-``tests/test_speculation.py``, and ``benchmarks/bench_spectre_ablations``
-all measure through this module.
+``tests/test_speculation.py``, and the hardening section of
+``benchmarks/paper.py`` all measure through this module.
 """
 
 from __future__ import annotations

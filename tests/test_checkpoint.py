@@ -370,6 +370,10 @@ class TestIncrementalSession:
         assert second.stats["seq"] == 2
         # A few slices touch a few pages; code/rodata stayed clean.
         assert 0 < second.dirty_pages < second.total_pages
+        # Clean pages are shared by identity, not recopied.
+        shared = sum(1 for key in first.pages
+                     if second.pages.get(key) is first.pages[key])
+        assert shared == second.total_pages - second.dirty_pages
 
     def test_incremental_capture_matches_cold_capture(self, forker_elf):
         """Cached clean pages must reproduce exactly what a from-scratch

@@ -129,6 +129,22 @@ class TestDeterminism:
         assert warm_fleet["warm_hits"] > 0
         assert cold_fleet["warm_hits"] == 0
 
+    def test_virtual_makespan_halves_on_two_workers(self, images):
+        """Scale-out measured in virtual time, exact on a one-CPU host:
+        the makespan is the largest per-worker emulated-cycle total, and
+        equal jobs dispatched to the least-loaded worker split evenly."""
+        def makespan(workers):
+            with Cluster(workers=workers) as cluster:
+                for _ in range(4):
+                    cluster.submit(images["busy4"])
+                per_worker = {}
+                for r in cluster.drain():
+                    worker = r.diag["worker"]
+                    per_worker[worker] = per_worker.get(worker, 0) \
+                        + int(r.diag["cycles"])
+            return max(per_worker.values())
+        assert makespan(1) == 2 * makespan(2)
+
 
 class TestFaultTolerance:
     def test_kill_worker_mid_batch_loses_no_jobs(self, images):

@@ -7,8 +7,6 @@ import pytest
 from repro.core import O0, O2
 from repro.emulator import APPLE_M1
 from repro.perf import (
-    format_bars,
-    format_geomean_table,
     format_overhead_table,
     geomean,
     kvm_variant,
@@ -121,18 +119,3 @@ class TestReport:
         assert "b1" in text and "b2" in text
         assert "geomean" in text
         assert "sysA" in text and "sysB" in text
-
-    def test_geomean_table(self):
-        text = format_geomean_table(self.TABLE, columns=["sysA", "sysB"])
-        assert "sysA" in text
-        lines = [l for l in text.splitlines() if l.strip()]
-        assert len(lines) == 2
-
-    def test_bars(self):
-        text = format_bars({"a": 50.0, "b": 25.0}, width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bars_empty(self):
-        assert format_bars({}, title="t") == "t"

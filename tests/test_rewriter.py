@@ -255,17 +255,30 @@ class TestHoisting:
         lines = rewrite_lines(self.SRC, O1)
         assert len(lines) == 8  # add+access per store
 
+    INTERLEAVED = """
+    ldr x0, [x1]
+    ldr x2, [x3, #8]
+    str x0, [x1, #8]
+    str x2, [x3, #16]
+    """
+
     def test_two_interleaved_bases(self):
-        src = """
-        ldr x0, [x1]
-        ldr x2, [x3, #8]
-        str x0, [x1, #8]
-        str x2, [x3, #16]
-        """
-        lines = rewrite_lines(src, O2)
+        lines = rewrite_lines(self.INTERLEAVED, O2)
         assert "add x23, x21, w1, uxtw" in lines
         assert "add x24, x21, w3, uxtw" in lines
         assert len(lines) == 6
+
+    def test_one_register_hoists_one_base(self):
+        """§4.3's reason for the second hoisting register: with one, the
+        second interleaved base keeps a guard per access."""
+        lines = rewrite_lines(self.INTERLEAVED, O2.with_(hoist_registers=1))
+        assert "add x23, x21, w1, uxtw" in lines
+        assert not any("x24" in line for line in lines)
+        assert len(lines) == 7
+
+    def test_zero_registers_is_o1(self):
+        assert rewrite_lines(self.INTERLEAVED, O2.with_(hoist_registers=0)) \
+            == rewrite_lines(self.INTERLEAVED, O1)
 
     def test_base_redefinition_ends_segment(self):
         src = """

@@ -1,12 +1,16 @@
 """repro.serve: admission control, hot-reload edge cases, determinism."""
 
 import asyncio
+from collections import Counter
 
 import pytest
 
+from benchmarks.ledger.workloads.serve_overload import overload_fleet
+from repro.cluster import Cluster
 from repro.elf.format import write_elf
 from repro.errors import Overloaded, ServeError, StalePolicy
 from repro.serve import (
+    CLOCK_HZ,
     AsyncGateway,
     Autoscale,
     Gateway,
@@ -14,6 +18,7 @@ from repro.serve import (
     TenantLoad,
     TenantPolicy,
     load_config,
+    percentile,
     run_loadgen,
 )
 from repro.toolchain import compile_lfi
@@ -334,6 +339,56 @@ class TestDeterminism:
             gateway.offer("a", images["medium"], at=0.0)
             return [r.deterministic_key() for r in gateway.drain()]
         assert run() == run()
+
+
+# -- overload ----------------------------------------------------------------
+
+
+def _overload(duration, seed):
+    """The ledger's serve-overload fleet: 2x capacity offered to 2 lanes."""
+    policies, loads = overload_fleet(lanes=2)
+    gateway = Gateway(policies, lanes=2, checkpoint_interval=2000, seed=seed)
+    return policies, gateway, run_loadgen(gateway, loads, duration, seed=seed)
+
+
+class TestOverload:
+    def test_sheds_bronze_keeps_gold_sla(self):
+        """Every shed request carries a typed reason (both bucket and
+        queue shedding occur), gold keeps its p99 within SLA, and the
+        waiting depth never exceeds the sum of the queue limits."""
+        policies, gateway, results = _overload(0.25, seed=7)
+        reasons = {r.reason for r in results if r.status == "rejected"}
+        assert {"throttled", "queue-full"} <= reasons \
+            <= {"throttled", "queue-full", "deadline"}
+        for tenant, policy in policies.items():
+            latencies = [r.latency_s for r in results
+                         if r.tenant == tenant and r.status == "ok"]
+            if policy.sla_s is not None:
+                assert latencies and percentile(latencies, 99) \
+                    <= policy.sla_s, tenant
+        assert gateway.peak_queued \
+            <= sum(p.queue_limit for p in policies.values())
+
+    @pytest.mark.slow
+    def test_goodput_keeps_up_with_batch_drain(self):
+        """Admission does not tax execution: instructions completed per
+        virtual second stay >= 90% of the batch cluster's drain at the
+        same worker count (virtual makespan: the largest per-worker
+        cycle total, cycles tied to instret)."""
+        _, _, results = _overload(0.5, seed=11)
+        ok = [r for r in results if r.status == "ok"]
+        goodput = sum(r.instructions for r in ok) / max(r.finish_s for r in ok)
+        program = write_elf(compile_lfi(busy_program(1, 5000)).elf)
+        with Cluster(workers=2) as cluster:
+            for _ in range(40):
+                cluster.submit(program)
+            drained = cluster.drain()
+        makespan = Counter()
+        for r in drained:
+            makespan[r.diag["worker"]] += int(r.diag["cycles"])
+        instructions = sum(int(r.diag["instructions"]) for r in drained)
+        drain = instructions * CLOCK_HZ / max(makespan.values())
+        assert goodput >= 0.9 * drain
 
 
 # -- async facade ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.core import O0, O2, RewriteError, verify_elf
 from repro.elf import read_elf, write_elf
 from repro.emulator import APPLE_M1, GCP_T2A
+from repro.perf import overhead_pct
 from repro.perf.microbench import (
     measure_pipe_ns,
     measure_syscall_ns,
@@ -14,6 +15,7 @@ from repro.perf.microbench import (
     run_table5,
 )
 from repro.toolchain import compile_lfi, compile_native
+from repro.workloads import build_benchmark
 from repro.workloads.rtlib import prologue, rt_exit, rtcall
 from repro.runtime import RuntimeCall
 
@@ -39,6 +41,19 @@ class TestToolchain:
         assert lfi.binary_size > lfi.text_size  # headers + rodata/data
         # The ELF bytes really serialize/parse.
         assert read_elf(write_elf(lfi.elf)).entry == lfi.elf.entry
+
+    def test_binary_size_is_the_loadable_image(self):
+        """§6.3: the binary grows no more than the text, because the
+        guard-provenance note (9 bytes per guard, never mapped) is not
+        part of the loadable image; it is the rest of the ELF file."""
+        asm = build_benchmark("541.leela", target_instructions=8000)
+        native, lfi = compile_native(asm), compile_lfi(asm)
+        text = overhead_pct(native.text_size, lfi.text_size)
+        binary = overhead_pct(native.binary_size, lfi.binary_size)
+        assert 0 < binary <= text + 0.5
+        note = len(write_elf(lfi.elf)) - lfi.binary_size
+        assert note >= 9 * len(lfi.elf.provenance) > 0
+        assert native.binary_size == len(write_elf(native.elf))
 
     def test_bss_size_plumbs_through(self):
         out = compile_lfi(SRC + ".bss\nbuf: .skip 8\n", bss_size=1 << 20)

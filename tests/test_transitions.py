@@ -607,6 +607,25 @@ class TestBatchABI:
         # well-formed batch (per-record errors land in result words).
         assert stepping["exit"] == len(records) & 0xFF
 
+    def test_batch_amortizes_crossings(self):
+        """64 requests in one BATCH cross into the runtime once (plus
+        EXIT) where 64 calls cross 64 times, and cost fewer emulated
+        cycles per request."""
+        count = 64
+        records = [(RuntimeCall.GETPID, [])] * count
+        single = compile_lfi(call_loop_program(count), options=O2).elf
+        batch = compile_lfi(batch_program(records), options=O2,
+                            bss_size=64 + count * 64).elf
+        cycles = {}
+        for kind, elf, crossings in (("single", single, count + 1),
+                                     ("batch", batch, 2)):
+            runtime = Runtime(model=APPLE_M1)
+            runtime.spawn(elf)
+            runtime.run()
+            assert runtime.calls == crossings, kind
+            cycles[kind] = runtime.machine.cycles
+        assert cycles["batch"] < cycles["single"]
+
     def test_result_words_written_back(self):
         records = [(RuntimeCall.GETPID, []), (RuntimeCall.FORK, [])]
         elf = compile_lfi(batch_program(records), options=O2,
