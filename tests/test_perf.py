@@ -119,3 +119,17 @@ class TestReport:
         assert "b1" in text and "b2" in text
         assert "geomean" in text
         assert "sysA" in text and "sysB" in text
+
+    def test_geomean_row(self):
+        footer = format_overhead_table(self.TABLE).splitlines()[-1]
+        assert footer.split() == [
+            "geomean", "|", f"{geomean([10.0, 5.0]):.1f}%",
+            "|", f"{geomean([20.0, 40.0]):.1f}%",
+        ]
+
+    def test_columns_pick_and_order(self):
+        lines = format_overhead_table(self.TABLE, columns=["sysB"],
+                                      unit="x").splitlines()
+        assert lines[0].split() == ["|", "sysB"]
+        assert [line.split()[0] for line in lines[2:-2]] == ["b1", "b2"]
+        assert lines[2].split() == ["b1", "|", "20.0x"]

@@ -32,6 +32,7 @@ from repro.errors import RewriteError
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.genasm import AsmGenerator, GenConfig
 from repro.toolchain import compile_lfi, compile_native
+from repro.workloads import build_benchmark
 
 
 def verify_src(src, policy=None):
@@ -319,6 +320,16 @@ class TestVerifierRobustness:
         result = verify_src("nop\n nop\n ret")
         assert result.instructions == 3
         assert result.bytes_verified == 12
+
+    def test_one_pass_over_every_word(self):
+        """A whole LFI build, and its text four times over, is checked in
+        one linear pass: every word once, no word skipped or revisited."""
+        text = compile_lfi(build_benchmark("505.mcf", 4000)).image.text
+        for data in (bytes(text.data), bytes(text.data) * 4):
+            result = verify_text(data, text.base)
+            assert result.ok
+            assert result.instructions == len(data) // 4
+            assert result.bytes_verified == len(data)
 
 
 # ---------------------------------------------------------------------------
