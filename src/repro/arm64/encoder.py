@@ -135,9 +135,7 @@ def decode_bitmask(n: int, immr: int, imms: int, width: int) -> Optional[int]:
 
 def decode_fp8(imm8: int) -> float:
     sign = -1.0 if (imm8 >> 7) & 1 else 1.0
-    exp_bits = (imm8 >> 4) & 0x7
     mantissa = imm8 & 0xF
-    exp = (exp_bits ^ 0x4) - 3 if exp_bits & 0x4 else exp_bits + 1
     # Standard VFPExpandImm: exponent = UInt(NOT(b):c:d) - 3
     b = (imm8 >> 6) & 1
     cd = (imm8 >> 4) & 0x3
@@ -403,8 +401,6 @@ def encode_instruction(
             return _encode_movewide(m, ops)
         if m == "mov":
             return _encode_mov(ops)
-        if m in ("movk_alias",):
-            raise EncodeError("unreachable")
         if m in isa.FP or m in isa.SIMD_ONLY or _is_vector_inst(inst):
             return _encode_fp_simd(m, ops, ctx)
         if m in isa.DATA_PROCESSING:
@@ -424,21 +420,21 @@ def _sf_of(reg: Reg) -> int:
     return 1 if reg.bits == 64 else 0
 
 
+def _branch_offset(op, m: str, ctx: _Ctx, bits: int) -> int:
+    """The ``bits``-wide signed word offset from ``ctx.pc`` to ``op``."""
+    offset = ctx.target_value(op, m) - ctx.pc
+    if offset % 4:
+        raise EncodeError("misaligned branch target")
+    return _check_signed(offset // 4, bits, "branch offset")
+
+
 def _encode_branch(m: str, ops, ctx: _Ctx) -> int:
     if m in ("b", "bl"):
-        target = ctx.target_value(ops[0], m)
-        offset = target - ctx.pc
-        if offset % 4:
-            raise EncodeError("misaligned branch target")
-        imm26 = _check_signed(offset // 4, 26, "branch offset")
+        imm26 = _branch_offset(ops[0], m, ctx, 26)
         op = 1 if m == "bl" else 0
         return (op << 31) | (0b00101 << 26) | imm26
     cond = _cond_value(isa.branch_condition(m))
-    target = ctx.target_value(ops[0], m)
-    offset = target - ctx.pc
-    if offset % 4:
-        raise EncodeError("misaligned branch target")
-    imm19 = _check_signed(offset // 4, 19, "branch offset")
+    imm19 = _branch_offset(ops[0], m, ctx, 19)
     return (0b01010100 << 24) | (imm19 << 5) | cond
 
 
@@ -456,9 +452,7 @@ def _encode_branch_reg(m: str, ops) -> int:
 def _encode_cb(m: str, ops, ctx: _Ctx) -> int:
     rt = ops[0]
     sf = _sf_of(rt)
-    target = ctx.target_value(ops[1], m)
-    offset = target - ctx.pc
-    imm19 = _check_signed(offset // 4, 19, "branch offset")
+    imm19 = _branch_offset(ops[1], m, ctx, 19)
     op = 1 if m == "cbnz" else 0
     return (
         (sf << 31) | (0b011010 << 25) | (op << 24) | (imm19 << 5)
@@ -471,9 +465,7 @@ def _encode_tb(m: str, ops, ctx: _Ctx) -> int:
     if not isinstance(bit, Imm):
         raise EncodeError("tbz/tbnz bit must be immediate")
     bitpos = _check_unsigned(bit.value, 6, "bit position")
-    target = ctx.target_value(label, m)
-    offset = target - ctx.pc
-    imm14 = _check_signed(offset // 4, 14, "branch offset")
+    imm14 = _branch_offset(label, m, ctx, 14)
     op = 1 if m == "tbnz" else 0
     b5 = (bitpos >> 5) & 1
     b40 = bitpos & 0x1F

@@ -35,7 +35,7 @@ import multiprocessing.connection as _mpconn
 import time
 from typing import Dict, List, Optional, Set
 
-from ..engine import EngineConfig
+from ..engine import EngineConfig, engine_config
 from ..errors import ClusterError
 from ..obs.metrics import MetricsHub, merge_snapshots
 from ..robustness.supervisor import ON_FAILURE, RestartPolicy, WorkerSupervisor
@@ -51,6 +51,10 @@ DEFAULT_CHECKPOINT_INTERVAL = 250_000
 
 #: Restore latency histogram bounds, in wall-clock seconds.
 RESTORE_LATENCY_BUCKETS = (0.0005, 0.002, 0.01, 0.05, 0.25, 1.0)
+
+#: Longest wait for a worker result before the drain loop rechecks
+#: worker liveness and due restarts, in wall-clock seconds.
+_POLL_SECONDS = 0.05
 
 
 class _WorkerHandle:
@@ -82,7 +86,7 @@ class Cluster:
     """Batching front-end over N sharded runtime workers."""
 
     def __init__(self, workers: int = 2, *,
-                 engine=None,
+                 engine: Optional[EngineConfig] = None,
                  timeslice: int = 50_000,
                  warm_spawn: bool = True,
                  budget: int = DEFAULT_JOB_BUDGET,
@@ -91,14 +95,13 @@ class Cluster:
                  chaos_faults: Optional[Dict[int, int]] = None,
                  checkpoint_interval: Optional[int]
                  = DEFAULT_CHECKPOINT_INTERVAL,
-                 seed: int = 0,
-                 poll_interval: float = 0.05):
+                 seed: int = 0):
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
-        # The config dict crosses the fork boundary; ship the EngineConfig
-        # as its dict form so workers rebuild it without pickling classes.
+        # Checked here, before any fork: a bad engine in the workers would
+        # crash each one at startup and restart it into the same crash.
         self._config = {
-            "engine": EngineConfig.coerce(engine).to_dict(),
+            "engine": engine_config(engine),
             "timeslice": timeslice,
             "warm_spawn": warm_spawn,
             "budget": budget,
@@ -108,7 +111,6 @@ class Cluster:
             "seed": seed,
         }
         self._ctx = multiprocessing.get_context("fork")
-        self._poll_interval = poll_interval
         #: Read ends of dead/retired workers, polled until EOF so results
         #: they reported just before dying are not lost.
         self._zombie_conns: List = []
@@ -305,10 +307,10 @@ class Cluster:
                  if h.result_conn is not None]
         conns.extend(self._zombie_conns)
         if not conns:
-            time.sleep(self._poll_interval)
+            time.sleep(_POLL_SECONDS)
             return []
         payloads = []
-        for conn in _mpconn.wait(conns, timeout=self._poll_interval):
+        for conn in _mpconn.wait(conns, timeout=_POLL_SECONDS):
             try:
                 payloads.append(conn.recv())
             except (EOFError, OSError):

@@ -29,7 +29,6 @@ import time
 from typing import Callable, Optional
 
 from ..checkpoint import Checkpoint, CheckpointSession, restore_job
-from ..engine import EngineConfig
 from ..errors import Deadlock, RuntimeError_
 from ..memory.layout import SandboxLayout
 from ..obs.metrics import MetricsHub
@@ -333,11 +332,8 @@ def worker_main(worker_id: int, generation: int, config: dict,
     draining mode — the current job yields and every queued job bounces
     back unexecuted (elastic scale-down).
     """
-    engine = config.get("engine")
-    if isinstance(engine, dict):
-        engine = EngineConfig.from_dict(engine)
     runtime = Runtime(model=None,
-                      engine=engine,
+                      engine=config.get("engine"),
                       timeslice=config.get("timeslice", 50_000))
     pool = WarmPool(runtime) if config.get("warm_spawn", True) else None
     budget = config.get("budget", DEFAULT_JOB_BUDGET)

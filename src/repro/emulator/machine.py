@@ -31,7 +31,7 @@ from ..arm64.operands import (
     VecReg,
 )
 from ..arm64.registers import LR, Reg
-from ..engine import EngineConfig
+from ..engine import EngineConfig, engine_config
 from ..errors import ConfigError
 from ..hooks import HookRegistry
 from ..memory.pages import MemoryFault, PagedMemory
@@ -274,18 +274,13 @@ class Machine:
 
     def __init__(self, memory: PagedMemory,
                  model: Optional[costs.CostModel] = None,
-                 tlb: Optional[Tlb] = None,
                  tlb_walk_scale: float = 1.0,
-                 engine=None):
-        config = EngineConfig.coerce(engine)
+                 engine: Optional[EngineConfig] = None):
+        config = engine_config(engine)
         self.memory = memory
         self.cpu = CpuState()
         self.instret = 0
         self.model = model
-        #: The validated :class:`~repro.engine.EngineConfig` selecting and
-        #: tuning the execution engine.  Read by the superblock engine at
-        #: construction (cache cap).
-        self.engine_config = config
         #: Execution engine kind: "superblock" dispatches translated
         #: blocks from :meth:`run`; "stepping" forces the per-instruction
         #: interpreter.  Both produce bit-identical architectural state
@@ -304,9 +299,8 @@ class Machine:
         self.force_stepping = False
         #: Multiplier on TLB walk cost (2.0 models nested paging / KVM).
         self.tlb_walk_scale = tlb_walk_scale
-        if model is not None and tlb is None:
-            tlb = Tlb(entries=model.tlb_entries, ways=4,
-                      page_size=memory.page_size)
+        tlb = None if model is None else Tlb(
+            entries=model.tlb_entries, ways=4, page_size=memory.page_size)
         self.tlb = tlb
         # Data-cache hierarchy (same set-associative structure, line
         # granularity).  Memory-bound workloads accumulate their cycles

@@ -59,6 +59,10 @@ _SPEC_TRAPS = frozenset({"svc", "brk", "hlt"})
 
 _COND_BRANCHES = frozenset({"cbz", "cbnz", "tbz", "tbnz"})
 
+#: Pattern-history-table slots (a power of two) and return-stack depth.
+PHT_ENTRIES = 256
+RSB_DEPTH = 8
+
 
 class PatternHistoryTable:
     """Direct-mapped table of 2-bit saturating counters, seeded."""
@@ -114,8 +118,8 @@ class SpeculativeEngine:
         self.config = config
         self.log = SpeculationLog()
         rng = random.Random(config.seed)
-        self.pht = PatternHistoryTable(config.pht_entries, rng)
-        self.rsb = ReturnStack(config.rsb_depth, rng)
+        self.pht = PatternHistoryTable(PHT_ENTRIES, rng)
+        self.rsb = ReturnStack(RSB_DEPTH, rng)
 
     # -- architectural loop -------------------------------------------------
 

@@ -175,8 +175,8 @@ class BlockTemplate:
 
 #: (run bytes, cost identity) -> BlockTemplate, process-wide: every slot,
 #: ``Machine`` and ``Runtime`` holding the same words instantiates the
-#: same template.  Flushed whole at the cap, like
-#: ``block_cache_cap``; live blocks keep the template they came from.
+#: same template.  Flushed whole at the cap; live blocks keep the
+#: template they came from.
 _TEMPLATES: Dict[tuple, BlockTemplate] = {}
 _TEMPLATE_CAP = 4096
 #: repr of (cost model, TLB-walk scale, TLB geometry) -> its small-int
@@ -616,8 +616,6 @@ class SuperblockEngine:
         self._M = M
         self.machine = machine
         self._blocks: Dict[int, Superblock] = {}
-        #: Translation-cache flush threshold (None = unbounded).
-        self.block_cache_cap = machine.engine_config.block_cache_cap
         #: Counters exposed for tests and diagnostics.
         self.translations = 0
         self.template_hits = 0
@@ -653,9 +651,6 @@ class SuperblockEngine:
         for start in dead:
             del blocks[start]
         self.invalidations += len(dead)
-
-    def invalidate_all(self) -> None:
-        self.invalidate_range(0, 1 << 64)
 
     @property
     def cached_blocks(self) -> int:
@@ -1013,11 +1008,6 @@ class SuperblockEngine:
         """
         M = self._M
         machine = self.machine
-        cap = self.block_cache_cap
-        if cap is not None and len(self._blocks) >= cap:
-            # Deterministic full flush: same translation pressure on every
-            # run with the same config, so counters stay reproducible.
-            self.invalidate_all()
         try:
             buf, first = machine.memory.fetch_page(start)
         except MemoryFault as fault:

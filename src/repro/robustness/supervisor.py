@@ -103,11 +103,10 @@ class Supervisor:
     """Runs sandboxes under restart policies, quotas, and a watchdog."""
 
     def __init__(self, runtime: Runtime, watchdog_fault_limit: int = 5,
-                 reclaim: bool = True, auditor=None):
+                 auditor=None):
         self.runtime = runtime
         #: Total faults (across restarts) after which a sandbox is demoted.
         self.watchdog_fault_limit = watchdog_fault_limit
-        self.reclaim = reclaim
         self.auditor = auditor
         self.incidents: List[Incident] = []
         self._managed: Dict[str, _Managed] = {}
@@ -262,8 +261,7 @@ class Supervisor:
             if proc.state != ProcessState.ZOMBIE:
                 continue
             kind = faulted.get(proc.pid)
-            if self.reclaim:
-                self._reclaim(proc)
+            self.runtime.reclaim(proc)
             if kind is None:
                 sb.done = True  # clean exit
                 continue
@@ -293,10 +291,6 @@ class Supervisor:
                         f"max restarts ({sb.policy.max_restarts}) reached")
                 sb.done = True
 
-    def _reclaim(self, proc: Process) -> None:
-        """Unmap a dead sandbox's slot so long runs stay bounded."""
-        self.runtime.reclaim(proc)
-
 
 class WorkerSupervisor:
     """Restart decisions for cluster worker *OS processes* (DESIGN.md §11).
@@ -309,15 +303,14 @@ class WorkerSupervisor:
     logic stays testable without multiprocessing.
     """
 
-    def __init__(self, policy: RestartPolicy = ON_FAILURE, *,
-                 backoff_unit: float = 0.05, max_backoff: float = 2.0,
-                 jitter_frac: float = 0.25, seed: int = 0):
+    #: Wall-clock seconds per unit of the policy's (round-denominated)
+    #: exponential backoff, its hard cap, and the largest jitter stretch.
+    BACKOFF_UNIT_S = 0.05
+    MAX_BACKOFF_S = 2.0
+    JITTER = 0.25
+
+    def __init__(self, policy: RestartPolicy = ON_FAILURE, *, seed: int = 0):
         self.policy = policy
-        #: Wall-clock seconds per unit of the policy's (round-denominated)
-        #: exponential backoff, with a hard cap and bounded jitter.
-        self.backoff_unit = backoff_unit
-        self.max_backoff = max_backoff
-        self.jitter_frac = jitter_frac
         self._rng = random.Random(seed)
         self.incidents: List[Incident] = []
         self._restarts: Dict[int, int] = {}
@@ -330,19 +323,19 @@ class WorkerSupervisor:
         """Seconds to wait before relaunching ``worker_id``.
 
         Exponential in the worker's restart count (the policy's base and
-        factor, scaled by :attr:`backoff_unit`), capped at
-        :attr:`max_backoff`, then stretched by a bounded jitter in
-        ``[0, jitter_frac]`` so a correlated crash of many workers does
+        factor, scaled by :attr:`BACKOFF_UNIT_S`), capped at
+        :attr:`MAX_BACKOFF_S`, then stretched by a bounded jitter in
+        ``[0, JITTER]`` so a correlated crash of many workers does
         not produce a synchronized relaunch stampede.  Seeded, so a chaos
         run's restart timeline replays.
         """
         exponent = max(0, self.restarts(worker_id) - 1)
         delay = min(
-            self.max_backoff,
-            self.backoff_unit * self.policy.backoff_base
+            self.MAX_BACKOFF_S,
+            self.BACKOFF_UNIT_S * self.policy.backoff_base
             * self.policy.backoff_factor ** exponent,
         )
-        return delay * (1.0 + self._rng.random() * self.jitter_frac)
+        return delay * (1.0 + self._rng.random() * self.JITTER)
 
     @property
     def total_restarts(self) -> int:

@@ -120,19 +120,11 @@ class Runtime:
                  stack_size: int = DEFAULT_STACK_SIZE,
                  first_slot: int = 1,
                  tlb_walk_scale: float = 1.0,
-                 engine=None):
-        #: The validated engine selection + tuning.  ``engine`` accepts an
-        #: :class:`~repro.engine.EngineConfig` or ``None`` (the defaults).
-        config = EngineConfig.coerce(engine)
-        self.engine_config = config
-        #: Whether the vectored BATCH runtime call is serviced (the
-        #: handler returns ``-ENOSYS`` to the guest when disabled).
-        self.batch_abi = config.batch_abi
-        timeslice = config.resolve_timeslice(timeslice)
+                 engine: Optional[EngineConfig] = None):
         self.memory = PagedMemory()
         self.machine = Machine(self.memory, model=model,
                                tlb_walk_scale=tlb_walk_scale,
-                               engine=config)
+                               engine=engine)
         self.model = model
         self.vfs = Vfs()
         self.scheduler = Scheduler(timeslice=timeslice)

@@ -292,8 +292,6 @@ def rt_batch(runtime, proc: Process, args):
     is the number of records serviced, or a negative errno if the batch
     itself is malformed.
     """
-    if not runtime.batch_abi:
-        return -errno.ENOSYS
     count = args[1]
     if count > BATCH_MAX_RECORDS:
         return -errno.EINVAL

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.worker import DEFAULT_JOB_BUDGET, derive_worker_seed
-from ..engine import EngineConfig
-from ..errors import ConfigError, Overloaded, ServeError, StalePolicy
+from ..engine import EngineConfig, engine_config
+from ..errors import Overloaded, ServeError, StalePolicy
 from ..obs.metrics import MetricsHub
 from ..robustness.faultinject import FaultInjector
 from ..robustness.supervisor import WorkerSupervisor
@@ -126,11 +126,9 @@ class Gateway:
 
     def __init__(self, policies: Dict[str, TenantPolicy], *,
                  lanes: int = 2,
-                 hz: float = CLOCK_HZ,
                  checkpoint_interval: int = 2000,
                  budget: int = DEFAULT_JOB_BUDGET,
-                 timeslice: Optional[int] = None,
-                 engine=None,
+                 engine: Optional[EngineConfig] = None,
                  autoscale: Optional[Autoscale] = None,
                  chaos: Optional[Dict[int, int]] = None,
                  chaos_faults: Optional[Dict[int, int]] = None,
@@ -138,36 +136,15 @@ class Gateway:
                  on_result: Optional[Callable] = None):
         if lanes < 1:
             raise ServeError(f"need at least one lane, got {lanes}")
-        self.hz = float(hz)
         self.interval = checkpoint_interval
         self.budget = budget
         # run_bounded pauses only between scheduler slices, so the lane
-        # timeslice must not exceed the chunk interval or boundaries
-        # (the hot-reload application points) degrade to slice cadence.
-        # EngineConfig.fuel is the same knob by another name; a conflict
-        # between the two is a configuration error, never silently
-        # clamped to one or the other.
-        config = EngineConfig.coerce(engine)
-        pinned = (timeslice if timeslice is not None
-                  else max(1, checkpoint_interval))
-        if config.fuel is not None:
-            if timeslice is not None and config.fuel != timeslice:
-                raise ConfigError(
-                    f"EngineConfig.fuel={config.fuel} conflicts with "
-                    f"timeslice={timeslice}; pass one or make them agree")
-            if config.fuel > max(1, checkpoint_interval):
-                raise ConfigError(
-                    f"EngineConfig.fuel={config.fuel} exceeds the "
-                    f"checkpoint interval ({checkpoint_interval}): chunk "
-                    f"boundaries would degrade to slice cadence and "
-                    f"policy hot-reload would stall; lower fuel or raise "
-                    f"the interval")
-            pinned = config.fuel
-        self.engine_config = config
-        self.timeslice = pinned
+        # timeslice is the chunk interval: every boundary (a hot-reload
+        # application point) falls on a slice end.
+        self.timeslice = max(1, checkpoint_interval)
+        self.engine_config = engine_config(engine)
         self.store = PolicyStore()
         for tenant in sorted(policies):
-            self._check_tenant_engine(tenant, policies[tenant])
             self.store.add(tenant, policies[tenant])
         self.autoscale = autoscale
         self.chaos = dict(chaos or {})
@@ -232,7 +209,6 @@ class Gateway:
         to raise to.  Running guests pick the new quota up at their next
         chunk boundary — no restart, same pid and slot.
         """
-        self._check_tenant_engine(tenant, policy)
         if at is None:
             self._do_reload(tenant, policy, token, self.now, raise_stale=True)
             return
@@ -242,27 +218,6 @@ class Gateway:
                 f"(at={at:.6f} < now={self.now:.6f})")
         self._push(float(at), "reload",
                    {"tenant": tenant, "policy": policy, "token": token})
-
-    def _check_tenant_engine(self, tenant: str,
-                             policy: TenantPolicy) -> None:
-        """Reject a tenant engine pin that conflicts with the lane fleet.
-
-        Validation is static (no virtual-time dependence), so it raises
-        at registration/scheduling time, before any event is queued.
-        """
-        pin = policy.engine
-        if pin is None:
-            return
-        if pin.kind != self.engine_config.kind:
-            raise ConfigError(
-                f"tenant {tenant!r} pins engine kind {pin.kind!r} but the "
-                f"gateway's lanes run {self.engine_config.kind!r}")
-        if pin.fuel is not None and pin.fuel != self.timeslice:
-            raise ConfigError(
-                f"tenant {tenant!r} pins EngineConfig.fuel={pin.fuel} but "
-                f"the gateway's lane timeslice is pinned to "
-                f"{self.timeslice}; fuel conflicts are never silently "
-                f"clamped")
 
     def resize(self, lanes: int, at: Optional[float] = None) -> None:
         """Grow or drain the lane fleet to ``lanes`` (elasticity)."""
@@ -517,7 +472,7 @@ class Gateway:
     def _advance(self, lane: Lane, t: float, cmd: Optional[dict]) -> None:
         req = lane.request
         info, delta = lane.step(cmd)
-        dt = delta / self.hz
+        dt = delta / CLOCK_HZ
         kind = info["kind"]
         if kind == "chunk":
             req.checkpoint = info["checkpoint"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..engine import EngineConfig
 from ..errors import ServeError, StalePolicy
 
 __all__ = ["TenantPolicy", "PolicyStore"]
@@ -40,12 +39,8 @@ class TenantPolicy:
     arrival; ``sla_s`` is the latency target reported against (never
     enforced).  ``quota`` holds
     :class:`~repro.runtime.runtime.ResourceQuota` kwargs applied to the
-    tenant's guests (None = unbudgeted).  ``engine`` optionally pins the
-    :class:`~repro.engine.EngineConfig` the tenant's guests require; the
-    gateway validates it against its own lane configuration at
-    registration/reload time (a ``fuel`` that conflicts with the pinned
-    lane timeslice is a typed :class:`~repro.errors.ConfigError`, never
-    silently clamped).
+    tenant's guests (None = unbudgeted).  The engine is the gateway's:
+    every lane runs the same one.
     """
 
     priority: int = 1
@@ -55,13 +50,8 @@ class TenantPolicy:
     deadline_s: Optional[float] = None
     sla_s: Optional[float] = None
     quota: Optional[dict] = None
-    engine: Optional[EngineConfig] = None
 
     def __post_init__(self):
-        if self.engine is not None and not isinstance(self.engine,
-                                                      EngineConfig):
-            object.__setattr__(self, "engine",
-                               EngineConfig.coerce(self.engine))
         if self.priority < 0:
             raise ServeError(f"priority must be >= 0, got {self.priority}")
         if self.rate <= 0:

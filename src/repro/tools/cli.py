@@ -44,11 +44,7 @@ def _engine_from(args) -> EngineConfig:
     if getattr(args, "speculation", False):
         speculation = SpeculationConfig(seed=args.spec_seed,
                                         window=args.spec_window)
-    return EngineConfig(kind=args.engine_kind,
-                        fuel=args.fuel,
-                        block_cache_cap=args.block_cache_cap,
-                        batch_abi=not args.no_batch_abi,
-                        speculation=speculation)
+    return EngineConfig(kind=args.engine_kind, speculation=speculation)
 
 
 def _cmd_rewrite(args) -> int:
@@ -586,16 +582,6 @@ def _shared_parents():
                         default="superblock", choices=ENGINE_KINDS,
                         help="emulation engine for every runtime the "
                              "command creates")
-    engine.add_argument("--fuel", type=int, default=None,
-                        help="scheduler timeslice in instructions "
-                             "(EngineConfig.fuel; default: the command's "
-                             "own timeslice)")
-    engine.add_argument("--block-cache-cap", type=int, default=None,
-                        metavar="N",
-                        help="flush the translated-block cache past N "
-                             "blocks (default: unbounded)")
-    engine.add_argument("--no-batch-abi", action="store_true",
-                        help="reject RuntimeCall.BATCH with -ENOSYS")
     engine.add_argument("--speculation", action="store_true",
                         help="bounded-speculation emulator mode "
                              "(DESIGN.md §16); incompatible with per-step "

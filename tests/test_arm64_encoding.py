@@ -285,9 +285,12 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode_text("b.eq target", pc=0, symbols={"target": 1 << 26})
 
-    def test_misaligned_branch(self):
-        with pytest.raises(EncodeError):
-            encode_text("b target", pc=0, symbols={"target": 6})
+    @pytest.mark.parametrize("text", [
+        "b target", "b.eq target", "cbz x0, target", "cbnz x0, target",
+        "tbz x0, #3, target", "tbnz x0, #3, target"])
+    def test_misaligned_branch(self, text):
+        with pytest.raises(EncodeError, match="misaligned"):
+            encode_text(text, pc=0x1000, symbols={"target": 0x1002})
 
     def test_bad_memory_shift(self):
         with pytest.raises(EncodeError):

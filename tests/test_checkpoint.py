@@ -406,8 +406,7 @@ class TestBackoffAndOpsMetrics:
         assert timeline(3) != timeline(4)
 
     def test_backoff_exponential_bounded_jitter(self):
-        supervisor = WorkerSupervisor(backoff_unit=0.05, max_backoff=2.0,
-                                      jitter_frac=0.25, seed=0)
+        supervisor = WorkerSupervisor(seed=0)
         base = supervisor.policy.backoff_base
         factor = supervisor.policy.backoff_factor
         for _ in range(8):

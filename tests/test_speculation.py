@@ -85,67 +85,13 @@ buf:
 
 def test_speculation_config_defaults_and_validation():
     spec = SpeculationConfig()
-    assert (spec.window, spec.seed, spec.pht_entries, spec.rsb_depth) == \
-        (24, 0, 256, 8)
+    assert (spec.window, spec.seed) == (24, 0)
     with pytest.raises(ConfigError):
         SpeculationConfig(window=0)
     with pytest.raises(ConfigError):
         SpeculationConfig(seed=-1)
     with pytest.raises(ConfigError):
-        SpeculationConfig(pht_entries=48)  # not a power of two
-    with pytest.raises(ConfigError):
-        SpeculationConfig(rsb_depth=0)
-    with pytest.raises(ConfigError):
-        SpeculationConfig.from_dict({"window": 8, "bogus": 1})
-    with pytest.raises(ConfigError):
         EngineConfig(speculation=3)
-
-
-def test_engine_config_speculation_coercion_and_round_trip():
-    assert EngineConfig().speculation is None
-    assert EngineConfig(speculation=True).speculation == SpeculationConfig()
-    config = EngineConfig(kind="stepping",
-                          speculation={"window": 12, "seed": 5})
-    assert config.speculation == SpeculationConfig(window=12, seed=5)
-
-    data = config.to_dict()
-    assert data["speculation"] == {"window": 12, "seed": 5,
-                                   "pht_entries": 256, "rsb_depth": 8}
-    assert EngineConfig.from_dict(data) == config
-    assert EngineConfig.from_dict(json.loads(json.dumps(data))) == config
-    # The disabled case stays disabled through the round trip.
-    plain = EngineConfig(kind="stepping")
-    assert plain.to_dict()["speculation"] is None
-    assert EngineConfig.from_dict(plain.to_dict()) == plain
-
-
-def test_engine_config_coerce_accepts_dicts():
-    config = EngineConfig.coerce(
-        {"kind": "stepping", "speculation": {"seed": 3}})
-    assert config.kind == "stepping"
-    assert config.speculation.seed == 3
-    with pytest.raises(ConfigError):
-        EngineConfig.coerce({"kind": "stepping", "bogus": 1})
-
-
-def test_tenant_policy_gateway_and_cluster_accept_speculation():
-    from repro.serve import Gateway, TenantPolicy
-
-    engine = EngineConfig(kind="stepping", speculation=SpeculationConfig())
-    policy = TenantPolicy(engine={"kind": "stepping",
-                                  "speculation": {"seed": 7}})
-    assert policy.engine.speculation.seed == 7
-
-    gateway = Gateway({"t": policy}, lanes=1, engine=engine)
-    assert gateway.engine_config.speculation == SpeculationConfig()
-    with pytest.raises(ConfigError):
-        Gateway({"t": TenantPolicy(engine=EngineConfig(kind="superblock"))},
-                lanes=1, engine=engine)
-
-    # The cluster worker deserializes engine dicts from its config blob.
-    worker_engine = EngineConfig.from_dict(
-        {"kind": "stepping", "speculation": {"seed": 3, "window": 16}})
-    assert worker_engine.speculation == SpeculationConfig(seed=3, window=16)
 
 
 def test_speculation_rejects_step_probes_and_forced_stepping():

@@ -184,6 +184,13 @@ class TestErrorPaths:
         assert "unrecognized arguments: --no-chaining" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_removed_fuel_flag_is_an_argparse_error(self, tmp_path):
+        """``--fuel`` went with ``EngineConfig.fuel``."""
+        result = self._run(["run", "--fuel", "5", str(tmp_path / "p.elf")])
+        assert result.returncode == 2
+        assert "unrecognized arguments: --fuel" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_in_process_main_returns_one(self, tmp_path, capsys):
         bogus = tmp_path / "b.elf"
         bogus.write_bytes(b"not an elf at all")

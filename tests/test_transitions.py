@@ -11,10 +11,9 @@ while also asserting that the fast paths actually fired
 (``Runtime.calls_inline`` and the ``loop_trips`` counter), so a silent
 fallback to the slow path cannot pass.
 
-The :class:`repro.EngineConfig` satellite is covered here too: the
-deprecation shim for the old string kwarg, dict round-trips across
-process/checkpoint boundaries, and the gateway's typed
-:class:`~repro.errors.ConfigError` on fuel/timeslice conflicts.
+The :class:`repro.EngineConfig` surface is covered here too: its two
+fields, and the typed :class:`~repro.errors.ConfigError` every surface
+raises at construction for an ``engine`` that is not one.
 """
 
 from __future__ import annotations
@@ -22,11 +21,12 @@ from __future__ import annotations
 import errno
 import functools
 import struct
+from dataclasses import fields
 
 import pytest
 
 from benchmarks.ledger.workloads.call_heavy import COUNTS, compile_program
-from repro import ENGINE_KINDS, ConfigError, EngineConfig
+from repro import ENGINE_KINDS, ConfigError, EngineConfig, SpeculationConfig
 from repro.checkpoint import Checkpoint, capture_job, restore_job
 from repro.cluster.worker import execute_job_steps
 from repro.core import O2
@@ -135,12 +135,6 @@ class TestFusedSpringboard:
         stats = runtime.machine.engine_stats()
         assert stats["compiled_blocks"] >= 2
         assert stats["loop_trips"] == 0
-
-    def test_block_cache_cap_still_identical(self):
-        elf = compile_lfi(call_loop_program(), options=O2).elf
-        capped = observables(EngineConfig(block_cache_cap=2), elf)
-        unbounded = observables(EngineConfig(), elf)
-        assert capped == unbounded
 
     def test_write_ordering_preserved(self):
         """stdout interleaving across fused crossings matches stepping."""
@@ -661,19 +655,6 @@ class TestBatchABI:
         assert result_word(0) == proc.pid
         assert result_word(1) == (-errno.ENOSYS) & ((1 << 64) - 1)
 
-    def test_batch_abi_disabled_returns_enosys(self):
-        import errno
-
-        records = [(RuntimeCall.GETPID, [])]
-        elf = compile_lfi(batch_program(records), options=O2,
-                          bss_size=128).elf
-        for engine in (EngineConfig(batch_abi=False),
-                       EngineConfig(kind="stepping", batch_abi=False)):
-            runtime = Runtime(model=None, engine=engine)
-            proc = runtime.spawn(elf)
-            runtime.run()
-            assert proc.exit_code == (-errno.ENOSYS) & 0xFF
-
     def test_oversized_batch_rejected(self):
         import errno
 
@@ -986,35 +967,18 @@ msg: .asciz "tick"
 
 
 class TestEngineConfigAPI:
-    def test_dict_round_trip(self):
-        for config in (EngineConfig(),
-                       EngineConfig(kind="stepping"),
-                       EngineConfig(fuel=1234, block_cache_cap=7,
-                                    batch_abi=False)):
-            assert EngineConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            EngineConfig.from_dict({"kind": "superblock", "nitro": True})
-
     def test_chaining_is_not_an_option(self):
-        """Five fields; the removed knob is unknown like any other."""
-        assert sorted(EngineConfig().to_dict()) == [
-            "batch_abi", "block_cache_cap", "fuel", "kind", "speculation"]
+        """Two fields each; a removed knob is unknown like any other."""
+        assert [f.name for f in fields(EngineConfig)] == \
+            ["kind", "speculation"]
+        assert [f.name for f in fields(SpeculationConfig)] == \
+            ["window", "seed"]
         with pytest.raises(TypeError):
             EngineConfig(chaining=True)
-        with pytest.raises(ConfigError, match="chaining"):
-            EngineConfig.from_dict({"chaining": True})
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             EngineConfig(kind="jit")
-        with pytest.raises(ConfigError):
-            EngineConfig(fuel=0)
-        with pytest.raises(ConfigError):
-            EngineConfig(block_cache_cap=-1)
-        with pytest.raises(ConfigError):
-            EngineConfig.coerce(42)
 
     def test_package_root_exports(self):
         import repro
@@ -1025,12 +989,33 @@ class TestEngineConfigAPI:
             ("superblock", "stepping")
         assert issubclass(repro.ConfigError, ValueError)
 
-    def test_string_kwarg_raises(self):
-        """The pre-PR-9 kind string is a wrong type like any other."""
+    @pytest.mark.parametrize("engine", ["superblock", {"kind": "stepping"}],
+                             ids=["kind-string", "config-dict"])
+    @pytest.mark.parametrize("surface",
+                             ["machine", "runtime", "gateway", "cluster"])
+    def test_wrong_engine_type_is_config_error(self, surface, engine,
+                                               monkeypatch):
+        """Every surface rejects a non-config ``engine`` when built (the
+        pre-PR-9 kind string and a config dict are wrong types like any
+        other); the cluster does so before it forks a worker."""
+        import multiprocessing
+
+        from repro.cluster import Cluster
+        from repro.serve import Gateway, TenantPolicy
+
+        started = []
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process,
+                            "start", lambda process: started.append(process))
+        build = {
+            "machine": lambda: Machine(PagedMemory(), engine=engine),
+            "runtime": lambda: Runtime(engine=engine),
+            "gateway": lambda: Gateway({"a": TenantPolicy()}, lanes=1,
+                                       engine=engine),
+            "cluster": lambda: Cluster(workers=1, engine=engine),
+        }[surface]
         with pytest.raises(ConfigError, match="EngineConfig"):
-            EngineConfig.coerce("stepping")
-        with pytest.raises(ConfigError):
-            Runtime(engine="superblock")
+            build()
+        assert started == []
 
     def test_engine_config_is_silent(self):
         import warnings
@@ -1041,23 +1026,16 @@ class TestEngineConfigAPI:
             assert runtime.machine.engine == "stepping"
             Runtime()  # None is not the deprecated spelling either
 
-    def test_fuel_sets_runtime_timeslice(self):
-        runtime = Runtime(engine=EngineConfig(fuel=777))
-        assert runtime.scheduler.timeslice == 777
-        explicit = Runtime(engine=EngineConfig(fuel=777), timeslice=123)
-        assert explicit.scheduler.timeslice == 777
-
     def test_checkpoint_round_trip(self):
-        """A job paused under one EngineConfig resumes byte-identically
-        in a runtime rebuilt from the config's serialized dict."""
-        config = EngineConfig(block_cache_cap=64)
+        """A job paused in one runtime resumes byte-identically in a
+        fresh one under the default config."""
         elf = compile_lfi(WRITER, options=O2).elf
 
-        reference = Runtime(model=None, timeslice=50, engine=config)
+        reference = Runtime(model=None, timeslice=50)
         ref = reference.spawn(elf)
         assert reference.run_bounded(ref, 10_000_000)
 
-        first = Runtime(model=None, timeslice=50, engine=config)
+        first = Runtime(model=None, timeslice=50)
         proc = first.spawn(elf)
         assert not first.run_bounded(proc, 60)
         ckpt = Checkpoint.from_bytes(
@@ -1065,9 +1043,7 @@ class TestEngineConfigAPI:
                         consumed_instructions=first.machine.instret,
                         consumed_cycles=first.machine.cycles).to_bytes())
 
-        revived = EngineConfig.from_dict(config.to_dict())
-        assert revived == config
-        second = Runtime(model=None, timeslice=50, engine=revived)
+        second = Runtime(model=None, timeslice=50)
         restored = restore_job(second, ckpt)
         assert second.run_bounded(restored, 10_000_000)
 
@@ -1076,58 +1052,3 @@ class TestEngineConfigAPI:
         assert restored.exit_code == ref.exit_code == 7
         assert restored.instructions == ref.instructions
         assert restored.registers == ref.registers
-
-
-class TestGatewayConfigErrors:
-    def _policies(self, **kwargs):
-        from repro.serve import TenantPolicy
-
-        return {"a": TenantPolicy(**kwargs)}
-
-    def test_fuel_conflicts_with_pinned_timeslice(self):
-        from repro.serve import Gateway
-
-        with pytest.raises(ConfigError, match="conflicts with"):
-            Gateway(self._policies(), lanes=1, timeslice=200,
-                    engine=EngineConfig(fuel=100))
-
-    def test_fuel_exceeding_checkpoint_interval(self):
-        from repro.serve import Gateway
-
-        with pytest.raises(ConfigError, match="checkpoint interval"):
-            Gateway(self._policies(), lanes=1, checkpoint_interval=2000,
-                    engine=EngineConfig(fuel=5000))
-
-    def test_agreeing_fuel_accepted_and_pinned(self):
-        from repro.serve import Gateway
-
-        gateway = Gateway(self._policies(), lanes=1,
-                          engine=EngineConfig(fuel=500))
-        assert gateway.timeslice == 500
-        same = Gateway(self._policies(), lanes=1, timeslice=500,
-                       engine=EngineConfig(fuel=500))
-        assert same.timeslice == 500
-
-    def test_tenant_engine_kind_pin_mismatch(self):
-        from repro.serve import Gateway
-
-        with pytest.raises(ConfigError, match="pins engine kind"):
-            Gateway(self._policies(
-                engine=EngineConfig(kind="stepping")), lanes=1)
-
-    def test_tenant_fuel_pin_mismatch_never_clamped(self):
-        from repro.serve import Gateway
-
-        with pytest.raises(ConfigError, match="never silently"):
-            Gateway(self._policies(engine=EngineConfig(fuel=999)),
-                    lanes=1, timeslice=500)
-
-    def test_tenant_pin_checked_on_hot_reload(self):
-        from repro.serve import Gateway, TenantPolicy
-
-        gateway = Gateway(self._policies(), lanes=1)
-        matching = TenantPolicy(engine=EngineConfig())
-        gateway.reload("a", matching, token=1)
-        with pytest.raises(ConfigError):
-            gateway.reload("a", TenantPolicy(
-                engine=EngineConfig(kind="stepping")), token=2)
