@@ -191,6 +191,16 @@ class TestHotReload:
         assert any(" reload-stale " in line for line in gateway.log)
         assert gateway.store.version("a") == 2
 
+    def test_lane_timeslice_is_the_checkpoint_interval(self):
+        """A reload applies at a chunk boundary, and every chunk boundary
+        is a scheduler slice end: the lane timeslice is the interval."""
+        for interval in (2000, 500, 1):
+            gateway = Gateway({"a": TenantPolicy()}, lanes=2,
+                              checkpoint_interval=interval)
+            assert gateway.timeslice == interval
+            assert [lane.runtime.scheduler.timeslice
+                    for lane in gateway.lanes.values()] == [interval] * 2
+
     def test_stale_immediate_reload_raises(self):
         gateway = Gateway({"a": TenantPolicy()}, lanes=1)
         gateway.reload("a", TenantPolicy(), token=1)

@@ -94,6 +94,27 @@ def test_speculation_config_defaults_and_validation():
         EngineConfig(speculation=3)
 
 
+def test_tenant_policy_gateway_and_cluster_accept_speculation(monkeypatch):
+    import multiprocessing
+
+    from repro.cluster import Cluster
+    from repro.serve import Gateway, TenantPolicy
+
+    engine = EngineConfig(kind="stepping",
+                          speculation=SpeculationConfig(seed=7))
+    gateway = Gateway({"t": TenantPolicy()}, lanes=2, engine=engine)
+    assert gateway.engine_config is engine
+    for lane in gateway.lanes.values():
+        machine = lane.runtime.machine
+        assert machine.engine == "stepping"
+        assert machine.speculation_log is not None
+
+    # Fork-started workers inherit the frozen config the cluster holds.
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process,
+                        "start", lambda process: None)
+    assert Cluster(workers=1, engine=engine)._config["engine"] is engine
+
+
 def test_speculation_rejects_step_probes_and_forced_stepping():
     elf = rewrite_to_elf(LOOP_SOURCE, O2)
     engine = EngineConfig(kind="stepping", speculation=SpeculationConfig())
