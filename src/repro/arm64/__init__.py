@@ -21,7 +21,8 @@ from .operands import (
     Shifted,
     VecReg,
 )
-from .parser import AsmSyntaxError, parse_assembly, parse_operand
+from ..errors import AsmSyntaxError, AssembleError, EncodeError
+from .parser import parse_assembly, parse_operand
 from .printer import format_item, print_assembly
 from .program import DATA_DIRECTIVES, Directive, LabelDef, Program
 from .registers import (
@@ -58,6 +59,8 @@ __all__ = [
     "Shifted",
     "VecReg",
     "AsmSyntaxError",
+    "AssembleError",
+    "EncodeError",
     "parse_assembly",
     "parse_operand",
     "format_item",

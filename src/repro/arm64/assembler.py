@@ -17,11 +17,13 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .encoder import EncodeError, encode_instruction
+from ..errors import AssembleError as _AssembleError
+from ..errors import EncodeError as _EncodeError
+from .encoder import encode_instruction
 from .instructions import Instruction
 from .program import DATA_DIRECTIVES, Directive, LabelDef, Program
 
-__all__ = ["AssembleError", "AssembledImage", "Section", "assemble"]
+__all__ = ["AssembledImage", "Section", "assemble"]
 
 DEFAULT_LAYOUT = {
     ".text": 0x0004_0000,
@@ -29,10 +31,6 @@ DEFAULT_LAYOUT = {
     ".data": 0x2000_0000,
     ".bss": 0x3000_0000,
 }
-
-
-class AssembleError(ValueError):
-    """Raised for layout or encoding failures."""
 
 
 @dataclass
@@ -116,7 +114,7 @@ def _item_size(item, current_align: int) -> int:
 def _string_length(arg: str) -> int:
     match = _STRING_RE.match(arg.strip())
     if not match:
-        raise AssembleError(f"bad string literal: {arg!r}")
+        raise _AssembleError(f"bad string literal: {arg!r}")
     return len(_unescape(match.group(1)))
 
 
@@ -163,14 +161,14 @@ def assemble(
         align = _alignment_of(item)
         if align is not None:
             if align & (align - 1):
-                raise AssembleError(f"alignment {align} not a power of two")
+                raise _AssembleError(f"alignment {align} not a power of two")
             pad = (-cursor) % align
             cursors[current] = cursor + pad
             placed.append((item, current, cursors[current]))
             continue
         if isinstance(item, LabelDef):
             if item.name in symbols:
-                raise AssembleError(f"duplicate label {item.name!r}")
+                raise _AssembleError(f"duplicate label {item.name!r}")
             symbols[item.name] = cursor
             continue
         placed.append((item, current, cursor))
@@ -185,7 +183,7 @@ def assemble(
         section = sections[section_name]
         pad = address - section.end
         if pad < 0:
-            raise AssembleError("layout regression (internal error)")
+            raise _AssembleError("layout regression (internal error)")
         filler = b"\x00" * pad
         if isinstance(item, Instruction) or (
             section_name == ".text" and pad and pad % 4 == 0
@@ -196,8 +194,8 @@ def assemble(
         if isinstance(item, Instruction):
             try:
                 word = encode_instruction(item, pc=address, symbols=symbols)
-            except EncodeError as exc:
-                raise AssembleError(str(exc)) from None
+            except _EncodeError as exc:
+                raise _AssembleError(str(exc)) from None
             section.data.extend(struct.pack("<I", word))
             if item.guard is not None:
                 provenance[address] = item.guard
@@ -211,7 +209,7 @@ def assemble(
     elif ".text" in sections:
         entry = sections[".text"].base
     else:
-        raise AssembleError("no entry point and no .text section")
+        raise _AssembleError("no entry point and no .text section")
     return AssembledImage(sections=sections, symbols=symbols, entry=entry,
                           provenance=provenance)
 
@@ -229,7 +227,7 @@ def _emit_directive(item: Directive, symbols: Dict[str, int]) -> bytes:
             elif arg in symbols:
                 value = symbols[arg]
             else:
-                raise AssembleError(f"cannot resolve data value {arg!r}")
+                raise _AssembleError(f"cannot resolve data value {arg!r}")
             out.extend(struct.pack(fmt, value & ((1 << (size * 8)) - 1)))
         return bytes(out)
     if name in (".skip", ".space", ".zero"):
@@ -241,11 +239,11 @@ def _emit_directive(item: Directive, symbols: Dict[str, int]) -> bytes:
         for arg in item.args:
             match = _STRING_RE.match(arg.strip())
             if not match:
-                raise AssembleError(f"bad string literal: {arg!r}")
+                raise _AssembleError(f"bad string literal: {arg!r}")
             out.extend(_unescape(match.group(1)))
             if name != ".ascii":
                 out.append(0)
         return bytes(out)
     if name in (".align", ".p2align", ".balign"):
         return b""
-    raise AssembleError(f"unsupported directive {name}")
+    raise _AssembleError(f"unsupported directive {name}")

@@ -277,7 +277,9 @@ def _rewrite_instruction(block: List[Instruction], i: int, out: Program,
 
     if inst.is_indirect_branch:
         target = inst.operands[0] if inst.operands else X[30]
-        if target.index == 30 and not target.is_vector:
+        if not isinstance(target, Reg) or target.is_vector:
+            raise _RewriteError(f"indirect branch needs a register: {inst}")
+        if target.index == 30:
             if m == "ret" and hardening == "mask":
                 # br never engages the return-stack predictor, so a
                 # demoted return cannot open an RSB window (§16).

@@ -13,10 +13,14 @@ re-export the common ones), not from the modules that raise them.
 from __future__ import annotations
 
 import errno as _errno
+from typing import Optional
 
 __all__ = [
     "ReproError",
     "ConfigError",
+    "AsmSyntaxError",
+    "EncodeError",
+    "AssembleError",
     "VerificationError",
     "GuardError",
     "RewriteError",
@@ -44,6 +48,25 @@ class ConfigError(ValueError, ReproError):
     surfaces that refuse a config instead of silently clamping it (the
     gateway's timeslice/checkpoint-interval pinning).
     """
+
+
+class AsmSyntaxError(ValueError, ReproError):
+    """Raised for malformed assembly input."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class EncodeError(ValueError, ReproError):
+    """An instruction has no encoding: an operand is out of range, of the
+    wrong kind or width, or names a form the decoder would not read back."""
+
+
+class AssembleError(ValueError, ReproError):
+    """Raised for layout or encoding failures."""
 
 
 class VerificationError(ReproError):

@@ -9,23 +9,33 @@ Two directions are checked:
   "normalizes" machine code — vital for a verifier).
 """
 
+import hashlib
+import inspect
+import json
+import random
 import struct
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arm64 import parse_assembly
+from repro.arm64 import decoder, encoder, parse_assembly
 from repro.arm64.assembler import assemble
-from repro.arm64.decoder import decode_word
+from repro.arm64.decoder import (
+    ROWS, decode_bitmask, decode_fp8, decode_word, row_fields)
 from repro.arm64.encoder import (
-    EncodeError,
-    decode_bitmask,
-    decode_fp8,
-    encode_bitmask,
-    encode_fp8,
-    encode_instruction,
-)
+    _pack, encode_bitmask, encode_fp8, encode_instruction, reencode_word)
+from repro.core.options import O0, O1, O2, O2_FENCE, O2_MASK, O2_NO_LOADS
+from repro.core.rewriter import rewrite_program
+from repro.errors import EncodeError, ReproError
+from repro.fuzz.genasm import AsmGenerator, GenConfig
+from repro.runtime.table import RuntimeCall
+from repro.workloads import benchmark_names, build_benchmark
+from repro.workloads.rtlib import (
+    batch_block, busy_program, prologue, rt_exit, rtcall)
+from repro.workloads.spectre import ATTACKS, attack_source
 
 
 def encode_text(text, pc=0, symbols=None):
@@ -304,6 +314,43 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode_text("mov x0, #0x123456789")
 
+    @pytest.mark.parametrize("text", [
+        # An out-of-range shift or bit number was taken modulo the width.
+        "lsl x0, x1, #64", "lsr w0, w1, #33", "ror w0, w1, #32",
+        "mov w0, #0x100000000", "tbz w0, #40, L", "fcmp s0, #1.0",
+        # ands (the flag-setting one) cannot write sp: this was a tst.
+        "ands sp, x0, #1",
+        # An operand of the wrong width was read as the right one.
+        "csel w0, x1, x2, eq", "mul w0, x1, x2", "ldp x0, w1, [x2]",
+        "fadd s0, d1, d2", "fadd s0, v1.4s, v2.4s", "add v0.4s, v1.4s, v2.2s",
+        # A field too wide for its bits spilled into its neighbour.
+        "ubfx x0, x1, #60, #8", "ubfm x0, x1, #64, #3", "bfi x0, x1, #0, #65",
+        "sbfx w0, w1, #0, #0", "ccmp x0, x1, #16, eq",
+    ])
+    def test_no_silent_meaning_change(self, text):
+        with pytest.raises(EncodeError):
+            encode_text(text, symbols={"L": 0x40})
+
+    @pytest.mark.parametrize("text", [
+        "add w0, w1, w2, lsl #32", "sub x0, x1, w2, uxtw #5", "fmov w0, d1",
+        "b.al L"])
+    def test_no_word_the_decoder_rejects(self, text):
+        with pytest.raises(EncodeError):
+            encode_text(text, symbols={"L": 0x40})
+
+    @pytest.mark.parametrize("text", [
+        "ret x31", "br L", "csel x0, x1, x2, #1", "dmb #5"])
+    def test_operand_of_the_wrong_kind(self, text):
+        with pytest.raises(EncodeError):
+            encode_text(text, symbols={"L": 0x40})
+
+    @pytest.mark.parametrize("text", [
+        "mov w0, #-1", "and w0, w1, #-2", "tbz w0, #31, L", "fcmp d0, #0.0",
+        "ands xzr, x0, #1", "and sp, x0, #1", "ubfx x0, x1, #60, #4",
+        "bfi w0, w1, #31, #1", "ccmp x0, #31, #15, al", "lsl x0, x1, #63"])
+    def test_edges_that_do_encode(self, text):
+        roundtrip(text, symbols={"L": 0x40})
+
 
 class TestBitmaskImmediates:
     @pytest.mark.parametrize(
@@ -399,3 +446,142 @@ class TestDecodeSegment:
         decoded = decode_text(bytes(image.text.data), image.text.base)
         # "mov x0, #1" canonicalizes to movz at the machine-code level.
         assert [d.mnemonic for d in decoded] == ["movz", "add", "ret"]
+
+
+# ---------------------------------------------------------------------------
+# Byte-identical output on real programs
+# ---------------------------------------------------------------------------
+
+def _pinned_sources():
+    """(name, source, levels) of every program the digest below covers;
+    level ``None`` is the native build."""
+    every = (None,) + tuple(_LEVELS)
+    corpus = Path(__file__).parent / "corpus"
+    for path in sorted(corpus.glob("*.json")):
+        entry = json.loads(path.read_text())
+        if entry["kind"] == "program":
+            yield path.stem, entry["source"], every
+    generator = AsmGenerator(GenConfig(min_fragments=60, max_fragments=60))
+    rng = random.Random(7)
+    for i in range(16):
+        yield f"genasm-{i}", generator.generate(rng).source, \
+            (None, "O0", "O1", "O2")
+    for name in benchmark_names():
+        yield name, build_benchmark(name, 4000), every
+    for name in sorted(ATTACKS):
+        yield f"spectre-{name}", attack_source(name, 0x5A), every
+    yield "busy", busy_program(3, 200_000), (None, "O2")
+    yield "rtcalls", (prologue() + "".join(rtcall(c) for c in RuntimeCall.ALL)
+                      + rt_exit()), (None, "O2")
+    yield "batch", (
+        prologue() + "\tadrp x19, buf\n\tadd x19, x19, :lo12:buf\n"
+        + batch_block([(RuntimeCall.GETPID, ()),
+                       (RuntimeCall.WRITE, (1, 2, 3))])
+        + rt_exit() + ".data\nbuf:\n\t.skip 256\n"), (None, "O2")
+
+
+_LEVELS = {"O0": O0, "O1": O1, "O2": O2, "O2-noloads": O2_NO_LOADS,
+           "O2-fence": O2_FENCE, "O2-mask": O2_MASK}
+
+
+class TestEncoderPinned:
+    #: sha256 over every text section the programs above assemble to (an
+    #: input the rewriter refuses contributes its error's name instead).
+    TEXT_SHA256 = ("ef0a9a1218bf187ce5c9586002abb2fd"
+                   "12b3531ea38e270e944e9d4a9e0eb977")
+
+    def test_text_digest(self):
+        digest = hashlib.sha256()
+        for name, source, levels in _pinned_sources():
+            for level in levels:
+                try:
+                    program = parse_assembly(source)
+                    if level is not None:
+                        program = rewrite_program(program,
+                                                  _LEVELS[level]).program
+                    text = bytes(assemble(program).text.data)
+                except ReproError as exc:
+                    text = type(exc).__name__.encode()
+                digest.update(f"{name}/{level}:".encode() + text)
+        assert digest.hexdigest() == self.TEXT_SHA256
+
+    def test_every_generated_instruction_encodes_decodably(self):
+        """Every instruction ``genasm`` emits for 40 seed-7 programs, native
+        and rewritten at O2, encodes to a word the decoder accepts and
+        ``reencode_word`` maps back to itself."""
+        generator = AsmGenerator(GenConfig(min_fragments=100,
+                                           max_fragments=100))
+        rng = random.Random(7)
+        count = 0
+        for _ in range(40):
+            native = parse_assembly(generator.generate(rng).source)
+            for program in (native,
+                            rewrite_program(native, _LEVELS["O2"]).program):
+                text = assemble(program).text
+                for offset in range(0, len(text.data), 4):
+                    pc = text.base + offset
+                    word = int.from_bytes(text.data[offset:offset + 4],
+                                          "little")
+                    assert decode_word(word, pc) is not None, hex(word)
+                    assert reencode_word(word, pc) == word, hex(word)
+                    count += 1
+        assert count > 20_000
+
+
+# ---------------------------------------------------------------------------
+# The packer: one statement of each layout
+# ---------------------------------------------------------------------------
+
+
+def _assert_packs(row, values):
+    """``_pack`` either refuses a value outside its field, or returns a
+    word of ``row`` whose fields read back as ``values``."""
+    _group, mask, match, layout = ROWS[row]
+    fields = row_fields(layout)
+    fits = all(0 <= v < 1 << width for v, (_f, _lo, width) in zip(values, fields))
+    try:
+        word = _pack(row, *values)
+    except EncodeError:
+        assert not fits, (row, values)
+        return
+    assert fits, (row, values, hex(word))
+    assert word & mask == match, (row, values)
+    assert [word >> lo & (1 << width) - 1 for _f, lo, width in fields] \
+        == list(values)
+
+
+def _draw_value(rng, width):
+    return rng.choice((rng.randrange(1 << width), rng.randrange(1 << width),
+                       -rng.randrange(1, 1 << width),
+                       rng.randrange(1 << width, 1 << width + 2)))
+
+
+class TestPacker:
+    @pytest.mark.parametrize("row", list(ROWS))
+    def test_seeded_field_values(self, row):
+        rng = random.Random(zlib.crc32(row.encode()))
+        for _ in range(200):
+            _assert_packs(row, [_draw_value(rng, width) for _f, _lo, width
+                                in row_fields(ROWS[row][3])])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("row", list(ROWS))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_property_field_values(self, row, data):
+        _assert_packs(row, [data.draw(st.integers(-(1 << width),
+                                                  (1 << width + 1) - 1),
+                                      label=name)
+                            for name, _lo, width in row_fields(ROWS[row][3])])
+
+    def test_layout_is_stated_once(self):
+        """No decoder reads the word itself and no encoder shifts a field
+        into place: the rows are the only statement of a bit position."""
+        assert "_bits(" not in inspect.getsource(decoder)
+        for name in ROWS:
+            params = inspect.signature(getattr(decoder, "_dec_" + name))
+            assert list(params.parameters)[0] == "pc"
+            assert len(params.parameters) == 1 + len(row_fields(ROWS[name][3]))
+        for name, function in vars(encoder).items():
+            if name.startswith("_encode"):
+                assert "<<" not in inspect.getsource(function), name

@@ -6,7 +6,10 @@ import warnings
 import pytest
 
 from repro.errors import (
+    AsmSyntaxError,
+    AssembleError,
     Deadlock,
+    EncodeError,
     ElfError,
     GuardError,
     LoadError,
@@ -21,7 +24,8 @@ from repro.errors import (
 class TestHierarchy:
     def test_everything_is_a_repro_error(self):
         for exc in (VerificationError, GuardError, RewriteError, ElfError,
-                    LoadError, RuntimeError_, Deadlock, VfsError):
+                    LoadError, RuntimeError_, Deadlock, VfsError,
+                    AsmSyntaxError, EncodeError, AssembleError):
             assert issubclass(exc, ReproError)
 
     def test_builtin_compatibility_preserved(self):
@@ -29,6 +33,8 @@ class TestHierarchy:
         assert issubclass(GuardError, ValueError)
         assert issubclass(RewriteError, ValueError)
         assert issubclass(ElfError, ValueError)
+        for exc in (AsmSyntaxError, EncodeError, AssembleError):
+            assert exc.__mro__[1] is ValueError
         assert issubclass(VfsError, OSError)
         assert issubclass(Deadlock, RuntimeError_)
 
@@ -61,6 +67,9 @@ OLD_HOMES = [
     ("repro.runtime.runtime", "RuntimeError_"),
     ("repro.runtime.runtime", "Deadlock"),
     ("repro.runtime.vfs", "VfsError"),
+    ("repro.arm64.parser", "AsmSyntaxError"),
+    ("repro.arm64.encoder", "EncodeError"),
+    ("repro.arm64.assembler", "AssembleError"),
 ]
 
 
@@ -84,3 +93,4 @@ class TestRemovedReexports:
             from repro.elf import ElfError as b  # noqa: F401
             from repro.runtime import VfsError as c  # noqa: F401
             from repro import ReproError as d  # noqa: F401
+            from repro.arm64 import EncodeError as e  # noqa: F401

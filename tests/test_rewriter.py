@@ -360,6 +360,11 @@ class TestInputValidation:
         with pytest.raises(RewriteError):
             rewrite_program(parse_assembly("mrs x0, tpidr_el0"))
 
+    @pytest.mark.parametrize("src", ["ret x31", "br target"])
+    def test_indirect_branch_to_a_non_register_rejected(self, src):
+        with pytest.raises(RewriteError):
+            rewrite_program(parse_assembly(src))
+
     def test_exclusives_policy(self):
         options = O2.with_(allow_exclusives=False)
         with pytest.raises(RewriteError):

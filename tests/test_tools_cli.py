@@ -191,6 +191,19 @@ class TestErrorPaths:
         assert "unrecognized arguments: --fuel" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("line", [
+        "ret x31",                # not a register: the encoder's operand
+        "movz x0, #1, lsl #8",    # no encoding: a move-wide shift of 8
+        "add x0, x1,",            # malformed: an empty operand
+    ])
+    def test_assembly_errors_are_one_line(self, tmp_path, capsys, line):
+        src = tmp_path / "p.s"
+        src.write_text(prologue() + f"    {line}\n")
+        assert main(["compile", str(src), "--native",
+                     "-o", str(tmp_path / "p.elf")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro.tools: error:"), err
+
     def test_in_process_main_returns_one(self, tmp_path, capsys):
         bogus = tmp_path / "b.elf"
         bogus.write_bytes(b"not an elf at all")
