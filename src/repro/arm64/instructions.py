@@ -122,10 +122,7 @@ class Instruction:
         out: List[Reg] = []
         if isa.is_memory(m):
             if isa.is_load(m):
-                if m in ("ldxr", "ldaxr"):
-                    out.extend(self.transfer_regs)
-                else:
-                    out.extend(self.transfer_regs)
+                out.extend(self.transfer_regs)
             elif m in ("stxr", "stlxr"):
                 # First operand is the 32-bit status register.
                 first = self.operands[0]

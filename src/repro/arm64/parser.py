@@ -10,7 +10,7 @@ modes, condition codes, and ``:lo12:`` relocations).
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import AsmSyntaxError as _AsmSyntaxError
 from . import isa
@@ -214,7 +214,11 @@ def _merge_modifier(reg, modifier: str, line: Optional[int]) -> Operand:
     raise _AsmSyntaxError(f"bad register modifier {modifier!r}", line)
 
 
-def _parse_instruction(text: str, line: Optional[int]) -> Instruction:
+def _parse_instruction(text: str, line: Optional[int],
+                       parsed: Dict[str, Operand]) -> Instruction:
+    """One statement.  Operands are frozen values, so the enclosing
+    ``parse_assembly`` call parses each operand text once: ``parsed`` maps
+    each one it has read to its operand."""
     parts = text.split(None, 1)
     mnemonic = parts[0].lower()
     if len(parts) == 1:
@@ -241,7 +245,10 @@ def _parse_instruction(text: str, line: Optional[int]) -> Instruction:
                         prev.value, _parse_int(shift.group(2), line)
                     )
                     continue
-        operands.append(parse_operand(raw, line))
+        operand = parsed.get(raw)
+        if operand is None:
+            operand = parsed[raw] = parse_operand(raw, line)
+        operands.append(operand)
 
     if mnemonic in isa.MEMORY:
         _merge_post_index(operands)
@@ -262,6 +269,7 @@ def parse_assembly(text: str) -> Program:
     """Parse GNU-syntax assembly text into a :class:`Program`."""
     items: List[Item] = []
     add = items.append
+    parsed: Dict[str, Operand] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comments(raw_line)
         while line:
@@ -286,5 +294,5 @@ def parse_assembly(text: str) -> Program:
                 )
                 add(Directive(parts[0], args))
             else:
-                add(_parse_instruction(statement, lineno))
+                add(_parse_instruction(statement, lineno, parsed))
     return Program(items)

@@ -8,7 +8,9 @@ test-branch's distance and, when it approaches the limit, replace
                          ==>    b target
                                 .Llfi_skip_N:
 
-The estimate is recomputed to a fixed point since each fix adds code.
+The estimate is recomputed to a fixed point since each fix adds code.  A
+program whose whole conservative size is below the threshold needs no
+estimate at all.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ def _layout(program: Program) -> Dict[str, int]:
 
 def fix_branch_ranges(program: Program, threshold: int = _THRESHOLD) -> int:
     """Rewrite out-of-range test branches in place; returns the fix count."""
+    if sum(map(_item_bytes, program.items)) < threshold:
+        return 0    # no two points of the program are that far apart
     fixes = 0
     counter = 0
     changed = True

@@ -24,7 +24,7 @@ the two is free over the segment's span (greedy interval assignment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arm64 import isa
 from ..arm64.instructions import Instruction
@@ -41,7 +41,7 @@ _HOISTABLE_MNEMONICS = (
 
 def is_hoistable(inst: Instruction, sandbox_loads: bool = True) -> bool:
     """Can this access be redirected through a hoisting register?"""
-    if not inst.is_memory or inst.mnemonic not in _HOISTABLE_MNEMONICS:
+    if inst.mnemonic not in _HOISTABLE_MNEMONICS:   # all of them memory
         return False
     if inst.is_load and not sandbox_loads:
         return False  # unguarded loads need no hoisting
@@ -93,21 +93,22 @@ class _Segment:
         return self.positions[-1]
 
 
-def _collect_segments(block: List[Instruction],
-                      sandbox_loads: bool) -> List[_Segment]:
+def _collect_segments(bases: Sequence[Optional[Reg]],
+                      writes: Sequence[Sequence[Reg]]) -> List[_Segment]:
     open_segments: Dict[int, _Segment] = {}
     done: List[_Segment] = []
-    for i, inst in enumerate(block):
-        if is_hoistable(inst, sandbox_loads):
-            base = inst.mem.base
+    for i, base in enumerate(bases):
+        if base is not None:
             seg = open_segments.get(base.index)
             if seg is None:
                 seg = _Segment(base, [])
                 open_segments[base.index] = seg
                 done.append(seg)
             seg.positions.append(i)
+        if not open_segments:
+            continue
         # Any redefinition of a base register ends its segment.
-        for reg in inst.defs():
+        for reg in writes[i]:
             if not reg.is_vector and reg.index in open_segments:
                 # A hoistable access never redefines its own base, so this
                 # is always a true invalidation.
@@ -116,9 +117,12 @@ def _collect_segments(block: List[Instruction],
 
 
 def plan_hoisting(block: List[Instruction],
+                  writes: Sequence[Sequence[Reg]],
                   sandbox_loads: bool = True,
                   hoist_registers: int = len(HOIST_REGS)) -> HoistPlan:
-    """Plan redundant guard elimination for one basic block.
+    """Plan redundant guard elimination for one basic block, given the
+    registers each of its instructions writes (``writes[i]``, as the
+    rewriter reads them once per instruction).
 
     ``hoist_registers`` limits how many of x23/x24 may be used (the
     paper's design reserves two; one suffices for single-base runs but
@@ -127,7 +131,11 @@ def plan_hoisting(block: List[Instruction],
     plan = HoistPlan()
     if hoist_registers <= 0:
         return plan
-    segments = sorted(_collect_segments(block, sandbox_loads),
+    bases = [inst.mem.base if is_hoistable(inst, sandbox_loads) else None
+             for inst in block]
+    if not any(bases):
+        return plan
+    segments = sorted(_collect_segments(bases, writes),
                       key=lambda s: s.start)
     #: For each hoisting register, the last instruction index it is live at.
     busy_until = {reg: -1 for reg in HOIST_REGS[:hoist_registers]}

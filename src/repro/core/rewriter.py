@@ -126,7 +126,9 @@ def rewrite_program(program: Program,
 
     def flush_block():
         if block:
+            emitted = len(out.items)
             _rewrite_block(block, out, options, stats)
+            stats.output_instructions += len(out.items) - emitted
             block.clear()
 
     for item in program.items:
@@ -147,6 +149,7 @@ def rewrite_program(program: Program,
                 # starts at a branch target, i.e. at a label.
                 out.add(guards.speculation_fence())
                 stats.fence_guards += 1
+                stats.output_instructions += 1
             continue
         if not section.startswith(".text"):
             out.add(item)
@@ -157,8 +160,9 @@ def rewrite_program(program: Program,
             flush_block()
     flush_block()
 
+    # Each fix turns one test branch into an inverted one and a ``b``.
     stats.range_fixed_branches = fix_branch_ranges(out)
-    stats.output_instructions = sum(1 for _ in out.text_instructions())
+    stats.output_instructions += stats.range_fixed_branches
     return RewriteResult(program=out, stats=stats, options=options)
 
 
@@ -168,14 +172,23 @@ def rewrite_program(program: Program,
 
 def _rewrite_block(block: List[Instruction], out: Program,
                    options: RewriteOptions, stats: RewriteStats) -> None:
-    plan = (plan_hoisting(block, options.sandbox_loads,
+    # Each instruction's facts, read once: the registers it writes (shared
+    # by the hoisting planner, the dispatch and the sp elision) and whether
+    # it is half of a runtime-call pair.  A block ends at its first branch,
+    # so only its last two instructions can be a runtime-call pair.
+    writes = [inst.defs() for inst in block]
+    calls = len(block) - 2
+    if calls < 0 or not _is_runtime_call_load(block, calls):
+        calls = len(block)
+    plan = (plan_hoisting(block, writes, options.sandbox_loads,
                           options.hoist_registers)
             if options.hoisting else HoistPlan())
     reserved = RESERVED_INDICES
     if options.speculation_hardening == "mask":
         reserved = reserved | {POISON_REG.index}
     for i, inst in enumerate(block):
-        _check_reserved(block, i, reserved)
+        if i < calls:
+            _check_reserved(inst, reserved)
         guard_at = plan.guards.get(i)
         if guard_at is not None:
             hoist_reg, base = guard_at
@@ -189,7 +202,8 @@ def _rewrite_block(block: List[Instruction], out: Program,
             stats.hoisted_accesses += 1
             _after_load_fixups(inst, out, stats)
             continue
-        _rewrite_instruction(block, i, out, options, stats)
+        _rewrite_instruction(block, i, writes, i >= calls, out, options,
+                             stats)
 
 
 def _replace_mem(inst: Instruction, mem: Mem) -> Instruction:
@@ -225,25 +239,23 @@ def _is_runtime_call_load(block: List[Instruction], i: int) -> bool:
 is_runtime_call_load = _is_runtime_call_load
 
 
-def _check_reserved(block: List[Instruction], i: int,
+def _check_reserved(inst: Instruction,
                     reserved: frozenset = RESERVED_INDICES) -> None:
-    """Reject input that touches reserved registers (-ffixed-reg contract).
+    """Reject input that touches reserved registers (-ffixed-reg contract);
+    the caller exempts runtime-call pairs.
 
     Under mask hardening the poison register (x25) joins the reserved
     set: application writes would let a transient path clear the poison.
     """
-    inst = block[i]
-    if _is_runtime_call_load(block, i):
-        return
-    if i > 0 and _is_runtime_call_load(block, i - 1) and inst.mnemonic == "blr":
-        return
     for op in inst.operands:
         if isinstance(op, Mem):
-            regs = (op.base, op.offset_reg)
+            reg, offset = op.base, op.offset_reg
+            if offset is not None and offset.index in reserved \
+                    and not offset.is_vector:
+                break
         else:
-            regs = (op if isinstance(op, Reg) else getattr(op, "reg", None),)
-        if any(reg is not None and reg.index in reserved
-               and not reg.is_vector for reg in regs):
+            reg = op if isinstance(op, Reg) else getattr(op, "reg", None)
+        if reg is not None and reg.index in reserved and not reg.is_vector:
             break
     else:
         return
@@ -255,7 +267,8 @@ def _check_reserved(block: List[Instruction], i: int,
             )
 
 
-def _rewrite_instruction(block: List[Instruction], i: int, out: Program,
+def _rewrite_instruction(block: List[Instruction], i: int,
+                         writes: List[List[Reg]], in_call: bool, out: Program,
                          options: RewriteOptions, stats: RewriteStats) -> None:
     inst = block[i]
     m = inst.mnemonic
@@ -269,13 +282,16 @@ def _rewrite_instruction(block: List[Instruction], i: int, out: Program,
             f"exclusives disallowed by hardening policy: {inst}"
         )
 
-    if inst.is_memory:
-        _rewrite_memory(block, i, out, options, stats)
+    if m in isa.MEMORY:
+        if in_call:
+            out.add(inst)   # the runtime-call load passes through (§4.4)
+        else:
+            _rewrite_memory(inst, out, options, stats)
         return
 
     hardening = options.speculation_hardening
 
-    if inst.is_indirect_branch:
+    if m in isa.INDIRECT_BRANCHES:
         target = inst.operands[0] if inst.operands else X[30]
         if not isinstance(target, Reg) or target.is_vector:
             raise _RewriteError(f"indirect branch needs a register: {inst}")
@@ -300,16 +316,17 @@ def _rewrite_instruction(block: List[Instruction], i: int, out: Program,
             stats.fence_guards += 1
         return
 
-    defs = inst.defs()
-    if any(d.is_sp for d in defs):
-        _rewrite_sp_write(block, i, out, options, stats)
-        return
-    if any(d.index == 30 and not d.is_vector for d in defs) and not inst.is_call:
-        # Arithmetic or address computation into the link register.
-        out.add(inst)
-        out.add(guards.x30_guard())
-        stats.x30_guards += 1
-        return
+    # A non-memory instruction writes at most one register.
+    for dest in writes[i]:
+        if dest.is_sp:
+            _rewrite_sp_write(block, i, writes, out, options, stats)
+            return
+        if dest.index == 30 and not dest.is_vector and not inst.is_call:
+            # Arithmetic or address computation into the link register.
+            out.add(inst)
+            out.add(guards.x30_guard())
+            stats.x30_guards += 1
+            return
 
     if hardening is not None and inst.is_branch:
         if m.startswith("b."):
@@ -347,20 +364,9 @@ def _after_load_fixups(inst: Instruction, out: Program,
         stats.x30_guards += 1
 
 
-def _rewrite_memory(block: List[Instruction], i: int, out: Program,
+def _rewrite_memory(inst: Instruction, out: Program,
                     options: RewriteOptions, stats: RewriteStats) -> None:
-    inst = block[i]
-    mem = inst.mem
-    base = mem.base
-
-    if _is_runtime_call_load(block, i):
-        out.add(inst)
-        return
-    if i > 0 and _is_runtime_call_load(block, i - 1):
-        out.add(inst)
-        return
-
-    if base.is_sp:
+    if inst.mem.base.is_sp:
         _rewrite_sp_access(inst, out, options, stats)
         return
 
@@ -420,7 +426,8 @@ def _rewrite_sp_access(inst: Instruction, out: Program,
     _after_load_fixups(inst, out, stats)
 
 
-def _rewrite_sp_write(block: List[Instruction], i: int, out: Program,
+def _rewrite_sp_write(block: List[Instruction], i: int,
+                      writes: List[List[Reg]], out: Program,
                       options: RewriteOptions, stats: RewriteStats) -> None:
     """Non-memory instruction writing sp: insert the sp guard unless the
     small-immediate/same-basic-block elision applies (§4.2)."""
@@ -434,7 +441,8 @@ def _rewrite_sp_write(block: List[Instruction], i: int, out: Program,
         and isinstance(inst.operands[2], Imm)
         and 0 <= inst.operands[2].value < SP_SMALL_IMM
     )
-    if small and options.sp_block_elision and _sp_access_follows(block, i):
+    if small and options.sp_block_elision \
+            and _sp_access_follows(block, i, writes):
         out.add(inst)
         stats.sp_guards_elided += 1
         return
@@ -455,15 +463,17 @@ def _rewrite_sp_write(block: List[Instruction], i: int, out: Program,
     stats.sp_guards += 1
 
 
-def _sp_access_follows(block: List[Instruction], i: int) -> bool:
+def _sp_access_follows(block: List[Instruction], i: int,
+                       writes: List[List[Reg]]) -> bool:
     """Will a trapping sp-based access execute before sp can be misused?"""
-    for inst in block[i + 1:]:
+    for j in range(i + 1, len(block)):
+        inst = block[j]
         mem = inst.mem
         if mem is not None and mem.base.is_sp:
             if mem.offset is None or isinstance(mem.offset, Imm):
                 return True
             return False
-        if any(d.is_sp for d in inst.defs()):
+        if any(d.is_sp for d in writes[j]):
             return False
         if inst.is_branch:
             return False

@@ -3,12 +3,17 @@
 ``arm64.decoder.ENCODINGS`` states each supported encoding group once as a
 ``(group, mask, match, fields)`` row; this module gives every row a *rule*.
 A rule reads bit fields of the word, never a decoded instruction, and
-returns a code: ``0`` (not accepted), ``OK`` (accepted whatever follows) or
-a ``NEED_*`` bit (accepted if the following words complete the pattern,
-which :func:`settled` decides over a look-ahead window), with the structure
-flags that window reads.  A rule accepts only what the decoder decodes, so
-it also states the sub-encodings a mask cannot.  It uses only ``>>``, ``&``,
-comparison and arithmetic, so ``repro.prove`` runs it on symbolic words.
+returns a code: ``0`` (the decoder does not decode the word), ``OK``
+(accepted whatever follows), a ``NEED_*`` bit (accepted if the following
+words complete the pattern, which :func:`settled` decides over a look-ahead
+window) or ``DECODED`` (rejected), with the structure flags that window
+reads.  Every code that is not ``OK`` also carries the ``R_*`` reason bits
+that say why the word is, or if its pattern stays incomplete will be,
+rejected: the verifier words its violations from those bits and the word's
+fields, so the table gives the reason as well as the verdict.  A rule
+accepts only what the decoder decodes, so it also states the sub-encodings
+a mask cannot.  It uses only ``>>``, ``&``, comparison and arithmetic, so
+``repro.prove`` runs it on symbolic words.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from ..arm64.decoder import ENCODINGS, top_byte_index
 from .constants import SP_SMALL_IMM
 
 __all__ = ["OK", "BRANCH", "SPMEM", "SPSMALL", "SPDEF", "NEEDS", "DECODED",
-           "rule_index", "classify", "settled"]
+           "rule_index", "classify", "settled", "x30_guard_follows"]
 
 OK = 1            # accepted, whatever follows
 BRANCH = 2        # any branch: ends an sp window
@@ -32,7 +37,32 @@ NEED_X18 = 64     # next word must be ``add x18, x21, wN, uxtw``
 NEED_CALL = 128   # next word must be ``blr x30`` (or the x30 guard)
 NEED_SP = 256     # an sp guard (small drift: or a small sp access) must follow
 NEEDS = NEED_X30 | NEED_X18 | NEED_CALL | NEED_SP
-DECODED = 512     # set by the verifier: decodes, but not accepted
+DECODED = 512     # decodes, but not accepted
+
+# Reason bits, in the order the verifier words them (the order in which the
+# decoded checker yields its reasons).  A message reads only the fields
+# named here; the few that print the instruction decode the word.
+R_UNSAFE = 1 << 10          # not on the safe list (svc, hlt)
+R_EXCLUSIVE = 1 << 11       # LL/SC or ordered access, disallowed by policy
+R_SP_REGOFF = 1 << 12       # [sp, <register offset>]
+R_SP_DISP = 1 << 13         # [sp, #d], d past the guard region
+R_REGOFF = 1 << 14          # [Rn, <register offset>], Rn x18/x23/x24
+R_DISP = 1 << 15            # [Rn, #d], d past the guard region
+R_WRITEBACK = 1 << 16       # writeback moves reserved base register Rn
+R_X21_EXTEND = 1 << 17      # [x21, <register, extended other than uxtw>]
+R_X21_STORE = 1 << 18       # store into the read-only runtime-call table
+R_X21_WRITEBACK = 1 << 19   # writeback moves x21
+R_X21_NEGATIVE = 1 << 20    # [x21, #d], d < 0
+R_X21_DISP = 1 << 21        # [x21, #d], d past the table
+R_X21_ADDRESSING = 1 << 22  # [x21, <register, shifted>]
+R_BASE = 1 << 23            # any other base register Rn
+R_RT = 1 << 24              # a load writes Rt: x18/x21/x23/x24, all of
+R_RT2 = 1 << 25             # ... x22, w30 or x30 (x30: fine ahead of its
+R_RS = 1 << 26              # guard); Rt2 of a pair; stxr's status Rs
+R_WIDE = 1 << 27            # the registers R_RT/R_RT2 name are 64-bit
+R_TARGET = 1 << 28          # br/blr/ret through another register Rn
+R_WRITE = 1 << 29           # writes Rd: x18/x21/x23/x24, 64-bit x22, x30
+R_SP = 1 << 30              # writes sp (SPSMALL: by a small immediate)
 
 _GUARD = 0x8B2042A0        # add xD, x21, wN, uxtw  (N, D masked out)
 _GUARD_MASK = 0xFFE0FFE0
@@ -45,7 +75,9 @@ _TARGETS = (18, 23, 24, 30)          # registers a br/blr/ret may use
 # The code for writing a GPR (31 = zr) as a (32-bit, 64-bit) pair: x22 keeps
 # its top half zero; x30 is written whole and only ahead of its guard; x21
 # never changes and x18/x23/x24 only by the guard (see _addsub_extended).
-_PLAIN, _LO32, _LINK, _FIXED = (OK, OK), (OK, 0), (0, NEED_X30), (0, 0)
+_WRONG = DECODED | R_WRITE
+_PLAIN, _LO32, _LINK, _FIXED = (OK, OK), (OK, _WRONG), \
+    (_WRONG, NEED_X30 | R_WRITE), (_WRONG, _WRONG)
 _WRITES = tuple(_FIXED if r in (18, 21, 23, 24) else _LO32 if r == 22
                 else _LINK if r == 30 else _PLAIN for r in range(32))
 
@@ -53,6 +85,11 @@ _WRITES = tuple(_FIXED if r in (18, 21, 23, 24) else _LO32 if r == 22
 def _rd(word) -> int:
     """Rd at 4:0 (31 = zr), 64-bit when sf (bit 31) is set."""
     return _WRITES[word & 31][word >> 31]
+
+
+def _refuse(code: int, why: int) -> int:
+    """``code``'s structure flags, rejected for the reasons ``why``."""
+    return code & ~OK | DECODED | why
 
 
 def _always(code: int):
@@ -75,6 +112,9 @@ def _among(rule, shift: int, mask: int, allowed: tuple):
     return lambda word: rule(word) if (word >> shift) & mask in allowed else 0
 
 
+_SP_WRITE = NEED_SP | SPDEF | R_SP
+
+
 def _addsub_imm(word) -> int:
     imm12 = (word >> 10) & 0xFFF
     shifted = word & 0x00400000
@@ -83,7 +123,7 @@ def _addsub_imm(word) -> int:
     if word & 0x2000001F == 31:                             # S == 0, Rd = sp
         small = word & 0x800003E0 == 0x800003E0 and not shifted \
             and imm12 < SP_SMALL_IMM                        # add sp, sp, #small
-        return NEED_SP | SPDEF | SPSMALL if small else NEED_SP | SPDEF
+        return _SP_WRITE | SPSMALL if small else _SP_WRITE
     return _rd(word)
 
 
@@ -91,7 +131,7 @@ def _addsub_extended(word) -> int:
     if word & _GUARD_MASK == _GUARD and word & 31 in _TARGETS:
         return OK                                           # the §3 guard
     if word & 0x2000001F == 31:                             # S == 0, Rd = sp
-        return OK if word == _SP_GUARD else NEED_SP | SPDEF
+        return OK if word == _SP_GUARD else _SP_WRITE
     return _rd(word)
 
 
@@ -101,14 +141,20 @@ def _logical_imm(word) -> int:
     if imms & (size - 1) == size - 1 or (word >> 16) & 63 >= size:
         return 0    # bitmask element: all ones, or rotated past its size
     if word & 31 == 31 and word & 0x60000000 != 0x60000000:  # Rd = sp
-        return NEED_SP | SPDEF
+        return _SP_WRITE
     return _rd(word)
 
 
 def _logical_shifted(word) -> int:
     if word & 0xFFFFFC1F == _BIC_W18 and word & 0x3E0 != 0x3E0:
-        return NEED_X18                                     # the masked guard
+        return NEED_X18 | R_WRITE                           # the masked guard
     return _rd(word)
+
+
+def _branch_reg(word) -> int:
+    if (word >> 5) & 31 in _TARGETS:
+        return OK | BRANCH
+    return DECODED | BRANCH | R_TARGET
 
 
 def _ror(word) -> int:
@@ -176,25 +222,39 @@ def _memory_rules(max_displacement: int, sandbox_loads: bool,
             # Unchecked loads must still not move a reserved register.
             held = writeback and not writeback_hole \
                 and rn in (18, 21, 22, 23, 24, 30)
-            return 0 if held else flags
+            return _refuse(flags, R_WRITEBACK) if held else flags
         if rn in (18, 23, 24):
-            writeback = writeback and not writeback_hole
+            why = 0 if abs(disp) < max_displacement else R_DISP
+            if writeback and not writeback_hole:
+                why |= R_WRITEBACK
         elif rn == 21:          # the read-only runtime-call table
-            return OK if load and not writeback \
-                and 0 <= disp < max_displacement else 0
-        elif not sp:
-            return 0
-        return flags if abs(disp) < max_displacement and not (
-            writeback and not sp) else 0
+            why = R_X21_STORE if not load else R_X21_WRITEBACK if writeback \
+                else R_X21_NEGATIVE if disp < 0 \
+                else 0 if disp < max_displacement else R_X21_DISP
+        elif sp:
+            why = 0 if abs(disp) < max_displacement else R_SP_DISP
+        else:
+            why = R_BASE
+        return _refuse(flags, why) if why else flags
 
-    def loads(code: int, dest, *regs: int, call: bool = False) -> int:
-        """Fold the GPRs a load writes (width index ``dest``) into its
-        access code."""
-        for rt in regs if dest is not None else ():
-            wrote = _WRITES[rt][dest]
-            if wrote != OK and code:
-                code = wrote and code & ~OK | (NEED_CALL if call else NEED_X30)
-        return code
+    def loads(code: int, dest, rt: int, rt2: int = 31,
+              call: bool = False) -> int:
+        """Fold the GPRs a load writes (width index ``dest``; 31 = zr, for
+        no second register) into its access code."""
+        if dest is None or _WRITES[rt] is _PLAIN and _WRITES[rt2] is _PLAIN:
+            return code
+        why, fixed = 0, False
+        for bit, wrote in ((R_RT, _WRITES[rt][dest]),
+                           (R_RT2, _WRITES[rt2][dest])):
+            if wrote != OK:
+                why |= bit
+                fixed = fixed or not wrote & NEED_X30
+        if not why:
+            return code
+        why |= R_WIDE if dest else 0
+        if code & OK and not fixed:     # x30, ahead of its guard
+            return code & ~OK | why | (NEED_CALL if call else NEED_X30)
+        return _refuse(code, why)
 
     def kind_of(word):
         return _LDST[(word >> 22) & 16 | (word >> 28) & 12 | (word >> 22) & 3]
@@ -234,8 +294,15 @@ def _memory_rules(max_displacement: int, sandbox_loads: bool,
             return 0
         if kind[0] and not sandbox_loads:
             code = OK | SPMEM if word & 0x3E0 == 0x3E0 else OK
-        else:               # only ``[x21, wN, uxtw]``, the zero-cost guard
-            code = OK if word & 0xF3E0 == 0x42A0 else 0
+        elif word & 0xF3E0 == 0x42A0:   # ``[x21, wN, uxtw]``, the zero-cost
+            code = OK                   # guard, is the only one allowed
+        else:
+            rn = (word >> 5) & 31
+            code = _refuse(SPMEM, R_SP_REGOFF) if rn == 31 \
+                else DECODED | R_REGOFF if rn in (18, 23, 24) \
+                else DECODED | R_BASE if rn != 21 \
+                else DECODED | R_X21_ADDRESSING if word & 0xE000 == 0x6000 \
+                else DECODED | R_X21_EXTEND
         return loads(code, kind[1], word & 31)
 
     def pair(word) -> int:
@@ -255,14 +322,16 @@ def _memory_rules(max_displacement: int, sandbox_loads: bool,
         size, load = word >> 30, word & 0x00400000
         plain = word & 0x00800000               # ldar / stlr
         status = (word >> 16) & 31
-        if size < 2 or not allow_exclusives \
-                or (load or plain) and status != 31 \
+        if size < 2 or (load or plain) and status != 31 \
                 or plain and not word & 0x8000:
             return 0
         code = access((word >> 5) & 31, load, 0, False)
+        if not allow_exclusives:
+            return _refuse(code & (SPMEM | SPSMALL), R_EXCLUSIVE)
         if load:
             return loads(code, size & 1, word & 31)
-        return code if plain or _WRITES[status][0] else 0
+        return code if plain or _WRITES[status][0] == OK \
+            else _refuse(code, R_RS)
 
     return {"ldst_unsigned": unsigned, "ldst_imm9": imm9,
             "ldst_regoffset": regoffset, "ldst_pair": pair,
@@ -281,10 +350,10 @@ _RULES = {
     ("system", 0xD4200000): _always(OK),                    # brk
     ("system", 0xD503301F): _among(_among(_always(OK), 5, 7, (4, 5, 6)),
                                    8, 15, (9, 10, 11, 15)),  # barriers
-    "system": _always(0),                                   # svc, hlt
+    "system": _always(DECODED | R_UNSAFE),                  # svc, hlt
     "branch_imm": _FLOW, "cb": _FLOW, "tb": _FLOW,
     "branch_cond": _unless(_FLOW, (0xE, 0xE)),              # not al / nv
-    "branch_reg": _among(_FLOW, 5, 31, _TARGETS),
+    "branch_reg": _branch_reg,
     "adr": lambda word: _WRITES[word & 31][1],
     "addsub_imm": _addsub_imm,
     "logical_imm": _unless(_logical_imm, _N_NOT_SF[0]),
@@ -346,6 +415,11 @@ def classify(index: tuple, words: Sequence) -> List[int]:
         else:
             codes.append(0)
     return codes
+
+
+def x30_guard_follows(words: Sequence, i: int) -> bool:
+    """Is the word after ``i`` the x30 guard?"""
+    return i + 1 < len(words) and words[i + 1] & 0xFFE0FFFF == _GUARD | 30
 
 
 def settled(words: Sequence, codes: Sequence[int], i: int) -> bool:

@@ -2,12 +2,15 @@
 
 A single linear pass over the text segment's *machine code*: every raw
 32-bit word is looked up in the rule table (``rules.py``: encoding rows ->
-verdict) and the few words whose verdict depends on what follows are
-settled over a look-ahead window.  A word is decoded only when the table
-did not accept it, to say why: the decoded checker below (``_check`` and
-friends) produces the reasons, and is the reference the table is tested
-against.  A word the table rejects stays rejected even if the checker
-cannot fault it.  Together they enforce:
+verdict and reason bits) and the few words whose verdict depends on what
+follows are settled over a look-ahead window.  A rejected word's violations
+are worded from its reason bits and fields (``_REASONS``); it is decoded
+only for a message that prints the instruction, and ``Violation.disasm`` is
+decoded when it is read.  The decoded checker below (``_check`` and
+friends) states the same rules over decoded instructions: it is the
+reference the table is tested against, reasons included, and
+``repro.prove`` runs it beside the table.  A word the table rejects stays
+rejected even if no reason can be worded for it.  Together they enforce:
 
 1. loads, stores, and indirect branches only target reserved registers
    (guaranteed to hold valid sandbox addresses) or use safe addressing
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
 
 from ..arm64 import isa
 from ..arm64.decoder import decode_word
@@ -44,8 +48,13 @@ from .constants import (
     RESERVED_INDICES,
     SP_SMALL_IMM,
 )
-from .rules import (BRANCH, DECODED, NEEDS, OK, SPDEF, SPMEM, SPSMALL,
-                    classify, rule_index, settled)
+from .rules import (BRANCH, DECODED, NEEDS, OK, R_BASE, R_DISP, R_EXCLUSIVE,
+                    R_REGOFF, R_RS, R_RT, R_RT2, R_SP, R_SP_DISP, R_SP_REGOFF,
+                    R_TARGET, R_UNSAFE, R_WIDE, R_WRITE, R_WRITEBACK,
+                    R_X21_ADDRESSING, R_X21_DISP, R_X21_EXTEND,
+                    R_X21_NEGATIVE, R_X21_STORE, R_X21_WRITEBACK, SPDEF,
+                    SPMEM, SPSMALL, classify, rule_index, settled,
+                    x30_guard_follows)
 
 __all__ = ["Violation", "VerificationResult", "VerifierPolicy", "Verifier",
            "verify_text", "verify_elf"]
@@ -54,7 +63,9 @@ __all__ = ["Violation", "VerificationResult", "VerifierPolicy", "Verifier",
 #: Ordered (substring, code) table mapping human-readable violation
 #: reasons to stable machine-readable codes.  First match wins, so more
 #: specific patterns come first.  Prover and fuzz tooling key on these
-#: codes instead of parsing prose.
+#: codes instead of parsing prose.  The verifier stores each violation's
+#: code as it words the reason; this table names the decoded checker's
+#: reasons, and the code of a ``Violation`` built from prose alone.
 _REASON_CODES = (
     ("undecodable instruction", "undecodable"),
     ("text size not a multiple", "text-size"),
@@ -87,33 +98,68 @@ _REASON_CODES = (
     ("memory instruction without memory operand", "malformed-memory"),
 )
 
-#: Reason given when the table rejects a word the checker cannot fault.
+#: Reason given when the table rejects a word it gives no reason for.
 _UNEXPLAINED = "rejected by the rule table"
 
 
-@dataclass(frozen=True)
+def reason_code(reason: str) -> str:
+    """The stable code of a reason given as prose."""
+    for pattern, code in _REASON_CODES:
+        if pattern in reason:
+            return code
+    return "other"
+
+
 class Violation:
     """One verification failure.
 
     ``disasm`` carries the decoded instruction's disassembly and ``mode``
     the verifier policy label, so reports are actionable without
     re-decoding the word or knowing which policy produced them.  Both
-    default to empty for compatibility with positional construction.
+    default to empty for compatibility with positional construction;
+    ``disasm=None`` decodes the word the first time ``disasm`` is read.
+    ``code`` is the stable machine-readable code of the reason, named by
+    :func:`reason_code` unless given.  A violation hashes over its fields,
+    so they are read-only: each is a property over a private slot.
     """
 
-    address: int
-    word: int
-    reason: str
-    disasm: str = ""
-    mode: str = ""
+    __slots__ = ("_address", "_word", "_reason", "_mode", "_code", "_disasm")
+
+    address = property(attrgetter("_address"))
+    word = property(attrgetter("_word"))
+    reason = property(attrgetter("_reason"))
+    mode = property(attrgetter("_mode"))
+    code = property(attrgetter("_code"))
+
+    def __init__(self, address: int, word: int, reason: str,
+                 disasm: Optional[str] = "", mode: str = "",
+                 code: Optional[str] = None):
+        self._address, self._word, self._reason = address, word, reason
+        self._mode, self._disasm = mode, disasm
+        self._code = reason_code(reason) if code is None else code
 
     @property
-    def code(self) -> str:
-        """Stable machine-readable code for the reason category."""
-        for pattern, code in _REASON_CODES:
-            if pattern in self.reason:
-                return code
-        return "other"
+    def disasm(self) -> str:
+        if self._disasm is None:
+            inst = decode_word(self.word, self.address)
+            self._disasm = "" if inst is None else str(inst)
+        return self._disasm
+
+    def _key(self) -> tuple:
+        return self.address, self.word, self.reason, self.disasm, self.mode
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Violation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Violation(address={self.address!r}, word={self.word!r}, "
+                f"reason={self.reason!r}, disasm={self.disasm!r}, "
+                f"mode={self.mode!r})")
 
     def __str__(self) -> str:
         text = f"{self.address:#x}: {self.word:#010x}: "
@@ -198,28 +244,9 @@ def _is_sp_guard(inst: Instruction) -> bool:
         and src.kind in ("uxtx", "lsl") and not src.amount)
 
 
-class _Decoded:
-    """The text as instructions, each decoded the first time it is read
-    (only words the rule table did not accept, and their look-ahead)."""
-
-    def __init__(self, words: Sequence[int], base: int):
-        self._words, self._base = words, base
-        self._insts: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __getitem__(self, i: int) -> Optional[Instruction]:
-        try:
-            return self._insts[i]
-        except KeyError:
-            inst = self._insts[i] = decode_word(self._words[i],
-                                                self._base + 4 * i)
-            return inst
-
-
 def _structure(inst: Instruction) -> int:
-    """What a look-ahead window sees of a decodable, rejected word."""
+    """What the decoded checker's sp window sees of a decoded word: the
+    structure flags the rule table gives a rejected one."""
     flags = DECODED | (BRANCH if inst.is_branch else 0)
     mem = inst.mem
     if mem is None or not mem.base.is_sp:
@@ -229,9 +256,127 @@ def _structure(inst: Instruction) -> int:
     return flags | SPMEM | SPSMALL if small else flags | SPMEM
 
 
+class _Text:
+    """A text whose rejected words are being worded: the words, and the
+    word being worded decoded and printed, once a message has needed it."""
+
+    __slots__ = ("words", "base", "decoded", "disasm")
+
+    def __init__(self, words: Sequence[int], base: int):
+        self.words, self.base = words, base
+        self.decoded: Optional[Instruction] = None
+        self.disasm: Optional[str] = None
+
+    def rn(self, i: int) -> str:
+        """The register ``words[i]``'s Rn field (bits 9:5) names."""
+        index = (self.words[i] >> 5) & 31
+        return f"x{index}" if index < 31 else "xzr"
+
+    def inst(self, i: int) -> Instruction:
+        """``words[i]`` decoded at its address (the word being worded)."""
+        if self.decoded is None:
+            self.decoded = decode_word(self.words[i], self.base + 4 * i)
+        return self.decoded
+
+    def shown(self, i: int) -> str:
+        """``str`` of :meth:`inst`: the word's disassembly."""
+        if self.disasm is None:
+            self.disasm = str(self.inst(i))
+        return self.disasm
+
+    def loaded(self, i: int, bits: int, index: int, wide: bool = True
+               ) -> Optional[Tuple[str, str]]:
+        """What a load (or a store-exclusive's status) writing GPR
+        ``index`` breaks; for x30, unless its guard follows."""
+        if index == 21:
+            return "load-x21", "load writes x21"
+        if index == 22:
+            return ("load-x22-64",
+                    "64-bit load writes x22 (32-bit invariant)")
+        if index != 30:
+            return ("load-reserved",
+                    f"load writes reserved register x{index}")
+        if not (wide and bits & R_WIDE):
+            return "x30-32bit-write", "32-bit write to link register"
+        if x30_guard_follows(self.words, i):
+            return None
+        return ("load-x30-unguarded",
+                "load writes x30 without a following link-register guard")
+
+    def written(self, i: int) -> Tuple[str, str]:
+        """What writing Rd breaks."""
+        index = self.words[i] & 31
+        if index == 21:
+            return "write-x21", "write to x21 (sandbox base)"
+        if index == 22:
+            return ("write-x22-64", "64-bit write to x22 breaks its "
+                    f"invariant: {self.shown(i)}")
+        return ("unguarded-write", f"x{index} modified by something other "
+                f"than the guard: {self.shown(i)}")
+
+
+#: What each reason bit says of word ``i`` of text ``t`` (code ``b``):
+#: ``(code, reason)``, or None when the word's context excuses it.  Bits
+#: ascend in the order the decoded checker yields its reasons, so
+#: ``verify_text`` words them lowest first.  A reason that prints the
+#: instruction, or a part of it the fields do not hold, decodes the word.
+_REASONS = {
+    R_UNSAFE: lambda t, i, b: (
+        "unsafe-mnemonic",
+        f"instruction not on the safe list: {t.inst(i).mnemonic}"),
+    R_EXCLUSIVE: lambda t, i, b: (
+        "exclusives-disallowed",
+        "exclusive/ordered instruction disallowed by policy: "
+        f"{t.inst(i).mnemonic}"),
+    R_SP_REGOFF: lambda t, i, b: (
+        "sp-regoffset", "register-offset addressing from sp"),
+    R_SP_DISP: lambda t, i, b: (
+        "sp-displacement",
+        f"sp displacement {abs(t.inst(i).mem.imm_value)} exceeds guard "
+        "region"),
+    R_REGOFF: lambda t, i, b: (
+        "regoffset-reserved", f"register-offset addressing from {t.rn(i)}"),
+    R_DISP: lambda t, i, b: (
+        "displacement",
+        f"displacement {abs(t.inst(i).mem.imm_value)} exceeds guard region"),
+    R_WRITEBACK: lambda t, i, b: (
+        "writeback-reserved",
+        f"writeback would modify reserved register {t.rn(i)}"),
+    R_X21_EXTEND: lambda t, i, b: (
+        "unsafe-extend",
+        f"unsafe extend {t.inst(i).mem.offset.kind} "
+        f"#{t.inst(i).mem.offset.amount or 0} from x21"),
+    R_X21_STORE: lambda t, i, b: (
+        "store-x21", "store through x21 (runtime-call table is read-only)"),
+    R_X21_WRITEBACK: lambda t, i, b: (
+        "writeback-x21", "writeback would modify x21"),
+    R_X21_NEGATIVE: lambda t, i, b: (
+        "x21-negative", "negative displacement from x21"),
+    R_X21_DISP: lambda t, i, b: (
+        "x21-displacement",
+        f"x21 displacement {abs(t.inst(i).mem.imm_value)} out of table"),
+    R_X21_ADDRESSING: lambda t, i, b: (
+        "x21-addressing", f"unsafe addressing from x21: {t.inst(i).mem}"),
+    R_BASE: lambda t, i, b: (
+        "unguarded-base", f"unguarded base register {t.rn(i)}"),
+    R_RT: lambda t, i, b: t.loaded(i, b, t.words[i] & 31),
+    R_RT2: lambda t, i, b: t.loaded(i, b, (t.words[i] >> 10) & 31),
+    R_RS: lambda t, i, b: t.loaded(i, b, (t.words[i] >> 16) & 31, False),
+    R_TARGET: lambda t, i, b: (
+        "branch-unguarded",
+        f"indirect branch through unguarded register {t.rn(i)}"),
+    R_WRITE: lambda t, i, b: t.written(i),
+    R_SP: lambda t, i, b: (
+        ("sp-arith-unclosed", "sp arithmetic without a following sp access "
+         "in the same basic block") if b & SPSMALL else
+        ("sp-unsafe", f"unsafe sp modification: {t.shown(i)}")),
+}
+_WORDED = sum(_REASONS)
+
+
 class Verifier:
-    """Stateless linear verifier: rule table over raw words, decoded
-    checker for the explanation."""
+    """Stateless linear verifier: the rule table over raw words gives the
+    verdict and the reasons; the decoded checker is its reference."""
 
     #: True only for ``repro.prove``'s self-test subclass, whose table is
     #: deliberately looser than the decoded checker.
@@ -248,24 +393,42 @@ class Verifier:
     def verify_text(self, data: bytes, base: int = 0) -> VerificationResult:
         """Verify one text segment (a single linear pass)."""
         result = VerificationResult(ok=True)
+        violations = result.violations
         count = len(data) // 4
         if len(data) % 4:
-            result.ok = False
-            result.violations.append(
-                Violation(base + 4 * count, 0, "text size not a multiple of 4")
-            )
+            violations.append(Violation(base + 4 * count, 0,
+                                        "text size not a multiple of 4",
+                                        code="text-size"))
         words = struct.unpack_from(f"<{count}I", data)
-        rejected, stream = self._rejected(words, base)
+        codes = classify(self._index, words)
+        mode = self.policy.label()
+        text = _Text(words, base)
         undecodable = 0
-        for i in rejected:
-            inst = stream[i]
-            if inst is None:
+        for i in self._rejected(words, codes):
+            address, word, bits = base + 4 * i, words[i], codes[i]
+            if not bits:
                 undecodable += 1
-                self._fail(result, base + 4 * i, words[i],
-                           "undecodable instruction")
+                violations.append(Violation(address, word,
+                                            "undecodable instruction", "",
+                                            mode, "undecodable"))
                 continue
-            for reason in list(self._check(inst, stream, i)) or [_UNEXPLAINED]:
-                self._fail(result, base + 4 * i, words[i], reason, inst=inst)
+            # Word each reason the code gives, lowest bit first.  A word
+            # decoded for its message keeps that text as its disassembly;
+            # any other decodes when its ``disasm`` is read.
+            text.decoded = text.disasm = None
+            reasons = []
+            todo = bits & _WORDED
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                reason = _REASONS[bit](text, i, bits)
+                if reason is not None:
+                    reasons.append(reason)
+            disasm = None if text.decoded is None else text.shown(i)
+            for code, reason in reasons or (("other", _UNEXPLAINED),):
+                violations.append(Violation(address, word, reason, disasm,
+                                            mode, code))
+        result.ok = not violations
         result.instructions = count - undecodable
         result.bytes_verified = count * 4
         return result
@@ -278,21 +441,14 @@ class Verifier:
         """The rule table's verdict on ``words`` (or on ``words[index]``
         within them): ``repro.prove``'s entry point, where a word may be
         symbolic."""
-        rejected = self._rejected(words)[0]
+        rejected = self._rejected(words, classify(self._index, words))
         return not rejected if index is None else index not in rejected
 
-    def _rejected(self, words: Sequence, base: int = 0):
-        """Indices of the words the rule table does not accept, and the
-        lazily decoded text their explanation reads."""
-        codes = classify(self._index, words)
-        pending = [i for i, code in enumerate(codes) if not code & OK]
-        stream = _Decoded(words, base)
-        for i in pending:
-            # A rejected word still shapes the windows of its neighbours.
-            if not codes[i] and stream[i] is not None:
-                codes[i] = _structure(stream[i])
-        return [i for i in pending
-                if not (codes[i] & NEEDS and settled(words, codes, i))], stream
+    @staticmethod
+    def _rejected(words: Sequence, codes: List[int]) -> List[int]:
+        """Indices of the words the rule table does not accept."""
+        return [i for i, code in enumerate(codes) if not code & OK
+                and not (code & NEEDS and settled(words, codes, i))]
 
     def verify_elf(self, image) -> VerificationResult:
         """Verify every executable segment of an ELF image."""
@@ -320,15 +476,7 @@ class Verifier:
             stream = [inst]
         return list(self._check(inst, stream, index))
 
-    # -- checks ---------------------------------------------------------------
-
-    def _fail(self, result: VerificationResult, address: int, word: int,
-              reason: str, inst: Optional[Instruction] = None) -> None:
-        result.ok = False
-        result.violations.append(Violation(
-            address, word, reason,
-            disasm=str(inst) if inst is not None else "",
-            mode=self.policy.label()))
+    # -- the decoded checker ---------------------------------------------------
 
     def _check(self, inst: Instruction,
                stream: Sequence[Optional[Instruction]], i: int):

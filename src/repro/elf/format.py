@@ -59,6 +59,8 @@ def _pack_provenance(provenance: Dict[int, str]) -> bytes:
 def _unpack_provenance(data: bytes) -> Dict[int, str]:
     if data[:8] != _PROV_MAGIC:
         raise _ElfError("bad guard-provenance note magic")
+    if len(data) < 12:
+        raise _ElfError("truncated guard-provenance note")
     (count,) = struct.unpack_from("<I", data, 8)
     expected = 12 + count * _PROV_ENTRY.size
     if len(data) < expected:
@@ -176,6 +178,8 @@ def read_elf(data: bytes) -> ElfImage:
     phentsize, phnum = fields[9], fields[10]
     if phentsize != _PHDR.size:
         raise _ElfError(f"unexpected phentsize {phentsize}")
+    if phoff + phnum * phentsize > len(data):
+        raise _ElfError("program header table out of range")
 
     segments: List[ElfSegment] = []
     provenance: Dict[int, str] = {}

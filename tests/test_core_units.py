@@ -106,12 +106,13 @@ class TestHoistingUnits:
         assert is_hoistable(store, sandbox_loads=False)
 
     def test_plan_requires_two_accesses(self):
-        plan = plan_hoisting(insts_of("ldr x0, [x1]"))
+        block = insts_of("ldr x0, [x1]")
+        plan = plan_hoisting(block, [inst.defs() for inst in block])
         assert not plan.guards and not plan.redirects
 
     def test_plan_assigns_first_hoist_register(self):
         block = insts_of("ldr x0, [x1]\n ldr x2, [x1, #8]")
-        plan = plan_hoisting(block)
+        plan = plan_hoisting(block, [inst.defs() for inst in block])
         assert plan.guards == {0: (X[23], X[1])}
         assert set(plan.redirects) == {0, 1}
         assert plan.eliminated == 1
@@ -121,7 +122,7 @@ class TestHoistingUnits:
             "ldr x0, [x1]\n ldr x2, [x3]\n ldr x4, [x5]\n"
             " ldr x0, [x1, #8]\n ldr x2, [x3, #8]\n ldr x4, [x5, #8]"
         )
-        plan = plan_hoisting(block)
+        plan = plan_hoisting(block, [inst.defs() for inst in block])
         assert len(plan.guards) == 2  # only two hoisting registers
         assert len(plan.redirects) == 4
 
@@ -131,7 +132,7 @@ class TestHoistingUnits:
             " mov x1, x9\n"  # ends segment for x1
             " ldr x0, [x4]\n ldr x2, [x4, #8]"
         )
-        plan = plan_hoisting(block)
+        plan = plan_hoisting(block, [inst.defs() for inst in block])
         # Both segments fit on x23 (sequential, not overlapping).
         regs = {reg for reg, _ in plan.guards.values()}
         assert regs == {X[23]}

@@ -1,5 +1,8 @@
 """ELF writer/reader tests."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +86,61 @@ class TestFormat:
         assert out.entry == entry
         assert out.segments[0].data == data
         assert out.segments[0].memsz == len(data) + extra
+
+
+class TestCorruptInput:
+    """A malformed ELF raises ElfError, never a bare struct/overflow error:
+    ``repro.tools verify`` turns ElfError into its one-line diagnostic."""
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        from repro.core import O2
+        from repro.toolchain import compile_lfi
+        from repro.workloads import build_benchmark
+
+        lfi = compile_lfi(build_benchmark("505.mcf", 800), options=O2)
+        assert lfi.elf.provenance   # the note is part of what may break
+        return write_elf(lfi.elf)
+
+    @staticmethod
+    def _with(image, fmt, offset, value):
+        data = bytearray(image)
+        struct.pack_into(fmt, data, offset, value)
+        return bytes(data)
+
+    def test_named_corruptions(self, image):
+        from repro.elf.format import _unpack_provenance
+
+        for bad in (image[:64],
+                    self._with(image, "<H", 56, 300),      # e_phnum
+                    self._with(image, "<Q", 32, 2**63)):   # e_phoff
+            with pytest.raises(ElfError):
+                read_elf(bad)
+        with pytest.raises(ElfError):
+            _unpack_provenance(b"LFIPROV1")
+
+    def test_mutants_parse_or_raise_elf_error(self, image):
+        """3 000 seeded copies, each truncated or with one to four bytes
+        overwritten (half of them in the headers and the note)."""
+        rng = random.Random(3)
+        headers = 64 + 56 * struct.unpack_from("<H", image, 56)[0]
+        note = image.rindex(b"LFIPROV1")
+        for _ in range(3000):
+            data = bytearray(image)
+            if rng.random() < 0.25:
+                del data[rng.randrange(len(data)):]
+            for _ in range(rng.randint(1, 4)):
+                if not data:
+                    break
+                spot = rng.choice((rng.randrange(min(headers, len(data))),
+                                   note + rng.randrange(16),
+                                   rng.randrange(len(data))))
+                if spot < len(data):
+                    data[spot] = rng.randrange(256)
+            try:
+                read_elf(bytes(data))
+            except ElfError:
+                pass
 
 
 class TestBuilder:

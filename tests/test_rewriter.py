@@ -409,6 +409,25 @@ class TestStats:
         assert s.added_instructions == 2
         assert s.code_size_overhead == pytest.approx(2 / 3)
 
+    def test_output_counted_as_emitted(self):
+        """The count the rewriter keeps as it emits is the rewritten
+        text's instruction count: fences after labels and range-fixed
+        branches included, at every build setting."""
+        import random
+
+        from repro.core import O2_FENCE, O2_MASK
+        from repro.fuzz.genasm import AsmGenerator, GenConfig
+
+        generator = AsmGenerator(GenConfig())
+        sources = [generator.generate(random.Random(seed)).source
+                   for seed in range(3)]
+        sources.append("tbz x0, #3, far\n" + "nop\n" * 8000 + "far: nop\n")
+        for source in sources:
+            for options in (O0, O1, O2, O2_NO_LOADS, O2_FENCE, O2_MASK):
+                result = rewrite_program(parse_assembly(source), options)
+                assert result.stats.output_instructions == sum(
+                    1 for _ in result.program.text_instructions())
+
 
 class TestRewriteVerifyProperty:
     """Everything the rewriter produces must pass the verifier — at every

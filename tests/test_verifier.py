@@ -27,6 +27,7 @@ from repro.core import (
     verify_elf,
     verify_text,
 )
+from repro.core.verifier import reason_code
 from repro.elf import build_elf
 from repro.errors import RewriteError
 from repro.fuzz.corpus import load_corpus
@@ -342,17 +343,22 @@ POLICIES = (VerifierPolicy(), VerifierPolicy(sandbox_loads=False),
 
 def decoded_verdict(verifier, data, base=0):
     """``verify_text`` as it was before the rule table: decode every word,
-    run the decoded checker on each.  The reference the table must equal."""
+    run the decoded checker on each.  The reference the table must equal,
+    every violation field included: its reasons are the checker's prose,
+    their codes the prose's, its disassembly the decoded word's."""
     words = struct.unpack_from(f"<{len(data) // 4}I", data)
     decoded = [decode_word(w, base + 4 * i) for i, w in enumerate(words)]
+    mode = verifier.policy.label()
     violations, instructions = [], 0
     for i, inst in enumerate(decoded):
         if inst is None:
             violations.append((base + 4 * i, words[i],
-                               "undecodable instruction", ""))
+                               "undecodable instruction", "undecodable", "",
+                               mode))
             continue
         instructions += 1
-        violations.extend((base + 4 * i, words[i], reason, str(inst))
+        violations.extend((base + 4 * i, words[i], reason,
+                           reason_code(reason), str(inst), mode)
                           for reason in verifier._check(inst, decoded, i))
     return violations, instructions, 4 * len(words)
 
@@ -362,11 +368,10 @@ def assert_table_matches(data, base=0, policies=POLICIES):
         verifier = Verifier(policy)
         want, instructions, size = decoded_verdict(verifier, data, base)
         got = verifier.verify_text(data, base)
-        assert [(v.address, v.word, v.reason, v.disasm)
+        assert [(v.address, v.word, v.reason, v.code, v.disasm, v.mode)
                 for v in got.violations] == want, policy.label()
         assert got.ok == (not want)
         assert (got.instructions, got.bytes_verified) == (instructions, size)
-        assert all(v.mode == policy.label() for v in got.violations)
 
 
 def generated_texts(seeds=range(8)):
@@ -418,6 +423,21 @@ class TestRuleTable:
                     window[slot] ^= 1 << rng.randrange(32)
             assert_table_matches(struct.pack("<48I", *window), 0,
                                  (POLICIES[round_ % 3],))
+
+    def test_store_only_words_its_own_reason(self):
+        """Without load sandboxing, a writeback load through x21 is
+        refused for the register it moves, not for the table it reads:
+        the table words each policy's reason as the checker does."""
+        text = bytes(assemble(parse_assembly(
+            "ldr x0, [x21], #8")).text.data)
+        assert_table_matches(text)
+        reasons = {policy.sandbox_loads: [
+            (v.code, v.reason) for v in verify_text(text, 0, policy)
+            .violations] for policy in POLICIES[:2]}
+        assert reasons == {
+            True: [("writeback-x21", "writeback would modify x21")],
+            False: [("writeback-reserved",
+                     "writeback would modify reserved register x21")]}
 
     def test_every_row_sampled(self):
         """Random words inside each encoding row, reserved registers and
@@ -472,9 +492,12 @@ class TestRuleTable:
                             break
 
     def test_unexplained_rejection_fails_closed(self, monkeypatch):
-        """A word the table rejects stays rejected even when the decoded
-        checker finds nothing to say about it."""
-        monkeypatch.setattr(Verifier, "_check", lambda *args: iter(()))
+        """A word the table rejects stays rejected even when no reason
+        can be worded for it."""
+        from repro.core import verifier
+
+        monkeypatch.setattr(verifier, "_REASONS", dict.fromkeys(
+            verifier._REASONS, lambda *args: None))
         result = verify_src("ldr x0, [x1]")
         assert not result.ok
         assert [v.reason for v in result.violations] == [

@@ -25,17 +25,24 @@ from repro.arm64.assembler import assemble
 from repro.arm64.instructions import Instruction
 from repro.arm64.registers import parse_register
 from repro.core import Verifier, VerifierPolicy, verify_elf, verify_text
+from repro.core.verifier import reason_code
 from repro.elf import build_elf
 
 
 def _reasons(body, **policy):
-    """Verify a snippet; return the list of violation reasons."""
+    """Verify a snippet; return the list of violation reasons.
+
+    Every reason keeps the code its prose has always mapped to: the
+    verifier stores the code it words with the reason, and this pins the
+    two statements together for each reason the suite triggers."""
     lines = [body] if isinstance(body, str) else list(body)
     source = ".text\n.globl _start\n_start:\n" + "".join(
         f"    {line}\n" for line in lines
     )
     elf = build_elf(assemble(parse_assembly(source)))
     result = Verifier(VerifierPolicy(**policy)).verify_elf(elf)
+    for v in result.violations:
+        assert v.code == reason_code(v.reason) != "other", v
     return [v.reason for v in result.violations]
 
 
@@ -323,6 +330,23 @@ class TestViolationMetadata:
         v = result.violations[0]
         assert v.disasm == ""
         assert v.code == "undecodable"
+
+    def test_violation_is_read_only(self):
+        """A violation hashes over its fields, so none may change once it
+        is in a set or dict; the lazily decoded ``disasm`` is no field."""
+        import copy
+        import pickle
+
+        v = self._one_violation("mov x23, x0")
+        for name in ("address", "word", "reason", "disasm", "mode", "code"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, getattr(v, name))
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        seen = {v}
+        assert v.disasm == "mov x23, x0" and v in seen
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v)):
+            assert twin == v and twin.code == v.code and twin in seen
 
     def test_every_reason_code_is_unique(self):
         from repro.core.verifier import _REASON_CODES
