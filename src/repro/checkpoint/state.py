@@ -25,6 +25,7 @@ the differential oracle leans on.
 from __future__ import annotations
 
 import hashlib
+import io
 import pickle
 import sys
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ __all__ = ["Checkpoint", "ProcImage", "FdImage", "PipeImage",
            "CHECKPOINT_VERSION"]
 
 CHECKPOINT_VERSION = 1
+
+#: What decoding a blob that is not a checkpoint can raise.
+_DECODE_ERRORS = (pickle.UnpicklingError, EOFError, ValueError, TypeError,
+                  LookupError, AttributeError, OverflowError, MemoryError)
 
 
 @dataclass
@@ -162,27 +167,33 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        raw = pickle.loads(data)
-        if raw["version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {raw['version']}")
-        return cls(
-            version=raw["version"],
-            root_pid=raw["root_pid"],
-            procs=[ProcImage(**img) for img in raw["procs"]],
-            objects={oid: FdImage(**obj)
-                     for oid, obj in raw["objects"].items()},
-            pipes={pid: PipeImage(**img)
-                   for pid, img in raw["pipes"].items()},
-            pages=dict(raw["pages"]),
-            page_size=raw["page_size"],
-            sched=raw["sched"],
-            vfs=raw["vfs"],
-            metrics=raw["metrics"],
-            consumed_instructions=raw["consumed_instructions"],
-            consumed_cycles=raw["consumed_cycles"],
-            fault_kinds=list(raw["fault_kinds"]),
-        )
+        """The checkpoint in ``data``, else :class:`CheckpointError`; a
+        blob that names a class or callable is refused, never run."""
+        try:
+            raw = _PlainUnpickler(io.BytesIO(data)).load()
+            if raw["version"] != CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"unsupported checkpoint version {raw['version']}")
+            return cls(
+                version=raw["version"],
+                root_pid=raw["root_pid"],
+                procs=[ProcImage(**img) for img in raw["procs"]],
+                objects={oid: FdImage(**obj)
+                         for oid, obj in raw["objects"].items()},
+                pipes={pid: PipeImage(**img)
+                       for pid, img in raw["pipes"].items()},
+                pages=dict(raw["pages"]),
+                page_size=raw["page_size"],
+                sched=raw["sched"],
+                vfs=raw["vfs"],
+                metrics=raw["metrics"],
+                consumed_instructions=raw["consumed_instructions"],
+                consumed_cycles=raw["consumed_cycles"],
+                fault_kinds=list(raw["fault_kinds"]),
+            )
+        except _DECODE_ERRORS as exc:
+            raise CheckpointError(f"malformed checkpoint: "
+                                  f"{type(exc).__name__}: {exc}") from None
 
     def digest(self) -> str:
         """Content hash of the canonical form (position-independent)."""
@@ -195,6 +206,13 @@ class Checkpoint:
     @property
     def total_pages(self) -> int:
         return self.stats.get("total_pages", len(self.pages))
+
+
+class _PlainUnpickler(pickle.Unpickler):
+    """Decodes plain values only: every global a blob names is refused."""
+
+    def find_class(self, module, name):
+        raise CheckpointError(f"checkpoint names {module}.{name}")
 
 
 def _intern(obj):

@@ -295,10 +295,11 @@ def _cleanup(runtime: Runtime, pool: Optional[WarmPool],
         if layout.base in keep:
             continue
         runtime.reclaim_slot(layout)
-    for pid in range(pid_start, runtime._next_pid):
-        runtime._mmap_cursors.pop(pid, None)
-        runtime.quotas.pop(pid, None)
-        runtime._pending_call.pop(pid, None)
+    # Not a pid range: a resumed job's pids lie far below the high-water mark.
+    for table in (runtime._mmap_cursors, runtime.quotas,
+                  runtime._pending_call):
+        for pid in [pid for pid in table if pid >= pid_start]:
+            del table[pid]
 
 
 def worker_main(worker_id: int, generation: int, config: dict,

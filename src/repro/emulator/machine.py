@@ -34,6 +34,7 @@ from ..arm64.registers import LR, Reg
 from ..engine import EngineConfig, engine_config
 from ..errors import ConfigError
 from ..hooks import HookRegistry
+from ..memory.layout import SANDBOX_BITS, slot_keys
 from ..memory.pages import MemoryFault, PagedMemory
 from . import costs
 from .cpu import CpuState, MASK32, MASK64
@@ -315,6 +316,8 @@ class Machine:
                                  tlb_walk_scale) if model else None
         self._decode_cache: Dict[int, Tuple[Instruction, Callable, str,
                                             Tuple, Tuple]] = {}
+        #: slot -> the pcs of its entries in ``_decode_cache``.
+        self._decoded: Dict[int, set] = {}
         self._host_entries: Dict[int, object] = {}
         #: Multi-subscriber hook fired at the top of every :meth:`run`
         #: slice with ``(machine, fuel)``.  Fault injectors use it to
@@ -410,15 +413,21 @@ class Machine:
     def invalidate_code(self, address: int, size: int) -> None:
         """Drop every decode and translation over the range.
 
-        Also the memory's mapping-change observer.  Sweep-based, so that
-        invalidating or unmapping a whole 4GiB slot stays O(cached
-        entries), not O(range).
+        Also the memory's mapping-change observer.  Sweeps the range's
+        slot's entries only: unmapping a whole 4GiB slot costs what that
+        slot has cached, not the range nor the other slots' entries.
         """
-        cache = self._decode_cache
-        if cache:
-            end = address + size
-            for addr in [a for a in cache if address <= a < end]:
-                del cache[addr]
+        cache, index = self._decode_cache, self._decoded
+        end = address + size
+        for slot in slot_keys(index, address >> SANDBOX_BITS,
+                              (end - 1) >> SANDBOX_BITS):
+            pcs = index[slot]
+            dead = [pc for pc in pcs if address <= pc < end]
+            for pc in dead:
+                del cache[pc]
+            pcs.difference_update(dead)
+            if not pcs:
+                del index[slot]
         self._sb.invalidate_range(address, size)
 
     # -- execution -------------------------------------------------------------
@@ -451,6 +460,7 @@ class Machine:
         cached = self._decode_cache.get(pc)
         if cached is None:
             cached = self._decode_cache[pc] = self.predecode(pc)
+            self._decoded.setdefault(pc >> SANDBOX_BITS, set()).add(pc)
         inst, handler, klass, uses, defs = cached
         try:
             taken, mem_addr = handler(inst)

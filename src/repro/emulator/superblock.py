@@ -74,6 +74,7 @@ from ..arm64.operands import Extended, Imm, Mem, POST_INDEX, PRE_INDEX, \
     Shifted, ShiftedImm, VecReg, canonical_condition
 from ..arm64.registers import LR, Reg
 from ..core.rewriter import is_runtime_call_load
+from ..memory.layout import SANDBOX_BITS, slot_keys
 from ..memory.pages import MemoryFault
 from .cpu import MASK32, MASK64
 
@@ -616,6 +617,8 @@ class SuperblockEngine:
         self._M = M
         self.machine = machine
         self._blocks: Dict[int, Superblock] = {}
+        #: slot -> the starts of its blocks (a block lies in one page).
+        self._slot_blocks: Dict[int, set] = {}
         #: Counters exposed for tests and diagnostics.
         self.translations = 0
         self.template_hits = 0
@@ -641,16 +644,21 @@ class SuperblockEngine:
     def invalidate_range(self, address: int, size: int) -> None:
         """Drop every block overlapping ``[address, address + size)``:
         the cache holds the only reference to a block, so the next
-        dispatch of its pc translates the bytes then there."""
-        blocks = self._blocks
-        if not blocks:
-            return
+        dispatch of its pc translates the bytes then there.  Walks the
+        blocks of the range's slot only."""
+        blocks, index = self._blocks, self._slot_blocks
         end = address + size
-        dead = [start for start, block in blocks.items()
-                if start < end and block.end > address]
-        for start in dead:
-            del blocks[start]
-        self.invalidations += len(dead)
+        for slot in slot_keys(index, address >> SANDBOX_BITS,
+                              (end - 1) >> SANDBOX_BITS):
+            starts = index[slot]
+            dead = [start for start in starts
+                    if start < end and blocks[start].end > address]
+            for start in dead:
+                del blocks[start]
+            starts.difference_update(dead)
+            if not starts:
+                del index[slot]
+            self.invalidations += len(dead)
 
     @property
     def cached_blocks(self) -> int:
@@ -1041,6 +1049,7 @@ class SuperblockEngine:
         else:
             self.template_hits += 1
         block = self._blocks[start] = Superblock(start, template)
+        self._slot_blocks.setdefault(start >> SANDBOX_BITS, set()).add(start)
         self.translations += 1
         if template.code is not None:
             # The content got hot before, somewhere in the process: this

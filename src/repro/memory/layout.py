@@ -21,6 +21,7 @@ text segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "SANDBOX_SIZE",
@@ -31,6 +32,7 @@ __all__ = [
     "MAX_SANDBOXES_48BIT",
     "MAX_SANDBOXES_49BIT",
     "SandboxLayout",
+    "slot_keys",
 ]
 
 SANDBOX_BITS = 32
@@ -116,3 +118,11 @@ class SandboxLayout:
     def guarded(self, address: int) -> int:
         """What the add-uxtw guard would produce for this value (§3)."""
         return self.base | (address & (SANDBOX_SIZE - 1))
+
+
+def slot_keys(table, first: int, last: int) -> Iterable[int]:
+    """The keys of ``table`` (slot numbers) in ``[first, last]``, ascending:
+    one lookup for one slot, a walk of the keys for a wider query."""
+    if first == last:
+        return (first,) if first in table else ()
+    return sorted(slot for slot in table if first <= slot <= last)

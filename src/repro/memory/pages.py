@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .layout import SANDBOX_BITS, slot_keys
+
 __all__ = [
     "PERM_R",
     "PERM_W",
@@ -80,6 +82,14 @@ class PagedMemory:
         self._perms: Dict[int, int] = {}
         #: page -> storage, for written pages only (a subset of _perms).
         self._pages: Dict[int, bytearray] = {}
+        #: ``page >> _slot_shift`` is the page's 4 GiB slot.
+        self._slot_shift = SANDBOX_BITS - self._page_shift
+        #: slot -> its maximal permission runs ``(first_page, end_page,
+        #: perms)``, ascending: ``_perms`` by slot.  A slot with no mapped
+        #: page has no entry here, nor in ``_stored``.
+        self._runs: Dict[int, List[Tuple[int, int, int]]] = {}
+        #: slot -> its pages that have storage: ``_pages``' keys by slot.
+        self._stored: Dict[int, set] = {}
         #: Pages whose storage is shared and must be copied before a write
         #: (single-address-space copy-on-write fork, paper §5.3).
         self._cow: set = set()
@@ -99,6 +109,83 @@ class PagedMemory:
         for observer in self.map_observers:
             observer(address, size)
 
+    # -- per-slot tables: a query about one slot reads that slot alone ------
+
+    def _runs_in(self, first: int, end: int) -> List[Tuple[int, int, int]]:
+        """``(first_page, end_page, perms)`` of the runs over pages
+        ``[first, end)``, clipped to it, ascending."""
+        if first >= end:
+            return []
+        runs = self._runs
+        return [(max(f, first), min(e, end), perms)
+                for slot in slot_keys(runs, first >> self._slot_shift,
+                                      (end - 1) >> self._slot_shift)
+                for f, e, perms in runs[slot] if f < end and e > first]
+
+    def _mapped_prefix(self, first: int, end: int) -> Tuple[list, int]:
+        """``(runs, stop)``: the runs over ``[first, end)`` up to ``stop``,
+        its first unmapped page (or ``end``)."""
+        runs = []
+        for run in self._runs_in(first, end):
+            if run[0] != first:
+                break
+            runs.append(run)
+            first = run[1]
+        return runs, first
+
+    def _paint(self, first: int, end: int, perms: Optional[int]) -> None:
+        """Make pages ``[first, end)`` one run of ``perms`` (``None``:
+        unmapped) in the run lists of the slots they lie in."""
+        shift, table = self._slot_shift, self._runs
+        while first < end:
+            slot = first >> shift
+            stop = min(end, (slot + 1) << shift)
+            old = table.get(slot, ())
+            runs = [(f, min(e, first), p) for f, e, p in old if f < first]
+            after = [(max(f, stop), e, p) for f, e, p in old if e > stop]
+            if perms is not None:  # joined to the neighbours it meets
+                run = (first, stop, perms)
+                if runs and runs[-1][1] == first and runs[-1][2] == perms:
+                    run = (runs.pop()[0], stop, perms)
+                if after and after[0][0] == stop and after[0][2] == perms:
+                    run = (run[0], after.pop(0)[1], perms)
+                runs.append(run)
+            runs += after
+            if runs:
+                table[slot] = runs
+            elif old:
+                del table[slot]
+            first = stop
+
+    def _stored_in(self, first: int, end: int) -> List[int]:
+        """The pages in ``[first, end)`` that have storage, ascending."""
+        stored = self._stored
+        pages = [page for slot in slot_keys(stored, first >> self._slot_shift,
+                                            (end - 1) >> self._slot_shift)
+                 for page in stored[slot] if first <= page < end]
+        pages.sort()
+        return pages
+
+    def _hold(self, page: int, buf: bytearray) -> bytearray:
+        """Give the mapped ``page`` the storage ``buf``."""
+        self._pages[page] = buf
+        self._stored.setdefault(page >> self._slot_shift, set()).add(page)
+        return buf
+
+    def _drop_storage(self, first: int, end: int) -> None:
+        """Forget the storage of the pages in ``[first, end)``."""
+        pages, cow, stored = self._pages, self._cow, self._stored
+        for slot in slot_keys(stored, first >> self._slot_shift,
+                              (end - 1) >> self._slot_shift):
+            held = stored[slot]
+            dead = [page for page in held if first <= page < end]
+            for page in dead:
+                del pages[page]
+            cow.difference_update(dead)
+            held.difference_update(dead)
+            if not held:
+                del stored[slot]
+
     # -- mapping -----------------------------------------------------------
 
     def _page_range(self, address: int, size: int) -> range:
@@ -109,29 +196,41 @@ class PagedMemory:
         return range(address // self.page_size,
                      (address + size) // self.page_size)
 
+    def _pages_between(self, lo: int, hi: Optional[int]) -> Tuple[int, int]:
+        """``[first, end)``: the pages whose base lies in ``[lo, hi)``."""
+        ps = self.page_size
+        return -(-lo // ps), -(-(self.va_limit if hi is None else hi) // ps)
+
     def map_region(self, address: int, size: int, perms: int) -> None:
         """Map (or re-map) a page-aligned region with the given permissions."""
         if address < 0 or address + size > self.va_limit:
             raise ValueError(f"region outside {self.va_bits}-bit VA space")
-        self._perms.update(dict.fromkeys(self._page_range(address, size),
-                                         perms))
+        pages = self._page_range(address, size)
+        self._perms.update(dict.fromkeys(pages, perms))
+        self._paint(pages.start, pages.stop, perms)
         self._notify_map_change(address, size)
 
     def protect(self, address: int, size: int, perms: int) -> None:
-        """Change permissions of an already-mapped region."""
-        for page in self._page_range(address, size):
-            if page not in self._perms:
-                raise ValueError(f"page at {page * self.page_size:#x} not mapped")
-            self._perms[page] = perms
+        """Change permissions of an already-mapped region (up to its first
+        unmapped page, which raises)."""
+        pages = self._page_range(address, size)
+        done = self._mapped_prefix(pages.start, pages.stop)[1]
+        self._perms.update(dict.fromkeys(range(pages.start, done), perms))
+        self._paint(pages.start, done, perms)
         self._notify_map_change(address, size)
+        if done < pages.stop:
+            raise ValueError(f"page at {done * self.page_size:#x} not mapped")
 
     def unmap(self, address: int, size: int) -> None:
-        for page in self._page_range(address, size):
-            self._perms.pop(page, None)
+        pages = self._page_range(address, size)
+        first, end = pages.start, pages.stop
+        perms = self._perms
+        for f, e, _perms in self._runs_in(first, end):
+            for page in range(f, e):
+                del perms[page]
         # Only written pages have storage, and only those can be COW.
-        for page in self._in_range(self._pages, address, address + size):
-            del self._pages[page]
-            self._cow.discard(page)
+        self._drop_storage(first, end)
+        self._paint(first, end, None)
         self._notify_map_change(address, size)
 
     def share_region(self, src: int, dst: int, size: int,
@@ -140,26 +239,44 @@ class PagedMemory:
 
         This is the paper's memfd-style fork optimization (§5.3): the same
         memory appears at multiple places in the address space, and pages
-        are physically copied only when either side first writes.
+        are physically copied only when either side first writes.  Pages
+        are shared as if one by one in address order; an unmapped source
+        page stops that and raises.
         """
-        table, pages, cow = self._perms, self._pages, self._cow
-        for s, d in zip(self._page_range(src, size),
-                        self._page_range(dst, size)):
-            if s not in table:
-                raise ValueError(f"source page {s * self.page_size:#x} "
+        pages = self._page_range(src, size)
+        shift = self._page_range(dst, size).start - pages.start
+        # A step of at most |shift| pages never reads a page it writes,
+        # so overlapping ranges come out as page by page.
+        step = abs(shift) or len(pages) or 1
+        for first in range(pages.start, pages.stop, step):
+            end = min(first + step, pages.stop)
+            runs, done = self._mapped_prefix(first, end)
+            self._share(runs, first, done, shift, perms)
+            if done < end:
+                self._notify_map_change(dst, size)
+                raise ValueError(f"source page {done * self.page_size:#x} "
                                  f"not mapped")
-            table[d] = table[s] if perms is None else perms
-            buf = pages.get(s)
-            if buf is not None:
-                pages[d] = buf
-                cow.add(s)
-                cow.add(d)
-            elif d in pages:
-                # Never written: nothing to share, and a destination that
-                # had storage of its own reads as zeros from here on.
-                del pages[d]
-                cow.discard(d)
         self._notify_map_change(dst, size)
+
+    def _share(self, runs: list, first: int, end: int, shift: int,
+               perms: Optional[int]) -> None:
+        """Share the mapped ``[first, end)`` (``runs``) onto the disjoint
+        pages ``shift`` on."""
+        held = [(page, self._pages[page])
+                for page in self._stored_in(first, end)]
+        # Never-written source pages have nothing to share, and the
+        # destination's own storage reads as zeros from here on.
+        self._drop_storage(first + shift, end + shift)
+        for f, e, run_perms in runs:
+            run_perms = run_perms if perms is None else perms
+            self._perms.update(dict.fromkeys(range(f + shift, e + shift),
+                                             run_perms))
+            self._paint(f + shift, e + shift, run_perms)
+        cow = self._cow
+        for page, buf in held:
+            self._hold(page + shift, buf)
+            cow.add(page)
+            cow.add(page + shift)
 
     def _writable(self, page: int, address: int) -> bytearray:
         """Private storage for a mapped page: zero-filled on the first
@@ -168,7 +285,7 @@ class PagedMemory:
         if buf is None:
             if page not in self._perms:
                 raise MemoryFault("unmapped", address, "write")
-            buf = self._pages[page] = bytearray(self.page_size)
+            buf = self._hold(page, bytearray(self.page_size))
         elif page in self._cow:
             buf = self._pages[page] = bytearray(buf)
             self._cow.discard(page)
@@ -178,25 +295,14 @@ class PagedMemory:
     def is_mapped(self, address: int) -> bool:
         return (address // self.page_size) in self._perms
 
-    def _in_range(self, table, lo: int, hi: Optional[int]) -> list:
-        """Keys of ``table`` (pages) whose base lies in ``[lo, hi)``."""
-        if hi is None:
-            hi = self.va_limit
-        ps = self.page_size
-        first, last = -(-lo // ps), -(-hi // ps)
-        # Walk whichever is smaller: a 4 GiB slot dwarfs the table, a
-        # one-page region is dwarfed by it.
-        if last - first < len(table):
-            return [page for page in range(first, last) if page in table]
-        return [page for page in table if first <= page < last]
-
     def pages_in_range(self, lo: int = 0, hi: Optional[int] = None) -> int:
         """Number of mapped pages whose base lies in ``[lo, hi)``.
 
         Used by the runtime to enforce per-sandbox mapped-page quotas at
         the memory boundary (mappings count, written or not).
         """
-        return len(self._in_range(self._perms, lo, hi))
+        return sum(e - f for f, e, _perms
+                   in self._runs_in(*self._pages_between(lo, hi)))
 
     def nonzero_pages(self, lo: int = 0, hi: Optional[int] = None,
                       cow: bool = False) -> Iterator[Tuple[int, bytearray]]:
@@ -211,7 +317,7 @@ class PagedMemory:
         detect clean pages by identity).
         """
         ps = self.page_size
-        for page in sorted(self._in_range(self._pages, lo, hi)):
+        for page in self._stored_in(*self._pages_between(lo, hi)):
             buf = self._pages[page]
             if buf != self._zeros:
                 if cow:
@@ -225,18 +331,16 @@ class PagedMemory:
                        ) -> Iterator[Tuple[int, int, int]]:
         """Yield (base, size, perms) for maximal contiguous mapped runs
         of pages based in ``[lo, hi)``."""
-        pages = sorted(self._in_range(self._perms, lo, hi))
-        table, ps, count = self._perms, self.page_size, len(pages)
-        i = 0
-        while i < count:
-            start = pages[i]
-            perms = table[start]
-            j = i + 1
-            while (j < count and pages[j] == start + j - i
-                   and table[pages[j]] == perms):
-                j += 1
-            yield (start * ps, (j - i) * ps, perms)
-            i = j
+        ps, run = self.page_size, None
+        for first, end, perms in self._runs_in(*self._pages_between(lo, hi)):
+            if run and run[1] == first and run[2] == perms:
+                run = (run[0], end, perms)  # one run across a slot boundary
+                continue
+            if run:
+                yield run[0] * ps, (run[1] - run[0]) * ps, run[2]
+            run = (first, end, perms)
+        if run:
+            yield run[0] * ps, (run[1] - run[0]) * ps, run[2]
 
     # -- access ------------------------------------------------------------
 
@@ -288,9 +392,10 @@ class PagedMemory:
             perms = self._perms.get(page)
             if perms is not None and perms & PERM_W:
                 buf = self._pages.get(page)
-                if buf is not None:
-                    buf[offset:offset + size] = data
-                    return
+                if buf is None:  # the first write: no shared storage
+                    buf = self._hold(page, bytearray(ps))
+                buf[offset:offset + size] = data
+                return
         self._check(address, size, PERM_W, "write")
         if self.write_observer is not None:
             self.write_observer(address, size)
@@ -326,15 +431,15 @@ class PagedMemory:
             perms = self._perms.get(page)
             if perms is not None and perms & PERM_W:
                 buf = self._pages.get(page)
-                if buf is not None:
-                    if size == 8:
-                        _U64.pack_into(buf, offset, value)
-                    elif size == 4:
-                        _U32.pack_into(buf, offset, value)
-                    else:
-                        buf[offset:offset + size] = \
-                            value.to_bytes(size, "little")
-                    return
+                if buf is None:  # the first write: no shared storage
+                    buf = self._hold(page, bytearray(self.page_size))
+                if size == 8:
+                    _U64.pack_into(buf, offset, value)
+                elif size == 4:
+                    _U32.pack_into(buf, offset, value)
+                else:
+                    buf[offset:offset + size] = value.to_bytes(size, "little")
+                return
         self.write(address, value.to_bytes(size, "little"))
 
     # -- the in-page fast path as source (DESIGN.md §10) ----------------------

@@ -38,7 +38,7 @@ from ..emulator.machine import (
     UnknownInstructionTrap,
 )
 from ..memory.layout import MAX_SANDBOXES_48BIT, PAGE_SIZE, SandboxLayout
-from ..memory.pages import PERM_X, PagedMemory
+from ..memory.pages import PagedMemory
 from ..obs.events import (
     ContextSwitch,
     FaultEvent,
@@ -317,12 +317,9 @@ class Runtime:
         self.quotas.pop(proc.pid, None)
 
     def reclaim_slot(self, layout: SandboxLayout) -> None:
-        """Unmap everything in ``layout``'s slot (see :meth:`reclaim`)."""
-        for base, size, perms in list(
-                self.memory.mapped_regions(layout.base, layout.end)):
-            self.memory.unmap(base, size)
-            if perms & PERM_X:
-                self.machine.invalidate_code(base, size)
+        """Unmap everything in ``layout``'s slot (see :meth:`reclaim`); the
+        unmap's map observer sweeps the slot's translations."""
+        self.memory.unmap(layout.base, layout.end - layout.base)
 
     def fork(self, parent: Process,
              cow: bool = True) -> Optional[Process]:

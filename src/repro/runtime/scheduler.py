@@ -147,14 +147,14 @@ class Scheduler:
         Epochs are recorded relative to the current round (``0`` = turn
         spent this round), so the state is meaningful in a scheduler whose
         absolute epoch counter differs — restore re-anchors against the
-        destination's round.
+        destination's round.  Turn records are read per pid in ``pids``,
+        in pid order, so those of other jobs' processes add nothing.
         """
         return {
             "active": [p.pid for p in self._active if p.pid in pids],
             "expired": [p.pid for p in self._expired if p.pid in pids],
-            "picked": {pid: self._epoch - epoch
-                       for pid, epoch in self._picked.items()
-                       if pid in pids},
+            "picked": {pid: self._epoch - self._picked[pid]
+                       for pid in sorted(pids) if pid in self._picked},
         }
 
     def restore_order(self, state: dict, procs: Dict[int, Process]) -> None:

@@ -184,7 +184,6 @@ def rt_munmap(runtime, proc: Process, args):
     if addr < lo or addr + length > hi:
         return -errno.EINVAL
     runtime.memory.unmap(addr, length)
-    runtime.machine.invalidate_code(addr, length)
     return 0
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 
 from repro.arm64 import parse_assembly
@@ -29,6 +32,35 @@ def flush_translation_caches() -> None:
     the next start of any image is a first start."""
     superblock._TEMPLATES.clear()
     machine_module.WORD_FACTS.clear()
+
+
+def bytecodes(fn, *args):
+    """``(bytecodes executed, result)`` of ``fn(*args)``: a count of work
+    that, unlike a clock, repeats exactly from run to run.  The collector
+    is off meanwhile: finalizers it would run (an abandoned generator's,
+    say) belong to earlier work."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_opcodes, frame.f_trace_lines = True, False
+        elif event == "opcode":
+            count += 1
+        return trace
+
+    previous = sys.gettrace()  # a coverage run's tracer, say
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    return count, result
 
 
 def run_asm(source: str, model=None, max_steps: int = 1_000_000,

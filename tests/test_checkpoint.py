@@ -18,10 +18,15 @@ The acceptance contract (DESIGN.md §12):
 """
 
 import dataclasses
+import os
+import pickle
+import pickletools
+import random
 
 import pytest
 
 from repro.checkpoint import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointSession,
     canonical_registers,
@@ -276,6 +281,68 @@ class TestRoundTrip:
         restored = restore_job(Runtime(model=None, timeslice=5),
                                take(runtime, proc))
         assert restored.fds[3].read(3) == b"llo"  # offset and data intact
+
+
+class TestMalformedBlobs:
+    """A blob comes from a file or a worker's pipe: anything that is
+    not a checkpoint raises CheckpointError, and decoding runs no
+    code."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, forker_elf):
+        runtime = Runtime(model=None, timeslice=50)
+        proc = runtime.spawn(forker_elf)
+        assert not runtime.run_bounded(proc, 120)
+        return take(runtime, proc).to_bytes()
+
+    @pytest.mark.parametrize("data", [
+        b"", b"garbage", pickle.dumps(None), pickle.dumps({}),
+        pickle.dumps({"version": CHECKPOINT_VERSION}),
+    ], ids=["empty", "garbage", "none", "empty-dict", "version-only"])
+    def test_not_a_checkpoint(self, data):
+        with pytest.raises(CheckpointError, match="malformed"):
+            Checkpoint.from_bytes(data)
+
+    def test_fields_that_do_not_match_the_image(self, blob):
+        raw = pickle.loads(blob)
+        raw["procs"][0]["no_such_field"] = 1
+        with pytest.raises(CheckpointError, match="no_such_field"):
+            Checkpoint.from_bytes(pickle.dumps(raw, protocol=4))
+
+    def test_3000_truncated_or_flipped_copies(self, blob):
+        # Flips land on an opcode or its first argument bytes, where
+        # they change the structure rather than a page's contents.
+        starts = [pos for _op, _arg, pos in pickletools.genops(blob)]
+        rng = random.Random(34)
+        outcomes = []
+        for i in range(3000):
+            if i % 3 == 0:
+                data = blob[:rng.randrange(len(blob))]
+            else:
+                data = bytearray(blob)
+                at = min(rng.choice(starts) + rng.randrange(5),
+                         len(blob) - 1)
+                data[at] ^= 1 << rng.randrange(8)
+            try:
+                Checkpoint.from_bytes(bytes(data))
+                outcomes.append("decoded")
+            except CheckpointError:
+                outcomes.append("refused")
+        assert outcomes.count("refused") > 1000
+
+    def test_a_blob_naming_a_callable_runs_nothing(self, tmp_path):
+        marker = tmp_path / "ran"
+
+        class Call:
+            def __reduce__(self):
+                return os.system, (f"touch {marker}",)
+
+        blob = pickle.dumps({"version": CHECKPOINT_VERSION,
+                             "procs": [Call()]})
+        assert b"system" in blob
+        with pytest.raises(CheckpointError, match="system"):
+            Checkpoint.from_bytes(blob)
+        assert not marker.exists()
 
 
 class TestQuotaCarryover:

@@ -96,6 +96,19 @@ class TestCompileVerifyRun:
         assert main(["verify", str(elf), "--no-exclusives"]) == 1
 
 
+    def test_restore_of_a_malformed_checkpoint_is_one_line(
+            self, tmp_path, asm_file, capsys):
+        elf = tmp_path / "c.elf"
+        main(["compile", str(asm_file), "-o", str(elf)])
+        blob = tmp_path / "bad.ckpt"
+        blob.write_bytes(b"garbage")
+        capsys.readouterr()
+        assert main(["checkpoint", str(elf), "--restore", str(blob)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro.tools: error: malformed checkpoint")
+        assert err.count("\n") == 1
+
+
 class TestDisasm:
     def test_disassembly_output(self, tmp_path, asm_file, capsys):
         elf = tmp_path / "prog.elf"

@@ -35,6 +35,8 @@ from repro.fuzz.genasm import AsmGenerator, GenConfig
 from repro.toolchain import compile_lfi, compile_native
 from repro.workloads import build_benchmark
 
+from .conftest import bytecodes
+
 
 def verify_src(src, policy=None):
     image = assemble(parse_assembly(src))
@@ -517,10 +519,9 @@ class TestRuleTable:
         assert encode_instruction(blr) == rules._BLR_X30
 
     def test_sp_window_scan_is_linear(self):
-        """An sp adjustment every 8 instructions: 64 k instructions take
-        at most 12x the time of 8 k (a quadratic scan would take 64x)."""
-        import time
-
+        """An sp adjustment every 8 instructions: 64 k instructions execute
+        at most 9x the bytecodes of 8 k (a quadratic scan would take 64x).
+        Counted, not timed, so a busy host cannot fail it."""
         unit = parse_assembly("sub sp, sp, #16\n str x0, [sp]\n"
                               + " mov x1, x2\n" * 6)
         block = bytes(assemble(unit).text.data)
@@ -528,14 +529,9 @@ class TestRuleTable:
         bad = bytes(assemble(parse_assembly("sub sp, sp, #16\n"
                                             + " mov x1, x2\n" * 7)).text.data)
 
-        def best(data):
-            times = []
-            for _ in range(4):
-                t0 = time.perf_counter()
-                verify_text(data)
-                times.append(time.perf_counter() - t0)
-            return min(times)
+        def cost(data):
+            return bytecodes(verify_text, data)[0]
 
         assert verify_text(block * 8).ok and not verify_text(bad * 8).ok
-        assert best(block * 8192) <= 12 * best(block * 1024)
-        assert best(bad * 2048) <= 12 * best(bad * 256)
+        assert cost(block * 8192) <= 9 * cost(block * 1024)
+        assert cost(bad * 2048) <= 9 * cost(bad * 256)
