@@ -23,8 +23,6 @@ import time
 from pathlib import Path
 
 from repro.arm64 import parse_assembly
-from repro.baselines import WASM_ENGINES
-from repro.baselines.wasm import wasm_rewrite
 from repro.core import (
     O0,
     O1,
@@ -54,6 +52,7 @@ from repro.perf import (
     run_table5,
     wasm_variant,
 )
+from repro.perf.models import WASM_ENGINES, wasm_rewrite
 from repro.runtime import Runtime
 from repro.toolchain import compile_lfi, compile_native
 from repro.workloads import (

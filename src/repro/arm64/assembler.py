@@ -62,12 +62,6 @@ class AssembledImage:
     def text(self) -> Section:
         return self.sections[".text"]
 
-    def section_or_none(self, name: str) -> Optional[Section]:
-        section = self.sections.get(name)
-        if section is not None and section.data:
-            return section
-        return None
-
 
 _IGNORED_DIRECTIVES = {
     ".globl", ".global", ".type", ".size", ".file", ".ident", ".arch",

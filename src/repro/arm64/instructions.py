@@ -188,9 +188,6 @@ class Instruction:
                 return op
         return None
 
-    def with_operands(self, *operands: Operand) -> "Instruction":
-        return Instruction(self.mnemonic, tuple(operands), self.line)
-
 
 def ins(mnemonic: str, *operands: Operand, line: Optional[int] = None) -> Instruction:
     """Convenience constructor used heavily by the rewriter and generators."""

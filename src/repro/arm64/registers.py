@@ -59,14 +59,6 @@ class Reg:
         """True for any view of the SIMD&FP register file."""
         return self.kind == VECTOR
 
-    @property
-    def is_64(self) -> bool:
-        return self.bits == 64
-
-    @property
-    def is_32(self) -> bool:
-        return self.bits == 32
-
     def as_64(self) -> "Reg":
         """The 64-bit view of this GPR/zero/sp register (``w3`` -> ``x3``)."""
         if self.is_vector:

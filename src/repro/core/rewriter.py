@@ -96,16 +96,6 @@ class RewriteResult:
     stats: RewriteStats
     options: RewriteOptions
 
-    def guard_provenance(self) -> Dict[int, str]:
-        """Map text-instruction *index* -> guard class for rewriter-inserted
-        guards.  The assembler converts indices to addresses; the index form
-        exists so provenance can be checked before layout is known."""
-        return {
-            i: inst.guard
-            for i, inst in enumerate(self.program.text_instructions())
-            if inst.guard is not None
-        }
-
 
 def rewrite_assembly(text: str, options: RewriteOptions = O2) -> str:
     """Convenience wrapper: assembly text in, sandboxed assembly text out."""

@@ -367,9 +367,6 @@ class Machine:
         # straight through it; drop any block covering the address.
         self._sb.invalidate_range(address, 4)
 
-    def host_token(self, address: int):
-        return self._host_entries.get(address)
-
     @property
     def cycles(self) -> float:
         return self._costing.cycles if self._costing else float(self.instret)

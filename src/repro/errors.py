@@ -44,9 +44,10 @@ class ReproError(Exception):
 class ConfigError(ValueError, ReproError):
     """An engine or gateway configuration is invalid or conflicting.
 
-    Raised by :class:`repro.engine.EngineConfig` validation and by
-    surfaces that refuse a config instead of silently clamping it (the
-    gateway's timeslice/checkpoint-interval pinning).
+    Raised by :class:`repro.engine.EngineConfig` validation, by surfaces
+    that refuse a config instead of silently clamping it (the gateway's
+    timeslice/checkpoint-interval pinning), and for an unknown benchmark
+    name.
     """
 
 

@@ -83,10 +83,6 @@ class SandboxLayout:
         return self.base
 
     @property
-    def table_size(self) -> int:
-        return PAGE_SIZE
-
-    @property
     def low_guard_base(self) -> int:
         return self.base + PAGE_SIZE
 

@@ -112,15 +112,6 @@ class GuardProfiler:
     def total_cycles(self) -> float:
         return sum(sum(per.values()) for per in self.cycles.values())
 
-    def guard_cycles(self) -> float:
-        """Cycles attributed to guard instructions (all classes)."""
-        return sum(
-            cycles
-            for per in self.cycles.values()
-            for bucket, cycles in per.items()
-            if bucket not in ("app", "call", "host")
-        )
-
     def decompose_overhead(self, overhead_cycles: float) -> Dict[str, float]:
         """Split a measured overhead-vs-native across guard classes.
 
@@ -189,14 +180,6 @@ class ProfileReport:
 
     def breakdown(self) -> Dict[str, float]:
         return self.profiler.breakdown()
-
-    def guard_overhead_pct(self) -> Dict[str, float]:
-        """Per-guard-class *marginal* cycles as a percent of native."""
-        return {
-            bucket: 100.0 * cycles / self.native.cycles
-            for bucket, cycles in self.profiler.breakdown().items()
-            if bucket not in ("app", "call", "host")
-        }
 
     def decomposed_overhead(self) -> Dict[str, float]:
         """Guard class -> overhead cycles; sums to (lfi - native) exactly."""

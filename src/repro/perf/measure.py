@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from ..baselines.hardware import NESTED_WALK_SCALE
-from ..baselines.wasm import WasmEngineModel, wasm_rewrite
 from ..core.options import RewriteOptions
 from ..core.verifier import VerifierPolicy
 from ..emulator.costs import CostModel
 from ..runtime.runtime import Runtime
 from ..toolchain import compile_lfi, compile_native
 from ..workloads.spec import arena_bss_size, build_benchmark
+from .models import NESTED_WALK_SCALE, WasmEngineModel, wasm_rewrite
 
 __all__ = [
     "RunMetrics",

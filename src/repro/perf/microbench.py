@@ -11,7 +11,7 @@ Three measurements, all *executed* in the LFI runtime on the cycle model:
   only callee-saved registers are switched (§5.3, ~50 cycles).
 
 The Linux and gVisor columns come from
-:mod:`repro.baselines.hardware` cost models (we cannot run either here);
+:mod:`repro.perf.models` cost models (we cannot run either here);
 the LFI columns are measured.
 """
 
@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..baselines.hardware import GVISOR_MODEL, LINUX_MODEL
 from ..emulator.costs import CostModel
 from ..runtime.runtime import Runtime
 from ..runtime.table import RuntimeCall, table_offset
 from ..toolchain import compile_lfi
 from ..workloads.rtlib import prologue, rt_exit, rtcall
+from .models import GVISOR_MODEL, LINUX_MODEL
 
 __all__ = ["MicrobenchResult", "measure_syscall_ns", "measure_pipe_ns",
            "measure_yield_ns", "run_table5"]

@@ -310,10 +310,6 @@ class SymWord:
     def field_mask(self) -> int:
         return ((1 << self.fld_width) - 1) << self.fld_lo
 
-    def substitute(self, f: int) -> int:
-        return self.template | ((f & ((1 << self.fld_width) - 1))
-                                << self.fld_lo)
-
     def __repr__(self) -> str:
         return (f"SymWord({self.template:#010x}, "
                 f"field@{self.fld_lo}+{self.fld_width})")

@@ -9,7 +9,6 @@ crash recovery through checkpoints, and Prometheus-ready metrics
 """
 
 from ..errors import Overloaded, ServeError, StalePolicy
-from .daemon import AsyncGateway
 from .gateway import (
     CLOCK_HZ,
     LATENCY_BUCKETS_S,
@@ -30,7 +29,6 @@ from .loadgen import (
 from .policy import PolicyStore, TenantPolicy
 
 __all__ = [
-    "AsyncGateway",
     "Autoscale",
     "CLOCK_HZ",
     "Gateway",

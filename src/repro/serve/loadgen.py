@@ -21,7 +21,7 @@ from ..errors import ServeError
 from ..toolchain import compile_lfi
 from ..workloads.rtlib import busy_program
 from .gateway import Gateway, ServeResult
-from .policy import TenantPolicy
+from .policy import TenantPolicy, check_number
 
 __all__ = ["TenantLoad", "build_arrivals", "build_images", "run_loadgen",
            "percentile", "render_report", "demo_policies", "demo_loads",
@@ -215,13 +215,16 @@ def load_config(config: dict):
         kwargs = {key: spec[key]
                   for key in ("priority", "rate", "burst", "queue_limit",
                               "quota") if key in spec}
-        if "deadline_ms" in spec:
-            kwargs["deadline_s"] = spec["deadline_ms"] / 1000.0
-        if "sla_ms" in spec:
-            kwargs["sla_s"] = spec["sla_ms"] / 1000.0
+        for key, field_s in (("deadline_ms", "deadline_s"),
+                             ("sla_ms", "sla_s")):
+            if key in spec:
+                check_number(key, spec[key])
+                kwargs[field_s] = spec[key] / 1000.0
         policies[tenant] = TenantPolicy(**kwargs)
         load = spec.get("load")
         if load is not None:
+            if not isinstance(load, dict):
+                raise ServeError(f"tenant {tenant!r} load must be a table")
             unknown = set(load) - _LOAD_KEYS
             if unknown:
                 raise ServeError(
@@ -229,6 +232,10 @@ def load_config(config: dict):
                     f"{sorted(unknown)}; allowed: {sorted(_LOAD_KEYS)}")
             if "rate" not in load:
                 raise ServeError(f"tenant {tenant!r} load needs a rate")
+            for key in ("rate", "instructions", "value"):
+                if key in load:
+                    check_number(f"load.{key}", load[key],
+                                 integer=key != "rate")
             loads.append(TenantLoad(
                 tenant, rate=load["rate"],
                 target_instructions=load.get("instructions", 4000),
@@ -237,7 +244,10 @@ def load_config(config: dict):
     if "checkpoint_interval" in config:
         gateway_kwargs["checkpoint_interval"] = \
             config["checkpoint_interval"]
-    duration = float(config.get("duration_s", 1.0))
+    for key, value in gateway_kwargs.items():
+        check_number(key, value, integer=True)
+    duration = config.get("duration_s", 1.0)
+    check_number("duration_s", duration)
     if duration <= 0:
         raise ServeError(f"duration_s must be > 0, got {duration}")
-    return gateway_kwargs, policies, loads, duration
+    return gateway_kwargs, policies, loads, float(duration)

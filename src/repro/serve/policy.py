@@ -19,12 +19,23 @@ gateway's job (DESIGN.md §14).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import ServeError, StalePolicy
 
 __all__ = ["TenantPolicy", "PolicyStore"]
+
+
+def check_number(key: str, value, integer: bool = False) -> None:
+    """Raise :class:`ServeError` naming ``key`` unless ``value`` is a
+    finite number (an ``int`` when ``integer``); a bool is not one."""
+    if (isinstance(value, bool)
+            or not isinstance(value, int if integer else (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ServeError(f"{key} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,12 @@ class TenantPolicy:
     quota: Optional[dict] = None
 
     def __post_init__(self):
+        check_number("priority", self.priority, integer=True)
+        check_number("queue_limit", self.queue_limit, integer=True)
+        for key in ("rate", "burst", "deadline_s", "sla_s"):
+            value = getattr(self, key)
+            if value is not None:
+                check_number(key, value)
         if self.priority < 0:
             raise ServeError(f"priority must be >= 0, got {self.priority}")
         if self.rate <= 0:
@@ -65,12 +82,18 @@ class TenantPolicy:
             raise ServeError(
                 f"deadline_s must be > 0, got {self.deadline_s}")
         if self.quota is not None:
+            if not isinstance(self.quota, dict):
+                raise ServeError(
+                    f"quota must be a table, got {self.quota!r}")
             allowed = {"max_mapped_pages", "max_fds", "max_instructions"}
             unknown = set(self.quota) - allowed
             if unknown:
                 raise ServeError(
                     f"unknown quota keys {sorted(unknown)}; "
                     f"allowed: {sorted(allowed)}")
+            for key, value in self.quota.items():
+                if value is not None:
+                    check_number(f"quota.{key}", value, integer=True)
 
 
 @dataclass

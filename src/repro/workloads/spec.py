@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..errors import ConfigError
 from ..runtime.table import RuntimeCall, table_offset
 from .kernels import KERNELS, Kernel
 
@@ -174,6 +175,14 @@ def benchmark_names() -> List[str]:
     return sorted(SPEC_BENCHMARKS)
 
 
+def _profile(name: str) -> BenchmarkProfile:
+    profile = SPEC_BENCHMARKS.get(name)
+    if profile is None:
+        raise ConfigError(f"unknown benchmark {name!r}; known: "
+                          f"{', '.join(benchmark_names())}")
+    return profile
+
+
 def _init_chain(nodes: int, base_offset: int, stride: int) -> str:
     """Build a pointer ring over ``nodes`` cells spaced ``stride`` bytes
     apart (next[i] = chain_base + stride*((i+97) mod n))."""
@@ -227,7 +236,7 @@ def build_benchmark(name: str, target_instructions: int = 40_000) -> str:
     ``target_instructions`` is the approximate dynamic instruction count of
     the native run (the paper runs full SPEC; we scale to the emulator).
     """
-    profile = SPEC_BENCHMARKS[name]
+    profile = _profile(name)
     used: List[Kernel] = [KERNELS[k] for k in profile.mix]
     ws = profile.working_set
     # btree works a hot (cache-resident) region, like a game tree's upper
@@ -317,4 +326,4 @@ arena:
 
 def arena_bss_size(name: str) -> int:
     """Extra .bss bytes needed beyond the 64-byte arena marker."""
-    return SPEC_BENCHMARKS[name].working_set
+    return _profile(name).working_set

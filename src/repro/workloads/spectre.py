@@ -45,7 +45,6 @@ __all__ = [
     "AttackResult",
     "attack_source",
     "measure_attack",
-    "recover_secret",
     "recover_secrets",
     "run_attack",
 ]
@@ -237,24 +236,6 @@ def _decode_probe(address: int) -> Optional[int]:
     off = address - (SLOT.base + DATA_OFFSET + PROBE_OFFSET)
     if 0 <= off < PROBE_SIZE and off % PROBE_STRIDE == 0:
         return off // PROBE_STRIDE
-    return None
-
-
-def recover_secret(log: SpeculationLog) -> Optional[int]:
-    """Infer the secret byte from one run's transient probe footprint.
-
-    Scans the log for a transient access landing stride-aligned inside
-    the probe array; its line index *is* the leaked byte.  Returns
-    ``None`` when no such access exists.  Single-run recovery is naive:
-    adversarial predictor seeds can open extra transient windows whose
-    benign training touches shadow the secret — prefer
-    :func:`recover_secrets`, which diffs two runs instead.
-    """
-    for window in log.windows:
-        for access in window.accesses:
-            line = _decode_probe(access.address)
-            if line is not None:
-                return line
     return None
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import (
+from repro.perf.models import (
     GVISOR_MODEL,
     LINUX_MODEL,
     NESTED_WALK_SCALE,

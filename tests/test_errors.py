@@ -44,13 +44,6 @@ class TestHierarchy:
         assert exc.errno == errno.ENOENT
         assert exc.filename == "/missing"
 
-    def test_port_rewrite_errors_share_the_base(self):
-        from repro.riscv import RvRewriteError
-        from repro.x86 import X86RewriteError
-
-        assert issubclass(X86RewriteError, RewriteError)
-        assert issubclass(RvRewriteError, RewriteError)
-
     def test_one_except_catches_the_whole_reproduction(self):
         with pytest.raises(ReproError):
             raise RewriteError("any layer")

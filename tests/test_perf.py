@@ -16,7 +16,7 @@ from repro.perf import (
     run_variant,
     wasm_variant,
 )
-from repro.baselines import WASM_ENGINES
+from repro.perf.models import WASM_ENGINES
 from repro.workloads import arena_bss_size, build_benchmark
 
 SMALL = 4000

@@ -1,6 +1,7 @@
 """repro.serve: admission control, hot-reload edge cases, determinism."""
 
-import asyncio
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -11,7 +12,6 @@ from repro.elf.format import write_elf
 from repro.errors import Overloaded, ServeError, StalePolicy
 from repro.serve import (
     CLOCK_HZ,
-    AsyncGateway,
     Autoscale,
     Gateway,
     PolicyStore,
@@ -80,6 +80,13 @@ class TestPolicyStore:
             TenantPolicy(queue_limit=0)
         with pytest.raises(ServeError):
             TenantPolicy(quota={"max_threads": 4})
+
+    @pytest.mark.parametrize("key", ["priority", "rate", "burst",
+                                     "queue_limit", "deadline_s", "sla_s"])
+    def test_policy_rejects_wrong_typed_fields(self, key):
+        for bad in ("x", True, float("nan"), float("inf")):
+            with pytest.raises(ServeError, match=key):
+                TenantPolicy(**{key: bad})
 
 
 # -- admission ---------------------------------------------------------------
@@ -401,34 +408,6 @@ class TestOverload:
         assert goodput >= 0.9 * drain
 
 
-# -- async facade ------------------------------------------------------------
-
-
-class TestAsyncGateway:
-    def test_submit_roundtrip_and_typed_overload(self, images):
-        async def scenario():
-            # Refill is ~zero, so the bucket stays empty after the first
-            # admit no matter how much wall time the await burned.
-            policies = {"a": TenantPolicy(rate=0.001, burst=1.0)}
-            async with AsyncGateway(policies, lanes=1,
-                                    time_scale=500.0) as gw:
-                result = await gw.submit("a", images["short"])
-                with pytest.raises(Overloaded):
-                    await gw.submit("a", images["short"])
-                return result
-        result = asyncio.run(scenario())
-        assert result.status == "ok"
-        assert result.exit_code == 7
-
-    def test_submit_requires_started_gateway(self, images):
-        gw = AsyncGateway({"a": TenantPolicy()})
-
-        async def scenario():
-            with pytest.raises(RuntimeError):
-                await gw.submit("a", images["short"])
-        asyncio.run(scenario())
-
-
 # -- config loading ----------------------------------------------------------
 
 
@@ -454,3 +433,39 @@ class TestLoadConfig:
             load_config(["not", "a", "dict"])
         with pytest.raises(ServeError, match="tenants"):
             load_config({"lanes": 2})
+
+    @pytest.mark.parametrize("bad", ["x", True, float("nan"), float("inf")],
+                             ids=["str", "bool", "nan", "inf"])
+    @pytest.mark.parametrize("where,key", [
+        ("top", "lanes"), ("top", "checkpoint_interval"),
+        ("top", "duration_s"), ("tenant", "priority"), ("tenant", "rate"),
+        ("tenant", "burst"), ("tenant", "queue_limit"),
+        ("tenant", "deadline_ms"), ("tenant", "sla_ms"),
+        ("load", "rate"), ("load", "instructions"), ("load", "value"),
+        ("quota", "max_instructions"), ("quota", "max_fds"),
+        ("quota", "max_mapped_pages"),
+    ])
+    def test_rejects_wrong_typed_numbers(self, where, key, bad):
+        tenant = {"load": {"rate": 10}, "quota": {}}
+        config = {"tenants": {"t": tenant}}
+        tables = {"top": config, "tenant": tenant, "load": tenant["load"],
+                  "quota": tenant["quota"]}
+        tables[where][key] = bad
+        with pytest.raises(ServeError, match=key):
+            load_config(config)
+
+    @pytest.mark.parametrize("key", ["quota", "load"])
+    def test_rejects_a_non_table(self, key):
+        with pytest.raises(ServeError, match=f"{key} must be a table"):
+            load_config({"tenants": {"t": {key: 5}}})
+
+
+# -- import cost -------------------------------------------------------------
+
+
+def test_import_does_not_load_asyncio():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.serve, sys; print('asyncio' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

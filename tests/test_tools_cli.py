@@ -224,6 +224,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("repro.tools: error:")
 
+    def test_unknown_bench_name_is_one_line(self, capsys):
+        for command in ("trace", "profile", "checkpoint"):
+            assert main([command, "nosuchbench", "--bench"]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, (command, err)
+            assert err[0].startswith(
+                "repro.tools: error: unknown benchmark 'nosuchbench'")
+            assert "505.mcf" in err[0]
+
 
 class TestClusterCommand:
     def test_cluster_batch(self, tmp_path):
@@ -332,6 +341,22 @@ class TestServeCommand:
         assert "repro.tools: error:" in result.stderr
         assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"tenants": {"a": {"rate": "x"}}},
+        {"duration_s": "soon", "tenants": {"a": {}}},
+    ], ids=["rate", "duration_s"])
+    def test_serve_wrong_typed_value_one_line_diagnostic(self, tmp_path,
+                                                         capsys, config):
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert main(["serve", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("repro.tools: error:")
+        assert "must be a finite number" in err[0]
 
     def test_serve_unknown_tenant_key_one_line_diagnostic(self, tmp_path):
         import json

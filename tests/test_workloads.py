@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import O0, O1, O2, O2_NO_LOADS, VerifierPolicy, verify_elf
 from repro.emulator import APPLE_M1
+from repro.errors import ConfigError
 from repro.runtime import Runtime
 from repro.toolchain import compile_lfi, compile_native
 from repro.workloads import (
@@ -132,5 +133,9 @@ class TestBuiltBenchmarks:
         assert runtime_large.machine.instret > 3 * runtime_small.machine.instret
 
     def test_unknown_benchmark_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="unknown benchmark"):
             build_benchmark("600.nonesuch")
+
+    def test_unknown_benchmark_has_no_arena(self):
+        with pytest.raises(ConfigError, match="505.mcf"):
+            arena_bss_size("600.nonesuch")
