@@ -460,12 +460,13 @@ def memory_digest(memory: PagedMemory, layout: SandboxLayout) -> str:
         sha.update(struct.pack("<cQQQ", b"R", rbase - lo, rsize, perms))
     for addr, buf in memory.nonzero_pages(lo, hi):
         sha.update(struct.pack("<cQ", b"D", addr - lo))
-        for word, in struct.iter_unpack("<Q", buf):
-            if wlo <= word < whi:
-                sha.update(b"P")
-                sha.update(struct.pack("<q", word - lo))
-            else:
-                sha.update(struct.pack("<Q", word))
+        words = struct.unpack(f"<{len(buf) // 8}Q", buf)
+        done = 0  # bytes hashed so far: verbatim up to a tagged word
+        for at in [8 * i for i, w in enumerate(words) if wlo <= w < whi]:
+            sha.update(buf[done:at])
+            sha.update(b"P" + struct.pack("<q", words[at // 8] - lo))
+            done = at + 8
+        sha.update(buf[done:])
     return sha.hexdigest()
 
 

@@ -220,12 +220,12 @@ class _Costing:
         return max(self.t_issue, self.t_done)
 
 
-#: How a word ends a straight-line run: not at all, by leaving it, or by
-#: always raising (such a word is a block of its own).
-W_UNDECODABLE, W_PLAIN, W_BRANCH, W_TRAP = range(4)
-_BRANCH_BASES = frozenset([
-    "b", "bl", "br", "blr", "ret", "cbz", "cbnz", "tbz", "tbnz",
-])
+#: How a word ends a run: not at all, by leaving it, only when taken (a
+#: run reads past it), by a ``b`` (a run may follow it), or by always
+#: raising (such a word is a block of its own).
+W_UNDECODABLE, W_PLAIN, W_BRANCH, W_COND, W_JUMP, W_TRAP = range(6)
+_BRANCH_BASES = frozenset(["bl", "br", "blr", "ret"])
+_COND_BASES = frozenset(["b", "cbz", "cbnz", "tbz", "tbnz"])  # b: b.cond
 _TRAP_BASES = frozenset(["svc", "brk", "hlt"])
 
 #: word -> ``word_facts``, process-wide: nothing in an entry depends on an
@@ -236,23 +236,29 @@ _WORD_FACTS_CAP = 1 << 16
 
 
 def word_facts(word: int, handlers) -> tuple:
-    """``(shape, inst, cost class, uses, defs)``: everything either engine
-    derives from an instruction word before executing it.  ``inst`` is
-    None when the decoder says its decode reads pc (decode it in place);
-    ``handlers`` is any machine's dispatch table (they share their keys).
+    """``(shape, inst, cost class, uses, defs, displacement)``: everything
+    either engine derives from an instruction word before executing it.
+    ``inst`` is None when the decoder says its decode reads pc (decode it
+    in place); ``displacement`` is a direct branch's target less its pc
+    (W_COND, W_JUMP); ``handlers`` is any machine's dispatch table (they
+    share their keys).
     """
     facts = WORD_FACTS.get(word)
     if facts is None:
         inst, reads_pc = decode_word_pc(word, 0)
         if inst is None or inst.base not in handlers:
-            facts = (W_UNDECODABLE, None, None, (), ())
+            facts = (W_UNDECODABLE, None, None, (), (), None)
         else:
+            shape = (W_BRANCH if inst.base in _BRANCH_BASES else
+                     W_JUMP if inst.mnemonic == "b" else
+                     W_COND if inst.base in _COND_BASES else
+                     W_TRAP if inst.base in _TRAP_BASES else W_PLAIN)
             facts = (
-                W_BRANCH if inst.base in _BRANCH_BASES else
-                W_TRAP if inst.base in _TRAP_BASES else W_PLAIN,
-                None if reads_pc else inst, _classify(inst),
+                shape, None if reads_pc else inst, _classify(inst),
                 tuple(k for k in map(_reg_key, inst.uses()) if k is not None),
                 tuple(k for k in map(_reg_key, inst.defs()) if k is not None),
+                inst.operands[-1].value if shape in (W_COND, W_JUMP)
+                else None,
             )
         if len(WORD_FACTS) >= _WORD_FACTS_CAP:
             WORD_FACTS.clear()
@@ -395,15 +401,16 @@ class Machine:
         """The superblock engine's counters.  Template hits and misses,
         which blocks found a generated body waiting (and so how many
         trips of a loop ran inside one, ``loop_trips``, rather than as
-        turns of the dispatch loop), how many bodies this
+        turns of the dispatch loop), the branches translations read past
+        (``traced_branches``), how many bodies this
         cost identity has had generated (``generated_templates``) and the
         host time that took (``compile_ms``) depend on what the process
         ran before: host-side facts, kept out of deterministic snapshots."""
         sb = self._sb
         stats = {name: getattr(sb, name) for name in (
             "translations", "template_hits", "template_misses",
-            "invalidations", "loop_trips", "compiled_blocks",
-            "cached_blocks")}
+            "invalidations", "loop_trips", "traced_branches",
+            "compiled_blocks", "cached_blocks")}
         stats["generated_templates"], stats["compile_ms"] = sb.generated
         return stats
 
@@ -442,7 +449,7 @@ class Machine:
             word = self.memory.fetch(pc)
         except MemoryFault as fault:
             raise MemTrap(pc, fault) from None
-        shape, inst, klass, uses, defs = word_facts(word, self._exec)
+        shape, inst, klass, uses, defs, _ = word_facts(word, self._exec)
         if shape == W_UNDECODABLE:
             raise UnknownInstructionTrap(pc, word)
         if inst is None:

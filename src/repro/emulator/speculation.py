@@ -215,7 +215,8 @@ class SpeculativeEngine:
         gauges = []
         for gauge in (machine.tlb, machine.l1, machine.l2):
             if gauge is not None:
-                gauges.append((gauge, [list(e) for e in gauge._sets],
+                gauges.append((gauge, [list(e) if e else () for e in
+                                       gauge._sets],
                                gauge.hits, gauge.misses))
         undo: List = []
 

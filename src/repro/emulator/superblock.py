@@ -3,7 +3,7 @@
 The stepping interpreter in :mod:`repro.emulator.machine` pays Python
 dispatch cost on every instruction: a decode-cache lookup, a handler
 dispatch, generic operand evaluation, and a :meth:`_Costing.charge` call.
-This module translates straight-line instruction runs into immutable
+This module translates instruction runs into immutable
 :class:`Superblock` objects and dispatches whole blocks from
 :meth:`Machine.run`.  What an op does is stated once, as source lines
 (the ``_e_*`` emitters), and a hot block runs a single generated
@@ -13,10 +13,12 @@ reference semantics, runs it an instruction at a time.
 
 Design rules (DESIGN.md §10, §15):
 
-* a block ends at the first branch, registered host entry, undecodable
-  word, or page boundary — blocks never cross a page, so invalidation is
-  page-exact — and before a trap instruction (``svc``/``brk``/``hlt``),
-  which is a block of its own;
+* a run is a path: it reads past a conditional direct branch not to its
+  first word (the taken path is a *side exit*) and follows a ``b``
+  forward on its page; it ends at any other branch, a host entry, an
+  undecodable word, or the page end — never crossing a page, so
+  invalidation is page-exact — and before a trap instruction
+  (``svc``/``brk``/``hlt``), which is a block of its own;
 * an op is one decoded instruction: its lines plus its one *cost row*.
   What a block does and what it costs are both data, and a generated
   body is lines + rows.  A guard is an ordinary op (DESIGN.md §10, "why
@@ -38,9 +40,9 @@ Design rules (DESIGN.md §10, §15):
   allows (DESIGN.md §15);
 * every turn of the dispatch loop is one host-entry check and one cache
   lookup; the one successor worth skipping them for, a hot block whose
-  branch targets its own start, iterates inside its generated body —
-  whole trips, as many as the fuel covers — and comes back to the
-  dispatch loop once;
+  closing branch targets its own start, iterates inside its generated
+  body — whole trips, as many as the fuel covers — and comes back to the
+  dispatch loop once, at the fall-through or a side exit;
 * one dispatch loop runs every block: a cold one through ``Machine.step``
   itself, a hot one through generated source that makes the
   :class:`_Costing` float operations in the same order, so cycle counts,
@@ -102,7 +104,8 @@ K_GENERIC = 3  # both, from the stepping handler
 _COMPILE_THRESHOLD = 8
 #: Contents larger than this never get one (``BlockTemplate.hits`` -1):
 #: generated source for a page-spanning straight-line run would cost more
-#: to compile than stepping it costs.
+#: to compile than stepping it costs.  A run reads past a branch only
+#: below this many instructions, and ends at it once it has.
 _COMPILE_MAX_OPS = 256
 
 _UNSIGNED_LOADS = frozenset(["ldr", "ldrb", "ldrh", "ldur"])
@@ -142,16 +145,20 @@ class _Bindings:
 
 
 class BlockTemplate:
-    """A straight-line run translated once for everywhere its words occur.
+    """A run translated once for everywhere its words occur.
 
     ``ops`` holds a recipe ``(kind, shape, args, rel, row)`` per
-    instruction: ``shape.emit(w, *args, *(start + d for d in rel))`` are
-    its lines in a block starting at ``start``, and ``row`` its cost row
-    ``(pc - start, icost, lat, uses, defs)``, the pc likewise a
-    displacement from the start.  Nothing here names an address or a
-    machine, so nothing ever invalidates a template.  ``hits`` is the
-    content's temperature: how many times any block of it, on any
-    machine, was dispatched — -1 for a run too large ever to get a body.
+    instruction in path order: ``shape.emit(w, *args, *(start + d for d
+    in rel))`` are its lines in a block starting at ``start``, and ``row``
+    its cost row ``(pc - start, icost, lat, uses, defs)``, the pc likewise
+    a displacement from the start — a ``b`` the run follows is an op
+    without lines whose row issues the taken-branch bubble.  ``exit`` is
+    the fall-through pc's displacement (the path only moves forward, so
+    it also bounds every word read) and ``exits`` the indexes of the
+    side exits.  Nothing here names an address or a machine, so nothing
+    ever invalidates a template.  ``hits`` is the content's temperature:
+    how many times any block of it, on any machine, was dispatched — -1
+    for a run too large ever to get a body.
     ``code`` is the maker of the generated body
     (``SuperblockEngine._compile``) and ``consts`` the objects it indexes,
     built when ``hits`` reaches ``_COMPILE_THRESHOLD``.  ``loops`` says
@@ -162,12 +169,13 @@ class BlockTemplate:
     dispatch loop offers the address it lands on to the springboard.
     """
 
-    __slots__ = ("ops", "size", "call_tail", "code", "consts", "hits",
-                 "loops")
+    __slots__ = ("ops", "exit", "exits", "call_tail", "code", "consts",
+                 "hits", "loops")
 
-    def __init__(self, ops: list, size: int, call_tail: bool):
+    def __init__(self, ops: list, exit: int, exits: tuple, call_tail: bool):
         self.ops = ops
-        self.size = size
+        self.exit = exit
+        self.exits = exits
         self.call_tail = call_tail
         self.code = self.consts = None
         self.hits = -1 if len(ops) > _COMPILE_MAX_OPS else 0
@@ -188,13 +196,14 @@ _GENERATED: Dict[Optional[int], list] = {}
 
 
 class Superblock:
-    """A predecoded straight-line run of instructions.
+    """A predecoded run of instructions.
 
     A :class:`BlockTemplate` at a start address on one machine.
-    ``count`` is the run's fuel cost, the number of instructions in it;
-    ``end`` is both the fall-through address and the exclusive byte bound
-    used for invalidation overlap checks.  Nothing refers to a block but
-    the engine's cache: dropping it from there invalidates it.
+    ``count`` is the run's fuel cost, the number of instructions on its
+    path; ``end`` is both the fall-through address and the exclusive
+    byte bound of every word read, used for invalidation overlap checks.
+    Nothing refers to a block but the engine's cache: dropping it from
+    there invalidates it.
 
     ``fn`` is the template's generated body bound to this machine,
     ``fn(start, fuel)`` returning the instructions it retired, negated
@@ -208,8 +217,8 @@ class Superblock:
 
     def __init__(self, start: int, template: BlockTemplate):
         self.start = start
-        self.end = start + template.size
-        self.count = template.size >> 2  # one row per instruction
+        self.end = start + template.exit
+        self.count = len(template.ops)
         self.call_tail = template.call_tail
         self.template = template
         self.fn = None
@@ -556,6 +565,12 @@ def _e_b(w, target):
     return _leave(target)
 
 
+@_emits(K_SIMPLE)
+def _e_followed(w):
+    """A ``b`` the run follows: its target is the next op."""
+    return []
+
+
 @_emits(K_BRANCH)
 def _e_bl(w, target, link):
     return _leave(target, link=link)
@@ -626,6 +641,8 @@ class SuperblockEngine:
         self.invalidations = 0
         #: Trips looping bodies ran beyond the first of each call.
         self.loop_trips = 0
+        #: Branches translations read past: conditional and followed ``b``.
+        self.traced_branches = 0
         self.compiled_blocks = 0
         _NAMESPACE.update(MemTrap=M.MemTrap, b2f=M._bits_to_float,
                           f2b=M._float_to_bits)
@@ -702,7 +719,7 @@ class SuperblockEngine:
         its generated body once its content is hot, here or anywhere in
         the process — called one way, ``fn(pc0, remaining)``, whether it
         retires the block once or, a self-loop, as many whole trips as the
-        fuel covers; until then ``Machine.step`` runs it, ``count`` times,
+        fuel covers; until then ``Machine.step`` runs it along its path
         and retires, charges, sets pc and raises as the reference does.
         """
         M = self._M
@@ -712,7 +729,7 @@ class SuperblockEngine:
         blocks = self._blocks
         translate = self._translate
         springboard = machine.springboard
-        step = machine.step
+        step_path = self._step_path
         n = 0
         try:
             while True:
@@ -733,9 +750,7 @@ class SuperblockEngine:
                         if template.hits >= _COMPILE_THRESHOLD:
                             fn = self._compile_block(block)
                 if fn is None:
-                    for _ in range(count):
-                        step()
-                    remaining -= count
+                    remaining -= step_path(block)
                 else:
                     done = fn(pc0, remaining)
                     if done < 0:
@@ -761,6 +776,18 @@ class SuperblockEngine:
                     return remaining
         finally:
             machine.instret += n
+
+    def _step_path(self, block: Superblock) -> int:
+        """Step a cold run along its path as long as it stays on it (a
+        taken side exit leaves); returns the instructions retired."""
+        step, cpu, start = self.machine.step, self.machine.cpu, block.start
+        done = 0
+        for op in block.template.ops:
+            if cpu.pc != start + op[4][0]:
+                break
+            step()
+            done += 1
+        return done
 
     def _compile_block(self, block: Superblock):
         """Give ``block`` its template's generated body (built on first
@@ -808,10 +835,12 @@ class SuperblockEngine:
         An op that can fault runs under stepping's fault rule as source,
         and an op that calls a stepping handler under the same rule for
         whatever else the handler raises: the ops before it have retired
-        and been charged, and pc is its own.  A template that ``loops``
-        gets the same lines and rows inside a ``for``: a trip per whole
-        block the fuel covers, left
-        when the branch falls through.  Nothing a trip can do unmaps or
+        and been charged, and pc is its own.  A taken side exit, its pc set
+        by its own lines, stores what the ops up to it defined and returns
+        the count they retired (both static along the path).  A template
+        that ``loops`` gets the same lines and rows inside a ``for``: a
+        trip per whole block the fuel covers, left when the branch falls
+        through.  Nothing a trip can do unmaps or
         patches the block it is in (mappings and host entries change only
         on the host side of a trap or springboard, which end a block), so
         no trip looks the block up again.  The keys read before the block
@@ -914,7 +943,7 @@ class SuperblockEngine:
                 if certain:
                     emit(f"{ind}ready[{key!r}] = k{key}")
 
-        count = template.size >> 2
+        count = len(template.ops)
         head = []  # what runs once, above the first trip
         board: Dict[object, bool] = {}
         defined: Dict[object, bool] = {}  # every key the block defines
@@ -932,7 +961,7 @@ class SuperblockEngine:
             kind, shape, args, rel, row = op
             body = shape.emit(w, *map(literal, args), *[
                 f"((pc0 + {d}) & {M64})" for d in rel or ()])
-            if loops and op is template.ops[-1]:
+            if loops and retired == count - 1:
                 # The looping branch: pc is pc0 on entry and nothing in
                 # between moves it, so its store waits for the exit.
                 body = [line for line in body
@@ -959,6 +988,16 @@ class SuperblockEngine:
                     emit(arm + leave)
             if costing is not None:
                 charge(ind, kind, row, board)
+            if retired in template.exits:
+                arm = ind + "    "
+                emit(f"{ind}if taken:")
+                if costing is not None:
+                    flush(arm, board)
+                    if defined:  # a loop's, as the arm around it does
+                        emit(f"{arm}if trips:")
+                        flush(arm + "    ", defined)
+                emit(f"{arm}return {f'trips * {count} + ' * loops}"
+                     f"{retired + 1}")
 
         done = str(count)
         closing = []  # the ``finally`` of the body's ``try``
@@ -1004,15 +1043,16 @@ class SuperblockEngine:
     # -- translation --------------------------------------------------------
 
     def _translate(self, start: int) -> Superblock:
-        """The block of the straight-line run starting at ``start``: its
-        template, looked up by content or derived, at that start.
+        """The block of the run starting at ``start``: its template,
+        looked up by content or derived, at that start.
 
         The run is read from guest memory under the checks ``fetch``
-        makes, every time, and the key holds all of it, so a block is
-        only ever a translation of the words the guest holds now.  Raises
-        the same trap ``Machine.step`` would raise if the *first*
-        instruction is unfetchable or undecodable; later problems simply
-        end the run (the next dispatch raises them with the exact pc).
+        makes, every time, and the key holds all of it — its words in
+        path order — so a block is only ever a translation of the words
+        the guest holds now.  Raises the same trap ``Machine.step`` would
+        raise if the *first* instruction is unfetchable or undecodable;
+        later problems simply end the run (the next dispatch raises them
+        with the exact pc).
         """
         M = self._M
         machine = self.machine
@@ -1022,35 +1062,63 @@ class SuperblockEngine:
             raise M.MemTrap(start, fault) from None
         host = machine._host_entries
         known = M.WORD_FACTS
-        UNDECODABLE, PLAIN, TRAP = M.W_UNDECODABLE, M.W_PLAIN, M.W_TRAP
+        UNDECODABLE, PLAIN, COND, JUMP, TRAP = (
+            M.W_UNDECODABLE, M.W_PLAIN, M.W_COND, M.W_JUMP, M.W_TRAP)
+        page = start - first
+        view = memoryview(buf)
+        segments = []  # the words read: a slice of the page per segment
         at = start
-        for word, in _WORD.iter_unpack(memoryview(buf)[first:]):
-            if at in host and at != start:
+        done = traced = 0  # words in the segments before; branches read past
+        while True:
+            seg, target = at, None
+            for word, in _WORD.iter_unpack(view[at - page:]):
+                if at != start and (at in host or traced and done
+                                    + (at - seg >> 2) == _COMPILE_MAX_OPS):
+                    break
+                shape = (known.get(word)
+                         or M.word_facts(word, machine._exec))[0]
+                if shape == UNDECODABLE:
+                    if at == start:
+                        raise M.UnknownInstructionTrap(start, word)
+                    break
+                if shape == TRAP and at != start:
+                    break
+                at += 4
+                if shape == PLAIN:
+                    continue
+                if done + (at - seg >> 2) < _COMPILE_MAX_OPS:
+                    # Read past a conditional branch, unless it targets
+                    # the first word: then it closes the run, which loops.
+                    if shape == COND and at - 4 + known[word][5] != start:
+                        traced += 1
+                        continue
+                    if shape == JUMP:
+                        target = at - 4 + known[word][5]
                 break
-            shape = (known.get(word)
-                     or M.word_facts(word, machine._exec))[0]
-            if shape == UNDECODABLE:
-                if at == start:
-                    raise M.UnknownInstructionTrap(start, word)
+            segments.append(view[seg - page:at - page])
+            # Follow a b forward on the page, past every word read.  (A
+            # backward one ends the run: followed from inside a loop, it
+            # makes a run falling through to its own start, never looping.)
+            if target is None or not at <= target < page + len(buf):
                 break
-            if shape == TRAP and at != start:
-                break
-            at += 4
-            if shape != PLAIN:
-                break
+            traced += 1
+            done += at - seg >> 2
+            at = target
 
-        key = (bytes(buf[first:first + at - start]), self._cost_id)
+        text = b"".join(segments)
+        key = (text, self._cost_id)
         template = _TEMPLATES.get(key)
         if template is None:
             self.template_misses += 1
             if len(_TEMPLATES) >= _TEMPLATE_CAP:
                 _TEMPLATES.clear()
-            template = _TEMPLATES[key] = self._derive(key[0])
+            template = _TEMPLATES[key] = self._derive(text)
         else:
             self.template_hits += 1
         block = self._blocks[start] = Superblock(start, template)
         self._slot_blocks.setdefault(start >> SANDBOX_BITS, set()).add(start)
         self.translations += 1
+        self.traced_branches += traced
         if template.code is not None:
             # The content got hot before, somewhere in the process: this
             # block runs its generated body from the first execution.
@@ -1059,34 +1127,52 @@ class SuperblockEngine:
 
     def _derive(self, text: bytes) -> BlockTemplate:
         """Translate the run ``text`` in block coordinates: pc 0 is its
-        first instruction, so every address a decode or a link computes
-        from pc comes out as a displacement from the block start."""
+        first instruction and each next one follows the last (past a
+        ``b`` that is not the last word, at its target), so every address
+        a decode or a link computes from pc comes out as a displacement
+        from the block start."""
         M = self._M
         handlers = self.machine._exec
         model = self.machine.model
+        last = len(text) - 4
         ops = []
         insts = []
-        for pc in range(0, len(text), 4):
-            word = int.from_bytes(text[pc:pc + 4], "little")
-            _, inst, klass, uses, defs = M.word_facts(word, handlers)
+        exits = []
+        pc = 0
+        for offset in range(0, len(text), 4):
+            word = int.from_bytes(text[offset:offset + 4], "little")
+            shape, inst, klass, uses, defs, jump = \
+                M.word_facts(word, handlers)
+            icost = lat = 0.0
+            if model is not None:
+                icost = model.issue_cost(klass)
+                lat = model.result_latency(klass)
+            step = 4
             if inst is None:  # the decode reads pc
                 inst = decode_word(word, pc)
             else:
                 word = None
+            if shape == M.W_JUMP and offset < last:
+                step = jump
+                recipe = (_op(_e_followed), ())
+                if model is not None:
+                    icost += model.taken_branch_cost
+            else:
+                if shape == M.W_COND and offset < last:
+                    exits.append(len(ops))
+                recipe = self._specialize(pc, inst) \
+                    or self._generic(pc, inst, word)
             insts.append(inst)
-            shape, args, *rel = self._specialize(pc, inst) \
-                or self._generic(pc, inst, word)
-            row = (pc, 0.0, 0.0, uses, defs) if model is None else (
-                pc, model.issue_cost(klass), model.result_latency(klass),
-                uses, defs)
+            shape, args, *rel = recipe
             ops.append((shape.kind, shape, args, rel[0] if rel else None,
-                        row))
+                        (pc, icost, lat, uses, defs)))
+            pc += step
         # A run ending in the verified runtime-call idiom (recognized by
         # the same predicate the rewriter uses): a fact about the block,
         # which lets the dispatch loop hand the landing address to the
         # runtime springboard without trap-based unwinding.
         call_tail = len(insts) >= 2 and is_runtime_call_load(insts[-2:], 0)
-        return BlockTemplate(ops, len(text), call_tail)
+        return BlockTemplate(ops, pc, tuple(exits), call_tail)
 
     # -- op construction ----------------------------------------------------
 

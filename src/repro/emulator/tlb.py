@@ -25,7 +25,9 @@ def _lru_source(unit: str, index: str, sets: str, cap, hit: List[str],
     ``miss`` lines.  ``last`` names a variable for the unit the caller
     probed last — the newest way of its set while nobody else touches the
     gauge, so a hit that indexes nothing; ``call`` names ``lookup``
-    itself, to which everything past the MRU test is then left."""
+    itself, to which everything past the MRU test is then left.  A set
+    nothing was filled into yet is the empty tuple: its list is made at
+    its first fill, so a gauge costs what it holds, not its geometry."""
     probe = [f"ways = {sets}[{index}]",
              # Re-touching the newest entry is a no-op move.
              "if ways and ways[-1] == unit:", *_indent(hit)]
@@ -36,7 +38,9 @@ def _lru_source(unit: str, index: str, sets: str, cap, hit: List[str],
                   "    ways.remove(unit)", "    ways.append(unit)",
                   *_indent(hit),
                   "else:",
-                  f"    if len(ways) >= {cap}:",
+                  "    if not ways:",
+                  f"        ways = {sets}[{index}] = []",
+                  f"    elif len(ways) >= {cap}:",
                   "        ways.pop(0)",
                   "    ways.append(unit)", *_indent(miss)]
     if last is None:
@@ -55,7 +59,7 @@ class Tlb:
         self.sets = entries // ways
         self.ways = ways
         self.page_size = page_size
-        self._sets: List[List[int]] = [[] for _ in range(self.sets)]
+        self._sets: List[List[int]] = [()] * self.sets
         self.hits = 0
         self.misses = 0
         # Shift/mask addressing when the geometry is a power of two
@@ -104,8 +108,7 @@ class Tlb:
 
     def flush(self) -> None:
         # In place: generated block bodies hold the list of sets.
-        for entries in self._sets:
-            entries.clear()
+        self._sets[:] = [()] * self.sets
 
     @property
     def accesses(self) -> int:

@@ -9,7 +9,8 @@ Each iteration of the budget:
 
 1. generate one well-formed program (:mod:`~repro.fuzz.genasm`);
 2. run the **completeness** and **semantics** oracles across all four
-   rewrite levels against one shared native execution;
+   rewrite levels against one shared native execution, and the
+   **engines** oracle on the native image and the O2 rewrite;
 3. corrupt the verified O1 and store-only rewrites with the mutation
    engine and feed each mutant to the **soundness** probe;
 4. run the **speculation** oracle on the verified O1 rewrite under a
@@ -25,21 +26,24 @@ directory is configured, persisted for deterministic replay.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core import RewriteError, VerifierPolicy, verify_elf
+from ..core import O2, RewriteError, VerifierPolicy, verify_elf
 from ..elf import ElfImage
 from ..emulator import OutOfFuel
 from .corpus import CorpusEntry, save_entry
 from .differential import (
+    ENGINE_RUNS,
     LEVELS,
     Finding,
     assemble_to_elf,
     check_checkpoint,
     check_completeness,
+    check_engines,
     check_semantics,
     check_speculation,
     mutant_elf,
@@ -70,6 +74,7 @@ class CampaignStats:
     mutants: int = 0
     mutants_accepted: int = 0
     spec_checks: int = 0
+    engine_checks: int = 0
     findings: int = 0
 
     def summary(self) -> str:
@@ -77,6 +82,7 @@ class CampaignStats:
                 f"runs={self.runs} mutants={self.mutants} "
                 f"mutants-accepted={self.mutants_accepted} "
                 f"spec-checks={self.spec_checks} "
+                f"engine-checks={self.engine_checks} "
                 f"findings={self.findings}")
 
 
@@ -153,12 +159,14 @@ class FuzzCampaign:
         source = program.source
         findings: List[Finding] = []
         bases: Dict[str, Tuple[ElfImage, VerifierPolicy]] = {}
+        elf = assemble_to_elf(source)
         try:
-            native = run_elf_in_slot(assemble_to_elf(source))
+            native = run_elf_in_slot(elf)
             self.stats.runs += 1
         except OutOfFuel:
             return ([Finding("crash", "native",
                              "generated program did not halt")], bases)
+        findings += self._engines(elf, "native")
         for label, options, policy in LEVELS:
             try:
                 elf = rewrite_to_elf(source, options)
@@ -175,6 +183,8 @@ class FuzzCampaign:
                 findings.append(Finding(
                     "completeness", label,
                     f"{len(result.violations)} violation(s): {first}"))
+            if options is O2:
+                findings += self._engines(elf, label)
             try:
                 state = run_elf_in_slot(elf)
                 self.stats.runs += 1
@@ -186,6 +196,14 @@ class FuzzCampaign:
                 findings.append(Finding("semantics", label,
                                         state_diff(native, state)))
         return findings, bases
+
+    def _engines(self, elf: ElfImage, level: str) -> List[Finding]:
+        """Two of the engines oracle's runs, one costed and one uncosted,
+        the other two on the next image (four would double the wall)."""
+        self.stats.engine_checks += 1
+        halves = ENGINE_RUNS[0::3], ENGINE_RUNS[1:3]
+        odd = (self.stats.programs + (level == "O2")) % 2
+        return check_engines(elf, level, runs=halves[odd])
 
     def _mutants(self, iteration: int,
                  bases: Dict[str, Tuple[ElfImage, VerifierPolicy]],
@@ -267,6 +285,11 @@ class FuzzCampaign:
             got = check_completeness(candidate.source)
             if not ({f.oracle for f in got} & oracles):
                 got += check_semantics(candidate.source)
+            if "engines" in oracles and not ({f.oracle for f in got}
+                                             & oracles):
+                got += check_engines(assemble_to_elf(candidate.source))
+                with contextlib.suppress(RewriteError):
+                    got += check_engines(rewrite_to_elf(candidate.source, O2))
             return bool({f.oracle for f in got} & oracles)
 
         shrunk = shrink_program(program, still_fails)

@@ -17,7 +17,10 @@
 * :func:`check_speculation` — enabling the bounded-speculation engine
   mode must be architecturally invisible: registers, memory, retired
   instructions, cycle totals, gauge counters, stdout, and event traces
-  all byte-identical to the non-speculative stepping run (DESIGN.md §16).
+  all byte-identical to the non-speculative stepping run (DESIGN.md §16);
+* :func:`check_engines` — the superblock engine, costed and uncosted,
+  must be the stepping interpreter's twin on every observable a bare
+  machine has (DESIGN.md §8, §10).
 
 All entry points are pure functions of their inputs; nothing here consults
 global randomness, so a fuzz campaign driven by one seed replays exactly.
@@ -25,6 +28,7 @@ global randomness, so a fuzz campaign driven by one seed replays exactly.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -54,7 +58,8 @@ from ..core import (
     verify_elf,
 )
 from ..elf import PF_X, ElfImage, ElfSegment, build_elf
-from ..emulator import BrkTrap, Machine, OutOfFuel
+from ..emulator import BrkTrap, Machine, MemTrap, OutOfFuel, Trap
+from ..emulator import superblock
 from ..emulator.costs import APPLE_M1
 from ..engine import EngineConfig, SpeculationConfig
 from ..memory import GUARD_SIZE, PERM_RW, PERM_RX, PagedMemory, SandboxLayout
@@ -68,6 +73,8 @@ __all__ = [
     "CHECKPOINT_POINTS",
     "check_checkpoint",
     "check_completeness",
+    "check_engines",
+    "ENGINE_RUNS",
     "check_semantics",
     "check_speculation",
     "assemble_to_elf",
@@ -117,7 +124,8 @@ CHECKPOINT_BUDGET = 500_000
 class Finding:
     """One oracle failure, formatted deterministically."""
 
-    oracle: str  # "completeness" | "semantics" | "soundness" | "crash"
+    #: "completeness" | "semantics" | "soundness" | "engines" | "crash"
+    oracle: str
     level: str  # opt-level label, or "-" when not level-specific
     detail: str
 
@@ -547,4 +555,65 @@ def check_speculation(elf: ElfImage, seed: int = 0, fuel: int = RUN_FUEL,
                 "speculation", "runtime",
                 f"{key} diverged under speculation (seed={seed})"))
             break
+    return findings
+
+
+# -- oracle 6: engine twins ----------------------------------------------------
+
+#: The superblock runs :func:`check_engines` compares with stepping:
+#: ``(cost model, compile threshold)``, None for the default threshold.
+ENGINE_RUNS = ((None, None), (APPLE_M1, None), (None, 1), (APPLE_M1, 1))
+
+
+def _engine_observables(elf: ElfImage, kind: str, model, fuel: int) -> dict:
+    """Everything a bare-machine run leaves, to the trap that ends it."""
+    machine = slot_machine(elf, engine=EngineConfig(kind=kind), model=model)
+    try:
+        machine.run(fuel=fuel)
+    except MemTrap as trap:
+        stop = (trap.fault.kind, trap.fault.address, trap.pc)
+    except Trap as trap:
+        stop = (type(trap).__name__, None, trap.pc)
+    except OutOfFuel:
+        stop = ("OutOfFuel", None, machine.cpu.pc)
+    memory = machine.memory
+    digest = hashlib.sha256(repr(list(
+        memory.mapped_regions(SLOT.base, SLOT.end))).encode())
+    for address, page in memory.nonzero_pages(SLOT.base, SLOT.end):
+        digest.update(address.to_bytes(8, "little") + page)
+    return {"trap": stop, "cpu": machine.cpu.snapshot(),
+            "memory": digest.hexdigest(), "instret": machine.instret,
+            "cycles": machine.cycles,
+            **{name: unit and (unit.hits, unit.misses, unit._sets)
+               for name, unit in (("tlb", machine.tlb), ("l1", machine.l1),
+                                  ("l2", machine.l2))}}
+
+
+def check_engines(elf: ElfImage, level: str = "-", fuel: int = RUN_FUEL,
+                  runs=ENGINE_RUNS) -> List[Finding]:
+    """Stepping (Apple-M1 costs) and the superblock engine once per entry
+    of ``runs`` — at the default threshold a content the process has not
+    seen starts cold and turns hot mid-run, at 1 every block runs its
+    body at once — must agree on registers, flags, memory, ``instret``,
+    cycles (uncosted: the instructions), TLB/L1/L2 hits, misses and LRU
+    sets, and the trap (kind, address, pc); the first key that differs
+    is reported per run."""
+    findings: List[Finding] = []
+    reference = _engine_observables(elf, "stepping", APPLE_M1, fuel)
+    uncosted = {**reference, "cycles": float(reference["instret"]),
+                "tlb": None, "l1": None, "l2": None}
+    default = superblock._COMPILE_THRESHOLD
+    for model, threshold in runs:
+        superblock._COMPILE_THRESHOLD = threshold or default
+        try:
+            observed = _engine_observables(elf, "superblock", model, fuel)
+        finally:
+            superblock._COMPILE_THRESHOLD = default
+        for key, value in (uncosted if model is None else reference).items():
+            if observed[key] != value:
+                findings.append(Finding(
+                    "engines", level, f"{key} diverged from stepping "
+                    f"({'costed' if model else 'uncosted'}, compile "
+                    f"threshold {threshold or default})"))
+                break
     return findings

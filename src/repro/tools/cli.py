@@ -125,6 +125,11 @@ def _cmd_run(args) -> int:
     if args.stats:
         print(f"[{runtime.machine.instret} instructions, "
               f"{runtime.cycles:.0f} cycles]", file=sys.stderr)
+        print("[engine " + " ".join(
+            f"{name}={value:.1f}" if isinstance(value, float)
+            else f"{name}={value}"
+            for name, value in runtime.machine.engine_stats().items()) + "]",
+            file=sys.stderr)
     for fault in runtime.faults:
         print(f"[fault: pid {fault.pid} {fault.kind}: {fault.detail}]",
               file=sys.stderr)

@@ -211,7 +211,7 @@ class TestLruRuleHasOneStatement:
             for address in addresses:
                 expected.append(reference_lookup(
                     entries // ways, ways, page_size, state, address))
-            final = [state.get(index, []) for index in range(entries // ways)]
+            final = [state.get(index, ()) for index in range(entries // ways)]
             method = Tlb(entries, ways, page_size)
             assert [method.lookup(a) for a in addresses] == expected
             assert method._sets == final

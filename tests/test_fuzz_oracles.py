@@ -17,8 +17,10 @@ from repro.core import VerifierPolicy, verify_elf
 from repro.fuzz import differential
 from repro.fuzz.campaign import FuzzCampaign
 from repro.fuzz.differential import (
+    ENGINE_RUNS,
     assemble_to_elf,
     check_completeness,
+    check_engines,
     check_semantics,
     rewrite_to_elf,
     soundness_probe,
@@ -32,7 +34,10 @@ from repro.fuzz.mutate import (
 )
 from repro.fuzz.shrink import shrink_mutations, shrink_program
 from repro.fuzz.genasm import GeneratedProgram
-from repro.core.options import O0
+from repro.core.options import O0, O2
+from repro.emulator import superblock
+
+from .conftest import flush_translation_caches
 
 
 class TestDeterminism:
@@ -212,3 +217,51 @@ class TestOracleSmoke:
         from repro.fuzz.differential import Finding
         line = Finding("soundness", "O1", "detail text").line()
         assert line == "FINDING soundness level=O1 detail text"
+
+
+class TestEngineTwinOracle:
+    def test_engines_agree_on_generated_programs(self):
+        """Every superblock run of the oracle is stepping's twin on
+        generated programs, native and rewritten."""
+        rng = random.Random(11)
+        generator = AsmGenerator()
+        for _ in range(3):
+            source = generator.generate(rng).source
+            for level, elf in (("native", assemble_to_elf(source)),
+                               ("O2", rewrite_to_elf(source, O2))):
+                assert check_engines(elf, level) == []
+
+    def test_a_body_that_is_not_steppings_twin_is_a_finding(
+            self, monkeypatch):
+        """A planted emitter bug (an ``add`` that adds one more) shows in
+        every run that executes a generated body — at threshold 1 at
+        once, at the default once the loop is hot — named by cost
+        identity and threshold; the threshold is put back."""
+        real = superblock._e_addsub
+
+        def wrong(w, d, n, b, width, sub, form):
+            return real(w, d, n, b, width, sub, form) \
+                + [f"regs[{d}] = (regs[{d}] + 1) & {superblock.M64}"] \
+                * (not sub)
+
+        wrong.kind = real.kind
+        elf = assemble_to_elf(".text\n.globl _start\n_start:\n"
+                              "    mov x9, #20\n"
+                              "top:\n"
+                              "    add x0, x0, #3\n"
+                              "    sub x9, x9, #1\n"
+                              "    cbnz x9, top\n"
+                              "    brk #0\n")
+        flush_translation_caches()
+        monkeypatch.setattr(superblock, "_e_addsub", wrong)
+        try:
+            findings = check_engines(elf, "native")
+        finally:
+            monkeypatch.undo()
+            flush_translation_caches()
+        assert superblock._COMPILE_THRESHOLD == 8
+        assert [f.line() for f in findings] == [
+            f"FINDING engines level=native cpu diverged from stepping "
+            f"({'costed' if model else 'uncosted'}, compile threshold "
+            f"{threshold or 8})" for model, threshold in ENGINE_RUNS]
+        assert check_engines(elf) == []

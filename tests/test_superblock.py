@@ -348,13 +348,30 @@ SHAPES = {
 }
 
 
-def assert_one_row_per_instruction(template):
-    """Every op of ``template`` is one instruction with one cost row
-    ``(pc, icost, lat, uses, defs)`` whose pc is that instruction's."""
-    assert len(template.ops) == template.size >> 2
-    for index, (kind, shape, _args, _rel, row) in enumerate(template.ops):
+def path(text):
+    """``(pc, instruction)`` of each word of the run ``text`` in block
+    coordinates: each after the one before, or at the target of a ``b``
+    before it."""
+    from repro.arm64.decoder import decode_word
+
+    out, pc = [], 0
+    for offset in range(0, len(text), 4):
+        inst = decode_word(int.from_bytes(text[offset:offset + 4],
+                                          "little"), pc)
+        out.append((pc, inst))
+        pc = inst.operands[0].value if inst.mnemonic == "b" else pc + 4
+    return out
+
+
+def assert_one_row_per_instruction(template, text):
+    """Every op of ``template``, the template of the run ``text``, is one
+    instruction with one cost row ``(pc, icost, lat, uses, defs)`` whose
+    pc is that instruction's on the run's path."""
+    assert len(template.ops) == len(text) // 4
+    for index, ((kind, shape, _args, _rel, row), (pc, _inst)) in \
+            enumerate(zip(template.ops, path(text))):
         assert kind == shape.kind and len(row) == 5, index
-        assert row[0] == 4 * index, index
+        assert row[0] == pc, index
 
 #: tier -> (cost model, loop iterations).  A content gets its generated
 #: body at its 8th execution, so 12 iterations leave the last ones to it
@@ -495,7 +512,9 @@ class TestRowShapes:
         assert (stats["generated_templates"]
                 > before["generated_templates"]) == generated
         assert (stats["compile_ms"] > before["compile_ms"]) == generated
-        assert_one_row_per_instruction(block.template)
+        assert_one_row_per_instruction(block.template, next(
+            text for (text, _cost), template in sbmod._TEMPLATES.items()
+            if template is block.template))
         body = (symbols["body"] - block.start) >> 2
         kinds = SHAPES[shape][1]
         assert tuple(op[0] for op in block.template.ops[
@@ -708,11 +727,11 @@ class TestGeneratedBodyMidBlock:
         fault — in the cold first iteration, in the first iteration the
         generated body runs (the 9th), in a middle one and in the last;
         the loop iterating inside its body, or (``straight``) leaving it
-        by a ``b`` every trip: ``instret``, ``cpu.pc``, registers and
-        what ``costing`` and the gauges hold, completed trips included,
-        are stepping's."""
+        by a ``bl`` every trip (a run follows a ``b``): ``instret``,
+        ``cpu.pc``, registers and what ``costing`` and the gauges hold,
+        completed trips included, are stepping's."""
         source = FOUR_ACCESSES if looping else FOUR_ACCESSES.replace(
-            "    sub x9", "    b next\nnext:\n    sub x9")
+            "    sub x9", "    bl next\nnext:\n    sub x9")
         outcomes = []
         for kind in ENGINES:
             flush_translation_caches()
@@ -984,6 +1003,312 @@ class TestLoopIsStepping:
                             for p in (first, second)])
         assert results[0] == results[1]
         assert [r[0] for r in results[0]] == [3, 5]
+
+
+# -- a loop is one body: side exits and followed branches == stepping --------
+
+THRESHOLDS = pytest.mark.parametrize("threshold", [1, 8],
+                                     ids=["hot", "warming"])
+
+#: ``kern_btree``'s diamond: a ``b.hi`` side exit and a forward ``b`` the
+#: run follows over the other arm, then the closing ``b.ne``.
+DIAMOND = """
+    .globl _start
+_start:
+    mov x9, #{trips}
+top:
+    ldr x7, [x19, x9, lsl #3]
+    cmp x7, x4
+    b.hi right
+    add x6, x6, x7
+    b next
+right:
+    eor x6, x6, x7
+next:
+    subs x9, x9, #1
+    b.ne top
+    hlt
+"""
+
+
+def multi(source, model, words=(), regs=(), kinds=ENGINES):
+    """Machines of ``kinds`` about to run ``source`` from ``_start`` with
+    x19 at a read-write page holding ``words`` (8 bytes each), the page
+    after it unmapped, and ``regs`` (index, value) set."""
+    from repro.arm64 import parse_assembly
+    from repro.arm64.assembler import assemble
+    from repro.elf import build_elf
+
+    image = assemble(parse_assembly(source))
+    elf = build_elf(image)
+    machines = []
+    for kind in kinds:
+        memory = PagedMemory()
+        load_elf_into(memory, elf)
+        memory.map_region(DATA, PAGE, PERM_RW)
+        memory.write(DATA, b"".join(w.to_bytes(8, "little") for w in words))
+        machine = Machine(memory, model=model, engine=EngineConfig(kind=kind))
+        machine.cpu.pc = elf.entry
+        machine.cpu.regs[19] = DATA
+        for index, value in regs:
+            machine.cpu.regs[index] = value
+        machines.append(machine)
+    return image.symbols, machines
+
+
+def lockstep(machines, *budgets):
+    """Drive every machine through ``budgets`` (fuel per slice, the last
+    repeated until a trap other than OutOfFuel); the engines must agree
+    after every slice (on the gauges' LRU order after the last).  Returns
+    the last state."""
+    states = None
+    for machine in machines:
+        seen = []
+        for index in range(10_000):
+            budget = budgets[min(index, len(budgets) - 1)]
+            trap = TestRowShapes._drive(machine, budget)
+            seen.append((TestRowShapes._state(machine, trap),
+                         [(g.hits, g.misses) for g in (machine.tlb,
+                                                       machine.l1) if g],
+                         machine.memory.read(DATA, PAGE)))
+            if not isinstance(trap, OutOfFuel):
+                break
+        seen.append(gauges(machine))
+        if states is None:
+            states = seen
+        assert seen == states
+    return states[-2][0]
+
+
+def diamond_words(trips):
+    rng = random.Random(trips)
+    return [rng.randrange(1 << 16) for _ in range(trips + 1)]
+
+
+class TestRunIsStepping:
+    """A run reads past a conditional branch and follows a forward ``b``,
+    so a loop with a data-dependent branch is one looping body: wherever
+    a side exit, a fault, a slice or a mapping change lands, the
+    instruction, registers, cycles, scoreboard and gauges are stepping's,
+    costed and uncosted, with every body generated at once (``hot``) or
+    at the default threshold (``warming``)."""
+
+    @staticmethod
+    def _engines(monkeypatch, threshold):
+        monkeypatch.setattr(sbmod, "_COMPILE_THRESHOLD", threshold)
+        flush_translation_caches()
+
+    @MODELS
+    @THRESHOLDS
+    @pytest.mark.parametrize("trip", [1, 12, None],
+                             ids=["trip-1", "trip-12", "never"])
+    def test_side_exit(self, trip, threshold, model, monkeypatch):
+        """The ``b.eq`` leaves on the first trip (inside the run that
+        starts the program), on a later one (inside the looping body),
+        or never; after it the loop is entered again at its top."""
+        self._engines(monkeypatch, threshold)
+        trips = 20
+        symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #20
+        top:
+            add x0, x0, x9
+            cmp x9, x10
+            b.eq away
+            add x1, x1, x0
+            sub x9, x9, #1
+            cbnz x9, top
+            hlt
+        away:
+            add x2, x2, #7
+            sub x9, x9, #1
+            b top
+        """, model, regs=[(10, trips + 1 - trip if trip else 0)])
+        state = lockstep(machines, 10_000)
+        assert state["trap"][0] is HltTrap
+        assert state["regs"][2] == (7 if trip else 0)
+        stats = machines[1].engine_stats()
+        hot = machines[1]._sb.block_at(symbols["top"])
+        assert hot.template.loops and hot.template.exits
+        assert hot.fn is not None and stats["loop_trips"] > 0
+        assert stats["traced_branches"] == 3  # the b.eqs and a cbnz
+
+    @MODELS
+    @THRESHOLDS
+    def test_btree_diamond_is_one_looping_body(self, threshold, model,
+                                               monkeypatch):
+        self._engines(monkeypatch, threshold)
+        trips = 60
+        words = diamond_words(trips)
+        pivot = sorted(words)[trips // 2]
+        symbols, machines = multi(DIAMOND.format(trips=trips), model, words,
+                                  regs=[(4, pivot)])
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is HltTrap
+        right = sum(word > pivot for word in words[1:])
+        assert 0 < right < trips
+        assert state["instret"] == 1 + 7 * trips - right  # hlt traps
+        hot = machines[1]._sb.block_at(symbols["top"])
+        template = hot.template
+        assert template.loops and hot.count == 7
+        assert template.exits == (2,)
+        followed = sbmod._op(sbmod._e_followed)
+        assert [op[1] is followed for op in template.ops] \
+            == [False] * 4 + [True, False, False]
+        assert hot.end == symbols["next"] + 8
+        # Right-hand trips leave by the side exit; the others stay in.
+        assert machines[1].engine_stats()["loop_trips"] > 0
+
+    @MODELS
+    @pytest.mark.parametrize("branch", ["cbz x5, away",
+                                        "tbnz x5, #3, away"])
+    def test_cbz_and_tbnz_side_exits(self, branch, model, monkeypatch):
+        self._engines(monkeypatch, 8)
+        trips = 40
+        words = [(trip * 37) % 11 for trip in range(trips + 1)]
+        symbols, machines = multi(f"""
+            .globl _start
+        _start:
+            mov x9, #{trips}
+        top:
+            ldr x5, [x19, x9, lsl #3]
+            add x0, x0, x5
+            {branch}
+            add x1, x1, x5
+        back:
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        away:
+            add x2, x2, #1
+            b back
+        """, model, words)
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is HltTrap
+        taken = sum(1 for word in words[1:]
+                    if (word == 0 if branch.startswith("cbz")
+                        else word & 8))
+        assert 3 <= state["regs"][2] == taken < trips
+        hot = machines[1]._sb.block_at(symbols["top"])
+        assert hot.template.loops and hot.template.exits
+        assert machines[1].engine_stats()["loop_trips"] > 0
+
+    @MODELS
+    @THRESHOLDS
+    def test_fault_after_a_followed_b_on_a_later_trip(self, threshold,
+                                                      model, monkeypatch):
+        """The load after the followed ``b`` walks off the data page on
+        trip 11: the trips before and the ops before it in its trip
+        retired, it did not, and pc is its own."""
+        self._engines(monkeypatch, threshold)
+        symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #30
+            mov x20, x19
+        top:
+            add x0, x0, #1
+            b load
+            hlt
+        load:
+            ldr x1, [x20]
+            add x20, x20, x11
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, model, regs=[(11, PAGE // 10)])
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is MemTrap
+        assert state["pc"] == state["trap"][2] == symbols["load"]
+        assert state["instret"] == 2 + 10 * 6 + 2
+        hot = machines[1]._sb.block_at(symbols["top"])
+        assert hot.template.loops and hot.count == 6 and hot.fn is not None
+
+    @MODELS
+    @pytest.mark.parametrize("fuel", [1, 2, 3, 5, 7, 64])
+    def test_fuel_lockstep_through_a_hot_multi_block_loop(self, fuel,
+                                                           model):
+        """From a late trip of the diamond (the body is hot), slices of
+        ``fuel`` to the end: every boundary is stepping's."""
+        flush_translation_caches()
+        trips = 90
+        words = diamond_words(trips)
+        symbols, machines = multi(DIAMOND.format(trips=trips), model, words,
+                                  regs=[(4, sorted(words)[trips // 2])])
+        lockstep(machines, 7 * 20 + 3, fuel)
+        hot = machines[1]._sb.block_at(symbols["top"])
+        assert hot.template.loops and hot.fn is not None
+        if fuel == 64:
+            assert machines[1].engine_stats()["loop_trips"] > 0
+
+    @pytest.mark.parametrize("change", ["mprotect", "remap"])
+    def test_mapping_change_between_calls_retranslates(self, change):
+        """Between two slices of the hot diamond its text page is
+        re-protected or unmapped and mapped again: the block (and every
+        other on the page) is dropped, the next dispatch translates the
+        same words to the same template, and the run stays stepping's."""
+        flush_translation_caches()
+        trips = 80
+        words = diamond_words(trips)
+        symbols, machines = multi(DIAMOND.format(trips=trips), None, words,
+                                  regs=[(4, sorted(words)[trips // 2])])
+        old = machines[1]._sb
+        states = []
+        for machine in machines:
+            assert isinstance(TestRowShapes._drive(machine, 200), OutOfFuel)
+            memory = machine.memory
+            text = symbols["top"] & ~(PAGE - 1)
+            if machine is machines[1]:
+                block = old.block_at(symbols["top"])
+                assert block.fn is not None and block.template.loops
+            held = memory._raw_read(text, PAGE)
+            if change == "mprotect":
+                memory.protect(text, PAGE, PERM_RW)
+                memory.protect(text, PAGE, PERM_RX)
+            else:
+                memory.unmap(text, PAGE)
+                memory.map_region(text, PAGE, PERM_RX)
+                memory._raw_write(text, held)
+            trap = TestRowShapes._drive(machine, 100_000)
+            states.append((TestRowShapes._state(machine, trap),
+                           gauges(machine)))
+        assert states[1] == states[0]
+        assert states[0][0]["trap"][0] is HltTrap
+        fresh = old.block_at(symbols["top"])
+        assert fresh is not block and fresh.template is block.template
+        assert old.invalidations > 0
+
+    @MODELS
+    def test_b_to_a_word_already_in_the_run_ends_it(self, model,
+                                                     monkeypatch):
+        """``b mid`` targets a word the run from ``_start`` already holds:
+        the run ends there, not looping (its first word is ``_start``'s);
+        the run from ``mid`` is the loop."""
+        self._engines(monkeypatch, 1)
+        symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #12
+        top:
+            add x0, x0, #1
+        mid:
+            add x1, x1, x0
+            subs x9, x9, #1
+            b.eq done
+            b mid
+        done:
+            hlt
+        """, model)
+        state = lockstep(machines, 10_000)
+        assert state["trap"][0] is HltTrap and state["regs"][1] == 12
+        sb = machines[1]._sb
+        first = sb.block_at(symbols["_start"])
+        assert first.count == 6 and not first.template.loops
+        assert first.end == symbols["done"]
+        loop = sb.block_at(symbols["mid"])
+        assert loop.count == 4 and loop.template.loops
+        assert sb.block_at(symbols["top"]) is None
 
 
 # -- what a body keeps for one call: page entries, gauge units, float views ----

@@ -82,6 +82,26 @@ class TestCompileVerifyRun:
                      "--stats"]) == 7
         assert "cycles" in capsys.readouterr().err
 
+    def test_run_stats_reports_the_engine(self, tmp_path, capsys):
+        """``run --stats`` prints ``Machine.engine_stats()`` as one line:
+        a spin loop is one looping run, read past its exit branch."""
+        from repro.workloads.rtlib import busy_program
+
+        src = tmp_path / "busy.s"
+        src.write_text(busy_program(5, 2_000))
+        elf = tmp_path / "busy.elf"
+        main(["compile", str(src), "-o", str(elf)])
+        assert main(["run", str(elf), "--stats"]) == 5
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("[engine ")]
+        assert len(lines) == 1
+        stats = dict(field.split("=")
+                     for field in lines[0][len("[engine "):-1].split())
+        assert int(stats["loop_trips"]) > 900
+        assert int(stats["traced_branches"]) > 0
+        assert int(stats["translations"]) > 0
+        assert float(stats["compile_ms"]) >= 0
+
     def test_verify_no_loads_policy(self, tmp_path, unsafe_asm):
         elf = tmp_path / "nl.elf"
         main(["compile", str(unsafe_asm), "--native", "-o", str(elf)])
