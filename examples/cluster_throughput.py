@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scale-out cluster: sharded workers, warm spawn, crash recovery.
 
-``repro.cluster`` (DESIGN.md §11) partitions a batch of sandbox jobs
+``repro.cluster`` (DESIGN.md §12) partitions a batch of sandbox jobs
 across N OS worker processes, each owning a private superblock runtime.
 This example demonstrates the three contract points:
 

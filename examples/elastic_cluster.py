@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Elastic cluster: crash recovery, live migration, and resizing.
 
-``repro.checkpoint`` (DESIGN.md §12) gives the cluster a deterministic
+``repro.checkpoint`` (DESIGN.md §13) gives the cluster a deterministic
 snapshot of any running job.  Workers checkpoint long jobs every
 ``checkpoint_interval`` consumed instructions and ship the blobs to the
 coordinator, which turns one primitive into three capabilities:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Always-on serving: admission control, priorities, policy hot-reload.
 
-``repro.serve`` (DESIGN.md §14) turns the batch cluster into a gateway
+``repro.serve`` (DESIGN.md §12) turns the batch cluster into a gateway
 that keeps answering under load.  This example drives the built-in
 8-tenant demo fleet — two gold tenants (priority 0, 50 ms SLA), three
 silver (priority 1), three bronze (priority 2) — with seeded open-loop

@@ -36,7 +36,7 @@ class Instruction:
     #: ``x30``/``hoist``) when this instruction was *inserted by the
     #: rewriter* as SFI overhead, else ``None`` (application code).  The
     #: assembler turns this into an address->class map that rides along in
-    #: the ELF so the obs profiler can attribute cycles (DESIGN.md §9).
+    #: the ELF so the obs profiler can attribute cycles (DESIGN.md §15).
     #: Excluded from equality so tagged output still compares equal to the
     #: plain instructions tests construct.
     guard: Optional[str] = field(default=None, compare=False, repr=False)
@@ -79,17 +79,8 @@ class Instruction:
         return isa.is_indirect_branch(self.mnemonic)
 
     @property
-    def is_direct_branch(self) -> bool:
-        return self.mnemonic in isa.DIRECT_BRANCHES
-
-    @property
     def is_call(self) -> bool:
         return self.mnemonic in isa.CALLS
-
-    @property
-    def is_terminator(self) -> bool:
-        """True if control never falls through (unconditional transfer)."""
-        return self.mnemonic in ("b", "br", "ret")
 
     # -- operand accessors --------------------------------------------------
 

@@ -75,24 +75,6 @@ class Program:
             if isinstance(item, Instruction):
                 yield item
 
-    def text_instructions(self) -> Iterator[Instruction]:
-        """Instructions that fall in .text sections."""
-        for item, section in self.items_with_sections():
-            if isinstance(item, Instruction) and section == ".text":
-                yield item
-
-    def items_with_sections(self) -> Iterator[Tuple[Item, str]]:
-        """Each item paired with the section it belongs to (default .text)."""
-        section = ".text"
-        for item in self.items:
-            if isinstance(item, Directive):
-                if item.name in (".text", ".data", ".bss", ".rodata"):
-                    section = item.name
-                elif item.name == ".section" and item.args:
-                    name = item.args[0]
-                    section = name if name.startswith(".") else f".{name}"
-            yield item, section
-
     def labels(self) -> Dict[str, int]:
         """Map label name -> item index of its definition."""
         return {
@@ -100,9 +82,6 @@ class Program:
             for i, item in enumerate(self.items)
             if isinstance(item, LabelDef)
         }
-
-    def instruction_count(self) -> int:
-        return sum(1 for _ in self.instructions())
 
     def copy(self) -> "Program":
         return Program(list(self.items))

@@ -1,4 +1,4 @@
-"""Checkpoint/restore for running jobs (DESIGN.md §12).
+"""Checkpoint/restore for running jobs (DESIGN.md §13).
 
 Deterministic full-process snapshots: capture a job mid-execution at a
 scheduling-slice boundary, serialize it position-independently, and

@@ -1,4 +1,4 @@
-"""Capture and restore running jobs (checkpoint/restore, DESIGN.md §12).
+"""Capture and restore running jobs (checkpoint/restore, DESIGN.md §13).
 
 :func:`capture_job` walks a job — the root sandbox plus every live fork
 descendant — and produces a position-independent :class:`Checkpoint`;

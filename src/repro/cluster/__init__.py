@@ -2,7 +2,7 @@
 
 The paper's runtime scales to ~64Ki sandboxes in one address space (§1/§3)
 but a single interpreter thread caps throughput; this package shards
-sandboxes across N OS worker processes (DESIGN.md §11):
+sandboxes across N OS worker processes (DESIGN.md §12):
 
 * :class:`Cluster` — the batching front-end: ``submit`` routes jobs to the
   least-loaded worker, ``drain`` collects results deterministically
@@ -19,7 +19,7 @@ sandboxes across N OS worker processes (DESIGN.md §11):
 * :meth:`Cluster.migrate` live-migrates a running job between workers at
   a checkpoint boundary, and :meth:`Cluster.resize` grows or drains the
   pool elastically — results stay byte-identical throughout
-  (DESIGN.md §12).
+  (DESIGN.md §13).
 """
 
 from ..errors import ClusterError

@@ -1,4 +1,4 @@
-"""The sharded cluster front-end: submit, route, drain (DESIGN.md §11).
+"""The sharded cluster front-end: submit, route, drain (DESIGN.md §12).
 
 The :class:`Cluster` partitions a job batch across N OS worker processes
 (`multiprocessing` fork context), each running a private superblock
@@ -25,7 +25,7 @@ On top of checkpoint retention sit live migration (:meth:`migrate` asks
 a worker to yield a running job at its next checkpoint boundary and
 re-dispatches it elsewhere) and elastic rebalancing (:meth:`resize`
 grows the pool, or drains victims by yield-and-bounce).  Both preserve
-the byte-identity contract (DESIGN.md §12).
+the byte-identity contract (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ class Cluster:
         fresh checkpoint, which :meth:`drain` re-dispatches to the
         requested target.  A job that finishes before reaching a boundary
         simply completes where it is (the migration dissolves).  The
-        result is byte-identical either way (DESIGN.md §12).
+        result is byte-identical either way (DESIGN.md §13).
         """
         if job_id in self._results or job_id not in self._jobs:
             raise ClusterError(f"job {job_id} is not in flight")
@@ -460,17 +460,6 @@ class Cluster:
         parts = [(f"job[{job_id}]", self._results[job_id].metrics)
                  for job_id in sorted(self._results)]
         return f"cluster.jobs {len(parts)}\n" + merge_snapshots(parts)
-
-    def ops_report(self) -> str:
-        """Host-level operations metrics (worker-count dependent).
-
-        Restart/checkpoint/restore counters plus the restore-latency
-        histogram, exported through the same deterministic text format as
-        sandbox metrics — but, unlike :meth:`metrics_report`, these
-        describe *this run's* placement history, so they are diagnostics,
-        not part of the determinism contract.
-        """
-        return merge_snapshots([("ops", self.ops.snapshot())])
 
     def fleet_report(self) -> dict:
         """Placement and health diagnostics (worker-count dependent)."""

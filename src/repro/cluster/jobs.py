@@ -1,4 +1,4 @@
-"""Job and result types for the sharded cluster runtime (DESIGN.md §11).
+"""Job and result types for the sharded cluster runtime (DESIGN.md §12).
 
 A job is a sandbox execution request — ELF bytes plus stdin and an
 instruction budget.  A result separates two kinds of fields:

@@ -1,4 +1,4 @@
-"""Verify-once image cache and snapshot warm-spawn pool (DESIGN.md §11).
+"""Verify-once image cache and snapshot warm-spawn pool (DESIGN.md §12).
 
 "Isolation Without Taxation" identifies instantiation cost — parse,
 verify, populate pages — as the tax that dominates sandboxing at scale.
@@ -67,8 +67,6 @@ class WarmPool:
         self.runtime = runtime
         self.cache = cache if cache is not None else ImageCache()
         self._templates: Dict[str, Process] = {}
-        self.clones = 0
-        self.restores = 0
 
     def has_template(self, data: bytes) -> bool:
         return image_key(data) in self._templates
@@ -90,18 +88,4 @@ class WarmPool:
             image = self.cache.get(data)  # verified here, once
             template = self.runtime.load_template(image, verify=False)
             self._templates[key] = template
-        self.clones += 1
         return self.runtime.spawn_clone(template)
-
-    def restore(self, ckpt, hub=None) -> Process:
-        """Restore a mid-execution checkpoint into this pool's runtime.
-
-        The third instantiation path next to cold spawn and warm clone:
-        no verification (the checkpointed pages were verified when first
-        loaded, and a checkpoint is trusted exactly as far as the worker
-        that took it).  Counted separately from ``clones``.
-        """
-        from ..checkpoint import restore_job
-
-        self.restores += 1
-        return restore_job(self.runtime, ckpt, hub)

@@ -3,13 +3,13 @@
 Each worker owns a private :class:`~repro.runtime.Runtime` (superblock
 engine, no cost model) plus a :class:`~repro.cluster.snapshot.WarmPool`,
 and executes the jobs it is handed one at a time.  Determinism contract
-(DESIGN.md §11): with ``model=None`` the machine's cycle counter is the
+(DESIGN.md §12): with ``model=None`` the machine's cycle counter is the
 instruction counter, there are no TLB/cache side channels, and each job
 runs in a fresh slot with fresh per-job observers — so a job's
 deterministic result fields depend only on the job, never on the worker,
 the slot, or what ran before it.
 
-Execution is *chunked* on checkpoint-interval boundaries (DESIGN.md §12):
+Execution is *chunked* on checkpoint-interval boundaries (DESIGN.md §13):
 ``execute_job`` runs to the next multiple of the interval in
 job-consumed-instruction space, captures an incremental checkpoint, polls
 the control channel, and continues.  Because the boundaries are aligned
@@ -97,7 +97,7 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
 
     Boundaries are aligned in *job-consumed* instructions, so a resumed
     run pauses at the same points as an uninterrupted one regardless of
-    where it picked up (the byte-identity contract, DESIGN.md §12).
+    where it picked up (the byte-identity contract, DESIGN.md §13).
 
     The runtime is left clean for the next job however the job ends:
     every process the job created is terminated and reaped, and every

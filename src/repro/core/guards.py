@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: The guard taxonomy used for provenance and cycle attribution
-#: (DESIGN.md §9): each class matches one Table-3 transformation family;
+#: (DESIGN.md §15): each class matches one Table-3 transformation family;
 #: "fence" and "mask" are the Spectre-hardening additions (§16).
 GUARD_CLASSES = ("memory", "branch", "sp", "x30", "hoist", "fence", "mask")
 

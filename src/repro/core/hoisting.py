@@ -73,11 +73,6 @@ class HoistPlan:
     guards: Dict[int, Tuple[Reg, Reg]] = field(default_factory=dict)
     redirects: Dict[int, Reg] = field(default_factory=dict)
 
-    @property
-    def eliminated(self) -> int:
-        """Number of guards saved (accesses redirected minus guards added)."""
-        return len(self.redirects) - len(self.guards)
-
 
 @dataclass
 class _Segment:

@@ -72,7 +72,7 @@ class RewriteStats:
 
     def guard_class_counts(self) -> Dict[str, int]:
         """Guard *sites* by class — the single source of truth consumed by
-        ``repro.tools rewrite`` and ``repro.tools profile`` (DESIGN.md §9).
+        ``repro.tools rewrite`` and ``repro.tools profile`` (DESIGN.md §15).
 
         ``memory`` counts only guarded accesses that cost instructions;
         zero-instruction guards are reported separately since the paper's

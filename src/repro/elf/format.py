@@ -2,7 +2,7 @@
 
 Besides PT_LOAD segments, images may carry *guard provenance* — the map
 from rewriter-inserted guard instruction addresses to guard classes used
-by the obs profiler (DESIGN.md §9).  Provenance is serialized as one
+by the obs profiler (DESIGN.md §15).  Provenance is serialized as one
 PT_NOTE segment (never mapped by the loader) so it survives a round trip
 through an on-disk ELF; images without the note simply load with an empty
 map.
@@ -87,10 +87,6 @@ class ElfSegment:
         if self.memsz < len(self.data):
             raise _ElfError("memsz smaller than file data")
 
-    @property
-    def filesz(self) -> int:
-        return len(self.data)
-
 
 @dataclass
 class ElfImage:
@@ -102,12 +98,6 @@ class ElfImage:
     #: out-of-band in a PT_NOTE segment; empty for native baselines and
     #: foreign ELFs.
     provenance: Dict[int, str] = field(default_factory=dict)
-
-    def segment_containing(self, vaddr: int) -> ElfSegment:
-        for segment in self.segments:
-            if segment.vaddr <= vaddr < segment.vaddr + segment.memsz:
-                return segment
-        raise _ElfError(f"no segment contains {vaddr:#x}")
 
     @property
     def text(self) -> ElfSegment:

@@ -11,7 +11,7 @@ function in which the lines are inlined with their operands as literals.
 A block whose content is not hot yet is stepped: ``Machine.step``, the
 reference semantics, runs it an instruction at a time.
 
-Design rules (DESIGN.md §10, §15):
+Design rules (DESIGN.md §10, §11):
 
 * a run is a path: it reads past a conditional direct branch not to its
   first word (the taken path is a *side exit*) and follows a ``b``
@@ -37,7 +37,7 @@ Design rules (DESIGN.md §10, §15):
   lands on straight to the runtime's *springboard*
   (``machine.springboard``) instead of raising ``HostCallTrap``; the
   springboard resumes translated execution inline when the scheduler
-  allows (DESIGN.md §15);
+  allows (DESIGN.md §11);
 * every turn of the dispatch loop is one host-entry check and one cache
   lookup; the one successor worth skipping them for, a hot block whose
   closing branch targets its own start, iterates inside its generated
@@ -681,9 +681,6 @@ class SuperblockEngine:
     def cached_blocks(self) -> int:
         return len(self._blocks)
 
-    def block_at(self, pc: int) -> Optional[Superblock]:
-        return self._blocks.get(pc)
-
     @property
     def generated(self) -> Tuple[int, float]:
         """Bodies generated in this process for this machine's cost
@@ -818,7 +815,7 @@ class SuperblockEngine:
         latencies, scoreboard keys, model miss charges) folded in and the
         *same float operations in the same order*, so cycle totals stay
         bit-identical and the body is pure host-side speedup (DESIGN.md
-        §15).  What stepping does per instruction is done per call
+        §10).  What stepping does per instruction is done per call
         instead (DESIGN.md §10, "what a body may keep in locals for one
         call"):
 

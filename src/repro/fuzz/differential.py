@@ -13,14 +13,14 @@
   resuming in a *fresh* runtime must be observationally invisible: exit
   code, stdout, instruction count, canonical registers, normalized memory
   digests, metrics, and the full normalized event trace all byte-identical
-  to the uninterrupted run (DESIGN.md §12);
+  to the uninterrupted run (DESIGN.md §13);
 * :func:`check_speculation` — enabling the bounded-speculation engine
   mode must be architecturally invisible: registers, memory, retired
   instructions, cycle totals, gauge counters, stdout, and event traces
   all byte-identical to the non-speculative stepping run (DESIGN.md §16);
 * :func:`check_engines` — the superblock engine, costed and uncosted,
   must be the stepping interpreter's twin on every observable a bare
-  machine has (DESIGN.md §8, §10).
+  machine has (DESIGN.md §14, §10).
 
 All entry points are pure functions of their inputs; nothing here consults
 global randomness, so a fuzz campaign driven by one seed replays exactly.

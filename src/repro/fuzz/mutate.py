@@ -15,8 +15,8 @@ Supported operators, all deterministic under one ``random.Random``:
 * ``splice``   — copy or swap instruction words within the segment,
   tearing guards away from the accesses they protect.
 
-Mutations serialize to ``(op, *int args)`` tuples so a corpus entry can be
-replayed byte-for-byte without re-running the planner.
+A corpus entry stores the mutated text itself, so it replays
+byte-for-byte without re-running the planner.
 """
 
 from __future__ import annotations
@@ -48,17 +48,10 @@ _REG_FIELDS = (0, 5, 16)
 
 @dataclass(frozen=True)
 class Mutation:
-    """One mutation, replayable from its serialized form."""
+    """One mutation: an op name and its integer arguments."""
 
     op: str
     args: Tuple[int, ...]
-
-    def serialize(self) -> List[int]:
-        return [OPS.index(self.op), *self.args]
-
-    @classmethod
-    def deserialize(cls, raw: Sequence[int]) -> "Mutation":
-        return cls(OPS[raw[0]], tuple(raw[1:]))
 
 
 def _words(text: bytes) -> List[int]:
@@ -88,7 +81,7 @@ def find_guards(text: bytes, base: int = 0) -> List[Tuple[int, int, int]]:
 
 
 def apply_mutations(text: bytes, mutations: Sequence[Mutation]) -> bytes:
-    """Apply serialized mutations to a text segment (pure, deterministic)."""
+    """Apply mutations to a text segment (pure, deterministic)."""
     words = _words(text)
     for m in mutations:
         if m.op == "bitflip":
@@ -106,8 +99,8 @@ def apply_mutations(text: bytes, mutations: Sequence[Mutation]) -> bytes:
         elif m.op == "regsub":
             index, shift, new = m.args
             i = index % len(words)
-            # Mask to 32 bits: serialized mutations replayed from a corpus
-            # file may carry any shift, and the word must stay packable.
+            # Mask to 32 bits: a mutation may carry any shift, and the
+            # word must stay packable.
             words[i] = ((words[i] & ~(0x1F << shift))
                         | ((new & 0x1F) << shift)) & 0xFFFFFFFF
         elif m.op == "splice":

@@ -6,7 +6,7 @@ and a single slot means the second subscriber silently clobbers the
 first.  :class:`HookRegistry` is the replacement: an ordered list of
 callables invoked in subscription order.  The single-slot aliases were
 deprecated in PR 3 and are now gone; ``Machine.run_hooks`` and
-``Runtime.call_hooks`` are the only hook API (DESIGN.md §10).
+``Runtime.call_hooks`` are the only hook API (DESIGN.md §5).
 
 Two dispatch styles cover both hook points:
 

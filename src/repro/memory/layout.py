@@ -83,10 +83,6 @@ class SandboxLayout:
         return self.base
 
     @property
-    def low_guard_base(self) -> int:
-        return self.base + PAGE_SIZE
-
-    @property
     def high_guard_base(self) -> int:
         return self.end - GUARD_SIZE
 
@@ -103,13 +99,6 @@ class SandboxLayout:
     def code_limit(self) -> int:
         """Code must end below this address (128MiB keep-out, §3)."""
         return self.end - CODE_KEEPOUT
-
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.end
-
-    def offset_of(self, address: int) -> int:
-        """32-bit offset of an in-sandbox address."""
-        return address - self.base
 
     def guarded(self, address: int) -> int:
         """What the add-uxtw guard would produce for this value (§3)."""

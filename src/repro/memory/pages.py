@@ -292,9 +292,6 @@ class PagedMemory:
             self.cow_copies += 1
         return buf
 
-    def is_mapped(self, address: int) -> bool:
-        return (address // self.page_size) in self._perms
-
     def pages_in_range(self, lo: int = 0, hi: Optional[int] = None) -> int:
         """Number of mapped pages whose base lies in ``[lo, hi)``.
 
@@ -323,9 +320,6 @@ class PagedMemory:
                 if cow:
                     self._cow.add(page)
                 yield page * ps, buf
-
-    def perms_at(self, address: int) -> int:
-        return self._perms.get(address // self.page_size, PERM_NONE)
 
     def mapped_regions(self, lo: int = 0, hi: Optional[int] = None,
                        ) -> Iterator[Tuple[int, int, int]]:
@@ -570,15 +564,6 @@ class PagedMemory:
             self._notify_map_change(address, len(data))
 
     # -- typed helpers -------------------------------------------------------
-
-    def read_u64(self, address: int) -> int:
-        return self.load(address, 8)
-
-    def read_u32(self, address: int) -> int:
-        return self.load(address, 4)
-
-    def write_u64(self, address: int, value: int) -> None:
-        self.store(address, 8, value & (2**64 - 1))
 
     def write_u32(self, address: int, value: int) -> None:
         self.store(address, 4, value & (2**32 - 1))

@@ -1,6 +1,6 @@
 """repro.obs — deterministic tracing, metrics, and guard attribution.
 
-Three cooperating pieces (DESIGN.md §9):
+Three cooperating pieces (DESIGN.md §15):
 
 * :class:`Tracer` — a multi-subscriber event bus fed by the runtime, the
   machine's step probes, and the supervisor; timestamps are emulated

@@ -1,4 +1,4 @@
-"""Typed trace events (the obs subsystem's wire format, DESIGN.md §9).
+"""Typed trace events (the obs subsystem's wire format, DESIGN.md §15).
 
 Every event is a frozen dataclass timestamped in **emulated cycles**
 (``Machine.cycles`` at emission).  Cycle time is the only clock the obs

@@ -5,7 +5,7 @@ dispatch/fault/lifecycle paths, the supervisor, the machine's step probes)
 call :meth:`emit`; subscribers (the recorder, a metrics hub, ad-hoc
 callbacks) receive every event in emission order.
 
-Determinism contract (DESIGN.md §9): events are timestamped in *emulated
+Determinism contract (DESIGN.md §15): events are timestamped in *emulated
 cycles* and ordered by the single-threaded emulation loop, so two runs of
 the same workload with equal seeds produce identical event sequences —
 and therefore byte-identical exported traces.  Nothing in this module may

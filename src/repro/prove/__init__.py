@@ -1,4 +1,4 @@
-"""Exhaustive per-class verifier proofs (DESIGN.md §13).
+"""Exhaustive per-class verifier proofs (DESIGN.md §14).
 
 ``repro.prove`` upgrades ``repro.fuzz``'s sampled coverage to
 per-instruction-class proofs: enumerate every encodable word of a class,

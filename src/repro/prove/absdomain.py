@@ -1,4 +1,4 @@
-"""Abstract domain for the verifier prover (DESIGN.md §13).
+"""Abstract domain for the verifier prover (DESIGN.md §14).
 
 Two layers live here:
 
@@ -414,7 +414,7 @@ BASE = AbsVal(True, 0, 0)
 #: sp at an instruction-boundary "rest" point: the trapping access that
 #: closes every arithmetic window has |displacement| < SP_SMALL_IMM, so a
 #: successful access at sp+d pins sp within SP_SMALL_IMM-1 of the
-#: *readable* region (DESIGN.md §13).  The readable region is the mapped
+#: *readable* region (DESIGN.md §14).  The readable region is the mapped
 #: sandbox plus the neighbour's read-only runtime-call table page — a
 #: load can complete there, so the high side of both hulls carries an
 #: extra PAGE_SIZE.
@@ -518,7 +518,7 @@ def transfer(inst: Instruction, state: dict) -> dict:
             # [x21, #imm]` when the next instruction is `blr x30` and the
             # immediate indexes the read-only call table, whose entries
             # the host populates with trusted in-sandbox/runtime targets
-            # (axiom A3, DESIGN.md §13).
+            # (axiom A3, DESIGN.md §14).
             out[key] = INBOX
             continue
         if reg.bits == 32:
@@ -608,7 +608,7 @@ def invariant_failures(state: dict, sp_req: Optional[AbsVal] = None
     default (an arbitrary program point), or the *rest* hull when the
     analyzed sequence touched sp — a sequence that modifies or re-pins sp
     must restore the rest invariant for the induction to close
-    (DESIGN.md §13).
+    (DESIGN.md §14).
     """
     failures = []
     for key, req, name in _INVARIANTS:

@@ -8,7 +8,7 @@ fields enumerated exhaustively.  One
 field per class may be designated *symbolic* (``sym``): the driver then
 enumerates only the concrete "shapes" (the product of the other fields)
 and runs the decoder/verifier once per shape with the symbolic field as
-an affine interval, splitting on demand (DESIGN.md §13).
+an affine interval, splitting on demand (DESIGN.md §14).
 
 Words inside a class space that the decoder rejects (undecodable
 sub-encodings, non-canonical forms) are *counted and skipped* — the
@@ -128,16 +128,6 @@ class InstructionClass:
             raise ValueError("degenerate interval; use a concrete word")
         return SymWord(shape, f.lo, f.width, SymInt(1, 0, flo, fhi))
 
-    def contains(self, word: int) -> bool:
-        """Is this word inside the class space (template + field values)?"""
-        free = 0
-        for f in self.fields:
-            free |= f.mask
-            if f.values is not None and ((word & f.mask) >> f.lo) \
-                    not in f.values:
-                return False
-        return (word & ~free & 0xFFFFFFFF) == self.template
-
 
 def _row_class(name: str, group: str, description: str, match=None,
                sym: Optional[str] = None, default: bool = True,
@@ -181,7 +171,7 @@ CLASSES: Tuple[InstructionClass, ...] = (
                "movz/movn/movk wide moves (imm16)", sym="imm16"),
     _row_class("branch-imm", "branch_imm",
                "b/bl direct branches (imm26; contained by the code "
-               "keep-out, DESIGN.md §13)", sym="imm26"),
+               "keep-out, DESIGN.md §14)", sym="imm26"),
     _row_class("branch-cond", "branch_cond",
                "b.cond conditional branches (imm19)", sym="imm19"),
     _row_class("cb", "cb", "cbz/cbnz compare-and-branch (imm19)",

@@ -48,24 +48,6 @@ class Counterexample:
                 f"{self.word:#010x}{dis}{where} x{self.count}: "
                 f"{self.reason}")
 
-    def covers(self, word: int, sym_lo: int = 0) -> bool:
-        """Does this record cover the given concrete word?
-
-        ``sym_lo`` is the bit position of the class's symbolic field
-        (needed to test interval membership for symbolic records).
-        """
-        if self.shape is None or self.flo is None or self.fhi is None:
-            return word == self.word
-        if word == self.word:
-            return True
-        # The shape has the symbolic field's bits zero, so clearing the
-        # field from the word must reproduce the shape and the field
-        # value must fall inside the record's interval.
-        mask = _field_mask_for(self.flo, self.fhi)
-        fval = (word >> sym_lo) & mask
-        return ((word & ~(mask << sym_lo)) == self.shape
-                and self.flo <= fval <= self.fhi)
-
     def to_dict(self) -> dict:
         return {
             "class": self.klass, "policy": self.policy,
@@ -74,14 +56,6 @@ class Counterexample:
             "disasm": self.disasm, "shape": self.shape,
             "field": self.field, "flo": self.flo, "fhi": self.fhi,
         }
-
-
-def _field_mask_for(flo: int, fhi: int) -> int:
-    """Smallest all-ones mask covering values flo..fhi."""
-    mask = 1
-    while mask <= fhi:
-        mask = (mask << 1) | 1
-    return mask
 
 
 @dataclass
@@ -119,10 +93,6 @@ class ClassReport:
     def ok(self) -> bool:
         return (not self.counterexample_words and not self.mismatches
                 and not self.probe_issues)
-
-    def finds(self, word: int, sym_lo: int = 0) -> bool:
-        """Is the given concrete word covered by a counterexample?"""
-        return any(cx.covers(word, sym_lo) for cx in self.counterexamples)
 
     def lines(self) -> List[str]:
         status = "OK" if self.ok else "FAIL"

@@ -1,4 +1,4 @@
-"""Bounded symbolic execution of verifier-accepted words (DESIGN.md §13).
+"""Bounded symbolic execution of verifier-accepted words (DESIGN.md §14).
 
 For every word in an instruction class the driver asks two questions:
 
@@ -66,7 +66,7 @@ __all__ = ["CONTEXTS", "context_words", "analyze_word", "check_obligations",
 _STR_SP0 = 0xF90003E0
 #:  str x0, [sp, #2000] — a large-displacement re-establishing access;
 #:  before the SP_SMALL_IMM closing-access bound this was accepted and
-#:  let sp drift past the guard band over many windows (DESIGN.md §13)
+#:  let sp drift past the guard band over many windows (DESIGN.md §14)
 _STR_SP_FAR = 0xF903EBE0
 #:  blr x30             — the runtime-call tail
 _BLR_X30 = 0xD63F03C0
@@ -95,7 +95,7 @@ CONTEXTS = tuple(name for name, _tail, _words in _CONTEXTS)
 #: Obligations are only checked for *minimal* accepting contexts: if a
 #: word is already accepted with less lookahead, the larger context's
 #: extra tail is unrelated subsequent code whose execution is covered by
-#: its own per-word proof (the program-point induction, DESIGN.md §13).
+#: its own per-word proof (the program-point induction, DESIGN.md §14).
 _SUB_CONTEXTS: Dict[str, Tuple[str, ...]] = {
     "solo": (),
     "x30-guard": ("solo",),
@@ -215,7 +215,7 @@ def check_obligations(stream: List, policy: VerifierPolicy) -> List[str]:
         for is_load, is_store, addr, width in mem_effects(inst, state):
             if is_load and not is_store and not policy.sandbox_loads:
                 # store-only mode: load addresses are the documented
-                # carve-out A4 (DESIGN.md §13) — confidentiality, not
+                # carve-out A4 (DESIGN.md §14) — confidentiality, not
                 # integrity, so no containment obligation.
                 pass
             elif not addr.rel:

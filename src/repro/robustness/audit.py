@@ -10,9 +10,7 @@ The auditor checks the paper's core isolation claim *under adversity*:
   ``PagedMemory.mapped_regions()`` (no mapping may straddle a slot
   boundary) and the saved register state of every live process (the
   sandbox base register x21 and the stack pointer must still point into
-  the owner's slot);
-* :meth:`slot_digest` fingerprints a slot's memory so tests can assert a
-  bystander's pages were untouched while a neighbour was being corrupted.
+  the owner's slot).
 
 Host-side writes (loaders, runtime-call result delivery) are exempt: only
 stores issued while the machine executes guest code are attributed.
@@ -20,11 +18,10 @@ stores issued while the machine executes guest code are attributed.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import List
 
-from ..memory.layout import SANDBOX_SIZE, SandboxLayout
+from ..memory.layout import SANDBOX_SIZE
 from ..runtime.process import ProcessState
 from ..runtime.runtime import Runtime
 from ..runtime.table import RUNTIME_REGION_BASE
@@ -106,18 +103,6 @@ class ContainmentAuditor:
 
         self.violations.extend(found)
         return found
-
-    # -- fingerprints --------------------------------------------------------
-
-    def slot_digest(self, layout: SandboxLayout) -> int:
-        """CRC over a slot's non-zero pages (bystander-unperturbed
-        assertions while the bystander is descheduled)."""
-        digest = 0
-        for addr, buf in self.runtime.memory.nonzero_pages(layout.base,
-                                                            layout.end):
-            digest = zlib.crc32(buf, digest)
-            digest = zlib.crc32(addr.to_bytes(8, "little"), digest)
-        return digest
 
     def assert_clean(self) -> None:
         if self.violations:

@@ -293,7 +293,7 @@ class Supervisor:
 
 
 class WorkerSupervisor:
-    """Restart decisions for cluster worker *OS processes* (DESIGN.md §11).
+    """Restart decisions for cluster worker *OS processes* (DESIGN.md §12).
 
     The sandbox :class:`Supervisor` restarts misbehaving sandboxes inside
     one runtime; this class applies the same :class:`RestartPolicy` /

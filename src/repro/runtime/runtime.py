@@ -439,7 +439,7 @@ class Runtime:
         still RUNNING, the scheduler as a save, ``add_front``, ``pick``
         and restore would have left it.  Otherwise the registers are saved
         then (a leaf handler only reads its arguments: the same snapshot)
-        and the call ends the general way.  DESIGN.md §15.
+        and the call ends the general way.  DESIGN.md §11.
         """
         machine = self.machine
         cpu = machine.cpu

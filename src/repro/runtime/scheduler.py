@@ -48,16 +48,6 @@ class Scheduler:
         #: pids currently enqueued (each process appears at most once).
         self._queued: Set[int] = set()
 
-    # -- introspection (used by the fairness property tests) ------------------
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def turn_spent(self, proc: Process) -> bool:
-        """Whether ``proc`` has already been picked this round."""
-        return self._picked.get(proc.pid) == self._epoch
-
     # -- enqueueing -----------------------------------------------------------
 
     def add(self, proc: Process) -> None:

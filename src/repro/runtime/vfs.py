@@ -125,25 +125,6 @@ class Vfs:
             raise _VfsError(errno.EISDIR, path)
         parent.entries[name] = _File(bytearray(data))
 
-    def read_file(self, path: str) -> bytes:
-        node = self._walk(path)
-        if not isinstance(node, _File):
-            raise _VfsError(errno.EISDIR, path)
-        return bytes(node.data)
-
-    def exists(self, path: str) -> bool:
-        try:
-            self._walk(path)
-            return True
-        except _VfsError:
-            return False
-
-    def listdir(self, path: str) -> List[str]:
-        node = self._walk(path)
-        if not isinstance(node, _Dir):
-            raise _VfsError(errno.ENOTDIR, path)
-        return sorted(node.entries)
-
     def unlink(self, path: str) -> None:
         self._check_policy(path)
         parent, name = self._parent_of(path)

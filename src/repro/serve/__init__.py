@@ -5,7 +5,7 @@ The batch cluster answers "run these N jobs"; this package answers
 typed shedding, priority routing with per-tenant token buckets and
 deadlines, token-guarded policy hot-reload applied to running guests,
 crash recovery through checkpoints, and Prometheus-ready metrics
-(DESIGN.md §14).
+(DESIGN.md §12).
 """
 
 from ..errors import Overloaded, ServeError, StalePolicy

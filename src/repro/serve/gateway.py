@@ -6,7 +6,7 @@ is a deterministic discrete-event simulation: one virtual second is
 runtimes, so cycles == instructions), every event — arrival, chunk
 boundary, finish, reload, crash, restart, resize — carries a virtual
 timestamp, and the whole schedule replays byte-identically under a
-fixed seed.  The state machine per request (DESIGN.md §14):
+fixed seed.  The state machine per request (DESIGN.md §12):
 
     offered ──► rejected(unknown-tenant | throttled | queue-full)
        │
@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.worker import DEFAULT_JOB_BUDGET, derive_worker_seed
 from ..engine import EngineConfig, engine_config
@@ -132,8 +132,7 @@ class Gateway:
                  autoscale: Optional[Autoscale] = None,
                  chaos: Optional[Dict[int, int]] = None,
                  chaos_faults: Optional[Dict[int, int]] = None,
-                 seed: int = 0,
-                 on_result: Optional[Callable] = None):
+                 seed: int = 0):
         if lanes < 1:
             raise ServeError(f"need at least one lane, got {lanes}")
         self.interval = checkpoint_interval
@@ -150,7 +149,6 @@ class Gateway:
         self.chaos = dict(chaos or {})
         self.chaos_faults = dict(chaos_faults or {})
         self.seed = seed
-        self.on_result = on_result
         self.now = 0.0
         self.hub = MetricsHub()
         self.supervisor = WorkerSupervisor(seed=seed)
@@ -258,9 +256,6 @@ class Gateway:
 
     def queued_depth(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    def live_lanes(self) -> List[int]:
-        return sorted(self.lanes)
 
     def report(self) -> str:
         """Deterministic ops snapshot (MetricsHub text format)."""
@@ -389,8 +384,6 @@ class Gateway:
     def _finish_result(self, result: ServeResult) -> None:
         self.results.append(result)
         self.results_by_id[result.request_id] = result
-        if self.on_result is not None:
-            self.on_result(result)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -525,14 +518,13 @@ class Gateway:
     def _crash(self, lane: Lane, t: float) -> None:
         req = lane.request
         lane.crash_after = None
-        in_flight = [req.request_id] if req is not None else []
         lane.abandon()
         del self.lanes[lane.lane_id]
         self._count("serve.crashes")
         self._log(t, "crash", lane=lane.lane_id,
                   req=req.request_id if req else -1)
         restart = self.supervisor.worker_crashed(
-            lane.lane_id, pid=0, exitcode=17, in_flight=in_flight)
+            lane.lane_id, pid=0, exitcode=17, in_flight=int(req is not None))
         if req is not None:
             # Resume from the last captured boundary; first attempt may
             # crash before any checkpoint exists — rerun from scratch.

@@ -8,7 +8,7 @@ checkpoint-interval chunk at a time.  Running lanes *in process* instead
 of behind OS pipes is what makes the serving schedule a deterministic
 discrete-event simulation: the gateway interleaves chunk boundaries from
 many lanes in virtual time, applies policy between chunks, and the whole
-run replays byte-identically under a seed (DESIGN.md §14).
+run replays byte-identically under a seed (DESIGN.md §12).
 
 A lane crash (chaos drill) is modeled the way a worker crash is: the
 generator is abandoned mid-job and the entire runtime discarded — no

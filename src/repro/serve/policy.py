@@ -14,7 +14,7 @@ deterministically rather than silently reverting the newer policy.
 
 The store only records *what* the policy is; applying it to running
 guests (at the next chunk boundary, without restarting them) is the
-gateway's job (DESIGN.md §14).
+gateway's job (DESIGN.md §12).
 """
 
 from __future__ import annotations

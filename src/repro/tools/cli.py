@@ -566,7 +566,7 @@ def _shared_parents():
 
     ``rewrite``/``fuzz``/``trace``/``profile`` take the same ``--seed``,
     ``--out`` and ``--opt-level`` flags with the same defaults, built once
-    here as argparse parent parsers (DESIGN.md §10).
+    here as argparse parent parsers (DESIGN.md §5).
     """
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("-o", "--out", "--output", dest="out", default="-",

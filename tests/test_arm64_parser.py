@@ -21,6 +21,7 @@ from repro.arm64 import (
     parse_operand,
     print_assembly,
 )
+from repro.arm64.assembler import assemble
 from repro.arm64.operands import ShiftedImm, canonical_condition, invert_condition
 from repro.arm64.program import Directive, LabelDef
 
@@ -160,11 +161,10 @@ class TestInstructions:
     def test_is_flags(self):
         assert parse_one("cmp x0, #0").defs() == []
         assert parse_one("ret").is_indirect_branch
-        assert parse_one("b.ne foo").is_direct_branch
+        assert parse_one("b.ne foo").is_branch
+        assert not parse_one("b.ne foo").is_indirect_branch
         assert not parse_one("b foo").is_call
         assert parse_one("bl foo").is_call
-        assert parse_one("b foo").is_terminator
-        assert not parse_one("b.eq foo").is_terminator
 
 
 class TestProgramStructure:
@@ -183,14 +183,10 @@ value:
         program = parse_assembly(self.SRC)
         labels = program.labels()
         assert "main" in labels and "value" in labels
-        sections = {
-            item: section
-            for item, section in program.items_with_sections()
-            if isinstance(item, LabelDef)
-        }
-        by_name = {item.name: sec for item, sec in sections.items()}
-        assert by_name["main"] == ".text"
-        assert by_name["value"] == ".data"
+        image = assemble(program)
+        text, data = image.sections[".text"], image.sections[".data"]
+        assert image.symbols["main"] == text.base
+        assert image.symbols["value"] == data.base
 
     def test_comments_stripped(self):
         program = parse_assembly("mov x0, #1 // a comment\n/* block */ ret\n")
@@ -203,7 +199,7 @@ value:
 
     def test_multiple_statements_per_line(self):
         program = parse_assembly("mov x0, #1; mov x1, #2\n")
-        assert program.instruction_count() == 2
+        assert len(list(program.instructions())) == 2
 
     def test_directive_args(self):
         program = parse_assembly('.section .rodata\n.asciz "hi, there"\n')

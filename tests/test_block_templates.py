@@ -317,8 +317,8 @@ class TestSameWordsDifferentSurroundings:
         whole, _ = twins(STRAIGHT, TEXT, model=model)
         at = TEXT + page - 4 * before_cut
         cut, blocky = twins(STRAIGHT, at, model=model)
-        assert blocky._sb.block_at(at).end == TEXT + page
-        assert blocky._sb.block_at(at).count == before_cut
+        assert blocky._sb._blocks.get(at).end == TEXT + page
+        assert blocky._sb._blocks.get(at).count == before_cut
         assert cut[4] == whole[4] and cut[5:] == whole[5:]
         assert cut[1] - at == whole[1] - TEXT
 
@@ -328,7 +328,7 @@ class TestSameWordsDifferentSurroundings:
         cut, blocky = twins(STRAIGHT, TEXT, host=[TEXT + 12])
         assert cut[0] is HostCallTrap and cut[1] == TEXT + 12
         assert cut[5] == 3 and whole[5] == 6
-        assert blocky._sb.block_at(TEXT).count == 3
+        assert blocky._sb._blocks.get(TEXT).count == 3
         again, _ = twins(STRAIGHT, TEXT)
         assert again == whole
 
@@ -543,7 +543,7 @@ class TestCapAndTemperature:
                          + "\tsub x9, x9, #1\n\tcbnz x9, top\n\thlt\n")
         flush()
         _result, blocky = twins(words, TEXT, model=model)
-        block = blocky._sb.block_at(TEXT + 4)
+        block = blocky._sb._blocks.get(TEXT + 4)
         assert block.count == size and block.template.loops
         assert block.template.hits == -1 and block.fn is None
         assert calls == [] and blocky.engine_stats()["compiled_blocks"] == 0
@@ -617,9 +617,9 @@ class TestLoopsIsContent:
         flush()
         _result, blocky = twins(SPIN, TEXT, model=model)
         sb = blocky._sb
-        assert not sb.block_at(TEXT).template.loops
-        assert sb.block_at(TEXT).count == 3
-        spin = sb.block_at(TEXT + 4)
+        assert not sb._blocks.get(TEXT).template.loops
+        assert sb._blocks.get(TEXT).count == 3
+        spin = sb._blocks.get(TEXT + 4)
         assert spin.template.loops and spin.count == 2
         assert spin.fn is not None
         # Trips 2-8 through the dispatch loop, 9-40 inside the body.
@@ -633,7 +633,7 @@ class TestLoopsIsContent:
         for model in (None, APPLE_M1, None, APPLE_M1):
             for at in (TEXT, TEXT + 0x2_0040):
                 _result, blocky = twins(SPIN, at, model=model)
-                block = blocky._sb.block_at(at + 4)
+                block = blocky._sb._blocks.get(at + 4)
                 assert block.template.loops and block.fn is not None
                 spins.setdefault(model is None, set()).add(block.template)
         # One template per content and cost identity, whatever the

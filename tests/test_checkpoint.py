@@ -1,6 +1,6 @@
 """Checkpoint/restore, live migration, and elastic rebalancing (ISSUE 6).
 
-The acceptance contract (DESIGN.md §12):
+The acceptance contract (DESIGN.md §13):
 
 * a run interrupted at any slice boundary, serialized through
   :class:`~repro.checkpoint.Checkpoint` bytes, and resumed in a *fresh*
@@ -614,10 +614,10 @@ class TestClusterRecovery:
             for program in long_batch:
                 cluster.submit(program)
             cluster.drain()
-            ops = cluster.ops_report()
-        assert "ops.host.worker.restarts 1" in ops
-        assert "ops.host.job.restores 1" in ops
-        assert "ops.host.job.restore_latency_s.count 1" in ops
+            ops = cluster.ops.snapshot().splitlines()
+        assert "host.worker.restarts 1" in ops
+        assert "host.job.restores 1" in ops
+        assert "host.job.restore_latency_s.count 1" in ops
         assert cluster.ops.host_counter("job.checkpoints").value > 0
 
     def test_derive_worker_seed_decorrelated(self):

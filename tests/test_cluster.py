@@ -1,6 +1,6 @@
 """Cluster determinism, warm-spawn equivalence, and worker fault tolerance.
 
-The acceptance contract for ``repro.cluster`` (ISSUE 5 / DESIGN.md §11):
+The acceptance contract for ``repro.cluster`` (DESIGN.md §12):
 
 * the same batch on 1 worker and on 4 workers is byte-identical —
   stdout, exit codes, fault kinds, and per-sandbox metrics counters;

@@ -59,7 +59,7 @@ class TestShareRegion:
         m = PagedMemory()
         m.map_region(BASE, PAGE_SIZE, PERM_R)
         m.share_region(BASE, ALIAS, PAGE_SIZE)
-        assert m.perms_at(ALIAS) == PERM_R
+        assert [perms for _, _, perms in m.mapped_regions(ALIAS)] == [PERM_R]
 
     def test_unmap_clears_cow_state(self, mem):
         mem.unmap(ALIAS, PAGE_SIZE * 2)
@@ -193,7 +193,7 @@ class TestForkSuperblocks:
         runtime.memory.map_region(page, PAGE_SIZE, PERM_RW)
         for start in child_blocks:
             if page <= start < page + PAGE_SIZE:
-                assert sb.block_at(start) is None
+                assert sb._blocks.get(start) is None
         assert blocks_in(parent.layout) == parent_blocks
 
     def test_parent_mmap_over_translated_text_keeps_child_blocks(self):
@@ -217,7 +217,7 @@ class TestForkSuperblocks:
         runtime.memory.map_region(page, PAGE_SIZE, PERM_RW)
         for start in parent_blocks:
             if page <= start < page + PAGE_SIZE:
-                assert sb.block_at(start) is None
+                assert sb._blocks.get(start) is None
         assert blocks_in(child_layout) == child_blocks
 
     def test_fork_then_diverge_forces_retranslation(self):
@@ -238,7 +238,7 @@ class TestForkSuperblocks:
         # Host-side patch of one child text word (debugger / exec-style
         # divergence), via the explicit invalidation API.
         runtime.machine.invalidate_code(target, 4)
-        assert sb.block_at(target) is None
+        assert sb._blocks.get(target) is None
         assert len([s for s in sb._blocks
                     if parent.layout.base <= s < parent.layout.end]) \
             == parent_count
@@ -250,4 +250,4 @@ class TestForkSuperblocks:
             pass  # any trap is fine; only translation is under test
         assert runtime.machine.engine_stats()["translations"] \
             > translations_before
-        assert sb.block_at(target) is not None
+        assert sb._blocks.get(target) is not None

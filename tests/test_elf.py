@@ -64,12 +64,13 @@ class TestFormat:
         )
         assert image.text.vaddr == 0x1000 * 16
 
-    def test_segment_containing(self):
+    def test_zero_fill_segment_round_trips(self):
         seg = ElfSegment(0x4000, b"", 0x1000, PF_R | PF_W)
-        image = ElfImage(entry=0, segments=[seg])
-        assert image.segment_containing(0x4800) is seg
+        back = roundtrip(ElfImage(entry=0, segments=[seg])).segments
+        assert [(s.vaddr, s.data, s.memsz) for s in back] \
+            == [(0x4000, b"", 0x1000)]
         with pytest.raises(ElfError):
-            image.segment_containing(0x9000)
+            ElfSegment(0x4000, b"abcd", 2, PF_R)
 
     @given(
         st.integers(min_value=0, max_value=2**48 - 1),
@@ -167,8 +168,8 @@ counter: .quad 5
     def test_bss_extension(self):
         image = assemble(parse_assembly(self.SRC))
         elf = build_elf(image, bss_size=0x8000)
-        bss = [s for s in elf.segments if s.memsz > s.filesz]
-        assert bss and bss[0].memsz - bss[0].filesz == 0x8000
+        bss = [s for s in elf.segments if s.memsz > len(s.data)]
+        assert bss and bss[0].memsz - len(bss[0].data) == 0x8000
 
     def test_roundtrip_through_bytes(self):
         image = assemble(parse_assembly(self.SRC))

@@ -1,4 +1,4 @@
-"""The consolidated exception hierarchy (repro.errors, DESIGN.md §10)."""
+"""The consolidated exception hierarchy (repro.errors, DESIGN.md §5)."""
 
 import errno
 import warnings

@@ -71,14 +71,16 @@ class TestDeterminism:
 
 
 class TestMutations:
-    def test_serialize_round_trips_every_op(self):
+    def test_every_op_replays_as_a_word_edit(self):
+        text = bytes(range(32))
         for mutation in (Mutation("bitflip", (3, 17)),
                          Mutation("guarddel", (2, 1, 9)),
                          Mutation("regsub", (4, 5, 21)),
                          Mutation("splice", (1, 6, 0))):
-            raw = mutation.serialize()
-            assert all(isinstance(x, int) for x in raw)
-            assert Mutation.deserialize(raw) == mutation
+            once = apply_mutations(text, [mutation])
+            assert len(once) == len(text) and once != text
+            assert apply_mutations(text, [mutation]) == once
+        assert text == bytes(range(32))
 
     def test_bitflip_is_an_involution_and_pure(self):
         text = bytes(range(16))

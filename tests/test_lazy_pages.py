@@ -197,8 +197,11 @@ def assert_same_state(lazy, eager):
     assert lazy.pages_in_range(lo, hi) == \
         sum(1 for p in eager.pages if lo <= p * PS < hi)
     for page in range(NPAGES):
-        assert lazy.is_mapped(page * PS) == (page in eager.pages)
-        assert lazy.perms_at(page * PS) == eager.perms.get(page, 0)
+        assert lazy.pages_in_range(page * PS, (page + 1) * PS) \
+            == (page in eager.pages)
+        assert [perms for _, _, perms
+                in lazy.mapped_regions(page * PS, (page + 1) * PS)] \
+            == ([eager.perms[page]] if page in eager.pages else [])
         if page in eager.pages:
             assert lazy._raw_read(page * PS, PS) == bytes(eager.pages[page])
     assert [(addr, bytes(buf)) for addr, buf in lazy.nonzero_pages()] == \
@@ -259,7 +262,7 @@ class TestAgainstEagerModel:
             for page in range(2, 4097, 7):
                 assert memory.read(page * ps + 8, 8) == bytes(8)
                 assert memory.read(page * ps - 4, 8) == bytes(8)  # straddle
-            assert memory.read_u64(ps) == 0
+            assert memory.load(ps, 8) == 0
             assert not any(memory._raw_read(ps, 64 * ps))
             assert list(memory.nonzero_pages()) == []
             _now, peak = tracemalloc.get_traced_memory()

@@ -426,7 +426,7 @@ class TestStats:
             for options in (O0, O1, O2, O2_NO_LOADS, O2_FENCE, O2_MASK):
                 result = rewrite_program(parse_assembly(source), options)
                 assert result.stats.output_instructions == sum(
-                    1 for _ in result.program.text_instructions())
+                    1 for _ in result.program.instructions())
 
 
 class TestRewriteVerifyProperty:

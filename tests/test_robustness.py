@@ -7,7 +7,6 @@ crashes, and bit-identical incident logs per seed."""
 import errno
 import importlib.util
 import pathlib
-import types
 
 from repro.robustness import (
     ContainmentAuditor,
@@ -299,7 +298,7 @@ class TestFaultInjector:
 
 
 class TestContainment:
-    def _text_digest(self, auditor, runtime, proc):
+    def _text(self, runtime, proc):
         regions = [
             (base, size)
             for base, size, perms in runtime.memory.mapped_regions()
@@ -307,8 +306,7 @@ class TestContainment:
             and proc.layout.base <= base < proc.layout.end
         ]
         (base, size) = regions[0]
-        return auditor.slot_digest(
-            types.SimpleNamespace(base=base, end=base + size))
+        return runtime.memory.read(base, size)
 
     def test_bitflips_contained_and_bystander_unperturbed(self):
         runtime = Runtime(timeslice=500)
@@ -316,14 +314,14 @@ class TestContainment:
         injector = FaultInjector(runtime, seed=5)
         victim = runtime.spawn(compile_lfi(STORER).elf, verify=True)
         bystander = runtime.spawn(compile_lfi(EXIT42).elf, verify=True)
-        by_text = self._text_digest(auditor, runtime, bystander)
+        by_text = self._text(runtime, bystander)
         for param in range(4):
             injector._fire_bitflip(victim, param)
         runtime.run()
         assert injector.delivered_count == 4
         auditor.assert_clean()
         assert bystander.exit_code == 42
-        assert self._text_digest(auditor, runtime, bystander) == by_text
+        assert self._text(runtime, bystander) == by_text
 
     def test_guard_corruption_traps_not_escapes(self):
         # An indirect branch forces a standalone guard whose output is

@@ -7,6 +7,7 @@ from repro.core import VerificationError
 from repro.emulator import APPLE_M1
 from repro.memory import PAGE_SIZE, SANDBOX_SIZE
 from repro.runtime import Deadlock, ProcessState, Runtime, RuntimeCall
+from repro.runtime.vfs import O_RDONLY
 from repro.toolchain import compile_lfi, compile_native
 from repro.workloads.rtlib import prologue, rt_exit, rtcall
 
@@ -168,7 +169,7 @@ class TestFiles:
         """
         proc = lfi_proc(runtime, src)
         assert runtime.run_until_exit(proc) == 0
-        assert runtime.vfs.read_file("/out/f") == b"wxyz"
+        assert runtime.vfs.open("/out/f", O_RDONLY).read(8) == b"wxyz"
 
 
 class TestIsolation:

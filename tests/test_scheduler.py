@@ -34,6 +34,11 @@ def make_proc(pid):
     )
 
 
+def turn_spent(sched, proc):
+    """Whether ``proc`` has already been picked this round."""
+    return sched._picked.get(proc.pid) == sched._epoch
+
+
 class TestScheduler:
     def test_fifo_order(self):
         sched = Scheduler()
@@ -170,14 +175,14 @@ class TestEpochFairness:
         a, b = make_proc(1), make_proc(2)
         sched.add(a)
         sched.add(b)
-        assert not sched.turn_spent(a)
+        assert not turn_spent(sched, a)
         assert sched.pick() is a
-        assert sched.turn_spent(a)
-        epoch = sched.epoch
+        assert turn_spent(sched, a)
+        epoch = sched._epoch
         sched.requeue(a)
         assert sched.pick() is b
         assert sched.pick() is a  # round rolled over
-        assert sched.epoch == epoch + 1
+        assert sched._epoch == epoch + 1
 
     def test_forget_clears_bookkeeping(self):
         sched = Scheduler()
@@ -185,12 +190,12 @@ class TestEpochFairness:
         sched.add(a)
         sched.pick()
         sched.forget(a)
-        assert not sched.turn_spent(a)
+        assert not turn_spent(sched, a)
 
 
 def scheduler_state(sched, procs):
     return ([p.pid for p in sched._active], [p.pid for p in sched._expired],
-            set(sched._queued), sched.epoch, dict(sched._picked),
+            set(sched._queued), sched._epoch, dict(sched._picked),
             [p.state for p in procs])
 
 
@@ -249,14 +254,14 @@ class TestRepick:
         sched.add(a)
         assert sched.pick() is a
         assert sched.repick(a)
-        assert (sched.epoch, sched._picked, a.state) \
+        assert (sched._epoch, sched._picked, a.state) \
             == (1, {1: 1}, ProcessState.RUNNING)
 
     def test_unspent_turn_stays_in_the_round(self):
         sched, a = Scheduler(), make_proc(1)
         a.state = ProcessState.RUNNING  # as restored: no turn record
         assert sched.repick(a)
-        assert (sched.epoch, sched._picked) == (0, {1: 0})
+        assert (sched._epoch, sched._picked) == (0, {1: 0})
 
     def test_declines_when_anything_is_queued_even_stale(self):
         sched, a, b = Scheduler(), make_proc(1), make_proc(2)
@@ -327,7 +332,7 @@ class TestFairnessProperty:
                 "boosted": False,
                 "picks": 0,
                 "len_at_enqueue": len(sched),
-                "unspent": not sched.turn_spent(proc),
+                "unspent": not turn_spent(sched, proc),
             }
 
         def do_pick(expect=None):
@@ -394,7 +399,7 @@ class TestFairnessProperty:
                     pid = data.draw(st.sampled_from(sorted(queued)),
                                     label="which")
                     proc = procs[pid - 1]
-                unspent = not sched.turn_spent(proc)
+                unspent = not turn_spent(sched, proc)
                 sched.add_front(proc)
                 queued.add(proc.pid)
                 if proc.pid not in waits:

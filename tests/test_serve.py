@@ -271,6 +271,16 @@ class TestHotReload:
         # nothing lost: the resume continued from the boundary.
         assert result.instructions >= 20_000
 
+    def test_crash_incident_counts_the_request_in_flight(self, images):
+        gateway = Gateway({"a": TenantPolicy(rate=100.0)}, lanes=1,
+                          checkpoint_interval=2000, chaos={0: 1})
+        gateway.offer("a", images["medium"], at=0.0)
+        gateway.drain()
+        crashes = [line for line in gateway.supervisor.incident_log()
+                   if "worker-crash" in line]
+        assert len(crashes) == 1
+        assert "exitcode=17 with 1 job(s) in flight" in crashes[0]
+
 
 # -- elasticity and migration ------------------------------------------------
 
@@ -288,7 +298,7 @@ class TestElasticity:
         downs = counter(gateway, "serve.scale_downs")
         assert ups >= 2
         assert downs >= 2
-        assert len(gateway.live_lanes()) == 1   # back at min_lanes
+        assert len(gateway.lanes) == 1   # back at min_lanes
 
     def test_resize_drains_busy_lane(self, images):
         gateway = Gateway({"a": TenantPolicy(rate=100.0, burst=8.0)},
@@ -297,7 +307,7 @@ class TestElasticity:
         gateway.resize(1, at=0.005)                   # lane 1 idle: gone
         results = gateway.drain()
         assert results[0].status == "ok"
-        assert gateway.live_lanes() == [0]
+        assert sorted(gateway.lanes) == [0]
         assert any(" retire lane=1" in line for line in gateway.log)
 
     def test_migrate_moves_request_keeps_pid(self, images):

@@ -245,7 +245,7 @@ class TestInvalidation:
         count0 = stats()["invalidations"]
         # Now invalidate the whole slot the way exec/munmap would.
         runtime.machine.invalidate_code(lo, hi - lo)
-        assert all(sb.block_at(s) is None for s in spanning)
+        assert all(sb._blocks.get(s) is None for s in spanning)
         assert stats()["invalidations"] >= count0 + len(spanning)
         assert stats()["cached_blocks"] <= before - len(spanning)
 
@@ -276,10 +276,10 @@ class TestInvalidation:
         # mmap-over-text in the first slot only.
         runtime.memory.unmap(target, page)
         runtime.memory.map_region(target, page, PERM_RW)
-        assert all(sb.block_at(s) is None for s in first_blocks
+        assert all(sb._blocks.get(s) is None for s in first_blocks
                    if target <= s < target + page)
         # Blocks outside the touched page survive in the same slot...
-        assert all(sb.block_at(s) is not None for s in first_blocks
+        assert all(sb._blocks.get(s) is not None for s in first_blocks
                    if not target <= s < target + page)
         # ...and the sibling slot is completely untouched.
         assert blocks_in(second.layout) == second_blocks
@@ -297,7 +297,7 @@ class TestInvalidation:
 
         runtime.memory.protect(target, page, PERM_RW)  # drop execute
         assert all(
-            sb.block_at(s) is None
+            sb._blocks.get(s) is None
             for s in text_blocks
             if target <= s < target + page
         )
@@ -506,7 +506,7 @@ class TestRowShapes:
                      if b.start <= symbols["body"] < b.end)
         # Which body ran: hotness is the only selector, cost model or not.
         generated = tier.startswith("generated")
-        hot = sb.block_at(symbols["top"])  # every iteration but the first
+        hot = sb._blocks.get(symbols["top"])  # every iteration but the first
         assert (hot is not None and hot.fn is not None) == generated
         assert (stats["compiled_blocks"] > 0) == generated
         assert (stats["generated_templates"]
@@ -604,8 +604,8 @@ class TestRowShapes:
             assert states[2]["pc"] == states[2]["trap"][2] \
                 == image.symbols["trap"]
         sb = machine._sb
-        assert sb.block_at(elf.entry).end == image.symbols["trap"]
-        assert sb.block_at(image.symbols["trap"]).count == 1
+        assert sb._blocks.get(elf.entry).end == image.symbols["trap"]
+        assert sb._blocks.get(image.symbols["trap"]).count == 1
 
 
 # -- generated bodies: faults, exceptions and flushes mid-block ---------------
@@ -709,7 +709,7 @@ class TestGeneratedBodyMidBlock:
         assert states[0][0]["trap"][0] is MemTrap
         assert states[0][0]["instret"] == top + (1, 3, 4, 7)[page]
         assert states[1] == states[0]
-        hot = machines[1]._sb.block_at(symbols["top"])
+        hot = machines[1]._sb._blocks.get(symbols["top"])
         assert hot.fn is not None and hot.count == 10
         assert hot.template.loops
         # Iterations 9-13 in one call, then trip 0 of the next; 9-11; 9-14.
@@ -755,7 +755,7 @@ class TestGeneratedBodyMidBlock:
                 machine.instret))
         assert outcomes[1] == outcomes[0]
         if at > 1:
-            hot = machine._sb.block_at(symbols["top"])
+            hot = machine._sb._blocks.get(symbols["top"])
             assert hot.template.loops == looping
             assert (hot.fn is not None) == (at >= 9)
 
@@ -839,7 +839,7 @@ class TestLoopIsStepping:
         stepper, blocky = (bare(kind, words, 0x40_0000, model=model)
                            for kind in ENGINES)
         for fuel in (30, 3, 100, 99, 1, 2, 301, 7, 6):
-            hot = blocky._sb.block_at(0x40_0000)
+            hot = blocky._sb._blocks.get(0x40_0000)
             hot = hot is not None and hot.fn is not None
             # A slice that starts mid-block steps (as blocks of their
             # own) the instructions up to the top.
@@ -989,12 +989,12 @@ class TestLoopIsStepping:
                 memory.map_region(text, size, PERM_RX)
                 memory._raw_write(text, words)
             if kind == "superblock":
-                assert sb.block_at(block.start) is None
+                assert sb._blocks.get(block.start) is None
                 other = loops[second.pid]
-                assert sb.block_at(other.start) is other
+                assert sb._blocks.get(other.start) is other
             runtime.run()
             if kind == "superblock":
-                fresh = sb.block_at(block.start)
+                fresh = sb._blocks.get(block.start)
                 assert fresh is not None and fresh is not block
                 assert fresh.template is block.template  # same words
                 assert runtime.machine.engine_stats()["translations"] \
@@ -1129,7 +1129,7 @@ class TestRunIsStepping:
         assert state["trap"][0] is HltTrap
         assert state["regs"][2] == (7 if trip else 0)
         stats = machines[1].engine_stats()
-        hot = machines[1]._sb.block_at(symbols["top"])
+        hot = machines[1]._sb._blocks.get(symbols["top"])
         assert hot.template.loops and hot.template.exits
         assert hot.fn is not None and stats["loop_trips"] > 0
         assert stats["traced_branches"] == 3  # the b.eqs and a cbnz
@@ -1149,7 +1149,7 @@ class TestRunIsStepping:
         right = sum(word > pivot for word in words[1:])
         assert 0 < right < trips
         assert state["instret"] == 1 + 7 * trips - right  # hlt traps
-        hot = machines[1]._sb.block_at(symbols["top"])
+        hot = machines[1]._sb._blocks.get(symbols["top"])
         template = hot.template
         assert template.loops and hot.count == 7
         assert template.exits == (2,)
@@ -1190,7 +1190,7 @@ class TestRunIsStepping:
                     if (word == 0 if branch.startswith("cbz")
                         else word & 8))
         assert 3 <= state["regs"][2] == taken < trips
-        hot = machines[1]._sb.block_at(symbols["top"])
+        hot = machines[1]._sb._blocks.get(symbols["top"])
         assert hot.template.loops and hot.template.exits
         assert machines[1].engine_stats()["loop_trips"] > 0
 
@@ -1222,7 +1222,7 @@ class TestRunIsStepping:
         assert state["trap"][0] is MemTrap
         assert state["pc"] == state["trap"][2] == symbols["load"]
         assert state["instret"] == 2 + 10 * 6 + 2
-        hot = machines[1]._sb.block_at(symbols["top"])
+        hot = machines[1]._sb._blocks.get(symbols["top"])
         assert hot.template.loops and hot.count == 6 and hot.fn is not None
 
     @MODELS
@@ -1237,7 +1237,7 @@ class TestRunIsStepping:
         symbols, machines = multi(DIAMOND.format(trips=trips), model, words,
                                   regs=[(4, sorted(words)[trips // 2])])
         lockstep(machines, 7 * 20 + 3, fuel)
-        hot = machines[1]._sb.block_at(symbols["top"])
+        hot = machines[1]._sb._blocks.get(symbols["top"])
         assert hot.template.loops and hot.fn is not None
         if fuel == 64:
             assert machines[1].engine_stats()["loop_trips"] > 0
@@ -1260,7 +1260,7 @@ class TestRunIsStepping:
             memory = machine.memory
             text = symbols["top"] & ~(PAGE - 1)
             if machine is machines[1]:
-                block = old.block_at(symbols["top"])
+                block = old._blocks.get(symbols["top"])
                 assert block.fn is not None and block.template.loops
             held = memory._raw_read(text, PAGE)
             if change == "mprotect":
@@ -1275,7 +1275,7 @@ class TestRunIsStepping:
                            gauges(machine)))
         assert states[1] == states[0]
         assert states[0][0]["trap"][0] is HltTrap
-        fresh = old.block_at(symbols["top"])
+        fresh = old._blocks.get(symbols["top"])
         assert fresh is not block and fresh.template is block.template
         assert old.invalidations > 0
 
@@ -1303,12 +1303,12 @@ class TestRunIsStepping:
         state = lockstep(machines, 10_000)
         assert state["trap"][0] is HltTrap and state["regs"][1] == 12
         sb = machines[1]._sb
-        first = sb.block_at(symbols["_start"])
+        first = sb._blocks.get(symbols["_start"])
         assert first.count == 6 and not first.template.loops
         assert first.end == symbols["done"]
-        loop = sb.block_at(symbols["mid"])
+        loop = sb._blocks.get(symbols["mid"])
         assert loop.count == 4 and loop.template.loops
-        assert sb.block_at(symbols["top"]) is None
+        assert sb._blocks.get(symbols["top"]) is None
 
 
 # -- what a body keeps for one call: page entries, gauge units, float views ----
@@ -1507,7 +1507,7 @@ class TestWhatABodyKeepsIsStepping:
             assert reference["cow_copies"] == 1
         stats = machine.engine_stats()
         assert (stats["loop_trips"] > 0) == hot
-        assert (machine._sb.block_at(self.TEXT).fn is not None) == hot
+        assert (machine._sb._blocks.get(self.TEXT).fn is not None) == hot
 
     def test_two_page_sizes_share_one_body(self):
         """Generated code is per content and cost identity, not per page

@@ -124,7 +124,7 @@ class TestFileCalls:
         """
         runtime, _, code = run(src, setup)
         assert code == 0
-        assert not runtime.vfs.exists("/goner")
+        assert "goner" not in runtime.vfs.state_dict()["tree"]
 
     def test_stdin_read(self):
         src = prologue() + """

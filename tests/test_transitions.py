@@ -1,6 +1,6 @@
 """Transition tests: the springboard, loops under fuel, batch ABI.
 
-The near-zero-cost transition machinery (DESIGN.md §15) is, like the
+The near-zero-cost transition machinery (DESIGN.md §11) is, like the
 superblock engine itself, a pure execution-strategy change: runtime
 calls that never unwind the engine, loops that iterate inside a body,
 and the vectored BATCH ABI must all be architecturally invisible.  Every
@@ -241,8 +241,8 @@ class TestInvalidationUnlinksChains:
             assert text.count(old) == 1
             if machine.engine == "superblock":
                 sb = machine._sb
-                loop = [sb.block_at(symbols["top"]),
-                        sb.block_at(symbols["body"] + 8)]
+                loop = [sb._blocks.get(symbols["top"]),
+                        sb._blocks.get(symbols["body"] + 8)]
                 assert None not in loop and loop[0].call_tail
                 assert loop[0].fn is not None and loop[1].fn is not None
                 translated = machine.engine_stats()["translations"]
@@ -258,7 +258,7 @@ class TestInvalidationUnlinksChains:
         assert states[0]["regs"][10] == 0x200 + 8 * rows.TIERS[tier][1] \
             + 8 * 2
         assert machine.engine_stats()["translations"] > translated
-        assert sb.block_at(symbols["top"]) not in (None, loop[0])
+        assert sb._blocks.get(symbols["top"]) not in (None, loop[0])
 
     def test_reclaimed_slot_runs_the_next_image_from_its_own_bytes(self):
         """Reclaim drops the slot's blocks; a different image spawned
@@ -366,7 +366,7 @@ def run_images(engine, images, model=APPLE_M1, timeslice=50_000,
         "instructions": {pid: proc.instructions
                          for pid, proc in runtime.processes.items()},
         "faults": [(f.pid, f.kind, f.detail, f.pc) for f in runtime.faults],
-        "epoch": runtime.scheduler.epoch,
+        "epoch": runtime.scheduler._epoch,
         "picked": dict(runtime.scheduler._picked),
         "calls": runtime.calls,
         "trace": export_chrome_trace(tracer.events) if traced else None,
@@ -844,7 +844,8 @@ class TestBatchSemanticsPinned:
             result = ("fault", fault.kind, fault.address - shift)
         def pages(shift):
             return [runtime.memory._raw_read(page + shift, PAGE_SIZE)
-                    if runtime.memory.is_mapped(page + shift) else None
+                    if runtime.memory.pages_in_range(
+                        page + shift, page + shift + PAGE_SIZE) else None
                     for page in (arena, arena + PAGE_SIZE)]
 
         return {"result": result, "pages": pages(shift),

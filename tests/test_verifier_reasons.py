@@ -261,7 +261,7 @@ class TestRegisterWrites:
 
 class TestProverFoundSpHoles:
     """Regressions for the two sp soundness holes ``repro.prove`` found
-    (DESIGN.md §13), pinned as the ``sp-arith-large-offset`` and
+    (DESIGN.md §14), pinned as the ``sp-arith-large-offset`` and
     ``sp-arith-32bit`` corpus entries."""
 
     def test_large_offset_close_rejected(self):
