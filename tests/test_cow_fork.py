@@ -60,6 +60,7 @@ class TestShareRegion:
         m.map_region(BASE, PAGE_SIZE, PERM_R)
         m.share_region(BASE, ALIAS, PAGE_SIZE)
         assert [perms for _, _, perms in m.mapped_regions(ALIAS)] == [PERM_R]
+        assert m._perms[ALIAS // PAGE_SIZE] == PERM_R
 
     def test_unmap_clears_cow_state(self, mem):
         mem.unmap(ALIAS, PAGE_SIZE * 2)

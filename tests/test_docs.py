@@ -3,10 +3,14 @@
 In every inline code span of the two documents, a ``repro.…`` dotted name
 must import (module, then attributes), a ``*.py`` path must be a file of
 the tree, and a snake_case or CamelCase identifier must be a name or a
-word of a string in some Python file of the tree.  Comments do not count:
-a name that survives only in a comment is as stale as the document.  And
-DESIGN.md §4's experiment index has a row for every section that
-``python -m benchmarks.paper`` writes into EXPERIMENTS.md.
+word of a string in some Python file under src/, benchmarks/ or examples/
+(a file under tests/ vouches only for test names, ``test_*`` and
+``Test*``, and for the upper-case words of its strings, the environment
+variables a test reads; so a test helper cannot keep a deleted method's
+name alive).  Comments do not count: a name that survives only in a
+comment is as stale as the document.  And DESIGN.md §4's experiment index
+has a row for every section that ``python -m benchmarks.paper`` writes
+into EXPERIMENTS.md.
 """
 
 import importlib
@@ -16,8 +20,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("DESIGN.md", "README.md")
-PYFILES = sorted(p for top in ("src", "benchmarks", "examples", "tests")
+CODE_DIRS = ("src", "benchmarks", "examples")
+PYFILES = sorted(p for top in CODE_DIRS + ("tests",)
                  for p in (ROOT / top).rglob("*.py"))
+TEST_NAME = re.compile(r"_*(?:test_|Test)")
+UPPER = re.compile(r"[A-Z][A-Z0-9_]*$")
 
 WORD = re.compile(r"[A-Za-z_]\w*")
 FENCED = re.compile(r"^```.*?^```", re.S | re.M)
@@ -33,12 +40,18 @@ CAMEL = re.compile(r"(?<![\w.-])_*[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+"
 def _code_names():
     names = set()
     for path in PYFILES:
+        code = path.relative_to(ROOT).parts[0] in CODE_DIRS
         with open(path, "rb") as source:
             for token in tokenize.tokenize(source.readline):
                 if token.type == tokenize.NAME:
-                    names.add(token.string)
+                    words, env = [token.string], False
                 elif token.type == tokenize.STRING:
-                    names.update(WORD.findall(token.string))
+                    words, env = WORD.findall(token.string), True
+                else:
+                    continue
+                names.update(word for word in words if code
+                             or TEST_NAME.match(word)
+                             or env and UPPER.match(word))
     return names
 
 

@@ -191,19 +191,16 @@ def outcome(model, name, args):
 
 def assert_same_state(lazy, eager):
     top = NPAGES * PS
+    # The per-page table the slow load/store check reads, and the per-slot
+    # runs mapped_regions reads, must both match the model.
+    assert lazy._perms == eager.perms
     assert list(lazy.mapped_regions()) == eager.mapped_regions(0, top)
     lo, hi = 5 * PS, 17 * PS
     assert list(lazy.mapped_regions(lo, hi)) == eager.mapped_regions(lo, hi)
     assert lazy.pages_in_range(lo, hi) == \
         sum(1 for p in eager.pages if lo <= p * PS < hi)
-    for page in range(NPAGES):
-        assert lazy.pages_in_range(page * PS, (page + 1) * PS) \
-            == (page in eager.pages)
-        assert [perms for _, _, perms
-                in lazy.mapped_regions(page * PS, (page + 1) * PS)] \
-            == ([eager.perms[page]] if page in eager.pages else [])
-        if page in eager.pages:
-            assert lazy._raw_read(page * PS, PS) == bytes(eager.pages[page])
+    for page in eager.pages:
+        assert lazy._raw_read(page * PS, PS) == bytes(eager.pages[page])
     assert [(addr, bytes(buf)) for addr, buf in lazy.nonzero_pages()] == \
         [(p * PS, bytes(eager.pages[p])) for p in sorted(eager.pages)
          if any(eager.pages[p])]
