@@ -493,7 +493,7 @@ class Machine:
 
     def run(self, fuel: Optional[int] = None) -> None:
         """Run until a trap; raises OutOfFuel when the budget is exhausted."""
-        if self.run_hooks:
+        if self.run_hooks.subscribed:
             self.run_hooks(self, fuel)
         if self._spec is not None:
             # Speculation implies the plain stepping interpreter: the

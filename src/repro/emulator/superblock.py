@@ -236,11 +236,11 @@ class Superblock:
 # leading parameters are the op's *operands* as source text; the rest are
 # the *static* arguments that pick the shape (``_op``).  A generated block
 # body passes the operands as literals (pc-derived ones as ``pc0 + d``).
-# Lines may name the machine's ``cpu`` / ``regs`` / ``vregs`` / ``load`` /
-# ``store`` / ``handlers`` and anything in ``_NAMESPACE``; a memory op
-# leaves the address it accessed in ``addr``, a branch sets ``taken`` when
-# it leaves.  How a body words a guest access or the float view of an FP
-# register an emitter asks its *writer* ``w`` for.
+# Lines may name the machine's ``cpu`` / ``vregs`` / ``load`` / ``store`` /
+# ``handlers`` and anything in ``_NAMESPACE``; a memory op leaves the
+# address it accessed in ``addr``, a branch sets ``taken`` once, to whether
+# it leaves.  How a body words a GPR, NZCV, a guest access or the float
+# view of an FP register an emitter asks its *writer* ``w`` for.
 # ---------------------------------------------------------------------------
 
 M64 = hex(MASK64)
@@ -265,6 +265,33 @@ _COND_SRC = {
     "le": "not (cpu.z == 0 and cpu.n == cpu.v)",
     "al": "True", "nv": "True",
 }
+
+#: The same conditions on deferred flags: the last setter's operands in
+#: ``fx`` and ``{y}`` (the local ``fy``, or an immediate; both below ``1 <<
+#: width``), ``fraw = fx + {y} [+ 1]`` and ``fres = fraw & {m}``; ``{t}`` is
+#: the sign bit.  N is ``fres >= {t}``, Z ``fres == 0``, C ``fraw > {m}``
+#: and V ``(fx ^ fres) & ({y} ^ fres) >= {t}``, so N == V is ``fres ^ ((fx
+#: ^ fres) & ({y} ^ fres)) < {t}``.
+_SAME_NV = "(fres ^ ((fx ^ fres) & ({y} ^ fres))) < {t}"
+_COND_DEFERRED = {
+    "eq": "fres == 0", "ne": "fres != 0",
+    "cs": "fraw > {m}", "cc": "fraw <= {m}",
+    "mi": "fres >= {t}", "pl": "fres < {t}",
+    "vs": "(fx ^ fres) & ({y} ^ fres) >= {t}",
+    "vc": "(fx ^ fres) & ({y} ^ fres) < {t}",
+    "hi": "fraw > {m} and fres != 0", "ls": "fraw <= {m} or fres == 0",
+    "ge": _SAME_NV, "lt": f"not {_SAME_NV}",
+    "gt": f"fres != 0 and {_SAME_NV}", "le": f"fres == 0 or not {_SAME_NV}",
+    "al": "True", "nv": "True",
+}
+
+
+def _nzcv_source(width: int, y: str) -> List[str]:
+    """The lines storing deferred flags of ``width`` to ``cpu`` as the
+    ints 0/1 ``Machine._set_add_flags`` leaves."""
+    return [f"cpu.n = fres >> {width - 1}", "cpu.z = 0 if fres else 1",
+            f"cpu.c = fraw >> {width}",
+            f"cpu.v = ((fx ^ fres) & ({y} ^ fres)) >> {width - 1}"]
 
 
 def _is_plain_gpr(reg) -> bool:
@@ -291,18 +318,76 @@ def _function(name: str, params, body, inner: str = "run()"):
 
 
 class _Writer:
-    """How an op's lines word a guest access and the float of an FP
-    register in a generated body (DESIGN.md §10).  The kinds of access
-    ``inline`` names, (loads, stores), go through ``memory``'s page
+    """How an op's lines word a GPR, NZCV, a guest access and the float
+    of an FP register in a generated body (DESIGN.md §10).  The kinds of
+    access ``inline`` names, (loads, stores), go through ``memory``'s page
     entries and the others call ``load``/``store``; both are counted, and
     an op's counts (``_op``) decide what a template's body inlines.
     ``views`` holds the 64-bit FP registers whose float is in the local
-    ``f<n>``."""
+    ``f<n>``.
 
-    def __init__(self, memory=None, inline=(False, False)):
+    ``gprs`` is None when GPR ``n`` is ``regs[n]``; in a looping body it
+    is the set of the GPRs the loop names, each in the local ``r<n>``.
+    ``flags`` is None when ``cpu.n``/``z``/``c``/``v`` hold NZCV, else
+    ``(width, y)`` of the last flag-setter, whose operands are in ``fx``
+    and ``y`` (``fy``, or its immediate), ``fraw`` and ``fres``
+    (``_COND_DEFERRED``).  ``fresh`` holds until the first setter or
+    stepping handler of a trip: before it, from a loop's second trip, the
+    flags are the previous trip's, deferred as ``entry`` (None: ``cpu``
+    holds them on every trip).  ``read_fresh`` records that something
+    read them there."""
+
+    def __init__(self, memory=None, inline=(False, False), gprs=None,
+                 entry=None):
         self.memory, self.inline = memory, inline
         self.loads = self.stores = 0
         self.views: set = set()
+        self.gprs, self.entry = gprs, entry
+        self.flags = None
+        self.fresh, self.read_fresh = True, False
+
+    def x(self, index) -> str:
+        """The name of GPR ``index``: its 64-bit value, or a target."""
+        if self.gprs is None:
+            return f"regs[{index}]"
+        self.gprs.add(int(index))
+        return f"r{index}"
+
+    def r(self, index, width=64) -> str:
+        """Source of the ``width``-bit view of GPR ``index``."""
+        return self.x(index) if width == 64 \
+            else f"({self.x(index)} & {M32})"
+
+    def set_flags(self, width, y) -> None:
+        """An op left its NZCV in ``fx``/``y``/``fraw``/``fres``."""
+        self.flags, self.fresh = (width, y), False
+
+    def cond(self, cond) -> str:
+        """Source of condition ``cond`` on NZCV, wherever it is."""
+        self.read_fresh |= self.fresh
+        if self.flags is None:
+            return _COND_SRC[cond]
+        width, y = self.flags
+        return _COND_DEFERRED[cond].format(
+            m=hex((1 << width) - 1), t=hex(1 << (width - 1)), y=y)
+
+    def nzcv(self) -> List[str]:
+        """The lines storing deferred NZCV to ``cpu``, where a body
+        leaves: a fault arm, a side exit, the body's exit."""
+        if self.flags is not None:
+            return _nzcv_source(*self.flags)
+        if self.fresh and self.entry is not None:
+            return ["if trips:",
+                    *["    " + line for line in _nzcv_source(*self.entry)]]
+        return []
+
+    def fill(self) -> List[str]:
+        """The lines loading the loop's GPR locals from ``regs``."""
+        return [f"r{n} = regs[{n}]" for n in sorted(self.gprs or ())]
+
+    def spill(self) -> List[str]:
+        """The lines storing the loop's GPR locals to ``regs``."""
+        return [f"regs[{n}] = r{n}" for n in sorted(self.gprs or ())]
 
     def load(self, dest, size, at="addr", post="") -> List[str]:
         """Lines of ``dest = <the size bytes at at>post``."""
@@ -334,10 +419,15 @@ class _Writer:
         self.views.add(d)
         return f"vregs[{d}] = unpack_q(pack_d(f{d} := {value}))[0]"
 
-    def handled(self) -> List[str]:
-        """The lines after a stepping handler, which may write anything."""
+    def handler(self, call) -> List[str]:
+        """The lines of the stepping-handler ``call``, which may read and
+        write anything: NZCV and the GPR locals stored before it, the
+        locals reloaded and every view and page entry dropped after."""
+        lines = self.nzcv() + self.spill() + [call] + self.fill()
+        self.read_fresh |= self.fresh
+        self.flags, self.fresh = None, False
         self.views.clear()
-        return [self.memory.DROP_SOURCE] if any(self.inline) else []
+        return lines + ([self.memory.DROP_SOURCE] if any(self.inline) else [])
 
 
 _Shape = namedtuple("_Shape", "emit kind accesses")
@@ -360,106 +450,100 @@ def _op(emitter, *static):
     return shape
 
 
-def _r(index, width=64) -> str:
-    """Source of the ``width``-bit view of GPR ``index``."""
-    return f"regs[{index}]" if width == 64 else f"(regs[{index}] & {M32})"
-
-
-def _operand2(b, width, form) -> str:
+def _operand2(w, b, width, form) -> str:
     """Source of a data-processing second operand: ``form`` is "imm",
     "reg", "uxtw" (the guard's ``wM, uxtw``) or an ``lsl`` amount."""
     if form == "imm":
         return str(b)
     if form == "uxtw":
-        return f"(regs[{b}] & {M32})"
+        return w.r(b, 32)
     if form == "reg":
-        return _r(b, width)
-    return f"(({_r(b, width)} << {form}) & {hex((1 << width) - 1)})"
+        return w.r(b, width)
+    return f"(({w.r(b, width)} << {form}) & {hex((1 << width) - 1)})"
 
 
 @_emits(K_SIMPLE)
 def _e_addsub(w, d, n, b, width, sub, form):
-    return [f"regs[{d}] = ({_r(n, width)} {'-' if sub else '+'} "
-            f"{_operand2(b, width, form)}) & {hex((1 << width) - 1)}"]
+    return [f"{w.x(d)} = ({w.r(n, width)} {'-' if sub else '+'} "
+            f"{_operand2(w, b, width, form)}) & {hex((1 << width) - 1)}"]
 
 
 @_emits(K_SIMPLE)
 def _e_addsub_flags(w, d, n, b, width, sub, form, writes):
     """adds/subs/cmp/cmn: ``Machine._set_add_flags`` on ``n + b`` or
-    ``n + ~b + 1`` (an immediate arrives already inverted)."""
-    mask = (1 << width) - 1
-    top = hex(1 << (width - 1))
-    y = _operand2(b, width, form)
-    if sub and form != "imm":
-        y = f"(~{y}) & {hex(mask)}"
-    return [f"x = {_r(n, width)}",
-            f"y = {y}",
-            f"raw = x + y{' + 1' if sub else ''}",
-            f"res = raw & {hex(mask)}",
-            f"cpu.n = 1 if res & {top} else 0",
-            "cpu.z = 1 if res == 0 else 0",
-            f"cpu.c = 1 if raw > {hex(mask)} else 0",
-            # Signed overflow: the operands agree in sign and the result
-            # does not.
-            f"cpu.v = 1 if (x ^ res) & (y ^ res) & {top} else 0",
-            ] + [f"regs[{d}] = res"] * writes
+    ``n + ~b + 1`` (an immediate arrives already inverted), its NZCV left
+    deferred (``_Writer.flags``)."""
+    mask = hex((1 << width) - 1)
+    lines = [f"fx = {w.r(n, width)}"]
+    if form == "imm":
+        y = str(b)
+        lines.append(f"fraw = fx + ({y}{' + 1' if sub else ''})")  # folded
+    else:
+        y = _operand2(w, b, width, form)
+        lines += [f"fy = {f'(~{y}) & {mask}' if sub else y}",
+                  f"fraw = fx + fy{' + 1' if sub else ''}"]
+        y = "fy"
+    w.set_flags(width, y)
+    return lines + [f"fres = fraw & {mask}"] \
+        + ([f"{w.x(d)} = fres"] if writes else [])
 
 
 @_emits(K_SIMPLE)
 def _e_mov_const(w, d, const):
-    return [f"regs[{d}] = {const}"]
+    return [f"{w.x(d)} = {const}"]
 
 
 @_emits(K_SIMPLE)
 def _e_adrp(w, d, pages, pc):
-    return [f"regs[{d}] = ((({pc} >> 12) + {pages}) << 12) & {M64}"]
+    return [f"{w.x(d)} = ((({pc} >> 12) + {pages}) << 12) & {M64}"]
 
 
 @_emits(K_SIMPLE)
 def _e_mov_reg(w, d, s, width):
-    return [f"regs[{d}] = {_r(s, width)}"]
+    return [f"{w.x(d)} = {w.r(s, width)}"]
 
 
 @_emits(K_SIMPLE)
 def _e_movk(w, d, keep, bits, width):
-    return [f"regs[{d}] = ({_r(d, width)} & {keep}) | {bits}"]
+    return [f"{w.x(d)} = ({w.r(d, width)} & {keep}) | {bits}"]
 
 
 @_emits(K_SIMPLE)
 def _e_logic(w, d, n, b, width, op, form):
     sign = {"and": "&", "orr": "|", "eor": "^"}[op]
-    return [f"regs[{d}] = {_r(n, width)} {sign} {_operand2(b, width, form)}"]
+    return [f"{w.x(d)} = {w.r(n, width)} {sign} "
+            f"{_operand2(w, b, width, form)}"]
 
 
 @_emits(K_SIMPLE)
 def _e_shift_imm(w, d, n, amount, width, op):
     mask = hex((1 << width) - 1)
     if op == "lsl":
-        return [f"regs[{d}] = ({_r(n, width)} << {amount}) & {mask}"]
+        return [f"{w.x(d)} = ({w.r(n, width)} << {amount}) & {mask}"]
     if op == "lsr":
-        return [f"regs[{d}] = {_r(n, width)} >> {amount}"]
-    return [f"x = {_r(n, width)}",
+        return [f"{w.x(d)} = {w.r(n, width)} >> {amount}"]
+    return [f"x = {w.r(n, width)}",
             f"if x & {hex(1 << (width - 1))}:",
             f"    x -= {hex(1 << width)}",
-            f"regs[{d}] = (x >> {amount}) & {mask}"]
+            f"{w.x(d)} = (x >> {amount}) & {mask}"]
 
 
 @_emits(K_SIMPLE)
 def _e_madd(w, d, n, m, a, width, msub, zero_addend):
-    acc = "0" if zero_addend else _r(a, width)
-    return [f"regs[{d}] = ({acc} {'-' if msub else '+'} {_r(n, width)} "
-            f"* {_r(m, width)}) & {hex((1 << width) - 1)}"]
+    acc = "0" if zero_addend else w.r(a, width)
+    return [f"{w.x(d)} = ({acc} {'-' if msub else '+'} {w.r(n, width)} "
+            f"* {w.r(m, width)}) & {hex((1 << width) - 1)}"]
 
 
 @_emits(K_SIMPLE)
 def _e_bitfield(w, d, n, rshift, fmask, shift, sign, fill, width, signed):
     """ubfm/sbfm (lsr/lsl/ubfx/sxtw aliases) over the field geometry
     ``SuperblockEngine._specialize`` folds from immr/imms."""
-    lines = [f"x = ({_r(n, width)} >> {rshift}) & {fmask}",
+    lines = [f"x = ({w.r(n, width)} >> {rshift}) & {fmask}",
              f"res = (x << {shift}) & {hex((1 << width) - 1)}"]
     if signed:
         lines += [f"if x & {sign}:", f"    res |= {fill}"]
-    return lines + [f"regs[{d}] = res"]
+    return lines + [f"{w.x(d)} = res"]
 
 
 # -- scalar floating point and vector integer ---------------------------------
@@ -494,75 +578,79 @@ def _e_vec3(w, d, n, m, lanes, bits, op):
 
 # -- memory -------------------------------------------------------------------
 
-def _addressed(b, off, mode, wb):
+def _addressed(w, b, off, mode, wb):
     """``(line setting addr, base writeback line or None)``.  ``mode``:
     "imm" / "sp" (``off`` an immediate), "uxtw" (the guard mode) or an
     ``lsl`` amount (``off`` a 64-bit register); ``wb``: None, PRE_INDEX or
     POST_INDEX."""
     if mode in ("imm", "sp"):
-        base = "cpu.sp" if mode == "sp" else f"regs[{b}]"
+        base = "cpu.sp" if mode == "sp" else w.x(b)
         if wb == POST_INDEX:
             return f"addr = {base}", f"{base} = (addr + {off}) & {M64}"
         return (f"addr = ({base} + {off}) & {M64}",
                 f"{base} = addr" if wb else None)
     if mode == "uxtw":
-        index = f"(regs[{off}] & {M32})"
+        index = w.r(off, 32)
     else:
-        index = f"((regs[{off}] << {mode}) & {M64})" if mode \
-            else f"regs[{off}]"
-    return f"addr = (regs[{b}] + {index}) & {M64}", None
+        index = f"(({w.x(off)} << {mode}) & {M64})" if mode else w.x(off)
+    return f"addr = ({w.x(b)} + {index}) & {M64}", None
 
 
 @_emits(K_MEM)
 def _e_load(w, t, b, off, size, signed, tbits, vector, mode, wb):
-    address, writeback = _addressed(b, off, mode, wb)
+    address, writeback = _addressed(w, b, off, mode, wb)
     if vector:
         w.views.discard(t)
         moved = w.load(f"vregs[{t}]", size,
                        post=f" & {hex((1 << tbits) - 1)}")
     elif not signed:
-        moved = w.load(f"regs[{t}]", size)
+        moved = w.load(w.x(t), size)
     else:
         moved = w.load("raw", size) + [
             f"if raw & {hex(1 << (signed - 1))}:",
             f"    raw -= {hex(1 << signed)}",
-            f"regs[{t}] = raw & {M64 if tbits == 64 else M32}"]
+            f"{w.x(t)} = raw & {M64 if tbits == 64 else M32}"]
     return [address] + moved + [writeback] * bool(writeback)
 
 
 @_emits(K_MEM)
 def _e_store(w, t, b, off, size, vector, zero, mode, wb):
-    address, writeback = _addressed(b, off, mode, wb)
-    value = "0" if zero else \
-        f"{'v' * vector}regs[{t}] & {hex((1 << size * 8) - 1)}"
+    address, writeback = _addressed(w, b, off, mode, wb)
+    value = "0" if zero else f"{f'vregs[{t}]' if vector else w.x(t)} " \
+        f"& {hex((1 << size * 8) - 1)}"
     return [address] + w.store(size, value) + [writeback] * bool(writeback)
 
 
 @_emits(K_MEM)
 def _e_pair(w, t, t2, b, off, is_load, mode, wb):
     """ldp/stp of two X registers."""
-    address, writeback = _addressed(b, off, mode, wb)
+    address, writeback = _addressed(w, b, off, mode, wb)
     if is_load:
-        moves = w.load(f"regs[{t}]", 8) + w.load(f"regs[{t2}]", 8, "addr + 8")
+        moves = w.load(w.x(t), 8) + w.load(w.x(t2), 8, "addr + 8")
     else:
-        moves = w.store(8, f"regs[{t}] & {M64}") \
-            + w.store(8, f"regs[{t2}] & {M64}", "addr + 8")
+        moves = w.store(8, f"{w.x(t)} & {M64}") \
+            + w.store(8, f"{w.x(t2)} & {M64}", "addr + 8")
     return [address] + moves + [writeback] * bool(writeback)
 
 
 # -- branches -----------------------------------------------------------------
 
-def _leave(target, condition=None, link=None):
-    lines = [f"regs[30] = {link}"] * (link is not None) \
-        + [f"cpu.pc = {target}", "taken = True"]
-    if condition is None:
-        return lines
-    return [f"if {condition}:"] + ["    " + line for line in lines]
+def _leave(w, target, condition="True", link=None):
+    """A branch's lines: ``taken`` set once, then, when it is, the link
+    and pc — unless ``target`` is None: the body stores pc itself where it
+    acts on ``taken`` (a side exit's arm, a loop's back edge)."""
+    moves = [f"{w.x(30)} = {link}"] if link is not None else []
+    if target is not None:
+        moves.append(f"cpu.pc = {target}")
+    if condition == "True":
+        return ["taken = True"] + moves
+    return [f"taken = {condition}"] + ["if taken:"] * bool(moves) \
+        + ["    " + line for line in moves]
 
 
 @_emits(K_BRANCH)
 def _e_b(w, target):
-    return _leave(target)
+    return _leave(w, target)
 
 
 @_emits(K_SIMPLE)
@@ -573,39 +661,40 @@ def _e_followed(w):
 
 @_emits(K_BRANCH)
 def _e_bl(w, target, link):
-    return _leave(target, link=link)
+    return _leave(w, target, link=link)
 
 
 @_emits(K_BRANCH)
 def _e_bcond(w, target, cond):
-    return _leave(target, _COND_SRC[cond])
+    return _leave(w, target, w.cond(cond))
 
 
 @_emits(K_BRANCH)
 def _e_cb(w, t, target, width, want_zero):
-    return _leave(target, f"{_r(t, width)} {'==' if want_zero else '!='} 0")
+    return _leave(w, target,
+                  f"{w.r(t, width)} {'==' if want_zero else '!='} 0")
 
 
 @_emits(K_BRANCH)
 def _e_tb(w, t, bit, target, want_set):
-    return _leave(target,
-                  f"{'' if want_set else 'not '}(regs[{t}] >> {bit}) & 1")
+    return _leave(w, target,
+                  f"{'' if want_set else 'not '}({w.x(t)} >> {bit}) & 1")
 
 
 @_emits(K_BRANCH)
 def _e_br(w, t):
-    return _leave(f"regs[{t}] & {M64}")
+    return _leave(w, f"{w.x(t)} & {M64}")
 
 
 @_emits(K_BRANCH)
 def _e_blr(w, t, link):
-    return [f"x = regs[{t}] & {M64}"] + _leave("x", link=link)
+    return [f"x = {w.x(t)} & {M64}"] + _leave(w, "x", link=link)
 
 
 @_emits(K_GENERIC)
 def _e_generic(w, inst, base):
     """The stepping handler: the op of whatever has no emitter."""
-    return [f"taken, addr = handlers[{base}]({inst})"] + w.handled()
+    return w.handler(f"taken, addr = handlers[{base}]({inst})")
 
 
 @_emits(K_GENERIC)
@@ -616,7 +705,7 @@ def _e_generic_at(w, inst, base, pc, reads_pc, decodes):
     if decodes:
         inst = f"decode_word({inst}, {pc})"
     return [f"cpu.pc = {pc}"] * reads_pc \
-        + [f"taken, addr = handlers[{base}]({inst})"] + w.handled()
+        + w.handler(f"taken, addr = handlers[{base}]({inst})")
 
 
 # ---------------------------------------------------------------------------
@@ -827,24 +916,34 @@ class SuperblockEngine:
         * ``t_issue``/``t_done`` and the TLB/L1 counts are locals
           committed in a ``finally``, and a memory row is the gauges' own
           ``lookup`` as source (``Tlb.lookup_source``);
-        * guest accesses and FP conversions are worded by ``_Writer``.
+        * guest accesses and FP conversions are worded by ``_Writer``;
+        * so is NZCV: a flag-setter leaves its operands in locals, a
+          ``b.cond`` reads them, and ``cpu.n``..``cpu.v`` are stored only
+          where the body leaves (a fault arm, a side exit, its exit) and
+          before a stepping handler;
+        * in a looping body, so are the GPRs the loop names: locals
+          ``r<n>`` loaded above the first trip, stored in the ``finally``
+          and around a stepping handler.
 
         An op that can fault runs under stepping's fault rule as source,
         and an op that calls a stepping handler under the same rule for
         whatever else the handler raises: the ops before it have retired
-        and been charged, and pc is its own.  A taken side exit, its pc set
-        by its own lines, stores what the ops up to it defined and returns
-        the count they retired (both static along the path).  A template
-        that ``loops`` gets the same lines and rows inside a ``for``: a
-        trip per whole block the fuel covers, left when the branch falls
-        through.  Nothing a trip can do unmaps or
+        and been charged, and pc is its own.  A taken side exit stores its
+        pc, its flags and what the ops up to it defined and returns the
+        count they retired (all static along the path).  A template that
+        ``loops`` gets the same lines and rows inside a ``for``: a trip per
+        whole block the fuel covers, its closing branch the back edge
+        (``if not taken: break``).  Nothing a trip can do unmaps or
         patches the block it is in (mappings and host entries change only
         on the host side of a trap or springboard, which end a block), so
         no trip looks the block up again.  The keys read before the block
         defines them are loaded above the loop, the locals carry from
         trip to trip, and one arm around the loop states what the
         completed trips add to whatever ends a later one: their
-        instructions, and every key the block defines.
+        instructions, and every key the block defines.  Flags follow the
+        same rule: an op before a trip's first setter sees the previous
+        trip's from the second trip on (``_Writer.entry``), unless it
+        reads them; then the back edge stores them, every trip.
 
         The maker's parameters are the machine objects the body names
         (bound by ``_Bindings``) and the template's constants: the code
@@ -853,14 +952,23 @@ class SuperblockEngine:
         """
         began = perf_counter()
         costing = self.machine._costing
-        loops = template.loops
+        ops, exits, loops = template.ops, template.exits, template.loops
+        count = len(ops)
         # Kept in locals where something can hit: in a loop, or where a
         # second access of the kind (a second memory row) follows.
-        loads, stores = map(sum, zip(*(op[1].accesses
-                                       for op in template.ops)))
-        w = _Writer(self.machine.memory,
-                    (loops or loads > 1, loops or stores > 1))
-        rows = sum(op[0] & K_MEM for op in template.ops)  # memory rows
+        loads, stores = map(sum, zip(*(op[1].accesses for op in ops)))
+        inline = (loops or loads > 1, loops or stores > 1)
+        trip = _Writer(gprs=set())
+        if loops:
+            # A trip's lines once, for what its writer learns: the GPRs
+            # the loop names and the flags a trip leaves deferred — which
+            # an op before the first setter sees from the second trip on,
+            # unless it reads them: then the back edge stores them.
+            for _kind, shape, args, rel, _row in ops:
+                shape.emit(trip, *map(repr, args), *["pc0"] * len(rel or ()))
+        w = _Writer(self.machine.memory, inline, trip.gprs if loops else None,
+                    None if trip.read_fresh else trip.flags)
+        rows = sum(op[0] & K_MEM for op in ops)  # memory rows
         units = loops or rows > 1
         consts: List[object] = []
         lines: List[str] = []
@@ -940,29 +1048,30 @@ class SuperblockEngine:
                 if certain:
                     emit(f"{ind}ready[{key!r}] = k{key}")
 
-        count = len(template.ops)
         head = []  # what runs once, above the first trip
         board: Dict[object, bool] = {}
         defined: Dict[object, bool] = {}  # every key the block defines
         if costing is not None:
             head += ["t_issue = costing.t_issue", "t_done = costing.t_done"]
         if costing is not None and loops:
-            for *_recipe, row in template.ops:
+            for *_recipe, row in ops:
                 for key in row[3]:
                     if key not in defined and key not in board:
                         board[key] = False
                         head.append(f"k{key} = ready_get({key!r})")
                 defined.update(dict.fromkeys(row[4], True))
         ind = "        " if loops else "    " if costing is not None else ""
-        for retired, op in enumerate(template.ops):
+        for retired, op in enumerate(ops):
             kind, shape, args, rel, row = op
-            body = shape.emit(w, *map(literal, args), *[
-                f"((pc0 + {d}) & {M64})" for d in rel or ()])
-            if loops and retired == count - 1:
-                # The looping branch: pc is pc0 on entry and nothing in
-                # between moves it, so its store waits for the exit.
-                body = [line for line in body
-                        if line.strip() != f"cpu.pc = ((pc0 + 0) & {M64})"]
+            operands = [f"((pc0 + {d}) & {M64})" for d in rel or ()]
+            target = None
+            if kind == K_BRANCH and (retired in exits or retired == count - 1
+                                     and loops):
+                # A side exit stores its pc in its arm; the looping branch
+                # not at all (pc is pc0 on entry and nothing in between
+                # moves it, so its store waits for the exit).
+                target, operands[0] = operands[0], None
+            body = shape.emit(w, *map(literal, args), *operands)
             if not kind & K_MEM:
                 lines.extend(ind + line for line in body)
             else:
@@ -978,6 +1087,9 @@ class SuperblockEngine:
                     arms.append(("BaseException", "raise"))
                 for caught, leave in arms:
                     emit(f"{ind}except {caught}:")
+                    # A handler raising may have written regs already.
+                    lines.extend(arm + line for line in w.nzcv()
+                                 + w.fill() * (kind == K_GENERIC))
                     if costing is not None:
                         flush(arm, board)
                     emit(f"{arm}machine.instret += {retired}")
@@ -985,9 +1097,11 @@ class SuperblockEngine:
                     emit(arm + leave)
             if costing is not None:
                 charge(ind, kind, row, board)
-            if retired in template.exits:
+            if retired in exits:
                 arm = ind + "    "
                 emit(f"{ind}if taken:")
+                lines.extend(arm + line for line in
+                             [f"cpu.pc = {target}"] * bool(target) + w.nzcv())
                 if costing is not None:
                     flush(arm, board)
                     if defined:  # a loop's, as the arm around it does
@@ -1000,13 +1114,13 @@ class SuperblockEngine:
         closing = []  # the ``finally`` of the body's ``try``
         if loops:
             done = f"(trips + 1) * {count}"
-            head.append("trips = 0")
-            closing.append("engine.loop_trips += trips")
-            lines[:0] = [f"    for trips in range(fuel // {count}):",
-                         "        taken = False"]
+            head += ["trips = 0", *w.fill()]
+            closing += ["engine.loop_trips += trips", *w.spill()]
+            if trip.read_fresh:
+                lines.extend(ind + line for line in w.nzcv())
+                w.flags = None
+            lines[:0] = [f"    for trips in range(fuel // {count}):"]
             lines += ["        if not taken:", "            break"]
-        else:
-            head.append("taken = False")
         if rows and any(w.inline):
             head.append(w.memory.DROP_SOURCE)
         if costing is not None:
@@ -1029,7 +1143,8 @@ class SuperblockEngine:
             lines = ["try:", *lines, "finally:",
                      *["    " + line for line in closing]]
         body = [*head, *lines, *["if taken:", "    cpu.pc = pc0"] * loops,
-                f"return {done} if taken else -{done}"]
+                *w.nzcv(), f"return {done} if taken else -{done}"
+                if ops[-1][0] & K_BRANCH else f"return -{done}"]
         maker = _function("body", [*self._bindings.objects, "consts"], body,
                           "run(pc0, fuel)")
         stats = _GENERATED.setdefault(self._cost_id, [0, 0.0])

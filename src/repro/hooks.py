@@ -26,18 +26,23 @@ __all__ = ["HookRegistry"]
 
 
 class HookRegistry:
-    """An ordered, multi-subscriber hook point."""
+    """An ordered, multi-subscriber hook point.
 
-    __slots__ = ("_subscribers", "first_result")
+    ``subscribed`` says whether anyone is: a plain attribute, so a hot
+    path (the runtime springboard, every slice) asks without a call."""
+
+    __slots__ = ("_subscribers", "first_result", "subscribed")
 
     def __init__(self, first_result: bool = False):
         self._subscribers: List[Callable] = []
         self.first_result = first_result
+        self.subscribed = False
 
     def add(self, fn: Callable) -> Callable:
         """Subscribe ``fn`` (idempotent); returns ``fn`` for decorator use."""
         if fn not in self._subscribers:
             self._subscribers.append(fn)
+        self.subscribed = True
         return fn
 
     def remove(self, fn: Callable) -> None:
@@ -46,18 +51,17 @@ class HookRegistry:
             self._subscribers.remove(fn)
         except ValueError:
             pass
+        self.subscribed = bool(self._subscribers)
 
     def clear(self) -> None:
         self._subscribers.clear()
+        self.subscribed = False
 
     def __contains__(self, fn: Callable) -> bool:
         return fn in self._subscribers
 
     def __len__(self) -> int:
         return len(self._subscribers)
-
-    def __bool__(self) -> bool:
-        return bool(self._subscribers)
 
     def __call__(self, *args: Any) -> Optional[Any]:
         """Invoke subscribers in order.

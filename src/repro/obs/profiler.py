@@ -162,9 +162,8 @@ class GuardProfiler:
 class ProfileReport:
     """Everything ``profile_workload`` measured for one Table 4 workload."""
 
-    def __init__(self, name, options, native, lfi, profiler, static_counts):
+    def __init__(self, name, native, lfi, profiler, static_counts):
         self.name = name
-        self.options = options
         self.native = native  # RunMetrics of the native baseline
         self.lfi = lfi  # RunMetrics of the sandboxed run
         self.profiler = profiler
@@ -242,4 +241,4 @@ def profile_workload(name: str, options=None, model=None,
         exit_code=code,
     )
     static_counts = compiled.rewrite.stats.guard_class_counts()
-    return ProfileReport(name, options, native, lfi, profiler, static_counts)
+    return ProfileReport(name, native, lfi, profiler, static_counts)

@@ -458,7 +458,7 @@ class Runtime:
         if handler is None:
             self._fault(proc, "badcall", f"unknown runtime call {call}")
         else:
-            result = None if live or not self.call_hooks \
+            result = None if live or not self.call_hooks.subscribed \
                 else self.call_hooks(proc, call)
             injected = result is not None
             if not injected:
@@ -640,7 +640,8 @@ class Runtime:
         self._in_guest = False
         unspent = machine.instret - self._run_start < timeslice
         live = unspent and call in _LEAF_CALLS and not (
-            self.quotas or self.call_hooks or machine.run_hooks)
+            self.quotas or self.call_hooks.subscribed
+            or machine.run_hooks.subscribed)
         inline = self._service_call(self._current, call, live)
         if not inline:
             if not unspent or scheduler.peek() is None:
@@ -651,7 +652,7 @@ class Runtime:
         self._in_guest = True
         if inline:  # no hook to refire, nothing that could ask for stepping
             return timeslice, False
-        if machine.run_hooks:
+        if machine.run_hooks.subscribed:
             machine.run_hooks(machine, timeslice)
         force_step = bool(machine.force_stepping or machine._step_probes)
         return timeslice, force_step

@@ -243,7 +243,7 @@ class TestEngineTwinOracle:
 
         def wrong(w, d, n, b, width, sub, form):
             return real(w, d, n, b, width, sub, form) \
-                + [f"regs[{d}] = (regs[{d}] + 1) & {superblock.M64}"] \
+                + [f"{w.x(d)} = ({w.x(d)} + 1) & {superblock.M64}"] \
                 * (not sub)
 
         wrong.kind = real.kind

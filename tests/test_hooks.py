@@ -40,11 +40,16 @@ class TestHookRegistry:
 
     def test_remove_and_bool(self):
         hooks = HookRegistry()
+        assert not hooks.subscribed
         fn = hooks.add(lambda: None)
-        assert hooks and fn in hooks
+        assert hooks and fn in hooks and hooks.subscribed
         hooks.remove(fn)
-        assert not hooks and fn not in hooks
+        assert not hooks and fn not in hooks and not hooks.subscribed
         hooks.remove(fn)  # removing twice is a no-op
+        assert not hooks.subscribed
+        hooks.add(fn)
+        hooks.clear()
+        assert not hooks and not hooks.subscribed
 
     def test_first_result_short_circuits(self):
         calls = []

@@ -22,6 +22,7 @@ from repro.core import O0, O2
 from repro.emulator import APPLE_M1, HltTrap, HostCallTrap, Machine, \
     MemTrap, OutOfFuel
 from repro.emulator import superblock as sbmod
+from repro.emulator.cpu import CpuState
 from repro.memory import PERM_R, PERM_RW, PERM_RX, PagedMemory
 from repro.obs import GuardProfiler, Tracer
 from repro.obs.chrome import export_chrome_trace
@@ -1309,6 +1310,303 @@ class TestRunIsStepping:
         loop = sb._blocks.get(symbols["mid"])
         assert loop.count == 4 and loop.template.loops
         assert sb._blocks.get(symbols["top"]) is None
+
+
+# -- a loop's trips run in locals: GPRs, deferred NZCV, the back edge ----------
+
+#: The ``b.lt`` reads NZCV before the trip's own ``subs``: on a body's
+#: first trip what was there on entry (the ``cmp`` above the loop, or a
+#: side exit's), on every later trip the ``subs`` before it.
+EARLY_READER = """
+    .globl _start
+_start:
+    mov x9, #24
+    cmp x9, x10
+top:
+    add x0, x0, x9
+    b.lt away
+    add x1, x1, x0
+back:
+    subs x3, x3, x11
+    sub x9, x9, #1
+    cbnz x9, top
+    hlt
+away:
+    add x2, x2, #1
+    b back
+"""
+
+#: The ``b.hi`` leaves right after its 32-bit ``cmp``; where it lands a
+#: ``csel`` reads another of the ``cmp``'s flags.
+EXIT_AFTER_SETTER = """
+    .globl _start
+_start:
+    mov x9, #40
+top:
+    ldr x5, [x19, x9, lsl #3]
+    cmp w5, w4
+    b.hi right
+    add x6, x6, x5
+back:
+    subs x9, x9, #1
+    b.ne top
+    hlt
+right:
+    csel x7, x5, x7, lt
+    b back
+"""
+
+#: The ``tbnz`` leaves before the trip's first setter: from the second
+#: trip the flags it leaves are the previous trip's ``subs``', which the
+#: ``csel`` where it lands reads.
+EXIT_BEFORE_SETTER = """
+    .globl _start
+_start:
+    mov x9, #40
+top:
+    ldr x5, [x19, x9, lsl #3]
+    tbnz x5, #3, away
+    add x1, x1, x5
+back:
+    subs x3, x3, x11
+    sub x9, x9, #1
+    cbnz x9, top
+    hlt
+away:
+    csel x7, x5, x7, lt
+    b back
+"""
+
+#: Every loop above, by how its trips meet the flags.
+FLAG_LOOPS = pytest.mark.parametrize(
+    "source", [EARLY_READER, EXIT_AFTER_SETTER, EXIT_BEFORE_SETTER],
+    ids=["early-reader", "exit-after-setter", "exit-before-setter"])
+#: Their registers: x3 crosses zero on trip 7, x4 splits the words.
+FLAG_REGS = [(3, 20), (11, 3), (4, 1 << 30)]
+
+
+def loop_words(seed, count=64):
+    rng = random.Random(seed)
+    return [rng.randrange(1 << 32) for _ in range(count)]
+
+
+class TestLoopLocals:
+    """A looping body keeps the GPRs its loop names in locals and the
+    last flag-setter's operands instead of NZCV, and the branch closing a
+    trip is its back edge.  Wherever a body leaves — a fault, a side
+    exit, a stepping handler, the fuel, the fall-through — the registers,
+    NZCV, cycles and gauges are stepping's, costed and uncosted, with
+    every body generated at once (``hot``) or at the default threshold
+    (``warming``)."""
+
+    @MODELS
+    @THRESHOLDS
+    def test_fault_before_the_first_setter_on_a_later_trip(
+            self, threshold, model, monkeypatch):
+        """The load walks off the data page on trip 11, before the trip's
+        ``cmp``: NZCV is trip 10's ``subs w9``'s (not the entry's, not
+        the ``cmp``'s, at 32 bits)."""
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #30
+            mov x20, x19
+        top:
+            ldr x1, [x20]
+            add x20, x20, x11
+            cmp x1, x9
+            add x3, x3, x1
+            subs w9, w9, #1
+            b.ne top
+            hlt
+        """, model, regs=[(11, PAGE // 10)])
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is MemTrap
+        assert state["pc"] == state["trap"][2] == symbols["top"]
+        assert state["instret"] == 2 + 10 * 6
+        assert state["nzcv"] == (0, 0, 1, 0)
+        assert state["regs"][9] == 20
+        assert machines[1].engine_stats()["loop_trips"] > 0
+
+    @MODELS
+    @THRESHOLDS
+    @pytest.mark.parametrize("entry", [0, 30], ids=["ge", "lt"])
+    def test_bcond_before_the_loops_subs_reads_the_entry_flags(
+            self, entry, threshold, model, monkeypatch):
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        symbols, machines = multi(EARLY_READER, model,
+                                  regs=[(10, entry), (3, 20), (11, 3)])
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is HltTrap
+        # Trip 1 takes it on the cmp's flags; x3 goes negative after 7.
+        assert state["regs"][2] == 17 + (entry == 30)
+        hot = machines[1]._sb._blocks.get(symbols["top"])
+        assert hot.template.loops and hot.template.exits == (1,)
+        assert hot.fn is not None
+
+    @MODELS
+    @THRESHOLDS
+    @pytest.mark.parametrize("after", [True, False],
+                             ids=["after-setter", "before-setter"])
+    def test_side_exit_and_a_reader_where_it_lands(self, after, threshold,
+                                                   model, monkeypatch):
+        """Right after a 32-bit ``cmp`` the side exit stores that
+        ``cmp``'s flags; before the trip's ``subs``, the previous trip's
+        (the entry's on a body's first trip)."""
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        source = EXIT_AFTER_SETTER if after else EXIT_BEFORE_SETTER
+        symbols, machines = multi(source, model, loop_words(3),
+                                  regs=FLAG_REGS)
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is HltTrap
+        # after: above 1 << 30 unsigned and below it signed, the top bit
+        # set; before: x3 < 0 on a late trip taking the tbnz.
+        assert state["regs"][7] >> 31 == 1 if after else state["regs"][7]
+        hot = machines[1]._sb._blocks.get(symbols["top"])
+        assert hot.template.loops
+        assert hot.template.exits == ((2,) if after else (1,))
+
+    @MODELS
+    @THRESHOLDS
+    @pytest.mark.parametrize("end", ["hlt", "fault"])
+    def test_stepping_handlers_inside_the_loop(self, end, threshold, model,
+                                               monkeypatch):
+        """``csel`` reads a register and the flags the loop wrote,
+        ``udiv`` writes the x8 the loop reads next; the 32-bit ``ldp``
+        (a handler too) walks to the page end, where (``fault``) it
+        writes w5 and then faults on w6."""
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        start = DATA + (PAGE - 4 - 4 * 20 if end == "fault" else 0)
+        symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #40
+        top:
+            add x0, x0, x9
+            cmp x0, x12
+            csel x7, x0, x1, hi
+            udiv x8, x7, x11
+            add x1, x1, x8
+            ldp w5, w6, [x20]
+            add x20, x20, #4
+            add x2, x2, x5
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, model, loop_words(4, PAGE // 8),
+            regs=[(11, 3), (12, 300), (20, start)])
+        state = lockstep(machines, 100_000)
+        hot = machines[1]._sb._blocks.get(symbols["top"])
+        assert hot.template.loops and hot.fn is not None
+        if end == "hlt":
+            assert state["trap"][0] is HltTrap
+            return
+        assert state["trap"][0] is MemTrap
+        assert state["pc"] == symbols["top"] + 20
+        assert state["regs"][5] == loop_words(4, PAGE // 8)[-1] >> 32
+
+    @MODELS
+    @THRESHOLDS
+    @FLAG_LOOPS
+    def test_fuel_runs_out_at_every_instruction_boundary(
+            self, source, threshold, model, monkeypatch):
+        """Slices of every size from one instruction to past two trips:
+        every boundary in a trip is a slice's end somewhere."""
+        words = loop_words(5)
+        for fuel in range(1, 14):
+            TestRunIsStepping._engines(monkeypatch, threshold)
+            _symbols, machines = multi(source, model, words,
+                                       regs=FLAG_REGS)
+            assert lockstep(machines, fuel)["trap"][0] is HltTrap
+
+    @MODELS
+    @THRESHOLDS
+    def test_float_loop_leaves_vregs_alone(self, threshold, model,
+                                           monkeypatch):
+        """``x1`` and ``d1`` both live in the loop: the GPR is a local,
+        the FP register stays ``vregs[1]``."""
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        rng = random.Random(6)
+        doubles = [struct.unpack("<Q", struct.pack(
+            "<d", rng.uniform(-9, 9)))[0] for _ in range(33)]
+        _symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #32
+        top:
+            ldr d1, [x19, x9, lsl #3]
+            fadd d0, d0, d1
+            add x1, x1, x9
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, model, doubles)
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is HltTrap
+        assert state["vregs"][1] == doubles[1]
+        assert state["regs"][1] == 32 * 33 // 2
+
+    @MODELS
+    def test_a_spin_loop_trip_touches_only_locals(self, model, monkeypatch):
+        """``busy_program``'s loop (``sub x1, x1, #1``; ``cbnz x1,
+        spin``): no ``regs[`` and no ``cpu.`` inside the body's ``for``."""
+        from repro.workloads.rtlib import busy_program
+
+        TestRunIsStepping._engines(monkeypatch, 8)
+        bodies = []
+        real = sbmod._function
+
+        def spy(name, params, body, inner="run()"):
+            bodies.append(body)
+            return real(name, params, body, inner)
+
+        monkeypatch.setattr(sbmod, "_function", spy)
+        runtime = Runtime(model=model)
+        proc = runtime.spawn(compile_lfi(busy_program(1, 5000)).elf)
+        assert runtime.run_until_exit(proc) == 1
+        loops = [body for body in bodies
+                 if any(line.startswith("    for trips") for line in body)]
+        assert len(loops) == 1
+        body = loops[0]
+        at = next(i for i, line in enumerate(body)
+                  if line.startswith("    for trips")) + 1
+        trip = []
+        while body[at].startswith("        "):
+            trip.append(body[at])
+            at += 1
+        text = "\n".join(trip)
+        assert "r1 = (r1 - 1)" in text and "taken = r1 != 0" in text
+        assert "regs[" not in text and "cpu." not in text
+
+    def test_deferred_conditions_are_the_flags(self):
+        """Every condition on a setter's locals and the NZCV stored from
+        them are ``Machine._set_add_flags``'s, at both widths, adding and
+        subtracting, across the sign and carry edges."""
+        machine = Machine(PagedMemory())
+        cpu = machine.cpu
+        for width in (32, 64):
+            mask = (1 << width) - 1
+            edges = [0, 1, 2, mask >> 1, (mask >> 1) + 1, mask - 1, mask]
+            for a in edges:
+                for b in edges:
+                    for sub in (False, True):
+                        y = ~b & mask if sub else b
+                        machine._set_add_flags(a, y, width, int(sub))
+                        raw = a + y + sub
+                        # y in the local fy (a register), or an immediate.
+                        for named in ("fy", str(y)):
+                            w = sbmod._Writer()
+                            w.set_flags(width, named)
+                            scope = {"fx": a, "fy": y, "fraw": raw,
+                                     "fres": raw & mask, "cpu": CpuState()}
+                            for cond in sbmod._COND_DEFERRED:
+                                assert eval(w.cond(cond), scope) == \
+                                    cpu.condition_holds(cond), (cond, a, b)
+                            exec("\n".join(w.nzcv()), scope)
+                            stored = scope["cpu"]
+                            assert (stored.n, stored.z, stored.c, stored.v) \
+                                == (cpu.n, cpu.z, cpu.c, cpu.v), (a, b, sub)
 
 
 # -- what a body keeps for one call: page entries, gauge units, float views ----
