@@ -9,9 +9,10 @@ Prints the clones made, the host memory each idle clone holds
 (tracemalloc, over the cloning phase), the bytecodes of clone #100 and of
 clone #65 000 (or the last, if fewer), and the time of each phase.  Exits
 1 unless every clone exits with the template's code, the two clones
-executed the same bytecodes, and the whole run took at most 10 minutes.
-10 000 clones take 5-8 s and ~230 MiB at peak, most of it tracemalloc's,
-on a 2-vCPU x86 VM; time and memory grow linearly with the clones.
+executed the same bytecodes, an idle clone held at most 4.5 KiB, and the
+whole run took at most 10 minutes.  10 000 clones take 5-8 s and ~230 MiB
+at peak, most of it tracemalloc's, on a 2-vCPU x86 VM; time and memory
+grow linearly with the clones.
 """
 
 import argparse
@@ -32,6 +33,9 @@ from repro.workloads.rtlib import prologue, rt_exit  # noqa: E402
 EXIT_CODE = 7
 WATCHED = (100, 65_000)
 BUDGET_S = 600.0
+#: Host memory an idle clone may hold: its slot's permission runs, its
+#: process record and streams; pages and the guard map are the template's.
+PER_CLONE_KIB = 4.5
 
 # Writes a page of its bss and loops, so each clone that runs leaves a
 # copied page, decodes and translated blocks in its slot until reclaimed.
@@ -107,8 +111,9 @@ def main() -> int:
         watched[WATCHED[1]], proc = spawn_counted(runtime, template)
         clones.append(proc)
     t1 = time.perf_counter()
-    print(f"{len(clones)} clones, {held / len(clones) / 1024:.2f} KiB per "
-          f"idle clone, in {t1 - t0:.1f} s", flush=True)
+    per_clone = held / len(clones) / 1024
+    print(f"{len(clones)} clones, {per_clone:.2f} KiB per idle clone, in "
+          f"{t1 - t0:.1f} s", flush=True)
 
     # In spawn order, which is the run queue's: each clone runs alone.
     codes = set()
@@ -131,6 +136,9 @@ def main() -> int:
         failures.append(f"exit codes {codes}, not {{{EXIT_CODE}}}")
     if counts[0] != counts[1]:
         failures.append("a late clone executed more than an early one")
+    if per_clone > PER_CLONE_KIB:
+        failures.append(f"an idle clone held {per_clone:.2f} KiB > "
+                        f"{PER_CLONE_KIB} KiB")
     if t3 - t0 > BUDGET_S:
         failures.append(f"took {t3 - t0:.0f} s > {BUDGET_S:.0f} s")
     for failure in failures:

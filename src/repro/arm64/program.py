@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .instructions import Instruction
 
@@ -67,21 +67,8 @@ class Program:
     def label(self, name: str) -> "Program":
         return self.add(LabelDef(name))
 
-    def directive(self, name: str, *args: str) -> "Program":
-        return self.add(Directive(name, tuple(args)))
-
     def instructions(self) -> Iterator[Instruction]:
         for item in self.items:
             if isinstance(item, Instruction):
                 yield item
 
-    def labels(self) -> Dict[str, int]:
-        """Map label name -> item index of its definition."""
-        return {
-            item.name: i
-            for i, item in enumerate(self.items)
-            if isinstance(item, LabelDef)
-        }
-
-    def copy(self) -> "Program":
-        return Program(list(self.items))

@@ -258,8 +258,7 @@ def capture_job(
             block_pipe=block_pipe,
             pending_call=runtime._pending_call.get(proc.pid),
             instructions=proc.instructions,
-            guard_map={pc - base: klass
-                       for pc, klass in proc.guard_map.items()},
+            guard_map=proc.guard_map,
             step_mode=proc.step_mode,
             mmap_cursor_off=(cursor - base if cursor is not None else None),
             quota=((quota.max_mapped_pages, quota.max_fds,
@@ -386,8 +385,7 @@ def restore_job(runtime: Runtime, ckpt: Checkpoint, hub=None) -> Process:
             block_pipe=(pipe_map[img.block_pipe]
                         if img.block_pipe is not None else None),
             instructions=img.instructions,
-            guard_map={base + off: klass
-                       for off, klass in img.guard_map.items()},
+            guard_map=img.guard_map,
             step_mode=img.step_mode,
         )
         proc.fds = {fd: object_map[oid] for fd, oid in img.fds.items()}

@@ -106,10 +106,6 @@ class Tlb:
                              else page % self.sets]
         return page in entries
 
-    def flush(self) -> None:
-        # In place: generated block bodies hold the list of sets.
-        self._sets[:] = [()] * self.sets
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

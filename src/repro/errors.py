@@ -137,8 +137,6 @@ class StalePolicy(ServeError):
             f"stale policy reload for tenant {tenant!r}: "
             f"token {token} <= current version {current}")
         self.tenant = tenant
-        self.token = token
-        self.current = current
 
 
 class VfsError(OSError, ReproError):

@@ -186,23 +186,31 @@ def slot_machine(elf: ElfImage, engine=None, model=None) -> Machine:
     return machine
 
 
-def run_elf_in_slot(elf: ElfImage, fuel: int = RUN_FUEL,
-                    buf_size: int = 4096) -> Tuple[List[int], bytes]:
-    """Run an image bare-machine in a sandbox slot; return observable state.
-
-    The program must halt via ``brk #0``.  Returns ``(x0..x7, data buffer)``.
-    """
-    machine = slot_machine(elf)
+def _halt(machine: Machine, fuel: int) -> tuple:
+    """Run ``machine`` to its ``brk`` (``("brk",)``) or memory fault
+    (``(kind, address)``: where a generated program may end)."""
     try:
         machine.run(fuel=fuel)
     except BrkTrap:
-        pass
-    else:
-        raise OutOfFuel("program did not halt")
+        return ("brk",)
+    except MemTrap as trap:
+        return (trap.fault.kind, trap.fault.address)
+    raise OutOfFuel("program did not halt")
 
+
+def run_elf_in_slot(elf: ElfImage, fuel: int = RUN_FUEL,
+                    buf_size: int = 4096) -> Tuple[List[int], bytes, tuple]:
+    """Run an image bare-machine in a sandbox slot; return observable state.
+
+    The program must halt via ``brk #0`` or a memory fault.  Returns
+    ``(x0..x7, data buffer, how it halted)``.
+    """
+    machine = slot_machine(elf)
+    stop = _halt(machine, fuel)
     return (
         [machine.cpu.regs[i] for i in range(8)],
         machine.memory.read(SLOT.base + DATA_OFFSET, buf_size),
+        stop,
     )
 
 
@@ -232,7 +240,8 @@ def check_completeness(source: str) -> List[Finding]:
 
 
 def check_semantics(source: str, fuel: int = RUN_FUEL) -> List[Finding]:
-    """Native and rewritten runs must agree on registers and data buffer."""
+    """Native and rewritten runs must agree on registers, data buffer and
+    how they halt (brk, or the fault of a loop that walks off the data)."""
     findings: List[Finding] = []
     try:
         native = run_elf_in_slot(assemble_to_elf(source), fuel)
@@ -257,8 +266,10 @@ def check_semantics(source: str, fuel: int = RUN_FUEL) -> List[Finding]:
 
 def state_diff(native, sandboxed) -> str:
     """First observable divergence, deterministically formatted."""
-    nregs, nbuf = native
-    sregs, sbuf = sandboxed
+    nregs, nbuf, nstop = native
+    sregs, sbuf, sstop = sandboxed
+    if nstop != sstop:
+        return f"halt: native={nstop} rewritten={sstop}"
     for i, (a, b) in enumerate(zip(nregs, sregs)):
         if a != b:
             return f"x{i}: native={a:#x} rewritten={b:#x}"
@@ -461,13 +472,8 @@ def _speculation_observables(elf: ElfImage, speculation, model,
     machine = slot_machine(
         elf, engine=EngineConfig(kind="stepping", speculation=speculation),
         model=model)
-    try:
-        machine.run(fuel=fuel)
-    except BrkTrap:
-        pass
-    else:
-        raise OutOfFuel("program did not halt")
     obs = {
+        "halt": _halt(machine, fuel),
         "cpu": machine.cpu.snapshot(),
         "exclusive": machine.cpu.exclusive_addr,
         "buffer": machine.memory.read(SLOT.base + DATA_OFFSET, 4096),

@@ -23,11 +23,16 @@ Fragment coverage, per the paper's Table 1 and §4:
 * x30 manipulation (calls, stack save/restore of the link register,
   address materialization into ``x30``);
 * control flow (conditional/compare/test branches, bounded loops).
+
+A program ends at ``brk #0`` or, in about one program in three, at the
+memory fault of a loop whose verified access walks off the mapped data
+on a trip from the 2nd to the 7th: the engines then leave a looping
+body by a fault, mid-loop, with the loop's registers changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 __all__ = ["GenConfig", "GeneratedProgram", "AsmGenerator", "BUF_SIZE"]
@@ -45,6 +50,11 @@ IDX = "x11"    # bounded index for register-offset addressing
 LOOP = "x12"   # loop counter
 SPS = "x13"    # stack-pointer save slot
 STATUS = "x15"  # store-exclusive status
+WALK = "x14"   # the offset a faulting loop walks out of the data by
+
+#: Bytes mapped from the buffer's start: the data segment's one 16 KiB
+#: page (the buffer is its only section).
+MAPPED = 16 * 1024
 
 #: Valid logical (bitmask) immediates for and/orr/eor.
 LOGICAL_IMMS = (
@@ -76,9 +86,6 @@ class GenConfig:
     #: Emit direct/indirect calls to generated leaf functions.
     calls: bool = True
 
-    def with_(self, **kwargs) -> "GenConfig":
-        return replace(self, **kwargs)
-
 
 @dataclass
 class GeneratedProgram:
@@ -86,6 +93,8 @@ class GeneratedProgram:
 
     fragments: List[List[str]]
     leaves: List[List[str]] = field(default_factory=list)
+    #: What runs after the fragments: ``brk #0``, or a loop that faults.
+    ending: List[str] = field(default_factory=lambda: ["brk #0"])
 
     @property
     def source(self) -> str:
@@ -100,7 +109,7 @@ class GeneratedProgram:
         ]
         for fragment in self.fragments:
             lines.extend(f"    {line}" for line in fragment)
-        lines.append("    brk #0")
+        lines.extend(f"    {line}" for line in self.ending)
         for leaf in self.leaves:
             lines.extend(leaf)
         lines += [".data", ".balign 16", "buffer:", f"    .skip {BUF_SIZE}"]
@@ -109,13 +118,14 @@ class GeneratedProgram:
     def instruction_estimate(self) -> int:
         return sum(len(f) for f in self.fragments) + sum(
             len(l) for l in self.leaves
-        )
+        ) + len(self.ending)
 
     def with_fragments(self, keep: Sequence[int]) -> "GeneratedProgram":
         """A copy containing only the fragments at ``keep`` (for shrinking)."""
         return GeneratedProgram(
             fragments=[self.fragments[i] for i in keep],
             leaves=list(self.leaves),
+            ending=list(self.ending),
         )
 
 
@@ -137,7 +147,11 @@ class AsmGenerator:
         kinds = self._kinds(rng)
         fragments = [self._fragment(rng, rng.choice(kinds), len(leaves))
                      for _ in range(count)]
-        return GeneratedProgram(fragments=fragments, leaves=leaves)
+        ending = ["brk #0"]
+        if config.loops and rng.randrange(3) == 0:
+            ending = self._faulting_loop(rng) + ending
+        return GeneratedProgram(fragments=fragments, leaves=leaves,
+                                ending=ending)
 
     # -- helpers -------------------------------------------------------------
 
@@ -347,14 +361,31 @@ class AsmGenerator:
         bit = rng.randrange(0, 64)
         return [f"{op} {reg}, #{bit}, {label}"] + self._alu(rng) + [f"{label}:"]
 
-    def _loop(self, rng, nleaves: int) -> List[str]:
+    def _loop(self, rng, nleaves: int, count: int = 0,
+              tail: Sequence[str] = ()) -> List[str]:
         label = self._next_label("loop")
-        count = rng.randrange(2, 6)
+        count = count or rng.randrange(2, 6)
         body: List[str] = []
         for _ in range(rng.randrange(1, 4)):
             body.extend(self._straight(rng))
-        return ([f"mov {LOOP}, #{count}", f"{label}:"] + body
+        return ([f"mov {LOOP}, #{count}", f"{label}:"] + body + list(tail)
                 + [f"subs {LOOP}, {LOOP}, #1", f"b.ne {label}"])
+
+    def _faulting_loop(self, rng) -> List[str]:
+        """A loop whose register-offset access, guarded like any other,
+        walks ``WALK`` off the mapped data on trip ``fault``: the end."""
+        fault = rng.randrange(2, 8)
+        # Trip k reaches start + (k - 1) * stride, all 8 bytes mapped until
+        # trip fault; an add immediate is at most 4095.
+        longest = min(4088, (MAPPED - 8) // max(1, fault - 2))
+        stride = 8 * rng.randrange(1, longest // 8 + 1)
+        lo = max(0, MAPPED - (fault - 1) * stride)
+        start = lo + 8 * rng.randrange(
+            (MAPPED - 8 - (fault - 2) * stride - lo) // 8 + 1)
+        op, reg = rng.choice(["ldr", "str"]), self._reg(rng)
+        return [f"movz {WALK}, #{start}"] + self._loop(
+            rng, 0, fault + rng.randrange(4),
+            (f"{op} {reg}, [{BUF}, {WALK}]", f"add {WALK}, {WALK}, #{stride}"))
 
     def _jump_indirect(self, rng, nleaves: int) -> List[str]:
         label = self._next_label("jmp")

@@ -12,7 +12,6 @@ from .layout import (
 )
 from .pages import (
     MemoryFault,
-    PERM_NONE,
     PERM_R,
     PERM_RW,
     PERM_RX,
@@ -31,7 +30,6 @@ __all__ = [
     "SANDBOX_SIZE",
     "SandboxLayout",
     "MemoryFault",
-    "PERM_NONE",
     "PERM_R",
     "PERM_RW",
     "PERM_RX",

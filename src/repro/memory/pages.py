@@ -10,6 +10,7 @@ for stack-pointer guard elision and write protection of code.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .layout import SANDBOX_BITS, slot_keys
@@ -29,7 +30,6 @@ PERM_W = 0b010
 PERM_X = 0b100
 PERM_RW = PERM_R | PERM_W
 PERM_RX = PERM_R | PERM_X
-PERM_NONE = 0
 
 #: Default page size: 16KiB, matching Apple ARM64 machines (paper §3).
 DEFAULT_PAGE_SIZE = 16 * 1024
@@ -61,12 +61,13 @@ class MemoryFault(Exception):
 class PagedMemory:
     """A sparse page-granular address space.
 
-    The permission table is the only record of what is *mapped*; storage
-    exists only for pages that have been *written* (demand-zero, like an
-    anonymous ``mmap``).  Reading a mapped, never-written page returns
-    zeros and allocates nothing; the first write allocates.  Which pages
-    have storage is not observable through any public accessor.  All
-    multi-byte accessors are little-endian, matching AArch64.
+    The per-slot permission runs are the only record of what is *mapped*
+    and how; storage exists only for pages that have been *written*
+    (demand-zero, like an anonymous ``mmap``).  Reading a mapped,
+    never-written page returns zeros and allocates nothing; the first
+    write allocates.  Which pages have storage is not observable through
+    any public accessor.  All multi-byte accessors are little-endian,
+    matching AArch64.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE,
@@ -78,22 +79,20 @@ class PagedMemory:
         self._offset_mask = page_size - 1
         self.va_bits = va_bits
         self.va_limit = 1 << va_bits
-        #: page -> permissions: every mapped page, written or not.
-        self._perms: Dict[int, int] = {}
-        #: page -> storage, for written pages only (a subset of _perms).
+        #: page -> storage, for written (and still mapped) pages only.
         self._pages: Dict[int, bytearray] = {}
         #: ``page >> _slot_shift`` is the page's 4 GiB slot.
         self._slot_shift = SANDBOX_BITS - self._page_shift
         #: slot -> its maximal permission runs ``(first_page, end_page,
-        #: perms)``, ascending: ``_perms`` by slot.  A slot with no mapped
-        #: page has no entry here, nor in ``_stored``.
+        #: perms)``, ascending: every mapped page, written or not, lies in
+        #: exactly one.  A slot with no mapped page has no entry here, nor
+        #: in ``_stored``.
         self._runs: Dict[int, List[Tuple[int, int, int]]] = {}
         #: slot -> its pages that have storage: ``_pages``' keys by slot.
         self._stored: Dict[int, set] = {}
         #: Pages whose storage is shared and must be copied before a write
         #: (single-address-space copy-on-write fork, paper §5.3).
         self._cow: set = set()
-        self.cow_copies = 0
         self._zeros = bytes(page_size)
         #: Optional callback ``(address, size)`` invoked on every
         #: permission-checked write.  The containment auditor uses it to
@@ -110,6 +109,18 @@ class PagedMemory:
             observer(address, size)
 
     # -- per-slot tables: a query about one slot reads that slot alone ------
+
+    def _perm(self, page: int) -> Optional[int]:
+        """The permissions ``page`` is mapped with (None: unmapped), found
+        by bisecting its slot's runs: ``(page, 1 << 64)`` sorts after every
+        run that starts at or below ``page``."""
+        runs = self._runs.get(page >> self._slot_shift)
+        if runs:
+            at = bisect_right(runs, (page, 1 << 64)) - 1
+            first, end, perms = runs[at]
+            if first <= page < end:
+                return perms
+        return None
 
     def _runs_in(self, first: int, end: int) -> List[Tuple[int, int, int]]:
         """``(first_page, end_page, perms)`` of the runs over pages
@@ -206,7 +217,6 @@ class PagedMemory:
         if address < 0 or address + size > self.va_limit:
             raise ValueError(f"region outside {self.va_bits}-bit VA space")
         pages = self._page_range(address, size)
-        self._perms.update(dict.fromkeys(pages, perms))
         self._paint(pages.start, pages.stop, perms)
         self._notify_map_change(address, size)
 
@@ -215,7 +225,6 @@ class PagedMemory:
         unmapped page, which raises)."""
         pages = self._page_range(address, size)
         done = self._mapped_prefix(pages.start, pages.stop)[1]
-        self._perms.update(dict.fromkeys(range(pages.start, done), perms))
         self._paint(pages.start, done, perms)
         self._notify_map_change(address, size)
         if done < pages.stop:
@@ -224,10 +233,6 @@ class PagedMemory:
     def unmap(self, address: int, size: int) -> None:
         pages = self._page_range(address, size)
         first, end = pages.start, pages.stop
-        perms = self._perms
-        for f, e, _perms in self._runs_in(first, end):
-            for page in range(f, e):
-                del perms[page]
         # Only written pages have storage, and only those can be COW.
         self._drop_storage(first, end)
         self._paint(first, end, None)
@@ -268,10 +273,8 @@ class PagedMemory:
         # destination's own storage reads as zeros from here on.
         self._drop_storage(first + shift, end + shift)
         for f, e, run_perms in runs:
-            run_perms = run_perms if perms is None else perms
-            self._perms.update(dict.fromkeys(range(f + shift, e + shift),
-                                             run_perms))
-            self._paint(f + shift, e + shift, run_perms)
+            self._paint(f + shift, e + shift,
+                        run_perms if perms is None else perms)
         cow = self._cow
         for page, buf in held:
             self._hold(page + shift, buf)
@@ -283,13 +286,12 @@ class PagedMemory:
         write, copied out if it is still shared."""
         buf = self._pages.get(page)
         if buf is None:
-            if page not in self._perms:
+            if self._perm(page) is None:
                 raise MemoryFault("unmapped", address, "write")
             buf = self._hold(page, bytearray(self.page_size))
         elif page in self._cow:
             buf = self._pages[page] = bytearray(buf)
             self._cow.discard(page)
-            self.cow_copies += 1
         return buf
 
     def pages_in_range(self, lo: int = 0, hi: Optional[int] = None) -> int:
@@ -342,7 +344,7 @@ class PagedMemory:
         page = address // self.page_size
         end_page = (address + size - 1) // self.page_size
         for p in range(page, end_page + 1):
-            perms = self._perms.get(p)
+            perms = self._perm(p)
             if perms is None:
                 raise MemoryFault("unmapped", address, access)
             if perms & need != need:
@@ -351,11 +353,10 @@ class PagedMemory:
     def permits(self, address: int, size: int, need: int) -> bool:
         """Whether ``read``/``write`` of ``size`` (> 0) bytes would pass
         its check: every page mapped with ``need``.  Touches nothing."""
-        perms = self._perms
         shift = self._page_shift
         for page in range(address >> shift,
                           ((address + size - 1) >> shift) + 1):
-            if (perms.get(page) or 0) & need != need:
+            if (self._perm(page) or 0) & need != need:
                 return False
         return True
 
@@ -367,7 +368,7 @@ class PagedMemory:
         page = address // ps
         offset = address - page * ps
         if offset + size <= ps:
-            perms = self._perms.get(page)
+            perms = self._perm(page)
             if perms is not None and perms & PERM_R:
                 buf = self._pages.get(page)
                 if buf is not None:
@@ -383,7 +384,7 @@ class PagedMemory:
         offset = address - page * ps
         if (offset + size <= ps and self.write_observer is None
                 and page not in self._cow):
-            perms = self._perms.get(page)
+            perms = self._perm(page)
             if perms is not None and perms & PERM_W:
                 buf = self._pages.get(page)
                 if buf is None:  # the first write: no shared storage
@@ -401,7 +402,7 @@ class PagedMemory:
         offset = address & self._offset_mask
         if offset + size <= self.page_size:
             page = address >> self._page_shift
-            perms = self._perms.get(page)
+            perms = self._perm(page)
             if perms is not None and perms & PERM_R:
                 buf = self._pages.get(page)
                 if buf is None:
@@ -422,7 +423,7 @@ class PagedMemory:
         page = address >> self._page_shift
         if (offset + size <= self.page_size and self.write_observer is None
                 and page not in self._cow):
-            perms = self._perms.get(page)
+            perms = self._perm(page)
             if perms is not None and perms & PERM_W:
                 buf = self._pages.get(page)
                 if buf is None:  # the first write: no shared storage
@@ -509,12 +510,12 @@ class PagedMemory:
         if address % 4:
             raise MemoryFault("align", address, "execute")
         page, offset = divmod(address, self.page_size)
-        if not self._perms.get(page, PERM_NONE) & PERM_X:
+        if not (self._perm(page) or 0) & PERM_X:
             self._check(address, 4, PERM_X, "execute")  # raises the fault
         return self._pages.get(page, self._zeros), offset
 
     # Raw accessors skip permission checks (used by the loader/runtime);
-    # only a page missing from the permission table is unmapped.
+    # only a page in none of its slot's runs is unmapped.
 
     def _raw_read(self, address: int, size: int) -> bytes:
         ps = self.page_size
@@ -523,7 +524,7 @@ class PagedMemory:
             buf = self._pages.get(page)
             if buf is not None:
                 return bytes(buf[offset:offset + size])
-            if page not in self._perms:
+            if self._perm(page) is None:
                 raise MemoryFault("unmapped", address, "read")
             return bytes(size)
         out = bytearray()
@@ -533,7 +534,7 @@ class PagedMemory:
             buf = self._pages.get(page)
             if buf is not None:
                 out.extend(buf[offset:offset + chunk])
-            elif page in self._perms:
+            elif self._perm(page) is not None:
                 out.extend(bytes(chunk))
             else:
                 raise MemoryFault("unmapped", page * ps, "read")
@@ -575,7 +576,7 @@ class PagedMemory:
         while len(out) < limit:
             at = address + len(out)
             page, offset = divmod(at, self.page_size)
-            if not self._perms.get(page, PERM_NONE) & PERM_R:
+            if not (self._perm(page) or 0) & PERM_R:
                 self._check(at, 1, PERM_R, "read")  # raises the fault
             chunk = self._pages.get(page, self._zeros)[
                 offset:offset + limit - len(out)]

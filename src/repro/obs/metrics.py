@@ -178,7 +178,7 @@ class MetricsHub:
         proc = self._runtime._current
         if proc is None:
             return
-        guard = proc.guard_map.get(pc)
+        guard = proc.guard_map.get(pc - proc.layout.base)
         if guard is None:
             return
         metrics = self.sandbox(proc.pid)

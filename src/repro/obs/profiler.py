@@ -3,8 +3,9 @@
 The rewriter tags every instruction it *adds* with a guard class
 (``memory``/``branch``/``sp``/``x30``/``hoist``); the assembler, ELF
 builder, and loader thread that provenance through to the loaded image as
-``Process.guard_map`` (absolute pc -> class).  The profiler subscribes to
-the machine's per-instruction cycle probe and charges each delta to:
+``Process.guard_map`` (pc offset in the slot -> class).  The profiler
+subscribes to the machine's per-instruction cycle probe and charges each
+delta to:
 
 * the instruction's guard class, when its pc is a guard site;
 * ``app``, for every other retired sandbox instruction;
@@ -69,7 +70,7 @@ class GuardProfiler:
         if pc is None:
             bucket = klass  # a flat charge: "call", "host", ...
         elif proc is not None:
-            bucket = proc.guard_map.get(pc, "app")
+            bucket = proc.guard_map.get(pc - proc.layout.base, "app")
         else:
             bucket = "app"
         per = self.cycles.get(pid)
@@ -162,23 +163,17 @@ class GuardProfiler:
 class ProfileReport:
     """Everything ``profile_workload`` measured for one Table 4 workload."""
 
-    def __init__(self, name, native, lfi, profiler, static_counts):
+    def __init__(self, name, native, lfi, profiler):
         self.name = name
         self.native = native  # RunMetrics of the native baseline
         self.lfi = lfi  # RunMetrics of the sandboxed run
         self.profiler = profiler
-        #: Static per-class guard counts from RewriteStats (the same
-        #: numbers ``repro.tools rewrite`` prints).
-        self.static_counts = static_counts
 
     @property
     def overhead_pct(self) -> float:
         from ..perf.measure import overhead_pct
 
         return overhead_pct(self.native.cycles, self.lfi.cycles)
-
-    def breakdown(self) -> Dict[str, float]:
-        return self.profiler.breakdown()
 
     def decomposed_overhead(self) -> Dict[str, float]:
         """Guard class -> overhead cycles; sums to (lfi - native) exactly."""
@@ -199,8 +194,8 @@ def profile_workload(name: str, options=None, model=None,
     """Run one Table 4 workload natively and sandboxed, with attribution.
 
     The sandboxed run carries a :class:`GuardProfiler`; the returned
-    report pairs its dynamic breakdown with the rewriter's static counts
-    and the native baseline, so the caller can decompose the overhead.
+    report pairs its dynamic breakdown with the native baseline, so the
+    caller can decompose the overhead.
     """
     # Imported lazily: this module must not pull the runtime stack in at
     # import time (runtime.py imports obs.events).
@@ -240,5 +235,4 @@ def profile_workload(name: str, options=None, model=None,
         tlb_miss_rate=machine.tlb.miss_rate if machine.tlb else 0.0,
         exit_code=code,
     )
-    static_counts = compiled.rewrite.stats.guard_class_counts()
-    return ProfileReport(name, native, lfi, profiler, static_counts)
+    return ProfileReport(name, native, lfi, profiler)

@@ -96,6 +96,7 @@ class Tracer:
             pid=proc.pid if proc is not None else 0,
             pc=pc,
             klass=klass,
-            guard=proc.guard_map.get(pc) if proc is not None else None,
+            guard=(proc.guard_map.get(pc - proc.layout.base)
+                   if proc is not None else None),
             instret=machine.instret,
         ))

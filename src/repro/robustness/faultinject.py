@@ -101,10 +101,6 @@ class FaultInjector:
             self._next_at = self._slice + self._plan[0].gap
 
     @property
-    def pending(self) -> int:
-        return len(self._plan)
-
-    @property
     def delivered_count(self) -> int:
         return len(self.delivered)
 

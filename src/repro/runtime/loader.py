@@ -103,10 +103,7 @@ def load_image(
         brk=heap_start,
         heap_start=heap_start,
         state=ProcessState.READY,
-        guard_map={
-            layout.base + addr: klass
-            for addr, klass in image.provenance.items()
-        },
+        guard_map=image.provenance,
     )
     stdin = StdStream(readable=True)
     stdout = StdStream()
@@ -170,8 +167,7 @@ def clone_process(
         brk=rebase(template.brk),
         heap_start=rebase(template.heap_start),
         state=ProcessState.READY,
-        guard_map={rebase(addr): klass
-                   for addr, klass in template.guard_map.items()},
+        guard_map=template.guard_map,
     )
     proc.fds = {0: StdStream(readable=True), 1: StdStream(), 2: StdStream()}
     return proc

@@ -78,10 +78,11 @@ class Process:
     block_pipe: Optional[Pipe] = None
     #: Total instructions retired while this process was scheduled.
     instructions: int = 0
-    #: Guard provenance rebased to absolute addresses: pc -> guard class
-    #: (``memory``/``branch``/``sp``/``x30``/``hoist``).  Filled by the
-    #: loader from the image's PT_NOTE; the obs profiler uses it to
-    #: attribute cycle charges to application vs guard code.
+    #: Guard provenance: pc offset in the slot -> guard class
+    #: (``memory``/``branch``/``sp``/``x30``/``hoist``).  The image's own
+    #: PT_NOTE dict, shared read-only by the template, its clones, forks
+    #: and restored checkpoints; the obs profiler uses it to attribute
+    #: cycle charges to application vs guard code.
     guard_map: Dict[int, str] = field(default_factory=dict)
     #: Force the per-instruction stepping engine for this process.  Set
     #: when a per-instruction probe is registered (HookRegistry contract:

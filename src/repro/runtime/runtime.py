@@ -366,8 +366,7 @@ class Runtime:
             pid=pid, layout=layout, registers=regs, parent=parent.pid,
             brk=rebase(parent.brk), heap_start=rebase(parent.heap_start),
             state=ProcessState.READY,
-            guard_map={rebase(addr): klass
-                       for addr, klass in parent.guard_map.items()},
+            guard_map=parent.guard_map,
             step_mode=parent.step_mode,
         )
         child.fds = dict(parent.fds)  # shared descriptions, like Unix

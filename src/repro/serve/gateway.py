@@ -321,10 +321,6 @@ class Gateway:
             self._injectors.append(injector)
         return lane
 
-    def _lane_idle(self, lane: Lane) -> bool:
-        return (lane.gen is None and lane.request is None
-                and not lane.draining)
-
     # -- admission -----------------------------------------------------------
 
     def _on_arrival(self, req: _Request, t: float) -> None:
@@ -393,7 +389,7 @@ class Gateway:
             progress = False
             for lane_id in sorted(self.lanes):
                 lane = self.lanes[lane_id]
-                if not self._lane_idle(lane):
+                if not lane.idle:
                     continue
                 req = self._pick(lane, t)
                 if req is not None:
@@ -610,7 +606,7 @@ class Gateway:
             return
         for lane_id in reversed(live[n:]):
             lane = self.lanes[lane_id]
-            if self._lane_idle(lane):
+            if lane.idle:
                 del self.lanes[lane_id]
                 self._log(t, "retire", lane=lane_id)
             else:
@@ -649,7 +645,7 @@ class Gateway:
         if self.queued_depth() or len(self.lanes) <= scale.min_lanes:
             return
         idle = [i for i in sorted(self.lanes, reverse=True)
-                if self._lane_idle(self.lanes[i])]
+                if self.lanes[i].idle]
         if idle:
             del self.lanes[idle[0]]
             self._count("serve.scale_downs")

@@ -487,8 +487,8 @@ _LEVELS = {"O0": O0, "O1": O1, "O2": O2, "O2-noloads": O2_NO_LOADS,
 class TestEncoderPinned:
     #: sha256 over every text section the programs above assemble to (an
     #: input the rewriter refuses contributes its error's name instead).
-    TEXT_SHA256 = ("ef0a9a1218bf187ce5c9586002abb2fd"
-                   "12b3531ea38e270e944e9d4a9e0eb977")
+    TEXT_SHA256 = ("8d5834c60d2b1c261d07e7bca90c5aca"
+                   "b613c830dfe8bab51ca3b84509f666e8")
 
     def test_text_digest(self):
         digest = hashlib.sha256()

@@ -561,7 +561,7 @@ LOOPING = {
     "531.deepsjeng-O0": 4, "531.deepsjeng-O2": 4, "531.deepsjeng-native": 4,
     "544.nab-O0": 3, "544.nab-O2": 3, "544.nab-native": 3,
     "557.xz-O0": 4, "557.xz-O2": 4, "557.xz-native": 4,
-    "genasm-4": 1, "genasm-5": 1,
+    "genasm-1": 1, "genasm-2": 1, "genasm-4": 1, "genasm-5": 1, "genasm-7": 1,
 }
 
 SPIN = words_of("""

@@ -3,13 +3,33 @@
 import pytest
 
 from repro import EngineConfig
-from repro.memory import PAGE_SIZE, PERM_R, PERM_RW, PagedMemory
+from repro.memory import (PAGE_SIZE, PERM_R, PERM_RW, MemoryFault,
+                          PagedMemory, SandboxLayout)
 from repro.runtime import Runtime, RuntimeCall
 from repro.toolchain import compile_lfi
 from repro.workloads.rtlib import prologue, rt_exit, rtcall
 
 BASE = 0x40000
 ALIAS = 0x200000
+
+
+def storage_of(memory, address):
+    """The live storage of the page at ``address`` (which holds a non-zero
+    byte): two addresses share a page's storage iff this is one object."""
+    return dict(memory.nonzero_pages(address, address + 1))[address]
+
+
+def slot_storage(memory, parent, child):
+    """``(shared, own)``: how many of the child slot's non-zero pages hold
+    the very storage of the parent's page at the same offset, and how many
+    hold storage of their own."""
+    mine = {address - parent.base: buf for address, buf
+            in memory.nonzero_pages(parent.base, parent.end)}
+    theirs = {address - child.base: buf for address, buf
+              in memory.nonzero_pages(child.base, child.end)}
+    shared = sum(1 for offset, buf in theirs.items()
+                 if mine.get(offset) is buf)
+    return shared, len(theirs) - shared
 
 
 class TestShareRegion:
@@ -28,16 +48,17 @@ class TestShareRegion:
         assert mem.read(ALIAS, 8) == b"original"
 
     def test_no_copy_until_write(self, mem):
-        assert mem.cow_copies == 0
         mem.read(ALIAS, 8)
-        mem.read(BASE, 8)
-        assert mem.cow_copies == 0
+        mem.load(BASE, 8)
+        for offset in (0, PAGE_SIZE):
+            assert storage_of(mem, ALIAS + offset) is \
+                storage_of(mem, BASE + offset)
 
     def test_write_to_alias_does_not_change_source(self, mem):
         mem.write(ALIAS, b"CHANGED!")
         assert mem.read(ALIAS, 8) == b"CHANGED!"
         assert mem.read(BASE, 8) == b"original"
-        assert mem.cow_copies == 1
+        assert storage_of(mem, ALIAS) is not storage_of(mem, BASE)
 
     def test_write_to_source_does_not_change_alias(self, mem):
         mem.write(BASE, b"PARENT!!")
@@ -46,9 +67,14 @@ class TestShareRegion:
 
     def test_only_touched_pages_copied(self, mem):
         mem.write(ALIAS, b"x")  # touches page 0 only
-        assert mem.cow_copies == 1
+        assert storage_of(mem, ALIAS) is not storage_of(mem, BASE)
+        assert storage_of(mem, ALIAS + PAGE_SIZE) is \
+            storage_of(mem, BASE + PAGE_SIZE)
         mem.write(ALIAS + PAGE_SIZE, b"y")  # now page 1
-        assert mem.cow_copies == 2
+        assert storage_of(mem, ALIAS + PAGE_SIZE) is not \
+            storage_of(mem, BASE + PAGE_SIZE)
+        assert mem.read(BASE + PAGE_SIZE, 8) == b"page one"
+        assert mem.read(ALIAS + PAGE_SIZE, 8) == b"yage one"
 
     def test_share_of_unmapped_source_rejected(self):
         m = PagedMemory()
@@ -60,7 +86,11 @@ class TestShareRegion:
         m.map_region(BASE, PAGE_SIZE, PERM_R)
         m.share_region(BASE, ALIAS, PAGE_SIZE)
         assert [perms for _, _, perms in m.mapped_regions(ALIAS)] == [PERM_R]
-        assert m._perms[ALIAS // PAGE_SIZE] == PERM_R
+        assert m.read(ALIAS, 8) == bytes(8)
+        assert not m.permits(ALIAS, 8, PERM_RW)
+        with pytest.raises(MemoryFault) as fault:
+            m.write(ALIAS, b"x")
+        assert fault.value.kind == "perm"
 
     def test_unmap_clears_cow_state(self, mem):
         mem.unmap(ALIAS, PAGE_SIZE * 2)
@@ -106,8 +136,11 @@ class TestCowFork:
         parent = runtime.spawn(compile_lfi(FORK_PROGRAM).elf)
         runtime.run()
         assert parent.exit_code == 211 % 256
-        # COW actually engaged: at least one lazy page copy happened.
-        assert runtime.memory.cow_copies >= 1
+        # COW actually engaged: the (reaped) child's slot still shares
+        # some pages' storage with the parent and copied the ones it wrote.
+        child = SandboxLayout.for_slot(2)
+        shared, own = slot_storage(runtime.memory, parent.layout, child)
+        assert shared >= 1 and own >= 1
 
     def test_eager_fork_matches_cow_semantics(self, monkeypatch):
         from repro.runtime import runtime as runtime_module
@@ -120,7 +153,9 @@ class TestCowFork:
         parent = runtime.spawn(compile_lfi(FORK_PROGRAM).elf)
         runtime.run()
         assert parent.exit_code == 211 % 256
-        assert runtime.memory.cow_copies == 0
+        child = SandboxLayout.for_slot(2)
+        shared, own = slot_storage(runtime.memory, parent.layout, child)
+        assert shared == 0 and own >= 1
 
     def test_cow_copies_far_fewer_pages_than_eager(self):
         """The point of COW: a fork that touches little copies little."""
@@ -129,7 +164,9 @@ class TestCowFork:
         total_pages_before = runtime.memory.pages_in_range()
         runtime.run()
         # Only a handful of pages (stack + the written data page) copied.
-        assert runtime.memory.cow_copies < total_pages_before
+        child = SandboxLayout.for_slot(2)
+        _shared, own = slot_storage(runtime.memory, parent.layout, child)
+        assert own < total_pages_before
 
 
 class TestForkSuperblocks:

@@ -166,7 +166,7 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     def test_o1_preserves_semantics(self, body):
         program = parse_assembly(_build_source(body))
-        native = _run(program.copy())
+        native = _run(program)
         sandboxed = _run(parse_assembly(_build_source(body)), O1)
         assert native == sandboxed
 
@@ -174,7 +174,7 @@ class TestDifferential:
     @settings(max_examples=40, deadline=None)
     def test_o2_preserves_semantics(self, body):
         program = parse_assembly(_build_source(body))
-        native = _run(program.copy())
+        native = _run(program)
         sandboxed = _run(parse_assembly(_build_source(body)), O2)
         assert native == sandboxed
 
@@ -182,6 +182,6 @@ class TestDifferential:
     @settings(max_examples=25, deadline=None)
     def test_o0_preserves_semantics(self, body):
         program = parse_assembly(_build_source(body))
-        native = _run(program.copy())
+        native = _run(program)
         sandboxed = _run(parse_assembly(_build_source(body)), O0)
         assert native == sandboxed

@@ -9,6 +9,7 @@ actually notices a broken invariant rather than vacuously passing.
 from __future__ import annotations
 
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -23,9 +24,10 @@ from repro.fuzz.differential import (
     check_engines,
     check_semantics,
     rewrite_to_elf,
+    run_elf_in_slot,
     soundness_probe,
 )
-from repro.fuzz.genasm import AsmGenerator, GenConfig
+from repro.fuzz.genasm import MAPPED, AsmGenerator, GenConfig
 from repro.fuzz.mutate import (
     Mutation,
     MutationEngine,
@@ -232,6 +234,62 @@ class TestEngineTwinOracle:
             for level, elf in (("native", assemble_to_elf(source)),
                                ("O2", rewrite_to_elf(source, O2))):
                 assert check_engines(elf, level) == []
+
+    @staticmethod
+    def faulting_programs(count):
+        """The first ``count`` small generated programs that end in a loop
+        which faults on a later trip."""
+        rng = random.Random(3)
+        generator = AsmGenerator(GenConfig(min_fragments=1, max_fragments=3))
+        found = []
+        while len(found) < count:
+            program = generator.generate(rng)
+            if program.ending != ["brk #0"]:
+                found.append(program.source)
+        return found
+
+    def test_generated_loops_fault_on_a_later_trip(self):
+        """Such a program halts natively and rewritten at one unmapped
+        address past the data, after a trip that read or wrote it, and
+        every engine leaves the looping body there as stepping does."""
+        for source in self.faulting_programs(3):
+            elf = assemble_to_elf(source)
+            regs, buffer, halt = run_elf_in_slot(elf)
+            assert halt[0] == "unmapped"
+            assert halt[1] - differential.SLOT.base - \
+                differential.DATA_OFFSET >= MAPPED
+            assert check_semantics(source) == []
+            for level, image in (("native", elf),
+                                 ("O2", rewrite_to_elf(source, O2))):
+                assert check_engines(image, level) == []
+
+    def test_a_fault_exit_that_skips_a_register_store_is_a_finding(
+            self, monkeypatch):
+        """A planted generator bug: a looping body's fault exit reloads
+        its last GPR local before the ``finally`` stores it, so a fault
+        mid-loop loses that register's trips.  Only a loop that faults
+        shows it, and a generated one does."""
+        real = superblock._function
+
+        def lossy(name, params, body, inner="run()"):
+            fill = [line for line in body if re.fullmatch(
+                r"r\d+ = regs\[\d+\]", line)]
+            if fill and "except BaseException:" in body:
+                at = body.index("except BaseException:") + 1
+                body = [*body[:at], "    " + fill[-1], *body[at:]]
+            return real(name, params, body, inner)
+
+        sources = self.faulting_programs(3)
+        flush_translation_caches()
+        monkeypatch.setattr(superblock, "_function", lossy)
+        try:
+            findings = [finding for source in sources
+                        for finding in check_engines(assemble_to_elf(source))]
+        finally:
+            monkeypatch.undo()
+            flush_translation_caches()
+        assert findings
+        assert {finding.detail.split()[0] for finding in findings} == {"cpu"}
 
     def test_a_body_that_is_not_steppings_twin_is_a_finding(
             self, monkeypatch):

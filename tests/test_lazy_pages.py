@@ -191,9 +191,10 @@ def outcome(model, name, args):
 
 def assert_same_state(lazy, eager):
     top = NPAGES * PS
-    # The per-page table the slow load/store check reads, and the per-slot
-    # runs mapped_regions reads, must both match the model.
-    assert lazy._perms == eager.perms
+    # The lookup every access check makes, page by page, and the per-slot
+    # runs mapped_regions walks must both match the model.
+    assert [lazy._perm(page) for page in range(NPAGES + 1)] == \
+        [eager.perms.get(page) for page in range(NPAGES + 1)]
     assert list(lazy.mapped_regions()) == eager.mapped_regions(0, top)
     lo, hi = 5 * PS, 17 * PS
     assert list(lazy.mapped_regions(lo, hi)) == eager.mapped_regions(lo, hi)
@@ -207,19 +208,27 @@ def assert_same_state(lazy, eager):
 
 
 def replay(ops):
+    """Run ``ops`` on both models, comparing state after each; returns the
+    lazy memory and its COW copies: shared pages whose storage an
+    operation replaced by private storage."""
     lazy, eager = PagedMemory(page_size=PS), EagerMemory()
+    copies = 0
     for name, args in ops:
+        shared = {page: lazy._pages[page] for page in lazy._cow}
         assert outcome(lazy, name, args) == outcome(eager, name, args), \
             (name, args)
         assert_same_state(lazy, eager)
-    return lazy
+        copies += sum(1 for page, buf in shared.items()
+                      if page not in lazy._cow and page in lazy._pages
+                      and lazy._pages[page] is not buf)
+    return lazy, copies
 
 
 class TestAgainstEagerModel:
     def test_2000_random_operations(self):
         rng = random.Random(15)
-        lazy = replay([random_op(rng) for _ in range(2000)])
-        assert lazy.cow_copies > 0  # sharing of written pages was exercised
+        _lazy, copies = replay([random_op(rng) for _ in range(2000)])
+        assert copies > 0  # sharing of written pages was exercised
 
     @pytest.mark.slow
     @settings(max_examples=300, deadline=None)
@@ -228,7 +237,7 @@ class TestAgainstEagerModel:
         replay([random_op(rng) for _ in range(count)])
 
     def test_straddling_written_and_never_written(self):
-        lazy = replay([
+        lazy, _ = replay([
             ("map_region", (0, 3 * PS, PERM_RW)),
             ("write", (PS - 2, b"\xaa\xbb")),          # page 0 only
             ("read", (PS - 2, 8)),                      # written | never
@@ -276,7 +285,7 @@ class TestAgainstEagerModel:
         memory.share_region(0, 8 * ps, 2 * ps)
         memory.write(8 * ps, b"x")
         memory.write(0, b"y")
-        assert memory.cow_copies == 0
+        assert not memory._cow  # both pages' storage is their own
         assert (memory.read(0, 1), memory.read(8 * ps, 1)) == (b"y", b"x")
 
 
@@ -343,15 +352,17 @@ class TestIntegerAccessors:
         value = (1 << 8 * size) - 1
         assert memory.load(8 * PS + 16, size) == memory.load(16, size) \
             == int.from_bytes(bytes(range(16, 16 + size)), "little")
-        assert memory.cow_copies == 0
+        assert memory._pages[8] is memory._pages[0]
         memory.store(8 * PS + 16, size, value)
-        assert memory.cow_copies == 1
+        assert memory._pages[8] is not memory._pages[0]
         assert memory.load(8 * PS + 16, size) == value
         assert memory.read(0, PS) == bytes(range(256))  # sibling unchanged
+        sibling = memory._pages[0]
         memory.store(8 * PS + 32, size, value)
         memory.store(16, size, 0)  # the sibling's own first store
-        assert memory.cow_copies == 2
+        assert memory._pages[0] is not sibling and not memory._cow
         assert memory.load(8 * PS + 16, size) == value
+        assert memory.load(16, size) == 0
 
     @pytest.mark.parametrize("size", SIZES)
     def test_write_observer_sees_every_store(self, size):
@@ -522,7 +533,7 @@ class TestSourceIsTheMethod:
     @pytest.mark.parametrize("ps", [256, 16384])
     def test_random_states_and_sequences(self, ps):
         """Values, faults, which pages have storage and what it holds,
-        what stays shared, ``cow_copies`` and the observer's calls."""
+        what stays shared and the observer's calls."""
         for seed in range(60):
             outcomes = []
             for runner in (method_runner, source_runner):
@@ -534,7 +545,7 @@ class TestSourceIsTheMethod:
                           if any(memory._pages[page] is memory._pages[other]
                                  for other in memory._pages if other != page)}
                 outcomes.append((
-                    seen, observed, memory.cow_copies, sorted(memory._cow),
+                    seen, observed, sorted(memory._cow),
                     sorted(shared), {page: bytes(buf) for page, buf
                                      in memory._pages.items()}))
             assert outcomes[0] == outcomes[1], seed

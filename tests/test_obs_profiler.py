@@ -7,6 +7,8 @@ application, and the telescoping-delta property of the cost model makes
 the attribution *exact* (it sums to ``machine.cycles`` with no slack).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import O0, O2
@@ -66,29 +68,53 @@ class TestProvenancePipeline:
         assert loaded.provenance == compiled.elf.provenance
         assert loaded.provenance == compiled.image.provenance
 
-    def test_loader_rebases_guard_map(self):
+    def test_loaded_guards_are_charged_to_their_class(self):
+        """Each retired instruction is charged to the class the image's
+        provenance gives its offset in the slot: the loader's guard map
+        is the image's."""
         compiled = compile_lfi(STORE_LOOP, options=O0)
-        runtime = Runtime(model=APPLE_M1)
-        proc = runtime.spawn(compiled.elf, verify=True)
-        base = proc.layout.base
-        expected = {
-            base + addr: klass
-            for addr, klass in compiled.image.provenance.items()
-        }
-        assert proc.guard_map == expected
+        runtime, profiler, retired = profiled(compiled.elf)
+        (pid, pcs), = retired.items()
+        charged = profiler.instructions[pid]
+        assert charged == charged_by_provenance(
+            compiled.image, runtime.processes[pid], pcs)
+        assert charged["memory"] >= 32  # the loop's guarded stores
 
-    def test_fork_rebases_guard_map_to_child(self):
-        runtime = Runtime(model=APPLE_M1)
-        parent = runtime.spawn(compile_lfi(FORK_STORE, options=O0).elf,
-                               verify=True)
-        runtime.run_until_exit(parent)
-        runtime.run()
-        child = next(p for p in runtime.processes.values()
-                     if p.pid != parent.pid)
-        delta = child.layout.base - parent.layout.base
-        assert child.guard_map == {
-            addr + delta: klass for addr, klass in parent.guard_map.items()
-        }
+    def test_forked_child_is_charged_like_its_parent(self):
+        """The child's guards, in its own slot, are charged to their class
+        exactly as the parent's are."""
+        compiled = compile_lfi(FORK_STORE, options=O0)
+        runtime, profiler, retired = profiled(compiled.elf)
+        assert len(retired) == 2
+        for pid, pcs in retired.items():
+            assert profiler.instructions[pid] == charged_by_provenance(
+                compiled.image, runtime.processes[pid], pcs)
+            assert profiler.instructions[pid]["memory"] >= 1
+
+
+def profiled(elf):
+    """Run ``elf`` and what it forks under a :class:`GuardProfiler`,
+    beside a probe of its own; returns the runtime, the profiler and each
+    pid's retired pcs."""
+    runtime = Runtime(model=APPLE_M1)
+    profiler = GuardProfiler().attach(runtime)
+    retired = {}
+
+    def probe(machine, pc, klass, delta):
+        if pc is not None:
+            retired.setdefault(runtime._current.pid, []).append(pc)
+
+    runtime.machine.add_step_probe(probe)
+    runtime.spawn(elf, verify=True)
+    runtime.run()
+    return runtime, profiler, retired
+
+
+def charged_by_provenance(image, proc, pcs) -> Counter:
+    """Retired instructions by the class ``image``'s provenance gives each
+    pc's offset in ``proc``'s slot (``app`` where it gives none)."""
+    return Counter(image.provenance.get(pc - proc.layout.base, "app")
+                   for pc in pcs)
 
 
 class TestAttribution:
@@ -162,15 +188,6 @@ class TestProfileWorkload:
         assert sum(pct.values()) == pytest.approx(
             report.overhead_pct, rel=1e-3
         )
-
-    def test_static_counts_are_rewrite_stats(self, report):
-        from repro.workloads.spec import arena_bss_size, build_benchmark
-
-        asm = build_benchmark("505.mcf", target_instructions=20_000)
-        compiled = compile_lfi(asm, options=O2,
-                               bss_size=arena_bss_size("505.mcf"))
-        assert report.static_counts \
-            == compiled.rewrite.stats.guard_class_counts()
 
     def test_attribution_complete_on_benchmark(self, report):
         assert report.profiler.total_cycles() == pytest.approx(

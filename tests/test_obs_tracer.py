@@ -95,6 +95,26 @@ class TestEventStream:
         # rate 1 samples every retired instruction
         assert n_dense == runtime.machine.instret
 
+    def test_samples_name_the_guard_at_their_offset(self):
+        """A sample's ``guard`` is the image's provenance at the pc's
+        offset in the slot: one memory guard per trip of a guarded store
+        loop, nothing elsewhere."""
+        loop = prologue() + """
+            mov x0, #20
+            adrp x1, buf
+            add x1, x1, :lo12:buf
+        loop:
+            str w0, [x1, x0, lsl #2]
+            sub x0, x0, #1
+            cbnz x0, loop
+        """ + rt_exit() + ".bss\nbuf: .zero 128\n"
+        _, tracer, proc = traced_run(loop, sample_every=1)
+        samples = [e for e in tracer.events if isinstance(e, InstSample)]
+        provenance = compile_lfi(loop).elf.provenance
+        assert [e.guard for e in samples] == [
+            provenance.get(e.pc - proc.layout.base) for e in samples]
+        assert sum(e.guard == "memory" for e in samples) == 20
+
     def test_multi_subscriber_sees_recorded_stream(self):
         runtime = Runtime(model=APPLE_M1)
         tracer = Tracer().attach(runtime)

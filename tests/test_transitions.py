@@ -835,7 +835,17 @@ class TestBatchSemanticsPinned:
             prepare(runtime, proc, arena)
         caller = runtime.fork(proc) if fork else proc
         shift = caller.layout.base - proc.layout.base
-        copies = runtime.memory.cow_copies
+
+        def shared():
+            """Which of the caller's arena pages hold the very storage of
+            the parent's (a fork's COW pages not yet copied)."""
+            stored = dict(runtime.memory.nonzero_pages(
+                min(arena, arena + shift), max(arena, arena + shift)
+                + 2 * PAGE_SIZE))
+            return [stored.get(page + shift) is stored.get(page) is not None
+                    for page in (arena, arena + PAGE_SIZE)]
+
+        before = shared()
         seen = []
         runtime.memory.write_observer = lambda a, n: seen.append((a, n))
         try:
@@ -849,7 +859,8 @@ class TestBatchSemanticsPinned:
                     for page in (arena, arena + PAGE_SIZE)]
 
         return {"result": result, "pages": pages(shift),
-                "copies": runtime.memory.cow_copies - copies,
+                "copied": [was and not now
+                           for was, now in zip(before, shared())],
                 "seen": [(a - shift, n) for a, n in seen],
                 "parent": pages(0)}
 
@@ -911,7 +922,7 @@ class TestBatchSemanticsPinned:
         """A forked child's arena page is its parent's until the first
         result word lands; the parent's copy never changes."""
         seen = self.both([(RuntimeCall.GETPID,)] * 8, fork=True)
-        assert seen["result"] == 8 and seen["copies"] == 1
+        assert seen["result"] == 8 and seen["copied"] == [True, False]
         assert [self.word(seen, 0, i) for i in range(8)] == [2] * 8
         assert seen["parent"][0][56:64] == bytes(8)
 

@@ -54,6 +54,7 @@ class TestProfiles:
 class TestKernels:
     def test_kernels_avoid_reserved_registers(self):
         from repro.arm64 import parse_assembly
+        from repro.arm64.assembler import assemble
 
         for kernel in KERNELS.values():
             program = parse_assembly(kernel.text)
@@ -66,10 +67,11 @@ class TestKernels:
 
     def test_kernel_text_parses_and_has_label(self):
         from repro.arm64 import parse_assembly
+        from repro.arm64.assembler import assemble
 
         for kernel in KERNELS.values():
             program = parse_assembly(kernel.text)
-            assert kernel.label in program.labels()
+            assert kernel.label in assemble(program).symbols
             assert len(list(program.instructions())) > 4
 
 
