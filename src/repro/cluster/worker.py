@@ -82,8 +82,9 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
        "checkpoint"}``.  ``cmd`` (a dict, or None) applies *before* the
        chunk: ``{"quota": {...}}`` replaces the root process's
        :class:`ResourceQuota` without touching the guest (policy
-       hot-reload; an empty dict clears the quota), ``{"stop": True}``
-       stops at the current boundary instead of running on;
+       hot-reload; an empty dict clears it), ``{"checkpoint": True}``
+       asks for the chunk's boundary to be captured (else ``checkpoint``
+       is None), ``{"stop": True}`` stops at the current boundary;
     3. the generator returns (``StopIteration.value``) the final payload
        dict — ``kind == "result"`` normally, ``kind == "yield"``
        (carrying the boundary checkpoint) after a stop.
@@ -104,8 +105,6 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
     slot the job allocated (including those of already-reaped fork
     children) is unmapped with its translations swept.  Template slots
     owned by the pool persist — they are the point of warm spawn.
-    Abandoning the generator (``close()``) skips the cleanup: that models
-    a worker crash, where the whole runtime is discarded.
     """
     slot_start = runtime._next_slot
     pid_start = runtime._next_pid
@@ -152,10 +151,20 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
     session = (CheckpointSession(runtime, proc, hub)
                if checkpoint_interval else None)
     fault_cursor = len(runtime.faults)
-    instret0 = runtime.machine.instret
-    cycles0 = runtime.machine.cycles
+    machine = runtime.machine
+    instret0 = machine.instret
+    cycles0 = machine.cycles
     status = "ok"
     yielded = None
+
+    def totals() -> dict:
+        """What the job has consumed so far, as a checkpoint records it."""
+        return dict(
+            consumed_instructions=consumed + (machine.instret - instret0),
+            consumed_cycles=consumed_cycles + (machine.cycles - cycles0),
+            fault_kinds=restored_faults + [
+                f.kind for f in runtime.faults[fault_cursor:]])
+
     cmd = (yield {"kind": "begin", "pid": proc.pid,
                   "slot_base": proc.layout.base,
                   "executed": consumed}) or {}
@@ -165,7 +174,7 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
                 quota = cmd["quota"]
                 runtime.set_quota(
                     proc, ResourceQuota(**quota) if quota else None)
-            executed = consumed + (runtime.machine.instret - instret0)
+            executed = consumed + (machine.instret - instret0)
             if checkpoint_interval:
                 boundary = ((executed // checkpoint_interval) + 1) \
                     * checkpoint_interval
@@ -173,26 +182,20 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
             else:
                 chunk_end = budget
             done = runtime.run_bounded(proc, chunk_end - executed)
-            executed = consumed + (runtime.machine.instret - instret0)
+            executed = consumed + (machine.instret - instret0)
             if done:
                 break
             if executed > budget:
                 raise RuntimeError_("job instruction budget exceeded")
             if session is not None:
-                kinds = restored_faults + [
-                    f.kind for f in runtime.faults[fault_cursor:]]
-                ckpt = session.capture(
-                    consumed_instructions=executed,
-                    consumed_cycles=(consumed_cycles
-                                     + (runtime.machine.cycles - cycles0)),
-                    fault_kinds=kinds,
-                )
+                ckpt = (session.capture(**totals())
+                        if cmd.get("checkpoint") else None)
                 cmd = (yield {"kind": "chunk", "executed": executed,
                               "pid": proc.pid,
                               "slot_base": proc.layout.base,
                               "checkpoint": ckpt}) or {}
                 if cmd.get("stop"):
-                    yielded = ckpt
+                    yielded = ckpt or session.capture(**totals())
                     break
     except Deadlock:
         status = "deadlock"
@@ -205,29 +208,25 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
         tracer.detach()
 
     if yielded is not None:
-        payload = {
-            "kind": "yield",
-            "job_id": job["job_id"],
-            "checkpoint": yielded.to_bytes(),
-        }
+        payload = {"kind": "yield", "job_id": job["job_id"],
+                   "checkpoint": yielded.to_bytes()}
         _cleanup(runtime, pool, slot_start, pid_start)
         return payload
 
-    stderr = proc.fds[2].text() if 2 in proc.fds else ""
+    spent = totals()
     payload = {
         "kind": "result",
         "job_id": job["job_id"],
         "exit_code": proc.exit_code or 0,
         "stdout": runtime.stdout_of(proc),
-        "stderr": stderr,
+        "stderr": proc.fds[2].text() if 2 in proc.fds else "",
         "metrics": normalize_metrics(hub.snapshot(), proc.pid),
-        "faults": restored_faults + [
-            f.kind for f in runtime.faults[fault_cursor:]],
+        "faults": spent["fault_kinds"],
         "diag": {
             "warm": warm_hit,
             "status": status,
-            "instructions": consumed + (runtime.machine.instret - instret0),
-            "cycles": consumed_cycles + (runtime.machine.cycles - cycles0),
+            "instructions": spent["consumed_instructions"],
+            "cycles": spent["consumed_cycles"],
             "checkpoints": session.seq if session is not None else 0,
         },
     }
@@ -251,16 +250,17 @@ def execute_job(runtime: Runtime, pool: Optional[WarmPool],
     checkpoint boundary it consults ``control_poll(job_id)`` — a True
     return means the front-end wants this job back (migration/drain), so
     the job stops and the payload is a ``{"kind": "yield"}`` carrying the
-    boundary checkpoint — and otherwise hands the fresh checkpoint to
-    ``checkpoint_sink``.
+    boundary checkpoint — and otherwise asks for the boundary's
+    checkpoint and hands it to ``checkpoint_sink``, if there is one.
     """
     steps = execute_job_steps(runtime, pool, job, budget=budget,
                               checkpoint_interval=checkpoint_interval)
+    ask = {"checkpoint": checkpoint_sink is not None}
     cmd = None
     try:
         while True:
             info = steps.send(cmd)
-            cmd = {}
+            cmd = ask
             if info["kind"] == "begin":
                 continue
             if control_poll is not None and control_poll(job["job_id"]):

@@ -161,7 +161,6 @@ class SpeculativeEngine:
                           mnemonic: str) -> None:
         machine = self.machine
         predicted_taken = self.pht.predict(pc)
-        self.log.predictions += 1
         # Decoded branch targets are value-bearing (absolute) operands,
         # so the wrong-path address is known before the branch executes.
         if mnemonic.startswith("b."):
@@ -181,7 +180,6 @@ class SpeculativeEngine:
     def _step_return(self, pc: int) -> None:
         machine = self.machine
         predicted = self.rsb.pop()
-        self.log.predictions += 1
         machine.step()
         if machine.cpu.pc != predicted:
             self._run_window("ret", pc, predicted)

@@ -63,40 +63,24 @@ class SpeculationWindow:
 
 
 class SpeculationLog:
-    """Per-machine record of predictions, windows, and transient accesses."""
+    """Per-machine record of speculation windows and their accesses."""
 
     def __init__(self):
         self.windows: List[SpeculationWindow] = []
-        self.predictions = 0
-        self.mispredicts = 0
-        self.transient_instructions = 0
         self.squashes: dict = {}
 
     def begin_window(self, window: SpeculationWindow) -> SpeculationWindow:
         self.windows.append(window)
-        self.mispredicts += 1
         return window
 
     def end_window(self, window: SpeculationWindow, reason: str) -> None:
         window.squash = reason
-        self.transient_instructions += window.depth
         self.squashes[reason] = self.squashes.get(reason, 0) + 1
-
-    @property
-    def transient_accesses(self) -> int:
-        return sum(len(w.accesses) for w in self.windows)
 
     def access_trace(self) -> Tuple[Tuple[int, int, bool], ...]:
         """The transient footprint: (address, size, is_store) in order."""
         return tuple((a.address, a.size, a.is_store)
                      for w in self.windows for a in w.accesses)
-
-    def summary(self) -> str:
-        return (f"predictions={self.predictions} "
-                f"mispredicts={self.mispredicts} "
-                f"windows={len(self.windows)} "
-                f"transient-insns={self.transient_instructions} "
-                f"transient-accesses={self.transient_accesses}")
 
 
 def differential_leakage(a: SpeculationLog, b: SpeculationLog) -> int:

@@ -188,19 +188,8 @@ class Runtime:
         the paper's baseline methodology (§6.1): native code still benefits
         from accelerated runtime calls.
         """
-        if isinstance(image, (bytes, bytearray)):
-            image = read_elf(bytes(image))
-        layout = self.allocate_slot()
-        pid = self._next_pid
-        self._next_pid += 1
-        proc = load_image(self.memory, image, layout, pid, verify=verify,
-                          policy=policy, stack_size=self.stack_size)
-        self.processes[pid] = proc
-        self.scheduler.add(proc)
-        self._emit(ProcessEvent(ts=self.machine.cycles, pid=pid,
-                                kind="spawn",
-                                detail="native" if not verify else ""))
-        return proc
+        return self._admit(self._load(image, verify, policy),
+                           "native" if not verify else "")
 
     def load_template(self, image, verify: bool = True,
                       policy: Optional[VerifierPolicy] = None) -> Process:
@@ -211,14 +200,8 @@ class Runtime:
         :meth:`spawn_clone` to restore from (warm spawn).  Verification is
         paid here, once, regardless of how many clones follow.
         """
-        if isinstance(image, (bytes, bytearray)):
-            image = read_elf(bytes(image))
-        layout = self.allocate_slot()
-        pid = self._next_pid
-        self._next_pid += 1
-        proc = load_image(self.memory, image, layout, pid, verify=verify,
-                          policy=policy, stack_size=self.stack_size)
-        self._emit(ProcessEvent(ts=self.machine.cycles, pid=pid,
+        proc = self._load(image, verify, policy)
+        self._emit(ProcessEvent(ts=self.machine.cycles, pid=proc.pid,
                                 kind="spawn", detail="template"))
         return proc
 
@@ -231,13 +214,30 @@ class Runtime:
         and page population entirely.
         """
         layout = self.allocate_slot()
+        return self._admit(clone_process(self.memory, template, layout,
+                                         self._take_pid()), "warm")
+
+    def _take_pid(self) -> int:
         pid = self._next_pid
         self._next_pid += 1
-        proc = clone_process(self.memory, template, layout, pid)
-        self.processes[pid] = proc
+        return pid
+
+    def _load(self, image, verify: bool,
+              policy: Optional[VerifierPolicy]) -> Process:
+        """Parse (if bytes), verify and map ``image`` into a fresh slot."""
+        if isinstance(image, (bytes, bytearray)):
+            image = read_elf(bytes(image))
+        layout = self.allocate_slot()
+        return load_image(self.memory, image, layout, self._take_pid(),
+                          verify=verify, policy=policy,
+                          stack_size=self.stack_size)
+
+    def _admit(self, proc: Process, detail: str) -> Process:
+        """Schedule a new root process and announce its spawn."""
+        self.processes[proc.pid] = proc
         self.scheduler.add(proc)
-        self._emit(ProcessEvent(ts=self.machine.cycles, pid=pid,
-                                kind="spawn", detail="warm"))
+        self._emit(ProcessEvent(ts=self.machine.cycles, pid=proc.pid,
+                                kind="spawn", detail=detail))
         return proc
 
     # -- resource quotas -----------------------------------------------------------
@@ -334,8 +334,7 @@ class Runtime:
         optimization.  ``cow=False`` copies eagerly.
         """
         layout = self.allocate_slot()
-        pid = self._next_pid
-        self._next_pid += 1
+        pid = self._take_pid()
 
         if cow:
             alias_slot(self.memory, parent.layout, layout)

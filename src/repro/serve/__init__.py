@@ -4,15 +4,14 @@ The batch cluster answers "run these N jobs"; this package answers
 "stay up and keep answering": admission control with bounded queues and
 typed shedding, priority routing with per-tenant token buckets and
 deadlines, token-guarded policy hot-reload applied to running guests,
-crash recovery through checkpoints, and Prometheus-ready metrics
-(DESIGN.md §12).
+and Prometheus-ready metrics (DESIGN.md §12).  Crashes, restarts,
+migration and resizing belong to :class:`repro.cluster.Cluster`.
 """
 
 from ..errors import Overloaded, ServeError, StalePolicy
 from .gateway import (
     CLOCK_HZ,
     LATENCY_BUCKETS_S,
-    Autoscale,
     Gateway,
     ServeResult,
 )
@@ -29,7 +28,6 @@ from .loadgen import (
 from .policy import PolicyStore, TenantPolicy
 
 __all__ = [
-    "Autoscale",
     "CLOCK_HZ",
     "Gateway",
     "LATENCY_BUCKETS_S",

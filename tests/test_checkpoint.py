@@ -18,6 +18,7 @@ The acceptance contract (DESIGN.md §13):
 """
 
 import dataclasses
+import hashlib
 import os
 import pickle
 import pickletools
@@ -37,6 +38,7 @@ from repro.checkpoint import (
     track_slot_bases,
 )
 from repro.cluster import Cluster, WarmPool, derive_worker_seed, execute_job
+from repro.cluster.worker import execute_job_steps
 from repro.elf.format import write_elf
 from repro.errors import CheckpointError
 from repro.fuzz.differential import check_checkpoint
@@ -457,6 +459,60 @@ class TestIncrementalSession:
             consumed_cycles=runtime.machine.cycles)
         cold = take(runtime, proc)
         assert incremental.digest() == cold.digest()
+
+
+class TestCaptureOnRequest:
+    """``execute_job_steps`` captures a boundary only when its driver
+    asks: ``execute_job`` asks exactly where the worker captures (for the
+    sink, or for a stop's yield), and a driver that never asks, like the
+    gateway's lanes, gets no checkpoint at all."""
+
+    INTERVAL, TIMESLICE, STOP_AT = 500, 100, 4
+    #: sha256 of the sink blobs and of the yield blob; the same bytes as
+    #: a generator that captured every boundary whether asked or not.
+    PINNED = [
+        "b87084548c74a322490fafbbe9b2e9c7f4f59025ab2f36a2ab4e47fb05295c15",
+        "46357f3bd9abe67d8c8dff1ed2455d5dd03f7955a847b25497b8cf35258e1daa",
+        "ba623f999409318c37a6abfff086c258c7c0935003b0cbb5717dc5ae8e63dcad",
+        "8406298a7ab73aec39b2f666b22238ed3b90f50350413b2ea056c23825ac1bfa",
+    ]
+
+    def job(self):
+        return {"job_id": 0,
+                "program": write_elf(compile_lfi(STORE_SPIN).elf)}
+
+    def test_sink_and_yield_blobs_pinned(self):
+        sunk = []
+        yielded = execute_job(
+            Runtime(model=None, timeslice=self.TIMESLICE), None, self.job(),
+            checkpoint_interval=self.INTERVAL, checkpoint_sink=sunk.append,
+            control_poll=lambda job_id: len(sunk) == self.STOP_AT - 1)
+        assert yielded["kind"] == "yield"
+        blobs = [ckpt.to_bytes() for ckpt in sunk] + [yielded["checkpoint"]]
+        assert [hashlib.sha256(blob).hexdigest()
+                for blob in blobs] == self.PINNED
+
+    def test_stop_without_capture_is_a_cold_capture(self):
+        runtime = Runtime(model=None, timeslice=self.TIMESLICE)
+        steps = execute_job_steps(runtime, None, self.job(),
+                                  checkpoint_interval=self.INTERVAL)
+        next(steps)
+        for _ in range(self.STOP_AT):
+            info = steps.send({})
+            assert info["kind"] == "chunk" and info["checkpoint"] is None
+        # The job's metrics hub is the generator's own; everything else
+        # a capture walks must be what a cold capture_job sees here.
+        cold = capture_job(runtime, runtime.processes[info["pid"]],
+                           consumed_instructions=info["executed"],
+                           consumed_cycles=float(info["executed"]))
+        with pytest.raises(StopIteration) as stop:
+            steps.send({"stop": True})
+        yielded = Checkpoint.from_bytes(stop.value.value["checkpoint"])
+        assert yielded.metrics is not None
+        assert dataclasses.replace(yielded, metrics=None).to_bytes() \
+            == cold.to_bytes()
+        blob = stop.value.value["checkpoint"]
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED[-1]
 
 
 class TestBackoffAndOpsMetrics:

@@ -244,7 +244,7 @@ def test_speculative_run_leaves_a_log():
         machine.run(fuel=100_000)
     log = machine.speculation_log
     assert log is not None
-    assert log.predictions > 0
+    assert log.windows and log.squashes
     # The plain machine carries no log at all.
     assert slot_machine(elf).speculation_log is None
 
@@ -285,7 +285,7 @@ def test_gallery_is_deterministic_under_a_fixed_seed(attack):
     assert first.leakage == second.leakage
     for log_a, log_b in zip(first.logs, second.logs):
         assert log_a.access_trace() == log_b.access_trace()
-        assert log_a.summary() == log_b.summary()
+        assert log_a.windows == log_b.windows
         assert log_a.squashes == log_b.squashes
 
 

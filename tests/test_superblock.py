@@ -900,7 +900,7 @@ class TestLoopIsStepping:
             with pytest.raises(StopIteration) as stop:
                 while True:
                     info = steps.send(cmd)
-                    cmd = {}
+                    cmd = {"checkpoint": True}
                     if info["kind"] == "chunk":
                         pauses.append((info["executed"],
                                        info["checkpoint"].to_bytes()))
