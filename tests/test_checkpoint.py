@@ -647,6 +647,57 @@ class TestClusterRecovery:
         assert (keys, report) == long_reference
         assert fleet["workers"] == 1
 
+    def test_crash_resumes_from_checkpoint(self, long_batch):
+        """A crashed job resumes from its last checkpoint on the
+        restarted worker and ends exactly as an uncrashed run does."""
+        def run(**kwargs):
+            with Cluster(workers=1, **LONG_BATCH_KW, **kwargs) as cluster:
+                cluster.submit(long_batch[0])
+                return cluster.drain()[0], cluster.fleet_report()
+
+        clean, _ = run()
+        result, fleet = run(chaos={0: 0})
+        assert fleet["restarts"] == 1
+        assert result.deterministic_key() == clean.deterministic_key()
+        # Resumed mid-run, not re-run from scratch; the instructions
+        # count the whole program once.
+        assert 0 < result.diag["resumed_at"] < clean.diag["instructions"]
+        assert result.diag["instructions"] == clean.diag["instructions"]
+
+    def test_crash_incident_counts_the_job_in_flight(self, long_batch):
+        with Cluster(workers=1, chaos={0: 0}, **LONG_BATCH_KW) as cluster:
+            cluster.submit(long_batch[0])
+            cluster.drain()
+            crashes = [line for line in cluster.fleet_report()["incidents"]
+                       if "worker-crash" in line]
+        assert len(crashes) == 1
+        assert "with 1 job(s) in flight" in crashes[0]
+
+    def test_migrate_lands_on_target_worker(self, long_batch):
+        with Cluster(workers=2, **LONG_BATCH_KW) as cluster:
+            cluster.submit(long_batch[0])          # routed to worker 0
+            cluster.migrate(0, 1)
+            result = cluster.drain()[0]
+            fleet = cluster.fleet_report()
+        assert fleet["migrations"] == 1
+        assert result.diag["worker"] == 1
+        assert result.diag["resumed_at"] > 0       # moved mid-run
+
+    def test_resize_retires_busy_worker(self, long_batch):
+        """Shrinking drains the highest-id worker: the jobs routed to it
+        finish on the survivor, and it leaves the fleet."""
+        long_elf = long_batch[0]
+        with Cluster(workers=2, **LONG_BATCH_KW) as cluster:
+            for _ in range(4):                     # 1 and 3 go to worker 1
+                cluster.submit(long_elf)
+            cluster.resize(1)
+            results = cluster.drain()
+            fleet = cluster.fleet_report()
+        assert fleet["workers"] == 1
+        assert list(fleet["completed_per_worker"]) == [0]
+        assert results[3].diag["worker"] == 0
+        assert len({r.deterministic_key()[1:] for r in results}) == 1
+
     def test_chaos_faults_seeded_replay(self):
         """Seeded sandbox-level fault injection replays byte-identically."""
         elf = write_elf(compile_lfi(busy_program(2, 30_000)).elf)
