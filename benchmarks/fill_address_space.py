@@ -7,16 +7,18 @@ slot reclaimed (the paper's 64Ki sandboxes, §1 and §3).
 
 Prints the clones made, the host memory each idle clone holds
 (tracemalloc, over the cloning phase), the bytecodes of clone #100 and of
-clone #65 000 (or the last, if fewer), and the time of each phase.  Exits
+clone #65 000 (or the last, if fewer), the time of each phase and the
+process's peak RSS (``resource.getrusage``: ``ru_maxrss``).  Exits
 1 unless every clone exits with the template's code, the two clones
 executed the same bytecodes, an idle clone held at most 4.5 KiB, and the
-whole run took at most 10 minutes.  10 000 clones take 5-8 s and ~230 MiB
-at peak, most of it tracemalloc's, on a 2-vCPU x86 VM; time and memory
-grow linearly with the clones.
+whole run took at most 10 minutes.  10 000 clones take 4-8 s and a
+peak RSS of ~107 MiB, much of it tracemalloc's, on a 2-vCPU x86 VM; time
+and memory grow linearly with the clones.
 """
 
 import argparse
 import gc
+import resource
 import sys
 import time
 import tracemalloc
@@ -128,9 +130,12 @@ def main() -> int:
           f"template's)", flush=True)
 
     counts = [watched[n] for n in WATCHED]
+    # ru_maxrss is in KiB on Linux, in bytes on macOS.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mib = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
     print(f"spawn_clone bytecodes: clone #{WATCHED[0]} {counts[0]}, "
           f"clone #{WATCHED[1]} (or the last) {counts[1]}; total "
-          f"{t3 - t0:.1f} s")
+          f"{t3 - t0:.1f} s; peak RSS {peak_mib:.1f} MiB")
     failures = []
     if codes != {EXIT_CODE}:
         failures.append(f"exit codes {codes}, not {{{EXIT_CODE}}}")

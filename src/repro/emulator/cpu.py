@@ -4,13 +4,20 @@ from __future__ import annotations
 
 from typing import List
 
-from ..arm64.operands import canonical_condition
+from ..arm64.operands import Extended, Imm, Mem, POST_INDEX, PRE_INDEX, \
+    Shifted, ShiftedImm, canonical_condition
 from ..arm64.registers import Reg
 
 __all__ = ["CpuState", "MASK64", "MASK32"]
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
+
+
+def to_signed(value: int, bits: int) -> int:
+    if value & (1 << (bits - 1)):
+        return value - (1 << bits)
+    return value
 
 
 class CpuState:
@@ -72,10 +79,78 @@ class CpuState:
         # Scalar writes zero the rest of the 128-bit register (ARM64 rule).
         self.vregs[reg.index] = value & ((1 << reg.bits) - 1)
 
+    # -- operand evaluation ----------------------------------------------------
+
+    def value(self, op) -> int:
+        if isinstance(op, Reg):
+            return self.read(op)
+        if isinstance(op, Imm):
+            return op.value
+        if isinstance(op, ShiftedImm):
+            return op.value << op.shift
+        if isinstance(op, Shifted):
+            value = self.read(op.reg)
+            width = op.reg.bits
+            amount = op.amount % width
+            if op.kind == "lsl":
+                return (value << amount) & ((1 << width) - 1)
+            if op.kind == "lsr":
+                return value >> amount
+            if op.kind == "asr":
+                return to_signed(value, width) >> amount & ((1 << width) - 1)
+            if op.kind == "ror":
+                mask = (1 << width) - 1
+                return ((value >> amount) | (value << (width - amount))) & mask
+        if isinstance(op, Extended):
+            return self._extended_value(op)
+        raise TypeError(f"cannot evaluate operand {op!r}")
+
+    def _extended_value(self, op: Extended) -> int:
+        value = self.read(op.reg)
+        kind = op.kind
+        size = {"b": 8, "h": 16, "w": 32, "x": 64}[kind[-1]]
+        value &= (1 << size) - 1
+        if kind.startswith("s"):
+            value = to_signed(value, size) & MASK64
+        return (value << (op.amount or 0)) & MASK64
+
+    def address(self, mem: Mem):
+        """(access address, post-writeback value or None)."""
+        base = self.read(mem.base)
+        if mem.mode == POST_INDEX:
+            wb = (base + mem.imm_value) & MASK64
+            return base, wb
+        if mem.offset is None:
+            return base, None
+        if isinstance(mem.offset, Imm):
+            addr = (base + mem.offset.value) & MASK64
+            return addr, (addr if mem.mode == PRE_INDEX else None)
+        addr = (base + self.value(mem.offset)) & MASK64
+        return addr, None
+
     # -- flags -----------------------------------------------------------------
 
     def set_nzcv(self, n: int, z: int, c: int, v: int) -> None:
         self.n, self.z, self.c, self.v = n, z, c, v
+
+    def set_add_flags(self, a: int, b: int, width: int, carry_in: int = 0):
+        mask = (1 << width) - 1
+        raw = a + b + carry_in
+        result = raw & mask
+        n = (result >> (width - 1)) & 1
+        z = 1 if result == 0 else 0
+        c = 1 if raw > mask else 0
+        sa = to_signed(a, width)
+        sb = to_signed(b, width)
+        sres = to_signed(result, width)
+        v = 1 if (sa + sb + carry_in != sres) else 0
+        self.set_nzcv(n, z, c, v)
+        return result
+
+    def set_logic_flags(self, result: int, width: int):
+        n = (result >> (width - 1)) & 1
+        z = 1 if result == 0 else 0
+        self.set_nzcv(n, z, 0, 0)
 
     @property
     def nzcv(self) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
+from weakref import ref
 
 from ..arm64 import isa
 from ..arm64.decoder import decode_word, decode_word_pc
@@ -23,10 +24,6 @@ from ..arm64.operands import (
     Extended,
     FloatImm,
     Imm,
-    Mem,
-    POST_INDEX,
-    PRE_INDEX,
-    Shifted,
     ShiftedImm,
     VecReg,
 )
@@ -37,7 +34,7 @@ from ..hooks import HookRegistry
 from ..memory.layout import SANDBOX_BITS, slot_keys
 from ..memory.pages import MemoryFault, PagedMemory
 from . import costs
-from .cpu import CpuState, MASK32, MASK64
+from .cpu import CpuState, MASK32, MASK64, to_signed
 from .superblock import SuperblockEngine
 from .tlb import Tlb
 
@@ -66,13 +63,11 @@ class SvcTrap(Trap):
     """A supervisor call (``svc #imm``) — the host syscall interface."""
 
     def __init__(self, pc: int, imm: int):
-        self.imm = imm
         super().__init__(pc, f"svc #{imm} at {pc:#x}")
 
 
 class BrkTrap(Trap):
     def __init__(self, pc: int, imm: int):
-        self.imm = imm
         super().__init__(pc, f"brk #{imm} at {pc:#x}")
 
 
@@ -104,12 +99,6 @@ class HostCallTrap(Trap):
 
 class OutOfFuel(Exception):
     """The run() fuel budget was exhausted (used for preemption)."""
-
-
-def _to_signed(value: int, bits: int) -> int:
-    if value & (1 << (bits - 1)):
-        return value - (1 << bits)
-    return value
 
 
 _F32 = struct.Struct("<f")
@@ -293,13 +282,6 @@ class Machine:
         #: interpreter.  Both produce bit-identical architectural state
         #: and cycle counts (tests/test_superblock.py).
         self.engine = config.kind
-        #: Runtime springboard for translated runtime calls, or ``None``.
-        #: Set by :class:`repro.runtime.runtime.Runtime`; called by the
-        #: superblock dispatch loop with the host entry address after a
-        #: block's ``ldr``/``blr`` call pair lands on a registered host entry.
-        #: Returns ``(fresh_fuel, force_step)`` to resume translated
-        #: execution inline, or raises to end the slice.
-        self.springboard = None
         #: When True, :meth:`run` uses the stepping interpreter even if
         #: the superblock engine is enabled.  The runtime sets this from
         #: the scheduled process (fault injection, per-step tooling).
@@ -337,7 +319,10 @@ class Machine:
         #: A plain list, not a registry — this is the emulator's hottest
         #: path and the empty-list check must stay cheap.
         self._step_probes: List[Callable] = []
-        self._exec = _build_dispatch(self)
+        # What the machine owns holds nothing of it (DESIGN.md §10): the
+        # handlers close over ``cpu`` and ``memory``, the engines take the
+        # machine per run, and the memory's observer holds it weakly.
+        self._exec = _build_dispatch(self.cpu, memory)
         self._sb = SuperblockEngine(self)
         #: Bounded-speculation mode (DESIGN.md §16): when the engine
         #: config carries a SpeculationConfig, :meth:`run` drives the
@@ -348,9 +333,9 @@ class Machine:
         self.speculation_log = None
         if config.speculation is not None:
             from .speculation import SpeculativeEngine
-            self._spec = SpeculativeEngine(self, config.speculation)
+            self._spec = SpeculativeEngine(config.speculation)
             self.speculation_log = self._spec.log
-        memory.map_observers.append(self.invalidate_code)
+        memory.map_observers.append((ref(self), Machine.invalidate_code))
 
     # -- hooks ---------------------------------------------------------------
 
@@ -491,8 +476,17 @@ class Machine:
         if not taken:
             cpu.pc = pc + 4
 
-    def run(self, fuel: Optional[int] = None) -> None:
-        """Run until a trap; raises OutOfFuel when the budget is exhausted."""
+    def run(self, fuel: Optional[int] = None,
+            springboard: Optional[Callable] = None) -> None:
+        """Run until a trap; raises OutOfFuel when the budget is exhausted.
+
+        ``springboard`` (the runtime's, for this slice) is called by the
+        superblock dispatch loop with the host entry address after a
+        block's ``ldr``/``blr`` call pair lands on a registered host entry.
+        It returns ``(fresh_fuel, force_step)`` to resume translated
+        execution inline, or raises to end the slice.  Without one such
+        a landing raises HostCallTrap, as stepping does.
+        """
         if self.run_hooks.subscribed:
             self.run_hooks(self, fuel)
         if self._spec is not None:
@@ -504,14 +498,14 @@ class Machine:
                     "EngineConfig(speculation=...) cannot be combined with "
                     "per-step probes or forced stepping (--probe, trace "
                     "--sample, fault injection)")
-            self._spec.run(fuel)
+            self._spec.run(self, fuel)
             return
         # Per-instruction observability (step probes, forced stepping)
         # requires the stepping interpreter; the hook check comes first
         # because a run hook may have just registered a probe.
         if (self.engine == "superblock" and not self.force_stepping
                 and not self._step_probes):
-            self._sb.run(fuel)
+            self._sb.run(self, fuel, springboard)
             return
         step = self.step
         if fuel is None:
@@ -520,78 +514,6 @@ class Machine:
         for _ in range(fuel):
             step()
         raise OutOfFuel()
-
-    # -- operand evaluation ------------------------------------------------------
-
-    def _value(self, op) -> int:
-        cpu = self.cpu
-        if isinstance(op, Reg):
-            return cpu.read(op)
-        if isinstance(op, Imm):
-            return op.value
-        if isinstance(op, ShiftedImm):
-            return op.value << op.shift
-        if isinstance(op, Shifted):
-            value = cpu.read(op.reg)
-            width = op.reg.bits
-            amount = op.amount % width
-            if op.kind == "lsl":
-                return (value << amount) & ((1 << width) - 1)
-            if op.kind == "lsr":
-                return value >> amount
-            if op.kind == "asr":
-                return _to_signed(value, width) >> amount & ((1 << width) - 1)
-            if op.kind == "ror":
-                mask = (1 << width) - 1
-                return ((value >> amount) | (value << (width - amount))) & mask
-        if isinstance(op, Extended):
-            return self._extended_value(op)
-        raise TypeError(f"cannot evaluate operand {op!r}")
-
-    def _extended_value(self, op: Extended) -> int:
-        value = self.cpu.read(op.reg)
-        kind = op.kind
-        size = {"b": 8, "h": 16, "w": 32, "x": 64}[kind[-1]]
-        value &= (1 << size) - 1
-        if kind.startswith("s"):
-            value = _to_signed(value, size) & MASK64
-        return (value << (op.amount or 0)) & MASK64
-
-    def _address(self, mem: Mem) -> Tuple[int, Optional[int]]:
-        """(access address, post-writeback value or None)."""
-        cpu = self.cpu
-        base = cpu.read(mem.base)
-        if mem.mode == POST_INDEX:
-            wb = (base + mem.imm_value) & MASK64
-            return base, wb
-        if mem.offset is None:
-            return base, None
-        if isinstance(mem.offset, Imm):
-            addr = (base + mem.offset.value) & MASK64
-            return addr, (addr if mem.mode == PRE_INDEX else None)
-        addr = (base + self._value(mem.offset)) & MASK64
-        return addr, None
-
-    # -- flags ----------------------------------------------------------------
-
-    def _set_add_flags(self, a: int, b: int, width: int, carry_in: int = 0):
-        mask = (1 << width) - 1
-        raw = a + b + carry_in
-        result = raw & mask
-        n = (result >> (width - 1)) & 1
-        z = 1 if result == 0 else 0
-        c = 1 if raw > mask else 0
-        sa = _to_signed(a, width)
-        sb = _to_signed(b, width)
-        sres = _to_signed(result, width)
-        v = 1 if (sa + sb + carry_in != sres) else 0
-        self.cpu.set_nzcv(n, z, c, v)
-        return result
-
-    def _set_logic_flags(self, result: int, width: int):
-        n = (result >> (width - 1)) & 1
-        z = 1 if result == 0 else 0
-        self.cpu.set_nzcv(n, z, 0, 0)
 
 
 def _classify(inst: Instruction) -> str:
@@ -644,10 +566,9 @@ def _classify(inst: Instruction) -> str:
 # Each handler returns (branch_taken, memory_address_or_None).
 # ---------------------------------------------------------------------------
 
-def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
-    cpu = machine.cpu
-    mem = machine.memory
-    value = machine._value
+def _build_dispatch(cpu: CpuState, mem: PagedMemory) -> Dict[str, Callable]:
+    value, address = cpu.value, cpu.address
+    set_add_flags, set_logic_flags = cpu.set_add_flags, cpu.set_logic_flags
 
     def not_taken(addr=None):
         return (False, addr)
@@ -665,12 +586,12 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
         setflags = m.endswith("s")
         if sub:
             if setflags:
-                result = machine._set_add_flags(a, (~b) & mask, width, 1)
+                result = set_add_flags(a, (~b) & mask, width, 1)
             else:
                 result = (a - b) & mask
         else:
             if setflags:
-                result = machine._set_add_flags(a, b, width)
+                result = set_add_flags(a, b, width)
             else:
                 result = (a + b) & mask
         cpu.write(rd, result)
@@ -692,7 +613,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
         else:  # eor / eon
             result = a ^ b
         if m in ("ands", "bics"):
-            machine._set_logic_flags(result, width)
+            set_logic_flags(result, width)
         cpu.write(rd, result)
         return not_taken()
 
@@ -765,7 +686,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
         elif m == "lsr":
             result = a >> amount
         elif m == "asr":
-            result = (_to_signed(a, width) >> amount) & mask
+            result = (to_signed(a, width) >> amount) & mask
         else:  # ror
             result = ((a >> amount) | (a << (width - amount))) & mask
         cpu.write(rd, result)
@@ -786,19 +707,19 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
             rn, rm = inst.operands[1:]
             a, b = cpu.read(rn), cpu.read(rm)
             if m == "smull":
-                a, b = _to_signed(a, 32), _to_signed(b, 32)
+                a, b = to_signed(a, 32), to_signed(b, 32)
             cpu.write(rd, (a * b) & MASK64)
         elif m in ("smulh", "umulh"):
             rn, rm = inst.operands[1:]
             a, b = cpu.read(rn), cpu.read(rm)
             if m == "smulh":
-                a, b = _to_signed(a, 64), _to_signed(b, 64)
+                a, b = to_signed(a, 64), to_signed(b, 64)
             cpu.write(rd, ((a * b) >> 64) & MASK64)
         elif m in ("sdiv", "udiv"):
             rn, rm = inst.operands[1:]
             a, b = cpu.read(rn), cpu.read(rm)
             if m == "sdiv":
-                a, b = _to_signed(a, width), _to_signed(b, width)
+                a, b = to_signed(a, width), to_signed(b, width)
             if b == 0:
                 result = 0
             else:
@@ -866,9 +787,9 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
             a = cpu.read(rn)
             b = value(src) & mask
             if m == "ccmp":
-                machine._set_add_flags(a, (~b) & mask, width, 1)
+                set_add_flags(a, (~b) & mask, width, 1)
             else:
-                machine._set_add_flags(a, b, width)
+                set_add_flags(a, b, width)
         else:
             cpu.nzcv = nzcv.value
         return not_taken()
@@ -926,13 +847,11 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
 
     # -- memory ---------------------------------------------------------------
 
-    _SIGNED_LOADS = {"ldrsb": 8, "ldrsh": 16, "ldrsw": 32}
-
     def do_load(inst: Instruction):
         m = inst.mnemonic
         rt = inst.operands[0]
         memop = inst.operands[1]
-        addr, wb = machine._address(memop)
+        addr, wb = address(memop)
         size = access_bytes(inst)
         data = mem.read(addr, size)
         raw = int.from_bytes(data, "little")
@@ -941,7 +860,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
         else:
             signed_bits = _SIGNED_LOADS_MAP.get(m)
             if signed_bits:
-                raw = _to_signed(raw, signed_bits) & (
+                raw = to_signed(raw, signed_bits) & (
                     MASK64 if rt.bits == 64 else MASK32
                 )
             cpu.write(rt, raw)
@@ -955,7 +874,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
         m = inst.mnemonic
         rt = inst.operands[0]
         memop = inst.operands[1]
-        addr, wb = machine._address(memop)
+        addr, wb = address(memop)
         size = access_bytes(inst)
         if rt.is_vector:
             data = cpu.read_v(rt).to_bytes(size, "little")
@@ -971,7 +890,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
     def do_pair(inst: Instruction):
         m = inst.mnemonic
         rt, rt2, memop = inst.operands
-        addr, wb = machine._address(memop)
+        addr, wb = address(memop)
         size = access_bytes(inst)
         if m == "ldp":
             for i, reg in enumerate((rt, rt2)):
@@ -994,7 +913,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
 
     def do_store_exclusive(inst: Instruction):
         rs, rt, memop = inst.operands
-        addr, _ = machine._address(memop)
+        addr, _ = address(memop)
         size = access_bytes(inst)
         if cpu.exclusive_addr == addr:
             mem.write(addr, (cpu.read(rt) & ((1 << (size * 8)) - 1)).to_bytes(
@@ -1106,7 +1025,7 @@ def _build_dispatch(machine: Machine) -> Dict[str, Callable]:
         rd, rn = inst.operands
         raw = cpu.read(rn)
         if m == "scvtf":
-            raw = _to_signed(raw, rn.bits)
+            raw = to_signed(raw, rn.bits)
         fp_write(rd, float(raw))
         return not_taken()
 

@@ -111,10 +111,10 @@ class ReturnStack:
 
 
 class SpeculativeEngine:
-    """Drives one :class:`~repro.emulator.machine.Machine` speculatively."""
+    """Drives one :class:`~repro.emulator.machine.Machine` speculatively:
+    the machine owns the engine and hands itself over per :meth:`run`."""
 
-    def __init__(self, machine, config: SpeculationConfig):
-        self.machine = machine
+    def __init__(self, config: SpeculationConfig):
         self.config = config
         self.log = SpeculationLog()
         rng = random.Random(config.seed)
@@ -123,43 +123,41 @@ class SpeculativeEngine:
 
     # -- architectural loop -------------------------------------------------
 
-    def run(self, fuel: Optional[int] = None) -> None:
+    def run(self, machine, fuel: Optional[int] = None) -> None:
         """Mirror of the stepping ``Machine.run`` loop, with prediction."""
         from .machine import OutOfFuel
         step = self._step
         if fuel is None:
             while True:
-                step()
+                step(machine)
         for _ in range(fuel):
-            step()
+            step(machine)
         raise OutOfFuel()
 
-    def _step(self) -> None:
+    def _step(self, machine) -> None:
         """One architectural instruction, plus any transient window."""
-        machine = self.machine
         cpu = machine.cpu
         pc = cpu.pc
         if pc in machine._host_entries:
             machine.step()  # raises HostCallTrap like the stepping path
             return
-        inst = self._peek(pc)
+        inst = self._peek(machine, pc)
         if inst is None:
             machine.step()  # raises the precise fetch/decode trap
             return
         mnemonic = inst.mnemonic
         if mnemonic.startswith("b.") or mnemonic in _COND_BRANCHES:
-            self._step_conditional(inst, pc, mnemonic)
+            self._step_conditional(machine, inst, pc, mnemonic)
         elif mnemonic == "ret":
-            self._step_return(pc)
+            self._step_return(machine, pc)
         elif mnemonic in ("bl", "blr"):
             machine.step()
             self.rsb.push((pc + 4) & MASK64)
         else:
             machine.step()
 
-    def _step_conditional(self, inst: Instruction, pc: int,
+    def _step_conditional(self, machine, inst: Instruction, pc: int,
                           mnemonic: str) -> None:
-        machine = self.machine
         predicted_taken = self.pht.predict(pc)
         # Decoded branch targets are value-bearing (absolute) operands,
         # so the wrong-path address is known before the branch executes.
@@ -169,34 +167,34 @@ class SpeculativeEngine:
             target_op = inst.operands[1]
         else:  # tbz/tbnz
             target_op = inst.operands[2]
-        target = machine._value(target_op) & MASK64
+        target = machine.cpu.value(target_op) & MASK64
         machine.step()
         actual_taken = machine.cpu.pc != ((pc + 4) & MASK64)
         self.pht.update(pc, actual_taken)
         if actual_taken != predicted_taken:
             wrong = target if predicted_taken else (pc + 4) & MASK64
-            self._run_window("cond", pc, wrong)
+            self._run_window(machine, "cond", pc, wrong)
 
-    def _step_return(self, pc: int) -> None:
-        machine = self.machine
+    def _step_return(self, machine, pc: int) -> None:
         predicted = self.rsb.pop()
         machine.step()
         if machine.cpu.pc != predicted:
-            self._run_window("ret", pc, predicted)
+            self._run_window(machine, "ret", pc, predicted)
 
     # -- transient window ---------------------------------------------------
 
-    def _peek(self, pc: int) -> Optional[Instruction]:
+    @staticmethod
+    def _peek(machine, pc: int) -> Optional[Instruction]:
         """Decode without executing or raising; None = would trap on fetch."""
         from .machine import Trap
         try:
-            return self.machine.predecode(pc)[0]
+            return machine.predecode(pc)[0]
         except Trap:
             return None
 
-    def _run_window(self, kind: str, branch_pc: int, wrong_pc: int) -> None:
+    def _run_window(self, machine, kind: str, branch_pc: int,
+                    wrong_pc: int) -> None:
         from .machine import Trap
-        machine = self.machine
         cpu = machine.cpu
         window = self.log.begin_window(SpeculationWindow(
             kind=kind, branch_pc=branch_pc, wrong_pc=wrong_pc,
@@ -225,7 +223,7 @@ class SpeculativeEngine:
             if pc in machine._host_entries:
                 reason = "host-entry"
                 break
-            inst = self._peek(pc)
+            inst = self._peek(machine, pc)
             if inst is None:
                 reason = "fetch-fault"
                 break
@@ -248,7 +246,7 @@ class SpeculativeEngine:
             if memop is not None:
                 # Record the access *before* executing it: a faulting
                 # transient access still touched the translation path.
-                address = machine._address(memop)[0]
+                address = cpu.address(memop)[0]
                 size = access_bytes(inst)
                 if mnemonic in isa.PAIR_MEMORY:
                     size *= 2

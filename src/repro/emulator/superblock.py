@@ -34,8 +34,8 @@ Design rules (DESIGN.md §10, §11):
   ``blr x30`` — the rewriter's :func:`is_runtime_call_load` predicate)
   carries that as a fact, ``call_tail``: the pair are the same two ops as
   anywhere else, and the dispatch loop hands the address such a block
-  lands on straight to the runtime's *springboard*
-  (``machine.springboard``) instead of raising ``HostCallTrap``; the
+  lands on straight to the runtime's *springboard* (handed to
+  ``Machine.run`` per slice) instead of raising ``HostCallTrap``; the
   springboard resumes translated execution inline when the scheduler
   allows (DESIGN.md §11);
 * every turn of the dispatch loop is one host-entry check and one cache
@@ -121,15 +121,16 @@ _WORD = struct.Struct("<I")
 
 
 class _Bindings:
-    """One machine's objects (and its engine) by the names a generated
-    body's maker gives its leading parameters (``objects``)."""
+    """One machine's components by the names a generated body's maker
+    gives its leading parameters (``objects``).  None of them holds the
+    machine or its engine: a body gets those as arguments, so the blocks
+    that keep it keep no cycle alive."""
 
-    def __init__(self, machine, engine):
+    def __init__(self, machine):
         cpu, memory, costing = machine.cpu, machine.memory, machine._costing
         self.objects = {"cpu": cpu, "regs": cpu.regs, "vregs": cpu.vregs,
                         **memory.source_objects(),
-                        "handlers": machine._exec, "machine": machine,
-                        "engine": engine}
+                        "handlers": machine._exec}
         if costing is not None:
             tlb, l1 = costing.tlb, costing.l1
             self.objects.update(
@@ -206,10 +207,10 @@ class Superblock:
     there invalidates it.
 
     ``fn`` is the template's generated body bound to this machine,
-    ``fn(start, fuel)`` returning the instructions it retired, negated
-    when it left by falling through: set at translation when the content
-    is hot already, or at the dispatch that makes it hot; None until then,
-    and the block is stepped.
+    ``fn(start, fuel, machine, engine)`` returning the instructions it
+    retired, negated when it left by falling through: set at translation
+    when the content is hot already, or at the dispatch that makes it
+    hot; None until then, and the block is stepped.
     """
 
     __slots__ = ("start", "end", "count", "call_tail", "template", "fn",
@@ -288,7 +289,7 @@ _COND_DEFERRED = {
 
 def _nzcv_source(width: int, y: str) -> List[str]:
     """The lines storing deferred flags of ``width`` to ``cpu`` as the
-    ints 0/1 ``Machine._set_add_flags`` leaves."""
+    ints 0/1 ``CpuState.set_add_flags`` leaves."""
     return [f"cpu.n = fres >> {width - 1}", "cpu.z = 0 if fres else 1",
             f"cpu.c = fraw >> {width}",
             f"cpu.v = ((fx ^ fres) & ({y} ^ fres)) >> {width - 1}"]
@@ -470,7 +471,7 @@ def _e_addsub(w, d, n, b, width, sub, form):
 
 @_emits(K_SIMPLE)
 def _e_addsub_flags(w, d, n, b, width, sub, form, writes):
-    """adds/subs/cmp/cmn: ``Machine._set_add_flags`` on ``n + b`` or
+    """adds/subs/cmp/cmn: ``CpuState.set_add_flags`` on ``n + b`` or
     ``n + ~b + 1`` (an immediate arrives already inverted), its NZCV left
     deferred (``_Writer.flags``)."""
     mask = hex((1 << width) - 1)
@@ -713,13 +714,19 @@ def _e_generic_at(w, inst, base, pc, reads_pc, decodes):
 # ---------------------------------------------------------------------------
 
 class SuperblockEngine:
-    """Block cache + translator + block-dispatch loop for one Machine."""
+    """Block cache + translator + block-dispatch loop for one Machine.
+
+    The machine owns the engine; the engine keeps the machine's
+    components, never the machine, which :meth:`run` is handed."""
 
     def __init__(self, machine):
         # Imported lazily: machine.py imports this module at its top.
         from . import machine as M
         self._M = M
-        self.machine = machine
+        self._cpu, self._memory, self._model = \
+            machine.cpu, machine.memory, machine.model
+        self._costing, self._host, self._handlers = \
+            machine._costing, machine._host_entries, machine._exec
         self._blocks: Dict[int, Superblock] = {}
         #: slot -> the starts of its blocks (a block lies in one page).
         self._slot_blocks: Dict[int, set] = {}
@@ -735,7 +742,7 @@ class SuperblockEngine:
         self.compiled_blocks = 0
         _NAMESPACE.update(MemTrap=M.MemTrap, b2f=M._bits_to_float,
                           f2b=M._float_to_bits)
-        self._bindings = _Bindings(machine, self)
+        self._bindings = _Bindings(machine)
         #: template -> its generated body bound to this machine; capped
         #: like the templates themselves.
         self._bodies: Dict[BlockTemplate, object] = {}
@@ -778,8 +785,9 @@ class SuperblockEngine:
 
     # -- driving ------------------------------------------------------------
 
-    def run(self, fuel: Optional[int]) -> None:
-        """Run blocks until a trap; raises OutOfFuel when fuel runs out.
+    def run(self, machine, fuel: Optional[int], springboard=None) -> None:
+        """Run ``machine``'s blocks until a trap; raises OutOfFuel when
+        fuel runs out.
 
         Semantics match ``Machine.run``'s stepping loop exactly: with
         fuel ``n``, exactly ``n`` instructions retire (the ``n+1``-th may
@@ -788,15 +796,15 @@ class SuperblockEngine:
         remaining = fuel if fuel is not None else (1 << 62)
         if remaining <= 0:
             raise self._M.OutOfFuel()
-        remaining = self._dispatch(remaining)
+        remaining = self._dispatch(machine, remaining, springboard)
         # A block larger than the remaining fuel: fall back to stepping
         # for the tail of the slice, then report preemption.
-        step = self.machine.step
+        step = machine.step
         for _ in range(remaining):
             step()
         raise self._M.OutOfFuel()
 
-    def _dispatch(self, remaining: int) -> int:
+    def _dispatch(self, machine, remaining: int, springboard) -> int:
         """The block-dispatch loop; returns the fuel left for stepping.
 
         Per block: look it up (host check, cache, translate), stop if it
@@ -809,12 +817,11 @@ class SuperblockEngine:
         and retires, charges, sets pc and raises as the reference does.
         """
         M = self._M
-        machine = self.machine
-        cpu = machine.cpu
-        host = machine._host_entries
+        cpu = self._cpu
+        step = machine.step
+        host = self._host
         blocks = self._blocks
         translate = self._translate
-        springboard = machine.springboard
         step_path = self._step_path
         n = 0
         try:
@@ -836,9 +843,9 @@ class SuperblockEngine:
                         if template.hits >= _COMPILE_THRESHOLD:
                             fn = self._compile_block(block)
                 if fn is None:
-                    remaining -= step_path(block)
+                    remaining -= step_path(step, block)
                 else:
-                    done = fn(pc0, remaining)
+                    done = fn(pc0, remaining, machine, self)
                     if done < 0:
                         done = -done
                         cpu.pc = block.end
@@ -863,10 +870,10 @@ class SuperblockEngine:
         finally:
             machine.instret += n
 
-    def _step_path(self, block: Superblock) -> int:
+    def _step_path(self, step, block: Superblock) -> int:
         """Step a cold run along its path as long as it stays on it (a
         taken side exit leaves); returns the instructions retired."""
-        step, cpu, start = self.machine.step, self.machine.cpu, block.start
+        cpu, start = self._cpu, block.start
         done = 0
         for op in block.template.ops:
             if cpu.pc != start + op[4][0]:
@@ -894,8 +901,8 @@ class SuperblockEngine:
 
     def _compile(self, template: BlockTemplate):
         """Generate ``template``'s body: ``(maker, constants)`` of one
-        function ``run(pc0, fuel)`` returning the instructions it
-        retired, negated when it left by falling through.
+        function ``run(pc0, fuel, machine, engine)`` returning the
+        instructions it retired, negated when it left by falling through.
 
         A body is lines + rows.  Each op contributes its emitter's lines
         with the operands as literals, then — under a cost model — its
@@ -945,13 +952,14 @@ class SuperblockEngine:
         trip's from the second trip on (``_Writer.entry``), unless it
         reads them; then the back edge stores them, every trip.
 
-        The maker's parameters are the machine objects the body names
-        (bound by ``_Bindings``) and the template's constants: the code
-        names no address, machine or slot, so it serves every block of
-        the content anywhere.
+        The maker's parameters are the machine's components the body
+        names (bound by ``_Bindings``) and the template's constants; the
+        machine and the engine, whose counters it adds to, come as
+        arguments: the code names no address, machine or slot, so it
+        serves every block of the content anywhere.
         """
         began = perf_counter()
-        costing = self.machine._costing
+        costing = self._costing
         ops, exits, loops = template.ops, template.exits, template.loops
         count = len(ops)
         # Kept in locals where something can hit: in a loop, or where a
@@ -966,7 +974,7 @@ class SuperblockEngine:
             # unless it reads them: then the back edge stores them.
             for _kind, shape, args, rel, _row in ops:
                 shape.emit(trip, *map(repr, args), *["pc0"] * len(rel or ()))
-        w = _Writer(self.machine.memory, inline, trip.gprs if loops else None,
+        w = _Writer(self._memory, inline, trip.gprs if loops else None,
                     None if trip.read_fresh else trip.flags)
         rows = sum(op[0] & K_MEM for op in ops)  # memory rows
         units = loops or rows > 1
@@ -1146,7 +1154,7 @@ class SuperblockEngine:
                 *w.nzcv(), f"return {done} if taken else -{done}"
                 if ops[-1][0] & K_BRANCH else f"return -{done}"]
         maker = _function("body", [*self._bindings.objects, "consts"], body,
-                          "run(pc0, fuel)")
+                          "run(pc0, fuel, machine, engine)")
         stats = _GENERATED.setdefault(self._cost_id, [0, 0.0])
         stats[0] += 1
         stats[1] += (perf_counter() - began) * 1e3
@@ -1167,12 +1175,11 @@ class SuperblockEngine:
         with the exact pc).
         """
         M = self._M
-        machine = self.machine
         try:
-            buf, first = machine.memory.fetch_page(start)
+            buf, first = self._memory.fetch_page(start)
         except MemoryFault as fault:
             raise M.MemTrap(start, fault) from None
-        host = machine._host_entries
+        host, handlers = self._host, self._handlers
         known = M.WORD_FACTS
         UNDECODABLE, PLAIN, COND, JUMP, TRAP = (
             M.W_UNDECODABLE, M.W_PLAIN, M.W_COND, M.W_JUMP, M.W_TRAP)
@@ -1188,7 +1195,7 @@ class SuperblockEngine:
                                     + (at - seg >> 2) == _COMPILE_MAX_OPS):
                     break
                 shape = (known.get(word)
-                         or M.word_facts(word, machine._exec))[0]
+                         or M.word_facts(word, handlers))[0]
                 if shape == UNDECODABLE:
                     if at == start:
                         raise M.UnknownInstructionTrap(start, word)
@@ -1244,8 +1251,8 @@ class SuperblockEngine:
         a decode or a link computes from pc comes out as a displacement
         from the block start."""
         M = self._M
-        handlers = self.machine._exec
-        model = self.machine.model
+        handlers = self._handlers
+        model = self._model
         last = len(text) - 4
         ops = []
         insts = []

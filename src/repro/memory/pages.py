@@ -98,15 +98,19 @@ class PagedMemory:
         #: permission-checked write.  The containment auditor uses it to
         #: attribute stores to the sandbox that issued them.
         self.write_observer = None
-        #: Callbacks ``(address, size)`` invoked whenever the *mapping*
-        #: of a region changes (map, unmap, protect, share).  The machine
-        #: uses this to drop translated superblocks and cached decodes
-        #: whose backing text may have changed.
+        #: ``(weakref to an owner, function)`` pairs: ``function(owner,
+        #: address, size)`` is invoked whenever the *mapping* of a region
+        #: changes (map, unmap, protect, share) while the owner lives.
+        #: The machine uses this to drop translated superblocks and cached
+        #: decodes whose backing text may have changed; held weakly, the
+        #: memory keeps no machine alive.
         self.map_observers: list = []
 
     def _notify_map_change(self, address: int, size: int) -> None:
-        for observer in self.map_observers:
-            observer(address, size)
+        for owner, observer in self.map_observers:
+            owner = owner()
+            if owner is not None:
+                observer(owner, address, size)
 
     # -- per-slot tables: a query about one slot reads that slot alone ------
 

@@ -165,7 +165,6 @@ class Runtime:
         self.calls_inline = 0
         for call in RuntimeCall.ALL:
             self.machine.register_host_entry(entry_address(call), call)
-        self.machine.springboard = self._springboard
 
     def _emit(self, event) -> None:
         if self.tracer is not None:
@@ -578,7 +577,7 @@ class Runtime:
         try:
             self._in_guest = True
             try:
-                machine.run(fuel=self.scheduler.timeslice)
+                machine.run(self.scheduler.timeslice, self._springboard)
             finally:
                 self._in_guest = False
         except _SliceExit:

@@ -158,26 +158,30 @@ class Vfs:
 
     def state_dict(self) -> dict:
         """Serializable snapshot of the whole tree plus the deny policy."""
-        def encode(node: _Dir) -> dict:
-            return {
-                name: (bytes(child.data) if isinstance(child, _File)
-                       else encode(child))
-                for name, child in sorted(node.entries.items())
-            }
-        return {"tree": encode(self.root),
+        return {"tree": _encode(self.root),
                 "denied": list(self.denied_prefixes)}
 
     def load_state(self, state: dict) -> None:
         """Replace the tree and policy with a :meth:`state_dict` snapshot."""
-        def decode(entries: dict) -> _Dir:
-            node = _Dir()
-            for name, child in entries.items():
-                node.entries[name] = (_File(bytearray(child))
-                                      if isinstance(child, (bytes, bytearray))
-                                      else decode(child))
-            return node
-        self.root = decode(state["tree"])
+        self.root = _decode(state["tree"])
         self.denied_prefixes = list(state["denied"])
+
+
+# Module-level, not closures in the methods: a recursive closure refers to
+# itself, and each call would leave that cycle to the collector.
+def _encode(node: _Dir) -> dict:
+    return {name: (bytes(child.data) if isinstance(child, _File)
+                   else _encode(child))
+            for name, child in sorted(node.entries.items())}
+
+
+def _decode(entries: dict) -> _Dir:
+    node = _Dir()
+    for name, child in entries.items():
+        node.entries[name] = (_File(bytearray(child))
+                              if isinstance(child, (bytes, bytearray))
+                              else _decode(child))
+    return node
 
 
 class FileHandle:

@@ -742,7 +742,8 @@ class TestAnOpIsLines:
                         for at, run in (
                                 (pc, lambda: handler(inst)),
                                 (self.START,
-                                 lambda: body(self.START, 1) > 0)):
+                                 lambda: body(self.START, 1, machine,
+                                              engine) > 0)):
                             cpu.restore(dict(state, pc=at))
                             cpu.exclusive_addr = None
                             outcomes.append(

@@ -17,9 +17,10 @@ class defining the name counts for every one of them; such a string
 counts for none.
 A stored attribute is used only through an attribute *load* (a store or
 an augmented assignment reads nothing out) or a string constant
-(``getattr(sb, "translations")``).  Dunders are private by spelling, and
-a method that overrides a hook of a class outside the package
-(``pickle.Unpickler.find_class``) is called by that class."""
+(``getattr(sb, "translations")``) that reaches, as a method's does, a
+class whose methods store it on ``self``.  Dunders are private by
+spelling, and a method that overrides a hook of a class outside the
+package (``pickle.Unpickler.find_class``) is called by that class."""
 
 import ast
 import functools
@@ -66,9 +67,8 @@ def _trees():
 
 @functools.lru_cache(maxsize=None)
 def _references():
-    """(bare names used, attributes used, attributes loaded,
-    identifier-like string constants)."""
-    names, attributes, loaded, spelled = set(), set(), set(), set()
+    """(bare names used, attributes used, attributes loaded)."""
+    names, attributes, loaded = set(), set(), set()
     for _, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -79,11 +79,7 @@ def _references():
                     loaded.add(node.attr)
             elif isinstance(node, ast.alias) and node.asname:
                 names.add(node.name.rpartition(".")[2])
-            elif (isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and node.value.isidentifier()):
-                spelled.add(node.value)
-    return names, attributes, loaded, spelled
+    return names, attributes, loaded
 
 
 def _classes():
@@ -117,7 +113,7 @@ def test_every_public_definition_has_a_caller_outside_tests():
                 if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and not node.name.startswith("_")):
                     defined[node.name] = path.relative_to(ROOT)
-    names, attributes, _, _ = _references()
+    names, attributes, _ = _references()
     orphans = sorted(f"{path}: {name}" for name, path in defined.items()
                      if name not in names | attributes
                      and name not in ALLOWED)
@@ -183,17 +179,30 @@ def _reach(path: Path, scope) -> set:
     return reached
 
 
+def _stores(method):
+    """The attribute nodes ``method`` stores on ``self``."""
+    return [node for node in ast.walk(method)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
 @functools.lru_cache(maxsize=None)
-def _method_uses():
-    """Method name -> the class names its uses count for, or None where
-    some attribute use reaches no class defining the name (a string that
-    reaches none counts for none)."""
+def _uses(stored: bool = False):
+    """Method name (``stored``: stored attribute name) -> the class names
+    its uses count for.  A method's attribute uses count, and are None
+    where some reaches no class defining the name; a stored attribute's
+    loads count for every class (``_references``), so only its strings
+    are resolved here.  A string that reaches no definer counts for
+    none."""
     _, related = _hierarchy()
     definers = {}
     for _, cls in _classes():
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                definers.setdefault(node.name, set()).add(cls.name)
+                for name in ({store.attr for store in _stores(node)}
+                             if stored else {node.name}):
+                    definers.setdefault(name, set()).add(cls.name)
     uses = {}
 
     def resolve(name, scopes):
@@ -205,7 +214,8 @@ def _method_uses():
         return None
 
     def visit(path, node, scopes):
-        if isinstance(node, ast.Attribute) and node.attr in definers:
+        if (not stored and isinstance(node, ast.Attribute)
+                and node.attr in definers):
             hits = resolve(node.attr, scopes)
             seen = uses.setdefault(node.attr, set())
             if hits is None or seen is None:
@@ -228,7 +238,7 @@ def _method_uses():
 
 
 def test_every_public_method_has_a_caller_outside_tests():
-    uses = _method_uses()
+    uses = _uses()
     orphans = []
     for path, cls in _classes():
         for node in cls.body:
@@ -247,20 +257,17 @@ def test_every_public_method_has_a_caller_outside_tests():
 
 
 def test_every_stored_attribute_is_read_outside_tests():
-    _, _, loaded, spelled = _references()
-    read = loaded | spelled
+    _, _, loaded = _references()
+    spelled = _uses(stored=True)
     orphans = set()
     for path, cls in _classes():
         for method in cls.body:
             if not isinstance(method, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
                 continue
-            for node in ast.walk(method):
-                if (isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Store)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                        and node.attr not in read
+            for node in _stores(method):
+                if (node.attr not in loaded
+                        and cls.name not in spelled.get(node.attr, ())
                         and f"{cls.name}.{node.attr}"
                         not in ALLOWED_ATTRIBUTES):
                     orphans.add(f"{path.relative_to(ROOT)}: "

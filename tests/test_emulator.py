@@ -350,11 +350,11 @@ class TestTraps:
 
     def test_svc(self):
         trap, _ = self.run_trap("mov x8, #93\n svc #0\n", SvcTrap)
-        assert trap.imm == 0
+        assert str(trap).startswith("svc #0 at")
 
     def test_brk(self):
         trap, _ = self.run_trap("brk #42\n", BrkTrap)
-        assert trap.imm == 42
+        assert str(trap).startswith("brk #42 at")
 
     def test_unmapped_load(self):
         trap, _ = self.run_trap(

@@ -1,0 +1,162 @@
+"""A finished sandbox is freed by reference count (DESIGN.md §10, §11).
+
+The objects under a :class:`Runtime` form an ownership tree: nothing
+holds its owner strongly (the memory's map observer holds the machine
+weakly, the engines and generated bodies are handed the machine per
+call, the springboard per slice).  So dropping the last reference to a runtime
+frees its machine, engine, memory and guest pages at once, not at the
+cyclic collector's next full pass.  Each lifecycle below runs with the
+collector off; whatever ``gc.collect()`` then finds is a cycle that
+would have kept those pages alive.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro import EngineConfig
+from repro.cluster import WarmPool, execute_job
+from repro.elf import write_elf
+from repro.emulator import APPLE_M1
+from repro.engine import SpeculationConfig
+from repro.perf.microbench import measure_pipe_ns
+from repro.runtime import Runtime
+from repro.serve.lane import Lane
+from repro.toolchain import compile_lfi
+from repro.workloads.rtlib import busy_program
+
+TIMESLICE = 500
+
+
+@pytest.fixture(scope="module")
+def image():
+    return write_elf(compile_lfi(busy_program(3, 4_000)).elf)
+
+
+@pytest.fixture(scope="module")
+def blob(image):
+    """A checkpoint of ``image``'s job stopped at its second boundary."""
+    sunk = []
+    yielded = execute_job(
+        Runtime(model=None, timeslice=TIMESLICE),
+        None, {"job_id": 0, "program": image},
+        checkpoint_interval=1_000, checkpoint_sink=sunk.append,
+        control_poll=lambda job_id: len(sunk) == 1)
+    assert yielded["kind"] == "yield"
+    return yielded["checkpoint"]
+
+
+def cyclic_garbage(life, *args) -> int:
+    """What the collector finds after ``life(*args)`` ran with it off."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        life(*args)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def watch(runtime: Runtime) -> tuple:
+    return weakref.ref(runtime), weakref.ref(runtime.memory)
+
+
+def freed(refs: tuple) -> bool:
+    """Whether the runtime and the memory ``refs`` watch are gone."""
+    return all(ref() is None for ref in refs)
+
+
+class TestARuntimeIsFreedByReferenceCount:
+    @pytest.mark.parametrize("model", [APPLE_M1, None],
+                             ids=["apple-m1", "no-model"])
+    def test_a_finished_runtime(self, image, model):
+        def life():
+            runtime = Runtime(model=model)
+            assert runtime.run_until_exit(runtime.spawn(image)) == 3
+            refs = watch(runtime)
+            del runtime
+            assert freed(refs)
+        assert cyclic_garbage(life) == 0
+
+    def test_a_runtime_dropped_mid_run(self, image):
+        def life():
+            runtime = Runtime(model=APPLE_M1, timeslice=TIMESLICE)
+            assert not runtime.run_bounded(runtime.spawn(image), 2_000)
+            refs = watch(runtime)
+            del runtime
+            assert freed(refs)
+        assert cyclic_garbage(life) == 0
+
+    def test_a_forked_pipe_pair_run_to_exit(self):
+        assert cyclic_garbage(measure_pipe_ns, APPLE_M1, 4) == 0
+
+    def test_a_runtime_under_speculation(self, image):
+        def life():
+            runtime = Runtime(model=APPLE_M1, engine=EngineConfig(
+                speculation=SpeculationConfig()))
+            assert runtime.run_until_exit(runtime.spawn(image)) == 3
+            assert runtime.machine.speculation_log.windows
+            refs = watch(runtime)
+            del runtime
+            assert freed(refs)
+        assert cyclic_garbage(life) == 0
+
+
+class TestAWorkerJobLeavesNoCycle:
+    @pytest.mark.parametrize("path", ["cold", "warm", "resume"])
+    def test_a_job_then_reclaim(self, image, blob, path):
+        """The job's end (its slots reclaimed), then the pool's template
+        slot reclaimed, then the runtime dropped: no cycle at any step.
+        The warm job is the pool's second (its first built the
+        template); the resume job restores ``blob``."""
+        runtime = Runtime(model=None, timeslice=TIMESLICE)
+        pool = WarmPool(runtime) if path == "warm" else None
+        job = {"job_id": 0, "program": image}
+        if path == "warm":
+            execute_job(runtime, pool, job)
+        if path == "resume":
+            job["resume"] = blob
+
+        def job_end():
+            payload = execute_job(runtime, pool, job)
+            assert payload["kind"] == "result"
+            assert payload["exit_code"] == 3
+            assert payload["diag"]["warm"] is (path == "warm")
+            assert ("resumed_at" in payload["diag"]) == (path == "resume")
+            assert runtime.processes == {}
+
+        def reclaim():
+            for template in (pool._templates.values() if pool else ()):
+                runtime.reclaim(template)
+            assert runtime.memory.pages_in_range() == 0
+
+        def drop():
+            nonlocal runtime, pool
+            refs = watch(runtime)
+            runtime = pool = None
+            assert freed(refs)
+
+        assert cyclic_garbage(job_end) == 0
+        assert cyclic_garbage(reclaim) == 0
+        assert cyclic_garbage(drop) == 0
+
+
+def test_a_gateway_lanes_whole_life(image):
+    """A lane made, a job begun and stepped chunk by chunk to its result,
+    the lane dropped."""
+    def life():
+        lane = Lane(0, timeslice=TIMESLICE)
+        lane.begin({"job_id": 0, "program": image},
+                   checkpoint_interval=1_000)
+        while lane.gen is not None:
+            info, _delta = lane.step({"checkpoint": True})
+        assert info["kind"] == "result" and info["exit_code"] == 3
+        refs = watch(lane.runtime)
+        del lane
+        assert freed(refs)
+    assert cyclic_garbage(life) == 0

@@ -434,9 +434,10 @@ class TestRowShapes:
         return machine
 
     @staticmethod
-    def _drive(machine, budget):
+    def _drive(machine, budget, calls=None):
         """Run for ``budget`` instructions, returning from runtime calls
-        the way a runtime would; the trap that ended the run."""
+        the way a runtime would; the trap that ended the run.  ``calls``
+        (a dict) counts the springboard's calls under ``machine``."""
         cpu = machine.cpu
         start = machine.instret
 
@@ -445,15 +446,14 @@ class TestRowShapes:
 
         def springboard(entry):
             assert entry == HOST
-            springboard.calls += 1
+            if calls is not None:
+                calls[machine] = calls.get(machine, 0) + 1
             cpu.pc = cpu.regs[30]
             return left(), False
 
-        springboard.calls = 0
-        machine.springboard = springboard
         while True:
             try:
-                machine.run(fuel=left())
+                machine.run(fuel=left(), springboard=springboard)
             except HostCallTrap:
                 cpu.pc = cpu.regs[30]
             except (HltTrap, MemTrap, OutOfFuel) as trap:
@@ -496,7 +496,8 @@ class TestRowShapes:
         flush_translation_caches()  # no body left by an earlier test
         symbols, (stepper, blocky) = self._pair(shape, tier)
         before = blocky.engine_stats()
-        states = [self._state(m, self._drive(m, 10_000))
+        calls = {}
+        states = [self._state(m, self._drive(m, 10_000, calls))
                   for m in (stepper, blocky)]
         assert states[0]["trap"][0] is HltTrap
         assert states[1] == states[0]
@@ -523,8 +524,8 @@ class TestRowShapes:
         assert block.call_tail == (shape == "call-tail")
         # Only translated call tails reach the springboard; stepping (and
         # an arrival that is not the pair's) takes the HostCallTrap path.
-        assert stepper.springboard.calls == 0
-        assert blocky.springboard.calls == \
+        assert stepper not in calls
+        assert calls.get(blocky, 0) == \
             (TIERS[tier][1] if shape == "call-tail" else 0)
 
     @pytest.mark.parametrize("tier", TIERS)
@@ -1561,10 +1562,9 @@ class TestLoopLocals:
 
     def test_deferred_conditions_are_the_flags(self):
         """Every condition on a setter's locals and the NZCV stored from
-        them are ``Machine._set_add_flags``'s, at both widths, adding and
+        them are ``CpuState.set_add_flags``'s, at both widths, adding and
         subtracting, across the sign and carry edges."""
-        machine = Machine(PagedMemory())
-        cpu = machine.cpu
+        cpu = CpuState()
         for width in (32, 64):
             mask = (1 << width) - 1
             edges = [0, 1, 2, mask >> 1, (mask >> 1) + 1, mask - 1, mask]
@@ -1572,7 +1572,7 @@ class TestLoopLocals:
                 for b in edges:
                     for sub in (False, True):
                         y = ~b & mask if sub else b
-                        machine._set_add_flags(a, y, width, int(sub))
+                        cpu.set_add_flags(a, y, width, int(sub))
                         raw = a + y + sub
                         # y in the local fy (a register), or an immediate.
                         for named in ("fy", str(y)):
