@@ -147,11 +147,10 @@ def run_chaos(seed: int = 1234, tenants: int = 8, faults: int = 200,
     """One seeded chaos run; returns everything needed for assertions."""
     runtime = Runtime(timeslice=timeslice, stack_size=256 * 1024)
     auditor = ContainmentAuditor(runtime)
-    supervisor = Supervisor(runtime, watchdog_fault_limit=6, auditor=auditor)
+    supervisor = Supervisor(runtime, auditor=auditor)
     injector = FaultInjector(runtime, seed=seed)
 
-    policy = RestartPolicy(mode="on-failure", max_restarts=4,
-                           backoff_base=1, backoff_factor=2)
+    policy = RestartPolicy(max_restarts=4, backoff_base=1, backoff_factor=2)
     quota = ResourceQuota(max_mapped_pages=64, max_fds=12,
                           max_instructions=100_000)
     names = [f"tenant-{i}" for i in range(tenants)]

@@ -12,9 +12,10 @@ runtime.  Three rules make it safe and deterministic:
   pid-normalized metrics) are placement-independent, so 1-worker and
   N-worker runs of the same batch are byte-identical;
 * **fault tolerance** — the front-end retains every job payload *and its
-  latest checkpoint* until the result arrives.  A dead worker is
-  reported to a :class:`~repro.robustness.WorkerSupervisor`; under an
-  on-failure policy it is relaunched after a bounded-jitter exponential
+  latest checkpoint* until the result arrives.  A dead worker is entered
+  in a :class:`~repro.robustness.RestartBook`, the sandbox supervisor's
+  restart rule; while its :class:`~repro.robustness.RestartPolicy`
+  grants restarts it is relaunched after a bounded-jitter exponential
   backoff and its in-flight jobs re-dispatched — resuming from their
   last checkpoint, so at most one checkpoint interval of work is redone.
   Duplicate results (a worker that died *after* reporting) are
@@ -32,17 +33,19 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection as _mpconn
+import random
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine import EngineConfig, engine_config
 from ..errors import ClusterError
 from ..obs.metrics import MetricsHub, merge_snapshots
-from ..robustness.supervisor import ON_FAILURE, RestartPolicy, WorkerSupervisor
+from ..robustness.supervisor import ON_FAILURE, RestartBook, RestartPolicy
 from .jobs import Job, JobResult
 from .worker import DEFAULT_JOB_BUDGET, worker_main
 
-__all__ = ["Cluster", "DEFAULT_CHECKPOINT_INTERVAL"]
+__all__ = ["Cluster", "DEFAULT_CHECKPOINT_INTERVAL", "worker_crashed",
+           "worker_backoff_s"]
 
 #: Instructions between periodic job checkpoints.  Also the bound on work
 #: redone after a worker crash.  Deliberately larger than typical smoke
@@ -56,27 +59,56 @@ RESTORE_LATENCY_BUCKETS = (0.0005, 0.002, 0.01, 0.05, 0.25, 1.0)
 #: worker liveness and due restarts, in wall-clock seconds.
 _POLL_SECONDS = 0.05
 
+#: Wall-clock seconds per unit of a restart policy's backoff, its hard
+#: cap, and the largest jitter stretch.
+BACKOFF_UNIT_S = 0.05
+MAX_BACKOFF_S = 2.0
+JITTER = 0.25
+
+
+def worker_crashed(book: RestartBook, policy: RestartPolicy, worker_id: int,
+                   pid: int, exitcode, in_flight: int) -> bool:
+    """Enter a worker's death in ``book``; True when it is to restart.
+    (A worker incident's round is the worker's restart count.)"""
+    name = f"worker-{worker_id}"
+    done = book.restarts.get(name, 0)
+    book.log(done, "worker-crash", name, pid,
+             f"exitcode={exitcode} with {in_flight} job(s) in flight")
+    if not book.grant(policy, done, name, pid):
+        return False
+    book.log(done + 1, "worker-restart", name, pid, f"restart #{done + 1}")
+    return True
+
+
+def worker_backoff_s(book: RestartBook, policy: RestartPolicy,
+                     worker_id: int, rng: random.Random) -> float:
+    """Seconds to wait before relaunching ``worker_id``: the policy's
+    backoff for its latest restart in :data:`BACKOFF_UNIT_S` units, capped
+    at :data:`MAX_BACKOFF_S`, stretched by a seeded jitter in ``[0,
+    JITTER]`` so a correlated crash of many workers does not relaunch
+    them in one stampede, and a chaos run's restart timeline replays."""
+    units = policy.backoff(book.restarts.get(f"worker-{worker_id}", 0))
+    delay = min(MAX_BACKOFF_S, BACKOFF_UNIT_S * units)
+    return delay * (1.0 + rng.random() * JITTER)
+
 
 class _WorkerHandle:
     """Front-end bookkeeping for one worker process (one per shard)."""
 
     __slots__ = ("worker_id", "generation", "process", "job_queue",
-                 "ctrl_queue", "result_conn", "outstanding", "completed",
-                 "dead", "draining")
+                 "ctrl_queue", "outstanding", "completed", "dead",
+                 "draining")
 
     def __init__(self, worker_id: int, generation: int, process, job_queue,
-                 ctrl_queue, result_conn):
+                 ctrl_queue):
         self.worker_id = worker_id
         self.generation = generation
         self.process = process
         self.job_queue = job_queue
         self.ctrl_queue = ctrl_queue
-        #: Read end of this worker's private result pipe (the worker holds
-        #: the only write end, so worker death reads as a clean EOF).
-        self.result_conn = result_conn
         self.outstanding: Set[int] = set()
         self.completed = 0
-        #: Crashed and not restarted; excluded from routing and rechecks.
+        #: Exited and not yet replaced (or never to be); not routable.
         self.dead = False
         #: Being drained for scale-down; accepts no new jobs.
         self.draining = False
@@ -111,18 +143,20 @@ class Cluster:
             "seed": seed,
         }
         self._ctx = multiprocessing.get_context("fork")
-        #: Read ends of dead/retired workers, polled until EOF so results
-        #: they reported just before dying are not lost.
-        self._zombie_conns: List = []
-        self.supervisor = WorkerSupervisor(restart_policy, seed=seed)
+        #: Read end of every worker's result pipe (``_launch``), live or
+        #: not, polled until EOF: what a worker sent before exiting counts.
+        self._pipes: List = []
+        self.restart_policy = restart_policy
+        self.book = RestartBook()
+        self._rng = random.Random(seed)
         self._jobs: Dict[int, Job] = {}
         self._results: Dict[int, JobResult] = {}
         #: job id -> latest checkpoint bytes (cleared when the result lands).
         self._checkpoints: Dict[int, bytes] = {}
         #: job id -> requested migration target worker id.
         self._migrations: Dict[int, int] = {}
-        #: Deferred relaunches: [{handle, worker_id, generation, due, jobs}].
-        self._pending_restarts: List[dict] = []
+        #: Deferred relaunches: (due time, the dead worker's handle).
+        self._pending_restarts: List[Tuple[float, _WorkerHandle]] = []
         #: Host-level ops metrics (restarts, checkpoints, restore latency).
         self.ops = MetricsHub()
         self._next_job_id = 0
@@ -153,8 +187,9 @@ class Cluster:
         )
         process.start()
         send_conn.close()
+        self._pipes.append(recv_conn)
         return _WorkerHandle(worker_id, generation, process, job_queue,
-                             ctrl_queue, recv_conn)
+                             ctrl_queue)
 
     def close(self) -> None:
         """Shut every worker down (idempotent)."""
@@ -172,13 +207,9 @@ class Cluster:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
-        for handle in self._workers:
-            if handle.result_conn is not None:
-                handle.result_conn.close()
-                handle.result_conn = None
-        for conn in self._zombie_conns:
+        for conn in self._pipes:
             conn.close()
-        self._zombie_conns.clear()
+        self._pipes.clear()
 
     def __enter__(self) -> "Cluster":
         return self
@@ -210,9 +241,9 @@ class Cluster:
             candidates = self._routable()
             if not candidates:
                 if self._pending_restarts:
-                    # Every worker is between generations; park the job
-                    # until a relaunch comes due.
-                    self._pending_restarts[0]["jobs"].append(job.job_id)
+                    # Every worker is between generations; the first to
+                    # relaunch owes the job.
+                    self._pending_restarts[0][1].outstanding.add(job.job_id)
                     return
                 raise ClusterError("no live workers left to dispatch to")
             target = min(candidates,
@@ -240,7 +271,7 @@ class Cluster:
         if target is None:
             raise ClusterError(f"worker-{worker_id} is not accepting jobs")
         owner = next((h for h in self._workers
-                      if job_id in h.outstanding), None)
+                      if job_id in h.outstanding and not h.dead), None)
         if owner is None:
             raise ClusterError(f"job {job_id} is not assigned to any worker")
         if owner is target:
@@ -281,7 +312,7 @@ class Cluster:
         """Block until every submitted job has a result; ordered by id.
 
         Survives worker crashes: dead workers are restarted per the
-        supervisor's policy (after its backoff) and their in-flight jobs
+        restart policy (after its backoff) and their in-flight jobs
         re-dispatched, resuming from their last checkpoint.  Handles the
         checkpoint/yield/bounce traffic that crash recovery, migration,
         and resize generate.  Raises :class:`ClusterError` once a crashed
@@ -291,7 +322,6 @@ class Cluster:
         while pending:
             self._check_workers()
             self._launch_due_restarts()
-            self._reap_drained()
             for payload in self._poll_results():
                 self._absorb(payload, pending)
         return [self._results[job_id] for job_id in sorted(self._results)]
@@ -299,52 +329,38 @@ class Cluster:
     def _poll_results(self) -> List[dict]:
         """Collect every payload ready on any worker's result pipe.
 
-        Dead workers' pipes stay in the poll set (``_zombie_conns``) until
-        EOF, so anything they reported just before crashing is recovered
-        before their jobs are re-dispatched from checkpoints.
+        A dead worker's pipe stays in the poll set until EOF, so anything
+        it reported just before crashing is recovered before its jobs are
+        re-dispatched from checkpoints.
         """
-        conns = [h.result_conn for h in self._workers
-                 if h.result_conn is not None]
-        conns.extend(self._zombie_conns)
-        if not conns:
+        if not self._pipes:
             time.sleep(_POLL_SECONDS)
             return []
         payloads = []
-        for conn in _mpconn.wait(conns, timeout=_POLL_SECONDS):
+        for conn in _mpconn.wait(list(self._pipes), timeout=_POLL_SECONDS):
             try:
                 payloads.append(conn.recv())
             except (EOFError, OSError):
-                self._retire_conn(conn)
+                self._pipes.remove(conn)
+                conn.close()
         return payloads
-
-    def _retire_conn(self, conn) -> None:
-        """Close a result pipe that hit EOF and drop it from the poll set."""
-        if conn in self._zombie_conns:
-            self._zombie_conns.remove(conn)
-        for handle in self._workers:
-            if handle.result_conn is conn:
-                handle.result_conn = None
-        conn.close()
 
     def _absorb(self, payload: dict, pending: Set[int]) -> None:
         kind = payload.get("kind", "result")
         job_id = payload["job_id"]
         if job_id in self._results:
             return  # duplicate after a crash re-dispatch
-        if kind == "checkpoint":
+        if kind in ("checkpoint", "yield"):
             self._checkpoints[job_id] = payload["checkpoint"]
             self.ops.host_counter("job.checkpoints").inc()
-            return
         if kind == "yield":
-            self._checkpoints[job_id] = payload["checkpoint"]
-            self.ops.host_counter("job.checkpoints").inc()
             self.ops.host_counter("job.yields").inc()
             self._forget_assignment(job_id)
             self._redispatch_to_target(job_id)
-            return
-        if kind == "bounce":
+        elif kind == "bounce":
             self._forget_assignment(job_id)
             self._dispatch(self._jobs[job_id])
+        if kind != "result":
             return
         self._forget_assignment(job_id, completed=True)
         self._migrations.pop(job_id, None)
@@ -378,74 +394,55 @@ class Cluster:
         self._dispatch(self._jobs[job_id], target=target)
 
     def _check_workers(self) -> None:
-        for handle in self._workers:
-            if handle.dead or handle.draining or handle.process.is_alive():
+        """Retire drained workers that exited; enter crashed ones in the
+        restart book, to relaunch after their backoff."""
+        for handle in list(self._workers):
+            if handle.dead or handle.process.is_alive():
                 continue
-            in_flight = sorted(handle.outstanding)
-            if handle.result_conn is not None:
-                # Keep reading the dead worker's pipe until EOF; results
-                # it sent before crashing are still buffered there.
-                self._zombie_conns.append(handle.result_conn)
-                handle.result_conn = None
-            restart = self.supervisor.worker_crashed(
-                handle.worker_id, handle.process.pid or 0,
-                handle.process.exitcode, len(in_flight))
-            if not restart:
-                handle.dead = True
-                if in_flight:
-                    raise ClusterError(
-                        f"worker-{handle.worker_id} died "
-                        f"(exitcode={handle.process.exitcode}) with "
-                        f"{len(in_flight)} job(s) in flight and no "
-                        f"restarts left")
+            if handle.draining:
+                self._retire(handle)
                 continue
             handle.dead = True
-            handle.outstanding.clear()
-            self._pending_restarts.append({
-                "handle": handle,
-                "worker_id": handle.worker_id,
-                "generation": handle.generation + 1,
-                "due": time.monotonic()
-                + self.supervisor.next_backoff(handle.worker_id),
-                "jobs": in_flight,
-                "completed": handle.completed,
-            })
+            process = handle.process
+            if worker_crashed(self.book, self.restart_policy,
+                              handle.worker_id, process.pid or 0,
+                              process.exitcode, len(handle.outstanding)):
+                due = time.monotonic() + worker_backoff_s(
+                    self.book, self.restart_policy, handle.worker_id,
+                    self._rng)
+                self._pending_restarts.append((due, handle))
+            elif handle.outstanding:
+                raise ClusterError(
+                    f"worker-{handle.worker_id} died "
+                    f"(exitcode={process.exitcode}) with "
+                    f"{len(handle.outstanding)} job(s) in flight and no "
+                    f"restarts left")
 
     def _launch_due_restarts(self) -> None:
         now = time.monotonic()
-        for entry in [e for e in self._pending_restarts
-                      if e["due"] <= now]:
-            self._pending_restarts.remove(entry)
-            replacement = self._launch(entry["worker_id"],
-                                       entry["generation"])
-            replacement.completed = entry["completed"]
-            index = self._workers.index(entry["handle"])
-            self._workers[index] = replacement
+        for due, handle in [e for e in self._pending_restarts if e[0] <= now]:
+            self._pending_restarts.remove((due, handle))
+            replacement = self._launch(handle.worker_id,
+                                       handle.generation + 1)
+            replacement.completed = handle.completed
+            self._workers.insert(self._workers.index(handle), replacement)
             self.ops.host_counter("worker.restarts").inc()
-            # Re-dispatch everything the dead worker still owed, through
-            # normal routing (any worker may pick the job up); each job
-            # resumes from its latest retained checkpoint, so at most one
-            # checkpoint interval of its execution is repeated.
-            for job_id in entry["jobs"]:
-                if job_id not in self._results:
-                    self._dispatch(self._jobs[job_id])
+            self._retire(handle)
 
-    def _reap_drained(self) -> None:
-        for handle in [h for h in self._workers if h.draining]:
-            if handle.process.is_alive():
-                continue
-            if handle.result_conn is not None:
-                # Bounces/yields it sent on the way out are still buffered.
-                self._zombie_conns.append(handle.result_conn)
-                handle.result_conn = None
-            if handle.outstanding:
-                # Drained worker died before yielding everything (e.g.
-                # chaos); its jobs resume from checkpoints elsewhere.
-                for job_id in sorted(handle.outstanding):
-                    if job_id not in self._results:
-                        self._dispatch(self._jobs[job_id])
-                handle.outstanding.clear()
-            self._workers.remove(handle)
+    def _retire(self, handle: _WorkerHandle) -> None:
+        """Take an exited worker out of the pool.
+
+        Every job it still owed is dispatched again through normal
+        routing, resuming from its latest retained checkpoint — so at most
+        one checkpoint interval is repeated.  (Its pipe is polled on until
+        EOF.)
+        """
+        self._workers.remove(handle)
+        owed = sorted(handle.outstanding)
+        handle.outstanding.clear()
+        for job_id in owed:
+            if job_id not in self._results:
+                self._dispatch(self._jobs[job_id])
 
     # -- reporting -----------------------------------------------------------
 
@@ -474,9 +471,9 @@ class Cluster:
             },
             "warm_hits": warm_hits,
             "warm_misses": len(self._results) - warm_hits,
-            "restarts": self.supervisor.total_restarts,
+            "restarts": self.book.total_restarts,
             "checkpoints": self.ops.host_counter("job.checkpoints").value,
             "migrations": self.ops.host_counter("job.migrations").value,
             "restores": self.ops.host_counter("job.restores").value,
-            "incidents": self.supervisor.incident_log(),
+            "incidents": self.book.incident_log(),
         }

@@ -1,13 +1,15 @@
-"""Cluster worker: one OS process, one Runtime, jobs run sequentially.
+"""The executor: one Runtime that runs jobs one at a time.
 
-Each worker owns a private :class:`~repro.runtime.Runtime` (superblock
-engine, no cost model) plus a :class:`~repro.cluster.snapshot.WarmPool`,
-and executes the jobs it is handed one at a time.  Determinism contract
-(DESIGN.md §12): with ``model=None`` the machine's cycle counter is the
-instruction counter, there are no TLB/cache side channels, and each job
-runs in a fresh slot with fresh per-job observers — so a job's
-deterministic result fields depend only on the job, never on the worker,
-the slot, or what ran before it.
+An :class:`Executor` owns a private :class:`~repro.runtime.Runtime`
+(superblock engine, no cost model) plus a
+:class:`~repro.cluster.snapshot.WarmPool`, and executes the jobs it is
+handed one at a time.  A cluster worker process (:func:`worker_main`)
+runs one, and so does each lane of the serving gateway, in process.
+Determinism contract (DESIGN.md §12): with ``model=None`` the machine's
+cycle counter is the instruction counter, there are no TLB/cache side
+channels, and each job runs in a fresh slot with fresh per-job
+observers — so a job's deterministic result fields depend only on the
+job, never on the worker, the slot, or what ran before it.
 
 Execution is *chunked* on checkpoint-interval boundaries (DESIGN.md §13):
 ``execute_job`` runs to the next multiple of the interval in
@@ -29,6 +31,7 @@ import time
 from typing import Callable, Optional
 
 from ..checkpoint import Checkpoint, CheckpointSession, restore_job
+from ..engine import EngineConfig
 from ..errors import Deadlock, RuntimeError_
 from ..memory.layout import SandboxLayout
 from ..obs.metrics import MetricsHub
@@ -39,7 +42,7 @@ from ..runtime.runtime import ResourceQuota, Runtime
 from .jobs import normalize_metrics
 from .snapshot import WarmPool
 
-__all__ = ["execute_job", "execute_job_steps", "worker_main",
+__all__ = ["Executor", "execute_job", "execute_job_steps", "worker_main",
            "derive_worker_seed", "DEFAULT_JOB_BUDGET", "CHAOS_EXIT"]
 
 #: Hard per-job safety net so a runaway job cannot hang the worker.
@@ -68,10 +71,11 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
                       record_trace: bool = False):
     """Generator core of one job execution; the driver owns the pacing.
 
-    Both consumers of a job execution drive this generator: the cluster
-    worker (through :func:`execute_job`) and the serving gateway's lanes,
-    which interleave many lanes in virtual time and hot-apply per-tenant
-    policy between chunks.  Protocol:
+    Both drivers of an :class:`Executor` step this generator: a cluster
+    worker through :func:`execute_job`, and the serving gateway through
+    :meth:`Executor.begin` / :meth:`Executor.step`, interleaving many
+    executors in virtual time and hot-applying per-tenant policy between
+    chunks.  Protocol:
 
     1. the first ``next()`` yields ``{"kind": "begin", "pid",
        "slot_base", "executed"}`` before any guest instruction runs
@@ -302,8 +306,68 @@ def _cleanup(runtime: Runtime, pool: Optional[WarmPool],
             del table[pid]
 
 
+class Executor:
+    """A private runtime, its warm pool and the job it is running.
+
+    The one construction of what runs jobs: a cluster worker process
+    builds one per generation and the gateway one per lane.
+    ``chaos_faults`` maps executor ids to a count of seeded guest-level
+    fault injections (:class:`FaultInjector`) armed against whatever this
+    executor runs; the seed is :func:`derive_worker_seed` of ``seed``.
+    :meth:`begin` and :meth:`step` drive :func:`execute_job_steps` one
+    chunk at a time.
+    """
+
+    def __init__(self, worker_id: int, generation: int = 0, *,
+                 engine: Optional[EngineConfig] = None,
+                 timeslice: int = 50_000, warm_spawn: bool = True,
+                 chaos_faults: Optional[dict] = None, seed: int = 0):
+        self.worker_id = worker_id
+        self.runtime = Runtime(model=None, engine=engine,
+                               timeslice=timeslice)
+        self.pool = WarmPool(self.runtime) if warm_spawn else None
+        self.seed = derive_worker_seed(seed, worker_id, generation)
+        count = (chaos_faults or {}).get(worker_id)
+        if count:
+            # The injector's hooks live as long as the runtime.
+            injector = FaultInjector(self.runtime, seed=self.seed)
+            injector.arm(injector.plan(count))
+        self.gen = None               # active execute_job_steps generator
+        self._executed = 0            # executed count at the last boundary
+
+    def begin(self, job: dict, budget: int = DEFAULT_JOB_BUDGET,
+              checkpoint_interval: Optional[int] = None,
+              record_trace: bool = False) -> dict:
+        """Start ``job``; returns the ``begin`` info (pid, slot, executed)."""
+        assert self.gen is None, "executor already busy"
+        self.gen = execute_job_steps(
+            self.runtime, self.pool, job, budget=budget,
+            checkpoint_interval=checkpoint_interval,
+            record_trace=record_trace)
+        info = next(self.gen)
+        self._executed = info["executed"]
+        return info
+
+    def step(self, cmd: Optional[dict]):
+        """Run one chunk; returns ``(info, delta)``.
+
+        ``delta`` is the instructions the chunk consumed.  When the job
+        ends, ``info`` is its ``result`` payload and :attr:`gen` is None.
+        """
+        try:
+            info = self.gen.send(cmd)
+            executed = info["executed"]
+        except StopIteration as stop:
+            info = stop.value
+            executed = int(info["diag"]["instructions"])
+            self.gen = None
+        delta = executed - self._executed
+        self._executed = executed
+        return info, delta
+
+
 def worker_main(worker_id: int, generation: int, config: dict,
-                job_queue, result_conn, ctrl_queue=None) -> None:
+                job_queue, result_conn, ctrl_queue) -> None:
     """Worker process entry point: pull jobs until the shutdown sentinel.
 
     ``result_conn`` is this worker's *private* pipe to the front-end.
@@ -311,21 +375,14 @@ def worker_main(worker_id: int, generation: int, config: dict,
     is no feeder thread and no lock shared with any other process, so a
     crash (even an ``os._exit`` mid-job) can never wedge another worker's
     reporting, and the front-end sees a clean EOF once the sole writer is
-    gone.  (A shared ``multiprocessing.Queue`` here deadlocked the whole
-    cluster whenever a chaos kill landed while the dying worker's feeder
-    thread held the shared write lock.)
+    gone (``Cluster._launch`` says why no queue is shared).
 
-    Fault injection, all seeded from ``config["seed"]`` via
-    :func:`derive_worker_seed` so chaos runs replay exactly:
-
-    * ``config["chaos"]`` maps this worker id to N: on its first
-      generation the worker dies with ``os._exit`` during its (N+1)th job
-      — at a seeded scheduling slice, or (for jobs too short to get
-      there) right after execution but *before* reporting the result.
-      Either way the crash window is one the front-end must survive;
-    * ``config["chaos_faults"]`` maps this worker id to a count of
-      sandbox-level fault injections (:class:`FaultInjector`) armed
-      against whatever this worker runs.
+    The worker runs its jobs on one :class:`Executor`, whose seed also
+    drives ``config["chaos"]``: it maps this worker id to N, and on its
+    first generation the worker dies with ``os._exit`` during its (N+1)th
+    job — at a seeded scheduling slice, or (for jobs too short to get
+    there) right after execution but *before* reporting the result.
+    Either way the crash window is one the front-end must survive.
 
     ``ctrl_queue`` carries yield requests from the front-end: ``{"op":
     "yield", "job_id": n}`` asks for one job back at its next checkpoint
@@ -333,27 +390,17 @@ def worker_main(worker_id: int, generation: int, config: dict,
     draining mode — the current job yields and every queued job bounces
     back unexecuted (elastic scale-down).
     """
-    runtime = Runtime(model=None,
-                      engine=config.get("engine"),
-                      timeslice=config.get("timeslice", 50_000))
-    pool = WarmPool(runtime) if config.get("warm_spawn", True) else None
-    budget = config.get("budget", DEFAULT_JOB_BUDGET)
-    interval = config.get("checkpoint_interval")
-    seed = derive_worker_seed(config.get("seed", 0), worker_id, generation)
-    rng = random.Random(seed)
-    chaos_faults = (config.get("chaos_faults") or {}).get(worker_id)
-    if chaos_faults:
-        injector = FaultInjector(runtime, seed=seed)
-        injector.arm(injector.plan(chaos_faults))
-    crash_after = None
-    if generation == 0:
-        crash_after = (config.get("chaos") or {}).get(worker_id)
+    executor = Executor(worker_id, generation, engine=config["engine"],
+                        timeslice=config["timeslice"],
+                        warm_spawn=config["warm_spawn"],
+                        chaos_faults=config["chaos_faults"],
+                        seed=config["seed"])
+    rng = random.Random(executor.seed)
+    crash_after = config["chaos"].get(worker_id) if generation == 0 else None
 
     state = {"draining": False, "yields": set()}
 
     def drain_ctrl() -> None:
-        if ctrl_queue is None:
-            return
         while True:
             try:
                 msg = ctrl_queue.get_nowait()
@@ -389,7 +436,7 @@ def worker_main(worker_id: int, generation: int, config: dict,
                 if _fuse[0] <= 0:
                     os._exit(CHAOS_EXIT)
 
-            runtime.machine.run_hooks.add(blow)
+            executor.runtime.machine.run_hooks.add(blow)
 
         def sink(ckpt, _job_id=job["job_id"]):
             result_conn.send({"kind": "checkpoint", "job_id": _job_id,
@@ -397,11 +444,9 @@ def worker_main(worker_id: int, generation: int, config: dict,
                               "seq": ckpt.stats.get("seq", 0)})
 
         payload = execute_job(
-            runtime, pool, job, budget=budget,
-            checkpoint_interval=interval,
-            checkpoint_sink=sink,
-            control_poll=control_poll if ctrl_queue is not None else None,
-        )
+            executor.runtime, executor.pool, job, budget=config["budget"],
+            checkpoint_interval=config["checkpoint_interval"],
+            checkpoint_sink=sink, control_poll=control_poll)
         if fatal:
             # The job was too short to reach the slice fuse: die in the
             # same window the pre-chunking chaos used — after execution,

@@ -85,7 +85,7 @@ class ProcessEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class SupervisorEvent(TraceEvent):
-    """One supervision incident (restart, demote, deadlock-break, ...)."""
+    """One supervision incident (restart, kill, deadlock-break, ...)."""
 
     kind: str
     name: str  # the supervised sandbox's name

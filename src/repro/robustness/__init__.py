@@ -4,7 +4,8 @@ The paper's multi-tenant claim is that one host process safely runs many
 mutually untrusted sandboxes.  This package makes that claim *testable*:
 
 * :mod:`supervisor` keeps the host loop alive across sandbox faults,
-  enforces per-sandbox quotas, and applies restart policies;
+  enforces per-sandbox quotas, and applies restart policies through the
+  one restart book the cluster's workers use too;
 * :mod:`faultinject` deterministically corrupts sandboxes mid-run;
 * :mod:`audit` checks that every fault stayed inside the victim's slot.
 """
@@ -15,9 +16,9 @@ from .supervisor import (
     Incident,
     NEVER,
     ON_FAILURE,
+    RestartBook,
     RestartPolicy,
     Supervisor,
-    WorkerSupervisor,
 )
 
 __all__ = [
@@ -27,7 +28,7 @@ __all__ = [
     "Incident",
     "NEVER",
     "ON_FAILURE",
+    "RestartBook",
     "RestartPolicy",
     "Supervisor",
-    "WorkerSupervisor",
 ]

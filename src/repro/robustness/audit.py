@@ -18,6 +18,7 @@ stores issued while the machine executes guest code are attributed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List
 
@@ -42,20 +43,28 @@ class Violation:
 
 
 class ContainmentAuditor:
-    """Watches a runtime for any effect escaping a sandbox's 4GiB slot."""
+    """Watches a runtime for any effect escaping a sandbox's 4GiB slot.
+
+    The runtime's memory holds the auditor (its write observer), so the
+    auditor holds the runtime weakly: no cycle keeps either alive."""
 
     def __init__(self, runtime: Runtime):
-        self.runtime = runtime
+        self._runtime = weakref.ref(runtime)
         self.violations: List[Violation] = []
         self.audits = 0
         runtime.memory.write_observer = self._on_write
 
+    @property
+    def runtime(self) -> Runtime:
+        return self._runtime()
+
     # -- continuous write attribution ---------------------------------------
 
     def _on_write(self, address: int, size: int) -> None:
-        if not self.runtime._in_guest:
+        runtime = self._runtime()
+        if not runtime._in_guest:
             return  # host-side write (runtime-call results, loader)
-        proc = self.runtime._current
+        proc = runtime._current
         if proc is None:
             return
         lo, hi = proc.layout.base, proc.layout.end

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import errno
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -61,10 +62,14 @@ class PlannedFault:
 
 
 class FaultInjector:
-    """Seeded fault injector wired into the machine and runtime hooks."""
+    """Seeded fault injector wired into the machine and runtime hooks.
+
+    The runtime's hooks hold the injector, so the injector holds the
+    runtime weakly: a dropped runtime is freed by reference count, its
+    injector with it (DESIGN.md §11)."""
 
     def __init__(self, runtime: Runtime, seed: int = 0):
-        self.runtime = runtime
+        self._runtime = weakref.ref(runtime)
         self.seed = seed
         self.rng = random.Random(seed)
         #: Delivery log: ``(seq, kind, pid, detail)`` — deterministic.
@@ -78,6 +83,10 @@ class FaultInjector:
         self._storm = 0
         runtime.machine.run_hooks.add(self._on_slice)
         runtime.call_hooks.add(self._on_call)
+
+    @property
+    def runtime(self) -> Runtime:
+        return self._runtime()
 
     # -- planning ------------------------------------------------------------
 
@@ -112,7 +121,7 @@ class FaultInjector:
 
     def _on_slice(self, machine: Machine, fuel: Optional[int]) -> None:
         self._slice += 1
-        victim = self.runtime._current
+        victim = self._runtime()._current
         if victim is None:
             return
         if self._storm > 0:

@@ -1,20 +1,22 @@
-"""Sandbox supervision: restart policies, quotas, and a watchdog (§5.3).
+"""Restart policies, the restart book, and the sandbox supervisor (§5.3).
 
 The bare :class:`~repro.runtime.Runtime` records a ``ProcessFault`` and
 kills the offending sandbox, but a ``Deadlock`` or host-level error still
 tears down the whole run loop, and nothing ever restarts a dead tenant.
 The :class:`Supervisor` closes that gap:
 
-* sandboxes are *submitted* under a :class:`RestartPolicy` (``never``, or
-  ``on-failure`` with exponential backoff and a max-restart cap) and an
-  optional :class:`~repro.runtime.ResourceQuota`;
+* sandboxes are *submitted* under a :class:`RestartPolicy` (a budget of
+  restarts, each after an exponential backoff; ``NEVER`` is a budget of
+  0) and an optional :class:`~repro.runtime.ResourceQuota`;
 * the supervisor drives the runtime in *rounds*; a ``Deadlock`` no longer
   crashes the host — the blocked sandboxes are terminated individually and
   recorded, and everything else keeps running;
-* a watchdog demotes sandboxes that fault repeatedly (no further
-  restarts) and kills sandboxes that exceed their quotas;
+* a sandbox that exceeds its quota is killed and not restarted;
 * every event becomes a structured :class:`Incident`, and the incident
-  log is fully deterministic for a deterministic workload.
+  log is fully deterministic for a deterministic workload;
+* the restart decision is a :class:`RestartBook`'s (a supervisor is the
+  book of its runtime), the one rule the :class:`~repro.cluster.Cluster`
+  applies to its workers too (backoff in seconds there, in rounds here).
 
 Dead sandboxes' slots are unmapped (``reclaim``), so a long supervision
 run does not leak host memory — a production-scale necessity the seed
@@ -23,7 +25,6 @@ runtime ignored.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -33,31 +34,30 @@ from ..runtime.process import Process, ProcessState
 from ..errors import Deadlock, RuntimeError_
 from ..runtime.runtime import ResourceQuota, Runtime
 
-__all__ = ["RestartPolicy", "NEVER", "ON_FAILURE", "Incident", "Supervisor",
-           "WorkerSupervisor"]
+__all__ = ["RestartPolicy", "NEVER", "ON_FAILURE", "Incident", "RestartBook",
+           "Supervisor"]
 
 
 @dataclass(frozen=True)
 class RestartPolicy:
-    """When and how a dead sandbox is restarted.
+    """How often, and after what backoff, a failed sandbox or worker restarts.
 
-    ``on-failure`` restarts a *faulted* sandbox (never a clean exit) after
-    an exponential backoff measured in supervision rounds:
-    ``backoff_base * backoff_factor ** restarts_so_far``.
+    A faulted sandbox (never a clean exit) or a crashed worker is restarted
+    up to ``max_restarts`` times, restart ``n`` (1-based) after
+    ``backoff_base * backoff_factor ** (n - 1)`` units of backoff.
     """
 
-    mode: str = "never"  # "never" | "on-failure"
     max_restarts: int = 3
     backoff_base: int = 1
     backoff_factor: int = 2
 
-    def __post_init__(self):
-        if self.mode not in ("never", "on-failure"):
-            raise ValueError(f"unknown restart mode {self.mode!r}")
+    def backoff(self, restarts: int) -> int:
+        """Backoff units before restart number ``restarts``."""
+        return self.backoff_base * self.backoff_factor ** max(0, restarts - 1)
 
 
-NEVER = RestartPolicy()
-ON_FAILURE = RestartPolicy(mode="on-failure")
+NEVER = RestartPolicy(max_restarts=0)
+ON_FAILURE = RestartPolicy()
 
 
 @dataclass
@@ -66,7 +66,7 @@ class Incident:
 
     seq: int
     round: int
-    kind: str  # segv|sigill|badcall|quota|deadlock|restart|demote|kill|...
+    kind: str  # segv|sigill|badcall|quota|deadlock|restart|kill|gave-up|...
     name: str
     pid: int
     detail: str
@@ -78,11 +78,49 @@ class Incident:
                 f"{self.detail}")
 
 
+class RestartBook:
+    """Restart counts per name, the policy's decision, and the incident log."""
+
+    def __init__(self):
+        self.incidents: List[Incident] = []
+        self.restarts: Dict[str, int] = {}
+
+    @property
+    def total_restarts(self) -> int:
+        return sum(self.restarts.values())
+
+    def log(self, round_no: int, kind: str, name: str, pid: int, detail: str,
+            pc: int = 0) -> Incident:
+        incident = Incident(len(self.incidents), round_no, kind, name, pid,
+                            detail, pc)
+        self.incidents.append(incident)
+        return incident
+
+    def grant(self, policy: RestartPolicy, round_no: int, name: str,
+              pid: int) -> bool:
+        """Whether ``name`` restarts once more under ``policy``.
+
+        A grant is counted at once; a refusal logs ``gave-up`` unless the
+        budget was 0 (a policy that never restarts gives nothing up).
+        """
+        done = self.restarts.get(name, 0)
+        if done < policy.max_restarts:
+            self.restarts[name] = done + 1
+            return True
+        if policy.max_restarts:
+            self.log(round_no, "gave-up", name, pid,
+                     f"max restarts ({policy.max_restarts}) reached")
+        return False
+
+    def incident_log(self) -> List[str]:
+        return [i.line() for i in self.incidents]
+
+
 class _Managed:
     """Book-keeping for one supervised sandbox across restarts."""
 
-    __slots__ = ("name", "elf", "policy", "quota", "proc", "restarts",
-                 "fault_count", "demoted", "done", "due_round", "generation")
+    __slots__ = ("name", "elf", "policy", "quota", "proc", "done",
+                 "due_round", "generation")
 
     def __init__(self, name: str, elf: ElfImage,
                  policy: RestartPolicy, quota: Optional[ResourceQuota]):
@@ -91,28 +129,22 @@ class _Managed:
         self.policy = policy
         self.quota = quota
         self.proc: Optional[Process] = None
-        self.restarts = 0
-        self.fault_count = 0
-        self.demoted = False
         self.done = False
         self.due_round: Optional[int] = None
         self.generation = 0
 
 
-class Supervisor:
-    """Runs sandboxes under restart policies, quotas, and a watchdog."""
+class Supervisor(RestartBook):
+    """Runs sandboxes under restart policies and quotas: the restart book
+    of one runtime, whose incidents are its events too."""
 
-    def __init__(self, runtime: Runtime, watchdog_fault_limit: int = 5,
-                 auditor=None):
+    def __init__(self, runtime: Runtime, auditor=None):
+        super().__init__()
         self.runtime = runtime
-        #: Total faults (across restarts) after which a sandbox is demoted.
-        self.watchdog_fault_limit = watchdog_fault_limit
         self.auditor = auditor
-        self.incidents: List[Incident] = []
         self._managed: Dict[str, _Managed] = {}
         self._by_pid: Dict[int, _Managed] = {}
         self._round = 0
-        self._seq = 0
         self._fault_cursor = 0
         #: pids terminated by the deadlock breaker this round.
         self._deadlocked: Dict[int, str] = {}
@@ -138,9 +170,7 @@ class Supervisor:
         if not sb.done:
             raise ValueError(f"sandbox {name!r} is still running")
         sb.generation += 1
-        sb.restarts = 0
-        sb.fault_count = 0
-        sb.demoted = False
+        self.restarts.pop(name, None)
         sb.done = False
         # The image was verified at submit time and is immutable host-side.
         return self._spawn(sb, verify=False)
@@ -155,29 +185,26 @@ class Supervisor:
 
     # -- incident log --------------------------------------------------------
 
-    def _incident(self, kind: str, name: str, pid: int, detail: str,
-                  pc: int = 0) -> Incident:
-        incident = Incident(self._seq, self._round, kind, name, pid,
-                            detail, pc)
-        self._seq += 1
-        self.incidents.append(incident)
+    def log(self, round_no: int, kind: str, name: str, pid: int, detail: str,
+            pc: int = 0) -> Incident:
+        """Log an incident and emit it as a :class:`SupervisorEvent`."""
+        incident = super().log(round_no, kind, name, pid, detail, pc)
         self.runtime._emit(SupervisorEvent(
             ts=self.runtime.machine.cycles, pid=pid, kind=kind, name=name,
             detail=detail,
         ))
         return incident
 
-    def incident_log(self) -> List[str]:
-        return [i.line() for i in self.incidents]
+    def _incident(self, kind: str, name: str, pid: int, detail: str,
+                  pc: int = 0) -> Incident:
+        return self.log(self._round, kind, name, pid, detail, pc)
 
     def status(self) -> Dict[str, dict]:
         return {
             name: {
                 "pid": sb.proc.pid if sb.proc else None,
                 "exit_code": sb.proc.exit_code if sb.proc else None,
-                "restarts": sb.restarts,
-                "faults": sb.fault_count,
-                "demoted": sb.demoted,
+                "restarts": self.restarts.get(name, 0),
                 "done": sb.done,
                 "generation": sb.generation,
             }
@@ -214,12 +241,11 @@ class Supervisor:
         for sb in self._managed.values():
             if sb.due_round is not None and sb.due_round <= self._round:
                 sb.due_round = None
-                sb.restarts += 1
                 proc = self._spawn(sb, verify=False)
                 self._incident(
                     "restart", sb.name, proc.pid,
-                    f"restart #{sb.restarts} (gen {sb.generation}) "
-                    f"after backoff",
+                    f"restart #{self.restarts[sb.name]} "
+                    f"(gen {sb.generation}) after backoff",
                 )
 
     def _break_deadlock(self) -> None:
@@ -239,7 +265,7 @@ class Supervisor:
             self.runtime.terminate(proc, 128 + 6)
 
     def _collect(self) -> None:
-        """Record new faults and apply restart/watchdog decisions."""
+        """Record new faults and apply the restart decisions."""
         faulted: Dict[int, str] = {}
         new = self.runtime.faults[self._fault_cursor:]
         self._fault_cursor = len(self.runtime.faults)
@@ -265,107 +291,12 @@ class Supervisor:
             if kind is None:
                 sb.done = True  # clean exit
                 continue
-            sb.fault_count += 1
             if kind == "quota":
                 self._incident("kill", sb.name, proc.pid,
                                "quota exceeded; watchdog kill, no restart")
                 sb.done = True
-            elif (sb.policy.mode == "on-failure"
-                  and sb.fault_count >= self.watchdog_fault_limit
-                  and not sb.demoted):
-                sb.demoted = True
-                sb.done = True
-                self._incident(
-                    "demote", sb.name, proc.pid,
-                    f"{sb.fault_count} faults >= watchdog limit "
-                    f"{self.watchdog_fault_limit}; no further restarts")
-            elif (sb.policy.mode == "on-failure"
-                  and sb.restarts < sb.policy.max_restarts):
-                delay = (sb.policy.backoff_base
-                         * sb.policy.backoff_factor ** sb.restarts)
-                sb.due_round = self._round + delay
+            elif self.grant(sb.policy, self._round, sb.name, proc.pid):
+                sb.due_round = self._round + sb.policy.backoff(
+                    self.restarts[sb.name])
             else:
-                if sb.policy.mode == "on-failure":
-                    self._incident(
-                        "gave-up", sb.name, proc.pid,
-                        f"max restarts ({sb.policy.max_restarts}) reached")
                 sb.done = True
-
-
-class WorkerSupervisor:
-    """Restart decisions for cluster worker *OS processes* (DESIGN.md §12).
-
-    The sandbox :class:`Supervisor` restarts misbehaving sandboxes inside
-    one runtime; this class applies the same :class:`RestartPolicy` /
-    :class:`Incident` vocabulary one level up, to the worker processes of
-    a :class:`repro.cluster.Cluster`.  It only *decides* — the cluster
-    front-end owns process lifecycle and job re-dispatch — so the policy
-    logic stays testable without multiprocessing.
-    """
-
-    #: Wall-clock seconds per unit of the policy's (round-denominated)
-    #: exponential backoff, its hard cap, and the largest jitter stretch.
-    BACKOFF_UNIT_S = 0.05
-    MAX_BACKOFF_S = 2.0
-    JITTER = 0.25
-
-    def __init__(self, policy: RestartPolicy = ON_FAILURE, *, seed: int = 0):
-        self.policy = policy
-        self._rng = random.Random(seed)
-        self.incidents: List[Incident] = []
-        self._restarts: Dict[int, int] = {}
-        self._seq = 0
-
-    def restarts(self, worker_id: int) -> int:
-        return self._restarts.get(worker_id, 0)
-
-    def next_backoff(self, worker_id: int) -> float:
-        """Seconds to wait before relaunching ``worker_id``.
-
-        Exponential in the worker's restart count (the policy's base and
-        factor, scaled by :attr:`BACKOFF_UNIT_S`), capped at
-        :attr:`MAX_BACKOFF_S`, then stretched by a bounded jitter in
-        ``[0, JITTER]`` so a correlated crash of many workers does
-        not produce a synchronized relaunch stampede.  Seeded, so a chaos
-        run's restart timeline replays.
-        """
-        exponent = max(0, self.restarts(worker_id) - 1)
-        delay = min(
-            self.MAX_BACKOFF_S,
-            self.BACKOFF_UNIT_S * self.policy.backoff_base
-            * self.policy.backoff_factor ** exponent,
-        )
-        return delay * (1.0 + self._rng.random() * self.JITTER)
-
-    @property
-    def total_restarts(self) -> int:
-        return sum(self._restarts.values())
-
-    def _incident(self, kind: str, worker_id: int, pid: int,
-                  detail: str) -> Incident:
-        incident = Incident(self._seq, self.restarts(worker_id), kind,
-                            f"worker-{worker_id}", pid, detail)
-        self._seq += 1
-        self.incidents.append(incident)
-        return incident
-
-    def worker_crashed(self, worker_id: int, pid: int, exitcode,
-                       in_flight: int) -> bool:
-        """Record a crash; True when the worker should be restarted."""
-        self._incident("worker-crash", worker_id, pid,
-                       f"exitcode={exitcode} with {in_flight} job(s) "
-                       f"in flight")
-        if self.policy.mode != "on-failure":
-            return False
-        if self.restarts(worker_id) >= self.policy.max_restarts:
-            self._incident(
-                "gave-up", worker_id, pid,
-                f"max restarts ({self.policy.max_restarts}) reached")
-            return False
-        self._restarts[worker_id] = self.restarts(worker_id) + 1
-        self._incident("worker-restart", worker_id, pid,
-                       f"restart #{self.restarts(worker_id)}")
-        return True
-
-    def incident_log(self) -> List[str]:
-        return [i.line() for i in self.incidents]

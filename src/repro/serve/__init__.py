@@ -4,7 +4,8 @@ The batch cluster answers "run these N jobs"; this package answers
 "stay up and keep answering": admission control with bounded queues and
 typed shedding, priority routing with per-tenant token buckets and
 deadlines, token-guarded policy hot-reload applied to running guests,
-and Prometheus-ready metrics (DESIGN.md §12).  Crashes, restarts,
+and Prometheus-ready metrics (DESIGN.md §12).  Each lane runs a cluster
+:class:`~repro.cluster.Executor` in process; crashes, restarts,
 migration and resizing belong to :class:`repro.cluster.Cluster`.
 """
 

@@ -23,8 +23,9 @@ queues unboundedly.  Policy hot-reload goes through the monotonic
 token protocol of :class:`~repro.serve.policy.PolicyStore`; the new
 `ResourceQuota` is applied to running guests at their next chunk
 boundary without restarting them (same pid, same slot — the benchmark
-proves it).  A lane runs in the gateway's own process, so it cannot
-crash apart from it: crashes, restarts, migration and resizing are the
+proves it).  Each lane is a cluster :class:`~repro.cluster.worker.Executor`
+run in the gateway's own process, so it cannot crash apart from it:
+crashes, restarts, migration and resizing are the
 :class:`~repro.cluster.Cluster`'s, whose workers are processes.
 """
 
@@ -35,12 +36,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster.worker import DEFAULT_JOB_BUDGET, derive_worker_seed
+from ..cluster.worker import DEFAULT_JOB_BUDGET, Executor
 from ..engine import EngineConfig, engine_config
 from ..errors import Overloaded, ServeError, StalePolicy
 from ..obs.metrics import MetricsHub
-from ..robustness.faultinject import FaultInjector
-from .lane import Lane
 from .policy import PolicyStore, TenantPolicy
 
 __all__ = ["Gateway", "ServeResult", "CLOCK_HZ", "LATENCY_BUCKETS_S"]
@@ -99,7 +98,7 @@ class ServeResult:
 
 
 class Gateway:
-    """Always-on admission + routing front-end over in-process lanes."""
+    """Always-on admission + routing front-end over in-process executors."""
 
     def __init__(self, policies: Dict[str, TenantPolicy], *,
                  lanes: int = 2,
@@ -127,7 +126,13 @@ class Gateway:
         self.log: List[str] = []
         self.results: List[ServeResult] = []
         self.results_by_id: Dict[int, ServeResult] = {}
-        self.lanes: Dict[int, Lane] = {}
+        #: lane id -> its executor; and the request each busy lane serves.
+        self.lanes: Dict[int, Executor] = {
+            lane_id: Executor(lane_id, engine=self.engine_config,
+                              timeslice=self.timeslice,
+                              chaos_faults=chaos_faults, seed=seed)
+            for lane_id in range(lanes)}
+        self._serving: Dict[int, _Request] = {}
         self._next_request = 0
         self._events: list = []     # (time, seq, kind, data)
         self._seq = 0
@@ -135,16 +140,6 @@ class Gateway:
         self._queued_per_tenant: Dict[str, int] = {}
         self._buckets: Dict[str, list] = {}      # tenant -> [tokens, last_t]
         self.peak_queued = 0                     # bounded-queue evidence
-        for lane_id in range(lanes):
-            lane = self.lanes[lane_id] = Lane(
-                lane_id, timeslice=self.timeslice, engine=self.engine_config)
-            count = (chaos_faults or {}).get(lane_id)
-            if count:
-                # Guest-level faults, seeded per lane: the injector's
-                # hooks live as long as the lane's runtime.
-                injector = FaultInjector(
-                    lane.runtime, seed=derive_worker_seed(seed, lane_id, 0))
-                injector.arm(injector.plan(count))
 
     # -- public API ----------------------------------------------------------
 
@@ -307,12 +302,11 @@ class Gateway:
 
     def _dispatch(self, t: float) -> None:
         for lane_id in sorted(self.lanes):
-            lane = self.lanes[lane_id]
-            if lane.idle:
+            if lane_id not in self._serving:
                 req = self._pick(t)
                 if req is None:
                     return
-                self._start(lane, req, t)
+                self._start(self.lanes[lane_id], req, t)
 
     def _pick(self, t: float) -> Optional[_Request]:
         """Next dispatchable request: highest priority class first, FIFO
@@ -329,7 +323,7 @@ class Gateway:
                 return req
         return None
 
-    def _start(self, lane: Lane, req: _Request, t: float) -> None:
+    def _start(self, lane: Executor, req: _Request, t: float) -> None:
         policy = self.store.get(req.tenant)
         job = {"job_id": req.request_id, "program": req.program}
         if req.stdin:
@@ -341,16 +335,17 @@ class Gateway:
                            record_trace=req.record_trace)
         req.pid = begin["pid"]
         req.slot = begin["slot_base"]
-        lane.request = req
+        self._serving[lane.worker_id] = req
         req.policy_version_applied = self.store.version(req.tenant)
         self._log(t, "start", tenant=req.tenant, req=req.request_id,
-                  lane=lane.lane_id, pid=req.pid, slot=hex(req.slot),
+                  lane=lane.worker_id, pid=req.pid, slot=hex(req.slot),
                   attempt=1)
         self._advance(lane, t, None)
 
     # -- execution ----------------------------------------------------------
 
-    def _advance(self, lane: Lane, t: float, cmd: Optional[dict]) -> None:
+    def _advance(self, lane: Executor, t: float,
+                 cmd: Optional[dict]) -> None:
         info, delta = lane.step(cmd)
         if info["kind"] == "chunk":
             self._push(t + delta / CLOCK_HZ, "boundary", {"lane": lane})
@@ -358,8 +353,8 @@ class Gateway:
             self._push(t + delta / CLOCK_HZ, "finish",
                        {"lane": lane, "payload": info})
 
-    def _on_boundary(self, lane: Lane, t: float) -> None:
-        req = lane.request
+    def _on_boundary(self, lane: Executor, t: float) -> None:
+        req = self._serving[lane.worker_id]
         version = self.store.version(req.tenant)
         cmd: dict = {}
         if version != req.policy_version_applied:
@@ -368,13 +363,12 @@ class Gateway:
             cmd = {"quota": dict(policy.quota) if policy.quota else None}
             self._count("serve.policy_applied", tenant=req.tenant)
             self._log(t, "apply-policy", tenant=req.tenant,
-                      req=req.request_id, lane=lane.lane_id, pid=req.pid,
+                      req=req.request_id, lane=lane.worker_id, pid=req.pid,
                       slot=hex(req.slot), version=version)
         self._advance(lane, t, cmd)
 
-    def _on_finish(self, lane: Lane, payload: dict, t: float) -> None:
-        req = lane.request
-        lane.request = None
+    def _on_finish(self, lane: Executor, payload: dict, t: float) -> None:
+        req = self._serving.pop(lane.worker_id)
         diag = payload["diag"]
         latency = t - req.arrival_s
         result = ServeResult(
@@ -382,7 +376,7 @@ class Gateway:
             exit_code=payload["exit_code"], stdout=payload["stdout"],
             stderr=payload["stderr"], faults=tuple(payload["faults"]),
             arrival_s=req.arrival_s, finish_s=t, latency_s=latency,
-            lane=lane.lane_id, pid=req.pid, slot=req.slot,
+            lane=lane.worker_id, pid=req.pid, slot=req.slot,
             instructions=int(diag["instructions"]), attempts=1,
             warm=diag["warm"], run_status=diag["status"],
             trace=payload.get("trace"))
@@ -395,7 +389,7 @@ class Gateway:
             f"serve.latency_s[tenant={req.tenant}]",
             bounds=LATENCY_BUCKETS_S).observe(latency)
         self._log(t, "finish", tenant=req.tenant, req=req.request_id,
-                  lane=lane.lane_id, exit=result.exit_code,
+                  lane=lane.worker_id, exit=result.exit_code,
                   latency=f"{latency:.6f}", status=result.run_status)
         self._finish_result(result)
         self._dispatch(t)

@@ -241,21 +241,11 @@ def _spawn_workload(args, setup=None):
     ``setup(runtime)`` runs before the spawn so observers attached there
     (tracer, profiler) see the process-lifecycle events too.
     """
-    from ..workloads.spec import arena_bss_size, build_benchmark
-
     model = MACHINE_MODELS[args.machine]
     runtime = Runtime(model=model, engine=_engine_from(args))
     if setup is not None:
         setup(runtime)
-    if args.bench:
-        asm = build_benchmark(args.input, target_instructions=args.target)
-        output = compile_lfi(asm, options=_options_from(args),
-                             bss_size=arena_bss_size(args.input))
-        image, stats = output.elf, output.rewrite.stats
-    else:
-        with open(args.input, "rb") as handle:
-            image = read_elf(handle.read())
-        stats = None
+    image, stats = _workload_image(args)
     policy = VerifierPolicy(sandbox_loads=not getattr(args, "no_loads", False))
     proc = runtime.spawn(image, verify=not args.unsafe_no_verify,
                          policy=policy)
@@ -344,16 +334,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from ..cluster import Cluster
-    from ..elf.format import write_elf
-    from ..toolchain import compile_lfi
-    from ..workloads.rtlib import busy_program
 
-    distinct = max(1, min(args.distinct, args.jobs))
-    images = [
-        write_elf(compile_lfi(busy_program(v, args.target),
-                              options=_options_from(args)).elf)
-        for v in range(distinct)
-    ]
+    images = _busy_images(args)
+    distinct = len(images)
     with Cluster(workers=args.workers, warm_spawn=not args.cold,
                  engine=_engine_from(args)) as cluster:
         for i in range(args.jobs):
@@ -366,11 +349,7 @@ def _cmd_cluster(args) -> int:
     print(f"[{args.jobs} jobs on {args.workers} worker(s): "
           f"warm {fleet['warm_hits']}/{fleet['warm_hits'] + fleet['warm_misses']}, "
           f"restarts {fleet['restarts']}]", file=sys.stderr)
-    if args.out not in (None, "-"):
-        with open(args.out, "w") as handle:
-            handle.write(report)
-    else:
-        sys.stdout.write(report)
+    _write_text(args.out, report)
     if codes != expected:
         print(f"FAILED: exit codes {codes} != expected {expected}",
               file=sys.stderr)
@@ -427,22 +406,10 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _checkpoint_image(args):
-    """The ELF image a checkpoint/migrate command operates on."""
-    if args.bench:
-        from ..workloads.spec import arena_bss_size, build_benchmark
-
-        asm = build_benchmark(args.input, target_instructions=args.target)
-        return compile_lfi(asm, options=_options_from(args),
-                           bss_size=arena_bss_size(args.input)).elf
-    with open(args.input, "rb") as handle:
-        return read_elf(handle.read())
-
-
 def _cmd_checkpoint(args) -> int:
     from ..checkpoint import Checkpoint, capture_job, restore_job
 
-    image = _checkpoint_image(args)
+    image, _ = _workload_image(args)
 
     if args.restore:
         with open(args.restore, "rb") as handle:
@@ -491,14 +458,8 @@ def _cmd_checkpoint(args) -> int:
 
 def _cmd_migrate(args) -> int:
     from ..cluster import Cluster
-    from ..elf.format import write_elf
-    from ..workloads.rtlib import busy_program
 
-    images = [
-        write_elf(compile_lfi(busy_program(v, args.target),
-                              options=_options_from(args)).elf)
-        for v in range(max(1, min(args.distinct, args.jobs)))
-    ]
+    images = _busy_images(args)
     batch = [images[i % len(images)] for i in range(args.jobs)]
 
     def run(workers, migrate):
@@ -518,9 +479,8 @@ def _cmd_migrate(args) -> int:
     print(f"[{args.jobs} jobs, migrations {fleet['migrations']}, "
           f"checkpoints {fleet['checkpoints']}, "
           f"restores {fleet['restores']}]", file=sys.stderr)
-    if args.out not in (None, "-"):
-        with open(args.out, "w") as handle:
-            handle.write(mig_report)
+    if args.out != "-":  # the verdict is on stderr; the report on request
+        _write_text(args.out, mig_report)
     if (reference, ref_report) != (migrated, mig_report):
         print("FAILED: migrated batch diverged from the single-worker "
               "reference", file=sys.stderr)
@@ -544,6 +504,30 @@ def _cmd_disasm(args) -> int:
             text = str(inst) if inst is not None else "<undecodable>"
             print(f"{address:10x}:  {word:08x}   {text}")
     return 0
+
+
+def _workload_image(args):
+    """(ELF image, rewrite stats or None) for an ELF path or a ``--bench``
+    workload name, compiled at ``--target`` instructions."""
+    if not args.bench:
+        with open(args.input, "rb") as handle:
+            return read_elf(handle.read()), None
+    from ..workloads.spec import arena_bss_size, build_benchmark
+
+    asm = build_benchmark(args.input, target_instructions=args.target)
+    output = compile_lfi(asm, options=_options_from(args),
+                         bss_size=arena_bss_size(args.input))
+    return output.elf, output.rewrite.stats
+
+
+def _busy_images(args) -> List[bytes]:
+    """One ``busy_program`` ELF per ``--distinct`` value (at most
+    ``--jobs``), each running ``--target`` instructions."""
+    from ..workloads.rtlib import busy_program
+
+    return [write_elf(compile_lfi(busy_program(value, args.target),
+                                  options=_options_from(args)).elf)
+            for value in range(max(1, min(args.distinct, args.jobs)))]
 
 
 def _read_text(path: str) -> str:

@@ -38,12 +38,13 @@ from repro.checkpoint import (
     track_slot_bases,
 )
 from repro.cluster import Cluster, WarmPool, derive_worker_seed, execute_job
+from repro.cluster.cluster import worker_backoff_s, worker_crashed
 from repro.cluster.worker import execute_job_steps
 from repro.elf.format import write_elf
 from repro.errors import CheckpointError
 from repro.fuzz.differential import check_checkpoint
 from repro.obs import MetricsHub, Tracer, merge_snapshots
-from repro.robustness import WorkerSupervisor
+from repro.robustness import ON_FAILURE, RestartBook
 from repro.runtime import Runtime, RuntimeCall
 from repro.runtime.runtime import ResourceQuota
 from repro.runtime.vfs import O_RDONLY
@@ -518,27 +519,27 @@ class TestCaptureOnRequest:
 class TestBackoffAndOpsMetrics:
     def test_backoff_deterministic_per_seed(self):
         def timeline(seed):
-            supervisor = WorkerSupervisor(seed=seed)
+            book, rng = RestartBook(), random.Random(seed)
             out = []
             for _ in range(4):
-                supervisor.worker_crashed(0, 100, 1, 0)
-                out.append(supervisor.next_backoff(0))
+                worker_crashed(book, ON_FAILURE, 0, 100, 1, 0)
+                out.append(worker_backoff_s(book, ON_FAILURE, 0, rng))
             return out
 
         assert timeline(3) == timeline(3)
         assert timeline(3) != timeline(4)
 
     def test_backoff_exponential_bounded_jitter(self):
-        supervisor = WorkerSupervisor(seed=0)
-        base = supervisor.policy.backoff_base
-        factor = supervisor.policy.backoff_factor
+        book, rng = RestartBook(), random.Random(0)
+        base = ON_FAILURE.backoff_base
+        factor = ON_FAILURE.backoff_factor
         for _ in range(8):
-            supervisor.worker_crashed(0, 100, 1, 0)
-            exponent = max(0, supervisor.restarts(0) - 1)
+            worker_crashed(book, ON_FAILURE, 0, 100, 1, 0)
+            exponent = max(0, book.restarts["worker-0"] - 1)
             expected = min(2.0, 0.05 * base * factor ** exponent)
-            delay = supervisor.next_backoff(0)
+            delay = worker_backoff_s(book, ON_FAILURE, 0, rng)
             assert expected <= delay <= expected * 1.25
-        assert supervisor.next_backoff(0) <= 2.0 * 1.25  # hard cap
+        assert worker_backoff_s(book, ON_FAILURE, 0, rng) <= 2.0 * 1.25  # cap
 
     def test_host_metrics_merge(self):
         hub = MetricsHub()

@@ -20,10 +20,11 @@ from repro.cluster import (
     execute_job,
     normalize_metrics,
 )
+from repro.cluster.cluster import worker_crashed
 from repro.elf.format import write_elf
 from repro.errors import VerificationError
 from repro.obs import merge_snapshots
-from repro.robustness import NEVER, RestartPolicy, WorkerSupervisor
+from repro.robustness import NEVER, RestartBook, RestartPolicy
 from repro.runtime import Runtime, RuntimeCall
 from repro.toolchain import compile_lfi, compile_native
 from repro.workloads.rtlib import busy_program, prologue, rt_exit, rtcall
@@ -276,27 +277,34 @@ class TestReports:
         assert merge_snapshots([]) == ""
 
 
-class TestWorkerSupervisor:
+class TestWorkerRestarts:
     def test_on_failure_restarts_up_to_budget(self):
-        sup = WorkerSupervisor(RestartPolicy(mode="on-failure",
-                                             max_restarts=2))
-        assert sup.worker_crashed(0, 100, 17, in_flight=3)
-        assert sup.worker_crashed(0, 101, 17, in_flight=1)
-        assert not sup.worker_crashed(0, 102, 17, in_flight=1)
-        assert sup.restarts(0) == 2
-        kinds = [line.split()[2] for line in sup.incident_log()]
+        book, policy = RestartBook(), RestartPolicy(max_restarts=2)
+        assert worker_crashed(book, policy, 0, 100, 17, in_flight=3)
+        assert worker_crashed(book, policy, 0, 101, 17, in_flight=1)
+        assert not worker_crashed(book, policy, 0, 102, 17, in_flight=1)
+        assert book.restarts["worker-0"] == 2
+        kinds = [line.split()[2] for line in book.incident_log()]
         assert kinds.count("worker-crash") == 3
         assert kinds.count("worker-restart") == 2
         assert kinds.count("gave-up") == 1
 
     def test_never_policy_never_restarts(self):
-        sup = WorkerSupervisor(NEVER)
-        assert not sup.worker_crashed(1, 200, -9, in_flight=0)
-        assert sup.total_restarts == 0
+        book = RestartBook()
+        assert not worker_crashed(book, NEVER, 1, 200, -9, in_flight=0)
+        assert book.total_restarts == 0
+
+    def test_a_budget_of_zero_logs_what_never_logged(self):
+        """``max_restarts=0`` logs the crash alone, as ``never`` did."""
+        for policy in (NEVER, RestartPolicy(max_restarts=0, backoff_base=3)):
+            book = RestartBook()
+            assert not worker_crashed(book, policy, 1, 200, -9, in_flight=2)
+            assert book.incident_log() == [
+                "#0000 r000 worker-crash worker-1     pid=200 pc=0x0 "
+                "exitcode=-9 with 2 job(s) in flight"]
 
     def test_budget_is_per_worker(self):
-        sup = WorkerSupervisor(RestartPolicy(mode="on-failure",
-                                             max_restarts=1))
-        assert sup.worker_crashed(0, 1, 17, in_flight=0)
-        assert sup.worker_crashed(1, 2, 17, in_flight=0)
-        assert sup.total_restarts == 2
+        book, policy = RestartBook(), RestartPolicy(max_restarts=1)
+        assert worker_crashed(book, policy, 0, 1, 17, in_flight=0)
+        assert worker_crashed(book, policy, 1, 2, 17, in_flight=0)
+        assert book.total_restarts == 2

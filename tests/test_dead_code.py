@@ -8,15 +8,19 @@ import or a re-export does not count, while ``from x import Name as
 _Name`` does (the package imports its error classes that way).  A method
 or property is used only through an attribute use (``.name``) or a string
 constant that spells it (``getattr(sb, name)`` over a tuple of names): a
-bare local that happens to share its name does not count.  A use counts
+bare local that happens to share its name does not count.  A use
+through a receiver of known class - ``self.x`` where the class stores
+``x`` only as ``C(...)`` or as a parameter annotated ``C``, or a
+parameter annotated ``C`` - counts only for ``C``; any other use counts
 only for the classes its scope can reach: the classes the enclosing
 function defines or imports if any of them defines the name, else those
-its module defines or imports, each with its bases and subclasses (a call
-on a base may run an override).  An attribute use whose scopes reach no
-class defining the name counts for every one of them; such a string
-counts for none.
+its module defines or imports.  Either way a class counts with its bases
+and subclasses (a call on a base may run an override).  An attribute use
+whose scopes reach no class defining the name counts for every one of
+them; such a string counts for none.
 A stored attribute is used only through an attribute *load* (a store or
-an augmented assignment reads nothing out) or a string constant
+an augmented assignment reads nothing out), which counts for the class
+of a known receiver and else for every class, or a string constant
 (``getattr(sb, "translations")``) that reaches, as a method's does, a
 class whose methods store it on ``self``.  Dunders are private by
 spelling, and a method that overrides a hook of a class outside the
@@ -67,19 +71,17 @@ def _trees():
 
 @functools.lru_cache(maxsize=None)
 def _references():
-    """(bare names used, attributes used, attributes loaded)."""
-    names, attributes, loaded = set(), set(), set()
+    """(bare names used, attributes used)."""
+    names, attributes = set(), set()
     for _, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-                if isinstance(node.ctx, ast.Load):
-                    loaded.add(node.attr)
             elif isinstance(node, ast.alias) and node.asname:
                 names.add(node.name.rpartition(".")[2])
-    return names, attributes, loaded
+    return names, attributes
 
 
 def _classes():
@@ -113,7 +115,7 @@ def test_every_public_definition_has_a_caller_outside_tests():
                 if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and not node.name.startswith("_")):
                     defined[node.name] = path.relative_to(ROOT)
-    names, attributes, _ = _references()
+    names, attributes = _references()
     orphans = sorted(f"{path}: {name}" for name, path in defined.items()
                      if name not in names | attributes
                      and name not in ALLOWED)
@@ -187,14 +189,85 @@ def _stores(method):
             and isinstance(node.value, ast.Name) and node.value.id == "self"]
 
 
+def _class_named(node, related):
+    """The package class an expression names (``C``, ``m.C``, ``"C"``,
+    ``Optional[C]``), or None."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "Optional"):
+        node = node.slice
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return None
+    return name if name in related else None
+
+
+def _fields(cls, related):
+    """Attribute -> the classes its stores name, for each attribute every
+    method stores on ``self`` only as ``C(...)``, as a parameter
+    annotated ``C``, or as None."""
+    fields, mixed = {}, set()
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = _params(method, related)
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for target in targets:
+                if not (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    continue
+                if isinstance(value, ast.Constant) and value.value is None:
+                    continue
+                if isinstance(value, ast.Call):
+                    known = {_class_named(value.func, related)} - {None}
+                elif isinstance(value, ast.Name):
+                    known = params.get(value.id, set())
+                else:
+                    known = set()
+                if known:
+                    fields.setdefault(target.attr, set()).update(known)
+                else:
+                    mixed.add(target.attr)
+    return {attr: known for attr, known in fields.items()
+            if attr not in mixed}
+
+
+def _params(function, related):
+    """Parameter -> the class its annotation names, for ``function``."""
+    if isinstance(function, ast.Lambda):
+        return {}
+    arguments = function.args
+    params = {}
+    for arg in (arguments.posonlyargs + arguments.args
+                + arguments.kwonlyargs):
+        known = (_class_named(arg.annotation, related)
+                 if arg.annotation is not None else None)
+        if known is not None:
+            params[arg.arg] = {known}
+    return params
+
+
 @functools.lru_cache(maxsize=None)
 def _uses(stored: bool = False):
     """Method name (``stored``: stored attribute name) -> the class names
-    its uses count for.  A method's attribute uses count, and are None
-    where some reaches no class defining the name; a stored attribute's
-    loads count for every class (``_references``), so only its strings
-    are resolved here.  A string that reaches no definer counts for
-    none."""
+    its uses count for, or None where some use counts for every class.
+    A use through ``self.x`` where every store of ``x`` is ``C(...)``, or
+    through a parameter annotated ``C``, counts for ``C`` (with its bases
+    and subclasses); another method use counts for the classes its
+    scopes reach, and is None where they reach no class defining the
+    name; another attribute load is None.  A string that reaches no
+    definer counts for none."""
     _, related = _hierarchy()
     definers = {}
     for _, cls in _classes():
@@ -213,10 +286,33 @@ def _uses(stored: bool = False):
                 return hits
         return None
 
-    def visit(path, node, scopes):
-        if (not stored and isinstance(node, ast.Attribute)
-                and node.attr in definers):
-            hits = resolve(node.attr, scopes)
+    def typed(name, receiver, fields, params):
+        """The definers of ``name`` a receiver's known class reaches (the
+        class of ``self.x = C(...)`` or of a parameter annotated ``C``),
+        or None when the receiver's class is unknown."""
+        if (isinstance(receiver, ast.Attribute)
+                and isinstance(receiver.value, ast.Name)
+                and receiver.value.id == "self"):
+            known = fields.get(receiver.attr)
+        elif isinstance(receiver, ast.Name):
+            known = params.get(receiver.id)
+        else:
+            known = None
+        if not known:
+            return None
+        return {owner for cls in known
+                for owner in related.get(cls, set()) & definers[name]}
+
+    def visit(path, node, scopes, fields=None, params=None):
+        if isinstance(node, ast.ClassDef):
+            fields = _fields(node, related)
+        if isinstance(node, _FUNCTIONS):
+            params = {**(params or {}), **_params(node, related)}
+        if (isinstance(node, ast.Attribute) and node.attr in definers
+                and (not stored or isinstance(node.ctx, ast.Load))):
+            hits = typed(node.attr, node.value, fields or {}, params or {})
+            if hits is None and not stored:
+                hits = resolve(node.attr, scopes)
             seen = uses.setdefault(node.attr, set())
             if hits is None or seen is None:
                 uses[node.attr] = None
@@ -230,7 +326,7 @@ def _uses(stored: bool = False):
         if isinstance(node, _FUNCTIONS):
             scopes = [_reach(path, node)] + scopes
         for child in ast.iter_child_nodes(node):
-            visit(path, child, scopes)
+            visit(path, child, scopes, fields, params)
 
     for path, tree in _trees():
         visit(path, tree, [_reach(path, tree)])
@@ -257,8 +353,7 @@ def test_every_public_method_has_a_caller_outside_tests():
 
 
 def test_every_stored_attribute_is_read_outside_tests():
-    _, _, loaded = _references()
-    spelled = _uses(stored=True)
+    loads = _uses(stored=True)
     orphans = set()
     for path, cls in _classes():
         for method in cls.body:
@@ -266,8 +361,8 @@ def test_every_stored_attribute_is_read_outside_tests():
                                        ast.AsyncFunctionDef)):
                 continue
             for node in _stores(method):
-                if (node.attr not in loaded
-                        and cls.name not in spelled.get(node.attr, ())
+                counted = loads.get(node.attr, set())
+                if (counted is not None and cls.name not in counted
                         and f"{cls.name}.{node.attr}"
                         not in ALLOWED_ATTRIBUTES):
                     orphans.add(f"{path.relative_to(ROOT)}: "
@@ -275,3 +370,22 @@ def test_every_stored_attribute_is_read_outside_tests():
     assert not orphans, "only tests (if anything) read:\n" + "\n".join(
         sorted(orphans))
 
+
+def test_a_receiver_of_known_class_counts_for_that_class():
+    """``self.x = C(...)``, ``self.x = param: C`` and a parameter
+    annotated ``Optional[C]`` type their receivers; anything else stored
+    in the same attribute leaves it untyped."""
+    _, related = _hierarchy()
+    cls = ast.parse(
+        "class Host:\n"
+        "    def __init__(self, runtime: Runtime, pool: 'WarmPool'):\n"
+        "        self.runtime = runtime\n"
+        "        self.pool = WarmPool(runtime)\n"
+        "        self.gen = None\n"
+        "        self.either = pool or runtime\n"
+        "    def step(self, book: Optional[RestartBook], n: int,\n"
+        "             jobs: List[Job]):\n"
+        "        self.pool = None\n").body[0]
+    assert _fields(cls, related) == {"runtime": {"Runtime"},
+                                     "pool": {"WarmPool"}}
+    assert _params(cls.body[1], related) == {"book": {"RestartBook"}}

@@ -13,21 +13,24 @@ would have kept those pages alive.
 from __future__ import annotations
 
 import gc
+import runpy
 import weakref
+from pathlib import Path
 
 import pytest
 
 from repro import EngineConfig
-from repro.cluster import WarmPool, execute_job
+from repro.cluster import Executor, WarmPool, execute_job
 from repro.elf import write_elf
 from repro.emulator import APPLE_M1
 from repro.engine import SpeculationConfig
 from repro.perf.microbench import measure_pipe_ns
 from repro.runtime import Runtime
-from repro.serve.lane import Lane
+from repro.serve import Gateway, demo_loads, demo_policies, run_loadgen
 from repro.toolchain import compile_lfi
 from repro.workloads.rtlib import busy_program
 
+ROOT = Path(__file__).resolve().parents[1]
 TIMESLICE = 500
 
 
@@ -146,17 +149,47 @@ class TestAWorkerJobLeavesNoCycle:
         assert cyclic_garbage(drop) == 0
 
 
-def test_a_gateway_lanes_whole_life(image):
-    """A lane made, a job begun and stepped chunk by chunk to its result,
-    the lane dropped."""
+def test_an_executors_whole_life(image):
+    """An executor made, a job begun and stepped chunk by chunk to its
+    result, the executor dropped."""
     def life():
-        lane = Lane(0, timeslice=TIMESLICE)
-        lane.begin({"job_id": 0, "program": image},
-                   checkpoint_interval=1_000)
-        while lane.gen is not None:
-            info, _delta = lane.step({"checkpoint": True})
+        executor = Executor(0, timeslice=TIMESLICE)
+        executor.begin({"job_id": 0, "program": image},
+                       checkpoint_interval=1_000)
+        while executor.gen is not None:
+            info, _delta = executor.step({"checkpoint": True})
         assert info["kind"] == "result" and info["exit_code"] == 3
-        refs = watch(lane.runtime)
-        del lane
+        refs = watch(executor.runtime)
+        del executor
         assert freed(refs)
     assert cyclic_garbage(life) == 0
+
+
+class TestOptInObserversLeaveNoCycle:
+    """A fault injector and a containment auditor are held by the runtime
+    they watch (its hooks, its memory's write observer), so they hold it
+    weakly."""
+
+    def test_a_seeded_chaos_run(self):
+        path = ROOT / "examples" / "chaos_tenants.py"
+        run_chaos = runpy.run_path(str(path))["run_chaos"]
+
+        def life():
+            result = run_chaos(seed=1234, faults=60)
+            assert result["auditor"].violations == []
+            refs = watch(result.pop("runtime"))
+            del result
+            assert freed(refs)
+        assert cyclic_garbage(life) == 0
+
+    def test_a_gateway_life_with_chaos_faults(self):
+        def life():
+            gateway = Gateway(demo_policies(), lanes=2,
+                              checkpoint_interval=2000,
+                              chaos_faults={0: 5, 1: 5}, seed=3)
+            results = run_loadgen(gateway, demo_loads(), 0.2, seed=3)
+            assert any(r.faults for r in results)
+            refs = [watch(lane.runtime) for lane in gateway.lanes.values()]
+            del gateway
+            assert all(freed(ref) for ref in refs)
+        assert cyclic_garbage(life) == 0
