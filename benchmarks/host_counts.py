@@ -11,7 +11,9 @@ Python frames entered and C functions called (one of them the
 ``setprofile`` that ends the count) — and, with ``--opcodes``,
 ``sys.settrace`` with ``f_trace_opcodes``: bytecodes executed (50-100x
 slower).  ``--callees`` adds how many of the frames were calls of each
-named function (``Class.method`` or ``function`` of a ``repro`` module);
+named function (``Class.method`` or ``function`` of a ``repro`` module),
+and ``--ceiling N`` exits 1 if their calls (without ``--callees``: the
+``--opcodes`` bytecodes) sum to more than ``N``;
 ``--per-unit`` splits every count by the pass's ``ledger.unit`` spans (the
 pass gets a spans object whose spans snapshot the counters), so "no kernel
 got heavier" is one command.  Nothing is timed, so the numbers repeat
@@ -91,6 +93,14 @@ def count_pass(name: str, seed: int, opcodes: bool, smoke: bool,
             counts["bytecodes"] += 1
         return trace
 
+    def instruction(code, offset):
+        counts["bytecodes"] += 1
+
+    # From Python 3.12 a frame's f_trace_opcodes set in its call event
+    # yields no opcode events; sys.monitoring counts the same instructions.
+    monitoring = getattr(sys, "monitoring", None)
+    tool = monitoring and monitoring.PROFILER_ID
+
     try:
         workload.run_pass(state, 0, NoSpans())
         # Resolved after the first pass: every module is loaded by now.
@@ -98,12 +108,21 @@ def count_pass(name: str, seed: int, opcodes: bool, smoke: bool,
         counts.update(dict.fromkeys(callees, 0))
         if opcodes:
             counts["bytecodes"] = 0
-            sys.settrace(trace)
+            if monitoring:
+                monitoring.use_tool_id(tool, "host_counts")
+                monitoring.register_callback(
+                    tool, monitoring.events.INSTRUCTION, instruction)
+                monitoring.set_events(tool, monitoring.events.INSTRUCTION)
+            else:
+                sys.settrace(trace)
         sys.setprofile(profile)
         try:
             result = workload.run_pass(state, 1, spans)
         finally:
             sys.setprofile(None)
+            if opcodes and monitoring:
+                monitoring.set_events(tool, 0)
+                monitoring.free_tool_id(tool)
             sys.settrace(None)
     finally:
         workload.close(state)
@@ -128,17 +147,21 @@ def main() -> int:
     parser.add_argument("--per-unit", action="store_true",
                         help="also split the counts by ledger.unit span")
     parser.add_argument("--ceiling", type=int, metavar="N",
-                        help="exit 1 if the --callees calls sum to more")
+                        help="exit 1 if the --callees calls sum to more "
+                             "(without --callees: the --opcodes bytecodes)")
     args = parser.parse_args()
     status = 0
     for name in args.workloads:
         counts = count_pass(name, args.seed, args.opcodes, args.smoke,
                             args.callees, args.per_unit)
         print(json.dumps(counts), flush=True)
-        calls = sum(counts[callee] for callee in args.callees)
-        if args.ceiling is not None and calls > args.ceiling:
-            print(f"host_counts: {name}: {calls} calls of "
-                  f"{' + '.join(args.callees)} > {args.ceiling}",
+        if args.callees:
+            seen = sum(counts[callee] for callee in args.callees)
+            what = f"calls of {' + '.join(args.callees)}"
+        else:
+            seen, what = counts.get("bytecodes", 0), "bytecodes"
+        if args.ceiling is not None and seen > args.ceiling:
+            print(f"host_counts: {name}: {seen} {what} > {args.ceiling}",
                   file=sys.stderr)
             status = 1
     return status

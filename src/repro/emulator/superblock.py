@@ -132,12 +132,12 @@ class _Bindings:
                         **memory.source_objects(),
                         "handlers": machine._exec}
         if costing is not None:
-            tlb, l1 = costing.tlb, costing.l1
+            tlb, l1, l2 = costing.tlb, costing.l1, costing.l2
             self.objects.update(
                 costing=costing, ready=costing.ready,
-                ready_get=costing.ready.get, tlb=tlb, l1=l1,
-                tlb_sets=tlb._sets, l1_sets=l1._sets, tlb_lookup=tlb.lookup,
-                l1_lookup=l1.lookup, l2_lookup=costing.l2.lookup)
+                ready_get=costing.ready.get, tlb=tlb, l1=l1, l2=l2,
+                tlb_sets=tlb._sets, l1_sets=l1._sets, l2_sets=l2._sets,
+                memory_penalty=costing.memory_penalty)
 
     def bind(self, maker):
         names = maker.__code__.co_varnames[:maker.__code__.co_argcount]
@@ -252,6 +252,7 @@ _NAMESPACE = {
     "MemoryFault": MemoryFault, "decode_word": decode_word,
     "pack_q": struct.Struct("<Q").pack, "unpack_q": struct.Struct("<Q").unpack,
     "pack_d": struct.Struct("<d").pack, "unpack_d": struct.Struct("<d").unpack,
+    "NEG_INF": float("-inf"),
 }
 
 _COND_SRC = {
@@ -916,13 +917,15 @@ class SuperblockEngine:
         call"):
 
         * the scoreboard lives in locals, one per key: a key's ready time
-          is read from ``costing.ready`` at most once and a key the block
-          defines is stored once, at the body's exit or in the arm of the
-          fault (or handler exception) that ends it early, so what the
-          body leaves is exactly what stepping would have;
-        * ``t_issue``/``t_done`` and the TLB/L1 counts are locals
-          committed in a ``finally``, and a memory row is the gauges' own
-          ``lookup`` as source (``Tlb.lookup_source``);
+          is read from ``costing.ready`` at most once (``-inf`` if absent)
+          and a key the block defines is stored once, at the body's exit
+          or in the arm of the fault (or handler exception) that ends it
+          early, so what the body leaves is exactly what stepping would
+          have; a finish is merged into ``t_done`` only where no later op
+          is sure to exceed it (``cover``);
+        * ``t_issue``/``t_done`` and the misses are locals committed in a
+          ``finally`` (hits: an exit's accesses less misses), and a memory
+          row is the gauges' ``lookup`` as source (``Tlb.lookup_source``);
         * guest accesses and FP conversions are worded by ``_Writer``;
         * so is NZCV: a flag-setter leaves its operands in locals, a
           ``b.cond`` reads them, and ``cpu.n``..``cpu.v`` are stored only
@@ -977,7 +980,7 @@ class SuperblockEngine:
         w = _Writer(self._memory, inline, trip.gprs if loops else None,
                     None if trip.read_fresh else trip.flags)
         rows = sum(op[0] & K_MEM for op in ops)  # memory rows
-        units = loops or rows > 1
+        units = rows > 1 or loops and rows > 0
         consts: List[object] = []
         lines: List[str] = []
         emit = lines.append
@@ -988,73 +991,92 @@ class SuperblockEngine:
             consts.append(value)
             return f"consts[{len(consts) - 1}]"
 
-        def probe(gauge, cycles, issue, below=()):
-            """One gauge of ``_Costing.memory_penalty``: its ``lookup`` as
-            source around a miss's charges and the next level's probe."""
-            source = getattr(costing, gauge).lookup_source
-            hit = [f"h_{gauge} += 1"]
-            miss = [f"extra += {cycles!r}", f"bw += {issue!r}", *below]
-            if units:
-                return source(f"{gauge}_sets", hit, [f"m_{gauge} += 1"] + miss,
-                              last=f"u_{gauge}")
-            return source(f"{gauge}_sets", hit, miss, call=f"{gauge}_lookup")
-
+        indent = partial(map, "    ".__add__)
         if costing is not None:
             model = costing.model
             tb = model.taken_branch_cost
-            #: ``_Costing.memory_penalty(addr)`` into ``extra``/``bw``.
-            penalty = probe("tlb", costing.walk, costing.walk_issue) + probe(
-                "l1", model.l1_miss_cycles, model.l1_miss_issue,
-                ["if not l2_lookup(addr):",
-                 f"    extra += {model.l2_miss_cycles!r}",
-                 f"    bw += {model.l2_miss_issue!r}"])
 
-        def charge(ind, kind, row, board):
-            """The row of an op of ``kind``; ``board``: key -> whether its
-            local ``k<key>`` surely holds a time (the block defined it) or
-            may hold None (it was read from ``costing.ready``)."""
+            def probe(gauge, unit, cycles, issue, below=(), last=None):
+                """One gauge of ``_Costing.memory_penalty`` as source: a miss
+                counts (on the gauge, with hits, in a one-row body)."""
+                hit, miss = ([], f"m_{gauge}") if units \
+                    else ([f"{gauge}.hits += 1"], f"{gauge}.misses")
+                return getattr(costing, gauge).lookup_source(
+                    unit, f"{gauge}_sets", [f"{miss} += 1", f"extra += "
+                    f"{cycles!r}", f"bw += {issue!r}", *below], last, hit)
+
+            nested = units and not costing.tlb.page_size % costing.l1.page_size
+            walk = probe("tlb", "page", costing.walk, costing.walk_issue,
+                         last="u_tlb" if units else None)
+            l1_unit, *fill = probe(
+                "l1", "line", model.l1_miss_cycles, model.l1_miss_issue,
+                probe("l2", "line2", model.l2_miss_cycles,
+                      model.l2_miss_issue),
+                last="u_l1" if units and not nested else None)
+
+        def charge(kind, row, extra, merge) -> List[str]:
+            """``_Costing.charge_row`` for an op of ``kind``, with the
+            access's ``extra``/``bw`` and merging its finish if asked."""
             _pc, icost, lat, uses, defs = row
-            bw = ""
-            lat_expr = repr(lat)
-            if kind & K_MEM:
-                emit(f"{ind}extra = bw = 0.0")
-                if kind == K_GENERIC:
-                    emit(f"{ind}if addr is not None:")
-                lines.extend(ind + "    " * (kind == K_GENERIC) + line
-                             for line in penalty)
-                bw = " + bw"
-                lat_expr += " + extra"
-            if kind & K_BRANCH:
-                emit(f"{ind}if taken:")
-                emit(f"{ind}    t_issue += {icost + tb!r}{bw}")
-                emit(f"{ind}else:")
-                emit(f"{ind}    t_issue += {icost!r}{bw}")
-            else:
-                emit(f"{ind}t_issue += {icost!r}{bw}")
-            start = "t_issue"
-            for key in dict.fromkeys(uses):
-                if start == "t_issue":
-                    emit(f"{ind}start = t_issue")
-                    start = "start"
-                if key not in board:
-                    board[key] = False
-                    emit(f"{ind}k{key} = ready_get({key!r})")
-                waits = f"k{key} > start" if board[key] \
-                    else f"k{key} is not None and k{key} > start"
-                emit(f"{ind}if {waits}:")
-                emit(f"{ind}    start = k{key}")
-            emit(f"{ind}finish = {start} + {lat_expr}")
-            if defs:
-                board.update(dict.fromkeys(defs, True))
-                emit(ind + " = ".join(f"k{key}" for key in
-                                      dict.fromkeys(defs)) + " = finish")
-            emit(f"{ind}if finish > t_done:")
-            emit(f"{ind}    t_done = finish")
+            bw = " + bw" * extra
+            block = ["if taken:", f"    t_issue += {icost + tb!r}{bw}",
+                     "else:", f"    t_issue += {icost!r}{bw}"] \
+                if kind & K_BRANCH else [f"t_issue += {icost!r}{bw}"]
+            waits = [f"k{key}" for key in dict.fromkeys(uses)]
+            start = "t_issue" if not waits \
+                else f"({waits[0]} if {waits[0]} > t_issue else t_issue)"
+            if len(waits) > 1:  # the rest against one temporary
+                block.append(f"start = {start[1:-1]}")
+                for name in waits[1:]:
+                    block += [f"if {name} > start:", f"    start = {name}"]
+                start = "start"
+            names = [f"k{key}" for key in dict.fromkeys(defs)] or ["finish"]
+            block.append(" = ".join(names) + f" = {start} + {lat!r}"
+                         + " + extra" * extra)
+            return block + [f"if {names[0]} > t_done:",
+                            f"    t_done = {names[0]}"] * merge
 
         def flush(ind, board):
             for key, certain in board.items():
                 if certain:
                     emit(f"{ind}ready[{key!r}] = k{key}")
+
+        #: op -> (the position of a later op sure to finish no earlier, the
+        #: local holding this op's finish until then): the first to wait on
+        #: a key this op defines before it is redefined (latencies are never
+        #: negative), or, if this op waits on nothing, the next one when its
+        #: latency is no smaller (``t_issue`` never falls).  A loop's path
+        #: runs on into the next trip, the positions past ``count``.
+        cover: Dict[int, Tuple[int, str]] = {}
+        after: Dict[object, int] = {}
+        span = 2 * count if loops else count
+        for at in range(span - 1, -1, -1):
+            _pc, _icost, lat, uses, defs = ops[at % count][4]
+            key = min(filter(after.__contains__, defs), key=after.get,
+                      default=None)
+            if at < count and not uses and at + 1 < span \
+                    and ops[(at + 1) % count][4][2] >= lat:
+                cover[at] = (at + 1, f"k{defs[0]}" if defs else "finish")
+            elif at < count and key is not None:
+                cover[at] = (after[key], f"k{key}")
+            for key in defs:
+                after.pop(key, None)
+            if lat >= 0:
+                after.update(dict.fromkeys(uses, at))
+        plain_rows = sum(op[0] == K_MEM for op in ops)  # not generic ones
+
+        def settle(arm, seen, at):
+            """What a body leaving with ``at`` ops of the trip charged,
+            ``seen`` of them memory rows, owes: the keys it defined, the
+            finishes not merged yet (the last trip's too), its accesses."""
+            flush(arm, board)
+            for retired, (by, name) in cover.items():
+                if retired < at <= by or by - count >= at:
+                    emit(f"{arm}if {'trips and ' * (by - count >= at)}"
+                         f"{name} > t_done:")
+                    emit(f"{arm}    t_done = {name}")
+            if units:
+                emit(f"{arm}acc = {f'trips * {plain_rows} + ' * loops}{seen}")
 
         head = []  # what runs once, above the first trip
         board: Dict[object, bool] = {}
@@ -1066,9 +1088,10 @@ class SuperblockEngine:
                 for key in row[3]:
                     if key not in defined and key not in board:
                         board[key] = False
-                        head.append(f"k{key} = ready_get({key!r})")
+                        head.append(f"k{key} = ready_get({key!r}, NEG_INF)")
                 defined.update(dict.fromkeys(row[4], True))
         ind = "        " if loops else "    " if costing is not None else ""
+        seen = 0  # memory rows charged, not generic ones
         for retired, op in enumerate(ops):
             kind, shape, args, rel, row = op
             operands = [f"((pc0 + {d}) & {M64})" for d in rel or ()]
@@ -1099,19 +1122,41 @@ class SuperblockEngine:
                     lines.extend(arm + line for line in w.nzcv()
                                  + w.fill() * (kind == K_GENERIC))
                     if costing is not None:
-                        flush(arm, board)
+                        settle(arm, seen, retired)
                     emit(f"{arm}machine.instret += {retired}")
                     emit(f"{arm}cpu.pc = {pc}")
                     emit(arm + leave)
             if costing is not None:
-                charge(ind, kind, row, board)
+                for key in dict.fromkeys(row[3]):
+                    if key not in board:
+                        board[key] = False
+                        emit(f"{ind}k{key} = ready_get({key!r}, NEG_INF)")
+                merge = retired not in cover
+                if kind == K_GENERIC:  # the method counts; no unit is last
+                    block = ["extra, bw = (0.0, 0.0) if addr is None else "
+                             "memory_penalty(addr)", *["u_tlb = u_l1 = -1"]
+                             * units, *charge(kind, row, True, merge)]
+                elif kind == K_MEM and nested:  # lines nest in pages
+                    block = [l1_unit, "if line == u_l1:",
+                             *indent(charge(kind, row, False, merge)),
+                             "else:", "    u_l1 = line",
+                             "    extra = bw = 0.0", *indent(
+                                 walk + fill + charge(kind, row, True, merge))]
+                elif kind == K_MEM:
+                    block = ["extra = bw = 0.0", *walk, l1_unit, *fill,
+                             *charge(kind, row, True, merge)]
+                else:
+                    block = charge(kind, row, False, merge)
+                lines.extend(ind + line for line in block)
+                seen += kind == K_MEM
+                board.update(dict.fromkeys(row[4], True))
             if retired in exits:
                 arm = ind + "    "
                 emit(f"{ind}if taken:")
                 lines.extend(arm + line for line in
                              [f"cpu.pc = {target}"] * bool(target) + w.nzcv())
                 if costing is not None:
-                    flush(arm, board)
+                    settle(arm, seen, retired + 1)
                     if defined:  # a loop's, as the arm around it does
                         emit(f"{arm}if trips:")
                         flush(arm + "    ", defined)
@@ -1132,13 +1177,12 @@ class SuperblockEngine:
         if rows and any(w.inline):
             head.append(w.memory.DROP_SOURCE)
         if costing is not None:
-            flush("    ", board)
-            if rows:
-                head.append("h_tlb = h_l1 = 0")
-                closing += ["tlb.hits += h_tlb", "l1.hits += h_l1"]
-            if rows and units:
-                head += ["m_tlb = m_l1 = 0", "u_tlb = u_l1 = -1"]
-                closing += ["tlb.misses += m_tlb", "l1.misses += m_l1"]
+            settle("    ", seen, count)
+            if units:
+                head += ["acc = m_tlb = m_l1 = m_l2 = 0", "u_tlb = u_l1 = -1"]
+                closing += ["tlb.hits += acc - m_tlb", "tlb.misses += m_tlb",
+                            "l1.hits += acc - m_l1", "l1.misses += m_l1",
+                            "l2.hits += m_l1 - m_l2", "l2.misses += m_l2"]
             closing += ["costing.t_issue = t_issue", "costing.t_done = t_done"]
         if loops:
             emit("except BaseException:")

@@ -16,37 +16,27 @@ def _indent(lines: List[str]) -> List[str]:
     return ["    " + line for line in lines]
 
 
-def _lru_source(unit: str, index: str, sets: str, cap, hit: List[str],
-                miss: List[str], last: Optional[str] = None,
-                call: Optional[str] = None) -> List[str]:
-    """The one statement of the LRU rule, as source lines over ``addr``:
-    :meth:`Tlb.lookup` is these lines compiled and a generated block body
-    inlines them (:meth:`Tlb.lookup_source`) around its own ``hit``/
-    ``miss`` lines.  ``last`` names a variable for the unit the caller
-    probed last — the newest way of its set while nobody else touches the
-    gauge, so a hit that indexes nothing; ``call`` names ``lookup``
-    itself, to which everything past the MRU test is then left.  A set
-    nothing was filled into yet is the empty tuple: its list is made at
-    its first fill, so a gauge costs what it holds, not its geometry."""
-    probe = [f"ways = {sets}[{index}]",
-             # Re-touching the newest entry is a no-op move.
-             "if ways and ways[-1] == unit:", *_indent(hit)]
-    if call:
-        probe += [f"elif not {call}(addr):", *_indent(miss)]
-    else:
-        probe += ["elif unit in ways:",
-                  "    ways.remove(unit)", "    ways.append(unit)",
-                  *_indent(hit),
-                  "else:",
-                  "    if not ways:",
-                  f"        ways = {sets}[{index}] = []",
-                  f"    elif len(ways) >= {cap}:",
-                  "        ways.pop(0)",
-                  "    ways.append(unit)", *_indent(miss)]
-    if last is None:
-        return [f"unit = {unit}", *probe]
-    return [f"unit = {unit}", f"if unit == {last}:", *_indent(hit),
-            "else:", f"    {last} = unit", *_indent(probe)]
+def _lru_source(unit: str, index: str, sets: str, cap, miss: List[str],
+                hit: List[str] = ()) -> List[str]:
+    """The one statement of the LRU rule, as source lines over the local
+    ``unit``: :meth:`Tlb.lookup` is these lines compiled and a generated
+    block body inlines them (:meth:`Tlb.lookup_source`) around its own
+    ``hit`` and ``miss`` lines (none for a hit where it has several
+    accesses: its hits are those less its misses).  A set nothing was
+    filled into yet is the empty tuple: its list is made at its first
+    fill, so a gauge costs what it holds, not its geometry."""
+    return [f"ways = {sets}[{index}]",
+            # Re-touching the newest entry is a no-op move.
+            f"if ways and ways[-1] == {unit}:", *_indent(hit or ["pass"]),
+            f"elif {unit} in ways:",
+            f"    ways.remove({unit})", f"    ways.append({unit})",
+            *_indent(hit),
+            "else:",
+            "    if not ways:",
+            f"        ways = {sets}[{index}] = []",
+            f"    elif len(ways) >= {cap}:",
+            "        ways.pop(0)",
+            f"    ways.append({unit})", *_indent(miss)]
 
 
 class Tlb:
@@ -73,23 +63,29 @@ class Tlb:
         "def lookup(self, addr):",
         '    """True on hit; on miss the translation is filled (LRU evict)."""',
         "    shift, mask = self._shift, self._mask",
+        "    unit = addr >> shift if shift is not None "
+        "else addr // self.page_size",
         *_indent(_lru_source(
-            "addr >> shift if shift is not None else addr // self.page_size",
-            "unit & mask if mask is not None else unit % self.sets",
-            "self._sets", "self.ways", ["self.hits += 1", "return True"],
-            ["self.misses += 1", "return False"]))]))
+            "unit", "unit & mask if mask is not None else unit % self.sets",
+            "self._sets", "self.ways", ["self.misses += 1", "return False"],
+            ["self.hits += 1", "return True"]))]))
 
-    def lookup_source(self, sets: str, hit: List[str], miss: List[str],
+    def lookup_source(self, unit: str, sets: str, miss: List[str],
                       last: Optional[str] = None,
-                      call: Optional[str] = None) -> List[str]:
-        """:func:`_lru_source` over ``sets``, a name for ``_sets``, with
-        this geometry folded in."""
-        return _lru_source(
-            f"addr >> {self._shift}" if self._shift is not None
-            else f"addr // {self.page_size}",
-            f"unit & {self._mask}" if self._mask is not None
-            else f"unit % {self.sets}", sets, self.ways, hit, miss, last,
-            call)
+                      hit: List[str] = ()) -> List[str]:
+        """The line putting ``addr``'s unit in the local ``unit``, then
+        :func:`_lru_source` over it and ``sets``, a name for ``_sets``,
+        with this geometry folded in.  ``last`` names a local holding the
+        unit probed last: the newest way of its set while nobody else
+        touches the gauge, so a repeat indexes nothing (nor runs ``hit``)."""
+        lines = _lru_source(
+            unit, f"{unit} & {self._mask}" if self._mask is not None
+            else f"{unit} % {self.sets}", sets, self.ways, miss, hit)
+        if last is not None:
+            lines = [f"if {unit} != {last}:", f"    {last} = {unit}",
+                     *_indent(lines)]
+        return [f"{unit} = addr >> {self._shift}" if self._shift is not None
+                else f"{unit} = addr // {self.page_size}", *lines]
 
     def probe(self, address: int) -> bool:
         """Non-mutating residency check (no fill, no LRU movement).

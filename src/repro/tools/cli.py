@@ -479,8 +479,7 @@ def _cmd_migrate(args) -> int:
     print(f"[{args.jobs} jobs, migrations {fleet['migrations']}, "
           f"checkpoints {fleet['checkpoints']}, "
           f"restores {fleet['restores']}]", file=sys.stderr)
-    if args.out != "-":  # the verdict is on stderr; the report on request
-        _write_text(args.out, mig_report)
+    _write_text(args.out, mig_report)  # the verdict stays on stderr
     if (reference, ref_report) != (migrated, mig_report):
         print("FAILED: migrated batch diverged from the single-worker "
               "reference", file=sys.stderr)

@@ -157,21 +157,22 @@ def reference_lookup(sets, ways, page_size, state, address):
     return hit
 
 
-def compiled_lookup(tlb, **form):
+def compiled_lookup(tlb, last=None):
     """``Tlb.lookup_source`` compiled standalone the way a generated body
-    holds it: counts in locals, the sets and (``call=``) the method bound."""
-    lines = tlb.lookup_source("sets", ["hits += 1"], ["misses += 1"], **form)
+    holds it: the sets bound, the misses counted in a local (the hits are
+    the accesses less those) and (``last``) the unit probed last in one."""
+    lines = tlb.lookup_source("unit", "sets", ["misses += 1"], last)
     scope = {}
     exec("\n".join([
-        "def make(sets, lookup):",
+        "def make(sets):",
         "    def run(addresses):",
-        "        hits = misses = 0",
+        "        misses = 0",
         "        last = -1",
         "        for addr in addresses:",
         *["            " + line for line in lines],
-        "        return hits, misses",
+        "        return len(addresses) - misses, misses",
         "    return run"]), scope)
-    return scope["make"](tlb._sets, tlb.lookup)
+    return scope["make"](tlb._sets)
 
 
 class TestLruRuleHasOneStatement:
@@ -217,16 +218,11 @@ class TestLruRuleHasOneStatement:
             assert method._sets == final
             assert (method.hits, method.misses) == (
                 sum(expected), len(expected) - sum(expected))
-            # As a body with several memory rows inlines it ...
-            inlined = Tlb(entries, ways, page_size)
-            assert compiled_lookup(inlined, last="last")(addresses) \
-                == (method.hits, method.misses)
-            assert inlined._sets == final
-            assert (inlined.hits, inlined.misses) == (0, 0)
-            # ... and as one with a single row does: past the MRU way
-            # the method counts, in the gauge itself.
-            called = Tlb(entries, ways, page_size)
-            hits, misses = compiled_lookup(called, call="lookup")(addresses)
-            assert called._sets == final
-            assert hits + called.hits == method.hits
-            assert (misses, called.misses) == (method.misses, method.misses)
+            # As a body with several memory rows inlines it, and as one
+            # with a single row does: the gauge itself counts nothing.
+            for last in ("last", None):
+                inlined = Tlb(entries, ways, page_size)
+                assert compiled_lookup(inlined, last)(addresses) \
+                    == (method.hits, method.misses)
+                assert inlined._sets == final
+                assert (inlined.hits, inlined.misses) == (0, 0)

@@ -1013,10 +1013,12 @@ next:
 """
 
 
-def multi(source, model, words=(), regs=(), kinds=ENGINES):
+def multi(source, model, words=(), regs=(), kinds=ENGINES, pages=1,
+          page_size=PAGE):
     """Machines of ``kinds`` about to run ``source`` from ``_start`` with
-    x19 at a read-write page holding ``words`` (8 bytes each), the page
-    after it unmapped, and ``regs`` (index, value) set."""
+    x19 at ``pages`` read-write pages of ``page_size`` bytes holding
+    ``words`` (8 bytes each), the page after them unmapped, and ``regs``
+    (index, value) set."""
     from repro.arm64 import parse_assembly
     from repro.arm64.assembler import assemble
     from repro.elf import build_elf
@@ -1025,9 +1027,9 @@ def multi(source, model, words=(), regs=(), kinds=ENGINES):
     elf = build_elf(image)
     machines = []
     for kind in kinds:
-        memory = PagedMemory()
+        memory = PagedMemory(page_size)
         load_elf_into(memory, elf)
-        memory.map_region(DATA, PAGE, PERM_RW)
+        memory.map_region(DATA, pages * page_size, PERM_RW)
         memory.write(DATA, b"".join(w.to_bytes(8, "little") for w in words))
         machine = Machine(memory, model=model, engine=EngineConfig(kind=kind))
         machine.cpu.pc = elf.entry
@@ -1364,6 +1366,205 @@ FLAG_LOOPS = pytest.mark.parametrize(
     ids=["early-reader", "exit-after-setter", "exit-before-setter"])
 #: Their registers: x3 crosses zero on trip 7, x4 splits the words.
 FLAG_REGS = [(3, 20), (11, 3), (4, 1 << 30)]
+
+
+class TestCostRows:
+    """A costed body does only the cycle model's arithmetic (DESIGN.md
+    §10): entry keys read as ``-inf``, hits counted as accesses less
+    misses, a finish merged into ``t_done`` only where no later op is
+    sure to exceed it, a repeated line probing neither gauge.  Wherever a
+    fault, a side exit or a slice ends a body, ``t_issue``, ``t_done``,
+    the scoreboard and every gauge's counts and LRU order are stepping's,
+    with every body generated at once (``hot``) or at the default
+    threshold (``warming``)."""
+
+    @staticmethod
+    def _lockstep(monkeypatch, threshold, source, regs=(), **memory):
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        _symbols, machines = multi(source, APPLE_M1, regs=regs, **memory)
+        state = lockstep(machines, 37, 101, 100_000)
+        assert float("-inf") not in state["costing"][2].values()
+        return state, machines[1].engine_stats()["loop_trips"]
+
+    @THRESHOLDS
+    @pytest.mark.parametrize("trip", [1, 90])
+    def test_a_fault_between_a_def_and_its_only_use(self, trip, threshold,
+                                                    monkeypatch):
+        """The ``ldr`` faults with the second ``mul``'s finish pending
+        (its only use is the ``add`` after it) and the largest: the mul
+        chain outgrows issue and the loads hit."""
+        state, trips = self._lockstep(monkeypatch, threshold, """
+            .globl _start
+        _start:
+            mov x9, #200
+        top:
+            mul x5, x5, x9
+            mul x5, x5, x9
+            ldr x7, [x19, x10]
+            add x6, x6, x5
+            add x10, x10, #8
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, regs=[(5, 3), (10, PAGE - 8 * (trip - 1))])
+        assert state["trap"][0] is MemTrap
+        assert state["regs"][9] == 201 - trip and (trips > 0) == (trip > 1)
+
+    @THRESHOLDS
+    def test_a_side_exit_between_a_def_and_its_use(self, threshold,
+                                                   monkeypatch):
+        """The ``b.eq`` leaves for a ``hlt`` with the ``mul``'s finish
+        pending, on the 90th trip."""
+        state, trips = self._lockstep(monkeypatch, threshold, """
+            .globl _start
+        _start:
+            mov x9, #200
+        top:
+            mul x5, x5, x9
+            mul x5, x5, x9
+            cmp x9, x10
+            b.eq away
+            add x6, x6, x5
+            subs x9, x9, #1
+            b.ne top
+        away:
+            hlt
+        """, regs=[(5, 3), (10, 111)])
+        assert state["trap"][0] is HltTrap
+        assert state["regs"][9] == 111 and trips > 0
+
+    @THRESHOLDS
+    def test_a_key_redefined_before_any_use(self, threshold, monkeypatch):
+        """Each ``ldr`` misses to memory, so its finish is the largest, and
+        the ``mov`` redefines x5 before the ``add`` reads it: the load's
+        finish has no later op to cover it."""
+        state, trips = self._lockstep(monkeypatch, threshold, """
+            .globl _start
+        _start:
+            mov x9, #200
+        top:
+            ldr x5, [x19, x10]
+            mov x5, #1
+            add x6, x6, x5
+            add x10, x10, #64
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """)
+        assert state["trap"][0] is HltTrap and state["regs"][6] == 200
+        assert trips > 0
+
+    @THRESHOLDS
+    def test_an_entry_key_never_defined(self, threshold, monkeypatch):
+        """x11 and x12 are read every trip and written nowhere, so neither
+        is in ``ready``: their locals hold ``-inf``, which no exit may
+        store."""
+        state, trips = self._lockstep(monkeypatch, threshold, """
+            .globl _start
+        _start:
+            mov x9, #200
+        top:
+            add x6, x6, x11
+            ldr x7, [x19, x12]
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, regs=[(11, 5), (12, 64)])
+        assert state["trap"][0] is HltTrap and trips > 0
+        assert {11, 12}.isdisjoint(state["costing"][2])
+
+    @THRESHOLDS
+    def test_a_key_read_before_its_definition_faulting_on_trip_1(
+            self, threshold, monkeypatch):
+        """x5 is read before the block defines it and the ``ldr`` between
+        faults on the first trip: the fault arm stores no x5."""
+        TestRunIsStepping._engines(monkeypatch, threshold)
+        _symbols, machines = multi("""
+            .globl _start
+        _start:
+            mov x9, #200
+        top:
+            add x6, x6, x5
+            ldr x7, [x19, x10]
+            mov x5, x7
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, APPLE_M1, regs=[(10, PAGE)])
+        state = lockstep(machines, 100_000)
+        assert state["trap"][0] is MemTrap and state["regs"][9] == 200
+        assert 5 not in state["costing"][2]
+        assert float("-inf") not in state["costing"][2].values()
+
+    @THRESHOLDS
+    def test_l1_misses_that_hit_and_miss_l2(self, threshold, monkeypatch):
+        """Sixteen lines of one L1 set, a page apart, in turn: every access
+        misses L1 (eight ways), the first round misses L2 too and the
+        later ones hit it; the second ``ldr`` repeats the line."""
+        state, trips = self._lockstep(monkeypatch, threshold, """
+            .globl _start
+        _start:
+            mov x9, #100
+        top:
+            ldr x7, [x19, x10]
+            ldr x8, [x19, x10]
+            add x6, x6, x7
+            add x10, x10, x11
+            and x10, x10, #0x3ffff
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, regs=[(11, PAGE)], pages=16)
+        assert state["trap"][0] is HltTrap and trips > 0
+
+    @THRESHOLDS
+    def test_1_kib_pages(self, threshold, monkeypatch):
+        """1 KiB memory pages, so 1 KiB TLB pages: a 72-byte stride and a
+        second access 8 bytes on repeat a page with a new line, a line,
+        or neither."""
+        state, trips = self._lockstep(monkeypatch, threshold, """
+            .globl _start
+        _start:
+            mov x9, #300
+        top:
+            ldr x7, [x19, x10]
+            add x12, x10, #8
+            ldr x8, [x19, x12]
+            add x6, x6, x7
+            add x10, x10, #72
+            and x10, x10, #0x3fff
+            subs x9, x9, #1
+            b.ne top
+            hlt
+        """, pages=32, page_size=1024)
+        assert state["trap"][0] is HltTrap and trips > 0
+
+    def test_xz_loops_carry_only_the_arithmetic(self, monkeypatch):
+        """``557.xz``'s costed looping bodies wait on no ``k<n> is not
+        None`` (a store's ``wbuf is not None`` is its page entry's, not
+        its row's), count no hit and call no ``l2_lookup``."""
+        import re
+
+        TestRunIsStepping._engines(monkeypatch, 8)
+        bodies = []
+        real = sbmod._function
+
+        def spy(name, params, body, inner="run()"):
+            bodies.append("\n".join(body))
+            return real(name, params, body, inner)
+
+        monkeypatch.setattr(sbmod, "_function", spy)
+        asm = build_benchmark("557.xz", target_instructions=5_000)
+        runtime = Runtime(model=APPLE_M1)
+        proc = runtime.spawn(compile_lfi(
+            asm, options=O2, bss_size=arena_bss_size("557.xz")).elf)
+        assert runtime.run_until_exit(proc) is not None
+        loops = [text for text in bodies if "    for trips" in text]
+        assert len(loops) >= 3
+        for text in loops:
+            assert not re.search(r"\bk\w+ is not None", text)
+            assert not re.search(r"\bh_(tlb|l1) \+=", text)
+            assert "l2_lookup(" not in text and "m_l2 += 1" in text
 
 
 def loop_words(seed, count=64):

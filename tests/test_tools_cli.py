@@ -269,6 +269,22 @@ class TestClusterCommand:
         assert "job[3].sandbox[0].instructions" in text
         assert "warm" in result.stderr
 
+    def test_migrate_writes_its_report_to_stdout_and_to_a_file(
+            self, tmp_path):
+        """``-o -`` is stdout, as for the other commands: the same report
+        the file gets, with the verdict on stderr either way."""
+        report = tmp_path / "report.txt"
+        runs = [subprocess.run(
+            [sys.executable, "-m", "repro.tools", "migrate",
+             "--workers", "2", "--jobs", "2", "--distinct", "1",
+             "--target", "20000", "--interval", "5000", "-o", out],
+            capture_output=True, text=True) for out in ("-", str(report))]
+        for result in runs:
+            assert result.returncode == 0, result.stderr
+            assert "VERIFIED" in result.stderr
+        assert runs[0].stdout == report.read_text() != ""
+        assert runs[1].stdout == ""
+
 
 class TestSharedFlags:
     """rewrite/fuzz/trace/profile share one spelling of the common flags."""
