@@ -70,17 +70,17 @@ def main():
     print("\n== policy hot-reload without guest restart ==")
     applied = [line for line in gateway.log if " apply-policy " in line]
     stale = [line for line in gateway.log if " reload-stale " in line]
-    long_result = next(r for r in results if r.request_id == long_id)
+    long_result = next(r for r in results if r.job_id == long_id)
     for line in applied[:3]:
         print(f"  {line}")
     print(f"  stale reload refused: {stale[0] if stale else 'MISSING'}")
     reload_ok = (len(applied) == 1
-                 and f"pid={long_result.pid}" in applied[0]
-                 and f"slot={hex(long_result.slot)}" in applied[0]
+                 and f"pid={long_result.diag['pid']}" in applied[0]
+                 and f"slot={hex(long_result.diag['slot'])}" in applied[0]
                  and long_result.status == "ok"
                  and long_result.exit_code == 9)
-    print(f"  guest kept pid {long_result.pid} / slot "
-          f"{hex(long_result.slot)} across the reload and finished "
+    print(f"  guest kept pid {long_result.diag['pid']} / slot "
+          f"{hex(long_result.diag['slot'])} across the reload and finished "
           f"cleanly: {reload_ok}")
 
     print("\n== determinism: replay under the same seed ==")
@@ -92,7 +92,7 @@ def main():
     print(f"  results byte-identical: {same_results}")
 
     gateway.report()
-    exposition = prometheus_exposition(gateway.hub)
+    exposition = prometheus_exposition(gateway.ops)
     problems = validate_exposition(exposition)
     print(f"\nPrometheus exposition: {len(exposition.splitlines())} lines, "
           f"{len(problems)} validation problem(s)")

@@ -1,25 +1,20 @@
-"""repro.cluster — sharded multi-worker execution with warm spawn.
+"""repro.cluster — one dispatcher, executors, and the forked transport.
 
-The paper's runtime scales to ~64Ki sandboxes in one address space (§1/§3)
-but a single interpreter thread caps throughput; this package shards
-sandboxes across N OS worker processes (DESIGN.md §12):
+The paper's runtime is one host process that decides which sandbox runs
+next (§5.3); here one :class:`~repro.cluster.jobs.Dispatcher` decides
+what runs next and where, over two transports (DESIGN.md §12):
 
-* :class:`Cluster` — the batching front-end: ``submit`` routes jobs to the
-  least-loaded worker, ``drain`` collects results deterministically
-  (ordered by submission id, byte-identical however many workers ran);
-* each worker runs its jobs one at a time on an :class:`Executor` (a
-  private superblock :class:`~repro.runtime.Runtime` and its warm pool),
-  as each lane of the serving gateway does in process;
+* :class:`Cluster` — forked worker processes: ``submit`` queues a job for
+  the least-loaded worker, ``drain`` returns results by submission id,
+  byte-identical however many workers ran; crashed workers restart under
+  a :class:`~repro.robustness.RestartBook` and their jobs resume from
+  their latest checkpoint; :meth:`Cluster.migrate` and
+  :meth:`Cluster.resize` move jobs at checkpoint boundaries (§13);
+* :class:`repro.serve.Gateway` — executor lanes in process, virtual time;
+* an :class:`Executor` (a private :class:`~repro.runtime.Runtime` and its
+  :class:`WarmPool`) runs one job at a time, in a worker or a lane;
 * :class:`ImageCache` / :class:`WarmPool` — verify an image once, then
-  warm-spawn clones by COW snapshot restore instead of cold load+verify;
-* crashed workers are restarted by the sandbox supervisor's rule (a
-  :class:`~repro.robustness.RestartBook`; bounded-jitter backoff) and
-  their in-flight jobs re-dispatched from their latest checkpoint, so a
-  mid-batch worker death redoes at most one checkpoint interval of work;
-* :meth:`Cluster.migrate` live-migrates a running job between workers at
-  a checkpoint boundary, and :meth:`Cluster.resize` grows or drains the
-  pool elastically — results stay byte-identical throughout
-  (DESIGN.md §13).
+  warm-spawn clones by COW snapshot restore instead of cold load+verify.
 """
 
 from ..errors import ClusterError

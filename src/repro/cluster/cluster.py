@@ -1,32 +1,23 @@
-"""The sharded cluster front-end: submit, route, drain (DESIGN.md §12).
+"""The forked transport: the dispatcher over worker processes (DESIGN.md §12).
 
 The :class:`Cluster` partitions a job batch across N OS worker processes
-(`multiprocessing` fork context), each running a private superblock
-runtime.  Three rules make it safe and deterministic:
+(`multiprocessing` fork context), each running an
+:class:`~repro.cluster.Executor`.  Every live worker that is not
+draining has room, so the :class:`~repro.cluster.jobs.Dispatcher` sends
+each job to the one with the fewest outstanding jobs (ties to the lowest
+worker id); placement never reaches a result's deterministic fields, and
+``drain`` orders results by submission id, so 1-worker and N-worker runs
+of a batch are byte-identical.
 
-* **routing** — ``submit`` sends a job to the worker with the fewest
-  outstanding jobs (ties to the lowest worker id).  Routing affects only
-  placement diagnostics, never results;
-* **determinism** — ``drain`` orders results by submission id, and every
-  result's deterministic fields (exit code, stdout/stderr, fault kinds,
-  pid-normalized metrics) are placement-independent, so 1-worker and
-  N-worker runs of the same batch are byte-identical;
-* **fault tolerance** — the front-end retains every job payload *and its
-  latest checkpoint* until the result arrives.  A dead worker is entered
-  in a :class:`~repro.robustness.RestartBook`, the sandbox supervisor's
-  restart rule; while its :class:`~repro.robustness.RestartPolicy`
-  grants restarts it is relaunched after a bounded-jitter exponential
-  backoff and its in-flight jobs re-dispatched — resuming from their
-  last checkpoint, so at most one checkpoint interval of work is redone.
-  Duplicate results (a worker that died *after* reporting) are
-  deduplicated by job id — executions are deterministic, so duplicates
-  are identical.
-
-On top of checkpoint retention sit live migration (:meth:`migrate` asks
-a worker to yield a running job at its next checkpoint boundary and
-re-dispatches it elsewhere) and elastic rebalancing (:meth:`resize`
-grows the pool, or drains victims by yield-and-bounce).  Both preserve
-the byte-identity contract (DESIGN.md §13).
+The front-end retains every job *and its latest checkpoint* until the
+result arrives.  A dead worker is entered in a
+:class:`~repro.robustness.RestartBook` and relaunched after a
+bounded-jitter backoff while its policy grants restarts; a job goes back
+on the dispatcher's queue when its worker bounces it, yields it (a live
+migration, whose target is the job's route, or a scale-down), or is
+retired owing it, and resumes from its checkpoint — at most one
+checkpoint interval is redone.  Duplicate results (a worker that died
+*after* reporting) are deduplicated by job id.
 """
 
 from __future__ import annotations
@@ -35,21 +26,21 @@ import multiprocessing
 import multiprocessing.connection as _mpconn
 import random
 import time
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine import EngineConfig, engine_config
 from ..errors import ClusterError
-from ..obs.metrics import MetricsHub, merge_snapshots
+from ..obs.metrics import merge_snapshots
 from ..robustness.supervisor import ON_FAILURE, RestartBook, RestartPolicy
-from .jobs import Job, JobResult
+from .jobs import Dispatcher, Job, JobResult
 from .worker import DEFAULT_JOB_BUDGET, worker_main
 
 __all__ = ["Cluster", "DEFAULT_CHECKPOINT_INTERVAL", "worker_crashed",
            "worker_backoff_s"]
 
-#: Instructions between periodic job checkpoints.  Also the bound on work
-#: redone after a worker crash.  Deliberately larger than typical smoke
-#: jobs: short jobs never pause, so chunking is free for them.
+#: Instructions between job checkpoints, the bound on work redone after a
+#: crash; larger than typical short jobs, which therefore never pause.
 DEFAULT_CHECKPOINT_INTERVAL = 250_000
 
 #: Restore latency histogram bounds, in wall-clock seconds.
@@ -92,30 +83,27 @@ def worker_backoff_s(book: RestartBook, policy: RestartPolicy,
     return delay * (1.0 + rng.random() * JITTER)
 
 
+@dataclass(eq=False)
 class _WorkerHandle:
     """Front-end bookkeeping for one worker process (one per shard)."""
 
-    __slots__ = ("worker_id", "generation", "process", "job_queue",
-                 "ctrl_queue", "outstanding", "completed", "dead",
-                 "draining")
-
-    def __init__(self, worker_id: int, generation: int, process, job_queue,
-                 ctrl_queue):
-        self.worker_id = worker_id
-        self.generation = generation
-        self.process = process
-        self.job_queue = job_queue
-        self.ctrl_queue = ctrl_queue
-        self.outstanding: Set[int] = set()
-        self.completed = 0
-        #: Exited and not yet replaced (or never to be); not routable.
-        self.dead = False
-        #: Being drained for scale-down; accepts no new jobs.
-        self.draining = False
+    worker_id: int
+    generation: int
+    process: object
+    job_queue: object
+    ctrl_queue: object
+    outstanding: Set[int] = field(default_factory=set)
+    completed: int = 0
+    #: Exited and not yet replaced (or never to be); has no room.
+    dead: bool = False
+    #: Being drained for scale-down; has no room.
+    draining: bool = False
 
 
-class Cluster:
+class Cluster(Dispatcher):
     """Batching front-end over N sharded runtime workers."""
+
+    error = ClusterError
 
     def __init__(self, workers: int = 2, *,
                  engine: Optional[EngineConfig] = None,
@@ -128,8 +116,7 @@ class Cluster:
                  checkpoint_interval: Optional[int]
                  = DEFAULT_CHECKPOINT_INTERVAL,
                  seed: int = 0):
-        if workers < 1:
-            raise ValueError("a cluster needs at least one worker")
+        super().__init__(workers, checkpoint_interval)
         # Checked here, before any fork: a bad engine in the workers would
         # crash each one at startup and restart it into the same crash.
         self._config = {
@@ -150,15 +137,10 @@ class Cluster:
         self.book = RestartBook()
         self._rng = random.Random(seed)
         self._jobs: Dict[int, Job] = {}
-        self._results: Dict[int, JobResult] = {}
         #: job id -> latest checkpoint bytes (cleared when the result lands).
         self._checkpoints: Dict[int, bytes] = {}
-        #: job id -> requested migration target worker id.
-        self._migrations: Dict[int, int] = {}
         #: Deferred relaunches: (due time, the dead worker's handle).
         self._pending_restarts: List[Tuple[float, _WorkerHandle]] = []
-        #: Host-level ops metrics (restarts, checkpoints, restore latency).
-        self.ops = MetricsHub()
         self._next_job_id = 0
         self._closed = False
         self._workers: List[_WorkerHandle] = [
@@ -228,77 +210,75 @@ class Cluster:
                   max_instructions)
         self._next_job_id += 1
         self._jobs[job.job_id] = job
-        self._dispatch(job)
+        self._requeue([job.job_id])
         return job.job_id
 
-    def _routable(self) -> List[_WorkerHandle]:
-        return [h for h in self._workers
-                if not h.dead and not h.draining]
+    def _live(self, worker_id: int) -> Optional[_WorkerHandle]:
+        return next((h for h in self._workers if h.worker_id == worker_id
+                     and not h.dead and not h.draining), None)
 
-    def _dispatch(self, job: Job,
-                  target: Optional[_WorkerHandle] = None) -> None:
-        if target is None:
-            candidates = self._routable()
-            if not candidates:
-                if self._pending_restarts:
-                    # Every worker is between generations; the first to
-                    # relaunch owes the job.
-                    self._pending_restarts[0][1].outstanding.add(job.job_id)
-                    return
-                raise ClusterError("no live workers left to dispatch to")
-            target = min(candidates,
-                         key=lambda h: (len(h.outstanding), h.worker_id))
-        target.outstanding.add(job.job_id)
-        target.job_queue.put(
+    def _room(self) -> Dict[int, int]:
+        room = {h.worker_id: len(h.outstanding) for h in self._workers
+                if not h.dead and not h.draining}
+        if not room and not self._pending_restarts:
+            raise ClusterError("no live workers left to dispatch to")
+        return room
+
+    def _start(self, worker_id: int, job: Job, t: float) -> None:
+        handle = self._live(worker_id)
+        handle.outstanding.add(job.job_id)
+        handle.job_queue.put(
             job.payload(resume=self._checkpoints.get(job.job_id)))
+
+    def _requeue(self, job_ids) -> None:
+        """Queue jobs - new, bounced, yielded, or owed by a retired
+        worker - and dispatch whatever has room."""
+        for job_id in job_ids:
+            if job_id not in self.results:
+                self._enqueue(self._jobs[job_id])
+        self._dispatch()
 
     # -- live migration / elastic resize -------------------------------------
 
     def migrate(self, job_id: int, worker_id: int) -> None:
         """Move a running job to ``worker_id`` at its next checkpoint.
 
-        Asynchronous: the current owner is asked to yield the job — it
-        stops at the next checkpoint-interval boundary and hands back a
-        fresh checkpoint, which :meth:`drain` re-dispatches to the
-        requested target.  A job that finishes before reaching a boundary
-        simply completes where it is (the migration dissolves).  The
-        result is byte-identical either way (DESIGN.md §13).
+        Asynchronous: the owner yields the job at its next boundary with
+        a fresh checkpoint, and the job goes back on the queue with the
+        target as its route.  A job that finishes first simply completes
+        where it is.  The result is byte-identical either way (§13).
         """
-        if job_id in self._results or job_id not in self._jobs:
+        if job_id in self.results or job_id not in self._jobs:
             raise ClusterError(f"job {job_id} is not in flight")
-        target = next((h for h in self._routable()
-                       if h.worker_id == worker_id), None)
-        if target is None:
+        if self._live(worker_id) is None:
             raise ClusterError(f"worker-{worker_id} is not accepting jobs")
         owner = next((h for h in self._workers
                       if job_id in h.outstanding and not h.dead), None)
         if owner is None:
             raise ClusterError(f"job {job_id} is not assigned to any worker")
-        if owner is target:
+        if owner.worker_id == worker_id:
             return
-        self._migrations[job_id] = worker_id
+        self._jobs[job_id].route = worker_id
         owner.ctrl_queue.put({"op": "yield", "job_id": job_id})
 
     def resize(self, workers: int) -> None:
         """Scale the worker pool to ``workers`` (elastic rebalancing).
 
-        Growing launches fresh workers (new ids above the highest ever
-        used).  Shrinking drains the highest-id workers: each yields its
-        running job at the next checkpoint boundary, bounces its queued
-        jobs back unexecuted, and exits; :meth:`drain` re-dispatches all
-        of it to the survivors, resuming from checkpoints.  Results stay
-        byte-identical across any resize schedule.
+        Growing launches fresh workers (ids above the highest ever used).
+        Shrinking drains the highest-id workers: each yields its running
+        job at its next boundary, bounces its queued jobs, and exits; all
+        of it goes back on the queue for the survivors.
         """
-        if workers < 1:
-            raise ValueError("a cluster needs at least one worker")
+        self._check_lanes(workers)
         if self._closed:
             raise ClusterError("cluster is closed")
-        active = self._routable()
+        active = [h for h in self._workers if not h.dead and not h.draining]
         if workers > len(active):
             next_id = 1 + max(h.worker_id for h in self._workers)
             for offset in range(workers - len(active)):
                 self._workers.append(self._launch(next_id + offset,
                                                   generation=0))
+            self._dispatch()
         elif workers < len(active):
             victims = sorted(active, key=lambda h: -h.worker_id)
             for handle in victims[:len(active) - workers]:
@@ -311,28 +291,20 @@ class Cluster:
     def drain(self) -> List[JobResult]:
         """Block until every submitted job has a result; ordered by id.
 
-        Survives worker crashes: dead workers are restarted per the
-        restart policy (after its backoff) and their in-flight jobs
-        re-dispatched, resuming from their last checkpoint.  Handles the
-        checkpoint/yield/bounce traffic that crash recovery, migration,
-        and resize generate.  Raises :class:`ClusterError` once a crashed
-        worker's restart budget is exhausted with jobs still assigned.
+        Survives worker crashes (see the module docstring); raises
+        :class:`ClusterError` once a crashed worker's restart budget is
+        exhausted with jobs still assigned.
         """
-        pending = set(self._jobs) - set(self._results)
-        while pending:
+        while len(self.results) < len(self._jobs):
             self._check_workers()
             self._launch_due_restarts()
             for payload in self._poll_results():
-                self._absorb(payload, pending)
-        return [self._results[job_id] for job_id in sorted(self._results)]
+                self._absorb(payload)
+        return [self.results[job_id] for job_id in sorted(self.results)]
 
     def _poll_results(self) -> List[dict]:
-        """Collect every payload ready on any worker's result pipe.
-
-        A dead worker's pipe stays in the poll set until EOF, so anything
-        it reported just before crashing is recovered before its jobs are
-        re-dispatched from checkpoints.
-        """
+        """Every payload ready on any worker's result pipe (a dead
+        worker's pipe too, until EOF: what it sent before dying counts)."""
         if not self._pipes:
             time.sleep(_POLL_SECONDS)
             return []
@@ -345,25 +317,22 @@ class Cluster:
                 conn.close()
         return payloads
 
-    def _absorb(self, payload: dict, pending: Set[int]) -> None:
+    def _absorb(self, payload: dict) -> None:
         kind = payload.get("kind", "result")
         job_id = payload["job_id"]
-        if job_id in self._results:
+        if job_id in self.results:
             return  # duplicate after a crash re-dispatch
         if kind in ("checkpoint", "yield"):
             self._checkpoints[job_id] = payload["checkpoint"]
             self.ops.host_counter("job.checkpoints").inc()
         if kind == "yield":
             self.ops.host_counter("job.yields").inc()
+        if kind in ("yield", "bounce"):
             self._forget_assignment(job_id)
-            self._redispatch_to_target(job_id)
-        elif kind == "bounce":
-            self._forget_assignment(job_id)
-            self._dispatch(self._jobs[job_id])
+            self._requeue([job_id])
         if kind != "result":
             return
         self._forget_assignment(job_id, completed=True)
-        self._migrations.pop(job_id, None)
         self._checkpoints.pop(job_id, None)
         result = JobResult.from_payload(payload)
         restore_s = result.diag.get("restore_s")
@@ -372,8 +341,7 @@ class Cluster:
             self.ops.host_histogram(
                 "job.restore_latency_s",
                 RESTORE_LATENCY_BUCKETS).observe(restore_s)
-        self._results[job_id] = result
-        pending.discard(job_id)
+        self.results[job_id] = result
 
     def _forget_assignment(self, job_id: int,
                            completed: bool = False) -> None:
@@ -382,16 +350,6 @@ class Cluster:
                 handle.outstanding.discard(job_id)
                 if completed:
                     handle.completed += 1
-
-    def _redispatch_to_target(self, job_id: int) -> None:
-        target_id = self._migrations.pop(job_id, None)
-        target = None
-        if target_id is not None:
-            target = next((h for h in self._routable()
-                           if h.worker_id == target_id), None)
-            if target is not None:
-                self.ops.host_counter("job.migrations").inc()
-        self._dispatch(self._jobs[job_id], target=target)
 
     def _check_workers(self) -> None:
         """Retire drained workers that exited; enter crashed ones in the
@@ -432,45 +390,39 @@ class Cluster:
     def _retire(self, handle: _WorkerHandle) -> None:
         """Take an exited worker out of the pool.
 
-        Every job it still owed is dispatched again through normal
-        routing, resuming from its latest retained checkpoint — so at most
-        one checkpoint interval is repeated.  (Its pipe is polled on until
-        EOF.)
+        Every job it still owed goes back on the queue, resuming from its
+        latest retained checkpoint — so at most one checkpoint interval is
+        repeated — and the queue is dispatched, onto the replacement too
+        when this worker had one.  (Its pipe is polled on until EOF.)
         """
         self._workers.remove(handle)
         owed = sorted(handle.outstanding)
         handle.outstanding.clear()
-        for job_id in owed:
-            if job_id not in self._results:
-                self._dispatch(self._jobs[job_id])
+        self._requeue(owed)
 
     # -- reporting -----------------------------------------------------------
 
     def metrics_report(self) -> str:
-        """One merged, deterministic metrics report for the whole batch.
-
-        Byte-identical for the same batch regardless of worker count,
-        crashes, migrations, or resizes: per-job snapshots are already
-        placement-independent, and they are merged in submission order
-        under ``job[<id>]`` prefixes.
-        """
-        parts = [(f"job[{job_id}]", self._results[job_id].metrics)
-                 for job_id in sorted(self._results)]
+        """The per-job metrics merged in submission order under
+        ``job[<id>]`` prefixes: byte-identical for a batch whatever its
+        worker count, crashes, migrations or resizes."""
+        parts = [(f"job[{job_id}]", self.results[job_id].metrics)
+                 for job_id in sorted(self.results)]
         return f"cluster.jobs {len(parts)}\n" + merge_snapshots(parts)
 
     def fleet_report(self) -> dict:
         """Placement and health diagnostics (worker-count dependent)."""
-        warm_hits = sum(1 for r in self._results.values()
+        warm_hits = sum(1 for r in self.results.values()
                         if r.diag.get("warm"))
         return {
             "workers": len(self._workers),
-            "jobs": len(self._results),
+            "jobs": len(self.results),
             "completed_per_worker": {
                 handle.worker_id: handle.completed
                 for handle in self._workers
             },
             "warm_hits": warm_hits,
-            "warm_misses": len(self._results) - warm_hits,
+            "warm_misses": len(self.results) - warm_hits,
             "restarts": self.book.total_restarts,
             "checkpoints": self.ops.host_counter("job.checkpoints").value,
             "migrations": self.ops.host_counter("job.migrations").value,

@@ -3,22 +3,14 @@
 An :class:`Executor` owns a private :class:`~repro.runtime.Runtime`
 (superblock engine, no cost model) plus a
 :class:`~repro.cluster.snapshot.WarmPool`, and executes the jobs it is
-handed one at a time.  A cluster worker process (:func:`worker_main`)
-runs one, and so does each lane of the serving gateway, in process.
-Determinism contract (DESIGN.md §12): with ``model=None`` the machine's
-cycle counter is the instruction counter, there are no TLB/cache side
-channels, and each job runs in a fresh slot with fresh per-job
-observers — so a job's deterministic result fields depend only on the
-job, never on the worker, the slot, or what ran before it.
-
-Execution is *chunked* on checkpoint-interval boundaries (DESIGN.md §13):
-``execute_job`` runs to the next multiple of the interval in
-job-consumed-instruction space, captures an incremental checkpoint, polls
-the control channel, and continues.  Because the boundaries are aligned
-in consumed instructions — not in this particular run's progress — a job
-restored from a checkpoint hits the *same* subsequent boundaries as the
-uninterrupted run, which keeps crash recovery and migration
-byte-identical.
+handed one at a time, chunked on checkpoint-interval boundaries
+(:func:`execute_job_steps`, DESIGN.md §13).  A cluster worker process
+(:func:`worker_main`) runs one, and so does each lane of the serving
+gateway, in process.  With ``model=None`` the cycle counter is the
+instruction counter, there are no TLB/cache side channels, and each job
+runs in a fresh slot with fresh per-job observers — so a job's
+deterministic result fields depend only on the job, never on the
+worker, the slot, or what ran before it (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ import os
 import queue as _queue
 import random
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from ..checkpoint import Checkpoint, CheckpointSession, restore_job
 from ..engine import EngineConfig
@@ -54,12 +46,9 @@ CHAOS_EXIT = 17
 
 def derive_worker_seed(cluster_seed: int, worker_id: int,
                        generation: int) -> int:
-    """Deterministic per-worker-generation seed from the cluster seed.
-
-    Hash-derived so neighbouring worker ids do not get correlated PRNG
-    streams, and a restarted worker (next generation) draws a fresh but
-    replayable stream.
-    """
+    """Per-worker-generation seed, hash-derived from the cluster seed:
+    neighbouring ids get uncorrelated streams, and a restarted worker
+    (next generation) a fresh but replayable one."""
     digest = hashlib.sha256(
         f"{cluster_seed}:{worker_id}:{generation}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -71,11 +60,11 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
                       record_trace: bool = False):
     """Generator core of one job execution; the driver owns the pacing.
 
-    Both drivers of an :class:`Executor` step this generator: a cluster
-    worker through :func:`execute_job`, and the serving gateway through
-    :meth:`Executor.begin` / :meth:`Executor.step`, interleaving many
-    executors in virtual time and hot-applying per-tenant policy between
-    chunks.  Protocol:
+    One driver steps it: :meth:`Executor.begin` / :meth:`Executor.step`,
+    in a cluster worker (capturing each boundary, stopping a job the front
+    end wants back) and in each gateway lane (interleaving lanes in
+    virtual time and hot-applying per-tenant policy between chunks).
+    :func:`execute_job` runs it to the end in process.  Protocol:
 
     1. the first ``next()`` yields ``{"kind": "begin", "pid",
        "slot_base", "executed"}`` before any guest instruction runs
@@ -100,15 +89,13 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
     carries :class:`ResourceQuota` kwargs applied at spawn (the per-tenant
     budget of the serving gateway).
 
-    Boundaries are aligned in *job-consumed* instructions, so a resumed
-    run pauses at the same points as an uninterrupted one regardless of
-    where it picked up (the byte-identity contract, DESIGN.md §13).
+    Boundaries are multiples of the interval in *job-consumed*
+    instructions, not in this run's progress, so a resumed run pauses at
+    the same points as an uninterrupted one regardless of where it picked
+    up (the byte-identity contract, DESIGN.md §13).
 
-    The runtime is left clean for the next job however the job ends:
-    every process the job created is terminated and reaped, and every
-    slot the job allocated (including those of already-reaped fork
-    children) is unmapped with its translations swept.  Template slots
-    owned by the pool persist — they are the point of warm spawn.
+    The runtime is left clean for the next job however the job ends
+    (:func:`_cleanup`).
     """
     slot_start = runtime._next_slot
     pid_start = runtime._next_pid
@@ -245,32 +232,14 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
 
 def execute_job(runtime: Runtime, pool: Optional[WarmPool],
                 job: dict, budget: int = DEFAULT_JOB_BUDGET,
-                checkpoint_interval: Optional[int] = None,
-                checkpoint_sink: Optional[Callable] = None,
-                control_poll: Optional[Callable] = None) -> dict:
-    """Run one job (to completion or a yield); returns the payload dict.
-
-    The cluster worker's driver around :func:`execute_job_steps`: at each
-    checkpoint boundary it consults ``control_poll(job_id)`` — a True
-    return means the front-end wants this job back (migration/drain), so
-    the job stops and the payload is a ``{"kind": "yield"}`` carrying the
-    boundary checkpoint — and otherwise asks for the boundary's
-    checkpoint and hands it to ``checkpoint_sink``, if there is one.
-    """
+                checkpoint_interval: Optional[int] = None) -> dict:
+    """Run one job to completion in process; returns its result payload.
+    Its chunk boundaries capture nothing."""
     steps = execute_job_steps(runtime, pool, job, budget=budget,
                               checkpoint_interval=checkpoint_interval)
-    ask = {"checkpoint": checkpoint_sink is not None}
-    cmd = None
     try:
         while True:
-            info = steps.send(cmd)
-            cmd = ask
-            if info["kind"] == "begin":
-                continue
-            if control_poll is not None and control_poll(job["job_id"]):
-                cmd = {"stop": True}
-            elif checkpoint_sink is not None:
-                checkpoint_sink(info["checkpoint"])
+            next(steps)
     except StopIteration as stop:
         return stop.value
 
@@ -307,15 +276,13 @@ def _cleanup(runtime: Runtime, pool: Optional[WarmPool],
 
 
 class Executor:
-    """A private runtime, its warm pool and the job it is running.
+    """A private runtime, its warm pool and the job it is running, driven
+    one chunk at a time by :meth:`begin` and :meth:`step`.
 
-    The one construction of what runs jobs: a cluster worker process
-    builds one per generation and the gateway one per lane.
-    ``chaos_faults`` maps executor ids to a count of seeded guest-level
-    fault injections (:class:`FaultInjector`) armed against whatever this
-    executor runs; the seed is :func:`derive_worker_seed` of ``seed``.
-    :meth:`begin` and :meth:`step` drive :func:`execute_job_steps` one
-    chunk at a time.
+    A cluster worker process builds one per generation and the gateway
+    one per lane.  ``chaos_faults`` maps executor ids to a count of
+    seeded guest-level fault injections (:class:`FaultInjector`), seeded
+    by :func:`derive_worker_seed` of ``seed``.
     """
 
     def __init__(self, worker_id: int, generation: int = 0, *,
@@ -336,14 +303,12 @@ class Executor:
         self._executed = 0            # executed count at the last boundary
 
     def begin(self, job: dict, budget: int = DEFAULT_JOB_BUDGET,
-              checkpoint_interval: Optional[int] = None,
-              record_trace: bool = False) -> dict:
+              checkpoint_interval: Optional[int] = None) -> dict:
         """Start ``job``; returns the ``begin`` info (pid, slot, executed)."""
         assert self.gen is None, "executor already busy"
         self.gen = execute_job_steps(
             self.runtime, self.pool, job, budget=budget,
-            checkpoint_interval=checkpoint_interval,
-            record_trace=record_trace)
+            checkpoint_interval=checkpoint_interval)
         info = next(self.gen)
         self._executed = info["executed"]
         return info
@@ -352,14 +317,16 @@ class Executor:
         """Run one chunk; returns ``(info, delta)``.
 
         ``delta`` is the instructions the chunk consumed.  When the job
-        ends, ``info`` is its ``result`` payload and :attr:`gen` is None.
+        ends, ``info`` is its ``result`` payload (or, after a stop, its
+        ``yield``) and :attr:`gen` is None.
         """
         try:
             info = self.gen.send(cmd)
             executed = info["executed"]
         except StopIteration as stop:
             info = stop.value
-            executed = int(info["diag"]["instructions"])
+            executed = (int(info["diag"]["instructions"])
+                        if info["kind"] == "result" else self._executed)
             self.gen = None
         delta = executed - self._executed
         self._executed = executed
@@ -377,18 +344,19 @@ def worker_main(worker_id: int, generation: int, config: dict,
     reporting, and the front-end sees a clean EOF once the sole writer is
     gone (``Cluster._launch`` says why no queue is shared).
 
-    The worker runs its jobs on one :class:`Executor`, whose seed also
-    drives ``config["chaos"]``: it maps this worker id to N, and on its
-    first generation the worker dies with ``os._exit`` during its (N+1)th
-    job — at a seeded scheduling slice, or (for jobs too short to get
-    there) right after execution but *before* reporting the result.
-    Either way the crash window is one the front-end must survive.
+    The worker drives one :class:`Executor` through :meth:`Executor.begin`
+    / :meth:`Executor.step`, as a gateway lane does, asking for every
+    boundary's checkpoint and sending it to the front end.  The
+    executor's seed also drives ``config["chaos"]``: it maps this worker
+    id to N, and on its first generation the worker dies with
+    ``os._exit`` during its (N+1)th job — at a seeded scheduling slice,
+    or (for jobs too short to get there) after execution but *before*
+    reporting the result.
 
-    ``ctrl_queue`` carries yield requests from the front-end: ``{"op":
-    "yield", "job_id": n}`` asks for one job back at its next checkpoint
-    boundary (migration); ``{"op": "yield_all"}`` puts the worker into
-    draining mode — the current job yields and every queued job bounces
-    back unexecuted (elastic scale-down).
+    ``ctrl_queue``, read at each job start and boundary, carries
+    ``{"op": "yield", "job_id": n}`` (give one job back at its next
+    boundary: migration) and ``{"op": "yield_all"}`` (draining: the
+    current job yields, every queued job bounces back unexecuted).
     """
     executor = Executor(worker_id, generation, engine=config["engine"],
                         timeslice=config["timeslice"],
@@ -397,32 +365,32 @@ def worker_main(worker_id: int, generation: int, config: dict,
                         seed=config["seed"])
     rng = random.Random(executor.seed)
     crash_after = config["chaos"].get(worker_id) if generation == 0 else None
+    yields: set = set()
+    draining = False
 
-    state = {"draining": False, "yields": set()}
-
-    def drain_ctrl() -> None:
+    def wanted(job_id: int) -> bool:
+        """Whether the front end wants ``job_id`` back, once every
+        control message so far is read."""
+        nonlocal draining
         while True:
             try:
                 msg = ctrl_queue.get_nowait()
             except _queue.Empty:
-                return
-            if msg.get("op") == "yield":
-                state["yields"].add(msg["job_id"])
-            elif msg.get("op") == "yield_all":
-                state["draining"] = True
-
-    def control_poll(job_id: int) -> bool:
-        drain_ctrl()
-        return state["draining"] or job_id in state["yields"]
+                return draining or job_id in yields
+            if msg["op"] == "yield_all":
+                draining = True
+            else:
+                yields.add(msg["job_id"])
 
     taken = 0
     while True:
         job = job_queue.get()
         if job is None:
             return
-        drain_ctrl()
-        if state["draining"]:
-            result_conn.send({"kind": "bounce", "job_id": job["job_id"]})
+        job_id = job["job_id"]
+        wanted(job_id)
+        if draining:
+            result_conn.send({"kind": "bounce", "job_id": job_id})
             continue
         taken += 1
         fatal = crash_after is not None and taken > crash_after
@@ -438,22 +406,23 @@ def worker_main(worker_id: int, generation: int, config: dict,
 
             executor.runtime.machine.run_hooks.add(blow)
 
-        def sink(ckpt, _job_id=job["job_id"]):
-            result_conn.send({"kind": "checkpoint", "job_id": _job_id,
-                              "checkpoint": ckpt.to_bytes(),
-                              "seq": ckpt.stats.get("seq", 0)})
-
-        payload = execute_job(
-            executor.runtime, executor.pool, job, budget=config["budget"],
-            checkpoint_interval=config["checkpoint_interval"],
-            checkpoint_sink=sink, control_poll=control_poll)
+        executor.begin(job, budget=config["budget"],
+                       checkpoint_interval=config["checkpoint_interval"])
+        payload, _ = executor.step({"checkpoint": True})
+        while executor.gen is not None:
+            if wanted(job_id):
+                payload, _ = executor.step({"stop": True})
+                continue
+            result_conn.send({"kind": "checkpoint", "job_id": job_id,
+                              "checkpoint": payload["checkpoint"].to_bytes()})
+            payload, _ = executor.step({"checkpoint": True})
         if fatal:
             # The job was too short to reach the slice fuse: die in the
             # same window the pre-chunking chaos used — after execution,
             # before the result reaches the front-end.
             os._exit(CHAOS_EXIT)
-        if payload.get("kind") == "yield":
-            state["yields"].discard(job["job_id"])
+        if payload["kind"] == "yield":
+            yields.discard(job_id)
         else:
             # Diagnostic only — placement is intentionally outside the
             # deterministic result key (it varies with worker count).

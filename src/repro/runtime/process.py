@@ -27,7 +27,6 @@ class StdStream:
     def __init__(self, readable: bool = False):
         self.buffer = bytearray()
         self.readable = readable
-        self.writable = not readable
         self._read_pos = 0
 
     def write(self, data: bytes) -> int:

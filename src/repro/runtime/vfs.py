@@ -282,10 +282,6 @@ class PipeEnd:
     def readable(self) -> bool:
         return self.reading
 
-    @property
-    def writable(self) -> bool:
-        return not self.reading
-
     def read(self, count: int) -> Optional[bytes]:
         """Bytes, b"" on EOF, or None if the caller must block."""
         if not self.reading:

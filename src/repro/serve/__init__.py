@@ -1,11 +1,11 @@
-"""repro.serve — always-on serving gateway over the cluster runtime.
+"""repro.serve — always-on serving gateway over the cluster's dispatcher.
 
 The batch cluster answers "run these N jobs"; this package answers
-"stay up and keep answering": admission control with bounded queues and
-typed shedding, priority routing with per-tenant token buckets and
-deadlines, token-guarded policy hot-reload applied to running guests,
-and Prometheus-ready metrics (DESIGN.md §12).  Each lane runs a cluster
-:class:`~repro.cluster.Executor` in process; crashes, restarts,
+"stay up and keep answering": admission control with bounded queues,
+per-tenant token buckets and typed shedding, token-guarded policy
+hot-reload applied to running guests, and Prometheus-ready metrics
+(DESIGN.md §12).  The :class:`Gateway` is the cluster's dispatcher over
+in-process :class:`~repro.cluster.Executor` lanes; crashes, restarts,
 migration and resizing belong to :class:`repro.cluster.Cluster`.
 """
 
@@ -14,7 +14,6 @@ from .gateway import (
     CLOCK_HZ,
     LATENCY_BUCKETS_S,
     Gateway,
-    ServeResult,
 )
 from .loadgen import (
     TenantLoad,
@@ -35,7 +34,6 @@ __all__ = [
     "Overloaded",
     "PolicyStore",
     "ServeError",
-    "ServeResult",
     "StalePolicy",
     "TenantLoad",
     "TenantPolicy",

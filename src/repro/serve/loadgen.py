@@ -16,11 +16,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+from ..cluster.jobs import JobResult
 from ..elf.format import write_elf
 from ..errors import ServeError
 from ..toolchain import compile_lfi
 from ..workloads.rtlib import busy_program
-from .gateway import Gateway, ServeResult
+from .gateway import Gateway
 from .policy import TenantPolicy, check_number
 
 __all__ = ["TenantLoad", "build_arrivals", "build_images", "run_loadgen",
@@ -76,7 +77,7 @@ def build_images(loads: Iterable[TenantLoad]) -> Dict[Tuple[int, int],
 
 
 def run_loadgen(gateway: Gateway, loads: List[TenantLoad],
-                duration: float, seed: int) -> List[ServeResult]:
+                duration: float, seed: int) -> List[JobResult]:
     """Offer the seeded schedule, run the window, drain, return results."""
     images = build_images(loads)
     for t, load in build_arrivals(loads, duration, seed):
@@ -96,11 +97,11 @@ def percentile(values: List[float], pct: float) -> float:
     return ordered[int(rank) - 1]
 
 
-def render_report(results: List[ServeResult],
+def render_report(results: List[JobResult],
                   policies: Dict[str, TenantPolicy]) -> str:
     """Deterministic per-tenant serving report (diffable text)."""
     lines = ["tenant prio offered ok rejected p50_s p99_s sla verdict"]
-    by_tenant: Dict[str, List[ServeResult]] = {}
+    by_tenant: Dict[str, List[JobResult]] = {}
     for result in results:
         by_tenant.setdefault(result.tenant, []).append(result)
     for tenant in sorted(by_tenant):
@@ -124,51 +125,33 @@ def render_report(results: List[ServeResult],
 
 
 def demo_policies() -> Dict[str, TenantPolicy]:
-    """8 tenants, 3 priority classes; ``bronze-3`` will misbehave."""
-    policies = {
-        "gold-1": TenantPolicy(priority=0, rate=40.0, burst=8.0,
-                               queue_limit=16, sla_s=0.05,
-                               quota={"max_instructions": 50_000}),
-        "gold-2": TenantPolicy(priority=0, rate=40.0, burst=8.0,
-                               queue_limit=16, sla_s=0.05,
-                               quota={"max_instructions": 50_000}),
-        "silver-1": TenantPolicy(priority=1, rate=30.0, burst=6.0,
-                                 queue_limit=12, sla_s=0.15),
-        "silver-2": TenantPolicy(priority=1, rate=30.0, burst=6.0,
-                                 queue_limit=12, sla_s=0.15),
-        "silver-3": TenantPolicy(priority=1, rate=30.0, burst=6.0,
-                                 queue_limit=12, sla_s=0.15),
-        "bronze-1": TenantPolicy(priority=2, rate=20.0, burst=4.0,
-                                 queue_limit=8, deadline_s=0.5),
-        "bronze-2": TenantPolicy(priority=2, rate=20.0, burst=4.0,
-                                 queue_limit=8, deadline_s=0.5),
-        # The misbehaving tenant: its *policy* allows 20 req/s but its
-        # *offered* load (demo_loads) runs an order of magnitude hotter,
-        # so the token bucket throttles it while the others keep SLA.
-        "bronze-3": TenantPolicy(priority=2, rate=20.0, burst=4.0,
-                                 queue_limit=8, deadline_s=0.5),
-    }
-    return policies
+    """8 tenants, 3 priority classes; ``bronze-3`` will misbehave: its
+    *policy* allows 20 req/s but its *offered* load (:func:`demo_loads`)
+    runs an order of magnitude hotter, so the token bucket throttles it
+    while the others keep SLA."""
+    gold = TenantPolicy(priority=0, rate=40.0, burst=8.0, queue_limit=16,
+                        sla_s=0.05, quota={"max_instructions": 50_000})
+    silver = TenantPolicy(priority=1, rate=30.0, burst=6.0, queue_limit=12,
+                          sla_s=0.15)
+    bronze = TenantPolicy(priority=2, rate=20.0, burst=4.0, queue_limit=8,
+                          deadline_s=0.5)
+    return {f"{name}-{n}": policy
+            for name, policy, count in (("gold", gold, 2),
+                                        ("silver", silver, 3),
+                                        ("bronze", bronze, 3))
+            for n in range(1, count + 1)}
 
 
 def demo_loads() -> List[TenantLoad]:
-    return [
-        TenantLoad("gold-1", rate=25.0, target_instructions=3000, value=1),
-        TenantLoad("gold-2", rate=25.0, target_instructions=3000, value=2),
-        TenantLoad("silver-1", rate=20.0, target_instructions=4000,
-                   value=3),
-        TenantLoad("silver-2", rate=20.0, target_instructions=4000,
-                   value=4),
-        TenantLoad("silver-3", rate=20.0, target_instructions=4000,
-                   value=5),
-        TenantLoad("bronze-1", rate=12.0, target_instructions=5000,
-                   value=6),
-        TenantLoad("bronze-2", rate=12.0, target_instructions=5000,
-                   value=7),
-        # ~8x its admitted rate: the open loop keeps offering anyway.
-        TenantLoad("bronze-3", rate=150.0, target_instructions=5000,
-                   value=8),
-    ]
+    """One load per :func:`demo_policies` tenant, valued 1-8; bronze-3
+    offers ~8x its admitted rate: the open loop keeps offering anyway."""
+    offered = [("gold-1", 25.0, 3000), ("gold-2", 25.0, 3000),
+               ("silver-1", 20.0, 4000), ("silver-2", 20.0, 4000),
+               ("silver-3", 20.0, 4000), ("bronze-1", 12.0, 5000),
+               ("bronze-2", 12.0, 5000), ("bronze-3", 150.0, 5000)]
+    return [TenantLoad(tenant, rate=rate, target_instructions=target,
+                       value=value)
+            for value, (tenant, rate, target) in enumerate(offered, 1)]
 
 
 _TENANT_KEYS = {"priority", "rate", "burst", "queue_limit", "deadline_ms",
@@ -246,6 +229,8 @@ def load_config(config: dict):
             config["checkpoint_interval"]
     for key, value in gateway_kwargs.items():
         check_number(key, value, integer=True)
+        if value < 1:
+            raise ServeError(f"{key} must be >= 1, got {value}")
     duration = config.get("duration_s", 1.0)
     check_number("duration_s", duration)
     if duration <= 0:

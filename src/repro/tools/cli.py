@@ -395,7 +395,7 @@ def _cmd_serve(args) -> int:
     _write_text(args.out, render_report(results, policies))
     if args.metrics_out:
         gateway.report()  # refresh the lane/queue gauges
-        exposition = prometheus_exposition(gateway.hub)
+        exposition = prometheus_exposition(gateway.ops)
         problems = validate_exposition(exposition)
         for problem in problems[:10]:
             print(f"invalid exposition: {problem}", file=sys.stderr)
@@ -544,6 +544,17 @@ def _write_text(path: Optional[str], text: str) -> None:
         handle.write(text)
 
 
+def _positive(kind):
+    """An argparse type: a ``kind`` (int or float) greater than 0."""
+    def parse(text: str):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in errors
+    return parse
+
+
 def _shared_parents():
     """The one spelling of the flags every analysis tool shares.
 
@@ -689,9 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster", parents=[OUT, SEED, OPT, ENGINE],
         help="run a synthetic job batch on the sharded cluster runtime",
     )
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_positive(int), default=2,
                    help="number of OS worker processes")
-    p.add_argument("--jobs", type=int, default=8,
+    p.add_argument("--jobs", type=_positive(int), default=8,
                    help="jobs in the batch")
     p.add_argument("--distinct", type=int, default=4,
                    help="distinct images in the batch (warm-spawn reuse)")
@@ -731,15 +742,15 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate", parents=[OUT, SEED, OPT, ENGINE],
         help="live-migrate a job mid-batch and verify byte-identity",
     )
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_positive(int), default=2,
                    help="worker processes in the migrated run")
-    p.add_argument("--jobs", type=int, default=4,
+    p.add_argument("--jobs", type=_positive(int), default=4,
                    help="jobs in the batch")
     p.add_argument("--distinct", type=int, default=2,
                    help="distinct images in the batch")
     p.add_argument("--target", type=int, default=300_000,
                    help="target instructions per job")
-    p.add_argument("--interval", type=int, default=20_000,
+    p.add_argument("--interval", type=_positive(int), default=20_000,
                    help="checkpoint interval (instructions)")
     p.set_defaults(func=_cmd_migrate)
 
@@ -750,10 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH",
                    help="JSON tenant policy/load config ('-' for stdin; "
                         "default: the built-in 8-tenant demo)")
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--duration", type=_positive(float), default=None,
                    help="virtual seconds of offered load "
                         "(overrides the config)")
-    p.add_argument("--lanes", type=int, default=None,
+    p.add_argument("--lanes", type=_positive(int), default=None,
                    help="serving lanes (overrides the config)")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the validated Prometheus exposition to PATH")

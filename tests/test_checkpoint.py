@@ -37,7 +37,8 @@ from repro.checkpoint import (
     restore_job,
     track_slot_bases,
 )
-from repro.cluster import Cluster, WarmPool, derive_worker_seed, execute_job
+from repro.cluster import (Cluster, Executor, WarmPool, derive_worker_seed,
+                           execute_job)
 from repro.cluster.cluster import worker_backoff_s, worker_crashed
 from repro.cluster.worker import execute_job_steps
 from repro.elf.format import write_elf
@@ -462,11 +463,28 @@ class TestIncrementalSession:
         assert incremental.digest() == cold.digest()
 
 
+def drive_as_worker(job, interval, timeslice, back):
+    """Run ``job`` on a fresh :class:`Executor` as a cluster worker
+    does: ask for every boundary's checkpoint, and stop at the first
+    boundary where ``back(sunk)`` holds.  Returns (sunk, final payload)."""
+    executor = Executor(0, timeslice=timeslice, warm_spawn=False)
+    executor.begin(job, checkpoint_interval=interval)
+    sunk, cmd = [], {"checkpoint": True}
+    while executor.gen is not None:
+        payload, _ = executor.step(cmd)
+        if executor.gen is not None:
+            if back(sunk):
+                cmd = {"stop": True}
+            else:
+                sunk.append(payload["checkpoint"])
+    return sunk, payload
+
+
 class TestCaptureOnRequest:
     """``execute_job_steps`` captures a boundary only when its driver
-    asks: ``execute_job`` asks exactly where the worker captures (for the
-    sink, or for a stop's yield), and a driver that never asks, like the
-    gateway's lanes, gets no checkpoint at all."""
+    asks: a worker asks at every boundary (for the front end, or for a
+    stop's yield), and a driver that never asks, like the gateway's
+    lanes, gets no checkpoint at all."""
 
     INTERVAL, TIMESLICE, STOP_AT = 500, 100, 4
     #: sha256 of the sink blobs and of the yield blob; the same bytes as
@@ -483,11 +501,9 @@ class TestCaptureOnRequest:
                 "program": write_elf(compile_lfi(STORE_SPIN).elf)}
 
     def test_sink_and_yield_blobs_pinned(self):
-        sunk = []
-        yielded = execute_job(
-            Runtime(model=None, timeslice=self.TIMESLICE), None, self.job(),
-            checkpoint_interval=self.INTERVAL, checkpoint_sink=sunk.append,
-            control_poll=lambda job_id: len(sunk) == self.STOP_AT - 1)
+        sunk, yielded = drive_as_worker(
+            self.job(), self.INTERVAL, self.TIMESLICE,
+            lambda sunk: len(sunk) == self.STOP_AT - 1)
         assert yielded["kind"] == "yield"
         blobs = [ckpt.to_bytes() for ckpt in sunk] + [yielded["checkpoint"]]
         assert [hashlib.sha256(blob).hexdigest()
@@ -590,14 +606,10 @@ class TestClusterRecovery:
         reference = execute_job(Runtime(model=None, timeslice=timeslice),
                                 None, dict(job))
 
-        sunk = []
-        crashed = Runtime(model=None, timeslice=timeslice)
-        yielded = execute_job(
-            crashed, None, dict(job), checkpoint_interval=interval,
-            checkpoint_sink=sunk.append,
-            # "Crash" at the third checkpoint boundary: the front-end
-            # only ever saw the first two checkpoints.
-            control_poll=lambda job_id: len(sunk) >= 2)
+        # "Crash" at the third checkpoint boundary: the front-end only
+        # ever saw the first two checkpoints.
+        sunk, yielded = drive_as_worker(dict(job), interval, timeslice,
+                                        lambda sunk: len(sunk) >= 2)
         assert yielded["kind"] == "yield"
         crash_point = Checkpoint.from_bytes(
             yielded["checkpoint"]).consumed_instructions

@@ -165,6 +165,18 @@ class TestFaultTolerance:
             with pytest.raises(ClusterError):
                 cluster.drain()
 
+    def test_an_empty_fleet_is_a_cluster_error(self):
+        with pytest.raises(ClusterError, match="at least one lane"):
+            Cluster(workers=0)
+        with Cluster(workers=1) as cluster:
+            with pytest.raises(ClusterError, match="at least one lane"):
+                cluster.resize(0)
+
+    @pytest.mark.parametrize("interval", [0, -5, 2.5, True])
+    def test_a_non_positive_interval_is_a_cluster_error(self, interval):
+        with pytest.raises(ClusterError, match="checkpoint_interval"):
+            Cluster(workers=1, checkpoint_interval=interval)
+
     def test_submit_after_close_rejected(self, images):
         cluster = Cluster(workers=1)
         cluster.close()

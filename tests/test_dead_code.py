@@ -10,8 +10,10 @@ or property is used only through an attribute use (``.name``) or a string
 constant that spells it (``getattr(sb, name)`` over a tuple of names): a
 bare local that happens to share its name does not count.  A use
 through a receiver of known class - ``self.x`` where the class stores
-``x`` only as ``C(...)`` or as a parameter annotated ``C``, or a
-parameter annotated ``C`` - counts only for ``C``; any other use counts
+``x`` only as ``C(...)`` or as a parameter annotated ``C``, a parameter
+annotated ``C``, a local that every binding in its function binds to
+``C(...)`` (``x = C(...)``, ``with C(...) as x``), or ``self`` in a
+method of ``C`` - counts only for ``C``; any other use counts
 only for the classes its scope can reach: the classes the enclosing
 function defines or imports if any of them defines the name, else those
 its module defines or imports.  Either way a class counts with its bases
@@ -58,6 +60,9 @@ ALLOWED_ATTRIBUTES = {
     "MemoryFault.access":
         "part of a fault's identity (kind, address, access) that the "
         "engine twins compare; its message spells it",
+    "UnknownInstructionTrap.word":
+        "the undecodable word a trap carries, which the emulator tests "
+        "check; its message spells it",
     "Runtime.calls_inline":
         "test oracle: the leaf calls that returned into live registers",
 }
@@ -258,6 +263,45 @@ def _params(function, related):
     return params
 
 
+def _scope_types(function, related, outer):
+    """Name -> the classes it holds inside ``function``: a parameter
+    annotated ``C``, a local that every binding in the function binds to
+    ``C(...)`` (``x = C(...)`` or ``with C(...) as x``), and a name of
+    ``outer`` the function does not bind."""
+    nodes, stack = [], list(ast.iter_child_nodes(function))
+    while stack:  # the function's own scope: not its nested functions
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    typed, bound, mixed = {}, set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, ast.withitem):
+            pairs = [(node.optional_vars, node.context_expr)]
+        else:
+            continue
+        for target, value in pairs:
+            known = (_class_named(value.func, related)
+                     if isinstance(value, ast.Call) else None)
+            if isinstance(target, ast.Name) and known is not None:
+                typed.setdefault(target.id, set()).add(known)
+                bound.add(target)
+    arguments = [arg.arg for arg in ast.walk(function.args)
+                 if isinstance(arg, ast.arg)]
+    for node in nodes:
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node not in bound):
+            mixed.add(node.id)
+    shadowed = mixed | set(typed) | set(arguments)
+    return {**{name: known for name, known in outer.items()
+               if name not in shadowed},
+            **{name: known for name, known in typed.items()
+               if name not in mixed and name not in arguments},
+            **_params(function, related)}
+
+
 @functools.lru_cache(maxsize=None)
 def _uses(stored: bool = False):
     """Method name (``stored``: stored attribute name) -> the class names
@@ -303,11 +347,18 @@ def _uses(stored: bool = False):
         return {owner for cls in known
                 for owner in related.get(cls, set()) & definers[name]}
 
-    def visit(path, node, scopes, fields=None, params=None):
+    def visit(path, node, scopes, fields=None, params=None, owner=None):
+        if isinstance(node, _FUNCTIONS):
+            params = _scope_types(node, related, params or {})
+            first = (node.args.posonlyargs + node.args.args)[:1]
+            if owner is not None and first and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list):
+                params[first[0].arg] = {owner}
+        owner = None
         if isinstance(node, ast.ClassDef):
             fields = _fields(node, related)
-        if isinstance(node, _FUNCTIONS):
-            params = {**(params or {}), **_params(node, related)}
+            owner = node.name if node.name in related else None
         if (isinstance(node, ast.Attribute) and node.attr in definers
                 and (not stored or isinstance(node.ctx, ast.Load))):
             hits = typed(node.attr, node.value, fields or {}, params or {})
@@ -326,7 +377,7 @@ def _uses(stored: bool = False):
         if isinstance(node, _FUNCTIONS):
             scopes = [_reach(path, node)] + scopes
         for child in ast.iter_child_nodes(node):
-            visit(path, child, scopes, fields, params)
+            visit(path, child, scopes, fields, params, owner)
 
     for path, tree in _trees():
         visit(path, tree, [_reach(path, tree)])
@@ -389,3 +440,32 @@ def test_a_receiver_of_known_class_counts_for_that_class():
     assert _fields(cls, related) == {"runtime": {"Runtime"},
                                      "pool": {"WarmPool"}}
     assert _params(cls.body[1], related) == {"book": {"RestartBook"}}
+
+
+def test_a_local_bound_to_a_class_call_counts_for_that_class():
+    """``x = C(...)`` and ``with C(...) as x:`` type ``x`` in its
+    function, and an outer name stays typed inside; a local bound any
+    other way too, a parameter, or a name a nested function binds again
+    is untyped."""
+    _, related = _hierarchy()
+    life = ast.parse(
+        "def life(book: RestartBook, pool, n):\n"
+        "    cluster = Cluster(workers=1)\n"
+        "    with Cluster(workers=2) as other:\n"
+        "        other.drain()\n"
+        "    either = Gateway({})\n"
+        "    either = pool\n"
+        "    pool = WarmPool(None)\n"
+        "    for n in range(3):\n"
+        "        n = Job(n, b'')\n"
+        "    def inner(book):\n"
+        "        cluster = None\n"
+        "        return other, book\n"
+        "    return cluster\n").body[0]
+    outer = {"outer": {"Runtime"}, "cluster": {"Job"}, "either": {"Job"}}
+    scope = _scope_types(life, related, outer)
+    assert scope == {"outer": {"Runtime"}, "cluster": {"Cluster"},
+                     "other": {"Cluster"}, "book": {"RestartBook"}}
+    inner = life.body[-2]
+    assert _scope_types(inner, related, scope) == {
+        "outer": {"Runtime"}, "other": {"Cluster"}}

@@ -199,10 +199,10 @@ def test_serving_run_exports_valid_exposition():
                         value=2)]
     run_loadgen(gateway, loads, 0.25, seed=4)
     gateway.report()
-    text = prometheus_exposition(gateway.hub)
+    text = prometheus_exposition(gateway.ops)
     assert validate_exposition(text) == []
     assert "repro_serve_completed_total" in text
     assert 'repro_serve_rejected_total{reason="throttled",tenant="bronze"}' \
         in text
     assert 'repro_serve_latency_s_bucket{le="+Inf",tenant="gold"}' in text
-    assert text == prometheus_exposition(gateway.hub)  # stable render
+    assert text == prometheus_exposition(gateway.ops)  # stable render

@@ -42,12 +42,12 @@ def image():
 @pytest.fixture(scope="module")
 def blob(image):
     """A checkpoint of ``image``'s job stopped at its second boundary."""
-    sunk = []
-    yielded = execute_job(
-        Runtime(model=None, timeslice=TIMESLICE),
-        None, {"job_id": 0, "program": image},
-        checkpoint_interval=1_000, checkpoint_sink=sunk.append,
-        control_poll=lambda job_id: len(sunk) == 1)
+    executor = Executor(0, timeslice=TIMESLICE, warm_spawn=False)
+    executor.begin({"job_id": 0, "program": image},
+                   checkpoint_interval=1_000)
+    for _ in range(2):
+        executor.step({"checkpoint": True})
+    yielded, _ = executor.step({"stop": True})
     assert yielded["kind"] == "yield"
     return yielded["checkpoint"]
 

@@ -37,7 +37,12 @@ def images():
 
 
 def counter(gateway, name):
-    return gateway.hub.host_counter(name).value
+    return gateway.ops.host_counter(name).value
+
+
+def placement(results):
+    """The pid and slot each request ran in (not in the result key)."""
+    return [(r.diag.get("pid"), r.diag.get("slot")) for r in results]
 
 
 # -- policy store ------------------------------------------------------------
@@ -151,7 +156,7 @@ class TestAdmission:
             lanes=1)
         gateway.offer("a", images["long"], at=0.0)     # runs ~40 ms
         late = gateway.offer("a", images["short"], at=0.001)
-        results = {r.request_id: r for r in gateway.drain()}
+        results = {r.job_id: r for r in gateway.drain()}
         # The first request started before its deadline expired, so it
         # completes; the waiter expired before a lane freed up.
         assert results[late - 1].status == "ok"
@@ -183,10 +188,11 @@ class TestHotReload:
         result = gateway.drain()[0]
         applied = [line for line in gateway.log if " apply-policy " in line]
         assert len(applied) == 1
-        assert f"pid={result.pid}" in applied[0]
-        assert f"slot={hex(result.slot)}" in applied[0]
+        assert f"pid={result.diag['pid']}" in applied[0]
+        assert f"slot={hex(result.diag['slot'])}" in applied[0]
         assert result.status == "ok" and result.exit_code == 9
-        assert result.attempts == 1   # never restarted
+        starts = [line for line in gateway.log if " start " in line]
+        assert len(starts) == 1   # never restarted
 
     def test_stale_scheduled_reload_logged_not_raised(self, images):
         gateway = Gateway({"a": TenantPolicy()}, lanes=1)
@@ -206,6 +212,14 @@ class TestHotReload:
             assert gateway.timeslice == interval
             assert [lane.runtime.scheduler.timeslice
                     for lane in gateway.lanes.values()] == [interval] * 2
+
+    @pytest.mark.parametrize("interval", [0, -5, 2.5])
+    def test_a_non_positive_interval_is_a_serve_error(self, interval):
+        with pytest.raises(ServeError, match="checkpoint_interval"):
+            Gateway({"a": TenantPolicy()}, checkpoint_interval=interval)
+        with pytest.raises(ServeError, match="checkpoint_interval"):
+            load_config({"checkpoint_interval": interval,
+                         "tenants": {"t": {}}})
 
     def test_stale_immediate_reload_raises(self):
         gateway = Gateway({"a": TenantPolicy()}, lanes=1)
@@ -262,6 +276,7 @@ class TestDeterminism:
         assert g1.log == g2.log
         assert [r.deterministic_key() for r in r1] \
             == [r.deterministic_key() for r in r2]
+        assert placement(r1) == placement(r2)
         assert g1.report() == g2.report()
 
     def test_different_seed_differs(self):
@@ -293,7 +308,9 @@ class TestDeterminism:
                               lanes=1, checkpoint_interval=2000,
                               chaos_faults={0: 2}, seed=9)
             gateway.offer("a", images["medium"], at=0.0)
-            return [r.deterministic_key() for r in gateway.drain()]
+            results = gateway.drain()
+            return ([r.deterministic_key() for r in results],
+                    placement(results))
         assert run() == run()
 
 

@@ -408,3 +408,29 @@ class TestServeCommand:
         assert "repro.tools: error:" in result.stderr
         assert "unknown keys" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--jobs", "-1"], ["cluster", "--workers", "0"],
+    ["migrate", "--jobs", "0"], ["migrate", "--workers", "-2"],
+    ["migrate", "--interval", "0"], ["serve", "--lanes", "0"],
+    ["serve", "--duration", "-1"],
+])
+def test_a_count_at_or_below_zero_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be > 0" in err and "Traceback" not in err
+
+
+def test_an_empty_fleet_in_a_config_is_one_line(tmp_path):
+    config = tmp_path / "serve.json"
+    config.write_text('{"lanes": 0, "tenants": {"t": {"load": {"rate": 5}}}}')
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.tools", "serve", "--config",
+         str(config)], capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("repro.tools: error: lanes must be >= 1")
+    assert "Traceback" not in done.stderr
+
