@@ -1,23 +1,33 @@
 """The forked transport: the dispatcher over worker processes (DESIGN.md §12).
 
 The :class:`Cluster` partitions a job batch across N OS worker processes
-(`multiprocessing` fork context), each running an
-:class:`~repro.cluster.Executor`.  Every live worker that is not
-draining has room, so the :class:`~repro.cluster.jobs.Dispatcher` sends
-each job to the one with the fewest outstanding jobs (ties to the lowest
-worker id); placement never reaches a result's deterministic fields, and
-``drain`` orders results by submission id, so 1-worker and N-worker runs
-of a batch are byte-identical.
+(`multiprocessing` fork context), each running a private superblock
+runtime.  Three rules make it safe and deterministic:
 
-The front-end retains every job *and its latest checkpoint* until the
-result arrives.  A dead worker is entered in a
-:class:`~repro.robustness.RestartBook` and relaunched after a
-bounded-jitter backoff while its policy grants restarts; a job goes back
-on the dispatcher's queue when its worker bounces it, yields it (a live
-migration, whose target is the job's route, or a scale-down), or is
-retired owing it, and resumes from its checkpoint — at most one
-checkpoint interval is redone.  Duplicate results (a worker that died
-*after* reporting) are deduplicated by job id.
+* **routing** — every live worker that is not draining has room, so the
+  :class:`~repro.cluster.jobs.Dispatcher` sends a job to the worker with
+  the fewest outstanding jobs (ties to the lowest worker id).  Routing
+  affects only placement diagnostics, never results;
+* **determinism** — ``drain`` orders results by submission id, and every
+  result's deterministic fields (exit code, stdout/stderr, fault kinds,
+  pid-normalized metrics) are placement-independent, so 1-worker and
+  N-worker runs of the same batch are byte-identical;
+* **fault tolerance** — the front-end retains every job payload *and its
+  latest checkpoint* until the result arrives.  A dead worker is entered
+  in a :class:`~repro.robustness.RestartBook`, the sandbox supervisor's
+  restart rule; while its :class:`~repro.robustness.RestartPolicy`
+  grants restarts it is relaunched after a bounded-jitter exponential
+  backoff.  The jobs it owed go back on the dispatcher's queue, as do
+  bounced and yielded jobs, and resume from their last checkpoint, so at
+  most one checkpoint interval of work is redone.  Duplicate results (a
+  worker that died *after* reporting) are deduplicated by job id —
+  executions are deterministic, so duplicates are identical.
+
+On top of checkpoint retention sit live migration (:meth:`migrate` asks
+a worker to yield a running job at its next checkpoint boundary; the
+yielded job's route is the target) and elastic rebalancing
+(:meth:`resize` grows the pool, or drains victims by yield-and-bounce).
+Both preserve the byte-identity contract (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ import multiprocessing
 import multiprocessing.connection as _mpconn
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine import EngineConfig, engine_config
@@ -39,8 +48,9 @@ from .worker import DEFAULT_JOB_BUDGET, worker_main
 __all__ = ["Cluster", "DEFAULT_CHECKPOINT_INTERVAL", "worker_crashed",
            "worker_backoff_s"]
 
-#: Instructions between job checkpoints, the bound on work redone after a
-#: crash; larger than typical short jobs, which therefore never pause.
+#: Instructions between periodic job checkpoints.  Also the bound on work
+#: redone after a worker crash.  Deliberately larger than typical smoke
+#: jobs: short jobs never pause, so chunking is free for them.
 DEFAULT_CHECKPOINT_INTERVAL = 250_000
 
 #: Restore latency histogram bounds, in wall-clock seconds.
@@ -83,21 +93,26 @@ def worker_backoff_s(book: RestartBook, policy: RestartPolicy,
     return delay * (1.0 + rng.random() * JITTER)
 
 
-@dataclass(eq=False)
 class _WorkerHandle:
     """Front-end bookkeeping for one worker process (one per shard)."""
 
-    worker_id: int
-    generation: int
-    process: object
-    job_queue: object
-    ctrl_queue: object
-    outstanding: Set[int] = field(default_factory=set)
-    completed: int = 0
-    #: Exited and not yet replaced (or never to be); has no room.
-    dead: bool = False
-    #: Being drained for scale-down; has no room.
-    draining: bool = False
+    __slots__ = ("worker_id", "generation", "process", "job_queue",
+                 "ctrl_queue", "outstanding", "completed", "dead",
+                 "draining")
+
+    def __init__(self, worker_id: int, generation: int, process, job_queue,
+                 ctrl_queue):
+        self.worker_id = worker_id
+        self.generation = generation
+        self.process = process
+        self.job_queue = job_queue
+        self.ctrl_queue = ctrl_queue
+        self.outstanding: Set[int] = set()
+        self.completed = 0
+        #: Exited and not yet replaced (or never to be); has no room.
+        self.dead = False
+        #: Being drained for scale-down; has no room.
+        self.draining = False
 
 
 class Cluster(Dispatcher):
@@ -213,13 +228,17 @@ class Cluster(Dispatcher):
         self._requeue([job.job_id])
         return job.job_id
 
+    def _routable(self) -> List[_WorkerHandle]:
+        """The workers with room: live and not draining."""
+        return [h for h in self._workers
+                if not h.dead and not h.draining]
+
     def _live(self, worker_id: int) -> Optional[_WorkerHandle]:
-        return next((h for h in self._workers if h.worker_id == worker_id
-                     and not h.dead and not h.draining), None)
+        return next((h for h in self._routable()
+                     if h.worker_id == worker_id), None)
 
     def _room(self) -> Dict[int, int]:
-        room = {h.worker_id: len(h.outstanding) for h in self._workers
-                if not h.dead and not h.draining}
+        room = {h.worker_id: len(h.outstanding) for h in self._routable()}
         if not room and not self._pending_restarts:
             raise ClusterError("no live workers left to dispatch to")
         return room
@@ -230,12 +249,16 @@ class Cluster(Dispatcher):
         handle.job_queue.put(
             job.payload(resume=self._checkpoints.get(job.job_id)))
 
-    def _requeue(self, job_ids) -> None:
+    def _requeue(self, job_ids, yielded: bool = False) -> None:
         """Queue jobs - new, bounced, yielded, or owed by a retired
-        worker - and dispatch whatever has room."""
+        worker - and dispatch whatever has room.  Only a yielded job
+        keeps its route: a migration happens at a yield or not at all."""
         for job_id in job_ids:
             if job_id not in self.results:
-                self._enqueue(self._jobs[job_id])
+                job = self._jobs[job_id]
+                if not yielded:
+                    job.route = None
+                self._enqueue(job)
         self._dispatch()
 
     # -- live migration / elastic resize -------------------------------------
@@ -243,10 +266,14 @@ class Cluster(Dispatcher):
     def migrate(self, job_id: int, worker_id: int) -> None:
         """Move a running job to ``worker_id`` at its next checkpoint.
 
-        Asynchronous: the owner yields the job at its next boundary with
-        a fresh checkpoint, and the job goes back on the queue with the
-        target as its route.  A job that finishes first simply completes
-        where it is.  The result is byte-identical either way (§13).
+        Asynchronous: the current owner is asked to yield the job — it
+        stops at the next checkpoint-interval boundary and hands back a
+        fresh checkpoint, and the job goes back on the queue with the
+        target as its route.  A job that finishes before reaching a
+        boundary simply completes where it is, and one whose owner
+        crashes or bounces it first is routed like any other job (the
+        migration dissolves).  The result is byte-identical either way
+        (DESIGN.md §13).
         """
         if job_id in self.results or job_id not in self._jobs:
             raise ClusterError(f"job {job_id} is not in flight")
@@ -264,15 +291,17 @@ class Cluster(Dispatcher):
     def resize(self, workers: int) -> None:
         """Scale the worker pool to ``workers`` (elastic rebalancing).
 
-        Growing launches fresh workers (ids above the highest ever used).
-        Shrinking drains the highest-id workers: each yields its running
-        job at its next boundary, bounces its queued jobs, and exits; all
-        of it goes back on the queue for the survivors.
+        Growing launches fresh workers (new ids above the highest ever
+        used).  Shrinking drains the highest-id workers: each yields its
+        running job at the next checkpoint boundary, bounces its queued
+        jobs back unexecuted, and exits; all of it goes back on the queue
+        for the survivors, resuming from checkpoints.  Results stay
+        byte-identical across any resize schedule.
         """
         self._check_lanes(workers)
         if self._closed:
             raise ClusterError("cluster is closed")
-        active = [h for h in self._workers if not h.dead and not h.draining]
+        active = self._routable()
         if workers > len(active):
             next_id = 1 + max(h.worker_id for h in self._workers)
             for offset in range(workers - len(active)):
@@ -291,9 +320,12 @@ class Cluster(Dispatcher):
     def drain(self) -> List[JobResult]:
         """Block until every submitted job has a result; ordered by id.
 
-        Survives worker crashes (see the module docstring); raises
-        :class:`ClusterError` once a crashed worker's restart budget is
-        exhausted with jobs still assigned.
+        Survives worker crashes: dead workers are restarted per the
+        restart policy (after its backoff) and their in-flight jobs
+        re-dispatched, resuming from their last checkpoint.  Handles the
+        checkpoint/yield/bounce traffic that crash recovery, migration,
+        and resize generate.  Raises :class:`ClusterError` once a crashed
+        worker's restart budget is exhausted with jobs still assigned.
         """
         while len(self.results) < len(self._jobs):
             self._check_workers()
@@ -303,8 +335,12 @@ class Cluster(Dispatcher):
         return [self.results[job_id] for job_id in sorted(self.results)]
 
     def _poll_results(self) -> List[dict]:
-        """Every payload ready on any worker's result pipe (a dead
-        worker's pipe too, until EOF: what it sent before dying counts)."""
+        """Collect every payload ready on any worker's result pipe.
+
+        A dead worker's pipe stays in the poll set until EOF, so anything
+        it reported just before crashing is recovered before its jobs are
+        re-dispatched from checkpoints.
+        """
         if not self._pipes:
             time.sleep(_POLL_SECONDS)
             return []
@@ -329,7 +365,7 @@ class Cluster(Dispatcher):
             self.ops.host_counter("job.yields").inc()
         if kind in ("yield", "bounce"):
             self._forget_assignment(job_id)
-            self._requeue([job_id])
+            self._requeue([job_id], yielded=kind == "yield")
         if kind != "result":
             return
         self._forget_assignment(job_id, completed=True)
@@ -403,9 +439,13 @@ class Cluster(Dispatcher):
     # -- reporting -----------------------------------------------------------
 
     def metrics_report(self) -> str:
-        """The per-job metrics merged in submission order under
-        ``job[<id>]`` prefixes: byte-identical for a batch whatever its
-        worker count, crashes, migrations or resizes."""
+        """One merged, deterministic metrics report for the whole batch.
+
+        Byte-identical for the same batch regardless of worker count,
+        crashes, migrations, or resizes: per-job snapshots are already
+        placement-independent, and they are merged in submission order
+        under ``job[<id>]`` prefixes.
+        """
         parts = [(f"job[{job_id}]", self.results[job_id].metrics)
                  for job_id in sorted(self.results)]
         return f"cluster.jobs {len(parts)}\n" + merge_snapshots(parts)

@@ -81,14 +81,9 @@ class JobResult:
     reason: str = ""            # rejection reason, "" when ok
     finish_s: float = 0.0
     latency_s: float = 0.0
-
-    @property
-    def instructions(self) -> int:
-        return int(self.diag.get("instructions", 0))
-
-    @property
-    def warm(self) -> bool:
-        return bool(self.diag.get("warm", False))
+    #: ``diag["instructions"]`` and ``diag["warm"]``; 0 and False when shed.
+    instructions: int = 0
+    warm: bool = False
 
     def deterministic_key(self) -> tuple:
         """Everything that must match however the job was placed."""
@@ -98,10 +93,13 @@ class JobResult:
 
     @classmethod
     def from_payload(cls, payload: dict, **fields) -> "JobResult":
-        """The result of an executor's ``result`` payload, plus ``fields``."""
+        """The result of an executor's ``result`` payload, plus ``fields``;
+        the result takes over the payload's ``diag``."""
+        diag = payload["diag"]
         return cls(payload["job_id"], payload["exit_code"], payload["stdout"],
                    payload["stderr"], payload["metrics"],
-                   tuple(payload["faults"]), dict(payload["diag"]), **fields)
+                   tuple(payload["faults"]), diag, **fields,
+                   instructions=int(diag["instructions"]), warm=diag["warm"])
 
 
 class Dispatcher:
@@ -117,19 +115,24 @@ class Dispatcher:
     """
 
     error = ReproError
+    #: Whether ``checkpoint_interval=None`` (each job runs unchunked) is
+    #: accepted.
+    unchunked = True
 
     def __init__(self, lanes: int, checkpoint_interval: Optional[int]):
         self._check_lanes(lanes)
-        if checkpoint_interval is not None and (
-                isinstance(checkpoint_interval, bool)
-                or not isinstance(checkpoint_interval, int)
-                or checkpoint_interval < 1):
-            raise self.error(f"checkpoint_interval must be None or an "
-                             f"integer >= 1, got {checkpoint_interval!r}")
+        interval = checkpoint_interval
+        if not (interval is None and self.unchunked) and (
+                isinstance(interval, bool) or not isinstance(interval, int)
+                or interval < 1):
+            allowed = "None or an integer" if self.unchunked else "an integer"
+            raise self.error(f"checkpoint_interval must be {allowed} >= 1, "
+                             f"got {interval!r}")
         self.ops = MetricsHub()
         #: job id -> its result, in the order the results landed.
         self.results: Dict[int, JobResult] = {}
         self.peak_queued = 0                     # bounded-queue evidence
+        self._queued = 0                         # jobs in all the queues
         self._queues: Dict[int, deque] = {}      # priority -> waiting FIFO
         self._queued_per_tenant: Dict[str, int] = {}
 
@@ -138,16 +141,17 @@ class Dispatcher:
             raise self.error(f"need at least one lane, got {lanes}")
 
     def queued_depth(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._queued
 
     def _enqueue(self, job: Job) -> None:
         self._queues.setdefault(job.priority, deque()).append(job)
         self._queued_per_tenant[job.tenant] = \
             self._queued_per_tenant.get(job.tenant, 0) + 1
-        self.peak_queued = max(self.peak_queued, self.queued_depth())
+        self._queued += 1
+        self.peak_queued = max(self.peak_queued, self._queued)
 
     def _dispatch(self, t: float = 0.0) -> None:
-        while any(self._queues.values()):
+        while self._queued:
             room = self._room()
             if not room:
                 return
@@ -169,6 +173,7 @@ class Dispatcher:
             queue = self._queues[priority]
             while queue:
                 job = queue.popleft()
+                self._queued -= 1
                 self._queued_per_tenant[job.tenant] -= 1
                 if (job.deadline_s is not None
                         and t - job.arrival_s > job.deadline_s):

@@ -3,14 +3,24 @@
 An :class:`Executor` owns a private :class:`~repro.runtime.Runtime`
 (superblock engine, no cost model) plus a
 :class:`~repro.cluster.snapshot.WarmPool`, and executes the jobs it is
-handed one at a time, chunked on checkpoint-interval boundaries
-(:func:`execute_job_steps`, DESIGN.md §13).  A cluster worker process
-(:func:`worker_main`) runs one, and so does each lane of the serving
-gateway, in process.  With ``model=None`` the cycle counter is the
-instruction counter, there are no TLB/cache side channels, and each job
-runs in a fresh slot with fresh per-job observers — so a job's
-deterministic result fields depend only on the job, never on the
-worker, the slot, or what ran before it (DESIGN.md §12).
+handed one at a time.  A cluster worker process (:func:`worker_main`)
+runs one, and so does each lane of the serving gateway, in process.
+Determinism contract (DESIGN.md §12): with ``model=None`` the machine's
+cycle counter is the instruction counter, there are no TLB/cache side
+channels, and each job runs in a fresh slot with fresh per-job
+observers — so a job's deterministic result fields depend only on the
+job, never on the worker, the slot, or what ran before it.
+
+Execution is *chunked* on checkpoint-interval boundaries (DESIGN.md §13):
+:func:`execute_job_steps` runs to the next multiple of the interval in
+job-consumed-instruction space and pauses; its driver (a worker process
+or a gateway lane, through :meth:`Executor.step`) may capture an
+incremental checkpoint, poll the control channel, or apply a policy
+before it continues.  Because the boundaries are aligned in consumed
+instructions — not in this particular run's progress — a job restored
+from a checkpoint hits the *same* subsequent boundaries as the
+uninterrupted run, which keeps crash recovery and migration
+byte-identical.
 """
 
 from __future__ import annotations
@@ -46,9 +56,12 @@ CHAOS_EXIT = 17
 
 def derive_worker_seed(cluster_seed: int, worker_id: int,
                        generation: int) -> int:
-    """Per-worker-generation seed, hash-derived from the cluster seed:
-    neighbouring ids get uncorrelated streams, and a restarted worker
-    (next generation) a fresh but replayable one."""
+    """Deterministic per-worker-generation seed from the cluster seed.
+
+    Hash-derived so neighbouring worker ids do not get correlated PRNG
+    streams, and a restarted worker (next generation) draws a fresh but
+    replayable stream.
+    """
     digest = hashlib.sha256(
         f"{cluster_seed}:{worker_id}:{generation}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -89,13 +102,15 @@ def execute_job_steps(runtime: Runtime, pool: Optional[WarmPool],
     carries :class:`ResourceQuota` kwargs applied at spawn (the per-tenant
     budget of the serving gateway).
 
-    Boundaries are multiples of the interval in *job-consumed*
-    instructions, not in this run's progress, so a resumed run pauses at
-    the same points as an uninterrupted one regardless of where it picked
-    up (the byte-identity contract, DESIGN.md §13).
+    Boundaries are aligned in *job-consumed* instructions, so a resumed
+    run pauses at the same points as an uninterrupted one regardless of
+    where it picked up (the byte-identity contract, DESIGN.md §13).
 
-    The runtime is left clean for the next job however the job ends
-    (:func:`_cleanup`).
+    The runtime is left clean for the next job however the job ends:
+    every process the job created is terminated and reaped, and every
+    slot the job allocated (including those of already-reaped fork
+    children) is unmapped with its translations swept.  Template slots
+    owned by the pool persist — they are the point of warm spawn.
     """
     slot_start = runtime._next_slot
     pid_start = runtime._next_pid
@@ -276,13 +291,15 @@ def _cleanup(runtime: Runtime, pool: Optional[WarmPool],
 
 
 class Executor:
-    """A private runtime, its warm pool and the job it is running, driven
-    one chunk at a time by :meth:`begin` and :meth:`step`.
+    """A private runtime, its warm pool and the job it is running.
 
-    A cluster worker process builds one per generation and the gateway
-    one per lane.  ``chaos_faults`` maps executor ids to a count of
-    seeded guest-level fault injections (:class:`FaultInjector`), seeded
-    by :func:`derive_worker_seed` of ``seed``.
+    The one construction of what runs jobs: a cluster worker process
+    builds one per generation and the gateway one per lane.
+    ``chaos_faults`` maps executor ids to a count of seeded guest-level
+    fault injections (:class:`FaultInjector`) armed against whatever this
+    executor runs; the seed is :func:`derive_worker_seed` of ``seed``.
+    :meth:`begin` and :meth:`step` drive :func:`execute_job_steps` one
+    chunk at a time, for both.
     """
 
     def __init__(self, worker_id: int, generation: int = 0, *,

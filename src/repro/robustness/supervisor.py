@@ -116,18 +116,22 @@ class RestartBook:
         return [i.line() for i in self.incidents]
 
 
-@dataclass(eq=False)
 class _Managed:
     """Book-keeping for one supervised sandbox across restarts."""
 
-    name: str
-    elf: ElfImage
-    policy: RestartPolicy
-    quota: Optional[ResourceQuota]
-    proc: Optional[Process] = None
-    done: bool = False
-    due_round: Optional[int] = None
-    generation: int = 0
+    __slots__ = ("name", "elf", "policy", "quota", "proc", "done",
+                 "due_round", "generation")
+
+    def __init__(self, name: str, elf: ElfImage,
+                 policy: RestartPolicy, quota: Optional[ResourceQuota]):
+        self.name = name
+        self.elf = elf
+        self.policy = policy
+        self.quota = quota
+        self.proc: Optional[Process] = None
+        self.done = False
+        self.due_round: Optional[int] = None
+        self.generation = 0
 
 
 class Supervisor(RestartBook):

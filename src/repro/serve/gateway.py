@@ -20,12 +20,15 @@ per request (DESIGN.md §12):
 
 Admission is **bounded by construction**: a tenant's token bucket caps
 its admission rate, ``queue_limit`` caps its waiting depth, and
-everything beyond is shed with a typed reason.  A reload goes through
-the monotonic token protocol of :class:`~repro.serve.policy.PolicyStore`
-and reaches running guests at their next chunk boundary, without a
-restart (same pid, same slot).  A lane runs in the gateway's process and
-cannot crash apart from it: crashes, restarts, migration and resizing
-are the :class:`~repro.cluster.Cluster`'s.
+everything beyond is shed with a typed reason — the gateway never
+queues unboundedly.  Policy hot-reload goes through the monotonic
+token protocol of :class:`~repro.serve.policy.PolicyStore`; the new
+`ResourceQuota` is applied to running guests at their next chunk
+boundary without restarting them (same pid, same slot — the benchmark
+proves it).  Each lane is a cluster :class:`~repro.cluster.worker.Executor`
+run in the gateway's own process, so it cannot crash apart from it:
+crashes, restarts, migration and resizing are the
+:class:`~repro.cluster.Cluster`'s, whose workers are processes.
 """
 
 from __future__ import annotations
@@ -52,10 +55,13 @@ class Gateway(Dispatcher):
     """Always-on admission front-end over in-process executor lanes."""
 
     error = ServeError
+    #: A lane meets the gateway (and takes a reloaded policy) only at a
+    #: chunk boundary, so every job is chunked.
+    unchunked = False
 
     def __init__(self, policies: Dict[str, TenantPolicy], *,
                  lanes: int = 2,
-                 checkpoint_interval: Optional[int] = 2000,
+                 checkpoint_interval: int = 2000,
                  budget: int = DEFAULT_JOB_BUDGET,
                  engine: Optional[EngineConfig] = None,
                  chaos_faults: Optional[Dict[int, int]] = None,
@@ -67,22 +73,23 @@ class Gateway(Dispatcher):
         self.budget = budget
         # run_bounded pauses only between scheduler slices, so the lane
         # timeslice is the chunk interval: every boundary (a hot-reload
-        # application point) falls on a slice end.  Without an interval
-        # a job runs unchunked, on the executor's default slice.
-        self.timeslice = checkpoint_interval or 50_000
+        # application point) falls on a slice end.
+        self.timeslice = checkpoint_interval
         self.engine_config = engine_config(engine)
         self.store = PolicyStore()
         for tenant in sorted(policies):
             self.store.add(tenant, policies[tenant])
         self.now = 0.0
         self.log: List[str] = []
-        #: lane id -> its executor; and the request each busy lane serves.
+        #: lane id -> its executor; the request each busy lane serves;
+        #: and the idle lanes, each with 0 jobs outstanding (``_room``).
         self.lanes: Dict[int, Executor] = {
             lane_id: Executor(lane_id, engine=self.engine_config,
                               timeslice=self.timeslice,
                               chaos_faults=chaos_faults, seed=seed)
             for lane_id in range(lanes)}
         self._serving: Dict[int, Job] = {}
+        self._idle: Dict[int, int] = dict.fromkeys(self.lanes, 0)
         self._next_request = 0
         self._events: list = []     # (time, seq, handler, args)
         self._seq = 0
@@ -92,10 +99,13 @@ class Gateway(Dispatcher):
 
     def offer(self, tenant: str, program: bytes, *, stdin: bytes = b"",
               at: Optional[float] = None) -> int:
-        """Offer one request; returns its id.  With ``at``, its arrival
-        is scheduled then and a rejection lands in the results; with
-        ``at=None`` it arrives now and a rejection raises
-        :class:`Overloaded`."""
+        """Offer one request; returns its id.
+
+        With ``at`` set, the arrival is scheduled at that virtual time
+        and any rejection lands in the results as a shed record.  With
+        ``at=None`` the request is admitted *now*, synchronously, and a
+        shed raises the typed :class:`Overloaded` instead.
+        """
         job = Job(self._next_request, program, bytes(stdin), tenant=tenant,
                   arrival_s=self.now if at is None else float(at))
         self._next_request += 1
@@ -112,9 +122,11 @@ class Gateway(Dispatcher):
                at: Optional[float] = None) -> None:
         """Hot-reload ``tenant``'s policy under monotonic ``token``.
 
-        An immediate reload raises :class:`StalePolicy` on a stale token;
-        a scheduled one logs the refusal (``reload-stale``,
-        ``serve.reloads_stale``), having no caller left to raise to.
+        Immediate reloads raise :class:`StalePolicy` on a stale token;
+        scheduled ones record the refusal deterministically (log line +
+        ``serve.reloads_stale`` counter) since there is no caller left
+        to raise to.  Running guests pick the new quota up at their next
+        chunk boundary — no restart, same pid and slot.
         """
         if at is None:
             self._do_reload(tenant, policy, token, self.now, raise_stale=True)
@@ -206,7 +218,7 @@ class Gateway(Dispatcher):
     # -- lanes ---------------------------------------------------------------
 
     def _room(self) -> Dict[int, int]:
-        return dict.fromkeys(self.lanes.keys() - self._serving.keys(), 0)
+        return self._idle
 
     def _start(self, lane_id: int, job: Job, t: float) -> None:
         lane = self.lanes[lane_id]
@@ -216,6 +228,7 @@ class Gateway(Dispatcher):
                            checkpoint_interval=self.interval)
         job.pid, job.slot = begin["pid"], begin["slot_base"]
         self._serving[lane_id] = job
+        del self._idle[lane_id]
         job.policy_version = self.store.version(job.tenant)
         self._log(t, "start", tenant=job.tenant, req=job.job_id,
                   lane=lane_id, pid=job.pid, slot=hex(job.slot),
@@ -246,6 +259,7 @@ class Gateway(Dispatcher):
 
     def _on_finish(self, lane: Executor, payload: dict, t: float) -> None:
         job = self._serving.pop(lane.worker_id)
+        self._idle[lane.worker_id] = 0
         latency = t - job.arrival_s
         result = JobResult.from_payload(payload, tenant=job.tenant,
                                         finish_s=t, latency_s=latency)
@@ -253,8 +267,8 @@ class Gateway(Dispatcher):
         diag.update(worker=lane.worker_id, pid=job.pid, slot=job.slot)
         self._count("serve.completed", tenant=job.tenant)
         self._count("serve.completed_instructions",
-                    amount=int(diag["instructions"]), tenant=job.tenant)
-        if diag["warm"]:
+                    amount=result.instructions, tenant=job.tenant)
+        if result.warm:
             self._count("serve.warm_hits")
         self.ops.host_histogram(
             f"serve.latency_s[tenant={job.tenant}]",

@@ -125,33 +125,51 @@ def render_report(results: List[JobResult],
 
 
 def demo_policies() -> Dict[str, TenantPolicy]:
-    """8 tenants, 3 priority classes; ``bronze-3`` will misbehave: its
-    *policy* allows 20 req/s but its *offered* load (:func:`demo_loads`)
-    runs an order of magnitude hotter, so the token bucket throttles it
-    while the others keep SLA."""
-    gold = TenantPolicy(priority=0, rate=40.0, burst=8.0, queue_limit=16,
-                        sla_s=0.05, quota={"max_instructions": 50_000})
-    silver = TenantPolicy(priority=1, rate=30.0, burst=6.0, queue_limit=12,
-                          sla_s=0.15)
-    bronze = TenantPolicy(priority=2, rate=20.0, burst=4.0, queue_limit=8,
-                          deadline_s=0.5)
-    return {f"{name}-{n}": policy
-            for name, policy, count in (("gold", gold, 2),
-                                        ("silver", silver, 3),
-                                        ("bronze", bronze, 3))
-            for n in range(1, count + 1)}
+    """8 tenants, 3 priority classes; ``bronze-3`` will misbehave."""
+    policies = {
+        "gold-1": TenantPolicy(priority=0, rate=40.0, burst=8.0,
+                               queue_limit=16, sla_s=0.05,
+                               quota={"max_instructions": 50_000}),
+        "gold-2": TenantPolicy(priority=0, rate=40.0, burst=8.0,
+                               queue_limit=16, sla_s=0.05,
+                               quota={"max_instructions": 50_000}),
+        "silver-1": TenantPolicy(priority=1, rate=30.0, burst=6.0,
+                                 queue_limit=12, sla_s=0.15),
+        "silver-2": TenantPolicy(priority=1, rate=30.0, burst=6.0,
+                                 queue_limit=12, sla_s=0.15),
+        "silver-3": TenantPolicy(priority=1, rate=30.0, burst=6.0,
+                                 queue_limit=12, sla_s=0.15),
+        "bronze-1": TenantPolicy(priority=2, rate=20.0, burst=4.0,
+                                 queue_limit=8, deadline_s=0.5),
+        "bronze-2": TenantPolicy(priority=2, rate=20.0, burst=4.0,
+                                 queue_limit=8, deadline_s=0.5),
+        # The misbehaving tenant: its *policy* allows 20 req/s but its
+        # *offered* load (demo_loads) runs an order of magnitude hotter,
+        # so the token bucket throttles it while the others keep SLA.
+        "bronze-3": TenantPolicy(priority=2, rate=20.0, burst=4.0,
+                                 queue_limit=8, deadline_s=0.5),
+    }
+    return policies
 
 
 def demo_loads() -> List[TenantLoad]:
-    """One load per :func:`demo_policies` tenant, valued 1-8; bronze-3
-    offers ~8x its admitted rate: the open loop keeps offering anyway."""
-    offered = [("gold-1", 25.0, 3000), ("gold-2", 25.0, 3000),
-               ("silver-1", 20.0, 4000), ("silver-2", 20.0, 4000),
-               ("silver-3", 20.0, 4000), ("bronze-1", 12.0, 5000),
-               ("bronze-2", 12.0, 5000), ("bronze-3", 150.0, 5000)]
-    return [TenantLoad(tenant, rate=rate, target_instructions=target,
-                       value=value)
-            for value, (tenant, rate, target) in enumerate(offered, 1)]
+    return [
+        TenantLoad("gold-1", rate=25.0, target_instructions=3000, value=1),
+        TenantLoad("gold-2", rate=25.0, target_instructions=3000, value=2),
+        TenantLoad("silver-1", rate=20.0, target_instructions=4000,
+                   value=3),
+        TenantLoad("silver-2", rate=20.0, target_instructions=4000,
+                   value=4),
+        TenantLoad("silver-3", rate=20.0, target_instructions=4000,
+                   value=5),
+        TenantLoad("bronze-1", rate=12.0, target_instructions=5000,
+                   value=6),
+        TenantLoad("bronze-2", rate=12.0, target_instructions=5000,
+                   value=7),
+        # ~8x its admitted rate: the open loop keeps offering anyway.
+        TenantLoad("bronze-3", rate=150.0, target_instructions=5000,
+                   value=8),
+    ]
 
 
 _TENANT_KEYS = {"priority", "rate", "burst", "queue_limit", "deadline_ms",

@@ -165,6 +165,21 @@ class TestFaultTolerance:
             with pytest.raises(ClusterError):
                 cluster.drain()
 
+    def test_a_crash_before_the_yield_dissolves_the_migration(self, images):
+        """The owner dies before it reaches a boundary (the interval is
+        longer than the job), so the job never yields: it is routed like
+        any owed job, to the lowest-id worker, and no migration counts."""
+        clean_keys, _, _ = run_batch(images, workers=1)
+        with Cluster(workers=2, chaos={0: 0}) as cluster:
+            cluster.submit(images["busy4"])        # routed to worker 0
+            cluster.migrate(0, 1)
+            result = cluster.drain()[0]
+            fleet = cluster.fleet_report()
+        assert fleet["restarts"] == 1
+        assert fleet["migrations"] == 0
+        assert result.diag["worker"] == 0
+        assert result.deterministic_key()[1:] == clean_keys[3][1:]
+
     def test_an_empty_fleet_is_a_cluster_error(self):
         with pytest.raises(ClusterError, match="at least one lane"):
             Cluster(workers=0)

@@ -221,6 +221,12 @@ class TestHotReload:
             load_config({"checkpoint_interval": interval,
                          "tenants": {"t": {}}})
 
+    def test_an_unchunked_gateway_is_a_serve_error(self):
+        """A reload reaches a running guest only at a chunk boundary, so
+        the gateway has no unchunked mode."""
+        with pytest.raises(ServeError, match="an integer >= 1, got None"):
+            Gateway({"a": TenantPolicy()}, checkpoint_interval=None)
+
     def test_stale_immediate_reload_raises(self):
         gateway = Gateway({"a": TenantPolicy()}, lanes=1)
         gateway.reload("a", TenantPolicy(), token=1)
